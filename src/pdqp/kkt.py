@@ -1,5 +1,5 @@
-"""KKT linear algebra: symmetric indefinite factorization with deferred
-pivots, basis discovery, and the direction solves.
+"""KKT linear algebra: symmetric indefinite factorization, basis
+discovery, and the direction solves.
 
 For a basic set B the matrix
 
@@ -7,18 +7,36 @@ For a basic set B the matrix
           [ A_B   -M   ]
 
 is factored as P' K_B P = L D L' with unit lower triangular L and block
-diagonal D of 1x1 and 2x2 pivots.  Pivots whose magnitude falls below a
-relative tolerance are deferred; a completed factorization certifies that
-B is second-order consistent, and a deferral yields a singularity report
-carrying a null vector.
+diagonal D of 1x1 and 2x2 pivots, along one of two paths:
+
+* LAPACK Bunch-Kaufman (``dsytrf``), accepted when the reciprocal
+  1-norm condition estimate from ``dsycon`` exceeds
+  100 * dim * PIVOT_TOL;
+* otherwise an in-repo greedy elimination that defers every pivot whose
+  magnitude falls below PIVOT_TOL * max|K|.  A completed elimination
+  certifies that B is second-order consistent; a deferral yields a
+  singularity report carrying a null vector.
+
+The acceptance rule never changes a verdict.  The greedy elimination
+defers only when some trailing Schur complement S has every entry below
+PIVOT_TOL * max|K|, so sigma_min(S) <= dim * PIVOT_TOL * max|K|; and
+S^-1 is a principal submatrix of K^-1, so sigma_min(K) <= sigma_min(S).
+For symmetric K, sigma_min(K) >= rcond_1 * ||K||_1 >= rcond_1 * max|K|.
+An accepted factorization therefore has sigma_min(K) a factor 100 above
+any deferral, a margin that covers the estimator's slack and roundoff,
+and the greedy path would have completed.  Basis discovery, singular
+reports and near-singular matrices keep the greedy path, whose deferral
+and tie-break order the tests pin down.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .model import Direction, Iterate, Partition, QpProblem, Shifts
 
@@ -30,8 +48,33 @@ class KktInternalError(RuntimeError):
     or a solved direction violates a sign guarantee."""
 
 
+def _logabsdet(blocks: Iterable[np.ndarray]) -> tuple[float, float]:
+    """(sign, log|det|) of a block diagonal D given its 1x1/2x2 blocks."""
+    sign = 1.0
+    logabs = 0.0
+    for block in blocks:
+        det = (block[0, 0] if block.shape[0] == 1
+               else block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
+        sign *= 1.0 if det > 0 else -1.0
+        logabs += float(np.log(abs(det)))
+    return sign, logabs
+
+
+class _Factor:
+    """A completed factorization of ``matrix``; subclasses apply its
+    inverse once in ``_once``."""
+
+    matrix: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve with the factorization, one refinement step."""
+        x = self._once(rhs)
+        x += self._once(rhs - self.matrix @ x)
+        return x
+
+
 @dataclass
-class _LdlData:
+class _LdlData(_Factor):
     """Raw output of the elimination engine (permuted coordinates)."""
 
     perm: np.ndarray          # perm[pos] = original index
@@ -44,14 +87,50 @@ class _LdlData:
 
     def logabsdet(self) -> tuple[float, float]:
         """(sign, log|det|) over the pivot blocks."""
-        sign = 1.0
-        logabs = 0.0
-        for _, block in self.dblocks:
-            det = (block[0, 0] if block.shape[0] == 1
-                   else block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
-            sign *= 1.0 if det > 0 else -1.0
-            logabs += float(np.log(abs(det)))
-        return sign, logabs
+        return _logabsdet(block for _, block in self.dblocks)
+
+    def _once(self, r: np.ndarray) -> np.ndarray:
+        pb = r[self.perm]
+        t = scipy.linalg.solve_triangular(self.lower, pb, lower=True,
+                                          unit_diagonal=True)
+        t = _block_diag_solve(self.dblocks, t)
+        t = scipy.linalg.solve_triangular(self.lower.T, t, lower=False,
+                                          unit_diagonal=True)
+        out = np.empty_like(t)
+        out[self.perm] = t
+        return out
+
+
+@dataclass
+class _BunchKaufman(_Factor):
+    """LAPACK ``dsytrf`` factorization (lower storage) of a matrix whose
+    condition estimate certifies that no pivot would be deferred."""
+
+    ldu: np.ndarray
+    ipiv: np.ndarray          # LAPACK 1-based pivots; a pair < 0 marks 2x2
+    matrix: np.ndarray
+
+    @property
+    def deferred(self) -> np.ndarray:
+        return np.empty(0, dtype=int)
+
+    def _dblocks(self):
+        d, i = self.ldu, 0
+        while i < self.ipiv.size:
+            if self.ipiv[i] > 0:
+                yield d[i:i + 1, i:i + 1]
+                i += 1
+            else:
+                yield np.array([[d[i, i], d[i + 1, i]],
+                                [d[i + 1, i], d[i + 1, i + 1]]])
+                i += 2
+
+    def logabsdet(self) -> tuple[float, float]:
+        """(sign, log|det|) over the pivot blocks."""
+        return _logabsdet(self._dblocks())
+
+    def _once(self, r: np.ndarray) -> np.ndarray:
+        return lapack.dsytrs(self.ldu, self.ipiv, r, lower=1)[0]
 
 
 def _swap(w: np.ndarray, perm: np.ndarray, i: int, j: int) -> None:
@@ -162,22 +241,28 @@ def _block_diag_solve(dblocks, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ldl_solve(data: _LdlData, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a completed factorization, one refinement step."""
-    def once(r):
-        pb = r[data.perm]
-        t = scipy.linalg.solve_triangular(data.lower, pb, lower=True,
-                                          unit_diagonal=True)
-        t = _block_diag_solve(data.dblocks, t)
-        t = scipy.linalg.solve_triangular(data.lower.T, t, lower=False,
-                                          unit_diagonal=True)
-        out = np.empty_like(t)
-        out[data.perm] = t
-        return out
+def _bunch_kaufman(k: np.ndarray) -> _BunchKaufman | None:
+    """LAPACK factorization of K, or None unless its reciprocal condition
+    estimate exceeds 100 * dim * PIVOT_TOL (see the module docstring)."""
+    k = np.asarray(k, dtype=float)
+    dim = k.shape[0]
+    if dim == 0:
+        return None
+    lwork = int(lapack.dsytrf_lwork(dim, lower=1)[0])
+    ldu, ipiv, info = lapack.dsytrf(k, lower=1, lwork=lwork)
+    if info != 0:
+        return None
+    anorm = float(np.max(np.sum(np.abs(k), axis=0)))
+    rcond, info = lapack.dsycon(ldu, ipiv, anorm, lower=1)
+    if info != 0 or not rcond > 100 * dim * PIVOT_TOL:    # NaN rejects too
+        return None
+    return _BunchKaufman(ldu=ldu, ipiv=ipiv, matrix=k)
 
-    x = once(rhs)
-    x += once(rhs - data.matrix @ x)
-    return x
+
+def _factorize(k: np.ndarray) -> _Factor:
+    """Factor a symmetric K: Bunch-Kaufman when its verdict is certain,
+    the greedy elimination (which may defer pivots) otherwise."""
+    return _bunch_kaufman(k) or _factor_symmetric_indefinite(k)
 
 
 def _null_vector(data: _LdlData) -> np.ndarray:
@@ -208,13 +293,13 @@ class KktFactorization:
 
     basis: tuple[int, ...]
     dim: int
-    _data: _LdlData
+    _data: _Factor
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.dim,):
             raise ValueError(f"rhs must have length {self.dim}")
-        return _ldl_solve(self._data, rhs)
+        return self._data.solve(rhs)
 
     def matrix(self) -> np.ndarray:
         return self._data.matrix.copy()
@@ -258,7 +343,7 @@ def factor_kb(p: QpProblem, part: Partition) -> KktFactorization | SingularRepor
     singular within the pivot tolerance."""
     basic = list(part.basic)
     kb = build_kb(p, basic)
-    data = _factor_symmetric_indefinite(kb)
+    data = _factorize(kb)
     if data.deferred.size:
         return SingularReport(basis=tuple(basic), dim=kb.shape[0],
                               null_vector=_null_vector(data),
@@ -298,7 +383,9 @@ def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisRes
     the non-fixed columns; the variable indices that get pivoted form B
     and the deferred ones form N.  ``prefer`` indices (typically free
     variables) are tried first as 1x1 pivots.  The multiplier rows must
-    all be pivoted, which the full-row-rank load check guarantees.
+    all be pivoted, which the full-row-rank load check guarantees.  When
+    the Bunch-Kaufman path accepts the matrix, the elimination would
+    defer nothing, so every non-fixed column is basic.
     """
     n, m = p.n, p.m
     cand = [j for j in range(n) if j not in p.fixed]
@@ -307,7 +394,8 @@ def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisRes
     if prefer:
         pos = {j: i for i, j in enumerate(cand)}
         forced = [pos[j] for j in sorted(prefer) if j in pos]
-    data = _factor_symmetric_indefinite(k_full, forced_first=forced)
+    data = (_bunch_kaufman(k_full)
+            or _factor_symmetric_indefinite(k_full, forced_first=forced))
     nc = len(cand)
     deferred = sorted(cand[i] for i in data.deferred if i < nc)
     if any(i >= nc for i in data.deferred):
@@ -319,23 +407,23 @@ def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisRes
     return SocBasisResult(partition=part, deferred=deferred)
 
 
-def _freed_component(raw: float, noise: float, own: _LdlData | KktFactorization,
-                     other: np.ndarray, what: str) -> float:
+def _freed_component(raw: float, noise: float, own: _Factor,
+                     other: Callable[[], np.ndarray], what: str) -> float:
     """Resolve the freed component of a direction near zero.
 
     The dichotomy is exact: the component vanishes iff the counterpart
     matrix is singular.  When the straightforwardly computed value falls
-    inside the cancellation noise band, factor the counterpart and either
-    pin the component to zero or recompute it as a pivot-determinant
-    ratio, which stays accurate at any data scale.
+    inside the cancellation noise band, build the counterpart with
+    ``other()``, factor it, and either pin the component to zero or
+    recompute it as a pivot-determinant ratio, which stays accurate at
+    any data scale.
     """
     if raw > noise:
         return raw
-    data = _factor_symmetric_indefinite(other)
+    data = _factorize(other())
     if data.deferred.size:
         return 0.0
-    own_data = own._data if isinstance(own, KktFactorization) else own
-    s_own, ld_own = own_data.logabsdet()
+    s_own, ld_own = own.logabsdet()
     s_oth, ld_oth = data.logabsdet()
     value = s_oth * s_own * float(np.exp(ld_oth - ld_own))
     if value <= 0.0:
@@ -367,7 +455,8 @@ def solve_base_primal(p: QpProblem, part: Partition, f: KktFactorization,
     noise = 1e-12 * float(abs(p.H[l, l])
                           + np.abs(p.H[basic, l]) @ np.abs(dxb)
                           + np.abs(p.A[:, l]) @ np.abs(dy) + 1.0)
-    dzl = _freed_component(dzl, noise, f, build_kl(p, basic, l), "dz_l")
+    dzl = _freed_component(dzl, noise, f._data, lambda: build_kl(p, basic, l),
+                           "dz_l")
     nonbasic = list(part.nonbasic)
     dz = np.zeros(p.n)
     dz[l] = dzl
@@ -393,18 +482,18 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int) -> Directio
     basic = list(part.basic)
     nb = len(basic)
     kl = build_kl(p, basic, l)
-    data = _factor_symmetric_indefinite(kl)
+    data = _factorize(kl)
     if data.deferred.size:
         raise KktInternalError(
             f"K_l unexpectedly singular for freed index {l}, basis {basic}")
     rhs = np.zeros(kl.shape[0])
     rhs[0] = 1.0
-    w = _ldl_solve(data, rhs)
+    w = data.solve(rhs)
     dxl = float(w[0])
     dxb = w[1:1 + nb]
     dy = -w[1 + nb:]
     noise = 1e-12 * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    dxl = _freed_component(dxl, noise, data, build_kb(p, basic), "dx_l")
+    dxl = _freed_component(dxl, noise, data, lambda: build_kb(p, basic), "dx_l")
     if dxl == 0.0:
         # Singular K_B: every x-component of the direction vanishes and
         # only the multiplier part moves.

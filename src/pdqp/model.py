@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 
 class ProblemError(ValueError):
@@ -62,11 +63,20 @@ def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> None:
     """Pivoted-Cholesky style semidefiniteness test.
 
     Greedily eliminates the largest remaining diagonal; a diagonal pivot
-    below -tol * max-diagonal rejects the matrix.
+    below -tol * max-diagonal rejects the matrix.  A LAPACK Cholesky
+    factorization (``dpotrf``) of the rows and columns that are not
+    identically zero (standardized problems pad H with zero slack rows)
+    accepts first: a matrix definite on its nonzero part is semidefinite,
+    so the greedy test runs only when that factorization fails or is not
+    finite.
     """
-    k = s.shape[0]
-    if k == 0:
+    live = np.any(s != 0.0, axis=1)
+    if not live.any():              # empty or zero
         return
+    factor, info = lapack.dpotrf(s[np.ix_(live, live)])
+    if info == 0 and np.all(np.isfinite(factor)):
+        return
+    k = s.shape[0]
     w = np.array(s, dtype=float)
     scale = max(float(np.max(np.diag(w))), 0.0)
     cutoff = tol * max(1.0, scale)

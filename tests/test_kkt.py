@@ -6,8 +6,9 @@ from pdqp import (Iterate, KktFactorization, KktInternalError, Partition,
                   QpProblem, Shifts, SingularReport, factor_kb,
                   find_soc_basis, recover_z_nonbasic, refactor_after_swap,
                   solve_base_primal, solve_intermediate_primal)
-from pdqp.kkt import (_factor_symmetric_indefinite, build_kb, build_kl,
-                      factor_kb_or_raise, solve_boundary_point)
+from pdqp import kkt
+from pdqp.kkt import (_bunch_kaufman, _factor_symmetric_indefinite, build_kb,
+                      build_kl, factor_kb_or_raise, solve_boundary_point)
 from pdqp.oracle import _gauss_solve
 
 from conftest import random_instances
@@ -123,6 +124,26 @@ def test_solve_base_primal_hand_case(p1):
     assert d.dz_l == pytest.approx(2.0)
 
 
+def test_counterpart_assembled_only_inside_noise_band(p1, monkeypatch):
+    # dz_l = 2 and dx_l = 0.5 are far from zero: neither solve may build
+    # the counterpart matrix (K_l for the base solve, K_B for the
+    # intermediate one, whose own K_l is the only assembly).
+    f = factor_kb_or_raise(p1, Partition(basic=[1], nonbasic=[0]))
+    built = []
+    original = kkt.build_kb
+
+    def recording_build_kb(p, basic):
+        built.append(list(basic))
+        return original(p, basic)
+
+    monkeypatch.setattr(kkt, "build_kb", recording_build_kb)
+    part = Partition(basic=[1], nonbasic=[], freed=0)
+    assert solve_base_primal(p1, part, f, 0).dz_l == pytest.approx(2.0)
+    assert built == []
+    assert solve_intermediate_primal(p1, part, 0).dx_l == pytest.approx(0.5)
+    assert built == [[0, 1]]
+
+
 def test_solve_base_primal_singular_kl_case(p_lp):
     part = Partition(basic=[1], nonbasic=[], freed=0)
     f = factor_kb_or_raise(p_lp, Partition(basic=[1], nonbasic=[0]))
@@ -231,8 +252,7 @@ def test_factor_solve_matches_gauss_on_random():
         if data.deferred.size:
             continue
         rhs = rng.normal(size=dim)
-        from pdqp.kkt import _ldl_solve
-        x = _ldl_solve(data, rhs)
+        x = data.solve(rhs)
         assert_allclose(x, _gauss_solve(k, rhs), atol=1e-8 * max(1, np.abs(x).max()))
 
 
@@ -279,3 +299,81 @@ def test_boundary_point_solves_equalities(p2):
     assert_allclose(it.x, [1.0, 0.0])
     assert_allclose(it.y, [3.0])
     assert_allclose(it.z, [0.0, -3.0])
+
+
+def _kkt_with_sigma_min(rng, integer, rel_sigma):
+    """A KKT matrix with rank-deficient H.  Unless ``rel_sigma`` is None,
+    its smallest singular value is set to rel_sigma * max|K| by moving the
+    smallest-magnitude eigenvalue, and any other below it, to that
+    magnitude."""
+    n = int(rng.integers(2, 9))
+    m = int(rng.integers(1, 4))
+    rank = int(rng.integers(0, n))
+    if integer:
+        g = rng.integers(-3, 4, size=(rank, n)).astype(float)
+        a = rng.integers(-3, 4, size=(m, n)).astype(float)
+    else:
+        g = rng.normal(size=(rank, n))
+        a = rng.normal(size=(m, n))
+    k = np.block([[g.T @ g, a.T], [a, np.zeros((m, m))]])
+    if rel_sigma is not None:
+        lam, q = np.linalg.eigh(k)
+        floor = rel_sigma * np.max(np.abs(k))
+        small = np.abs(lam) < floor
+        small[np.argmin(np.abs(lam))] = True
+        lam[small] = np.where(lam[small] < 0, -floor, floor)
+        k = q @ np.diag(lam) @ q.T
+        k = 0.5 * (k + k.T)
+    return k
+
+
+def test_bunch_kaufman_acceptance_implies_greedy_completes():
+    rng = np.random.default_rng(20260810)
+    accepted = rejected = 0
+    for rel_sigma in [None] + [10.0 ** e for e in range(-15, -2)]:
+        for integer in (True, False):
+            for _ in range(40):
+                k = _kkt_with_sigma_min(rng, integer, rel_sigma)
+                bk = _bunch_kaufman(k)
+                greedy = _factor_symmetric_indefinite(k)
+                if bk is None:
+                    rejected += 1
+                    continue
+                accepted += 1
+                assert greedy.deferred.size == 0
+                rhs = rng.normal(size=k.shape[0])
+                x_greedy = greedy.solve(rhs)
+                assert np.linalg.norm(bk.solve(rhs) - x_greedy) \
+                    <= 1e-8 * np.linalg.norm(x_greedy)
+    assert accepted > 100 and rejected > 100
+
+
+def test_bunch_kaufman_logabsdet_matches_slogdet():
+    rng = np.random.default_rng(3)
+    two_by_two = 0
+    for _ in range(200):
+        k = _kkt_with_sigma_min(rng, bool(rng.integers(2)), None)
+        k += np.diag(rng.normal(scale=1e-3, size=k.shape[0]))
+        bk = _bunch_kaufman(k)
+        if bk is None:
+            continue
+        two_by_two += int(np.any(bk.ipiv < 0))
+        sign, logabs = bk.logabsdet()
+        ref_sign, ref_logabs = np.linalg.slogdet(k)
+        assert sign == ref_sign
+        assert logabs == pytest.approx(ref_logabs, rel=1e-9, abs=1e-9)
+    assert two_by_two > 20
+
+
+def test_find_soc_basis_matches_greedy_only_path(monkeypatch):
+    problems = random_instances(20260810, 500)
+    fast = [find_soc_basis(p) for p in problems]
+    accepted = sum(_bunch_kaufman(build_kb(p, list(range(p.n)))) is not None
+                   for p in problems)
+    assert 0 < accepted < len(problems)      # both paths are exercised
+    monkeypatch.setattr(kkt, "_bunch_kaufman", lambda k: None)
+    for p, res in zip(problems, fast):
+        ref = find_soc_basis(p)
+        assert res.partition.basic == ref.partition.basic
+        assert res.partition.nonbasic == ref.partition.nonbasic
+        assert res.deferred == ref.deferred

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,8 @@ from numpy.testing import assert_allclose
 from pdqp import (Iterate, Partition, ProblemError, QpProblem, Shifts,
                   check_optimality, dual_objective, enumerate_solve,
                   primal_objective, residuals)
-from pdqp.model import effective_shifts
+from pdqp import model
+from pdqp.model import _check_psd, effective_shifts
 
 from conftest import random_instances
 
@@ -153,3 +156,47 @@ def test_effective_shifts_align_relaxed_entries(p1):
     eff = effective_shifts(p1, Shifts.zero(2), part, point)
     assert eff.r[0] == 0.5
     assert eff.q[1] == 0.25
+
+
+def _psd_cases():
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    spectrum = np.array([3.0, 2.0, 1.5, 1.0, 0.5, 0.0])
+    g = rng.normal(size=(6, 6))
+    padded = np.zeros((9, 9))
+    padded[:6, :6] = g.T @ g + np.eye(6)
+    low = rng.normal(size=(2, 6))
+
+    def with_last(eig):
+        lam = spectrum.copy()
+        lam[-1] = eig
+        return q @ np.diag(lam) @ q.T
+
+    return [
+        pytest.param(g.T @ g + np.eye(6), True, id="pd"),
+        pytest.param(padded, True, id="psd_zero_slack_rows"),
+        pytest.param(low.T @ low, True, id="low_rank"),
+        pytest.param(with_last(-1e-12), True, id="eig_minus_1e-12"),
+        pytest.param(with_last(-1e-6), False, id="eig_minus_1e-6"),
+        pytest.param(np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 0.0],
+                               [0.0, 0.0, 1.0]]), False,
+                     id="zero_diagonal_row"),
+    ]
+
+
+def _psd_verdict(s):
+    try:
+        _check_psd(s, "H")
+    except ProblemError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("s,expected", _psd_cases())
+def test_check_psd_matches_greedy_verdict(monkeypatch, s, expected):
+    assert _psd_verdict(s) is expected
+
+    # A Cholesky that always fails leaves the verdict to the greedy test.
+    monkeypatch.setattr(model, "lapack",
+                        SimpleNamespace(dpotrf=lambda a: (a, 1)))
+    assert _psd_verdict(s) is expected
