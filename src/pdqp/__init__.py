@@ -8,11 +8,11 @@ from .model import (Direction, InvariantError, Iterate, OptimalityReport,
                     primal_objective, residuals)
 from .kkt import (KktFactorization, KktInternalError, SingularReport,
                   SocBasisResult, factor_kb, find_soc_basis,
-                  recover_z_nonbasic, refactor_after_swap, solve_base_primal,
+                  recover_z_nonbasic, solve_base_primal,
                   solve_intermediate_primal)
-from .steps import SolveLimits, StepResult, TraceRecord
-from .primal import PrimalOutcome, primal_base, primal_intermediate, solve_primal
-from .dual import DualOutcome, dual_base, dual_intermediate, solve_dual
+from .steps import SolveLimits, SolveOutcome, StepResult, TraceRecord
+from .primal import primal_base, primal_intermediate, solve_primal
+from .dual import dual_base, dual_intermediate, solve_dual
 from .driver import (GeneralQp, PdqpSolution, SolveConfig, StandardSolution,
                      TemporaryBoundRegistry, init_shifts, solve_pdqp,
                      solve_standard, standardize, temporary_bound_pass)
@@ -21,20 +21,20 @@ from .oracle import (OracleBudgetError, OracleSolution, PropertyReport,
                      enumerate_solve)
 
 __all__ = [
-    "Direction", "DualOutcome", "GeneralQp", "InvariantError", "Iterate",
+    "Direction", "GeneralQp", "InvariantError", "Iterate",
     "KktFactorization", "KktInternalError", "OptimalityReport",
     "OracleBudgetError", "OracleSolution", "Partition", "PdqpSolution",
-    "PrimalOutcome", "ProblemError", "PropertyReport", "QpProblem", "Shifts",
+    "ProblemError", "PropertyReport", "QpProblem", "Shifts",
     "SingularReport", "SocBasisResult", "SolveConfig", "SolveLimits",
-    "StandardSolution", "StartConditionError", "StepResult",
+    "SolveOutcome", "StandardSolution", "StartConditionError", "StepResult",
     "TemporaryBoundRegistry", "TraceRecord", "check_direction_propositions",
     "check_objective_identity", "check_optimality", "dual_base",
     "dual_intermediate", "dual_objective", "enumerate_solve", "factor_kb",
     "find_soc_basis", "init_shifts", "primal_base", "primal_intermediate",
-    "primal_objective", "recover_z_nonbasic", "refactor_after_swap",
-    "residuals", "solve_base_primal", "solve_dual",
-    "solve_intermediate_primal", "solve_pdqp", "solve_primal",
-    "solve_standard", "standardize", "temporary_bound_pass",
+    "primal_objective", "recover_z_nonbasic", "residuals",
+    "solve_base_primal", "solve_dual", "solve_intermediate_primal",
+    "solve_pdqp", "solve_primal", "solve_standard", "standardize",
+    "temporary_bound_pass",
 ]
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from .driver import GeneralQp, PdqpSolution, SolveConfig, solve_pdqp
-from .model import ProblemError
 from .steps import TraceRecord
 
 RUNLOG_COLUMNS = ("name", "n", "m", "status", "objective", "strategy",
@@ -81,9 +80,6 @@ class _Lines:
         row = self.rows[self.pos]
         self.pos += 1
         return row
-
-    def peek(self) -> tuple[int, str] | None:
-        return self.rows[self.pos] if self.pos < len(self.rows) else None
 
 
 def _parse_matrix(lines: _Lines, tokens, nrows, ncols, symmetric, path, no):
@@ -320,8 +316,8 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
         trace_to = out / f"{path.stem}.trace.csv" if trace else None
         try:
             row, sol = _solve_one(g, config, trace_to)
-        except ProblemError as exc:
-            print(f"{g.name}: {exc}", file=sys.stderr)
+        except Exception as exc:     # one bad problem must not end the batch
+            print(f"{g.name}: {type(exc).__name__}: {exc}", file=sys.stderr)
             row, sol = RunRow(name=g.name, n=g.n, m=g.m, status="error",
                               objective=None, strategy=strategy,
                               stage1_iters=0, stage2_iters=0, subiters=0,

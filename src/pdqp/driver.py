@@ -26,12 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import solve_dual
-from .kkt import factor_kb_or_raise, find_soc_basis, solve_boundary_point
+from .kkt import (KktFactorization, factor_kb_or_raise, find_soc_basis,
+                  solve_boundary_point)
 from .model import (InvariantError, Iterate, Partition, ProblemError,
                     QpProblem, Shifts, check_optimality, dual_objective,
                     primal_objective)
-from .primal import OPTIMAL, PRIMAL_INFEASIBLE, PrimalOutcome, solve_primal
-from .steps import SolveLimits, TraceSink
+from .primal import solve_primal
+from .steps import (OPTIMAL, PRIMAL_INFEASIBLE, SolveLimits, SolveOutcome,
+                    TraceSink)
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,6 @@ class GeneralQp:
 
 @dataclass
 class TempBoundEntry:
-    index: int
-    value: float        # the temporary fixing x_j = value
     dual: float = 0.0   # the dual recorded when the shifts were built
 
 
@@ -102,8 +102,8 @@ class TemporaryBoundRegistry:
         self.entries: dict[int, TempBoundEntry] = {}
         self._basic: set[int] = set()
 
-    def register(self, index: int, value: float, dual: float) -> None:
-        self.entries[index] = TempBoundEntry(index, value, dual)
+    def register(self, index: int, dual: float) -> None:
+        self.entries[index] = TempBoundEntry(dual)
 
     def mark_basic(self, index: int) -> None:
         if index in self.entries:
@@ -259,7 +259,8 @@ def standardize(g: GeneralQp) -> Standardized:
 
 
 def init_shifts(p: QpProblem, part: Partition,
-                registry: TemporaryBoundRegistry | None = None
+                registry: TemporaryBoundRegistry | None = None,
+                factor: KktFactorization | None = None
                 ) -> tuple[Shifts, Iterate]:
     """Minimal shifts making the given basis optimal for the shifted pair.
 
@@ -267,10 +268,9 @@ def init_shifts(p: QpProblem, part: Partition,
     z_N; taking q_B = max(-x_B, 0) and r_N = max(-z_N, 0) componentwise
     makes the point jointly optimal.  Free variables get no primal shift;
     a free nonbasic variable j is registered as a temporary bound with
-    dual shift r_j = -z_j.
+    dual shift r_j = -z_j.  K_B is factored unless ``factor`` is given.
     """
-    f = factor_kb_or_raise(p, part)
-    it = solve_boundary_point(p, Shifts.zero(p.n), part, f)
+    it = solve_boundary_point(p, Shifts.zero(p.n), part, factor)
     q0 = np.zeros(p.n)
     r0 = np.zeros(p.n)
     for i in part.basic:
@@ -283,7 +283,7 @@ def init_shifts(p: QpProblem, part: Partition,
         if j in p.free:
             r0[j] = -float(it.z[j])
             if registry is not None:
-                registry.register(j, 0.0, float(it.z[j]))
+                registry.register(j, float(it.z[j]))
         else:
             r0[j] = max(-float(it.z[j]), 0.0)
     return Shifts(q0, r0), it
@@ -373,24 +373,18 @@ class PdqpSolution:
     standardized: StandardSolution | None
 
 
-def _is_dual_feasible_start(p: QpProblem, part: Partition, it: Iterate,
-                            registry: TemporaryBoundRegistry,
+def _is_dual_feasible_start(p: QpProblem, shifts0: Shifts, it: Iterate,
                             fea_tol: float) -> bool:
+    """Whether the initial dual shifts are within tolerance: r_j is
+    max(-z_j, 0) on bounded nonbasic indices and -z_j on free ones."""
     y_scale = max(1.0, float(np.max(np.abs(it.y))) if it.y.size else 0.0)
-    for j in part.nonbasic:
-        if j in p.fixed or j in p.free:
-            continue
-        if it.z[j] < -fea_tol * y_scale:
-            return False
-    for j in registry.unreleased_nonbasic():
-        if abs(registry.entries[j].dual) > fea_tol:
-            return False
-    return True
+    free = p.masks[0]
+    return (float(np.max(shifts0.r[~free], initial=0.0)) <= fea_tol * y_scale
+            and float(np.max(np.abs(shifts0.r[free]), initial=0.0)) <= fea_tol)
 
 
-def _stage_log(p: QpProblem, s: Shifts, out) -> StageLog:
-    method = "primal" if isinstance(out, PrimalOutcome) else "dual"
-    return StageLog(method=method, status=out.status,
+def _stage_log(p: QpProblem, s: Shifts, out: SolveOutcome) -> StageLog:
+    return StageLog(method=out.method, status=out.status,
                     iterations=out.iterations,
                     subiterations=out.subiterations,
                     f_primal=primal_objective(p, s, out.iterate),
@@ -401,7 +395,13 @@ def _stage_log(p: QpProblem, s: Shifts, out) -> StageLog:
 def solve_standard(p: QpProblem, config: SolveConfig | None = None,
                    registry: TemporaryBoundRegistry | None = None
                    ) -> StandardSolution:
-    """Run the combined strategy on a standard-form problem."""
+    """Run the combined strategy on a standard-form problem.
+
+    A strategy is a list of stages, each a method and the shifts it runs
+    under, started from where the previous stage ended.  The run stops
+    at the first stage that is not optimal; after an optimal one the
+    temporary-bound contract of its method is checked.
+    """
     config = config or SolveConfig()
     if config.initial_basis is not None:
         chosen = set(config.initial_basis)
@@ -409,11 +409,13 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None,
             raise ProblemError("fixed variables cannot be basic")
         part = Partition(basic=sorted(chosen),
                          nonbasic=[j for j in range(p.n) if j not in chosen])
-        factor_kb_or_raise(p, part)
+        factor = factor_kb_or_raise(p, part)
     else:
-        part = find_soc_basis(p, prefer=sorted(p.free)).partition
+        found = find_soc_basis(p, prefer=sorted(p.free))
+        part, factor = found.partition, found.factor
     registry = registry if registry is not None else TemporaryBoundRegistry()
-    shifts0, it = init_shifts(p, part, registry)
+    shifts0, it = init_shifts(p, part, registry, factor)
+    factor = found = None   # free the start basis's K_B before the stages
     report = check_optimality(p, shifts0, it, config.fea_tol, config.opt_tol)
     if not report.optimal:
         raise InvariantError("initial shifted point failed the optimality "
@@ -422,84 +424,60 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None,
     strategy = config.strategy
     if strategy == "auto":
         strategy = ("dual-first"
-                    if _is_dual_feasible_start(p, part, it, registry,
-                                               config.fea_tol)
+                    if _is_dual_feasible_start(p, shifts0, it, config.fea_tol)
                     else "primal-first")
+    if strategy == "primal-only" and \
+            float(np.max(shifts0.q, initial=0.0)) > config.fea_tol:
+        raise ProblemError("primal-only requires a primal-feasible "
+                           "initial basis (zero primal shifts)")
+    if strategy == "dual-only" and \
+            float(np.max(np.abs(shifts0.r), initial=0.0)) > config.opt_tol:
+        raise ProblemError("dual-only requires a dual-feasible initial "
+                           "basis (zero dual shifts)")
 
     zero = Shifts.zero(p.n)
-    limits = config.limits()
+    stages = {
+        "primal-first": [(solve_primal, shifts0.with_r(zero.r)),
+                         (solve_dual, zero)],
+        "dual-first": [(solve_dual, shifts0.with_q(zero.q)),
+                       (solve_primal, zero)],
+        "primal-only": [(solve_primal, zero)],
+        "dual-only": [(solve_dual, zero)],
+    }.get(strategy)
+    if stages is None:
+        raise ValueError(f"unknown strategy {config.strategy!r}")
+
     kw = dict(opt_tol=config.opt_tol, fea_tol=config.fea_tol,
               temp_bounds=registry, trace=config.trace,
               check_invariants=config.check_invariants)
     logs: list[StageLog] = []
+    start = (it, part)
+    for solve, shifts in stages:
+        ref = {j: float(start[0].z[j]) for j in registry.indices()}
+        out = solve(p, shifts, start, config.limits(), **kw)
+        logs.append(_stage_log(p, shifts, out))
+        if out.status != OPTIMAL:
+            break
+        temporary_bound_pass(registry, out.method, out.iterate, ref)
+        start = (out.iterate, out.partition)
 
-    def finish(out) -> StandardSolution:
-        iters = sum(lg.iterations for lg in logs)
-        subs = sum(lg.subiterations for lg in logs)
-        obj = primal_objective(p, zero, out.iterate)
-        if out.status == OPTIMAL:
-            rep = check_optimality(p, zero, out.iterate,
-                                   config.fea_tol, config.opt_tol)
-            if not rep.optimal:
-                raise InvariantError(f"final point failed the optimality "
-                                     f"check: {rep}")
-            for j in registry.indices():
-                if abs(out.iterate.z[j]) > 1e-7 * max(1.0, float(np.max(np.abs(out.iterate.z)))):
-                    raise InvariantError(
-                        f"temporary-bound dual z[{j}] nonzero at completion")
-        return StandardSolution(status=out.status, iterate=out.iterate,
-                                partition=out.partition, objective=obj,
-                                strategy=strategy, stage_log=logs,
-                                shifts_initial=shifts0, registry=registry,
-                                iterations=iters, subiterations=subs)
-
-    if strategy == "primal-first":
-        s1 = shifts0.with_r(np.zeros(p.n))
-        out1 = solve_primal(p, s1, (it, part), limits, **kw)
-        logs.append(_stage_log(p, s1, out1))
-        if out1.status != OPTIMAL:
-            return finish(out1)
-        temporary_bound_pass(registry, "primal", out1.iterate)
-        ref = {j: float(out1.iterate.z[j]) for j in registry.indices()}
-        out2 = solve_dual(p, zero, (out1.iterate, out1.partition), limits, **kw)
-        logs.append(_stage_log(p, zero, out2))
-        if out2.status == OPTIMAL:
-            temporary_bound_pass(registry, "dual", out2.iterate, ref)
-        return finish(out2)
-
-    if strategy == "dual-first":
-        s1 = shifts0.with_q(np.zeros(p.n))
-        ref = {j: float(it.z[j]) for j in registry.indices()}
-        out1 = solve_dual(p, s1, (it, part), limits, **kw)
-        logs.append(_stage_log(p, s1, out1))
-        if out1.status != OPTIMAL:
-            return finish(out1)
-        temporary_bound_pass(registry, "dual", out1.iterate, ref)
-        out2 = solve_primal(p, zero, (out1.iterate, out1.partition), limits, **kw)
-        logs.append(_stage_log(p, zero, out2))
-        if out2.status == OPTIMAL:
-            temporary_bound_pass(registry, "primal", out2.iterate)
-        return finish(out2)
-
-    if strategy == "primal-only":
-        if float(np.max(shifts0.q, initial=0.0)) > config.fea_tol:
-            raise ProblemError("primal-only requires a primal-feasible "
-                               "initial basis (zero primal shifts)")
-        out = solve_primal(p, zero, (it, part), limits, **kw)
-        logs.append(_stage_log(p, zero, out))
-        if out.status == OPTIMAL:
-            temporary_bound_pass(registry, "primal", out.iterate)
-        return finish(out)
-
-    if strategy == "dual-only":
-        if float(np.max(np.abs(shifts0.r), initial=0.0)) > config.opt_tol:
-            raise ProblemError("dual-only requires a dual-feasible initial "
-                               "basis (zero dual shifts)")
-        out = solve_dual(p, zero, (it, part), limits, **kw)
-        logs.append(_stage_log(p, zero, out))
-        return finish(out)
-
-    raise ValueError(f"unknown strategy {config.strategy!r}")
+    obj = primal_objective(p, zero, out.iterate)
+    if out.status == OPTIMAL:
+        rep = check_optimality(p, zero, out.iterate,
+                               config.fea_tol, config.opt_tol)
+        if not rep.optimal:
+            raise InvariantError(f"final point failed the optimality "
+                                 f"check: {rep}")
+        for j in registry.indices():
+            if abs(out.iterate.z[j]) > 1e-7 * max(1.0, float(np.max(np.abs(out.iterate.z)))):
+                raise InvariantError(
+                    f"temporary-bound dual z[{j}] nonzero at completion")
+    return StandardSolution(status=out.status, iterate=out.iterate,
+                            partition=out.partition, objective=obj,
+                            strategy=strategy, stage_log=logs,
+                            shifts_initial=shifts0, registry=registry,
+                            iterations=sum(lg.iterations for lg in logs),
+                            subiterations=sum(lg.subiterations for lg in logs))
 
 
 def solve_pdqp(g: GeneralQp, config: SolveConfig | None = None) -> PdqpSolution:

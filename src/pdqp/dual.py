@@ -1,145 +1,32 @@
-"""The dual active-set method, the mirror image of the primal.
+"""The dual active-set method, the mirror image of the primal: its
+``Family`` descriptor for the shared engine in ``steps``, its two step
+functions with their temporary-bound swap loop, and its entry checks.
 
-Iterates keep the dual bounds z_N + r_N >= 0 satisfied while the negative
-components of x + q are repaired one index at a time.  An index l is
-freed from the basic set (base subiteration, dz_l fixed) or, under the
-relaxed entry conditions, from the nonbasic set (straight to intermediate
-subiterations, dx_l fixed); blocking dual bounds move their index into
-the basic set.
+Iterates keep the dual bounds z_N + r_N >= 0 while the negative
+components of x + q are repaired; a repaired index ends nonbasic with
+x_l + q_l = 0.  An index l is freed from the basic set (base
+subiteration, dz_l fixed) or, under the relaxed entry conditions, from
+the nonbasic set (straight to intermediate subiterations, dx_l fixed);
+blocking dual bounds move their index into the basic set.
 
-Temporary bounds: dual variables of registered free indices must not move
-during a dual solve.  Whenever a computed direction has dz_j != 0 for an
-unreleased registered j, no step is taken and one such index (least
-first) is moved into the basic set before the direction is recomputed.
+Temporary bounds: duals of registered free indices must not move during
+a dual solve (see ``_direction_keeping_temp_bounds``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .kkt import factor_kb_or_raise, solve_base_primal, solve_intermediate_primal
 from .model import (Direction, InvariantError, Iterate, Partition, QpProblem,
-                    Shifts, StartConditionError, effective_shifts, residuals)
-from .primal import ITERATION_LIMIT, OPTIMAL, PRIMAL_INFEASIBLE
-from .steps import (SolveLimits, StepResult, TraceSink, _dir_scale,
-                    advance, make_trace_record, ratio_test)
+                    Shifts, StartConditionError, index_mask)
+from .steps import (PRIMAL_INFEASIBLE, Family, SolveLimits, SolveOutcome,
+                    StepResult, TraceSink, run_active_set, take_step)
 
 
-@dataclass
-class DualOutcome:
-    status: str
-    iterate: Iterate
-    partition: Partition
-    iterations: int
-    subiterations: int
-    certificate: Direction | None = None
-
-
-def _dual_ratio_candidates(p: QpProblem, part: Partition) -> list[int]:
-    # Fixed variables carry an unrestricted dual and can never block.
-    return [j for j in part.nonbasic if j not in p.fixed]
-
-
-def _temp_violator(d: Direction, part: Partition, temp_bounds,
-                   scale: float) -> int | None:
-    if temp_bounds is None:
-        return None
-    tol = 1e-11 * max(1.0, scale)
-    for j in sorted(temp_bounds.unreleased_nonbasic()):
-        if j in part.nonbasic and abs(d.dz[j]) > tol:
-            return j
-    return None
-
-
-def dual_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
-              *, opt_tol: float = 1e-6, temp_bounds=None,
-              swap_sink=None) -> tuple[StepResult, Direction]:
-    """Base subiteration: fix dz_l = 1 (bordered system) and raise
-    x_l + q_l toward zero.
-
-    An infinite step (dx_l = 0 with no blocking dual bound) certifies the
-    primal problem infeasible and is returned unapplied.
-    """
-    if part.freed != l:
-        raise StartConditionError("index l must be freed before dual_base")
-    viol = float(it.x[l] + s.q[l])
-    if viol >= 0.0:
-        raise StartConditionError(
-            f"dual_base requires x_l + q_l < 0, got {viol:.3e}")
-    while True:
-        d = solve_intermediate_primal(p, part, l)
-        j = _temp_violator(d, part, temp_bounds, p.kkt_scale())
-        if j is None:
-            break
-        part.move_nonbasic_to_basic(j)
-        temp_bounds.mark_basic(j)
-        if swap_sink is not None:
-            swap_sink(j, d)
-    dxl = float(d.dx[l])
-    alpha_star = np.inf if dxl == 0.0 else -viol / dxl
-    cand = _dual_ratio_candidates(p, part)
-    alpha_max, k = ratio_test(it.z[cand] + s.r[cand], d.dz[cand], cand, opt_tol,
-                              scale_floor=_dir_scale(d))
-    alpha = min(alpha_star, alpha_max)
-    hit = alpha_star <= alpha_max
-    if np.isinf(alpha):
-        return StepResult(np.inf, alpha_star, alpha_max, None, False), d
-    advance(it, d, alpha)
-    if hit:
-        it.x[l] = -s.q[l]
-        return StepResult(alpha, alpha_star, alpha_max, None, True), d
-    part.move_nonbasic_to_basic(k)
-    return StepResult(alpha, alpha_star, alpha_max, k, False), d
-
-
-def dual_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
-                      l: int, *, opt_tol: float = 1e-6, temp_bounds=None,
-                      swap_sink=None) -> tuple[StepResult, Direction]:
-    """Intermediate subiteration: fix dx_l = 1 (K_B system), so the target
-    step -(x_l + q_l) is always finite."""
-    if part.freed != l:
-        raise StartConditionError("index l must be freed")
-    viol = float(it.x[l] + s.q[l])
-    if viol >= 0.0:
-        raise StartConditionError(
-            f"dual_intermediate requires x_l + q_l < 0, got {viol:.3e}")
-    while True:
-        factor = factor_kb_or_raise(p, part)
-        d = solve_base_primal(p, part, factor, l)
-        j = _temp_violator(d, part, temp_bounds, p.kkt_scale())
-        if j is None:
-            break
-        part.move_nonbasic_to_basic(j)
-        temp_bounds.mark_basic(j)
-        if swap_sink is not None:
-            swap_sink(j, d)
-    alpha_star = -viol
-    cand = _dual_ratio_candidates(p, part)
-    alpha_max, k = ratio_test(it.z[cand] + s.r[cand], d.dz[cand], cand, opt_tol,
-                              scale_floor=_dir_scale(d))
-    alpha = min(alpha_star, alpha_max)
-    hit = alpha_star <= alpha_max
-    advance(it, d, alpha)
-    if hit:
-        it.x[l] = -s.q[l]
-        return StepResult(alpha, alpha_star, alpha_max, None, True), d
-    part.move_nonbasic_to_basic(k)
-    return StepResult(alpha, alpha_star, alpha_max, k, False), d
-
-
-def _validate_dual_start(p, s, part, it, opt_tol):
-    part.validate(p.n)
-    if part.freed is not None:
-        raise StartConditionError("start partition has a pending freed index")
-    stat, eq = residuals(p, it)
-    scale = 1.0 + float(np.max(np.abs(p.c)) if p.c.size else 0.0) \
-        + float(np.max(np.abs(p.b)) if p.b.size else 0.0)
-    tol = 1e-8 * scale
-    if (stat.size and np.max(np.abs(stat)) > tol) or \
-       (eq.size and np.max(np.abs(eq)) > tol):
-        raise StartConditionError("start point violates the equality system")
+def _check_start(p, s, part, it, opt_tol):
     y_scale = max(1.0, float(np.max(np.abs(it.y))) if it.y.size else 0.0)
     for i in part.basic:
         if i in p.free:
@@ -153,123 +40,89 @@ def _validate_dual_start(p, s, part, it, opt_tol):
             raise StartConditionError(f"nonbasic x[{j}] above its shifted bound")
 
 
-def _select_dual(p, s, part, it, threshold, bland):
-    rows = []
-    for i in part.basic:
-        if i in p.free:
-            continue
-        v = float(it.x[i] + s.q[i])
-        if v < -threshold:
-            rows.append((-v, i))
+def _check_invariants(p, s, part, it, opt_tol):
+    y_scale = max(1.0, float(np.max(np.abs(it.y))) if it.y.size else 0.0)
     for j in part.nonbasic:
-        if j in p.fixed or j in p.free:
-            continue
-        v = float(it.x[j] + s.q[j])
-        if v < -threshold:
-            rows.append((-v, j))
-    if not rows:
-        return None
-    if bland:
-        rows.sort(key=lambda t: t[1])
-    else:
-        rows.sort(key=lambda t: (-t[0], t[1]))
-    return rows[0][1]
+        if j not in p.fixed and \
+                it.z[j] + s.r[j] < -opt_tol * y_scale - 1e-9:
+            raise InvariantError(f"dual feasibility lost at nonbasic index {j}")
+
+
+def _eligible(p, part, temp_bounds):
+    """Free indices have no primal bound and are never selected, nor are
+    fixed nonbasic ones; the rest are one-sided."""
+    free, fixed = p.masks
+    excluded = free | (fixed & index_mask(p.n, part.nonbasic))
+    return ~excluded, np.zeros(p.n, dtype=bool)
+
+
+DUAL = Family(method="dual", repaired="x", repair_shift="q",
+              guarded="z", guard_shift="r", live="nonbasic", idle="basic",
+              unguarded="fixed", scale_by="x", unbounded=PRIMAL_INFEASIBLE,
+              check_start=_check_start, check_invariants=_check_invariants,
+              eligible=_eligible, freezes_temp_bounds=True)
+
+
+def _direction_keeping_temp_bounds(p: QpProblem, part: Partition, solve,
+                                   temp_bounds, swap_sink) -> Direction:
+    """The direction ``solve()`` gives once every unreleased temporary
+    bound whose dual it would move (dz_j != 0) has been moved into the
+    basic set, least first, with a fresh solve after each move."""
+    d = solve()
+    if not temp_bounds:
+        return d
+    tol = 1e-11 * max(1.0, p.kkt_scale())
+    while True:
+        j = next((j for j in temp_bounds.unreleased_nonbasic()
+                  if j in part.nonbasic and abs(d.dz[j]) > tol), None)
+        if j is None:
+            return d
+        part.move(j, "basic")
+        temp_bounds.mark_basic(j)
+        if swap_sink is not None:
+            swap_sink(j, d)
+        d = solve()
+
+
+def dual_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
+              *, orient: float = 1.0, opt_tol: float = 1e-6, temp_bounds=None,
+              swap_sink=None) -> tuple[StepResult, Direction]:
+    """Base subiteration: fix dz_l = orient (bordered K_l system) and
+    move x_l + q_l toward zero (see ``take_step``).  An infinite step
+    (dx_l = 0 with no blocking dual bound), returned unapplied, certifies
+    the primal problem infeasible."""
+    solve = partial(_direction_keeping_temp_bounds, p, part,
+                    lambda: solve_intermediate_primal(p, part, l),
+                    temp_bounds, swap_sink)
+    return take_step(DUAL, p, s, part, it, l, solve, orient, opt_tol,
+                     "dual_base")
+
+
+def dual_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
+                      l: int, *, orient: float = 1.0, opt_tol: float = 1e-6,
+                      temp_bounds=None, swap_sink=None
+                      ) -> tuple[StepResult, Direction]:
+    """Intermediate subiteration: fix dx_l = orient (K_B system), so the
+    target step -(x_l + q_l)/dx_l is always finite."""
+    solve = partial(
+        _direction_keeping_temp_bounds, p, part,
+        lambda: solve_base_primal(p, part, factor_kb_or_raise(p, part), l),
+        temp_bounds, swap_sink)
+    return take_step(DUAL, p, s, part, it, l, solve, orient, opt_tol,
+                     "dual_intermediate")
 
 
 def solve_dual(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
                limits: SolveLimits | None = None, *,
                opt_tol: float = 1e-6, fea_tol: float = 1e-6,
                temp_bounds=None, trace: TraceSink | None = None,
-               check_invariants: bool = False) -> DualOutcome:
+               check_invariants: bool = False) -> SolveOutcome:
     """Run the dual method to optimality, primal infeasibility, or the
     iteration limit.  The start iterate and partition are copied."""
-    limits = limits or SolveLimits()
-    it = start[0].copy()
-    part = start[1].copy()
-    _validate_dual_start(p, s, part, it, opt_tol)
-    cap = limits.cap(p)
-    iterations = 0
-    subiterations = 0
-    zero_streak = 0
-    bland = False
-    certificate = None
-    status = OPTIMAL
-
-    def emit(kind, l, step, d, viol, eff, before):
-        nonlocal subiterations, zero_streak, bland
-        subiterations += 1
-        if step.alpha == 0.0:
-            zero_streak += 1
-            if zero_streak >= limits.bland_after:
-                bland = True
-        elif np.isfinite(step.alpha):
-            zero_streak = 0
-        if trace is not None:
-            trace(make_trace_record("dual", iterations, subiterations, kind,
-                                    l, step, d, viol, p, eff, before, it))
-
-    while True:
-        # Near-zero selection threshold; see the note in solve_primal.
-        x_scale = max(1.0, float(np.max(np.abs(it.x))) if it.x.size else 0.0)
-        threshold = 1e-11 * x_scale
-        l = _select_dual(p, s, part, it, threshold, bland)
-        if l is None:
-            break
-        if iterations >= cap:
-            status = ITERATION_LIMIT
-            break
-        iterations += 1
-        from_basic = l in part.basic
-        part.free_index(l)
-        eff = effective_shifts(p, s, part, it)
-        inner_tol = 1e-12 * max(1.0, abs(it.x[l] + s.q[l]))
-
-        def swap_sink(j, d, kind="temp_swap"):
-            zero = StepResult(0.0, 0.0, 0.0, j, False)
-            emit(kind, l, zero, d, float(it.x[l] + s.q[l]), eff, it.copy())
-
-        if from_basic:
-            before = it.copy()
-            viol = float(it.x[l] + s.q[l])
-            step, d = dual_base(p, s, part, it, l, opt_tol=opt_tol,
-                                temp_bounds=temp_bounds, swap_sink=swap_sink)
-            emit("base", l, step, d, viol, eff, before)
-            if np.isinf(step.alpha):
-                status = PRIMAL_INFEASIBLE
-                certificate = d
-                part.bind_freed_basic()
-                break
-
-        guard = 0
-        while it.x[l] + s.q[l] < -inner_tol:
-            guard += 1
-            if guard > p.n + 2:
-                raise InvariantError("intermediate subiterations did not "
-                                     "terminate; basis exchange is stuck")
-            before = it.copy()
-            viol = float(it.x[l] + s.q[l])
-            step, d = dual_intermediate(p, s, part, it, l, opt_tol=opt_tol,
-                                        temp_bounds=temp_bounds,
-                                        swap_sink=swap_sink)
-            emit("intermediate", l, step, d, viol, eff, before)
-        part.bind_freed_nonbasic()
-        if check_invariants:
-            _assert_dual_invariants(p, s, part, it, opt_tol)
-
-    return DualOutcome(status=status, iterate=it, partition=part,
-                       iterations=iterations, subiterations=subiterations,
-                       certificate=certificate)
-
-
-def _assert_dual_invariants(p, s, part, it, opt_tol):
-    stat, eq = residuals(p, it)
-    scale = 1.0 + float(np.max(np.abs(p.c)) if p.c.size else 0.0) \
-        + float(np.max(np.abs(p.b)) if p.b.size else 0.0)
-    if (stat.size and np.max(np.abs(stat)) > 1e-7 * scale) or \
-       (eq.size and np.max(np.abs(eq)) > 1e-7 * scale):
-        raise InvariantError("equality system drifted during dual solve")
-    y_scale = max(1.0, float(np.max(np.abs(it.y))) if it.y.size else 0.0)
-    for j in part.nonbasic:
-        if j not in p.fixed and \
-                it.z[j] + s.r[j] < -opt_tol * y_scale - 1e-9:
-            raise InvariantError(f"dual feasibility lost at nonbasic index {j}")
+    return run_active_set(
+        DUAL, p, s, start, limits,
+        partial(dual_base, p, s, opt_tol=opt_tol, temp_bounds=temp_bounds),
+        partial(dual_intermediate, p, s, opt_tol=opt_tol,
+                temp_bounds=temp_bounds),
+        tol=opt_tol, temp_bounds=temp_bounds, trace=trace,
+        check_invariants=check_invariants)

@@ -318,10 +318,12 @@ class SingularReport:
 @dataclass
 class SocBasisResult:
     """A partition whose K_B factors, plus the columns deferred as
-    singular pivots on the way."""
+    singular pivots on the way, and K_B's factorization when basis
+    discovery already computed it."""
 
     partition: Partition
     deferred: list[int]
+    factor: KktFactorization | None = None
 
 
 def build_kb(p: QpProblem, basic: list[int]) -> np.ndarray:
@@ -359,23 +361,6 @@ def factor_kb_or_raise(p: QpProblem, part: Partition) -> KktFactorization:
     return f
 
 
-def refactor_after_swap(p: QpProblem, part: Partition,
-                        old: KktFactorization | None = None,
-                        removed: int | None = None,
-                        added: int | None = None) -> KktFactorization:
-    """Factorization of K_B after a basis change.
-
-    Recomputes from scratch; the signature leaves room for incremental
-    up/downdating later.  Singularity here contradicts the active-set
-    update guarantees and is raised as an internal error.
-    """
-    if removed is not None and removed in part.basic:
-        raise KktInternalError(f"removed index {removed} still basic")
-    if added is not None and added not in part.basic:
-        raise KktInternalError(f"added index {added} not basic")
-    return factor_kb_or_raise(p, part)
-
-
 def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisResult:
     """Find an initial second-order consistent basis.
 
@@ -385,7 +370,8 @@ def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisRes
     variables) are tried first as 1x1 pivots.  The multiplier rows must
     all be pivoted, which the full-row-rank load check guarantees.  When
     the Bunch-Kaufman path accepts the matrix, the elimination would
-    defer nothing, so every non-fixed column is basic.
+    defer nothing, so every non-fixed column is basic and the accepted
+    factorization is that of K_B, which the result carries.
     """
     n, m = p.n, p.m
     cand = [j for j in range(n) if j not in p.fixed]
@@ -394,8 +380,8 @@ def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisRes
     if prefer:
         pos = {j: i for i, j in enumerate(cand)}
         forced = [pos[j] for j in sorted(prefer) if j in pos]
-    data = (_bunch_kaufman(k_full)
-            or _factor_symmetric_indefinite(k_full, forced_first=forced))
+    accepted = _bunch_kaufman(k_full)
+    data = accepted or _factor_symmetric_indefinite(k_full, forced_first=forced)
     nc = len(cand)
     deferred = sorted(cand[i] for i in data.deferred if i < nc)
     if any(i >= nc for i in data.deferred):
@@ -404,7 +390,9 @@ def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisRes
             "[A M] should have full row rank")
     basic = sorted(set(cand) - set(deferred))
     part = Partition(basic=basic, nonbasic=sorted(deferred + sorted(p.fixed)))
-    return SocBasisResult(partition=part, deferred=deferred)
+    factor = None if accepted is None else KktFactorization(
+        basis=tuple(basic), dim=k_full.shape[0], _data=accepted)
+    return SocBasisResult(partition=part, deferred=deferred, factor=factor)
 
 
 def _freed_component(raw: float, noise: float, own: _Factor,

@@ -53,6 +53,13 @@ PSD_PIVOT_TOL = 1e-10
 RANK_TOL = 1e-10
 
 
+def index_mask(n: int, indices) -> np.ndarray:
+    """Boolean mask of length n that is True at ``indices``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(indices)] = True
+    return mask
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -116,7 +123,8 @@ class QpProblem:
 
     ``free`` lists variables with no bound at all; ``fixed`` lists
     variables pinned at their bound with an unrestricted dual.  Both are
-    empty for a plain standard-form problem.
+    empty for a plain standard-form problem; ``masks`` holds them as
+    read-only boolean masks (free, fixed).
     """
 
     H: np.ndarray
@@ -177,6 +185,10 @@ class QpProblem:
         object.__setattr__(self, "c", _readonly(c))
         object.__setattr__(self, "free", frozenset(self.free))
         object.__setattr__(self, "fixed", frozenset(self.fixed))
+        masks = index_mask(n, self.free), index_mask(n, self.fixed)
+        for mask in masks:
+            mask.flags.writeable = False
+        object.__setattr__(self, "masks", masks)
 
     @property
     def n(self) -> int:
@@ -191,6 +203,11 @@ class QpProblem:
         parts = [np.max(np.abs(x)) if x.size else 0.0
                  for x in (self.H, self.M, self.A)]
         return max(1.0, float(max(parts)))
+
+    def data_scale(self) -> float:
+        """1 + max|c| + max|b|, the scale of the residual tolerances."""
+        return 1.0 + float(np.max(np.abs(self.c)) if self.c.size else 0.0) \
+            + float(np.max(np.abs(self.b)) if self.b.size else 0.0)
 
 
 @dataclass(frozen=True)
@@ -266,21 +283,15 @@ class Partition:
             raise InvariantError(f"index {l} not in partition")
         self.freed = l
 
-    def bind_freed_basic(self) -> None:
-        self.basic = sorted(self.basic + [self.freed])
+    def bind_freed(self, into: str) -> None:
+        """Put the freed index into the ``"basic"`` or ``"nonbasic"`` set."""
+        setattr(self, into, sorted(getattr(self, into) + [self.freed]))
         self.freed = None
 
-    def bind_freed_nonbasic(self) -> None:
-        self.nonbasic = sorted(self.nonbasic + [self.freed])
-        self.freed = None
-
-    def move_basic_to_nonbasic(self, k: int) -> None:
-        self.basic.remove(k)
-        self.nonbasic = sorted(self.nonbasic + [k])
-
-    def move_nonbasic_to_basic(self, k: int) -> None:
-        self.nonbasic.remove(k)
-        self.basic = sorted(self.basic + [k])
+    def move(self, k: int, into: str) -> None:
+        """Move k into the ``"basic"`` or ``"nonbasic"`` set from the other."""
+        (self.nonbasic if into == "basic" else self.basic).remove(k)
+        setattr(self, into, sorted(getattr(self, into) + [k]))
 
 
 @dataclass
@@ -373,27 +384,14 @@ def check_optimality(p: QpProblem, s: Shifts, it: Iterate,
 
     xq = it.x + s.q
     zr = it.z + s.r
-    n = p.n
-    regular = [j for j in range(n) if j not in p.free and j not in p.fixed]
+    free, fixed = p.masks
+    regular = ~free & ~fixed
+    worst_primal = max(0.0, float(np.max(-xq[~free], initial=0.0)))
+    worst_dual = max(0.0, float(np.max(-zr[regular], initial=0.0)),
+                     float(np.max(np.abs(zr[free]), initial=0.0)))
+    comp = float(np.max(np.abs(xq[regular] * zr[regular]), initial=0.0))
 
-    bounded = [j for j in range(n) if j not in p.free]
-    worst_primal = 0.0
-    if bounded:
-        worst_primal = max(0.0, float(np.max(-xq[bounded])))
-
-    worst_dual = 0.0
-    sign_tested = [j for j in range(n) if j not in p.fixed and j not in p.free]
-    if sign_tested:
-        worst_dual = max(worst_dual, float(np.max(-zr[sign_tested])))
-    for j in sorted(p.free):
-        worst_dual = max(worst_dual, abs(float(zr[j])))
-
-    comp = 0.0
-    if regular:
-        comp = float(np.max(np.abs(xq[regular] * zr[regular])))
-
-    data_scale = 1.0 + float(np.max(np.abs(p.c)) if p.c.size else 0.0) \
-        + float(np.max(np.abs(p.b)) if p.b.size else 0.0)
+    data_scale = p.data_scale()
     y_scale = max(1.0, float(np.max(np.abs(it.y))) if it.y.size else 0.0)
     x_scale = max(1.0, float(np.max(np.abs(xq))) if xq.size else 0.0)
 
@@ -415,26 +413,6 @@ def effective_shifts(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
     (resp. -x_j) restores the boundary equalities, which is the shift
     vector under which the per-step objective identities hold.
     """
-    q = np.array(s.q)
-    r = np.array(s.r)
-    for i in part.basic:
-        if abs(it.z[i] + r[i]) > tol:
-            r[i] = -it.z[i]
-    for j in part.nonbasic:
-        if abs(it.x[j] + q[j]) > tol:
-            q[j] = -it.x[j]
-    return Shifts(q, r)
-
-
-def boundary_residuals(p: QpProblem, s: Shifts, part: Partition,
-                       it: Iterate) -> float:
-    """Largest violation of the boundary equalities x_N + q_N = 0 and
-    z_B + r_B = 0 (ignoring relaxed-start entries is the caller's job)."""
-    worst = 0.0
-    if part.nonbasic:
-        worst = max(worst, float(np.max(np.abs(it.x[part.nonbasic]
-                                               + s.q[part.nonbasic]))))
-    if part.basic:
-        worst = max(worst, float(np.max(np.abs(it.z[part.basic]
-                                               + s.r[part.basic]))))
-    return worst
+    off_r = index_mask(p.n, part.basic) & (np.abs(it.z + s.r) > tol)
+    off_q = index_mask(p.n, part.nonbasic) & (np.abs(it.x + s.q) > tol)
+    return Shifts(np.where(off_q, -it.x, s.q), np.where(off_r, -it.z, s.r))

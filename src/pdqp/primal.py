@@ -1,130 +1,28 @@
-"""The primal active-set method.
+"""The primal active-set method: its ``Family`` descriptor for the
+shared engine in ``steps``, its two step functions, and its entry checks.
 
-Iterates stay feasible for the (shifted) primal bounds while the negative
-components of z + r are driven to zero one index at a time.  Each outer
-iteration frees one index l, takes a base subiteration (when l came from
-the nonbasic set) and as many intermediate subiterations as blocking
-bounds require, and ends with l basic and z_l + r_l = 0.
-
-The entry conditions are the relaxed ones: basic duals may start with
-z_B + r_B < 0 (they are eligible for selection directly from the basic
-set), which is what a warm start from a dual solve with a smaller shift
-produces.
+Iterates stay feasible for the shifted primal bounds on the basic set
+while the negative components of z + r are driven to zero; a repaired
+index ends basic with z_l + r_l = 0.  Free variables (and temporary
+bounds not yet released) need z_l + r_l = 0 from either side, so they
+are selected two-sided.  The entry conditions are the relaxed ones:
+basic duals may start with z_B + r_B < 0 and are then selected straight
+from the basic set, as a warm start from a dual solve with a smaller
+shift produces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
-import numpy as np
-
-from .kkt import (KktFactorization, factor_kb_or_raise, solve_base_primal,
-                  solve_intermediate_primal)
+from .kkt import factor_kb_or_raise, solve_base_primal, solve_intermediate_primal
 from .model import (Direction, InvariantError, Iterate, Partition, QpProblem,
-                    Shifts, StartConditionError, effective_shifts, residuals)
-from .steps import (SolveLimits, StepResult, TraceSink, _dir_scale,
-                    advance, make_trace_record, ratio_test)
-
-OPTIMAL = "optimal"
-PRIMAL_INFEASIBLE = "primal_infeasible"
-DUAL_INFEASIBLE = "dual_infeasible"
-ITERATION_LIMIT = "iteration_limit"
+                    Shifts, StartConditionError, index_mask)
+from .steps import (DUAL_INFEASIBLE, Family, SolveLimits, SolveOutcome,
+                    StepResult, TraceSink, run_active_set, take_step)
 
 
-@dataclass
-class PrimalOutcome:
-    status: str
-    iterate: Iterate
-    partition: Partition
-    iterations: int
-    subiterations: int
-    certificate: Direction | None = None
-
-
-def _ratio_candidates(p: QpProblem, part: Partition) -> list[int]:
-    # Free variables have no lower bound and can never block.
-    return [i for i in part.basic if i not in p.free]
-
-
-def primal_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
-                *, orient: float = 1.0, fea_tol: float = 1e-6,
-                factor: KktFactorization | None = None
-                ) -> tuple[StepResult, Direction]:
-    """Base subiteration: fix dx_l = orient and step as far as the primal
-    bounds allow.
-
-    Returns the step and the direction taken; mutates the iterate, and on
-    a blocking step moves the blocking index out of the basic set.  An
-    infinite step is returned unapplied: it certifies that the dual
-    problem is infeasible.
-    """
-    if part.freed != l:
-        raise StartConditionError("index l must be freed before primal_base")
-    viol = float(it.z[l] + s.r[l])
-    if orient * viol >= 0.0:
-        raise StartConditionError(
-            f"primal_base requires orient*(z_l + r_l) < 0, got {viol:.3e}")
-    if factor is None:
-        factor = factor_kb_or_raise(p, part)
-    d = solve_base_primal(p, part, factor, l)
-    if orient < 0:
-        d = d.negated()
-    dzl = float(d.dz[l])
-    alpha_star = np.inf if dzl == 0.0 else -viol / dzl
-    cand = _ratio_candidates(p, part)
-    alpha_max, k = ratio_test(it.x[cand] + s.q[cand], d.dx[cand], cand, fea_tol,
-                              scale_floor=_dir_scale(d))
-    alpha = min(alpha_star, alpha_max)
-    hit = alpha_star <= alpha_max
-    if np.isinf(alpha):
-        return StepResult(np.inf, alpha_star, alpha_max, None, False), d
-    advance(it, d, alpha)
-    if hit:
-        it.z[l] = -s.r[l]
-        return StepResult(alpha, alpha_star, alpha_max, None, True), d
-    part.move_basic_to_nonbasic(k)
-    return StepResult(alpha, alpha_star, alpha_max, k, False), d
-
-
-def primal_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
-                        l: int, *, orient: float = 1.0, fea_tol: float = 1e-6
-                        ) -> tuple[StepResult, Direction]:
-    """Intermediate subiteration: fix dz_l = orient, so the target step
-    -(z_l + r_l)/dz_l is always finite."""
-    if part.freed != l:
-        raise StartConditionError("index l must be freed")
-    viol = float(it.z[l] + s.r[l])
-    if orient * viol >= 0.0:
-        raise StartConditionError(
-            f"primal_intermediate requires orient*(z_l + r_l) < 0, got {viol:.3e}")
-    d = solve_intermediate_primal(p, part, l)
-    if orient < 0:
-        d = d.negated()
-    alpha_star = -viol / float(d.dz[l])
-    cand = _ratio_candidates(p, part)
-    alpha_max, k = ratio_test(it.x[cand] + s.q[cand], d.dx[cand], cand, fea_tol,
-                              scale_floor=_dir_scale(d))
-    alpha = min(alpha_star, alpha_max)
-    hit = alpha_star <= alpha_max
-    advance(it, d, alpha)
-    if hit:
-        it.z[l] = -s.r[l]
-        return StepResult(alpha, alpha_star, alpha_max, None, True), d
-    part.move_basic_to_nonbasic(k)
-    return StepResult(alpha, alpha_star, alpha_max, k, False), d
-
-
-def _validate_primal_start(p, s, part, it, fea_tol):
-    part.validate(p.n)
-    if part.freed is not None:
-        raise StartConditionError("start partition has a pending freed index")
-    stat, eq = residuals(p, it)
-    scale = 1.0 + float(np.max(np.abs(p.c)) if p.c.size else 0.0) \
-        + float(np.max(np.abs(p.b)) if p.b.size else 0.0)
-    tol = 1e-8 * scale
-    if (stat.size and np.max(np.abs(stat)) > tol) or \
-       (eq.size and np.max(np.abs(eq)) > tol):
-        raise StartConditionError("start point violates the equality system")
+def _check_start(p, s, part, it, fea_tol):
     for j in part.nonbasic:
         if abs(it.x[j] + s.q[j]) > 1e-7 * max(1.0, abs(s.q[j])):
             raise StartConditionError(f"x[{j}] is nonbasic but off its bound")
@@ -137,132 +35,64 @@ def _validate_primal_start(p, s, part, it, fea_tol):
             raise StartConditionError(f"basic z[{i}] + r[{i}] > 0 at start")
 
 
-def _select_primal(p, s, part, it, threshold, temp_bounds, bland):
-    """Eligible indices with the sign of the move to make.
-
-    Regular indices are eligible when z + r < -threshold.  Free indices
-    (temporary bounds and free basics) are eligible whenever |z + r|
-    exceeds the threshold, with the direction oriented to shrink it.
-    """
-    rows = []
-    unreleased = set(temp_bounds.unreleased_nonbasic()) if temp_bounds else set()
-    for j in part.nonbasic:
-        if j in p.fixed:
-            continue
-        v = float(it.z[j] + s.r[j])
-        if j in p.free or j in unreleased:
-            if abs(v) > threshold:
-                rows.append((abs(v), j, -1.0 if v > 0 else 1.0))
-        elif v < -threshold:
-            rows.append((-v, j, 1.0))
+def _check_invariants(p, s, part, it, fea_tol):
     for i in part.basic:
-        v = float(it.z[i] + s.r[i])
-        if i in p.free:
-            if abs(v) > threshold:
-                rows.append((abs(v), i, -1.0 if v > 0 else 1.0))
-        elif v < -threshold:
-            rows.append((-v, i, 1.0))
-    if not rows:
-        return None, 0.0
-    if bland:
-        rows.sort(key=lambda t: t[1])
-    else:
-        rows.sort(key=lambda t: (-t[0], t[1]))
-    _, l, orient = rows[0]
-    return l, orient
+        if i not in p.free and it.x[i] + s.q[i] < -fea_tol * (1.0 + abs(s.q[i])):
+            raise InvariantError(f"primal feasibility lost at basic index {i}")
+
+
+def _eligible(p, part, temp_bounds):
+    """Free indices and unreleased temporary bounds are two-sided; fixed
+    nonbasic indices are never selected."""
+    free, fixed = p.masks
+    nonbasic = index_mask(p.n, part.nonbasic)
+    excluded = fixed & nonbasic
+    two_sided = free & ~excluded
+    if temp_bounds:
+        unreleased = index_mask(p.n, temp_bounds.unreleased_nonbasic())
+        two_sided |= unreleased & nonbasic & ~excluded
+    return ~excluded & ~two_sided, two_sided
+
+
+PRIMAL = Family(method="primal", repaired="z", repair_shift="r",
+                guarded="x", guard_shift="q", live="basic", idle="nonbasic",
+                unguarded="free", scale_by="y", unbounded=DUAL_INFEASIBLE,
+                check_start=_check_start, check_invariants=_check_invariants,
+                eligible=_eligible, freezes_temp_bounds=False)
+
+
+def primal_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
+                *, orient: float = 1.0, fea_tol: float = 1e-6
+                ) -> tuple[StepResult, Direction]:
+    """Base subiteration: fix dx_l = orient (K_B system) and step as far
+    as the primal bounds allow (see ``take_step``).  An infinite step,
+    returned unapplied, certifies that the dual problem is infeasible."""
+    return take_step(
+        PRIMAL, p, s, part, it, l,
+        lambda: solve_base_primal(p, part, factor_kb_or_raise(p, part), l),
+        orient, fea_tol, "primal_base")
+
+
+def primal_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
+                        l: int, *, orient: float = 1.0, fea_tol: float = 1e-6
+                        ) -> tuple[StepResult, Direction]:
+    """Intermediate subiteration: fix dz_l = orient (bordered K_l system),
+    so the target step -(z_l + r_l)/dz_l is always finite."""
+    return take_step(PRIMAL, p, s, part, it, l,
+                     lambda: solve_intermediate_primal(p, part, l),
+                     orient, fea_tol, "primal_intermediate")
 
 
 def solve_primal(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
                  limits: SolveLimits | None = None, *,
                  opt_tol: float = 1e-6, fea_tol: float = 1e-6,
                  temp_bounds=None, trace: TraceSink | None = None,
-                 check_invariants: bool = False) -> PrimalOutcome:
+                 check_invariants: bool = False) -> SolveOutcome:
     """Run the primal method to optimality, dual infeasibility, or the
     iteration limit.  The start iterate and partition are copied."""
-    limits = limits or SolveLimits()
-    it = start[0].copy()
-    part = start[1].copy()
-    _validate_primal_start(p, s, part, it, fea_tol)
-    cap = limits.cap(p)
-    iterations = 0
-    subiterations = 0
-    zero_streak = 0
-    bland = False
-    certificate = None
-    status = OPTIMAL
-
-    def emit(kind, l, step, d, viol, eff, before):
-        nonlocal subiterations, zero_streak, bland
-        subiterations += 1
-        if step.alpha == 0.0:
-            zero_streak += 1
-            if zero_streak >= limits.bland_after:
-                bland = True
-        elif np.isfinite(step.alpha):
-            zero_streak = 0
-        if trace is not None:
-            trace(make_trace_record("primal", iterations, subiterations, kind,
-                                    l, step, d, viol, p, eff, before, it))
-
-    while True:
-        # Selection uses a near-zero threshold so every stage optimum has
-        # essentially exact complementarity; opt_tol only enters the
-        # reported optimality test, which this overdelivers on.
-        y_scale = max(1.0, float(np.max(np.abs(it.y))) if it.y.size else 0.0)
-        threshold = 1e-11 * y_scale
-        l, orient = _select_primal(p, s, part, it, threshold, temp_bounds, bland)
-        if l is None:
-            break
-        if iterations >= cap:
-            status = ITERATION_LIMIT
-            break
-        iterations += 1
-        from_nonbasic = l in part.nonbasic
-        part.free_index(l)
-        eff = effective_shifts(p, s, part, it)
-        inner_tol = 1e-12 * max(1.0, abs(it.z[l] + s.r[l]))
-
-        if from_nonbasic:
-            before = it.copy()
-            viol = float(it.z[l] + s.r[l])
-            step, d = primal_base(p, s, part, it, l, orient=orient,
-                                  fea_tol=fea_tol)
-            emit("base", l, step, d, viol, eff, before)
-            if np.isinf(step.alpha):
-                status = DUAL_INFEASIBLE
-                certificate = d
-                part.bind_freed_nonbasic()
-                break
-
-        guard = 0
-        while orient * (it.z[l] + s.r[l]) < -inner_tol:
-            guard += 1
-            if guard > p.n + 2:
-                raise InvariantError("intermediate subiterations did not "
-                                     "terminate; basis exchange is stuck")
-            before = it.copy()
-            viol = float(it.z[l] + s.r[l])
-            step, d = primal_intermediate(p, s, part, it, l, orient=orient,
-                                          fea_tol=fea_tol)
-            emit("intermediate", l, step, d, viol, eff, before)
-        part.bind_freed_basic()
-        if temp_bounds is not None:
-            temp_bounds.mark_basic(l)
-        if check_invariants:
-            _assert_primal_invariants(p, s, part, it, fea_tol)
-
-    return PrimalOutcome(status=status, iterate=it, partition=part,
-                         iterations=iterations, subiterations=subiterations,
-                         certificate=certificate)
-
-
-def _assert_primal_invariants(p, s, part, it, fea_tol):
-    stat, eq = residuals(p, it)
-    scale = 1.0 + float(np.max(np.abs(p.c)) if p.c.size else 0.0) \
-        + float(np.max(np.abs(p.b)) if p.b.size else 0.0)
-    if (stat.size and np.max(np.abs(stat)) > 1e-7 * scale) or \
-       (eq.size and np.max(np.abs(eq)) > 1e-7 * scale):
-        raise InvariantError("equality system drifted during primal solve")
-    for i in part.basic:
-        if i not in p.free and it.x[i] + s.q[i] < -fea_tol * (1.0 + abs(s.q[i])):
-            raise InvariantError(f"primal feasibility lost at basic index {i}")
+    return run_active_set(
+        PRIMAL, p, s, start, limits,
+        partial(primal_base, p, s, fea_tol=fea_tol),
+        partial(primal_intermediate, p, s, fea_tol=fea_tol),
+        tol=fea_tol, temp_bounds=temp_bounds, trace=trace,
+        check_invariants=check_invariants)

@@ -1,6 +1,18 @@
-"""Step lengths, ratio tests, and trace records shared by the primal and
-dual methods.  The two methods are exact mirrors of each other; the code
-here is parameterized by which inequality family is being protected.
+"""The active-set engine shared by the primal and dual methods.
+
+The methods are mirrors.  Each repairs one vector (z + r for the primal,
+x + q for the dual) one index at a time while a ratio test keeps the
+other within its shifted bounds on the set where those are live (B for
+the primal's x, N for the dual's z).  A ``Family`` names these roles.
+
+An outer iteration selects and frees an index l, takes a base
+subiteration when l comes from outside the live set, then intermediate
+subiterations until its repaired component reaches its bound, and binds
+l into the live set.  An infinite base step is returned unapplied and
+certifies the family's ``unbounded`` status.  Step functions are passed
+in per solve and this module's functions are called by name, so
+rebinding a module attribute (as the benchmark's tracer does) reaches
+every call.
 """
 
 from __future__ import annotations
@@ -10,8 +22,14 @@ from typing import Callable
 
 import numpy as np
 
-from .model import Direction, Iterate, QpProblem, Shifts
-from .model import dual_objective, primal_objective, residuals
+from .model import (Direction, InvariantError, Iterate, Partition, QpProblem,
+                    Shifts, StartConditionError, dual_objective,
+                    effective_shifts, primal_objective, residuals)
+
+OPTIMAL = "optimal"
+PRIMAL_INFEASIBLE = "primal_infeasible"
+DUAL_INFEASIBLE = "dual_infeasible"
+ITERATION_LIMIT = "iteration_limit"
 
 
 @dataclass(frozen=True)
@@ -55,6 +73,9 @@ class TraceRecord:
 
 
 TraceSink = Callable[[TraceRecord], None]
+# A step function with the problem, shifts and tolerances already bound:
+# (partition, iterate, l, orient=..., [swap_sink=...]) -> (step, direction).
+StepFn = Callable[..., tuple[StepResult, Direction]]
 
 
 @dataclass
@@ -72,6 +93,47 @@ class SolveLimits:
         if self.max_iterations > 0:
             return self.max_iterations
         return 100 + 50 * (p.n + p.m)
+
+
+@dataclass
+class SolveOutcome:
+    """Result of one primal or dual solve; ``method`` names which."""
+
+    method: str
+    status: str
+    iterate: Iterate
+    partition: Partition
+    iterations: int
+    subiterations: int
+    certificate: Direction | None = None
+
+
+Check = Callable[[QpProblem, Shifts, Partition, Iterate, float], None]
+
+
+@dataclass(frozen=True)
+class Family:
+    """How one method maps onto the shared engine.  ``check_start`` and
+    ``check_invariants`` add the family's own tests to the shared ones;
+    ``eligible`` masks the indices selectable one-sided (repaired value
+    < 0) and two-sided (it must vanish).  With ``freezes_temp_bounds``
+    the step functions take a ``swap_sink`` for temporary-bound swaps.
+    """
+
+    method: str               # label of outcomes and trace records
+    repaired: str             # iterate vector driven onto its bound: "z" / "x"
+    repair_shift: str         # its shift: "r" / "q"
+    guarded: str              # iterate vector kept feasible: "x" / "z"
+    guard_shift: str          # its shift: "q" / "r"
+    live: str                 # partition set where guarded bounds are live
+    idle: str                 # the other partition set
+    unguarded: str            # QpProblem index set whose guarded bound is void
+    scale_by: str             # iterate vector scaling the selection threshold
+    unbounded: str            # status certified by an infinite base step
+    check_start: Check
+    check_invariants: Check
+    eligible: Callable[..., tuple[np.ndarray, np.ndarray]]
+    freezes_temp_bounds: bool
 
 
 def _dir_scale(d: Direction) -> float:
@@ -107,10 +169,21 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray, indices: list[int],
     return float(ratios[pos]), indices[pos]
 
 
-def advance(it: Iterate, d: Direction, alpha: float) -> None:
-    it.x += alpha * d.dx
-    it.y += alpha * d.dy
-    it.z += alpha * d.dz
+def select_index(v: np.ndarray, one_sided: np.ndarray, two_sided: np.ndarray,
+                 threshold: float, bland: bool) -> tuple[int | None, float]:
+    """Index to repair next and the sign of the move.
+
+    One-sided indices are eligible when v < -threshold, two-sided ones
+    when |v| > threshold, oriented to shrink |v|.  Picks the largest
+    violation, least index on ties, or under ``bland`` the least index.
+    """
+    magnitude = np.where(two_sided, np.abs(v), -v)
+    eligible = (one_sided | two_sided) & (magnitude > threshold)
+    l = int(eligible.argmax() if bland
+            else np.where(eligible, magnitude, -np.inf).argmax())
+    if not eligible[l]:
+        return None, 0.0
+    return l, (-1.0 if two_sided[l] and v[l] > 0 else 1.0)
 
 
 def make_trace_record(method: str, iteration: int, subiteration: int,
@@ -131,3 +204,156 @@ def make_trace_record(method: str, iteration: int, subiteration: int,
         equality=float(np.max(np.abs(eq))) if eq.size else 0.0,
         direction=d,
     )
+
+
+def _violation(fam: Family, s: Shifts, it: Iterate, l: int) -> float:
+    return float(getattr(it, fam.repaired)[l] + getattr(s, fam.repair_shift)[l])
+
+
+def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
+              it: Iterate, l: int, solve: Callable[[], Direction],
+              orient: float, tol: float, name: str
+              ) -> tuple[StepResult, Direction]:
+    """Body of step function ``name``: check that l is freed and that orient
+    moves its repaired component toward its bound, then step along
+    ``solve()`` (negated when orient < 0) until that component reaches
+    the bound or a guarded bound blocks, whose index then leaves the live
+    set.  Returns the step and direction; an infinite step is unapplied.
+    """
+    if part.freed != l:
+        raise StartConditionError(f"index l must be freed before {name}")
+    viol = _violation(fam, s, it, l)
+    if orient * viol >= 0.0:
+        raise StartConditionError(
+            f"{name} requires orient*({fam.repaired}_l + {fam.repair_shift}_l)"
+            f" < 0, got {viol:.3e}")
+    d = solve()
+    if orient < 0:
+        d = d.negated()
+    rate = float(getattr(d, "d" + fam.repaired)[l])
+    alpha_star = np.inf if rate == 0.0 else -viol / rate
+    unguarded = getattr(p, fam.unguarded)
+    cand = [i for i in getattr(part, fam.live) if i not in unguarded]
+    guarded = getattr(it, fam.guarded)[cand] + getattr(s, fam.guard_shift)[cand]
+    alpha_max, k = ratio_test(guarded, getattr(d, "d" + fam.guarded)[cand],
+                              cand, tol, scale_floor=_dir_scale(d))
+    alpha = min(alpha_star, alpha_max)
+    hit = alpha_star <= alpha_max
+    if np.isinf(alpha):
+        return StepResult(np.inf, alpha_star, alpha_max, None, False), d
+    it.x += alpha * d.dx
+    it.y += alpha * d.dy
+    it.z += alpha * d.dz
+    if hit:
+        getattr(it, fam.repaired)[l] = -getattr(s, fam.repair_shift)[l]
+        k = None
+    else:
+        part.move(k, fam.idle)
+    return StepResult(alpha, alpha_star, alpha_max, k, hit), d
+
+
+def _check_equalities(p: QpProblem, it: Iterate, tol: float) -> bool:
+    stat, eq = residuals(p, it)
+    return not ((stat.size and np.max(np.abs(stat)) > tol) or
+                (eq.size and np.max(np.abs(eq)) > tol))
+
+
+def run_active_set(fam: Family, p: QpProblem, s: Shifts,
+                   start: tuple[Iterate, Partition], limits: SolveLimits | None,
+                   base: StepFn, intermediate: StepFn, *, tol: float,
+                   temp_bounds=None, trace: TraceSink | None = None,
+                   check_invariants: bool = False) -> SolveOutcome:
+    """Run one method to optimality, its ``unbounded`` status, or the
+    iteration limit.  The start iterate and partition are copied; ``tol``
+    is the family's feasibility tolerance for its guarded bounds."""
+    limits = limits or SolveLimits()
+    it = start[0].copy()
+    part = start[1].copy()
+    part.validate(p.n)
+    if part.freed is not None:
+        raise StartConditionError("start partition has a pending freed index")
+    if not _check_equalities(p, it, 1e-8 * p.data_scale()):
+        raise StartConditionError("start point violates the equality system")
+    fam.check_start(p, s, part, it, tol)
+    cap = limits.cap(p)
+    iterations = 0
+    subiterations = 0
+    zero_streak = 0
+    bland = False
+    certificate = None
+    status = OPTIMAL
+
+    def emit(kind, l, step, d, viol, eff, before):
+        nonlocal subiterations, zero_streak, bland
+        subiterations += 1
+        if step.alpha == 0.0:
+            zero_streak += 1
+            if zero_streak >= limits.bland_after:
+                bland = True
+        elif np.isfinite(step.alpha):
+            zero_streak = 0
+        if trace is not None:
+            trace(make_trace_record(fam.method, iterations, subiterations,
+                                    kind, l, step, d, viol, p, eff, before, it))
+
+    while True:
+        # Selection uses a near-zero threshold so every stage optimum has
+        # essentially exact complementarity; opt_tol only enters the
+        # reported optimality test, which this overdelivers on.
+        scale = float(np.abs(getattr(it, fam.scale_by)).max(initial=0.0))
+        threshold = 1e-11 * max(1.0, scale)
+        one_sided, two_sided = fam.eligible(p, part, temp_bounds)
+        v = getattr(it, fam.repaired) + getattr(s, fam.repair_shift)
+        l, orient = select_index(v, one_sided, two_sided, threshold, bland)
+        if l is None:
+            break
+        if iterations >= cap:
+            status = ITERATION_LIMIT
+            break
+        iterations += 1
+        needs_base = l not in getattr(part, fam.live)
+        part.free_index(l)
+        # Only trace records use the boundary-aligned shifts.
+        eff = effective_shifts(p, s, part, it) if trace is not None else None
+        inner_tol = 1e-12 * max(1.0, abs(_violation(fam, s, it, l)))
+        step_kw = {"orient": orient}
+        if fam.freezes_temp_bounds:
+            def swap_sink(j, d):
+                zero = StepResult(0.0, 0.0, 0.0, j, False)
+                emit("temp_swap", l, zero, d, _violation(fam, s, it, l), eff,
+                     it.copy())
+            step_kw["swap_sink"] = swap_sink
+
+        if needs_base:
+            before = it.copy()
+            viol = _violation(fam, s, it, l)
+            step, d = base(part, it, l, **step_kw)
+            emit("base", l, step, d, viol, eff, before)
+            if np.isinf(step.alpha):
+                status = fam.unbounded
+                certificate = d
+                part.bind_freed(fam.idle)
+                break
+
+        guard = 0
+        while orient * _violation(fam, s, it, l) < -inner_tol:
+            guard += 1
+            if guard > p.n + 2:
+                raise InvariantError("intermediate subiterations did not "
+                                     "terminate; basis exchange is stuck")
+            before = it.copy()
+            viol = _violation(fam, s, it, l)
+            step, d = intermediate(part, it, l, **step_kw)
+            emit("intermediate", l, step, d, viol, eff, before)
+        part.bind_freed(fam.live)
+        if temp_bounds is not None and l in part.basic:
+            temp_bounds.mark_basic(l)
+        if check_invariants:
+            if not _check_equalities(p, it, 1e-7 * p.data_scale()):
+                raise InvariantError(f"equality system drifted during "
+                                     f"{fam.method} solve")
+            fam.check_invariants(p, s, part, it, tol)
+
+    return SolveOutcome(method=fam.method, status=status, iterate=it,
+                        partition=part, iterations=iterations,
+                        subiterations=subiterations, certificate=certificate)

@@ -115,6 +115,19 @@ def test_run_records_error_status(tmp_path, capsys):
     rows, code = run([PROBLEMS / "p2.qpt"], tmp_path, strategy="primal-only")
     assert rows[0].status == "error"
     assert code == 1
+    # An internal error (here dual-first's singular K_l after a
+    # temporary-bound swap) is recorded too, and the batch goes on.
+    bad = tmp_path / "klsingular.qpt"
+    bad.write_text("QPT 1\ndims 4 1\nA dense\n2 -1 2 -2\nc 2 -1 -3 0\n"
+                   "lower -inf -inf -inf -inf -inf\n"
+                   "upper -1 inf inf 0 inf\nend\n")
+    out = tmp_path / "batch"
+    rows, code = run([bad, PROBLEMS / "p1.qpt"], out, strategy="dual-first")
+    assert [(r.name, r.status) for r in rows] == [("klsingular", "error"),
+                                                 ("p1", "optimal")]
+    assert len(read_runlog(out / "runlog.csv")) == 2
+    assert code == 1
+    assert "klsingular: KktInternalError: " in capsys.readouterr().err
 
 
 def test_run_max_iter_limit(tmp_path):

@@ -16,7 +16,8 @@ def _without_millis(text: str) -> str:
     return "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
 
 
-@pytest.mark.parametrize("strategy", ["auto", "primal-first", "dual-first"])
+@pytest.mark.parametrize("strategy", ["auto", "primal-first", "dual-first",
+                                      "primal-only", "dual-only"])
 def test_corpus_outputs_unchanged(tmp_path, strategy):
     paths = sorted((ROOT / "problems").glob("*.qpt"))
     run(paths, tmp_path, strategy=strategy, trace=True)

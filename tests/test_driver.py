@@ -6,6 +6,7 @@ from pdqp import (GeneralQp, InvariantError, Partition, ProblemError,
                   QpProblem, Shifts, SolveConfig, check_optimality,
                   enumerate_solve, find_soc_basis, init_shifts, solve_pdqp,
                   solve_standard, standardize, temporary_bound_pass)
+from pdqp import kkt
 from pdqp.driver import TemporaryBoundRegistry
 
 from conftest import random_instances
@@ -109,6 +110,21 @@ def test_solve_standard_p1_trivial(p1):
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.25)
     assert sol.iterations == 0 or sol.iterations <= 2
+
+
+@pytest.mark.parametrize("initial_basis", [None, [0, 1]])
+def test_solve_standard_factors_the_initial_basis_once(p1, monkeypatch,
+                                                       initial_basis):
+    # p1 starts optimal, so no stage factors K_B: the one factorization is
+    # basis discovery's accepted Bunch-Kaufman one (no factor_kb call) or
+    # the check of the given initial basis, and init_shifts reuses it.
+    calls = []
+    factor_kb = kkt.factor_kb
+    monkeypatch.setattr(kkt, "factor_kb",
+                        lambda p, part: calls.append(part) or factor_kb(p, part))
+    sol = solve_standard(p1, SolveConfig(initial_basis=initial_basis))
+    assert sol.status == "optimal" and sol.iterations == 0
+    assert len(calls) == (0 if initial_basis is None else 1)
 
 
 def test_solve_standard_infeasible(p_infeasible):
@@ -218,7 +234,7 @@ def test_temporary_bound_decoupled_free_variable():
 
 def test_temporary_bound_pass_flags_moved_dual():
     reg = TemporaryBoundRegistry()
-    reg.register(0, 0.0, 2.0)
+    reg.register(0, 2.0)
     from pdqp import Iterate
     it = Iterate(np.zeros(2), np.zeros(1), np.array([2.0, 0.0]))
     temporary_bound_pass(reg, "dual", it, {0: 2.0})   # unchanged: fine

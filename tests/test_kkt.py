@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from pdqp import (Iterate, KktFactorization, KktInternalError, Partition,
                   QpProblem, Shifts, SingularReport, factor_kb,
-                  find_soc_basis, recover_z_nonbasic, refactor_after_swap,
-                  solve_base_primal, solve_intermediate_primal)
+                  find_soc_basis, recover_z_nonbasic, solve_base_primal,
+                  solve_intermediate_primal)
 from pdqp import kkt
 from pdqp.kkt import (_bunch_kaufman, _factor_symmetric_indefinite, build_kb,
                       build_kl, factor_kb_or_raise, solve_boundary_point)
@@ -215,31 +215,6 @@ def test_recover_z_nonbasic_cases(p1, p2):
                      A=np.array([[1.0, 1.0]]), b=np.zeros(1), c=np.zeros(2))
     it = Iterate(np.zeros(2), np.zeros(1), np.zeros(2))
     assert_allclose(recover_z_nonbasic(zero, part, it, s), [0.0])
-
-
-def test_refactor_after_swap_noop_agrees(p1):
-    part = Partition(basic=[0, 1], nonbasic=[])
-    old = factor_kb_or_raise(p1, part)
-    new = refactor_after_swap(p1, part, old)
-    rhs = np.array([0.3, -0.7, 1.1])
-    assert_allclose(old.solve(rhs), new.solve(rhs), atol=1e-12)
-
-
-def test_refactor_after_swap_checks_bookkeeping(p1):
-    part = Partition(basic=[0, 1], nonbasic=[])
-    old = factor_kb_or_raise(p1, part)
-    with pytest.raises(KktInternalError):
-        refactor_after_swap(p1, part, old, removed=0)
-
-
-def test_refactor_after_blocking_swap(p2):
-    part = Partition(basic=[0], nonbasic=[1])
-    old = factor_kb_or_raise(p2, part)
-    part.move_basic_to_nonbasic(0)
-    part.move_nonbasic_to_basic(1)
-    new = refactor_after_swap(p2, part, old, removed=0, added=1)
-    rhs = np.array([1.0, 0.5])
-    assert_allclose(new.matrix() @ new.solve(rhs), rhs, atol=1e-12)
 
 
 def test_factor_solve_matches_gauss_on_random():
