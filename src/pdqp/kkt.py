@@ -27,6 +27,35 @@ any deferral, a margin that covers the estimator's slack and roundoff,
 and the greedy path would have completed.  Basis discovery, singular
 reports and near-singular matrices keep the greedy path, whose deferral
 and tie-break order the tests pin down.
+
+A freed component, dz_l of a base solve or dx_l of an intermediate one,
+is det(counterpart) / det(own) for the pair K_B, K_l, so it is zero
+exactly when the counterpart is singular.  When the computed value lies
+inside its cancellation noise band and the solve's own factorization is
+certified (accepted by the rule above), it is settled at zero without
+touching the counterpart if a change of the data that makes the
+counterpart exactly singular is within the greedy deferral bound
+dim * PIVOT_TOL * max|counterpart|, the bound under which the greedy
+elimination of the counterpart may defer:
+
+* dz_l = s = h_ll - k_l' K_B^-1 k_l, the Schur complement of K_B in K_l.
+  With w = -K_B^-1 k_l, (K_l - s e_0 e_0') (1; w) = 0: moving h_ll by
+  |s| makes K_l singular.
+* dx_l is the leading entry of (dx_l; v) = K_l^-1 e_0.  Then
+  K_B v = -dx_l k_l, so the rank-one change dx_l k_l v' / (v'v), of norm
+  |dx_l| ||k_l|| / ||v||, makes K_B singular.
+
+Both the change and the bound are relative to the counterpart's own
+scale, so the verdict does not depend on the scale of the data, while the
+noise band has an absolute floor.  Near the top of the band the greedy
+elimination can still complete such a counterpart; its determinant ratio
+then lies inside the band too, so the two answers differ by less than the
+noise.  The counterpart is still assembled and factored when the verdict
+is in doubt: when the own factorization came from the greedy elimination,
+when the value lies below -noise, or when the change exceeds the bound
+(a genuine small component of badly scaled data).  It is then pinned to
+zero on a deferral, or recomputed as a pivot-determinant ratio that must
+come out positive.
 """
 
 from __future__ import annotations
@@ -62,9 +91,12 @@ def _logabsdet(blocks: Iterable[np.ndarray]) -> tuple[float, float]:
 
 class _Factor:
     """A completed factorization of ``matrix``; subclasses apply its
-    inverse once in ``_once``."""
+    inverse once in ``_once``.  ``certified`` marks a factorization whose
+    condition estimate passed the acceptance rule, so that the matrix is
+    well away from singular."""
 
     matrix: np.ndarray
+    certified = False
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the factorization, one refinement step."""
@@ -109,6 +141,7 @@ class _BunchKaufman(_Factor):
     ldu: np.ndarray
     ipiv: np.ndarray          # LAPACK 1-based pivots; a pair < 0 marks 2x2
     matrix: np.ndarray
+    certified = True
 
     @property
     def deferred(self) -> np.ndarray:
@@ -396,18 +429,30 @@ def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisRes
 
 
 def _freed_component(raw: float, noise: float, own: _Factor,
-                     other: Callable[[], np.ndarray], what: str) -> float:
+                     other: Callable[[], np.ndarray], what: str,
+                     backward: float, bound: Callable[[], float]) -> float:
     """Resolve the freed component of a direction near zero.
 
-    The dichotomy is exact: the component vanishes iff the counterpart
-    matrix is singular.  When the straightforwardly computed value falls
-    inside the cancellation noise band, build the counterpart with
+    The dichotomy is exact: the component is det(counterpart) / det(own),
+    so it vanishes iff the counterpart matrix is singular.  A value above
+    the cancellation noise band is returned as computed.  ``backward`` is
+    the size of a change of the data that makes the counterpart exactly
+    singular, and ``bound()`` the greedy deferral bound of the counterpart,
+    dim * PIVOT_TOL * max|counterpart| (see the module docstring), taken
+    from the data without assembling the counterpart.  Inside the band,
+    |raw| <= noise, a certified ``own`` with backward <= bound() settles
+    the component at zero: the backward-error verdict a greedy
+    deferral also gives.  Otherwise (``own`` came from the greedy
+    elimination, raw < -noise so that its sign is in doubt, or the change
+    is larger than roundoff of the counterpart) build the counterpart with
     ``other()``, factor it, and either pin the component to zero or
-    recompute it as a pivot-determinant ratio, which stays accurate at
-    any data scale.
+    recompute it as a pivot-determinant ratio, which stays accurate at any
+    data scale.
     """
     if raw > noise:
         return raw
+    if own.certified and raw >= -noise and backward <= bound():
+        return 0.0
     data = _factorize(other())
     if data.deferred.size:
         return 0.0
@@ -427,8 +472,7 @@ def solve_base_primal(p: QpProblem, part: Partition, f: KktFactorization,
 
     Solves K_B [dx_B; -dy] = -[h_Bl; a_l], then recovers dz_l and dz_N.
     dz_l is nonnegative, and exactly zero iff the bordered matrix is
-    singular; values lost in roundoff are settled by a determinant ratio
-    against a factorization of the bordered matrix.
+    singular; values lost in roundoff are settled by ``_freed_component``.
     """
     basic = list(part.basic)
     nb = len(basic)
@@ -443,8 +487,11 @@ def solve_base_primal(p: QpProblem, part: Partition, f: KktFactorization,
     noise = 1e-12 * float(abs(p.H[l, l])
                           + np.abs(p.H[basic, l]) @ np.abs(dxb)
                           + np.abs(p.A[:, l]) @ np.abs(dy) + 1.0)
-    dzl = _freed_component(dzl, noise, f._data, lambda: build_kl(p, basic, l),
-                           "dz_l")
+    dzl = _freed_component(
+        dzl, noise, f._data, lambda: build_kl(p, basic, l), "dz_l", abs(dzl),
+        lambda: (nb + p.m + 1) * PIVOT_TOL * max(
+            float(np.max(np.abs(f._data.matrix), initial=0.0)),
+            abs(p.H[l, l]), float(np.max(np.abs(rhs), initial=0.0))))
     nonbasic = list(part.nonbasic)
     dz = np.zeros(p.n)
     dz[l] = dzl
@@ -481,7 +528,14 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int) -> Directio
     dxb = w[1:1 + nb]
     dy = -w[1 + nb:]
     noise = 1e-12 * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    dxl = _freed_component(dxl, noise, data, lambda: build_kb(p, basic), "dx_l")
+    # K_B is kl[1:, 1:] and k_l is kl[1:, 0]; v = w[1:] (module docstring).
+    vnorm = float(np.linalg.norm(w[1:]))
+    backward = (abs(dxl) * float(np.linalg.norm(kl[1:, 0])) / vnorm
+                if vnorm > 0.0 else np.inf)
+    dxl = _freed_component(
+        dxl, noise, data, lambda: build_kb(p, basic), "dx_l", backward,
+        lambda: (kl.shape[0] - 1) * PIVOT_TOL
+        * float(np.max(np.abs(kl[1:, 1:]), initial=0.0)))
     if dxl == 0.0:
         # Singular K_B: every x-component of the direction vanishes and
         # only the multiplier part moves.

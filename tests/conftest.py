@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdqp import ProblemError, QpProblem, Shifts
+from pdqp import GeneralQp, ProblemError, QpProblem, Shifts
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
 
 
@@ -106,3 +106,25 @@ def random_instances(seed, count, **kw):
         if p is not None:
             out.append(p)
     return out
+
+
+def lowrank_instance(n, m, active, seed, rank):
+    """The criterion-7 construction with H = G'G/n of the given rank (0 is
+    an LP): x* >= 0 with ``active`` zeros, bound duals chosen so that x* is
+    optimal, rows pinned at A x*.  Returns (GeneralQp, x*, f*)."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(rank, n))
+    H = G.T @ G / n
+    A = rng.normal(size=(m, n)) / np.sqrt(n)
+    xstar = np.abs(rng.normal(size=n)) + 0.05
+    act = rng.choice(n, size=active, replace=False)
+    xstar[act] = 0.0
+    zstar = np.zeros(n)
+    zstar[act] = np.abs(rng.normal(size=active)) + 0.1
+    c = -(H @ xstar) + A.T @ rng.normal(size=m) + zstar
+    rows = A @ xstar
+    g = GeneralQp(Hhat=H, Ahat=A, c=c,
+                  lower=np.concatenate([np.zeros(n), rows]),
+                  upper=np.concatenate([np.full(n, np.inf), rows]),
+                  name=f"n{n}m{m}a{active}r{rank}s{seed}")
+    return g, xstar, float(0.5 * xstar @ H @ xstar + c @ xstar)

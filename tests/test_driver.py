@@ -322,6 +322,26 @@ def test_pipeline_handles_extreme_data_scales():
         assert sol.status == o.status == "optimal"
         assert abs(sol.objective - o.objective) \
             <= 1e-7 * (1 + abs(o.objective))
+    # Rank-deficient H makes freed components vanish legitimately next to
+    # genuine ones that sit inside the noise band's absolute floor: of
+    # size 1/scale when all data is at 1e12, of size 1e-12 when the
+    # objective is.  A zero verdict taken from the band alone turned the
+    # former into false infeasibility certificates.
+    rng = np.random.default_rng(0)
+    for obj_scale, row_scale in ((1e12, 1e12), (1e-12, 1e-8)):
+        for rank in (0, 1, 2, 3):
+            g = rng.normal(size=(rank, 5))
+            A = row_scale * rng.normal(size=(2, 5))
+            x0 = np.abs(rng.normal(size=5))
+            p = QpProblem(H=obj_scale * (g.T @ g), M=np.zeros((2, 2)), A=A,
+                          b=A @ x0, c=obj_scale * rng.normal(size=5))
+            o = enumerate_solve(p, Shifts.zero(5))
+            for strategy in ("auto", "primal-first"):
+                sol = solve_standard(p, SolveConfig(strategy=strategy))
+                assert sol.status == o.status
+                if o.status == "optimal":
+                    assert abs(sol.objective - o.objective) \
+                        <= 1e-7 * (1 + abs(o.objective))
 
 
 def test_dead_row_consistent_is_dropped():

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -124,11 +126,7 @@ def test_solve_base_primal_hand_case(p1):
     assert d.dz_l == pytest.approx(2.0)
 
 
-def test_counterpart_assembled_only_inside_noise_band(p1, monkeypatch):
-    # dz_l = 2 and dx_l = 0.5 are far from zero: neither solve may build
-    # the counterpart matrix (K_l for the base solve, K_B for the
-    # intermediate one, whose own K_l is the only assembly).
-    f = factor_kb_or_raise(p1, Partition(basic=[1], nonbasic=[0]))
+def _recording_build_kb(monkeypatch):
     built = []
     original = kkt.build_kb
 
@@ -137,6 +135,15 @@ def test_counterpart_assembled_only_inside_noise_band(p1, monkeypatch):
         return original(p, basic)
 
     monkeypatch.setattr(kkt, "build_kb", recording_build_kb)
+    return built
+
+
+def test_counterpart_assembled_only_inside_noise_band(p1, monkeypatch):
+    # dz_l = 2 and dx_l = 0.5 are far from zero: neither solve may build
+    # the counterpart matrix (K_l for the base solve, K_B for the
+    # intermediate one, whose own K_l is the only assembly).
+    f = factor_kb_or_raise(p1, Partition(basic=[1], nonbasic=[0]))
+    built = _recording_build_kb(monkeypatch)
     part = Partition(basic=[1], nonbasic=[], freed=0)
     assert solve_base_primal(p1, part, f, 0).dz_l == pytest.approx(2.0)
     assert built == []
@@ -352,3 +359,153 @@ def test_find_soc_basis_matches_greedy_only_path(monkeypatch):
         assert res.partition.basic == ref.partition.basic
         assert res.partition.nonbasic == ref.partition.nonbasic
         assert res.deferred == ref.deferred
+
+
+def test_certified_in_band_component_builds_no_counterpart(p_lp, p1,
+                                                           monkeypatch):
+    # dz_l = 0 (singular K_l) and dx_l = 0 (singular K_B), each computed
+    # from a Bunch-Kaufman factorization: settled without assembling the
+    # counterpart.
+    f = factor_kb_or_raise(p_lp, Partition(basic=[1], nonbasic=[0]))
+    assert f._data.certified
+    p = QpProblem(H=p1.H, M=p1.M, A=p1.A, b=np.array([-1.0]), c=p1.c)
+    assert _bunch_kaufman(build_kl(p, [], 1)) is not None
+    built = _recording_build_kb(monkeypatch)
+    d = solve_base_primal(p_lp, Partition(basic=[1], nonbasic=[], freed=0),
+                          f, 0)
+    assert d.dz_l == 0.0 and np.all(d.dy == 0.0)
+    assert built == []
+    d = solve_intermediate_primal(p, Partition(basic=[], nonbasic=[0],
+                                               freed=1), 1)
+    assert d.dx_l == 0.0
+    assert built == [[1]]          # the solve's own K_l only
+
+
+def test_greedy_own_factorization_still_builds_counterpart(p_lp, p1,
+                                                          monkeypatch):
+    monkeypatch.setattr(kkt, "_bunch_kaufman", lambda k: None)
+    f = factor_kb_or_raise(p_lp, Partition(basic=[1], nonbasic=[0]))
+    assert not f._data.certified
+    built = _recording_build_kb(monkeypatch)
+    d = solve_base_primal(p_lp, Partition(basic=[1], nonbasic=[], freed=0),
+                          f, 0)
+    assert d.dz_l == 0.0
+    assert built == [[0, 1]]       # K_l, freed index leading
+    p = QpProblem(H=p1.H, M=p1.M, A=p1.A, b=np.array([-1.0]), c=p1.c)
+    d = solve_intermediate_primal(p, Partition(basic=[], nonbasic=[0],
+                                               freed=1), 1)
+    assert d.dx_l == 0.0
+    assert built == [[0, 1], [1], []]
+
+
+def _in_band_dz(kb, k, frac):
+    """K_l bordering a certified K_B with column k, its h_ll chosen so that
+    dz_l = frac * noise.  Returns (own K_B factorization, raw, noise, K_l,
+    backward, bound) as solve_base_primal computes them, or None when K_B
+    is not certified."""
+    own = _bunch_kaufman(kb)
+    if own is None:
+        return None
+    w = own.solve(-k)
+    h = frac * 1e-12 * (np.abs(k) @ np.abs(w) + 1.0) - k @ w
+    kl = np.block([[np.array([[h]]), k[None, :]], [k[:, None], kb]])
+    raw = float(h + k @ w)
+    noise = 1e-12 * float(abs(h) + np.abs(k) @ np.abs(w) + 1.0)
+    bound = kl.shape[0] * kkt.PIVOT_TOL * np.max(np.abs(kl))
+    return own, raw, noise, kl, abs(raw), bound
+
+
+def _in_band_dx(kb0, k, h, frac):
+    """A K_B that K_l = [[h, k'], [k, K_B]] borders, with the eigenvalue of
+    kb0 nearest zero moved so that dx_l = 1 / (h - k' K_B^-1 k) is frac *
+    noise.  Returns (own K_l factorization, raw, noise, K_B, backward,
+    bound) as solve_intermediate_primal computes them, or None when no
+    certified K_l results."""
+    lam, q = np.linalg.eigh(kb0)
+    i0 = int(np.argmin(np.abs(lam)))
+    kq = q.T @ k
+    rest = sum(kq[i] ** 2 / lam[i] for i in range(lam.size) if i != i0)
+    e0 = np.eye(k.size + 1)[0]
+    probe = _bunch_kaufman(np.block([[np.array([[h]]), k[None, :]],
+                                     [k[:, None], kb0]]))
+    if probe is None:
+        return None
+    target = frac * 1e-12 * max(1.0, float(np.max(np.abs(probe.solve(e0)))))
+    lam[i0] = 0.0 if target == 0.0 else kq[i0] ** 2 / (h - 1.0 / target - rest)
+    kb = q @ np.diag(lam) @ q.T
+    kb = 0.5 * (kb + kb.T)
+    own = _bunch_kaufman(np.block([[np.array([[h]]), k[None, :]],
+                                   [k[:, None], kb]]))
+    if own is None:
+        return None
+    w = own.solve(e0)
+    raw = float(w[0])
+    noise = 1e-12 * max(1.0, float(np.max(np.abs(w))))
+    backward = abs(raw) * np.linalg.norm(k) / np.linalg.norm(w[1:])
+    bound = kb.shape[0] * kkt.PIVOT_TOL * np.max(np.abs(kb))
+    return own, raw, noise, kb, backward, bound
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("what", ["dz_l", "dx_l"])
+def test_in_band_rule_agrees_with_greedy_counterpart(what, scale):
+    # Bordered pairs K_B, K_l at a data scale, with a certified own
+    # factorization and the freed component set to frac * noise, from 0 up
+    # to the noise band.  The band has an absolute floor, so away from unit
+    # scale it also holds genuine components.  A component the rule
+    # settles at zero without assembling the counterpart must have a
+    # counterpart within the greedy deferral bound of singular, relative to
+    # its own scale; there the counterpart path agrees exactly up to a
+    # tenth of the band and within the band above it.  Every other
+    # component is the counterpart path's value, nonnegative, and when
+    # nonzero a genuine component that matches the computed value.
+    rng = np.random.default_rng(20261018)
+    eps = np.finfo(float).eps
+    settled = genuine = 0
+
+    for rel_sigma in (1e-1, 1e-2, 1e-4):
+        for integer in (True, False):
+            for _ in range(40):
+                kb0 = scale * _kkt_with_sigma_min(rng, integer, rel_sigma)
+                k = scale * (rng.integers(-3, 4, size=kb0.shape[0]).astype(float)
+                             if integer else rng.normal(size=kb0.shape[0]))
+                h = scale * float(rng.normal())
+                for frac in (0.0, 1e-6, 1e-3, 0.1, 0.5, 0.9):
+                    case = (_in_band_dz(kb0, k, frac) if what == "dz_l"
+                            else _in_band_dx(kb0, k, h, frac))
+                    if case is None:
+                        continue
+                    own, raw, noise, counterpart, backward, bound = case
+                    if not -noise <= raw <= noise:
+                        continue
+                    built = []
+                    value = kkt._freed_component(
+                        raw, noise, own,
+                        lambda: built.append(1) or counterpart, what,
+                        backward, lambda: bound)
+                    greedy_own = copy.copy(own)
+                    greedy_own.certified = False
+                    reference = kkt._freed_component(
+                        raw, noise, greedy_own, lambda: counterpart, what,
+                        backward, lambda: bound)
+                    if built:
+                        assert value == reference >= 0.0
+                        if reference > 0.0:
+                            genuine += 1
+                            assert reference == pytest.approx(raw, rel=1e-6)
+                        continue
+                    settled += 1
+                    assert value == 0.0
+                    top = np.max(np.abs(counterpart))
+                    roundoff = 10 * eps * counterpart.size * top
+                    sigma_min = np.linalg.svd(counterpart, compute_uv=False)[-1]
+                    assert sigma_min <= backward + roundoff
+                    assert sigma_min <= counterpart.shape[0] * kkt.PIVOT_TOL \
+                        * top + roundoff
+                    assert 0.0 <= reference <= noise
+                    if frac <= 0.1:
+                        assert reference == 0.0
+    # Genuine components reach the band when dz_l ~ scale is small or
+    # dx_l ~ 1 / scale is.
+    assert settled > 100
+    assert (genuine > 100) == (scale == (1e-12 if what == "dz_l" else 1e12))
