@@ -378,7 +378,7 @@ def _is_dual_feasible_start(p: QpProblem, shifts0: Shifts, it: Iterate,
     """Whether the initial dual shifts are within tolerance: r_j is
     max(-z_j, 0) on bounded nonbasic indices and -z_j on free ones."""
     y_scale = max(1.0, float(np.max(np.abs(it.y))) if it.y.size else 0.0)
-    free = p.masks[0]
+    free = p.free_mask
     return (float(np.max(shifts0.r[~free], initial=0.0)) <= fea_tol * y_scale
             and float(np.max(np.abs(shifts0.r[free]), initial=0.0)) <= fea_tol)
 
@@ -415,7 +415,7 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None,
         part, factor = found.partition, found.factor
     registry = registry if registry is not None else TemporaryBoundRegistry()
     shifts0, it = init_shifts(p, part, registry, factor)
-    factor = found = None   # free the start basis's K_B before the stages
+    found = None
     report = check_optimality(p, shifts0, it, config.fea_tol, config.opt_tol)
     if not report.optimal:
         raise InvariantError("initial shifted point failed the optimality "
@@ -454,7 +454,9 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None,
     start = (it, part)
     for solve, shifts in stages:
         ref = {j: float(start[0].z[j]) for j in registry.indices()}
-        out = solve(p, shifts, start, config.limits(), **kw)
+        # K_B of the start basis seeds the first stage's KKT updates.
+        out = solve(p, shifts, start, config.limits(), factor=factor, **kw)
+        factor = None
         logs.append(_stage_log(p, shifts, out))
         if out.status != OPTIMAL:
             break

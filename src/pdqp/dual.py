@@ -19,9 +19,10 @@ from functools import partial
 
 import numpy as np
 
-from .kkt import factor_kb_or_raise, solve_base_primal, solve_intermediate_primal
+from .kkt import (KktBasis, KktFactorization, solve_base_primal,
+                  solve_intermediate_primal)
 from .model import (Direction, InvariantError, Iterate, Partition, QpProblem,
-                    Shifts, StartConditionError, index_mask)
+                    Shifts, StartConditionError)
 from .steps import (PRIMAL_INFEASIBLE, Family, SolveLimits, SolveOutcome,
                     StepResult, TraceSink, run_active_set, take_step)
 
@@ -51,8 +52,7 @@ def _check_invariants(p, s, part, it, opt_tol):
 def _eligible(p, part, temp_bounds):
     """Free indices have no primal bound and are never selected, nor are
     fixed nonbasic ones; the rest are one-sided."""
-    free, fixed = p.masks
-    excluded = free | (fixed & index_mask(p.n, part.nonbasic))
+    excluded = p.free_mask | (p.fixed_mask & part.nonbasic_mask)
     return ~excluded, np.zeros(p.n, dtype=bool)
 
 
@@ -74,7 +74,7 @@ def _direction_keeping_temp_bounds(p: QpProblem, part: Partition, solve,
     tol = 1e-11 * max(1.0, p.kkt_scale())
     while True:
         j = next((j for j in temp_bounds.unreleased_nonbasic()
-                  if j in part.nonbasic and abs(d.dz[j]) > tol), None)
+                  if part.nonbasic_mask[j] and abs(d.dz[j]) > tol), None)
         if j is None:
             return d
         part.move(j, "basic")
@@ -86,13 +86,14 @@ def _direction_keeping_temp_bounds(p: QpProblem, part: Partition, solve,
 
 def dual_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
               *, orient: float = 1.0, opt_tol: float = 1e-6, temp_bounds=None,
-              swap_sink=None) -> tuple[StepResult, Direction]:
+              swap_sink=None, basis: KktBasis | None = None
+              ) -> tuple[StepResult, Direction]:
     """Base subiteration: fix dz_l = orient (bordered K_l system) and
     move x_l + q_l toward zero (see ``take_step``).  An infinite step
     (dx_l = 0 with no blocking dual bound), returned unapplied, certifies
     the primal problem infeasible."""
     solve = partial(_direction_keeping_temp_bounds, p, part,
-                    lambda: solve_intermediate_primal(p, part, l),
+                    lambda: solve_intermediate_primal(p, part, l, basis),
                     temp_bounds, swap_sink)
     return take_step(DUAL, p, s, part, it, l, solve, orient, opt_tol,
                      "dual_base")
@@ -100,14 +101,16 @@ def dual_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
 
 def dual_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
                       l: int, *, orient: float = 1.0, opt_tol: float = 1e-6,
-                      temp_bounds=None, swap_sink=None
+                      temp_bounds=None, swap_sink=None,
+                      basis: KktBasis | None = None
                       ) -> tuple[StepResult, Direction]:
     """Intermediate subiteration: fix dx_l = orient (K_B system), so the
-    target step -(x_l + q_l)/dx_l is always finite."""
-    solve = partial(
-        _direction_keeping_temp_bounds, p, part,
-        lambda: solve_base_primal(p, part, factor_kb_or_raise(p, part), l),
-        temp_bounds, swap_sink)
+    target step -(x_l + q_l)/dx_l is always finite.  ``basis`` serves
+    the solve (a fresh one factors K_B)."""
+    basis = KktBasis(p) if basis is None else basis
+    solve = partial(_direction_keeping_temp_bounds, p, part,
+                    lambda: solve_base_primal(p, part, basis, l),
+                    temp_bounds, swap_sink)
     return take_step(DUAL, p, s, part, it, l, solve, orient, opt_tol,
                      "dual_intermediate")
 
@@ -116,13 +119,15 @@ def solve_dual(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
                limits: SolveLimits | None = None, *,
                opt_tol: float = 1e-6, fea_tol: float = 1e-6,
                temp_bounds=None, trace: TraceSink | None = None,
-               check_invariants: bool = False) -> SolveOutcome:
+               check_invariants: bool = False,
+               factor: KktFactorization | None = None) -> SolveOutcome:
     """Run the dual method to optimality, primal infeasibility, or the
-    iteration limit.  The start iterate and partition are copied."""
+    iteration limit.  The start iterate and partition are copied;
+    ``factor``, K_B of the start basis, seeds the stage's KKT updates."""
     return run_active_set(
         DUAL, p, s, start, limits,
         partial(dual_base, p, s, opt_tol=opt_tol, temp_bounds=temp_bounds),
         partial(dual_intermediate, p, s, opt_tol=opt_tol,
                 temp_bounds=temp_bounds),
         tol=opt_tol, temp_bounds=temp_bounds, trace=trace,
-        check_invariants=check_invariants)
+        check_invariants=check_invariants, factor=factor)

@@ -56,11 +56,58 @@ when the value lies below -noise, or when the change exceeds the bound
 (a genuine small component of badly scaled data).  It is then pinned to
 zero on a deferral, or recomputed as a pivot-determinant ratio that must
 come out positive.
+
+Within a stage the basis changes by one index at a time, so a
+``KktBasis`` factors K_B0, the basis matrix a stage starts from (or last
+refactored), once and serves the K_B and K_l solves of every later basis
+B by Schur-complement (block-LU) updates, after Gill, Murray, Saunders
+and Wright, "A Schur-complement method for sparse quadratic programming"
+(1990).  K_l is the basis matrix of B and l.  The border W has, for each
+column q of B not in B0, its column of the full KKT matrix over B0's
+rows, and for each index r of B0 missing from B the unit vector e_r.  In
+
+    M = [ K_B0  W ]      C = [ H_QQ  0 ]
+        [ W'    C ],         [ 0     0 ],
+
+the rows e_r' z = 0 pin the dropped entries at zero and the multipliers
+of those rows absorb the dropped equations, so K_B^-1 is a principal
+block of M^-1.  With V = K_B0^-1 W and the Schur block S = C - W'V,
+
+    M^-1 = [ K_B0^-1 + V S^-1 V'   -V S^-1 ]
+           [ -S^-1 V'               S^-1   ],
+
+a solve costs one K_B0 solve and a dense solve with the small symmetric
+S, and ||K_B^-1|| <= ||M^-1|| <= ||K_B0^-1|| + (1 + ||V||)^2 ||S^-1||.
+An updated solve never changes a verdict either: it is used only when
+K_B0 passed the acceptance rule and this bound keeps sigma_min(K_B) above
+100 * dim * PIVOT_TOL * max|K_B|, the margin acceptance demands, so the
+greedy elimination of K_B would complete.  The bound takes ||K_B0^-1||
+from the ``dsycon`` estimate (the 1-norm bounds the 2-norm of a symmetric
+matrix; the estimator's slack is covered as for acceptance), ||V|| by its
+Frobenius norm and ||S^-1|| from the eigenvalues of S; max|K_B| is
+bounded by max|K_B0|, the border columns and H_QQ.  One refinement step
+against the product with K_B, formed from the problem data, follows, as
+in a fresh solve.  A step takes the fresh path instead (refactoring,
+``_freed_component``, a singular report or KktInternalError as before),
+and its factorization becomes the new K_B0, when
+
+* the bound fails (or K_B0 was not accepted);
+* K_B0^-1 times BORDER_CAP border columns is cached already, which bounds
+  the cost of forming S and makes at most one refactorization per
+  BORDER_CAP basis changes;
+* the freed component lies in its noise band, so that a component settled
+  at zero always comes from a fresh factorization.
+
+A K_B0 of dim below UPDATE_MIN_DIM is not updated.  Below it lie all the
+problems whose trajectories follow ratio-test ties broken by the sign of
+roundoff, which any change of solve roundoff moves; they keep the fresh
+numerics until ties no longer depend on roundoff.  The threshold is that
+gate, not a cost crossover.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +117,10 @@ from scipy.linalg import lapack
 from .model import Direction, Iterate, Partition, QpProblem, Shifts
 
 PIVOT_TOL = 1e-11
+# K_B0 factorizations of smaller dim are not updated: every solve refactors.
+UPDATE_MIN_DIM = 200
+# Border columns one K_B0 serves before the next basis change refactors.
+BORDER_CAP = 50
 
 
 class KktInternalError(RuntimeError):
@@ -141,6 +192,7 @@ class _BunchKaufman(_Factor):
     ldu: np.ndarray
     ipiv: np.ndarray          # LAPACK 1-based pivots; a pair < 0 marks 2x2
     matrix: np.ndarray
+    inv_norm: float           # 1 / (rcond * ||K||_1), estimates ||K^-1||_1
     certified = True
 
     @property
@@ -289,7 +341,8 @@ def _bunch_kaufman(k: np.ndarray) -> _BunchKaufman | None:
     rcond, info = lapack.dsycon(ldu, ipiv, anorm, lower=1)
     if info != 0 or not rcond > 100 * dim * PIVOT_TOL:    # NaN rejects too
         return None
-    return _BunchKaufman(ldu=ldu, ipiv=ipiv, matrix=k)
+    return _BunchKaufman(ldu=ldu, ipiv=ipiv, matrix=k,
+                         inv_norm=1.0 / (rcond * anorm))
 
 
 def _factorize(k: np.ndarray) -> _Factor:
@@ -394,6 +447,154 @@ def factor_kb_or_raise(p: QpProblem, part: Partition) -> KktFactorization:
     return f
 
 
+class KktBasis:
+    """Solves with the basis matrices of one stage from one certified
+    factorization of K_B0, by Schur-complement (block-LU) updates; see the
+    module docstring.
+
+    The border of a basis B is derived from B itself: the indices of B0
+    missing from B and the columns of B not in B0, so basis changes need
+    no notification.  K_B0^-1 times each border column is cached by index
+    until BORDER_CAP columns are cached.  Without a K_B0 (none handed in
+    yet, one below UPDATE_MIN_DIM, or one the acceptance rule rejected)
+    ``solve`` declines, and callers take the fresh path, whose
+    factorization ``rebase`` then makes the new K_B0.
+    """
+
+    def __init__(self, p: QpProblem, factor: KktFactorization | None = None):
+        self.p = p
+        self._k0: _BunchKaufman | None = None
+        if factor is not None:
+            self.rebase(factor.basis, factor._data)
+
+    def rebase(self, basis: Sequence[int], data: _Factor) -> None:
+        """Take ``data``, a fresh factorization of the basis matrix with
+        its variables in ``basis`` order, as K_B0 if it is certified and
+        of dim >= UPDATE_MIN_DIM; otherwise hold no K_B0."""
+        self.release()
+        dim = data.matrix.shape[0]
+        if not data.certified or dim < UPDATE_MIN_DIM:
+            return
+        self._k0 = data
+        self._basis0 = np.asarray(basis, dtype=int)
+        self._pos0 = np.full(self.p.n, -1)
+        self._pos0[self._basis0] = np.arange(self._basis0.size)
+        self._max0 = float(np.max(np.abs(data.matrix)))
+        self._slot: dict[int, int] = {}
+        self._w = np.zeros((dim, BORDER_CAP))        # border columns W
+        self._v = np.empty((dim, BORDER_CAP))        # V = K_B0^-1 W
+        self._gram = np.empty((BORDER_CAP, BORDER_CAP))   # W'V
+        self._vnorm2 = np.empty(BORDER_CAP)          # ||V e_j||^2
+        self._wmax = np.zeros(BORDER_CAP)            # max|W e_j|
+
+    def release(self) -> None:
+        """Drop K_B0 and its caches (before a fresh factorization, so the
+        two are not held at once)."""
+        self._k0 = None
+        self._w = self._v = None
+
+    def refactor(self, part: Partition) -> KktFactorization:
+        """The fresh path for K_B: factor it from scratch, raising
+        KktInternalError when it is singular, and make it K_B0."""
+        self.release()
+        f = factor_kb_or_raise(self.p, part)
+        self.rebase(f.basis, f._data)
+        return f
+
+    def _slots(self, keys: np.ndarray) -> list[int] | None:
+        """Cache slots of the border columns named by ``keys``, computing
+        the missing ones; None once more than BORDER_CAP are needed."""
+        p, k0 = self.p, self._k0
+        nb0 = self._basis0.size
+        for j in keys.tolist():
+            if j in self._slot:
+                continue
+            at = len(self._slot)
+            if at == BORDER_CAP:
+                return None
+            w = self._w[:, at]
+            if self._pos0[j] >= 0:      # an index of B0 missing from B
+                w[self._pos0[j]] = 1.0
+            else:                       # a column of B not in B0
+                w[:nb0] = p.H[self._basis0, j]
+                w[nb0:] = p.A[:, j]
+                self._wmax[at] = float(np.max(np.abs(w)))
+            v = k0._once(w)
+            self._v[:, at] = v
+            g = self._w[:, :at + 1].T @ v
+            self._gram[at, :at + 1] = g
+            self._gram[:at + 1, at] = g
+            self._vnorm2[at] = float(v @ v)
+            self._slot[j] = at
+        return [self._slot[j] for j in keys.tolist()]
+
+    def _product(self, basic: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """K_B z without assembling K_B."""
+        p = self.p
+        nb = basic.size
+        full = np.zeros(p.n)
+        full[basic] = z[:nb]
+        y = z[nb:]
+        return np.concatenate([(p.H @ full)[basic] + (p.A.T @ y)[basic],
+                               p.A @ full - p.M @ y])
+
+    def solve(self, basic: Sequence[int], rhs: np.ndarray) -> np.ndarray | None:
+        """K_B^-1 rhs for the basis matrix with variables in ``basic``
+        order, with one refinement step against K_B, or None where no
+        update is certified: no K_B0, a full border cache, or a bound on
+        ||K_B^-1|| that does not keep K_B clear of the deferral bound."""
+        if self._k0 is None:
+            return None
+        p, k0 = self.p, self._k0
+        basic = np.asarray(basic, dtype=int)
+        nb, m = basic.size, p.m
+        pos = self._pos0[basic]
+        kept = pos >= 0
+        added = basic[~kept]
+        inside = np.zeros(p.n, dtype=bool)
+        inside[basic] = True
+        removed = self._basis0[~inside[self._basis0]]
+        slots = self._slots(np.concatenate([added, removed]))
+        if slots is None:
+            return None
+        na = added.size
+        hqq = p.H[np.ix_(added, added)]
+        schur = -self._gram[np.ix_(slots, slots)]
+        schur[:na, :na] += hqq
+        lam, vec = np.linalg.eigh(schur)
+        smallest = float(np.min(np.abs(lam), initial=np.inf))
+        vnorm = float(np.sqrt(np.sum(self._vnorm2[slots])))
+        max_kb = max(self._max0, float(np.max(self._wmax[slots], initial=0.0)),
+                     float(np.max(np.abs(hqq), initial=0.0)))
+        if not smallest > 0.0:
+            return None
+        inv_bound = k0.inv_norm + (1.0 + vnorm) ** 2 / smallest
+        if not inv_bound * 100 * (nb + m) * PIVOT_TOL * max_kb < 1.0:
+            return None
+        w_b, v_b = self._w[:, slots], self._v[:, slots]
+        d0 = k0.matrix.shape[0]
+        at = pos[kept]
+
+        def once(r: np.ndarray) -> np.ndarray:
+            r0 = np.zeros(d0)
+            r0[at] = r[:nb][kept]
+            r0[d0 - m:] = r[nb:]
+            r1 = np.zeros(len(slots))
+            r1[:na] = r[:nb][~kept]
+            t = k0._once(r0)
+            u = vec @ ((vec.T @ (r1 - w_b.T @ t)) / lam)
+            z0 = t - v_b @ u
+            out = np.empty(nb + m)
+            out[:nb][kept] = z0[at]
+            out[:nb][~kept] = u[:na]
+            out[nb:] = z0[d0 - m:]
+            return out
+
+        x = once(rhs)
+        x += once(rhs - self._product(basic, x))
+        return x
+
+
 def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisResult:
     """Find an initial second-order consistent basis.
 
@@ -466,32 +667,26 @@ def _freed_component(raw: float, noise: float, own: _Factor,
     return value
 
 
-def solve_base_primal(p: QpProblem, part: Partition, f: KktFactorization,
-                      l: int) -> Direction:
-    """Direction with dx_l = 1 from the K_B system.
+def _base_dz_l(p: QpProblem, basic: list[int], l: int,
+               w: np.ndarray) -> tuple[float, float]:
+    """dz_l of a base solve w = [dx_B; -dy] and its noise band."""
+    nb = len(basic)
+    dzl = float(p.H[l, l] + p.H[basic, l] @ w[:nb] + p.A[:, l] @ w[nb:])
+    noise = 1e-12 * float(abs(p.H[l, l])
+                          + np.abs(p.H[basic, l]) @ np.abs(w[:nb])
+                          + np.abs(p.A[:, l]) @ np.abs(w[nb:]) + 1.0)
+    return dzl, noise
 
-    Solves K_B [dx_B; -dy] = -[h_Bl; a_l], then recovers dz_l and dz_N.
-    dz_l is nonnegative, and exactly zero iff the bordered matrix is
-    singular; values lost in roundoff are settled by ``_freed_component``.
-    """
+
+def _base_direction(p: QpProblem, part: Partition, l: int, w: np.ndarray,
+                    dzl: float) -> Direction:
     basic = list(part.basic)
     nb = len(basic)
-    rhs = -np.concatenate([p.H[basic, l], p.A[:, l]])
-    w = f.solve(rhs)
     dxb = w[:nb]
     dy = -w[nb:]
     dx = np.zeros(p.n)
     dx[l] = 1.0
     dx[basic] = dxb
-    dzl = float(p.H[l, l] + p.H[basic, l] @ dxb - p.A[:, l] @ dy)
-    noise = 1e-12 * float(abs(p.H[l, l])
-                          + np.abs(p.H[basic, l]) @ np.abs(dxb)
-                          + np.abs(p.A[:, l]) @ np.abs(dy) + 1.0)
-    dzl = _freed_component(
-        dzl, noise, f._data, lambda: build_kl(p, basic, l), "dz_l", abs(dzl),
-        lambda: (nb + p.m + 1) * PIVOT_TOL * max(
-            float(np.max(np.abs(f._data.matrix), initial=0.0)),
-            abs(p.H[l, l]), float(np.max(np.abs(rhs), initial=0.0))))
     nonbasic = list(part.nonbasic)
     dz = np.zeros(p.n)
     dz[l] = dzl
@@ -507,35 +702,42 @@ def solve_base_primal(p: QpProblem, part: Partition, f: KktFactorization,
                      basic=tuple(basic))
 
 
-def solve_intermediate_primal(p: QpProblem, part: Partition, l: int) -> Direction:
-    """Direction with dz_l = 1 from the bordered K_l system.
+def solve_base_primal(p: QpProblem, part: Partition,
+                      f: KktFactorization | KktBasis, l: int) -> Direction:
+    """Direction with dx_l = 1 from the K_B system.
 
-    Solves K_l [dx_l; dx_B; -dy] = [1; 0; 0] and recovers dz_N.  K_l is
-    nonsingular whenever this is called from a legal state; a singular
-    K_l here is an internal invariant violation.
+    Solves K_B [dx_B; -dy] = -[h_Bl; a_l], then recovers dz_l and dz_N.
+    dz_l is nonnegative, and exactly zero iff the bordered matrix is
+    singular; values lost in roundoff are settled by ``_freed_component``.
+    Given a ``KktBasis``, an updated solve whose dz_l lies above its noise
+    band is used; otherwise K_B is factored afresh.
     """
     basic = list(part.basic)
     nb = len(basic)
-    kl = build_kl(p, basic, l)
-    data = _factorize(kl)
-    if data.deferred.size:
-        raise KktInternalError(
-            f"K_l unexpectedly singular for freed index {l}, basis {basic}")
-    rhs = np.zeros(kl.shape[0])
-    rhs[0] = 1.0
-    w = data.solve(rhs)
-    dxl = float(w[0])
+    rhs = -np.concatenate([p.H[basic, l], p.A[:, l]])
+    if isinstance(f, KktBasis):
+        w = f.solve(basic, rhs)
+        if w is not None:
+            dzl, noise = _base_dz_l(p, basic, l, w)
+            if dzl > noise:
+                return _base_direction(p, part, l, w, dzl)
+        f = f.refactor(part)
+    w = f.solve(rhs)
+    dzl, noise = _base_dz_l(p, basic, l, w)
+    dzl = _freed_component(
+        dzl, noise, f._data, lambda: build_kl(p, basic, l), "dz_l", abs(dzl),
+        lambda: (nb + p.m + 1) * PIVOT_TOL * max(
+            float(np.max(np.abs(f._data.matrix), initial=0.0)),
+            abs(p.H[l, l]), float(np.max(np.abs(rhs), initial=0.0))))
+    return _base_direction(p, part, l, w, dzl)
+
+
+def _intermediate_direction(p: QpProblem, part: Partition, l: int,
+                            w: np.ndarray, dxl: float) -> Direction:
+    basic = list(part.basic)
+    nb = len(basic)
     dxb = w[1:1 + nb]
     dy = -w[1 + nb:]
-    noise = 1e-12 * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    # K_B is kl[1:, 1:] and k_l is kl[1:, 0]; v = w[1:] (module docstring).
-    vnorm = float(np.linalg.norm(w[1:]))
-    backward = (abs(dxl) * float(np.linalg.norm(kl[1:, 0])) / vnorm
-                if vnorm > 0.0 else np.inf)
-    dxl = _freed_component(
-        dxl, noise, data, lambda: build_kb(p, basic), "dx_l", backward,
-        lambda: (kl.shape[0] - 1) * PIVOT_TOL
-        * float(np.max(np.abs(kl[1:, 1:]), initial=0.0)))
     if dxl == 0.0:
         # Singular K_B: every x-component of the direction vanishes and
         # only the multiplier part moves.
@@ -552,6 +754,51 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int) -> Directio
                         - p.A[:, nonbasic].T @ dy)
     return Direction(dx=dx, dy=dy, dz=dz, freed=l, dx_l=dxl, dz_l=1.0,
                      basic=tuple(basic))
+
+
+def _dx_l_noise(w: np.ndarray) -> float:
+    return 1e-12 * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
+
+
+def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
+                              basis: KktBasis | None = None) -> Direction:
+    """Direction with dz_l = 1 from the bordered K_l system.
+
+    Solves K_l [dx_l; dx_B; -dy] = [1; 0; 0] and recovers dz_N.  K_l is
+    nonsingular whenever this is called from a legal state; a singular
+    K_l here is an internal invariant violation.  Given a ``KktBasis``,
+    an updated solve (K_l is the basis matrix of B and l) whose dx_l lies
+    above its noise band is used; otherwise K_l is factored afresh and
+    becomes the basis object's K_B0.
+    """
+    basic = list(part.basic)
+    if basis is not None:
+        rhs = np.zeros(1 + len(basic) + p.m)
+        rhs[0] = 1.0
+        w = basis.solve([l] + basic, rhs)
+        if w is not None and float(w[0]) > _dx_l_noise(w):
+            return _intermediate_direction(p, part, l, w, float(w[0]))
+        basis.release()
+    kl = build_kl(p, basic, l)
+    data = _factorize(kl)
+    if data.deferred.size:
+        raise KktInternalError(
+            f"K_l unexpectedly singular for freed index {l}, basis {basic}")
+    if basis is not None:
+        basis.rebase([l] + basic, data)
+    rhs = np.zeros(kl.shape[0])
+    rhs[0] = 1.0
+    w = data.solve(rhs)
+    dxl = float(w[0])
+    # K_B is kl[1:, 1:] and k_l is kl[1:, 0]; v = w[1:] (module docstring).
+    vnorm = float(np.linalg.norm(w[1:]))
+    backward = (abs(dxl) * float(np.linalg.norm(kl[1:, 0])) / vnorm
+                if vnorm > 0.0 else np.inf)
+    dxl = _freed_component(
+        dxl, _dx_l_noise(w), data, lambda: build_kb(p, basic), "dx_l",
+        backward, lambda: (kl.shape[0] - 1) * PIVOT_TOL
+        * float(np.max(np.abs(kl[1:, 1:]), initial=0.0)))
+    return _intermediate_direction(p, part, l, w, dxl)
 
 
 def recover_z_nonbasic(p: QpProblem, part: Partition, it: Iterate,

@@ -28,7 +28,8 @@ Plain problems leave both sets empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import insort
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -123,8 +124,8 @@ class QpProblem:
 
     ``free`` lists variables with no bound at all; ``fixed`` lists
     variables pinned at their bound with an unrestricted dual.  Both are
-    empty for a plain standard-form problem; ``masks`` holds them as
-    read-only boolean masks (free, fixed).
+    empty for a plain standard-form problem; ``free_mask`` and
+    ``fixed_mask`` hold them as read-only boolean masks.
     """
 
     H: np.ndarray
@@ -185,10 +186,10 @@ class QpProblem:
         object.__setattr__(self, "c", _readonly(c))
         object.__setattr__(self, "free", frozenset(self.free))
         object.__setattr__(self, "fixed", frozenset(self.fixed))
-        masks = index_mask(n, self.free), index_mask(n, self.fixed)
-        for mask in masks:
+        for name in ("free", "fixed"):
+            mask = index_mask(n, getattr(self, name))
             mask.flags.writeable = False
-        object.__setattr__(self, "masks", masks)
+            object.__setattr__(self, f"{name}_mask", mask)
 
     @property
     def n(self) -> int:
@@ -210,32 +211,52 @@ class QpProblem:
             + float(np.max(np.abs(self.b)) if self.b.size else 0.0)
 
 
+def _shift_vector(v, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """A read-only float copy of a shift vector, checked to be finite and
+    (when given) of ``shape``."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if shape is not None and v.shape != shape:
+        raise ProblemError("q and r must have the same length")
+    if not np.all(np.isfinite(v)):
+        raise ProblemError("shift entries must be finite")
+    return _readonly(v)
+
+
 @dataclass(frozen=True)
 class Shifts:
-    """Primal (q) and dual (r) bound shifts."""
+    """Primal (q) and dual (r) bound shifts, read-only once built.
+
+    Vectors from callers are checked and copied; ``zero``, ``with_q`` and
+    ``with_r`` check only the vector that is new and share the other.
+    """
 
     q: np.ndarray
     r: np.ndarray
 
     def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        r = np.atleast_1d(np.asarray(self.r, dtype=float))
-        if q.shape != r.shape:
-            raise ProblemError("q and r must have the same length")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(r))):
-            raise ProblemError("shift entries must be finite")
-        object.__setattr__(self, "q", _readonly(q))
-        object.__setattr__(self, "r", _readonly(r))
+        q = _shift_vector(self.q)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", _shift_vector(self.r, q.shape))
+
+    @classmethod
+    def _checked(cls, q: np.ndarray, r: np.ndarray) -> "Shifts":
+        """Shifts from vectors that are already read-only and checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "q", q)
+        object.__setattr__(out, "r", r)
+        return out
 
     @classmethod
     def zero(cls, n: int) -> "Shifts":
-        return cls(np.zeros(n), np.zeros(n))
+        z = np.zeros(n)
+        z.flags.writeable = False
+        return cls._checked(z, z)
 
     def with_q(self, q) -> "Shifts":
-        return Shifts(q, self.r)
+        return Shifts._checked(_shift_vector(q, self.r.shape), self.r)
 
     def with_r(self, r) -> "Shifts":
-        return Shifts(self.q, r)
+        return Shifts._checked(self.q, _shift_vector(r, self.q.shape))
 
 
 @dataclass
@@ -244,16 +265,33 @@ class Partition:
 
     ``basic`` and ``nonbasic`` partition {0..n-1} except for at most one
     ``freed`` index which belongs to neither while a direction is being
-    followed.  Both lists are kept sorted ascending.
+    followed.  Both lists are kept sorted ascending, and ``basic_mask`` /
+    ``nonbasic_mask`` mark their members; mutate them only through the
+    methods below, which keep lists and masks in step.
     """
 
     basic: list[int]
     nonbasic: list[int]
     freed: int | None = None
+    basic_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    nonbasic_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.basic = sorted(int(i) for i in self.basic)
         self.nonbasic = sorted(int(i) for i in self.nonbasic)
+        extra = [] if self.freed is None else [self.freed]
+        size = 1 + max(self.basic + self.nonbasic + extra, default=-1)
+        self.basic_mask = index_mask(size, self.basic)
+        self.nonbasic_mask = index_mask(size, self.nonbasic)
+
+    def _add(self, into: str, i: int) -> None:
+        i = int(i)
+        insort(getattr(self, into), i)
+        getattr(self, f"{into}_mask")[i] = True
+
+    def _remove(self, frm: str, i: int) -> None:
+        getattr(self, frm).remove(i)
+        getattr(self, f"{frm}_mask")[i] = False
 
     def validate(self, n: int) -> None:
         groups = [self.basic, self.nonbasic]
@@ -275,23 +313,24 @@ class Partition:
         """Remove l from whichever set holds it and mark it freed."""
         if self.freed is not None:
             raise InvariantError("a freed index is already pending")
-        if l in self.basic:
-            self.basic.remove(l)
-        elif l in self.nonbasic:
-            self.nonbasic.remove(l)
+        for frm in ("basic", "nonbasic"):
+            mask = getattr(self, f"{frm}_mask")
+            if 0 <= l < mask.size and mask[l]:
+                self._remove(frm, l)
+                break
         else:
             raise InvariantError(f"index {l} not in partition")
         self.freed = l
 
     def bind_freed(self, into: str) -> None:
         """Put the freed index into the ``"basic"`` or ``"nonbasic"`` set."""
-        setattr(self, into, sorted(getattr(self, into) + [self.freed]))
+        self._add(into, self.freed)
         self.freed = None
 
     def move(self, k: int, into: str) -> None:
         """Move k into the ``"basic"`` or ``"nonbasic"`` set from the other."""
-        (self.nonbasic if into == "basic" else self.basic).remove(k)
-        setattr(self, into, sorted(getattr(self, into) + [k]))
+        self._remove("nonbasic" if into == "basic" else "basic", k)
+        self._add(into, k)
 
 
 @dataclass
@@ -384,7 +423,7 @@ def check_optimality(p: QpProblem, s: Shifts, it: Iterate,
 
     xq = it.x + s.q
     zr = it.z + s.r
-    free, fixed = p.masks
+    free, fixed = p.free_mask, p.fixed_mask
     regular = ~free & ~fixed
     worst_primal = max(0.0, float(np.max(-xq[~free], initial=0.0)))
     worst_dual = max(0.0, float(np.max(-zr[regular], initial=0.0)),
@@ -413,6 +452,6 @@ def effective_shifts(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
     (resp. -x_j) restores the boundary equalities, which is the shift
     vector under which the per-step objective identities hold.
     """
-    off_r = index_mask(p.n, part.basic) & (np.abs(it.z + s.r) > tol)
-    off_q = index_mask(p.n, part.nonbasic) & (np.abs(it.x + s.q) > tol)
+    off_r = part.basic_mask & (np.abs(it.z + s.r) > tol)
+    off_q = part.nonbasic_mask & (np.abs(it.x + s.q) > tol)
     return Shifts(np.where(off_q, -it.x, s.q), np.where(off_r, -it.z, s.r))

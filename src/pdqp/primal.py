@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from functools import partial
 
-from .kkt import factor_kb_or_raise, solve_base_primal, solve_intermediate_primal
+from .kkt import (KktBasis, KktFactorization, solve_base_primal,
+                  solve_intermediate_primal)
 from .model import (Direction, InvariantError, Iterate, Partition, QpProblem,
                     Shifts, StartConditionError, index_mask)
 from .steps import (DUAL_INFEASIBLE, Family, SolveLimits, SolveOutcome,
@@ -44,10 +45,9 @@ def _check_invariants(p, s, part, it, fea_tol):
 def _eligible(p, part, temp_bounds):
     """Free indices and unreleased temporary bounds are two-sided; fixed
     nonbasic indices are never selected."""
-    free, fixed = p.masks
-    nonbasic = index_mask(p.n, part.nonbasic)
-    excluded = fixed & nonbasic
-    two_sided = free & ~excluded
+    nonbasic = part.nonbasic_mask
+    excluded = p.fixed_mask & nonbasic
+    two_sided = p.free_mask & ~excluded
     if temp_bounds:
         unreleased = index_mask(p.n, temp_bounds.unreleased_nonbasic())
         two_sided |= unreleased & nonbasic & ~excluded
@@ -62,24 +62,27 @@ PRIMAL = Family(method="primal", repaired="z", repair_shift="r",
 
 
 def primal_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
-                *, orient: float = 1.0, fea_tol: float = 1e-6
+                *, orient: float = 1.0, fea_tol: float = 1e-6,
+                basis: KktBasis | None = None
                 ) -> tuple[StepResult, Direction]:
     """Base subiteration: fix dx_l = orient (K_B system) and step as far
     as the primal bounds allow (see ``take_step``).  An infinite step,
-    returned unapplied, certifies that the dual problem is infeasible."""
-    return take_step(
-        PRIMAL, p, s, part, it, l,
-        lambda: solve_base_primal(p, part, factor_kb_or_raise(p, part), l),
-        orient, fea_tol, "primal_base")
+    returned unapplied, certifies that the dual problem is infeasible.
+    ``basis`` serves the solve (a fresh one factors K_B)."""
+    basis = KktBasis(p) if basis is None else basis
+    return take_step(PRIMAL, p, s, part, it, l,
+                     lambda: solve_base_primal(p, part, basis, l),
+                     orient, fea_tol, "primal_base")
 
 
 def primal_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
-                        l: int, *, orient: float = 1.0, fea_tol: float = 1e-6
+                        l: int, *, orient: float = 1.0, fea_tol: float = 1e-6,
+                        basis: KktBasis | None = None
                         ) -> tuple[StepResult, Direction]:
     """Intermediate subiteration: fix dz_l = orient (bordered K_l system),
     so the target step -(z_l + r_l)/dz_l is always finite."""
     return take_step(PRIMAL, p, s, part, it, l,
-                     lambda: solve_intermediate_primal(p, part, l),
+                     lambda: solve_intermediate_primal(p, part, l, basis),
                      orient, fea_tol, "primal_intermediate")
 
 
@@ -87,12 +90,14 @@ def solve_primal(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
                  limits: SolveLimits | None = None, *,
                  opt_tol: float = 1e-6, fea_tol: float = 1e-6,
                  temp_bounds=None, trace: TraceSink | None = None,
-                 check_invariants: bool = False) -> SolveOutcome:
+                 check_invariants: bool = False,
+                 factor: KktFactorization | None = None) -> SolveOutcome:
     """Run the primal method to optimality, dual infeasibility, or the
-    iteration limit.  The start iterate and partition are copied."""
+    iteration limit.  The start iterate and partition are copied;
+    ``factor``, K_B of the start basis, seeds the stage's KKT updates."""
     return run_active_set(
         PRIMAL, p, s, start, limits,
         partial(primal_base, p, s, fea_tol=fea_tol),
         partial(primal_intermediate, p, s, fea_tol=fea_tol),
         tol=fea_tol, temp_bounds=temp_bounds, trace=trace,
-        check_invariants=check_invariants)
+        check_invariants=check_invariants, factor=factor)

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .kkt import KktBasis, KktFactorization
 from .model import (Direction, InvariantError, Iterate, Partition, QpProblem,
                     Shifts, StartConditionError, dual_objective,
                     effective_shifts, primal_objective, residuals)
@@ -74,7 +75,8 @@ class TraceRecord:
 
 TraceSink = Callable[[TraceRecord], None]
 # A step function with the problem, shifts and tolerances already bound:
-# (partition, iterate, l, orient=..., [swap_sink=...]) -> (step, direction).
+# (partition, iterate, l, orient=..., basis=..., [swap_sink=...])
+# -> (step, direction).
 StepFn = Callable[..., tuple[StepResult, Direction]]
 
 
@@ -141,7 +143,8 @@ def _dir_scale(d: Direction) -> float:
                float(np.max(np.abs(d.dy))) if d.dy.size else 0.0)
 
 
-def ratio_test(values: np.ndarray, deltas: np.ndarray, indices: list[int],
+def ratio_test(values: np.ndarray, deltas: np.ndarray,
+               indices: np.ndarray | list[int],
                fea_tol: float, scale_floor: float = 1.0
                ) -> tuple[float, int | None]:
     """Least-index minimum-ratio test.
@@ -153,7 +156,7 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray, indices: list[int],
     deltas below the noise floor of that scale are not blockers (they are
     cancellation residue, often of components that vanish identically).
     """
-    if not indices:
+    if len(indices) == 0:
         return np.inf, None
     deltas = np.asarray(deltas, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -166,7 +169,7 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray, indices: list[int],
     ratios = np.full(len(indices), np.inf)
     ratios[mask] = vals[mask] / (-deltas[mask])
     pos = int(np.argmin(ratios))
-    return float(ratios[pos]), indices[pos]
+    return float(ratios[pos]), int(indices[pos])
 
 
 def select_index(v: np.ndarray, one_sided: np.ndarray, two_sided: np.ndarray,
@@ -232,8 +235,8 @@ def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
         d = d.negated()
     rate = float(getattr(d, "d" + fam.repaired)[l])
     alpha_star = np.inf if rate == 0.0 else -viol / rate
-    unguarded = getattr(p, fam.unguarded)
-    cand = [i for i in getattr(part, fam.live) if i not in unguarded]
+    cand = np.flatnonzero(getattr(part, f"{fam.live}_mask")
+                          & ~getattr(p, f"{fam.unguarded}_mask"))
     guarded = getattr(it, fam.guarded)[cand] + getattr(s, fam.guard_shift)[cand]
     alpha_max, k = ratio_test(guarded, getattr(d, "d" + fam.guarded)[cand],
                               cand, tol, scale_floor=_dir_scale(d))
@@ -262,10 +265,13 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
                    start: tuple[Iterate, Partition], limits: SolveLimits | None,
                    base: StepFn, intermediate: StepFn, *, tol: float,
                    temp_bounds=None, trace: TraceSink | None = None,
-                   check_invariants: bool = False) -> SolveOutcome:
+                   check_invariants: bool = False,
+                   factor: KktFactorization | None = None) -> SolveOutcome:
     """Run one method to optimality, its ``unbounded`` status, or the
     iteration limit.  The start iterate and partition are copied; ``tol``
-    is the family's feasibility tolerance for its guarded bounds."""
+    is the family's feasibility tolerance for its guarded bounds.  One
+    ``KktBasis``, seeded with ``factor`` (K_B of the start basis) when
+    given, serves every KKT solve of the run."""
     limits = limits or SolveLimits()
     it = start[0].copy()
     part = start[1].copy()
@@ -276,6 +282,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         raise StartConditionError("start point violates the equality system")
     fam.check_start(p, s, part, it, tol)
     cap = limits.cap(p)
+    basis = KktBasis(p, factor)
     iterations = 0
     subiterations = 0
     zero_streak = 0
@@ -311,12 +318,12 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
             status = ITERATION_LIMIT
             break
         iterations += 1
-        needs_base = l not in getattr(part, fam.live)
+        needs_base = not getattr(part, f"{fam.live}_mask")[l]
         part.free_index(l)
         # Only trace records use the boundary-aligned shifts.
         eff = effective_shifts(p, s, part, it) if trace is not None else None
         inner_tol = 1e-12 * max(1.0, abs(_violation(fam, s, it, l)))
-        step_kw = {"orient": orient}
+        step_kw = {"orient": orient, "basis": basis}
         if fam.freezes_temp_bounds:
             def swap_sink(j, d):
                 zero = StepResult(0.0, 0.0, 0.0, j, False)
@@ -346,7 +353,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
             step, d = intermediate(part, it, l, **step_kw)
             emit("intermediate", l, step, d, viol, eff, before)
         part.bind_freed(fam.live)
-        if temp_bounds is not None and l in part.basic:
+        if temp_bounds is not None and part.basic_mask[l]:
             temp_bounds.mark_basic(l)
         if check_invariants:
             if not _check_equalities(p, it, 1e-7 * p.data_scale()):

@@ -108,13 +108,19 @@ def random_instances(seed, count, **kw):
     return out
 
 
-def lowrank_instance(n, m, active, seed, rank):
-    """The criterion-7 construction with H = G'G/n of the given rank (0 is
-    an LP): x* >= 0 with ``active`` zeros, bound duals chosen so that x* is
-    optimal, rows pinned at A x*.  Returns (GeneralQp, x*, f*)."""
+def criterion7_instance(n, m, active, seed, rank=None):
+    """The criterion-7 construction: x* >= 0 with ``active`` zeros, bound
+    duals chosen so that x* is optimal, rows pinned at A x*.  ``rank`` None
+    gives a tridiagonal positive definite H; an integer gives H = G'G/n of
+    that rank (0 is an LP).  Returns (GeneralQp, x*, f*)."""
     rng = np.random.default_rng(seed)
-    G = rng.normal(size=(rank, n))
-    H = G.T @ G / n
+    if rank is None:
+        main = 2.0 + rng.random(n)
+        off = 0.4 * rng.random(n - 1)
+        H = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+    else:
+        G = rng.normal(size=(rank, n))
+        H = G.T @ G / n
     A = rng.normal(size=(m, n)) / np.sqrt(n)
     xstar = np.abs(rng.normal(size=n)) + 0.05
     act = rng.choice(n, size=active, replace=False)
@@ -123,8 +129,9 @@ def lowrank_instance(n, m, active, seed, rank):
     zstar[act] = np.abs(rng.normal(size=active)) + 0.1
     c = -(H @ xstar) + A.T @ rng.normal(size=m) + zstar
     rows = A @ xstar
+    kind = "pd" if rank is None else f"r{rank}"
     g = GeneralQp(Hhat=H, Ahat=A, c=c,
                   lower=np.concatenate([np.zeros(n), rows]),
                   upper=np.concatenate([np.full(n, np.inf), rows]),
-                  name=f"n{n}m{m}a{active}r{rank}s{seed}")
+                  name=f"n{n}m{m}a{active}{kind}s{seed}")
     return g, xstar, float(0.5 * xstar @ H @ xstar + c @ xstar)

@@ -5,15 +5,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pdqp import (Iterate, KktFactorization, KktInternalError, Partition,
-                  QpProblem, Shifts, SingularReport, factor_kb,
-                  find_soc_basis, recover_z_nonbasic, solve_base_primal,
-                  solve_intermediate_primal)
-from pdqp import kkt
+                  QpProblem, Shifts, SingularReport, SolveConfig,
+                  enumerate_solve, factor_kb, find_soc_basis,
+                  recover_z_nonbasic, solve_base_primal,
+                  solve_intermediate_primal, solve_pdqp, solve_standard)
+from pdqp import dual, kkt, primal
 from pdqp.kkt import (_bunch_kaufman, _factor_symmetric_indefinite, build_kb,
                       build_kl, factor_kb_or_raise, solve_boundary_point)
 from pdqp.oracle import _gauss_solve
 
-from conftest import random_instances
+from conftest import criterion7_instance, random_instances
 
 
 @pytest.fixture
@@ -509,3 +510,130 @@ def test_in_band_rule_agrees_with_greedy_counterpart(what, scale):
     # dx_l ~ 1 / scale is.
     assert settled > 100
     assert (genuine > 100) == (scale == (1e-12 if what == "dz_l" else 1e12))
+
+
+# Schur-complement updates (KktBasis), run at every dim by lowering the
+# threshold.
+
+@pytest.fixture
+def updates_everywhere(monkeypatch):
+    monkeypatch.setattr(kkt, "UPDATE_MIN_DIM", 0)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a, **kw: calls.append(a) or original(*a, **kw))
+    return calls
+
+
+def _assert_same_direction(got, want):
+    scale = max(1.0, *(float(np.max(np.abs(v), initial=0.0))
+                       for v in (want.dx, want.dy, want.dz)))
+    for a, b in ((got.dx, want.dx), (got.dy, want.dy), (got.dz, want.dz),
+                 (got.dx_l, want.dx_l), (got.dz_l, want.dz_l)):
+        assert float(np.max(np.abs(np.subtract(a, b)), initial=0.0)) \
+            <= 1e-9 * scale
+
+
+def test_updated_directions_match_fresh_and_solves_stay_correct(
+        updates_everywhere, monkeypatch):
+    # Every direction the solves ask for is recomputed by the fresh path
+    # (a KktFactorization of K_B, or a K_l factorization) and compared.
+    base, inter = kkt.solve_base_primal, kkt.solve_intermediate_primal
+
+    def checked_base(p, part, f, l):
+        d = base(p, part, f, l)
+        _assert_same_direction(d, base(p, part, factor_kb_or_raise(p, part), l))
+        return d
+
+    def checked_intermediate(p, part, l, basis=None):
+        d = inter(p, part, l, basis)
+        _assert_same_direction(d, inter(p, part, l))
+        return d
+
+    for module in (primal, dual):
+        monkeypatch.setattr(module, "solve_base_primal", checked_base)
+        monkeypatch.setattr(module, "solve_intermediate_primal",
+                            checked_intermediate)
+    updated = []
+    solve = kkt.KktBasis.solve
+
+    def recorded(self, basic, rhs):
+        w = solve(self, basic, rhs)
+        updated.append(w is not None)
+        return w
+
+    monkeypatch.setattr(kkt.KktBasis, "solve", recorded)
+
+    strategies = ("auto", "primal-first", "dual-first")
+    for p in random_instances(20260810, 100):
+        want = enumerate_solve(p, Shifts.zero(p.n))
+        for strategy in strategies:
+            sol = solve_standard(p, SolveConfig(strategy=strategy))
+            assert sol.status == want.status, strategy
+            if want.status == "optimal":
+                assert abs(sol.objective - want.objective) <= \
+                    1e-7 * (1.0 + abs(want.objective)), strategy
+    for rank in (0, 2, 4, 6, 8):
+        for k in range(4):
+            g, _, fstar = criterion7_instance(60, 6, 6, 1000 * rank + k, rank)
+            for strategy in strategies:
+                sol = solve_pdqp(g, SolveConfig(strategy=strategy,
+                                                max_iterations=500))
+                assert sol.status == "optimal", (g.name, strategy)
+                assert abs(sol.objective - fstar) <= \
+                    1e-7 * (1.0 + abs(fstar)), (g.name, strategy)
+    assert sum(updated) > 1000, (sum(updated), len(updated))
+
+
+def test_update_refuses_a_singular_border(p_lp, updates_everywhere):
+    # K_B0 over B0 = {1} is [[0, -1], [-1, 0]]; dropping 1 or adding 0
+    # makes K_B singular.
+    basis = kkt.KktBasis(p_lp, factor_kb_or_raise(
+        p_lp, Partition(basic=[1], nonbasic=[0])))
+    assert_allclose(basis.solve([1], np.array([1.0, 2.0])), [-2.0, -1.0])
+    assert basis.solve([], np.array([1.0])) is None
+    assert basis.solve([0, 1], np.array([1.0, 0.0, 0.0])) is None
+    assert isinstance(factor_kb(p_lp, Partition(basic=[], nonbasic=[0, 1])),
+                      SingularReport)
+    with pytest.raises(KktInternalError, match="K_B unexpectedly singular"):
+        solve_base_primal(p_lp, Partition(basic=[], nonbasic=[1], freed=0),
+                          basis, 0)
+    basis = kkt.KktBasis(p_lp, factor_kb_or_raise(
+        p_lp, Partition(basic=[1], nonbasic=[0])))
+    with pytest.raises(KktInternalError, match="K_l unexpectedly singular"):
+        solve_intermediate_primal(
+            p_lp, Partition(basic=[1], nonbasic=[], freed=0), 0, basis)
+
+
+def test_in_band_freed_component_takes_the_fresh_path(p_lp, p1, monkeypatch,
+                                                      updates_everywhere):
+    factored = _counting(monkeypatch, kkt, "factor_kb")
+    lapack = _counting(monkeypatch, kkt, "_factorize")
+    settled = _counting(monkeypatch, kkt, "_freed_component")
+    part = Partition(basic=[1], nonbasic=[], freed=0)
+
+    # dz_l = 2 and dx_l = 0.5 lie above their bands: updates only.
+    basis = kkt.KktBasis(p1, factor_kb_or_raise(
+        p1, Partition(basic=[1], nonbasic=[0])))
+    assert solve_base_primal(p1, part, basis, 0).dz_l == pytest.approx(2.0)
+    assert solve_intermediate_primal(p1, part, 0, basis).dx_l == \
+        pytest.approx(0.5)
+    assert (len(factored), len(lapack), len(settled)) == (1, 1, 0)
+
+    # dz_l = 0 (K_l singular): K_B refactored, then _freed_component.
+    basis = kkt.KktBasis(p_lp, factor_kb_or_raise(
+        p_lp, Partition(basic=[1], nonbasic=[0])))
+    d = solve_base_primal(p_lp, part, basis, 0)
+    assert d.dz_l == 0.0 and np.all(d.dy == 0.0)
+    assert (len(factored), len(settled)) == (3, 1)
+
+    # dx_l = 0 (K_B = [0] singular): K_l factored, then _freed_component.
+    basis = kkt.KktBasis(p1, factor_kb_or_raise(
+        p1, Partition(basic=[0], nonbasic=[1])))
+    d = solve_intermediate_primal(
+        p1, Partition(basic=[], nonbasic=[0], freed=1), 1, basis)
+    assert d.dx_l == 0.0
+    assert (len(factored), len(lapack), len(settled)) == (4, 5, 2)

@@ -144,6 +144,43 @@ def test_shifts_require_finite_entries():
         Shifts(np.array([np.inf, 0.0]), np.zeros(2))
 
 
+def test_shift_replacement_checks_the_new_vector_only():
+    s = Shifts(np.array([1.0, 0.0]), np.array([0.0, 2.0]))
+    q = np.array([3.0, 4.0])
+    t = s.with_q(q)
+    q[0] = -1.0                      # the caller's vector was copied
+    assert_allclose(t.q, [3.0, 4.0])
+    assert t.r is s.r and not t.q.flags.writeable
+    assert s.with_r([5.0, 6.0]).q is s.q
+    zero = Shifts.zero(3)
+    assert not zero.q.flags.writeable and not np.any(zero.r)
+    for bad in ([np.nan, 0.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ProblemError):
+            s.with_q(bad)
+        with pytest.raises(ProblemError):
+            s.with_r(bad)
+
+
+def test_partition_masks_follow_every_move():
+    rng = np.random.default_rng(5)
+    part = Partition(basic=[0, 2, 5], nonbasic=[1, 3, 4, 6])
+    for _ in range(200):
+        j = int(rng.integers(7))
+        part.free_index(j)
+        part.bind_freed(str(rng.choice(["basic", "nonbasic"])))
+        k = int(rng.integers(7))
+        part.move(k, "nonbasic" if k in part.basic else "basic")
+        for one in (part, part.copy()):
+            assert one.basic == sorted(one.basic)
+            assert one.nonbasic == sorted(one.nonbasic)
+            assert np.array_equal(one.basic_mask, model.index_mask(7, one.basic))
+            assert np.array_equal(one.nonbasic_mask,
+                                  model.index_mask(7, one.nonbasic))
+        part.validate(7)
+    with pytest.raises(model.InvariantError):
+        part.free_index(7)
+
+
 def test_partition_validates_cover():
     part = Partition(basic=[0], nonbasic=[0, 1])
     with pytest.raises(Exception):

@@ -1,56 +1,85 @@
-"""Trajectory gate on low-rank problems: status, iteration and subiteration
-counts of 20 seeded criterion-7 instances with H = G'G/n must match
-tests/data/trajectories/lowrank.csv exactly.
+"""Trajectory gates: status, iteration and subiteration counts of seeded
+criterion-7 instances must match the pin files in tests/data/trajectories/
+exactly.
 
-The degenerate dual stages of these problems break ratio-test ties by the
-sign of roundoff, so a change to the numerics of the KKT solves moves these
-counts long before it moves any status.  Regenerate the file only for a
-change that is meant to alter trajectories, and say so:
+* lowrank.csv: 20 instances with H = G'G/n (n=60).  Their degenerate dual
+  stages break ratio-test ties by the sign of roundoff, so a change to the
+  numerics of the KKT solves moves these counts long before it moves any
+  status.
+* pd300.csv: one instance with a tridiagonal positive definite H (n=300,
+  K_B of dim 237 and more), solved at the defaults and from a smaller
+  given basis under primal-first.  Its K_B solves take the
+  Schur-complement update path, which must not move the trajectory.
 
-    PYTHONPATH=src python tests/test_trajectories.py
+Regenerate both files only for a change that is meant to alter
+trajectories, and say so:
+
+    python tests/test_trajectories.py
 """
 
 import csv
+import math
+import sys
 from pathlib import Path
 
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
 import numpy as np
-import pytest
 
-from pdqp import SolveConfig, solve_pdqp
+from pdqp import SolveConfig, driver, kkt, solve_pdqp
 
-from conftest import lowrank_instance
+from conftest import criterion7_instance
 
-EXPECTED = Path(__file__).resolve().parent / "data" / "trajectories" / "lowrank.csv"
+DATA = Path(__file__).resolve().parent / "data" / "trajectories"
+LOWRANK = DATA / "lowrank.csv"
+PD = DATA / "pd300.csv"
 N, M, ACTIVE = 60, 6, 6
 RANKS = (0, 2, 4, 6, 8)
 SEEDS = 4
 MAX_ITERATIONS = 500
 FIELDS = ("name", "status", "iterations", "subiterations")
 
+PD_CASE = (300, 20, 40, 3)      # n, m, active bounds, seed
+# The given basis holds the first 240 columns.  Its primal stage first
+# drops to 217 basic columns, then grows to 275 by basis additions, so K_B
+# stays above kkt.UPDATE_MIN_DIM (a half-sized basis would start below it).
+PD_RUNS = (("defaults", SolveConfig()),
+           ("basis240-primal-first",
+            SolveConfig(strategy="primal-first",
+                        initial_basis=list(range(240)))))
 
-def _cases():
-    return [lowrank_instance(N, M, ACTIVE, 1000 * rank + k, rank)
-            for rank in RANKS for k in range(SEEDS)]
+
+def _row(name, g, fstar, sol):
+    if sol.status == "optimal":
+        assert abs(sol.objective - fstar) <= 1e-7 * (1.0 + abs(fstar)), name
+        assert float(np.min(sol.x)) >= -1e-6, name
+    return {"name": name, "status": sol.status,
+            "iterations": str(sum(lg.iterations for lg in sol.stage_log)),
+            "subiterations": str(sum(lg.subiterations
+                                     for lg in sol.stage_log))}
 
 
-def _rows():
+def _lowrank_rows():
     rows = []
-    for g, xstar, fstar in _cases():
-        sol = solve_pdqp(g, SolveConfig(max_iterations=MAX_ITERATIONS))
-        if sol.status == "optimal":
-            assert abs(sol.objective - fstar) <= 1e-7 * (1.0 + abs(fstar)), g.name
-            assert float(np.min(sol.x)) >= -1e-6, g.name
-        rows.append({"name": g.name, "status": sol.status,
-                     "iterations": str(sum(lg.iterations for lg in sol.stage_log)),
-                     "subiterations": str(sum(lg.subiterations
-                                              for lg in sol.stage_log))})
+    for rank in RANKS:
+        for k in range(SEEDS):
+            g, _, fstar = criterion7_instance(N, M, ACTIVE, 1000 * rank + k,
+                                              rank)
+            sol = solve_pdqp(g, SolveConfig(max_iterations=MAX_ITERATIONS))
+            rows.append(_row(g.name, g, fstar, sol))
     return rows
 
 
-def test_lowrank_trajectories_unchanged():
-    with EXPECTED.open(newline="") as fh:
+def _pd_rows():
+    g, _, fstar = criterion7_instance(*PD_CASE)
+    return [_row(f"{g.name}/{label}", g, fstar, solve_pdqp(g, config))
+            for label, config in PD_RUNS]
+
+
+def _assert_matches(path, got):
+    with path.open(newline="") as fh:
         expected = list(csv.DictReader(fh))
-    got = _rows()
     assert [r["name"] for r in got] == [r["name"] for r in expected]
     mismatched = [(e["name"], tuple(e[f] for f in FIELDS[1:]),
                    tuple(r[f] for f in FIELDS[1:]))
@@ -58,9 +87,58 @@ def test_lowrank_trajectories_unchanged():
     assert mismatched == []
 
 
-if __name__ == "__main__":
-    EXPECTED.parent.mkdir(parents=True, exist_ok=True)
-    with EXPECTED.open("w", newline="") as fh:
+def test_lowrank_trajectories_unchanged():
+    _assert_matches(LOWRANK, _lowrank_rows())
+
+
+def test_pd_trajectories_unchanged():
+    _assert_matches(PD, _pd_rows())
+
+
+def test_pd_stages_refactor_once_per_border_cap(monkeypatch):
+    # Fresh factorizations are LAPACK attempts (every factorization tries
+    # one first).  Each subiteration moves at most one blocking index and
+    # each iteration binds one freed index, so iterations + subiterations
+    # bounds a stage's basis changes.
+    tries = []
+    bunch_kaufman = kkt._bunch_kaufman
+    monkeypatch.setattr(kkt, "_bunch_kaufman",
+                        lambda k: tries.append(k.shape[0]) or bunch_kaufman(k))
+    stages = []
+
+    def counted(solve):
+        def run(*args, **kwargs):
+            before = len(tries)
+            out = solve(*args, **kwargs)
+            stages.append((out, tries[before:]))
+            return out
+        return run
+
+    monkeypatch.setattr(driver, "solve_primal", counted(driver.solve_primal))
+    monkeypatch.setattr(driver, "solve_dual", counted(driver.solve_dual))
+    g, _, fstar = criterion7_instance(*PD_CASE)
+    for label, config in PD_RUNS:
+        stages.clear()
+        sol = solve_pdqp(g, config)
+        assert sol.status == "optimal", label
+        assert abs(sol.objective - fstar) <= 1e-7 * (1.0 + abs(fstar)), label
+        assert len(stages) == 2, label
+        for out, dims in stages:
+            assert min(dims, default=kkt.UPDATE_MIN_DIM) >= \
+                kkt.UPDATE_MIN_DIM, (label, out.method)
+            changes = out.iterations + out.subiterations
+            assert len(dims) <= 1 + math.ceil(changes / kkt.BORDER_CAP), \
+                (label, out.method, len(dims), changes)
+
+
+def _write(path, rows):
+    with path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=FIELDS, lineterminator="\n")
         writer.writeheader()
-        writer.writerows(_rows())
+        writer.writerows(rows)
+
+
+if __name__ == "__main__":
+    DATA.mkdir(parents=True, exist_ok=True)
+    _write(LOWRANK, _lowrank_rows())
+    _write(PD, _pd_rows())
