@@ -304,7 +304,9 @@ def read_expectations(path) -> dict[str, str]:
 def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
         max_iter=0, trace=False, expect=None) -> tuple[list[RunRow], int]:
     """Solve each problem file, write the run log and solution files, and
-    return the rows plus the process exit code."""
+    return the rows plus the process exit code.  A file that cannot be
+    read or solved gets an ``error`` row (n = m = 0 when it did not parse)
+    and a message on stderr, and the batch goes on."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = SolveConfig(opt_tol=opt_tol, fea_tol=fea_tol,
@@ -312,13 +314,15 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
     rows = []
     for path in paths:
         path = Path(path)
-        g = parse_problem(path)
         trace_to = out / f"{path.stem}.trace.csv" if trace else None
+        g = None
         try:
+            g = parse_problem(path)
             row, sol = _solve_one(g, config, trace_to)
         except Exception as exc:     # one bad problem must not end the batch
-            print(f"{g.name}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            row, sol = RunRow(name=g.name, n=g.n, m=g.m, status="error",
+            name, n, m = (path.stem, 0, 0) if g is None else (g.name, g.n, g.m)
+            print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            row, sol = RunRow(name=name, n=n, m=m, status="error",
                               objective=None, strategy=strategy,
                               stage1_iters=0, stage2_iters=0, subiters=0,
                               millis=0.0), None

@@ -321,15 +321,13 @@ class SolveConfig:
     opt_tol: float = 1e-6
     fea_tol: float = 1e-6
     max_iterations: int = 0
-    bland_after: int = 50
     strategy: str = "auto"   # auto | primal-first | dual-first | primal-only | dual-only
     trace: TraceSink | None = None
     check_invariants: bool = False
     initial_basis: list[int] | None = None
 
     def limits(self) -> SolveLimits:
-        return SolveLimits(max_iterations=self.max_iterations,
-                           bland_after=self.bland_after)
+        return SolveLimits(max_iterations=self.max_iterations)
 
 
 @dataclass

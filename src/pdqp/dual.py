@@ -85,8 +85,8 @@ def _direction_keeping_temp_bounds(p: QpProblem, part: Partition, solve,
 
 
 def dual_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
-              *, orient: float = 1.0, opt_tol: float = 1e-6, temp_bounds=None,
-              swap_sink=None, basis: KktBasis | None = None
+              *, basis: KktBasis, orient: float = 1.0, opt_tol: float = 1e-6,
+              temp_bounds=None, swap_sink=None
               ) -> tuple[StepResult, Direction]:
     """Base subiteration: fix dz_l = orient (bordered K_l system) and
     move x_l + q_l toward zero (see ``take_step``).  An infinite step
@@ -100,14 +100,11 @@ def dual_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
 
 
 def dual_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
-                      l: int, *, orient: float = 1.0, opt_tol: float = 1e-6,
-                      temp_bounds=None, swap_sink=None,
-                      basis: KktBasis | None = None
+                      l: int, *, basis: KktBasis, orient: float = 1.0,
+                      opt_tol: float = 1e-6, temp_bounds=None, swap_sink=None
                       ) -> tuple[StepResult, Direction]:
     """Intermediate subiteration: fix dx_l = orient (K_B system), so the
-    target step -(x_l + q_l)/dx_l is always finite.  ``basis`` serves
-    the solve (a fresh one factors K_B)."""
-    basis = KktBasis(p) if basis is None else basis
+    target step -(x_l + q_l)/dx_l is always finite."""
     solve = partial(_direction_keeping_temp_bounds, p, part,
                     lambda: solve_base_primal(p, part, basis, l),
                     temp_bounds, swap_sink)

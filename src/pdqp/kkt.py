@@ -87,16 +87,18 @@ matrix; the estimator's slack is covered as for acceptance), ||V|| by its
 Frobenius norm and ||S^-1|| from the eigenvalues of S; max|K_B| is
 bounded by max|K_B0|, the border columns and H_QQ.  One refinement step
 against the product with K_B, formed from the problem data, follows, as
-in a fresh solve.  A step takes the fresh path instead (refactoring,
-``_freed_component``, a singular report or KktInternalError as before),
-and its factorization becomes the new K_B0, when
+in a fresh solve.  ``KktBasis.solve``, through which every direction
+solve goes, alone decides between update and refactor.  It factors the
+matrix afresh with the caller's ``fresh``, which raises KktInternalError
+on a singular matrix, and makes that factorization the new K_B0, when
 
-* the bound fails (or K_B0 was not accepted);
+* the bound fails (or there is no accepted K_B0);
 * K_B0^-1 times BORDER_CAP border columns is cached already, which bounds
   the cost of forming S and makes at most one refactorization per
   BORDER_CAP basis changes;
-* the freed component lies in its noise band, so that a component settled
-  at zero always comes from a fresh factorization.
+* the freed component lies in its noise band (the caller's ``accept``
+  declines), so that only ``_freed_component`` on a fresh factorization
+  settles a component at zero.
 
 A K_B0 of dim below UPDATE_MIN_DIM is not updated.  Below it lie all the
 problems whose trajectories follow ratio-test ties broken by the sign of
@@ -448,35 +450,35 @@ def factor_kb_or_raise(p: QpProblem, part: Partition) -> KktFactorization:
 
 
 class KktBasis:
-    """Solves with the basis matrices of one stage from one certified
-    factorization of K_B0, by Schur-complement (block-LU) updates; see the
-    module docstring.
+    """The one way a direction solve reaches K_B or K_l: Schur-complement
+    (block-LU) updates from a certified factorization of K_B0, or a fresh
+    factorization; see the module docstring.
 
     The border of a basis B is derived from B itself: the indices of B0
     missing from B and the columns of B not in B0, so basis changes need
     no notification.  K_B0^-1 times each border column is cached by index
-    until BORDER_CAP columns are cached.  Without a K_B0 (none handed in
-    yet, one below UPDATE_MIN_DIM, or one the acceptance rule rejected)
-    ``solve`` declines, and callers take the fresh path, whose
-    factorization ``rebase`` then makes the new K_B0.
+    until BORDER_CAP columns are cached.  A ``factor`` handed in (K_B of
+    the start basis) becomes K_B0 under the same rules as a fresh one.
     """
 
     def __init__(self, p: QpProblem, factor: KktFactorization | None = None):
         self.p = p
-        self._k0: _BunchKaufman | None = None
+        self._rebase()
         if factor is not None:
-            self.rebase(factor.basis, factor._data)
+            self._rebase(factor.basis, factor._data)
 
-    def rebase(self, basis: Sequence[int], data: _Factor) -> None:
-        """Take ``data``, a fresh factorization of the basis matrix with
-        its variables in ``basis`` order, as K_B0 if it is certified and
-        of dim >= UPDATE_MIN_DIM; otherwise hold no K_B0."""
-        self.release()
-        dim = data.matrix.shape[0]
-        if not data.certified or dim < UPDATE_MIN_DIM:
+    def _rebase(self, order: Sequence[int] = (), data: _Factor | None = None
+                ) -> None:
+        """Drop K_B0 and its caches; then take ``data``, a fresh
+        factorization of the basis matrix with its variables in ``order``,
+        as K_B0 if it is certified and of dim >= UPDATE_MIN_DIM."""
+        self._k0 = self._w = self._v = None
+        if data is None or not data.certified \
+                or data.matrix.shape[0] < UPDATE_MIN_DIM:
             return
+        dim = data.matrix.shape[0]
         self._k0 = data
-        self._basis0 = np.asarray(basis, dtype=int)
+        self._basis0 = np.asarray(order, dtype=int)
         self._pos0 = np.full(self.p.n, -1)
         self._pos0[self._basis0] = np.arange(self._basis0.size)
         self._max0 = float(np.max(np.abs(data.matrix)))
@@ -487,19 +489,25 @@ class KktBasis:
         self._vnorm2 = np.empty(BORDER_CAP)          # ||V e_j||^2
         self._wmax = np.zeros(BORDER_CAP)            # max|W e_j|
 
-    def release(self) -> None:
-        """Drop K_B0 and its caches (before a fresh factorization, so the
-        two are not held at once)."""
-        self._k0 = None
-        self._w = self._v = None
+    def solve(self, order: Sequence[int], rhs: np.ndarray,
+              accept: Callable[[np.ndarray], bool],
+              fresh: Callable[[], _Factor]
+              ) -> tuple[np.ndarray, _Factor | None]:
+        """Solve with the basis matrix whose variables come in ``order``.
 
-    def refactor(self, part: Partition) -> KktFactorization:
-        """The fresh path for K_B: factor it from scratch, raising
-        KktInternalError when it is singular, and make it K_B0."""
-        self.release()
-        f = factor_kb_or_raise(self.p, part)
-        self.rebase(f.basis, f._data)
-        return f
+        Returns (w, None) for an updated solve that ``accept(w)`` takes.
+        Otherwise K_B0 is dropped (so that two factorizations are not
+        held at once), ``fresh()`` factors the matrix (raising
+        KktInternalError where it is singular), becomes the new K_B0 under
+        the rules of ``_rebase``, and (w, that factorization) is returned.
+        """
+        w = self._update(order, rhs)
+        if w is not None and accept(w):
+            return w, None
+        self._rebase()
+        data = fresh()
+        self._rebase(order, data)
+        return data.solve(rhs), data
 
     def _slots(self, keys: np.ndarray) -> list[int] | None:
         """Cache slots of the border columns named by ``keys``, computing
@@ -538,15 +546,16 @@ class KktBasis:
         return np.concatenate([(p.H @ full)[basic] + (p.A.T @ y)[basic],
                                p.A @ full - p.M @ y])
 
-    def solve(self, basic: Sequence[int], rhs: np.ndarray) -> np.ndarray | None:
-        """K_B^-1 rhs for the basis matrix with variables in ``basic``
-        order, with one refinement step against K_B, or None where no
-        update is certified: no K_B0, a full border cache, or a bound on
-        ||K_B^-1|| that does not keep K_B clear of the deferral bound."""
+    def _update(self, order: Sequence[int], rhs: np.ndarray
+                ) -> np.ndarray | None:
+        """K_B^-1 rhs for the basis matrix with variables in ``order``,
+        with one refinement step against K_B, or None where no update is
+        certified: no K_B0, a full border cache, or a bound on ||K_B^-1||
+        that does not keep K_B clear of the deferral bound."""
         if self._k0 is None:
             return None
         p, k0 = self.p, self._k0
-        basic = np.asarray(basic, dtype=int)
+        basic = np.asarray(order, dtype=int)
         nb, m = basic.size, p.m
         pos = self._pos0[basic]
         kept = pos >= 0
@@ -678,82 +687,59 @@ def _base_dz_l(p: QpProblem, basic: list[int], l: int,
     return dzl, noise
 
 
-def _base_direction(p: QpProblem, part: Partition, l: int, w: np.ndarray,
-                    dzl: float) -> Direction:
+def _direction(p: QpProblem, part: Partition, l: int, dxl: float,
+               dzl: float, dxb: np.ndarray, dy: np.ndarray) -> Direction:
+    """The direction with freed components (dx_l, dz_l), basic part dx_B
+    and multiplier step dy; dz_N follows from stationarity.  With dz_l = 0
+    the direction is a null ray of K_l, whose dual part vanishes
+    identically, and dz_N stays zero."""
     basic = list(part.basic)
-    nb = len(basic)
-    dxb = w[:nb]
-    dy = -w[nb:]
-    dx = np.zeros(p.n)
-    dx[l] = 1.0
-    dx[basic] = dxb
     nonbasic = list(part.nonbasic)
+    dx = np.zeros(p.n)
+    dx[l] = dxl
+    dx[basic] = dxb
     dz = np.zeros(p.n)
     dz[l] = dzl
-    if dzl == 0.0:
-        # Singular bordered matrix: the direction is its null ray, whose
-        # multiplier and dual parts vanish identically.  Zeroing them
-        # discards pure cancellation noise.
-        dy = np.zeros_like(dy)
-    elif nonbasic:
-        dz[nonbasic] = (p.H[nonbasic, l] + p.H[np.ix_(nonbasic, basic)] @ dxb
+    if nonbasic and dzl != 0.0:
+        dz[nonbasic] = (p.H[nonbasic, l] * dxl
+                        + p.H[np.ix_(nonbasic, basic)] @ dxb
                         - p.A[:, nonbasic].T @ dy)
-    return Direction(dx=dx, dy=dy, dz=dz, freed=l, dx_l=1.0, dz_l=dzl,
+    return Direction(dx=dx, dy=dy, dz=dz, freed=l, dx_l=dxl, dz_l=dzl,
                      basic=tuple(basic))
 
 
-def solve_base_primal(p: QpProblem, part: Partition,
-                      f: KktFactorization | KktBasis, l: int) -> Direction:
+def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
+                      l: int) -> Direction:
     """Direction with dx_l = 1 from the K_B system.
 
     Solves K_B [dx_B; -dy] = -[h_Bl; a_l], then recovers dz_l and dz_N.
     dz_l is nonnegative, and exactly zero iff the bordered matrix is
-    singular; values lost in roundoff are settled by ``_freed_component``.
-    Given a ``KktBasis``, an updated solve whose dz_l lies above its noise
-    band is used; otherwise K_B is factored afresh.
+    singular.  ``basis`` serves the solve: an update is taken when its
+    dz_l lies above the noise band, otherwise K_B is factored afresh and
+    values lost in roundoff are settled by ``_freed_component``.
     """
     basic = list(part.basic)
     nb = len(basic)
     rhs = -np.concatenate([p.H[basic, l], p.A[:, l]])
-    if isinstance(f, KktBasis):
-        w = f.solve(basic, rhs)
-        if w is not None:
-            dzl, noise = _base_dz_l(p, basic, l, w)
-            if dzl > noise:
-                return _base_direction(p, part, l, w, dzl)
-        f = f.refactor(part)
-    w = f.solve(rhs)
+
+    def above_band(w: np.ndarray) -> bool:
+        dzl, noise = _base_dz_l(p, basic, l, w)
+        return dzl > noise
+
+    w, own = basis.solve(basic, rhs, above_band,
+                         lambda: factor_kb_or_raise(p, part)._data)
     dzl, noise = _base_dz_l(p, basic, l, w)
-    dzl = _freed_component(
-        dzl, noise, f._data, lambda: build_kl(p, basic, l), "dz_l", abs(dzl),
-        lambda: (nb + p.m + 1) * PIVOT_TOL * max(
-            float(np.max(np.abs(f._data.matrix), initial=0.0)),
-            abs(p.H[l, l]), float(np.max(np.abs(rhs), initial=0.0))))
-    return _base_direction(p, part, l, w, dzl)
-
-
-def _intermediate_direction(p: QpProblem, part: Partition, l: int,
-                            w: np.ndarray, dxl: float) -> Direction:
-    basic = list(part.basic)
-    nb = len(basic)
-    dxb = w[1:1 + nb]
-    dy = -w[1 + nb:]
-    if dxl == 0.0:
-        # Singular K_B: every x-component of the direction vanishes and
-        # only the multiplier part moves.
-        dxb = np.zeros_like(dxb)
-    dx = np.zeros(p.n)
-    dx[l] = dxl
-    dx[basic] = dxb
-    nonbasic = list(part.nonbasic)
-    dz = np.zeros(p.n)
-    dz[l] = 1.0
-    if nonbasic:
-        dz[nonbasic] = (p.H[nonbasic, l] * dxl
-                        + p.H[np.ix_(nonbasic, basic)] @ dxb
-                        - p.A[:, nonbasic].T @ dy)
-    return Direction(dx=dx, dy=dy, dz=dz, freed=l, dx_l=dxl, dz_l=1.0,
-                     basic=tuple(basic))
+    if own is not None:
+        dzl = _freed_component(
+            dzl, noise, own, lambda: build_kl(p, basic, l), "dz_l",
+            abs(dzl), lambda: (nb + p.m + 1) * PIVOT_TOL * max(
+                float(np.max(np.abs(own.matrix), initial=0.0)),
+                abs(p.H[l, l]), float(np.max(np.abs(rhs), initial=0.0))))
+    # dz_l = 0: singular bordered matrix.  The direction is its null ray,
+    # whose multiplier and dual parts vanish identically; zeroing them
+    # discards pure cancellation noise.
+    dy = np.zeros(p.m) if dzl == 0.0 else -w[nb:]
+    return _direction(p, part, l, 1.0, dzl, w[:nb], dy)
 
 
 def _dx_l_noise(w: np.ndarray) -> float:
@@ -761,44 +747,45 @@ def _dx_l_noise(w: np.ndarray) -> float:
 
 
 def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
-                              basis: KktBasis | None = None) -> Direction:
+                              basis: KktBasis) -> Direction:
     """Direction with dz_l = 1 from the bordered K_l system.
 
     Solves K_l [dx_l; dx_B; -dy] = [1; 0; 0] and recovers dz_N.  K_l is
     nonsingular whenever this is called from a legal state; a singular
-    K_l here is an internal invariant violation.  Given a ``KktBasis``,
-    an updated solve (K_l is the basis matrix of B and l) whose dx_l lies
-    above its noise band is used; otherwise K_l is factored afresh and
-    becomes the basis object's K_B0.
+    K_l here is an internal invariant violation.  ``basis`` serves the
+    solve (K_l is the basis matrix of B and l): an update is taken when
+    its dx_l lies above the noise band, otherwise K_l is factored afresh
+    and values lost in roundoff are settled by ``_freed_component``.
     """
     basic = list(part.basic)
-    if basis is not None:
-        rhs = np.zeros(1 + len(basic) + p.m)
-        rhs[0] = 1.0
-        w = basis.solve([l] + basic, rhs)
-        if w is not None and float(w[0]) > _dx_l_noise(w):
-            return _intermediate_direction(p, part, l, w, float(w[0]))
-        basis.release()
-    kl = build_kl(p, basic, l)
-    data = _factorize(kl)
-    if data.deferred.size:
-        raise KktInternalError(
-            f"K_l unexpectedly singular for freed index {l}, basis {basic}")
-    if basis is not None:
-        basis.rebase([l] + basic, data)
-    rhs = np.zeros(kl.shape[0])
+    nb = len(basic)
+    rhs = np.zeros(1 + nb + p.m)
     rhs[0] = 1.0
-    w = data.solve(rhs)
+
+    def fresh() -> _Factor:
+        data = _factorize(build_kl(p, basic, l))
+        if data.deferred.size:
+            raise KktInternalError(
+                f"K_l unexpectedly singular for freed index {l}, basis {basic}")
+        return data
+
+    w, own = basis.solve([l] + basic, rhs,
+                         lambda w: float(w[0]) > _dx_l_noise(w), fresh)
     dxl = float(w[0])
-    # K_B is kl[1:, 1:] and k_l is kl[1:, 0]; v = w[1:] (module docstring).
-    vnorm = float(np.linalg.norm(w[1:]))
-    backward = (abs(dxl) * float(np.linalg.norm(kl[1:, 0])) / vnorm
-                if vnorm > 0.0 else np.inf)
-    dxl = _freed_component(
-        dxl, _dx_l_noise(w), data, lambda: build_kb(p, basic), "dx_l",
-        backward, lambda: (kl.shape[0] - 1) * PIVOT_TOL
-        * float(np.max(np.abs(kl[1:, 1:]), initial=0.0)))
-    return _intermediate_direction(p, part, l, w, dxl)
+    if own is not None:
+        # K_B is kl[1:, 1:], k_l is kl[1:, 0], v = w[1:] (module docstring).
+        kl = own.matrix
+        vnorm = float(np.linalg.norm(w[1:]))
+        backward = (abs(dxl) * float(np.linalg.norm(kl[1:, 0])) / vnorm
+                    if vnorm > 0.0 else np.inf)
+        dxl = _freed_component(
+            dxl, _dx_l_noise(w), own, lambda: build_kb(p, basic), "dx_l",
+            backward, lambda: (kl.shape[0] - 1) * PIVOT_TOL
+            * float(np.max(np.abs(kl[1:, 1:]), initial=0.0)))
+    # dx_l = 0: singular K_B.  Every x-component of the direction
+    # vanishes and only the multiplier part moves.
+    dxb = np.zeros(nb) if dxl == 0.0 else w[1:1 + nb]
+    return _direction(p, part, l, dxl, 1.0, dxb, -w[1 + nb:])
 
 
 def recover_z_nonbasic(p: QpProblem, part: Partition, it: Iterate,

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kkt import (KktFactorization, SingularReport, build_kb, build_kl,
-                  factor_kb, solve_boundary_point)
+from .kkt import (SingularReport, build_kb, build_kl, factor_kb,
+                  solve_boundary_point)
 from .model import (Direction, Iterate, Partition, QpProblem, Shifts,
                     dual_objective, primal_objective)
 
@@ -147,7 +147,11 @@ def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
     Every subset of the non-fixed indices is tried; subsets whose K_B
     factors get their boundary point computed and sign-tested.  All
     optimal witnesses must agree on the objective.  When none passes, the
-    two feasible sets decide between primal and dual infeasibility.
+    two feasible sets decide between primal and dual infeasibility.  When
+    both are empty the answer is ``primal_infeasible``, but either
+    infeasibility status is then correct and the solver may report
+    ``dual_infeasible``; the result's ``primal_feasible`` and
+    ``dual_feasible`` flags show when both sets are empty.
     """
     if p.n > ENUMERATION_LIMIT:
         raise OracleBudgetError(
@@ -167,7 +171,7 @@ def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
                 continue
             it = solve_boundary_point(p, s, part, f)
             if crosscheck:
-                _crosscheck_solve(p, s, part, f, it, tol)
+                _crosscheck_solve(p, s, part, it)
             # Per-family scales: the primal sign slack must not inflate
             # with the dual magnitudes or vice versa.
             x_scale = max(1.0, float(np.max(np.abs(it.x))),
@@ -227,7 +231,7 @@ def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
                           primal_feasible=p_ok, dual_feasible=d_ok)
 
 
-def _crosscheck_solve(p, s, part, f: KktFactorization, it, tol):
+def _crosscheck_solve(p, s, part, it):
     basic = list(part.basic)
     nonbasic = list(part.nonbasic)
     qn = s.q[nonbasic]

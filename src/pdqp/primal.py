@@ -62,22 +62,19 @@ PRIMAL = Family(method="primal", repaired="z", repair_shift="r",
 
 
 def primal_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
-                *, orient: float = 1.0, fea_tol: float = 1e-6,
-                basis: KktBasis | None = None
+                *, basis: KktBasis, orient: float = 1.0, fea_tol: float = 1e-6
                 ) -> tuple[StepResult, Direction]:
     """Base subiteration: fix dx_l = orient (K_B system) and step as far
     as the primal bounds allow (see ``take_step``).  An infinite step,
-    returned unapplied, certifies that the dual problem is infeasible.
-    ``basis`` serves the solve (a fresh one factors K_B)."""
-    basis = KktBasis(p) if basis is None else basis
+    returned unapplied, certifies that the dual problem is infeasible."""
     return take_step(PRIMAL, p, s, part, it, l,
                      lambda: solve_base_primal(p, part, basis, l),
                      orient, fea_tol, "primal_base")
 
 
 def primal_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
-                        l: int, *, orient: float = 1.0, fea_tol: float = 1e-6,
-                        basis: KktBasis | None = None
+                        l: int, *, basis: KktBasis, orient: float = 1.0,
+                        fea_tol: float = 1e-6
                         ) -> tuple[StepResult, Direction]:
     """Intermediate subiteration: fix dz_l = orient (bordered K_l system),
     so the target step -(z_l + r_l)/dz_l is always finite."""

@@ -31,6 +31,9 @@ OPTIMAL = "optimal"
 PRIMAL_INFEASIBLE = "primal_infeasible"
 DUAL_INFEASIBLE = "dual_infeasible"
 ITERATION_LIMIT = "iteration_limit"
+# Consecutive zero-length steps before index selection falls back to the
+# least-index (Bland) rule.
+BLAND_AFTER = 50
 
 
 @dataclass(frozen=True)
@@ -82,14 +85,10 @@ StepFn = Callable[..., tuple[StepResult, Direction]]
 
 @dataclass
 class SolveLimits:
-    """Iteration limits and the anti-cycling switch.
-
-    bland_after: consecutive zero-length steps before index selection
-    falls back to the least-index rule.
-    """
+    """The iteration limit: ``max_iterations``, or a size-based default
+    when it is 0."""
 
     max_iterations: int = 0
-    bland_after: int = 50
 
     def cap(self, p: QpProblem) -> int:
         if self.max_iterations > 0:
@@ -295,7 +294,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         subiterations += 1
         if step.alpha == 0.0:
             zero_streak += 1
-            if zero_streak >= limits.bland_after:
+            if zero_streak >= BLAND_AFTER:
                 bland = True
         elif np.isfinite(step.alpha):
             zero_streak = 0

@@ -19,7 +19,7 @@ from pdqp import (GeneralQp, Partition, QpProblem, Shifts, SolveConfig,
                   find_soc_basis, solve_base_primal,
                   solve_intermediate_primal, solve_pdqp, solve_standard,
                   standardize)
-from pdqp.kkt import KktFactorization, factor_kb_or_raise
+from pdqp.kkt import KktBasis, KktFactorization, factor_kb_or_raise
 from pdqp.oracle import (check_direction_propositions, partition_for_direction)
 from pdqp.cli import parse_problem, profile, run
 
@@ -151,7 +151,7 @@ def test_criterion_5_direction_propositions(suite, p_unbounded, p1):
     # null space
     part = Partition(basic=[1], nonbasic=[], freed=0)
     f = factor_kb_or_raise(p_unbounded, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p_unbounded, part, f, 0)
+    d = solve_base_primal(p_unbounded, part, KktBasis(p_unbounded, f), 0)
     assert d.dz_l == 0.0
     rep = check_direction_propositions(p_unbounded, part, d)
     assert rep.ok, rep.failures()
@@ -161,7 +161,7 @@ def test_criterion_5_direction_propositions(suite, p_unbounded, p1):
     # constructed singular-K_B case: dx_l = 0
     p = QpProblem(H=p1.H, M=p1.M, A=p1.A, b=np.array([-1.0]), c=p1.c)
     part = Partition(basic=[], nonbasic=[0], freed=1)
-    d = solve_intermediate_primal(p, part, 1)
+    d = solve_intermediate_primal(p, part, 1, KktBasis(p))
     assert d.dx_l == 0.0
     rep = check_direction_propositions(p, part, d)
     assert rep.ok, rep.failures()

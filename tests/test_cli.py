@@ -116,18 +116,30 @@ def test_run_records_error_status(tmp_path, capsys):
     assert rows[0].status == "error"
     assert code == 1
     # An internal error (here dual-first's singular K_l after a
-    # temporary-bound swap) is recorded too, and the batch goes on.
+    # temporary-bound swap) is recorded too, and the batch goes on; so
+    # are a malformed file and one with inconsistent bounds, which never
+    # reach the solver.
     bad = tmp_path / "klsingular.qpt"
     bad.write_text("QPT 1\ndims 4 1\nA dense\n2 -1 2 -2\nc 2 -1 -3 0\n"
                    "lower -inf -inf -inf -inf -inf\n"
                    "upper -1 inf inf 0 inf\nend\n")
+    malformed = tmp_path / "malformed.qpt"
+    malformed.write_text("QPT 2\n")
+    crossed = tmp_path / "crossed.qpt"
+    crossed.write_text("QPT 1\ndims 1 0\nlower 2\nupper 1\nend\n")
     out = tmp_path / "batch"
-    rows, code = run([bad, PROBLEMS / "p1.qpt"], out, strategy="dual-first")
-    assert [(r.name, r.status) for r in rows] == [("klsingular", "error"),
-                                                 ("p1", "optimal")]
-    assert len(read_runlog(out / "runlog.csv")) == 2
+    rows, code = run([bad, malformed, crossed, PROBLEMS / "p1.qpt"], out,
+                     strategy="dual-first")
+    assert [(r.name, r.n, r.m, r.status) for r in rows] == [
+        ("klsingular", 4, 1, "error"), ("malformed", 0, 0, "error"),
+        ("crossed", 0, 0, "error"), ("p1", 2, 1, "optimal")]
+    assert len(read_runlog(out / "runlog.csv")) == 4
+    assert sorted(p.name for p in out.glob("*.sol")) == ["p1.sol"]
     assert code == 1
-    assert "klsingular: KktInternalError: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "klsingular: KktInternalError: " in err
+    assert "malformed: QptParseError: " in err
+    assert "crossed: ProblemError: inconsistent bounds" in err
 
 
 def test_run_max_iter_limit(tmp_path):

@@ -6,8 +6,9 @@ from pdqp import (GeneralQp, InvariantError, Partition, ProblemError,
                   QpProblem, Shifts, SolveConfig, check_optimality,
                   enumerate_solve, find_soc_basis, init_shifts, solve_pdqp,
                   solve_standard, standardize, temporary_bound_pass)
-from pdqp import kkt
+from pdqp import kkt, steps
 from pdqp.driver import TemporaryBoundRegistry
+from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
 
 from conftest import random_instances
 
@@ -280,15 +281,51 @@ def test_dual_only_solves_dual_feasible_instance(p1):
     assert sol.objective == pytest.approx(0.25)
 
 
-def test_bland_mode_still_converges():
+def test_bland_mode_still_converges(monkeypatch):
     # Force the least-index selection rule from the first zero step.
+    monkeypatch.setattr(steps, "BLAND_AFTER", 1)
     p = QpProblem(H=np.eye(3), M=np.zeros((1, 1)),
                   A=np.array([[1.0, 1.0, 1.0]]), b=np.array([0.0]),
                   c=np.array([-1.0, 1.0, 0.0]))
-    sol = solve_standard(p, SolveConfig(bland_after=1,
-                                        check_invariants=True))
+    sol = solve_standard(p, SolveConfig(check_invariants=True))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.0)
+
+
+def test_doubly_infeasible_problem_gets_either_certificate():
+    # x1 + x2 = -1 has no solution x >= 0, and the dual needs
+    # z3 = c3 = -1 >= 0.  With both feasible sets empty either
+    # infeasibility status is correct; a solve reports the one its first
+    # unbounded stage certifies, and the certificate is checked directly.
+    p = QpProblem(H=np.zeros((3, 3)), M=np.zeros((1, 1)),
+                  A=np.array([[1.0, 1.0, 0.0]]), b=np.array([-1.0]),
+                  c=np.array([0.0, 0.0, -1.0]))
+    zero = Shifts.zero(3)
+    assert not primal_set_nonempty(p, zero)
+    assert not dual_set_nonempty(p, zero)
+    oracle = enumerate_solve(p, zero)
+    assert oracle.status == "primal_infeasible"
+    assert not (oracle.primal_feasible or oracle.dual_feasible)
+    for strategy, want in (("auto", "dual_infeasible"),
+                           ("primal-first", "dual_infeasible"),
+                           ("dual-first", "primal_infeasible")):
+        records = []
+        sol = solve_standard(p, SolveConfig(strategy=strategy,
+                                            trace=records.append,
+                                            check_invariants=True))
+        assert sol.status == want, strategy
+        last = records[-1]
+        assert last.kind == "base" and np.isinf(last.alpha), strategy
+        d = last.direction
+        if want == "dual_infeasible":
+            # A primal ray: x + t dx stays feasible and f falls without end.
+            assert np.all(d.dx >= 0.0) and p.c @ d.dx < 0.0
+            assert_allclose(p.H @ d.dx, 0.0, atol=1e-12)
+            assert_allclose(p.A @ d.dx, 0.0, atol=1e-12)
+        else:
+            # A Farkas ray: A'dy = -dz <= 0 with b'dy > 0.
+            assert np.all(d.dz >= 0.0) and p.b @ d.dy > 0.0
+            assert_allclose(p.A.T @ d.dy + d.dz, 0.0, atol=1e-12)
 
 
 def test_forced_strategies_agree_with_oracle():

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from pdqp import (Iterate, Partition, QpProblem, Shifts, StartConditionError,
                   check_optimality, dual_base, dual_intermediate, solve_dual)
+from pdqp.kkt import KktBasis
 from pdqp.steps import SolveLimits
 
 from conftest import random_instances
@@ -24,7 +25,8 @@ def neg_b_start():
 def test_dual_base_infeasibility_trace(p_neg_b):
     it, part = neg_b_start()
     part.free_index(1)
-    step, d = dual_base(p_neg_b, Shifts.zero(2), part, it, 1)
+    step, d = dual_base(p_neg_b, Shifts.zero(2), part, it, 1,
+                        basis=KktBasis(p_neg_b))
     assert d.dx_l == 0.0
     assert d.dz[0] == pytest.approx(1.0)
     assert np.isinf(step.alpha_star) and np.isinf(step.alpha_max)
@@ -37,7 +39,7 @@ def test_dual_base_guards_sign(p1):
     part = Partition(basic=[1], nonbasic=[0], freed=None)
     part.free_index(1)
     with pytest.raises(StartConditionError):
-        dual_base(p1, Shifts.zero(2), part, it, 1)
+        dual_base(p1, Shifts.zero(2), part, it, 1, basis=KktBasis(p1))
 
 
 def test_dual_base_bounded_fixture(p2):
@@ -45,7 +47,8 @@ def test_dual_base_bounded_fixture(p2):
     it = Iterate(np.array([-0.5, 1.5]), np.array([1.5]), np.zeros(2))
     part = Partition(basic=[0, 1], nonbasic=[])
     part.free_index(0)
-    step, d = dual_base(p2, Shifts.zero(2), part, it, 0)
+    step, d = dual_base(p2, Shifts.zero(2), part, it, 0,
+                        basis=KktBasis(p2))
     assert step.hit_target
     assert step.alpha == pytest.approx(1.0)
     assert_allclose(it.x, [0.0, 1.0], atol=1e-12)
@@ -59,7 +62,8 @@ def test_dual_intermediate_alpha_arithmetic():
                   b=np.array([-1.0]), c=np.zeros(2))
     it = Iterate(np.array([-2.0, 1.0]), np.array([1.0]), np.array([-3.0, 0.0]))
     part = Partition(basic=[1], nonbasic=[], freed=0)
-    step, d = dual_intermediate(p, Shifts.zero(2), part, it, 0)
+    step, d = dual_intermediate(p, Shifts.zero(2), part, it, 0,
+                                basis=KktBasis(p))
     assert d.dx_l == 1.0
     assert step.alpha_star == pytest.approx(2.0)
     assert step.alpha == pytest.approx(2.0)

@@ -10,8 +10,9 @@ from pdqp import (Iterate, KktFactorization, KktInternalError, Partition,
                   recover_z_nonbasic, solve_base_primal,
                   solve_intermediate_primal, solve_pdqp, solve_standard)
 from pdqp import dual, kkt, primal
-from pdqp.kkt import (_bunch_kaufman, _factor_symmetric_indefinite, build_kb,
-                      build_kl, factor_kb_or_raise, solve_boundary_point)
+from pdqp.kkt import (KktBasis, _bunch_kaufman, _factor_symmetric_indefinite,
+                      build_kb, build_kl, factor_kb_or_raise,
+                      solve_boundary_point)
 from pdqp.oracle import _gauss_solve
 
 from conftest import criterion7_instance, random_instances
@@ -121,7 +122,7 @@ def test_find_soc_basis_random_postcondition():
 def test_solve_base_primal_hand_case(p1):
     part = Partition(basic=[1], nonbasic=[], freed=0)
     f = factor_kb_or_raise(p1, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p1, part, f, 0)
+    d = solve_base_primal(p1, part, KktBasis(p1, f), 0)
     assert_allclose(d.dx, [1.0, -1.0])
     assert_allclose(d.dy, [-1.0])
     assert d.dz_l == pytest.approx(2.0)
@@ -142,20 +143,22 @@ def _recording_build_kb(monkeypatch):
 def test_counterpart_assembled_only_inside_noise_band(p1, monkeypatch):
     # dz_l = 2 and dx_l = 0.5 are far from zero: neither solve may build
     # the counterpart matrix (K_l for the base solve, K_B for the
-    # intermediate one, whose own K_l is the only assembly).
+    # intermediate one); each assembles only its own fresh matrix.
     f = factor_kb_or_raise(p1, Partition(basic=[1], nonbasic=[0]))
     built = _recording_build_kb(monkeypatch)
     part = Partition(basic=[1], nonbasic=[], freed=0)
-    assert solve_base_primal(p1, part, f, 0).dz_l == pytest.approx(2.0)
-    assert built == []
-    assert solve_intermediate_primal(p1, part, 0).dx_l == pytest.approx(0.5)
-    assert built == [[0, 1]]
+    assert solve_base_primal(p1, part, KktBasis(p1, f), 0).dz_l == \
+        pytest.approx(2.0)
+    assert built == [[1]]
+    assert solve_intermediate_primal(p1, part, 0, KktBasis(p1)).dx_l == \
+        pytest.approx(0.5)
+    assert built == [[1], [0, 1]]
 
 
 def test_solve_base_primal_singular_kl_case(p_lp):
     part = Partition(basic=[1], nonbasic=[], freed=0)
     f = factor_kb_or_raise(p_lp, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p_lp, part, f, 0)
+    d = solve_base_primal(p_lp, part, KktBasis(p_lp, f), 0)
     assert_allclose(d.dx, [1.0, 1.0])
     assert d.dz_l == 0.0
     # the singular case zeroes the multiplier and dual parts identically
@@ -168,7 +171,7 @@ def test_solve_base_primal_decoupled_column():
                   A=np.array([[0.0, 1.0]]), b=np.zeros(1), c=np.zeros(2))
     part = Partition(basic=[1], nonbasic=[], freed=0)
     f = factor_kb_or_raise(p, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p, part, f, 0)
+    d = solve_base_primal(p, part, KktBasis(p, f), 0)
     assert_allclose(d.dx, [1.0, 0.0])
     assert_allclose(d.dy, [0.0])
     assert d.dz_l == pytest.approx(p.H[0, 0])
@@ -176,7 +179,7 @@ def test_solve_base_primal_decoupled_column():
 
 def test_solve_intermediate_base_of_dual(p1):
     part = Partition(basic=[], nonbasic=[0], freed=1)
-    d = solve_intermediate_primal(p1, part, 1)
+    d = solve_intermediate_primal(p1, part, 1, KktBasis(p1))
     assert d.dx_l == pytest.approx(0.0)
     assert_allclose(d.dy, [-1.0])
     assert d.dz[0] == pytest.approx(1.0)
@@ -186,7 +189,7 @@ def test_solve_intermediate_three_by_three(p1):
     part = Partition(basic=[1], nonbasic=[], freed=0)
     kl = build_kl(p1, [1], 0)
     assert_allclose(kl, [[1, 0, 1], [0, 1, 1], [1, 1, 0]])
-    d = solve_intermediate_primal(p1, part, 0)
+    d = solve_intermediate_primal(p1, part, 0, KktBasis(p1))
     assert d.dx_l == pytest.approx(0.5)
     assert d.dx[1] == pytest.approx(-0.5)
     assert_allclose(d.dy, [-0.5])
@@ -199,7 +202,7 @@ def test_solve_intermediate_decoupled():
     p = QpProblem(H=np.diag([1.0, 1.0]), M=np.zeros((1, 1)),
                   A=np.array([[0.0, 1.0]]), b=np.zeros(1), c=np.zeros(2))
     part = Partition(basic=[1], nonbasic=[], freed=0)
-    d = solve_intermediate_primal(p, part, 0)
+    d = solve_intermediate_primal(p, part, 0, KktBasis(p))
     assert d.dx_l == pytest.approx(1.0)
     assert d.dx[1] == pytest.approx(0.0)
     assert_allclose(d.dy, [0.0], atol=1e-15)
@@ -208,7 +211,7 @@ def test_solve_intermediate_decoupled():
 def test_solve_intermediate_raises_on_singular_kl(p_lp):
     part = Partition(basic=[1], nonbasic=[], freed=0)
     with pytest.raises(KktInternalError):
-        solve_intermediate_primal(p_lp, part, 0)
+        solve_intermediate_primal(p_lp, part, 0, KktBasis(p_lp))
 
 
 def test_recover_z_nonbasic_cases(p1, p2):
@@ -255,7 +258,7 @@ def test_base_null_space_dimension_when_dzl_zero(p_lp):
     # of the bordered matrix.
     part = Partition(basic=[1], nonbasic=[], freed=0)
     f = factor_kb_or_raise(p_lp, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p_lp, part, f, 0)
+    d = solve_base_primal(p_lp, part, KktBasis(p_lp, f), 0)
     assert d.dz_l == 0.0
     kl = build_kl(p_lp, [1], 0)
     null = np.array([d.dx[0], d.dx[1], 0.0])
@@ -268,7 +271,7 @@ def test_intermediate_singular_kb_case(p1):
     # eigenvector (0, dy).
     p = QpProblem(H=p1.H, M=p1.M, A=p1.A, b=np.array([-1.0]), c=p1.c)
     part = Partition(basic=[], nonbasic=[0], freed=1)
-    d = solve_intermediate_primal(p, part, 1)
+    d = solve_intermediate_primal(p, part, 1, KktBasis(p))
     assert d.dx_l == 0.0
     kb = build_kb(p, [])
     assert np.linalg.matrix_rank(kb) == 0
@@ -373,13 +376,13 @@ def test_certified_in_band_component_builds_no_counterpart(p_lp, p1,
     assert _bunch_kaufman(build_kl(p, [], 1)) is not None
     built = _recording_build_kb(monkeypatch)
     d = solve_base_primal(p_lp, Partition(basic=[1], nonbasic=[], freed=0),
-                          f, 0)
+                          KktBasis(p_lp, f), 0)
     assert d.dz_l == 0.0 and np.all(d.dy == 0.0)
-    assert built == []
+    assert built == [[1]]          # the solve's own K_B only
     d = solve_intermediate_primal(p, Partition(basic=[], nonbasic=[0],
-                                               freed=1), 1)
+                                               freed=1), 1, KktBasis(p))
     assert d.dx_l == 0.0
-    assert built == [[1]]          # the solve's own K_l only
+    assert built == [[1], [1]]     # and the solve's own K_l
 
 
 def test_greedy_own_factorization_still_builds_counterpart(p_lp, p1,
@@ -389,14 +392,14 @@ def test_greedy_own_factorization_still_builds_counterpart(p_lp, p1,
     assert not f._data.certified
     built = _recording_build_kb(monkeypatch)
     d = solve_base_primal(p_lp, Partition(basic=[1], nonbasic=[], freed=0),
-                          f, 0)
+                          KktBasis(p_lp, f), 0)
     assert d.dz_l == 0.0
-    assert built == [[0, 1]]       # K_l, freed index leading
+    assert built == [[1], [0, 1]]  # own K_B, then K_l, freed index leading
     p = QpProblem(H=p1.H, M=p1.M, A=p1.A, b=np.array([-1.0]), c=p1.c)
     d = solve_intermediate_primal(p, Partition(basic=[], nonbasic=[0],
-                                               freed=1), 1)
+                                               freed=1), 1, KktBasis(p))
     assert d.dx_l == 0.0
-    assert built == [[0, 1], [1], []]
+    assert built == [[1], [0, 1], [1], []]
 
 
 def _in_band_dz(kb, k, frac):
@@ -540,17 +543,17 @@ def _assert_same_direction(got, want):
 def test_updated_directions_match_fresh_and_solves_stay_correct(
         updates_everywhere, monkeypatch):
     # Every direction the solves ask for is recomputed by the fresh path
-    # (a KktFactorization of K_B, or a K_l factorization) and compared.
+    # (a solve against a KktBasis that holds no K_B0) and compared.
     base, inter = kkt.solve_base_primal, kkt.solve_intermediate_primal
 
-    def checked_base(p, part, f, l):
-        d = base(p, part, f, l)
-        _assert_same_direction(d, base(p, part, factor_kb_or_raise(p, part), l))
+    def checked_base(p, part, basis, l):
+        d = base(p, part, basis, l)
+        _assert_same_direction(d, base(p, part, KktBasis(p), l))
         return d
 
-    def checked_intermediate(p, part, l, basis=None):
+    def checked_intermediate(p, part, l, basis):
         d = inter(p, part, l, basis)
-        _assert_same_direction(d, inter(p, part, l))
+        _assert_same_direction(d, inter(p, part, l, KktBasis(p)))
         return d
 
     for module in (primal, dual):
@@ -558,14 +561,14 @@ def test_updated_directions_match_fresh_and_solves_stay_correct(
         monkeypatch.setattr(module, "solve_intermediate_primal",
                             checked_intermediate)
     updated = []
-    solve = kkt.KktBasis.solve
+    update = kkt.KktBasis._update
 
-    def recorded(self, basic, rhs):
-        w = solve(self, basic, rhs)
+    def recorded(self, order, rhs):
+        w = update(self, order, rhs)
         updated.append(w is not None)
         return w
 
-    monkeypatch.setattr(kkt.KktBasis, "solve", recorded)
+    monkeypatch.setattr(kkt.KktBasis, "_update", recorded)
 
     strategies = ("auto", "primal-first", "dual-first")
     for p in random_instances(20260810, 100):
@@ -593,9 +596,9 @@ def test_update_refuses_a_singular_border(p_lp, updates_everywhere):
     # makes K_B singular.
     basis = kkt.KktBasis(p_lp, factor_kb_or_raise(
         p_lp, Partition(basic=[1], nonbasic=[0])))
-    assert_allclose(basis.solve([1], np.array([1.0, 2.0])), [-2.0, -1.0])
-    assert basis.solve([], np.array([1.0])) is None
-    assert basis.solve([0, 1], np.array([1.0, 0.0, 0.0])) is None
+    assert_allclose(basis._update([1], np.array([1.0, 2.0])), [-2.0, -1.0])
+    assert basis._update([], np.array([1.0])) is None
+    assert basis._update([0, 1], np.array([1.0, 0.0, 0.0])) is None
     assert isinstance(factor_kb(p_lp, Partition(basic=[], nonbasic=[0, 1])),
                       SingularReport)
     with pytest.raises(KktInternalError, match="K_B unexpectedly singular"):

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from pdqp import (Iterate, Partition, QpProblem, Shifts,
                   enumerate_solve, factor_kb, solve_base_primal,
                   solve_intermediate_primal)
-from pdqp.kkt import factor_kb_or_raise
+from pdqp.kkt import KktBasis, factor_kb_or_raise
 from pdqp.oracle import (OracleBudgetError, _gauss_solve, _in_cone,
                          check_direction_propositions,
                          check_objective_identity, dual_set_nonempty,
@@ -96,7 +96,7 @@ def test_shifted_feasibility_changes_with_q(p_infeasible):
 def test_direction_propositions_base_case(p1):
     part = Partition(basic=[1], nonbasic=[], freed=0)
     f = factor_kb_or_raise(p1, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p1, part, f, 0)
+    d = solve_base_primal(p1, part, KktBasis(p1, f), 0)
     rep = check_direction_propositions(p1, part, d)
     assert rep.ok, rep.failures()
     assert any(name == "case_kl_nonsingular" for name, _, _ in rep.checks)
@@ -105,7 +105,7 @@ def test_direction_propositions_base_case(p1):
 def test_direction_propositions_singular_kl(p_unbounded):
     part = Partition(basic=[1], nonbasic=[], freed=0)
     f = factor_kb_or_raise(p_unbounded, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p_unbounded, part, f, 0)
+    d = solve_base_primal(p_unbounded, part, KktBasis(p_unbounded, f), 0)
     assert d.dz_l == 0.0
     rep = check_direction_propositions(p_unbounded, part, d)
     assert rep.ok, rep.failures()
@@ -116,7 +116,7 @@ def test_direction_propositions_singular_kl(p_unbounded):
 def test_direction_propositions_singular_kb(p1):
     p = QpProblem(H=p1.H, M=p1.M, A=p1.A, b=np.array([-1.0]), c=p1.c)
     part = Partition(basic=[], nonbasic=[0], freed=1)
-    d = solve_intermediate_primal(p, part, 1)
+    d = solve_intermediate_primal(p, part, 1, KktBasis(p))
     assert d.dx_l == 0.0
     rep = check_direction_propositions(p, part, d)
     assert rep.ok, rep.failures()
@@ -136,7 +136,7 @@ def test_direction_propositions_random():
         work.free_index(l)
         f = factor_kb(p, Partition(basic=work.basic,
                                    nonbasic=work.nonbasic + [l]))
-        d = solve_base_primal(p, work, f, l)
+        d = solve_base_primal(p, work, KktBasis(p, f), l)
         rep = check_direction_propositions(p, work, d)
         assert rep.ok, rep.failures()
 
@@ -144,7 +144,7 @@ def test_direction_propositions_random():
 def test_partition_for_direction_roundtrip(p1):
     part = Partition(basic=[1], nonbasic=[], freed=0)
     f = factor_kb_or_raise(p1, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p1, part, f, 0)
+    d = solve_base_primal(p1, part, KktBasis(p1, f), 0)
     rebuilt = partition_for_direction(p1, d)
     assert rebuilt.basic == [1]
     assert rebuilt.freed == 0
@@ -157,7 +157,7 @@ def test_objective_identity_hand_case(p1):
     it = Iterate(np.array([0.0, 1.0]), np.array([1.0]), np.array([-1.0, 0.0]))
     part = Partition(basic=[1], nonbasic=[], freed=0)
     f = factor_kb_or_raise(p1, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p1, part, f, 0)
+    d = solve_base_primal(p1, part, KktBasis(p1, f), 0)
     rep = check_objective_identity(p1, Shifts.zero(2), it, d, 0.5)
     assert rep.ok, rep.failures()
     pred = d.dx_l * (it.z[0]) * 0.5 + 0.5 * d.dx_l * d.dz_l * 0.25
@@ -168,7 +168,7 @@ def test_objective_identity_zero_step(p1):
     it = Iterate(np.array([0.0, 1.0]), np.array([1.0]), np.array([-1.0, 0.0]))
     part = Partition(basic=[1], nonbasic=[], freed=0)
     f = factor_kb_or_raise(p1, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p1, part, f, 0)
+    d = solve_base_primal(p1, part, KktBasis(p1, f), 0)
     rep = check_objective_identity(p1, Shifts.zero(2), it, d, 0.0)
     assert rep.ok
 
@@ -186,7 +186,7 @@ def test_objective_identity_random_steps():
         work.free_index(l)
         f = factor_kb(p, Partition(basic=work.basic,
                                    nonbasic=work.nonbasic + [l]))
-        d = solve_base_primal(p, work, f, l)
+        d = solve_base_primal(p, work, KktBasis(p, f), l)
         alpha = float(rng.uniform(0.0, 2.0))
         rep = check_objective_identity(p, shifts, it, d, alpha)
         assert rep.ok, rep.failures()

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from pdqp import (Iterate, Partition, QpProblem, Shifts, StartConditionError,
                   check_optimality, primal_base, primal_intermediate,
                   solve_primal)
+from pdqp.kkt import KktBasis
 from pdqp.steps import SolveLimits
 
 from conftest import random_instances
@@ -21,7 +22,7 @@ def test_primal_base_hand_trace(p1):
     it = Iterate(np.array([0.0, 1.0]), np.array([1.0]), np.array([-1.0, 0.0]))
     part = Partition(basic=[1], nonbasic=[0])
     part.free_index(0)
-    step, d = primal_base(p1, s, part, it, 0)
+    step, d = primal_base(p1, s, part, it, 0, basis=KktBasis(p1))
     assert d.dz_l == pytest.approx(2.0)
     assert step.alpha_star == pytest.approx(0.5)
     assert step.alpha_max == pytest.approx(1.0)
@@ -37,7 +38,8 @@ def test_primal_base_unbounded_certificate(p_unbounded):
     it = Iterate(np.zeros(2), np.zeros(1), np.array([-1.0, 0.0]))
     part = Partition(basic=[1], nonbasic=[0])
     part.free_index(0)
-    step, d = primal_base(p_unbounded, s, part, it, 0)
+    step, d = primal_base(p_unbounded, s, part, it, 0,
+                          basis=KktBasis(p_unbounded))
     assert np.isinf(step.alpha)
     assert d.dz_l == 0.0
     assert np.all(d.dx >= 0)
@@ -51,7 +53,7 @@ def test_primal_base_guards_sign(p1):
     part = Partition(basic=[1], nonbasic=[0])
     part.free_index(0)
     with pytest.raises(StartConditionError):
-        primal_base(p1, s, part, it, 0)
+        primal_base(p1, s, part, it, 0, basis=KktBasis(p1))
 
 
 def test_primal_intermediate_alpha_arithmetic(p1):
@@ -60,7 +62,8 @@ def test_primal_intermediate_alpha_arithmetic(p1):
     s = Shifts.zero(2)
     it = Iterate(np.array([0.0, 1.0]), np.array([2.0]), np.array([0.0, -1.0]))
     part = Partition(basic=[], nonbasic=[0], freed=1)
-    step, d = primal_intermediate(p2, s, part, it, 1)
+    step, d = primal_intermediate(p2, s, part, it, 1,
+                                  basis=KktBasis(p2))
     assert d.dz_l == 1.0
     assert step.alpha_star == pytest.approx(1.0)
     assert step.alpha == pytest.approx(1.0)

@@ -10,8 +10,12 @@ exactly.
   K_B of dim 237 and more), solved at the defaults and from a smaller
   given basis under primal-first.  Its K_B solves take the
   Schur-complement update path, which must not move the trajectory.
+* suite.csv: the first 100 standard-form problems of the acceptance
+  suite under every strategy.  A primal-only or dual-only run whose
+  initial basis fails that strategy's precondition is recorded as status
+  ``error``.
 
-Regenerate both files only for a change that is meant to alter
+Regenerate the files only for a change that is meant to alter
 trajectories, and say so:
 
     python tests/test_trajectories.py
@@ -27,13 +31,15 @@ if __name__ == "__main__":
 
 import numpy as np
 
-from pdqp import SolveConfig, driver, kkt, solve_pdqp
+from pdqp import (ProblemError, SolveConfig, driver, kkt, solve_pdqp,
+                  solve_standard)
 
-from conftest import criterion7_instance
+from conftest import criterion7_instance, random_instances
 
 DATA = Path(__file__).resolve().parent / "data" / "trajectories"
 LOWRANK = DATA / "lowrank.csv"
 PD = DATA / "pd300.csv"
+SUITE = DATA / "suite.csv"
 N, M, ACTIVE = 60, 6, 6
 RANKS = (0, 2, 4, 6, 8)
 SEEDS = 4
@@ -48,6 +54,10 @@ PD_RUNS = (("defaults", SolveConfig()),
            ("basis240-primal-first",
             SolveConfig(strategy="primal-first",
                         initial_basis=list(range(240)))))
+
+SUITE_SEED, SUITE_COUNT = 20260810, 100
+STRATEGIES = ("auto", "primal-first", "dual-first", "primal-only",
+              "dual-only")
 
 
 def _row(name, g, fstar, sol):
@@ -77,6 +87,24 @@ def _pd_rows():
             for label, config in PD_RUNS]
 
 
+def _suite_rows():
+    rows = []
+    for i, p in enumerate(random_instances(SUITE_SEED, SUITE_COUNT)):
+        for strategy in STRATEGIES:
+            row = {"name": f"{i:03d}/{strategy}", "status": "error",
+                   "iterations": "0", "subiterations": "0"}
+            try:
+                sol = solve_standard(p, SolveConfig(strategy=strategy))
+            except ProblemError:
+                assert strategy in ("primal-only", "dual-only"), row["name"]
+            else:
+                row.update(status=sol.status,
+                           iterations=str(sol.iterations),
+                           subiterations=str(sol.subiterations))
+            rows.append(row)
+    return rows
+
+
 def _assert_matches(path, got):
     with path.open(newline="") as fh:
         expected = list(csv.DictReader(fh))
@@ -93,6 +121,10 @@ def test_lowrank_trajectories_unchanged():
 
 def test_pd_trajectories_unchanged():
     _assert_matches(PD, _pd_rows())
+
+
+def test_suite_trajectories_unchanged():
+    _assert_matches(SUITE, _suite_rows())
 
 
 def test_pd_stages_refactor_once_per_border_cap(monkeypatch):
@@ -142,3 +174,4 @@ if __name__ == "__main__":
     DATA.mkdir(parents=True, exist_ok=True)
     _write(LOWRANK, _lowrank_rows())
     _write(PD, _pd_rows())
+    _write(SUITE, _suite_rows())
