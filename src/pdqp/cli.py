@@ -328,6 +328,10 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
                               millis=0.0), None
         if sol is not None:
             _write_solution(sol, out / f"{row.name}.sol")
+        else:
+            # An earlier run's files would contradict the error row.
+            (out / f"{row.name}.sol").unlink(missing_ok=True)
+            (out / f"{path.stem}.trace.csv").unlink(missing_ok=True)
         rows.append(row)
     log_path = out / "runlog.csv"
     log_path.write_text("\n".join([",".join(RUNLOG_COLUMNS)]

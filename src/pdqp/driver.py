@@ -15,7 +15,10 @@ shifts making that basis optimal for the shifted pair, and removes the
 shifts with two consecutive solves (primal then dual, or dual then
 primal).  Free variables left outside the initial basis receive the
 temporary-bound treatment: a dual shift freezes them, the primal solve
-drives their duals to zero, and the dual solve never moves them.
+drives their duals to zero, and the dual solve never moves them.  The
+temporary bounds are exactly the free nonbasic variables, since a free
+index never leaves the basic set once in it; ``StandardSolution.registry``
+records their duals at the start partition.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from .model import (InvariantError, Iterate, Partition, ProblemError,
                     QpProblem, Shifts, check_optimality, dual_objective,
                     primal_objective)
 from .primal import solve_primal
-from .steps import (OPTIMAL, PRIMAL_INFEASIBLE, SolveLimits, SolveOutcome,
-                    TraceSink)
+from .steps import OPTIMAL, PRIMAL_INFEASIBLE, SolveOutcome, TraceSink
 
 
 @dataclass(frozen=True)
@@ -91,35 +93,6 @@ class GeneralQp:
 
 
 @dataclass
-class TempBoundEntry:
-    dual: float = 0.0   # the dual recorded when the shifts were built
-
-
-class TemporaryBoundRegistry:
-    """Bookkeeping for free variables left nonbasic at basis discovery."""
-
-    def __init__(self):
-        self.entries: dict[int, TempBoundEntry] = {}
-        self._basic: set[int] = set()
-
-    def register(self, index: int, dual: float) -> None:
-        self.entries[index] = TempBoundEntry(dual)
-
-    def mark_basic(self, index: int) -> None:
-        if index in self.entries:
-            self._basic.add(index)
-
-    def unreleased_nonbasic(self) -> list[int]:
-        return sorted(j for j in self.entries if j not in self._basic)
-
-    def indices(self) -> list[int]:
-        return sorted(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass
 class Standardized:
     """Standard-form problem plus the data needed to map results back.
 
@@ -133,7 +106,6 @@ class Standardized:
     problem: QpProblem | None
     lower: np.ndarray
     upper: np.ndarray
-    registry: TemporaryBoundRegistry
     anchor: np.ndarray        # v0: bound each original component is anchored at
     sign: np.ndarray          # +1, or -1 for components anchored at an upper bound
     objective_offset: float
@@ -168,7 +140,7 @@ def standardize(g: GeneralQp) -> Standardized:
 
     Returns the standard-form problem (variables ordered: originals,
     row slacks, then balance slacks for two-sided components), the bound
-    vectors, a fresh temporary-bound registry, and the back-map data.
+    vectors, and the back-map data.
     """
     n, m = g.n, g.m
     nm = n + m
@@ -239,8 +211,7 @@ def standardize(g: GeneralQp) -> Standardized:
         dead_rows.append(i)
 
     base = Standardized(problem=None, lower=lo.copy(), upper=up.copy(),
-                        registry=TemporaryBoundRegistry(), anchor=anchor,
-                        sign=sign, objective_offset=offset,
+                        anchor=anchor, sign=sign, objective_offset=offset,
                         n_orig=n, m_orig=m, boxed=boxed,
                         kept_rows=kept_rows, dead_rows=dead_rows,
                         inconsistent_row=inconsistent)
@@ -259,7 +230,6 @@ def standardize(g: GeneralQp) -> Standardized:
 
 
 def init_shifts(p: QpProblem, part: Partition,
-                registry: TemporaryBoundRegistry | None = None,
                 factor: KktFactorization | None = None
                 ) -> tuple[Shifts, Iterate]:
     """Minimal shifts making the given basis optimal for the shifted pair.
@@ -267,8 +237,8 @@ def init_shifts(p: QpProblem, part: Partition,
     With q_N = 0 and r_B = 0 the boundary system determines (x_B, y) and
     z_N; taking q_B = max(-x_B, 0) and r_N = max(-z_N, 0) componentwise
     makes the point jointly optimal.  Free variables get no primal shift;
-    a free nonbasic variable j is registered as a temporary bound with
-    dual shift r_j = -z_j.  K_B is factored unless ``factor`` is given.
+    a free nonbasic variable j is a temporary bound with dual shift
+    r_j = -z_j.  K_B is factored unless ``factor`` is given.
     """
     it = solve_boundary_point(p, Shifts.zero(p.n), part, factor)
     q0 = np.zeros(p.n)
@@ -282,26 +252,25 @@ def init_shifts(p: QpProblem, part: Partition,
             continue
         if j in p.free:
             r0[j] = -float(it.z[j])
-            if registry is not None:
-                registry.register(j, float(it.z[j]))
         else:
             r0[j] = max(-float(it.z[j]), 0.0)
     return Shifts(q0, r0), it
 
 
-def temporary_bound_pass(registry: TemporaryBoundRegistry, stage: str,
+def temporary_bound_pass(registry: dict[int, float], stage: str,
                          it: Iterate, reference: dict[int, float] | None = None,
                          tol: float = 1e-7) -> None:
     """Verify the temporary-bound contract after a stage.
 
-    After a primal stage every registered dual must be zero; after a dual
-    stage every registered dual must be unchanged from the stage start
-    (pass the start values as ``reference``).
+    ``registry`` maps each temporary bound to its initial dual.  After a
+    primal stage every one of these duals must be zero; after a dual
+    stage every one must be unchanged from the stage start (pass the
+    start values as ``reference``).
     """
-    if not registry.entries:
+    if not registry:
         return
     scale = max(1.0, float(np.max(np.abs(it.z))) if it.z.size else 0.0)
-    for j in registry.indices():
+    for j in sorted(registry):
         if stage == "primal":
             if abs(it.z[j]) > tol * scale:
                 raise InvariantError(
@@ -326,9 +295,6 @@ class SolveConfig:
     check_invariants: bool = False
     initial_basis: list[int] | None = None
 
-    def limits(self) -> SolveLimits:
-        return SolveLimits(max_iterations=self.max_iterations)
-
 
 @dataclass
 class StageLog:
@@ -343,7 +309,11 @@ class StageLog:
 
 @dataclass
 class StandardSolution:
-    """Result of the combined pipeline on a standard-form problem."""
+    """Result of the combined pipeline on a standard-form problem.
+
+    ``registry`` maps each temporary bound (free index nonbasic in the
+    start partition) to its dual there.
+    """
 
     status: str
     iterate: Iterate
@@ -352,7 +322,7 @@ class StandardSolution:
     strategy: str
     stage_log: list[StageLog]
     shifts_initial: Shifts
-    registry: TemporaryBoundRegistry
+    registry: dict[int, float]
     iterations: int
     subiterations: int
 
@@ -390,8 +360,7 @@ def _stage_log(p: QpProblem, s: Shifts, out: SolveOutcome) -> StageLog:
                     q_dot_r=float(s.q @ s.r))
 
 
-def solve_standard(p: QpProblem, config: SolveConfig | None = None,
-                   registry: TemporaryBoundRegistry | None = None
+def solve_standard(p: QpProblem, config: SolveConfig | None = None
                    ) -> StandardSolution:
     """Run the combined strategy on a standard-form problem.
 
@@ -411,8 +380,8 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None,
     else:
         found = find_soc_basis(p, prefer=sorted(p.free))
         part, factor = found.partition, found.factor
-    registry = registry if registry is not None else TemporaryBoundRegistry()
-    shifts0, it = init_shifts(p, part, registry, factor)
+    shifts0, it = init_shifts(p, part, factor)
+    registry = {j: float(it.z[j]) for j in part.nonbasic if j in p.free}
     found = None
     report = check_optimality(p, shifts0, it, config.fea_tol, config.opt_tol)
     if not report.optimal:
@@ -446,14 +415,14 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None,
         raise ValueError(f"unknown strategy {config.strategy!r}")
 
     kw = dict(opt_tol=config.opt_tol, fea_tol=config.fea_tol,
-              temp_bounds=registry, trace=config.trace,
+              max_iterations=config.max_iterations, trace=config.trace,
               check_invariants=config.check_invariants)
     logs: list[StageLog] = []
     start = (it, part)
     for solve, shifts in stages:
-        ref = {j: float(start[0].z[j]) for j in registry.indices()}
+        ref = {j: float(start[0].z[j]) for j in registry}
         # K_B of the start basis seeds the first stage's KKT updates.
-        out = solve(p, shifts, start, config.limits(), factor=factor, **kw)
+        out = solve(p, shifts, start, factor=factor, **kw)
         factor = None
         logs.append(_stage_log(p, shifts, out))
         if out.status != OPTIMAL:
@@ -468,7 +437,7 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None,
         if not rep.optimal:
             raise InvariantError(f"final point failed the optimality "
                                  f"check: {rep}")
-        for j in registry.indices():
+        for j in registry:
             if abs(out.iterate.z[j]) > 1e-7 * max(1.0, float(np.max(np.abs(out.iterate.z)))):
                 raise InvariantError(
                     f"temporary-bound dual z[{j}] nonzero at completion")
@@ -492,7 +461,7 @@ def solve_pdqp(g: GeneralQp, config: SolveConfig | None = None) -> PdqpSolution:
                             objective=float(0.5 * x @ g.Hhat @ x + g.c @ x),
                             strategy="presolve", stage_log=[],
                             standardized=None)
-    sol = solve_standard(std.problem, config, registry=std.registry)
+    sol = solve_standard(std.problem, config)
     x, y, z = std.recover(sol.iterate, g)
     objective = float(0.5 * x @ g.Hhat @ x + g.c @ x)
     return PdqpSolution(status=sol.status, x=x, y=y, z=z,

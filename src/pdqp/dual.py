@@ -9,8 +9,8 @@ subiteration, dz_l fixed) or, under the relaxed entry conditions, from
 the nonbasic set (straight to intermediate subiterations, dx_l fixed);
 blocking dual bounds move their index into the basic set.
 
-Temporary bounds: duals of registered free indices must not move during
-a dual solve (see ``_direction_keeping_temp_bounds``).
+Temporary bounds are the free nonbasic variables: their duals must not
+move during a dual solve (see ``_direction_keeping_free_duals``).
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .kkt import (KktBasis, KktFactorization, solve_base_primal,
                   solve_intermediate_primal)
 from .model import (Direction, InvariantError, Iterate, Partition, QpProblem,
                     Shifts, StartConditionError)
-from .steps import (PRIMAL_INFEASIBLE, Family, SolveLimits, SolveOutcome,
-                    StepResult, TraceSink, run_active_set, take_step)
+from .steps import (PRIMAL_INFEASIBLE, Family, SolveOutcome, StepResult,
+                    TraceSink, run_active_set, take_step)
 
 
 def _check_start(p, s, part, it, opt_tol):
@@ -49,7 +49,7 @@ def _check_invariants(p, s, part, it, opt_tol):
             raise InvariantError(f"dual feasibility lost at nonbasic index {j}")
 
 
-def _eligible(p, part, temp_bounds):
+def _eligible(p, part):
     """Free indices have no primal bound and are never selected, nor are
     fixed nonbasic ones; the rest are one-sided."""
     excluded = p.free_mask | (p.fixed_mask & part.nonbasic_mask)
@@ -60,71 +60,69 @@ DUAL = Family(method="dual", repaired="x", repair_shift="q",
               guarded="z", guard_shift="r", live="nonbasic", idle="basic",
               unguarded="fixed", scale_by="x", unbounded=PRIMAL_INFEASIBLE,
               check_start=_check_start, check_invariants=_check_invariants,
-              eligible=_eligible, freezes_temp_bounds=True)
+              eligible=_eligible, keeps_free_duals=True)
 
 
-def _direction_keeping_temp_bounds(p: QpProblem, part: Partition, solve,
-                                   temp_bounds, swap_sink) -> Direction:
-    """The direction ``solve()`` gives once every unreleased temporary
-    bound whose dual it would move (dz_j != 0) has been moved into the
-    basic set, least first, with a fresh solve after each move."""
+def _direction_keeping_free_duals(p: QpProblem, part: Partition, solve,
+                                  swap_sink) -> Direction:
+    """The direction ``solve()`` gives once every free nonbasic index
+    whose dual it would move (dz_j != 0) has been moved into the basic
+    set, least first, with a fresh solve after each move."""
     d = solve()
-    if not temp_bounds:
+    held = np.flatnonzero(p.free_mask & part.nonbasic_mask)
+    if held.size == 0:
         return d
     tol = 1e-11 * max(1.0, p.kkt_scale())
     while True:
-        j = next((j for j in temp_bounds.unreleased_nonbasic()
-                  if part.nonbasic_mask[j] and abs(d.dz[j]) > tol), None)
-        if j is None:
+        moving = held[np.abs(d.dz[held]) > tol]
+        if moving.size == 0:
             return d
+        j = int(moving[0])
         part.move(j, "basic")
-        temp_bounds.mark_basic(j)
         if swap_sink is not None:
             swap_sink(j, d)
         d = solve()
+        held = np.flatnonzero(p.free_mask & part.nonbasic_mask)
 
 
 def dual_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
               *, basis: KktBasis, orient: float = 1.0, opt_tol: float = 1e-6,
-              temp_bounds=None, swap_sink=None
-              ) -> tuple[StepResult, Direction]:
+              swap_sink=None) -> tuple[StepResult, Direction]:
     """Base subiteration: fix dz_l = orient (bordered K_l system) and
     move x_l + q_l toward zero (see ``take_step``).  An infinite step
     (dx_l = 0 with no blocking dual bound), returned unapplied, certifies
     the primal problem infeasible."""
-    solve = partial(_direction_keeping_temp_bounds, p, part,
+    solve = partial(_direction_keeping_free_duals, p, part,
                     lambda: solve_intermediate_primal(p, part, l, basis),
-                    temp_bounds, swap_sink)
+                    swap_sink)
     return take_step(DUAL, p, s, part, it, l, solve, orient, opt_tol,
                      "dual_base")
 
 
 def dual_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
                       l: int, *, basis: KktBasis, orient: float = 1.0,
-                      opt_tol: float = 1e-6, temp_bounds=None, swap_sink=None
+                      opt_tol: float = 1e-6, swap_sink=None
                       ) -> tuple[StepResult, Direction]:
     """Intermediate subiteration: fix dx_l = orient (K_B system), so the
     target step -(x_l + q_l)/dx_l is always finite."""
-    solve = partial(_direction_keeping_temp_bounds, p, part,
-                    lambda: solve_base_primal(p, part, basis, l),
-                    temp_bounds, swap_sink)
+    solve = partial(_direction_keeping_free_duals, p, part,
+                    lambda: solve_base_primal(p, part, basis, l), swap_sink)
     return take_step(DUAL, p, s, part, it, l, solve, orient, opt_tol,
                      "dual_intermediate")
 
 
 def solve_dual(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
-               limits: SolveLimits | None = None, *,
-               opt_tol: float = 1e-6, fea_tol: float = 1e-6,
-               temp_bounds=None, trace: TraceSink | None = None,
+               *, max_iterations: int = 0, opt_tol: float = 1e-6,
+               fea_tol: float = 1e-6, trace: TraceSink | None = None,
                check_invariants: bool = False,
                factor: KktFactorization | None = None) -> SolveOutcome:
     """Run the dual method to optimality, primal infeasibility, or the
-    iteration limit.  The start iterate and partition are copied;
-    ``factor``, K_B of the start basis, seeds the stage's KKT updates."""
+    iteration limit (see ``run_active_set``).  The start iterate and
+    partition are copied; ``factor``, K_B of the start basis, seeds the
+    stage's KKT updates."""
     return run_active_set(
-        DUAL, p, s, start, limits,
-        partial(dual_base, p, s, opt_tol=opt_tol, temp_bounds=temp_bounds),
-        partial(dual_intermediate, p, s, opt_tol=opt_tol,
-                temp_bounds=temp_bounds),
-        tol=opt_tol, temp_bounds=temp_bounds, trace=trace,
+        DUAL, p, s, start,
+        partial(dual_base, p, s, opt_tol=opt_tol),
+        partial(dual_intermediate, p, s, opt_tol=opt_tol),
+        tol=opt_tol, max_iterations=max_iterations, trace=trace,
         check_invariants=check_invariants, factor=factor)

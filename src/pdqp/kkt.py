@@ -168,7 +168,6 @@ class _LdlData(_Factor):
     dblocks: list[tuple[int, np.ndarray]]   # (start position, 1x1 or 2x2)
     deferred: np.ndarray      # original indices never pivoted
     matrix: np.ndarray        # copy of the input matrix
-    scale: float
 
     def logabsdet(self) -> tuple[float, float]:
         """(sign, log|det|) over the pivot blocks."""
@@ -314,8 +313,8 @@ def _factor_symmetric_indefinite(k: np.ndarray,
         if block.shape[0] == 2:
             lower[start + 1, start] = 0.0
     return _LdlData(perm=perm, eliminated=pos, lower=lower, dblocks=dblocks,
-                    deferred=perm[pos:].copy(), matrix=np.array(k, dtype=float),
-                    scale=scale)
+                    deferred=perm[pos:].copy(),
+                    matrix=np.array(k, dtype=float))
 
 
 def _block_diag_solve(dblocks, rhs: np.ndarray) -> np.ndarray:

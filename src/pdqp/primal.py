@@ -3,12 +3,11 @@ shared engine in ``steps``, its two step functions, and its entry checks.
 
 Iterates stay feasible for the shifted primal bounds on the basic set
 while the negative components of z + r are driven to zero; a repaired
-index ends basic with z_l + r_l = 0.  Free variables (and temporary
-bounds not yet released) need z_l + r_l = 0 from either side, so they
-are selected two-sided.  The entry conditions are the relaxed ones:
-basic duals may start with z_B + r_B < 0 and are then selected straight
-from the basic set, as a warm start from a dual solve with a smaller
-shift produces.
+index ends basic with z_l + r_l = 0.  Free variables, temporary bounds
+included, need z_l + r_l = 0 from either side, so they are selected
+two-sided.  The entry conditions are the relaxed ones: basic duals may
+start with z_B + r_B < 0 and are then selected straight from the basic
+set, as a warm start from a dual solve with a smaller shift produces.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ from functools import partial
 from .kkt import (KktBasis, KktFactorization, solve_base_primal,
                   solve_intermediate_primal)
 from .model import (Direction, InvariantError, Iterate, Partition, QpProblem,
-                    Shifts, StartConditionError, index_mask)
-from .steps import (DUAL_INFEASIBLE, Family, SolveLimits, SolveOutcome,
-                    StepResult, TraceSink, run_active_set, take_step)
+                    Shifts, StartConditionError)
+from .steps import (DUAL_INFEASIBLE, Family, SolveOutcome, StepResult,
+                    TraceSink, run_active_set, take_step)
 
 
 def _check_start(p, s, part, it, fea_tol):
@@ -42,15 +41,11 @@ def _check_invariants(p, s, part, it, fea_tol):
             raise InvariantError(f"primal feasibility lost at basic index {i}")
 
 
-def _eligible(p, part, temp_bounds):
-    """Free indices and unreleased temporary bounds are two-sided; fixed
-    nonbasic indices are never selected."""
-    nonbasic = part.nonbasic_mask
-    excluded = p.fixed_mask & nonbasic
+def _eligible(p, part):
+    """Free indices are two-sided; fixed nonbasic indices are never
+    selected."""
+    excluded = p.fixed_mask & part.nonbasic_mask
     two_sided = p.free_mask & ~excluded
-    if temp_bounds:
-        unreleased = index_mask(p.n, temp_bounds.unreleased_nonbasic())
-        two_sided |= unreleased & nonbasic & ~excluded
     return ~excluded & ~two_sided, two_sided
 
 
@@ -58,7 +53,7 @@ PRIMAL = Family(method="primal", repaired="z", repair_shift="r",
                 guarded="x", guard_shift="q", live="basic", idle="nonbasic",
                 unguarded="free", scale_by="y", unbounded=DUAL_INFEASIBLE,
                 check_start=_check_start, check_invariants=_check_invariants,
-                eligible=_eligible, freezes_temp_bounds=False)
+                eligible=_eligible, keeps_free_duals=False)
 
 
 def primal_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
@@ -84,17 +79,17 @@ def primal_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
 
 
 def solve_primal(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
-                 limits: SolveLimits | None = None, *,
-                 opt_tol: float = 1e-6, fea_tol: float = 1e-6,
-                 temp_bounds=None, trace: TraceSink | None = None,
+                 *, max_iterations: int = 0, opt_tol: float = 1e-6,
+                 fea_tol: float = 1e-6, trace: TraceSink | None = None,
                  check_invariants: bool = False,
                  factor: KktFactorization | None = None) -> SolveOutcome:
     """Run the primal method to optimality, dual infeasibility, or the
-    iteration limit.  The start iterate and partition are copied;
-    ``factor``, K_B of the start basis, seeds the stage's KKT updates."""
+    iteration limit (see ``run_active_set``).  The start iterate and
+    partition are copied; ``factor``, K_B of the start basis, seeds the
+    stage's KKT updates."""
     return run_active_set(
-        PRIMAL, p, s, start, limits,
+        PRIMAL, p, s, start,
         partial(primal_base, p, s, fea_tol=fea_tol),
         partial(primal_intermediate, p, s, fea_tol=fea_tol),
-        tol=fea_tol, temp_bounds=temp_bounds, trace=trace,
+        tol=fea_tol, max_iterations=max_iterations, trace=trace,
         check_invariants=check_invariants, factor=factor)

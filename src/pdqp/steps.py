@@ -84,19 +84,6 @@ StepFn = Callable[..., tuple[StepResult, Direction]]
 
 
 @dataclass
-class SolveLimits:
-    """The iteration limit: ``max_iterations``, or a size-based default
-    when it is 0."""
-
-    max_iterations: int = 0
-
-    def cap(self, p: QpProblem) -> int:
-        if self.max_iterations > 0:
-            return self.max_iterations
-        return 100 + 50 * (p.n + p.m)
-
-
-@dataclass
 class SolveOutcome:
     """Result of one primal or dual solve; ``method`` names which."""
 
@@ -117,8 +104,11 @@ class Family:
     """How one method maps onto the shared engine.  ``check_start`` and
     ``check_invariants`` add the family's own tests to the shared ones;
     ``eligible`` masks the indices selectable one-sided (repaired value
-    < 0) and two-sided (it must vanish).  With ``freezes_temp_bounds``
-    the step functions take a ``swap_sink`` for temporary-bound swaps.
+    < 0) and two-sided (it must vanish).  With ``keeps_free_duals`` the
+    step functions take a ``swap_sink`` for temporary-bound swaps.  The
+    temporary bounds are the free nonbasic variables: a free index never
+    leaves the basic set (the primal ratio test skips it, the dual never
+    selects it), so the partition alone says which bounds are live.
     """
 
     method: str               # label of outcomes and trace records
@@ -134,7 +124,7 @@ class Family:
     check_start: Check
     check_invariants: Check
     eligible: Callable[..., tuple[np.ndarray, np.ndarray]]
-    freezes_temp_bounds: bool
+    keeps_free_duals: bool
 
 
 def _dir_scale(d: Direction) -> float:
@@ -261,17 +251,17 @@ def _check_equalities(p: QpProblem, it: Iterate, tol: float) -> bool:
 
 
 def run_active_set(fam: Family, p: QpProblem, s: Shifts,
-                   start: tuple[Iterate, Partition], limits: SolveLimits | None,
+                   start: tuple[Iterate, Partition],
                    base: StepFn, intermediate: StepFn, *, tol: float,
-                   temp_bounds=None, trace: TraceSink | None = None,
+                   max_iterations: int = 0, trace: TraceSink | None = None,
                    check_invariants: bool = False,
                    factor: KktFactorization | None = None) -> SolveOutcome:
     """Run one method to optimality, its ``unbounded`` status, or the
-    iteration limit.  The start iterate and partition are copied; ``tol``
-    is the family's feasibility tolerance for its guarded bounds.  One
-    ``KktBasis``, seeded with ``factor`` (K_B of the start basis) when
-    given, serves every KKT solve of the run."""
-    limits = limits or SolveLimits()
+    iteration limit: ``max_iterations``, or 100 + 50(n + m) when it is 0.
+    The start iterate and partition are copied; ``tol`` is the family's
+    feasibility tolerance for its guarded bounds.  One ``KktBasis``,
+    seeded with ``factor`` (K_B of the start basis) when given, serves
+    every KKT solve of the run."""
     it = start[0].copy()
     part = start[1].copy()
     part.validate(p.n)
@@ -280,7 +270,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
     if not _check_equalities(p, it, 1e-8 * p.data_scale()):
         raise StartConditionError("start point violates the equality system")
     fam.check_start(p, s, part, it, tol)
-    cap = limits.cap(p)
+    cap = max_iterations if max_iterations > 0 else 100 + 50 * (p.n + p.m)
     basis = KktBasis(p, factor)
     iterations = 0
     subiterations = 0
@@ -308,7 +298,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         # reported optimality test, which this overdelivers on.
         scale = float(np.abs(getattr(it, fam.scale_by)).max(initial=0.0))
         threshold = 1e-11 * max(1.0, scale)
-        one_sided, two_sided = fam.eligible(p, part, temp_bounds)
+        one_sided, two_sided = fam.eligible(p, part)
         v = getattr(it, fam.repaired) + getattr(s, fam.repair_shift)
         l, orient = select_index(v, one_sided, two_sided, threshold, bland)
         if l is None:
@@ -323,7 +313,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         eff = effective_shifts(p, s, part, it) if trace is not None else None
         inner_tol = 1e-12 * max(1.0, abs(_violation(fam, s, it, l)))
         step_kw = {"orient": orient, "basis": basis}
-        if fam.freezes_temp_bounds:
+        if fam.keeps_free_duals:
             def swap_sink(j, d):
                 zero = StepResult(0.0, 0.0, 0.0, j, False)
                 emit("temp_swap", l, zero, d, _violation(fam, s, it, l), eff,
@@ -352,8 +342,6 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
             step, d = intermediate(part, it, l, **step_kw)
             emit("intermediate", l, step, d, viol, eff, before)
         part.bind_freed(fam.live)
-        if temp_bounds is not None and part.basic_mask[l]:
-            temp_bounds.mark_basic(l)
         if check_invariants:
             if not _check_equalities(p, it, 1e-7 * p.data_scale()):
                 raise InvariantError(f"equality system drifted during "

@@ -1,0 +1,115 @@
+"""One SHA-256 digest over the solver's observable outputs, for checking
+that a refactor changes none of them.
+
+    PYTHONPATH=src python tests/output_digest.py
+    PYTHONPATH=/path/to/other/checkout/src python tests/output_digest.py
+
+The digest covers whichever ``pdqp`` the path puts first; run it against
+two trees and compare the lines.  Each solve contributes its status,
+iteration and subiteration counts, objective, final iterate and every
+field of every trace record (the direction included), or the type and
+message of the exception it raised.  The instances are:
+
+- ``random_instances(20260810, 300)`` (standard form) under the five
+  strategies, with ``check_invariants``;
+- 150 ``bench/workloads.mixed_instance`` general-format problems (rng
+  seed 7) under the five strategies;
+- the 24 ``lowrank`` constructions (seed bases 0 and 1) at the bench's
+  ``max_iterations``.
+
+Not collected by pytest (the file name has no ``test_`` prefix).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(1, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import pdqp  # noqa: E402
+from conftest import random_instances  # noqa: E402
+from workloads import LowRank, constructed_qp, mixed_instance  # noqa: E402
+
+STRATEGIES = ("auto", "primal-first", "dual-first", "primal-only",
+              "dual-only")
+
+
+class Digest:
+    def __init__(self):
+        self.h = hashlib.sha256()
+        self.solves = 0
+        self.errors: dict[str, int] = {}
+
+    def add(self, value) -> None:
+        if isinstance(value, np.ndarray):
+            a = np.ascontiguousarray(value)
+            self.h.update(f"{a.dtype}{a.shape}".encode())
+            self.h.update(a.tobytes())
+        elif isinstance(value, float):
+            self.h.update(np.float64(value).tobytes())
+        else:
+            self.h.update(repr(value).encode())
+        self.h.update(b"|")
+
+    def record(self, rec) -> None:
+        for f in fields(rec):
+            value = getattr(rec, f.name)
+            if f.name == "direction" and value is not None:
+                for g in fields(value):
+                    self.add(getattr(value, g.name))
+            else:
+                self.add(value)
+
+    def solve(self, label: str, solve, config: pdqp.SolveConfig) -> None:
+        self.solves += 1
+        self.add(label)
+        config.trace = self.record
+        try:
+            sol = solve(config)
+        except Exception as exc:     # the failure itself is an output
+            name = type(exc).__name__
+            self.errors[name] = self.errors.get(name, 0) + 1
+            self.add(name)
+            self.add(str(exc))
+            return
+        std = sol if isinstance(sol, pdqp.StandardSolution) else sol.standardized
+        self.add(sol.status)
+        self.add(sol.objective)
+        self.add(sol.strategy)
+        for lg in sol.stage_log:
+            self.add((lg.method, lg.status, lg.iterations, lg.subiterations))
+        if std is not None:
+            for v in (std.iterate.x, std.iterate.y, std.iterate.z):
+                self.add(v)
+
+
+def main() -> None:
+    d = Digest()
+    for i, p in enumerate(random_instances(20260810, 300)):
+        for s in STRATEGIES:
+            d.solve(f"random{i}/{s}", lambda c: pdqp.solve_standard(p, c),
+                    pdqp.SolveConfig(strategy=s, check_invariants=True))
+    rng = np.random.default_rng(7)
+    for i in range(150):
+        g = mixed_instance(rng, f"mixed{i:03d}")
+        for s in STRATEGIES:
+            d.solve(f"{g.name}/{s}", lambda c: pdqp.solve_pdqp(g, c),
+                    pdqp.SolveConfig(strategy=s))
+    lowrank = LowRank(Path("."))
+    for base in (0, 1):
+        for spec in lowrank.specs(base):
+            g = constructed_qp(*spec)[0]
+            d.solve(g.name, lambda c: pdqp.solve_pdqp(g, c),
+                    pdqp.SolveConfig(max_iterations=lowrank.max_iterations))
+    print(f"pdqp from {Path(pdqp.__file__).parent}")
+    print(f"solves {d.solves}, raised {dict(sorted(d.errors.items()))}")
+    print(f"digest {d.h.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -270,13 +270,13 @@ def test_criterion_10_temporary_bounds():
     sol = solve_pdqp(g, SolveConfig(check_invariants=True))
     assert sol.status == "optimal"
     reg = sol.standardized.registry
-    assert reg.indices() == [1]
-    assert reg.entries[1].dual != 0.0
+    assert sorted(reg) == [1]
+    assert reg[1] != 0.0
     assert abs(sol.standardized.iterate.z[1]) <= 1e-9
     orc = enumerate_solve(std.problem, Shifts.zero(std.problem.n))
     assert orc.status == "optimal"
     assert abs(sol.standardized.objective - orc.objective) \
         <= 1e-7 * (1 + abs(orc.objective))
     _report(10, f"temporary bound with recorded dual "
-                f"{reg.entries[1].dual:+.2f} drained to zero at the "
+                f"{reg[1]:+.2f} drained to zero at the "
                 f"oracle optimum")

@@ -142,6 +142,24 @@ def test_run_records_error_status(tmp_path, capsys):
     assert "crossed: ProblemError: inconsistent bounds" in err
 
 
+def test_error_row_removes_earlier_outputs(tmp_path):
+    # A rerun that ends in an error row leaves no .sol or trace file from
+    # the earlier run to contradict the run log.
+    path = tmp_path / "p1.qpt"
+    text = (PROBLEMS / "p1.qpt").read_text()
+    path.write_text(text)
+    out = tmp_path / "out"
+    rows, _ = run([path], out, trace=True)
+    assert rows[0].status == "optimal"
+    assert (out / "p1.sol").exists() and (out / "p1.trace.csv").exists()
+    path.write_text(text.replace("lower 0 0 1", "lower 2 0 1")
+                    .replace("upper inf inf 1", "upper 1 inf 1"))
+    rows, code = run([path], out, trace=True)
+    assert [(r.name, r.status) for r in rows] == [("p1", "error")]
+    assert code == 1
+    assert sorted(p.name for p in out.iterdir()) == ["runlog.csv"]
+
+
 def test_run_max_iter_limit(tmp_path):
     rows, code = run([PROBLEMS / "rand5.qpt"], tmp_path, max_iter=1)
     assert rows[0].status == "iteration_limit"

@@ -7,7 +7,6 @@ from pdqp import (GeneralQp, InvariantError, Partition, ProblemError,
                   enumerate_solve, find_soc_basis, init_shifts, solve_pdqp,
                   solve_standard, standardize, temporary_bound_pass)
 from pdqp import kkt, steps
-from pdqp.driver import TemporaryBoundRegistry
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
 
 from conftest import random_instances
@@ -203,8 +202,8 @@ def test_temporary_bound_fixture_nonzero_dual():
     assert soc.deferred == [1]       # the free variable stays nonbasic
     sol = solve_pdqp(g, SolveConfig(check_invariants=True))
     reg = sol.standardized.registry
-    assert reg.indices() == [1]
-    assert reg.entries[1].dual == pytest.approx(-1.0)
+    assert sorted(reg) == [1]
+    assert reg[1] == pytest.approx(-1.0)
     assert sol.status == "optimal"
     assert_allclose(sol.x, [1.0, 2.0, 0.0], atol=1e-9)
     assert abs(sol.standardized.iterate.z[1]) < 1e-9
@@ -229,13 +228,12 @@ def test_temporary_bound_decoupled_free_variable():
                   upper=np.array([np.inf, np.inf, 10.0]))
     sol = solve_pdqp(g, SolveConfig(check_invariants=True))
     assert sol.status == "optimal"
-    assert sol.standardized.registry.indices() == [1]
+    assert sorted(sol.standardized.registry) == [1]
     assert sol.x[0] == pytest.approx(1.0)
 
 
 def test_temporary_bound_pass_flags_moved_dual():
-    reg = TemporaryBoundRegistry()
-    reg.register(0, 2.0)
+    reg = {0: 2.0}
     from pdqp import Iterate
     it = Iterate(np.zeros(2), np.zeros(1), np.array([2.0, 0.0]))
     temporary_bound_pass(reg, "dual", it, {0: 2.0})   # unchanged: fine

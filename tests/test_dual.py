@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from pdqp import (Iterate, Partition, QpProblem, Shifts, StartConditionError,
                   check_optimality, dual_base, dual_intermediate, solve_dual)
 from pdqp.kkt import KktBasis
-from pdqp.steps import SolveLimits
 
 from conftest import random_instances
 
@@ -126,8 +125,7 @@ def test_solve_dual_iteration_limit():
                   c=np.zeros(3))
     it = Iterate(np.full(3, -2.0 / 3.0), np.array([-2.0 / 3.0]), np.zeros(3))
     part = Partition(basic=[0, 1, 2], nonbasic=[])
-    out = solve_dual(p, Shifts.zero(3), (it, part),
-                     SolveLimits(max_iterations=1))
+    out = solve_dual(p, Shifts.zero(3), (it, part), max_iterations=1)
     assert out.status == "iteration_limit"
     assert out.iterations == 1
 
@@ -195,3 +193,27 @@ def test_dual_monotone_objective_random():
             assert r.f_dual >= r.f_dual_before - 1e-9 * (1 + abs(r.f_dual_before))
         if out.status == "optimal":
             assert check_optimality(p, s1, out.iterate).optimal
+
+
+def test_direct_solve_dual_keeps_free_nonbasic_dual():
+    # A free variable left nonbasic is a temporary bound even without the
+    # driver: the dual swaps it into the basic set instead of moving its
+    # dual.  On this instance the first base direction has dz_0 != 0.
+    from pdqp import init_shifts
+    rng = np.random.default_rng(1)
+    n, m = 5, 2
+    g = rng.normal(size=(n, n))
+    p = QpProblem(H=g.T @ g / n, M=np.zeros((m, m)), A=rng.normal(size=(m, n)),
+                  b=rng.normal(size=m), c=rng.normal(size=n),
+                  free=frozenset({0}))
+    part = Partition(basic=[1, 2, 3, 4], nonbasic=[0])
+    shifts, it = init_shifts(p, part)
+    s = Shifts(np.zeros(n), shifts.r)
+    records = []
+    out = solve_dual(p, s, (it, part), trace=records.append,
+                     check_invariants=True)
+    assert [(r.kind, r.k) for r in records][0] == ("temp_swap", 0)
+    assert out.status == "optimal"
+    assert out.iterate.z[0] == it.z[0]
+    assert 0 in out.partition.basic
+    assert check_optimality(p, s, out.iterate).optimal

@@ -6,7 +6,6 @@ from pdqp import (Iterate, Partition, QpProblem, Shifts, StartConditionError,
                   check_optimality, primal_base, primal_intermediate,
                   solve_primal)
 from pdqp.kkt import KktBasis
-from pdqp.steps import SolveLimits
 
 from conftest import random_instances
 
@@ -132,8 +131,7 @@ def test_solve_primal_iteration_limit():
     it = Iterate(np.array([0.0, 0.0, 1.0]), np.array([1.0]),
                  np.array([-4.0, -4.0, 0.0]))
     part = Partition(basic=[2], nonbasic=[0, 1])
-    out = solve_primal(p, Shifts.zero(3), (it, part),
-                       SolveLimits(max_iterations=1))
+    out = solve_primal(p, Shifts.zero(3), (it, part), max_iterations=1)
     assert out.status == "iteration_limit"
     assert out.iterations == 1
 
