@@ -304,21 +304,28 @@ def read_expectations(path) -> dict[str, str]:
 def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
         max_iter=0, trace=False, expect=None) -> tuple[list[RunRow], int]:
     """Solve each problem file, write the run log and solution files, and
-    return the rows plus the process exit code.  A file that cannot be
-    read or solved gets an ``error`` row (n = m = 0 when it did not parse)
-    and a message on stderr, and the batch goes on."""
+    return the rows plus the process exit code.  A problem's outputs are
+    named after its ``name`` line (the file stem when it has none).  A
+    file that cannot be read or solved gets an ``error`` row (n = m = 0
+    when it did not parse) and a message on stderr, and the batch goes
+    on; so does a file whose name an earlier file of the batch took,
+    whose outputs it leaves in place."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = SolveConfig(opt_tol=opt_tol, fea_tol=fea_tol,
                          max_iterations=max_iter, strategy=strategy)
     rows = []
+    taken = set()
     for path in paths:
         path = Path(path)
-        trace_to = out / f"{path.stem}.trace.csv" if trace else None
         g = None
         try:
             g = parse_problem(path)
-            row, sol = _solve_one(g, config, trace_to)
+            if g.name in taken:
+                raise ValueError(f"name {g.name!r} is taken by an earlier "
+                                 f"file of this batch")
+            row, sol = _solve_one(
+                g, config, out / f"{g.name}.trace.csv" if trace else None)
         except Exception as exc:     # one bad problem must not end the batch
             name, n, m = (path.stem, 0, 0) if g is None else (g.name, g.n, g.m)
             print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -326,12 +333,14 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
                               objective=None, strategy=strategy,
                               stage1_iters=0, stage2_iters=0, subiters=0,
                               millis=0.0), None
-        if sol is not None:
-            _write_solution(sol, out / f"{row.name}.sol")
-        else:
-            # An earlier run's files would contradict the error row.
-            (out / f"{row.name}.sol").unlink(missing_ok=True)
-            (out / f"{path.stem}.trace.csv").unlink(missing_ok=True)
+        if row.name not in taken:
+            taken.add(row.name)
+            if sol is not None:
+                _write_solution(sol, out / f"{row.name}.sol")
+            else:
+                # An earlier run's files would contradict the error row.
+                (out / f"{row.name}.sol").unlink(missing_ok=True)
+                (out / f"{row.name}.trace.csv").unlink(missing_ok=True)
         rows.append(row)
     log_path = out / "runlog.csv"
     log_path.write_text("\n".join([",".join(RUNLOG_COLUMNS)]

@@ -100,11 +100,12 @@ on a singular matrix, and makes that factorization the new K_B0, when
   declines), so that only ``_freed_component`` on a fresh factorization
   settles a component at zero.
 
-A K_B0 of dim below UPDATE_MIN_DIM is not updated.  Below it lie all the
-problems whose trajectories follow ratio-test ties broken by the sign of
-roundoff, which any change of solve roundoff moves; they keep the fresh
-numerics until ties no longer depend on roundoff.  The threshold is that
-gate, not a cost crossover.
+A K_B0 of dim below UPDATE_MIN_DIM is not updated.  The threshold was
+set to keep the fresh numerics of problems whose ratio-test ties were
+broken by the sign of roundoff.  With Harris's ratio test (``steps``)
+ties no longer depend on roundoff; the threshold stays because the
+in-band fallback above discards K_B0 on most base steps of a degenerate
+stage, where updates then cost more than they save.
 """
 
 from __future__ import annotations
@@ -700,9 +701,7 @@ def _direction(p: QpProblem, part: Partition, l: int, dxl: float,
     dz = np.zeros(p.n)
     dz[l] = dzl
     if nonbasic and dzl != 0.0:
-        dz[nonbasic] = (p.H[nonbasic, l] * dxl
-                        + p.H[np.ix_(nonbasic, basic)] @ dxb
-                        - p.A[:, nonbasic].T @ dy)
+        dz[nonbasic] = p.H[nonbasic] @ dx - p.A[:, nonbasic].T @ dy
     return Direction(dx=dx, dy=dy, dz=dz, freed=l, dx_l=dxl, dz_l=dzl,
                      basic=tuple(basic))
 

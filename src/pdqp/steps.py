@@ -13,6 +13,26 @@ certifies the family's ``unbounded`` status.  Step functions are passed
 in per solve and this module's functions are called by name, so
 rebinding a module attribute (as the benchmark's tracer does) reaches
 every call.
+
+The bound that blocks a step is chosen by Harris's two-pass ratio test
+(``ratio_test``) with delta = 1e-9 * max(1, max|v|) over the live
+guarded values v: candidates whose exact ratio is at most the relaxed
+step alpha_H = min (max(v_i, 0) + delta) / (-d_i) are ties, broken by
+the largest pivot -d_i, and the step goes exactly to the chosen bound.  Degenerate stages are full of ratios that differ only by
+roundoff, so this keeps trajectories independent of the roundoff of the
+KKT solves.  The price is that a guarded value may end up past its
+bound: one that was feasible ends >= -delta, and one already below zero
+loses at most delta more.  With the default tolerances of 1e-6
+(``fea_tol`` / ``opt_tol``) delta stays within what the families'
+``check_invariants`` allow (-fea_tol * (1 + |q_i|) for x + q,
+-opt_tol * max(1, |y|) - 1e-9 for z + r) and what
+``model.check_optimality`` accepts for the final point (eps_fea
+absolute, eps_opt * max(1, |y|)) while max|v| <= 1e3; in practice the
+overshoot is roundoff-sized, since only candidates whose exact ratios
+lie below the chosen one, within the tie band, overshoot.  If cycling shows, the
+documented remedy is EXPAND (Gill, Murray, Saunders & Wright, 1989),
+which grows delta from step to step; the Bland switch (``BLAND_AFTER``)
+and the iteration cap remain the backstops.
 """
 
 from __future__ import annotations
@@ -133,17 +153,25 @@ def _dir_scale(d: Direction) -> float:
 
 
 def ratio_test(values: np.ndarray, deltas: np.ndarray,
-               indices: np.ndarray | list[int],
-               fea_tol: float, scale_floor: float = 1.0
+               indices: np.ndarray | list[int], scale_floor: float = 1.0
                ) -> tuple[float, int | None]:
-    """Least-index minimum-ratio test.
+    """Harris's two-pass ratio test (Harris, 1973, "Pivot selection
+    methods of the Devex LP code"; see the module docstring).
 
-    Over candidates with deltas < 0 returns min values/(-deltas) and the
-    first index attaining it.  Values in [-fea_tol, 0) count as zero, so a
-    slightly infeasible entry yields a zero step instead of a negative
-    one.  ``scale_floor`` should carry the overall direction magnitude:
-    deltas below the noise floor of that scale are not blockers (they are
-    cancellation residue, often of components that vanish identically).
+    Candidates are the entries with deltas < -1e-12 * scale, where scale
+    is the larger of 1, ``scale_floor`` and max|deltas|: ``scale_floor``
+    should carry the overall direction magnitude, and smaller deltas are
+    cancellation residue (often of components that vanish identically),
+    not blockers.  Values below zero count as zero, so a slightly
+    infeasible entry yields a zero step instead of a negative one.
+
+    Pass 1: alpha_H = min (max(v_i, 0) + delta) / (-d_i) over the
+    candidates, delta = 1e-9 * max(1, max|values|).  Pass 2: among the
+    candidates whose exact ratio max(v_i, 0) / (-d_i) is at most alpha_H,
+    the one with the largest -d_i, the first in ``indices`` on ties.
+    Returns its exact ratio and index, or (inf, None) without
+    candidates.  Bland mode (``BLAND_AFTER``) changes index selection
+    only and keeps this leaving rule.
     """
     if len(indices) == 0:
         return np.inf, None
@@ -153,12 +181,13 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray,
     mask = deltas < -1e-12 * scale
     if not np.any(mask):
         return np.inf, None
-    vals = np.where((values < 0.0) & (values >= -fea_tol), 0.0, values)
-    vals = np.maximum(vals, 0.0)
-    ratios = np.full(len(indices), np.inf)
-    ratios[mask] = vals[mask] / (-deltas[mask])
-    pos = int(np.argmin(ratios))
-    return float(ratios[pos]), int(indices[pos])
+    delta = 1e-9 * max(1.0, float(np.max(np.abs(values))))
+    rates = -deltas[mask]
+    vals = np.maximum(values[mask], 0.0)
+    alpha_h = float(np.min((vals + delta) / rates))
+    ratios = vals / rates
+    pos = int(np.argmax(np.where(ratios <= alpha_h, rates, -np.inf)))
+    return float(ratios[pos]), int(np.asarray(indices)[mask][pos])
 
 
 def select_index(v: np.ndarray, one_sided: np.ndarray, two_sided: np.ndarray,
@@ -204,8 +233,7 @@ def _violation(fam: Family, s: Shifts, it: Iterate, l: int) -> float:
 
 def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
               it: Iterate, l: int, solve: Callable[[], Direction],
-              orient: float, tol: float, name: str
-              ) -> tuple[StepResult, Direction]:
+              orient: float, name: str) -> tuple[StepResult, Direction]:
     """Body of step function ``name``: check that l is freed and that orient
     moves its repaired component toward its bound, then step along
     ``solve()`` (negated when orient < 0) until that component reaches
@@ -228,7 +256,7 @@ def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
                           & ~getattr(p, f"{fam.unguarded}_mask"))
     guarded = getattr(it, fam.guarded)[cand] + getattr(s, fam.guard_shift)[cand]
     alpha_max, k = ratio_test(guarded, getattr(d, "d" + fam.guarded)[cand],
-                              cand, tol, scale_floor=_dir_scale(d))
+                              cand, scale_floor=_dir_scale(d))
     alpha = min(alpha_star, alpha_max)
     hit = alpha_star <= alpha_max
     if np.isinf(alpha):

@@ -183,6 +183,44 @@ def test_trace_files_written(tmp_path):
     assert len(trace) > 1
 
 
+def test_outputs_named_after_name_line(tmp_path):
+    path = tmp_path / "p2.qpt"
+    path.write_text((PROBLEMS / "p2.qpt").read_text()
+                    .replace("name p2", "name other"))
+    out = tmp_path / "out"
+    rows, code = run([path], out, trace=True)
+    assert [(r.name, r.status) for r in rows] == [("other", "optimal")]
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "other.sol", "other.trace.csv", "runlog.csv"]
+    # A solve that ends in an error row (primal-only needs a primal-
+    # feasible initial basis; p2's is not) removes them again.
+    rows, _ = run([path], out, trace=True, strategy="primal-only")
+    assert [(r.name, r.status) for r in rows] == [("other", "error")]
+    assert sorted(p.name for p in out.iterdir()) == ["runlog.csv"]
+
+
+def test_reused_name_gets_error_row(tmp_path, capsys):
+    # The second file claims the first one's name; it must not overwrite
+    # the first file's outputs, nor remove them.
+    second = tmp_path / "second.qpt"
+    second.write_text((PROBLEMS / "p2.qpt").read_text()
+                      .replace("name p2", "name p1"))
+    out = tmp_path / "out"
+    rows, code = run([PROBLEMS / "p1.qpt", second], out, trace=True)
+    assert [(r.name, r.status) for r in rows] == [("p1", "optimal"),
+                                                  ("p1", "error")]
+    assert code == 1
+    assert "p1: ValueError: name 'p1' is taken" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "p1.sol", "p1.trace.csv", "runlog.csv"]
+    alone = tmp_path / "alone"
+    run([PROBLEMS / "p1.qpt"], alone, trace=True)
+    for name in ("p1.sol", "p1.trace.csv"):
+        assert (out / name).read_text() == (alone / name).read_text()
+    assert read_runlog(out / "runlog.csv")[1]["status"] == "error"
+
+
 def test_profile_worked_example(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

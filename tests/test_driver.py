@@ -9,7 +9,7 @@ from pdqp import (GeneralQp, InvariantError, Partition, ProblemError,
 from pdqp import kkt, steps
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
 
-from conftest import random_instances
+from conftest import criterion7_instance, random_instances
 
 
 def general_p1():
@@ -288,6 +288,16 @@ def test_bland_mode_still_converges(monkeypatch):
     sol = solve_standard(p, SolveConfig(check_invariants=True))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.0)
+
+
+def test_degenerate_lowrank_instance_s12002_solves():
+    # H of rank 12 at n=150: its dual stage is degenerate, and a tie
+    # broken by roundoff once led to a basis with singular K_B
+    # ("K_B unexpectedly singular").
+    g, _, fstar = criterion7_instance(150, 15, 15, 12002, rank=12)
+    sol = solve_pdqp(g, SolveConfig(max_iterations=500))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(fstar, rel=1e-9)
 
 
 def test_doubly_infeasible_problem_gets_either_certificate():

@@ -2,10 +2,9 @@
 criterion-7 instances must match the pin files in tests/data/trajectories/
 exactly.
 
-* lowrank.csv: 20 instances with H = G'G/n (n=60).  Their degenerate dual
-  stages break ratio-test ties by the sign of roundoff, so a change to the
-  numerics of the KKT solves moves these counts long before it moves any
-  status.
+* lowrank.csv: 20 instances with H = G'G/n (n=60).  Their dual stages
+  are degenerate, full of ratio-test ties; a tie rule that roundoff
+  could sway would move these counts long before it moved any status.
 * pd300.csv: one instance with a tridiagonal positive definite H (n=300,
   K_B of dim 237 and more), solved at the defaults and from a smaller
   given basis under primal-first.  Its K_B solves take the
@@ -15,8 +14,11 @@ exactly.
   initial basis fails that strategy's precondition is recorded as status
   ``error``.
 
+``test_trajectories_do_not_depend_on_refinement`` reruns all three with
+an extra refinement step in every KKT solve and requires the same counts.
+
 Regenerate the files only for a change that is meant to alter
-trajectories, and say so:
+trajectories, and say so; the command prints every row it changes:
 
     python tests/test_trajectories.py
 """
@@ -127,6 +129,23 @@ def test_suite_trajectories_unchanged():
     _assert_matches(SUITE, _suite_rows())
 
 
+def _solve_refined_twice(self, rhs):
+    x = self._once(rhs)
+    for _ in range(2):
+        x += self._once(rhs - self.matrix @ x)
+    return x
+
+
+def test_trajectories_do_not_depend_on_refinement(monkeypatch):
+    # A second refinement step changes the solves only at roundoff level.
+    # Degenerate ties must not be broken by that roundoff, so every pinned
+    # trajectory stays the same.
+    monkeypatch.setattr(kkt._Factor, "solve", _solve_refined_twice)
+    _assert_matches(LOWRANK, _lowrank_rows())
+    _assert_matches(SUITE, _suite_rows())
+    _assert_matches(PD, _pd_rows())
+
+
 def test_pd_stages_refactor_once_per_border_cap(monkeypatch):
     # Fresh factorizations are LAPACK attempts (every factorization tries
     # one first).  Each subiteration moves at most one blocking index and
@@ -163,7 +182,22 @@ def test_pd_stages_refactor_once_per_border_cap(monkeypatch):
                 (label, out.method, len(dims), changes)
 
 
+def _summary(row):
+    return f"{row['status']} {row['iterations']}/{row['subiterations']}"
+
+
 def _write(path, rows):
+    """Write a pin file and print each row that changed, or was added,
+    against the file it replaces."""
+    old = {}
+    if path.exists():
+        with path.open(newline="") as fh:
+            old = {r["name"]: r for r in csv.DictReader(fh)}
+    changed = [r for r in rows if old.get(r["name"]) != r]
+    print(f"{path.name}: {len(changed)} of {len(rows)} rows changed")
+    for r in changed:
+        before = _summary(old[r["name"]]) if r["name"] in old else "(new)"
+        print(f"  {r['name']}: {before} \u2192 {_summary(r)}")
     with path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=FIELDS, lineterminator="\n")
         writer.writeheader()
