@@ -86,7 +86,7 @@ def _direction_keeping_free_duals(p: QpProblem, part: Partition, solve,
 
 
 def dual_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
-              *, basis: KktBasis, orient: float = 1.0,
+              *, basis: KktBasis, orient: float = 1.0, opt_tol: float = 1e-6,
               swap_sink=None) -> tuple[StepResult, Direction]:
     """Base subiteration: fix dz_l = orient (bordered K_l system) and
     move x_l + q_l toward zero (see ``take_step``).  An infinite step
@@ -95,17 +95,19 @@ def dual_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
     solve = partial(_direction_keeping_free_duals, p, part,
                     lambda: solve_intermediate_primal(p, part, l, basis),
                     swap_sink)
-    return take_step(DUAL, p, s, part, it, l, solve, orient, "dual_base")
+    return take_step(DUAL, p, s, part, it, l, solve, orient, opt_tol,
+                     "dual_base")
 
 
 def dual_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
                       l: int, *, basis: KktBasis, orient: float = 1.0,
-                      swap_sink=None) -> tuple[StepResult, Direction]:
+                      opt_tol: float = 1e-6, swap_sink=None
+                      ) -> tuple[StepResult, Direction]:
     """Intermediate subiteration: fix dx_l = orient (K_B system), so the
     target step -(x_l + q_l)/dx_l is always finite."""
     solve = partial(_direction_keeping_free_duals, p, part,
                     lambda: solve_base_primal(p, part, basis, l), swap_sink)
-    return take_step(DUAL, p, s, part, it, l, solve, orient,
+    return take_step(DUAL, p, s, part, it, l, solve, orient, opt_tol,
                      "dual_intermediate")
 
 
@@ -120,6 +122,7 @@ def solve_dual(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
     stage's KKT updates."""
     return run_active_set(
         DUAL, p, s, start,
-        partial(dual_base, p, s), partial(dual_intermediate, p, s),
+        partial(dual_base, p, s, opt_tol=opt_tol),
+        partial(dual_intermediate, p, s, opt_tol=opt_tol),
         tol=opt_tol, max_iterations=max_iterations, trace=trace,
         check_invariants=check_invariants, factor=factor)

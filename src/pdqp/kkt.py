@@ -100,12 +100,13 @@ on a singular matrix, and makes that factorization the new K_B0, when
   declines), so that only ``_freed_component`` on a fresh factorization
   settles a component at zero.
 
-A K_B0 of dim below UPDATE_MIN_DIM is not updated.  The threshold was
-set to keep the fresh numerics of problems whose ratio-test ties were
-broken by the sign of roundoff.  With Harris's ratio test (``steps``)
-ties no longer depend on roundoff; the threshold stays because the
-in-band fallback above discards K_B0 on most base steps of a degenerate
-stage, where updates then cost more than they save.
+A K_B0 of dim below UPDATE_MIN_DIM is not updated.  The threshold is a
+temporary gate, not a measured cost crossover.  It was set to keep the
+fresh numerics of problems whose ratio-test ties were broken by the sign
+of roundoff, which Harris's ratio test (``steps``) has since removed; it
+stays until in-band freed components are settled from K_B0, since the
+in-band fallback above now discards K_B0 on most base steps of a
+degenerate stage.
 """
 
 from __future__ import annotations

@@ -57,24 +57,25 @@ PRIMAL = Family(method="primal", repaired="z", repair_shift="r",
 
 
 def primal_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
-                *, basis: KktBasis, orient: float = 1.0
+                *, basis: KktBasis, orient: float = 1.0, fea_tol: float = 1e-6
                 ) -> tuple[StepResult, Direction]:
     """Base subiteration: fix dx_l = orient (K_B system) and step as far
     as the primal bounds allow (see ``take_step``).  An infinite step,
     returned unapplied, certifies that the dual problem is infeasible."""
     return take_step(PRIMAL, p, s, part, it, l,
                      lambda: solve_base_primal(p, part, basis, l),
-                     orient, "primal_base")
+                     orient, fea_tol, "primal_base")
 
 
 def primal_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
-                        l: int, *, basis: KktBasis, orient: float = 1.0
+                        l: int, *, basis: KktBasis, orient: float = 1.0,
+                        fea_tol: float = 1e-6
                         ) -> tuple[StepResult, Direction]:
     """Intermediate subiteration: fix dz_l = orient (bordered K_l system),
     so the target step -(z_l + r_l)/dz_l is always finite."""
     return take_step(PRIMAL, p, s, part, it, l,
                      lambda: solve_intermediate_primal(p, part, l, basis),
-                     orient, "primal_intermediate")
+                     orient, fea_tol, "primal_intermediate")
 
 
 def solve_primal(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
@@ -88,6 +89,7 @@ def solve_primal(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
     stage's KKT updates."""
     return run_active_set(
         PRIMAL, p, s, start,
-        partial(primal_base, p, s), partial(primal_intermediate, p, s),
+        partial(primal_base, p, s, fea_tol=fea_tol),
+        partial(primal_intermediate, p, s, fea_tol=fea_tol),
         tol=fea_tol, max_iterations=max_iterations, trace=trace,
         check_invariants=check_invariants, factor=factor)

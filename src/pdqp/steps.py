@@ -15,24 +15,15 @@ rebinding a module attribute (as the benchmark's tracer does) reaches
 every call.
 
 The bound that blocks a step is chosen by Harris's two-pass ratio test
-(``ratio_test``) with delta = 1e-9 * max(1, max|v|) over the live
-guarded values v: candidates whose exact ratio is at most the relaxed
-step alpha_H = min (max(v_i, 0) + delta) / (-d_i) are ties, broken by
-the largest pivot -d_i, and the step goes exactly to the chosen bound.  Degenerate stages are full of ratios that differ only by
-roundoff, so this keeps trajectories independent of the roundoff of the
-KKT solves.  The price is that a guarded value may end up past its
-bound: one that was feasible ends >= -delta, and one already below zero
-loses at most delta more.  With the default tolerances of 1e-6
-(``fea_tol`` / ``opt_tol``) delta stays within what the families'
-``check_invariants`` allow (-fea_tol * (1 + |q_i|) for x + q,
--opt_tol * max(1, |y|) - 1e-9 for z + r) and what
-``model.check_optimality`` accepts for the final point (eps_fea
-absolute, eps_opt * max(1, |y|)) while max|v| <= 1e3; in practice the
-overshoot is roundoff-sized, since only candidates whose exact ratios
-lie below the chosen one, within the tie band, overshoot.  If cycling shows, the
-documented remedy is EXPAND (Gill, Murray, Saunders & Wright, 1989),
-which grows delta from step to step; the Bland switch (``BLAND_AFTER``)
-and the iteration cap remain the backstops.
+(``ratio_test``).  Degenerate stages are full of ratios that differ only
+by roundoff; treating those as ties broken by pivot size keeps
+trajectories independent of the roundoff of the KKT solves.  The price
+is an overshoot of at most delta <= 0.1 * tol per guarded value, which
+never accumulates over steps, so the families' ``check_invariants`` and
+``model.check_optimality`` hold with the same ``tol``.  If cycling
+shows, the documented remedy is EXPAND (Gill, Murray, Saunders & Wright,
+1989), which grows delta from step to step; the Bland switch
+(``BLAND_AFTER``) and the iteration cap remain the backstops.
 """
 
 from __future__ import annotations
@@ -153,25 +144,27 @@ def _dir_scale(d: Direction) -> float:
 
 
 def ratio_test(values: np.ndarray, deltas: np.ndarray,
-               indices: np.ndarray | list[int], scale_floor: float = 1.0
-               ) -> tuple[float, int | None]:
+               indices: np.ndarray | list[int], tol: float,
+               scale_floor: float = 1.0) -> tuple[float, int | None]:
     """Harris's two-pass ratio test (Harris, 1973, "Pivot selection
-    methods of the Devex LP code"; see the module docstring).
+    methods of the Devex LP code").
 
     Candidates are the entries with deltas < -1e-12 * scale, where scale
     is the larger of 1, ``scale_floor`` and max|deltas|: ``scale_floor``
     should carry the overall direction magnitude, and smaller deltas are
     cancellation residue (often of components that vanish identically),
-    not blockers.  Values below zero count as zero, so a slightly
-    infeasible entry yields a zero step instead of a negative one.
+    not blockers.
 
-    Pass 1: alpha_H = min (max(v_i, 0) + delta) / (-d_i) over the
-    candidates, delta = 1e-9 * max(1, max|values|).  Pass 2: among the
-    candidates whose exact ratio max(v_i, 0) / (-d_i) is at most alpha_H,
-    the one with the largest -d_i, the first in ``indices`` on ties.
-    Returns its exact ratio and index, or (inf, None) without
-    candidates.  Bland mode (``BLAND_AFTER``) changes index selection
-    only and keeps this leaving rule.
+    Pass 1: alpha_H = min max(v_i + delta, 0) / (-d_i) over the
+    candidates, with delta = min(1e-9 * max(1, max|values|), 0.1 * tol).
+    Pass 2: among the candidates whose exact ratio max(v_i, 0) / (-d_i)
+    is at most alpha_H, the one with the largest -d_i, the first in
+    ``indices`` on ties.  Returns its exact ratio and index, or
+    (inf, None) without candidates.  A step of that length leaves every
+    candidate at >= min(v_i, -delta): a value below -delta allows only a
+    zero step, and one below zero can block with a zero step.  Bland
+    mode (``BLAND_AFTER``) changes index selection only and keeps this
+    leaving rule.
     """
     if len(indices) == 0:
         return np.inf, None
@@ -181,11 +174,11 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray,
     mask = deltas < -1e-12 * scale
     if not np.any(mask):
         return np.inf, None
-    delta = 1e-9 * max(1.0, float(np.max(np.abs(values))))
+    delta = min(1e-9 * max(1.0, float(np.max(np.abs(values)))), 0.1 * tol)
     rates = -deltas[mask]
-    vals = np.maximum(values[mask], 0.0)
-    alpha_h = float(np.min((vals + delta) / rates))
-    ratios = vals / rates
+    vals = values[mask]
+    alpha_h = float(np.min(np.maximum(vals + delta, 0.0) / rates))
+    ratios = np.maximum(vals, 0.0) / rates
     pos = int(np.argmax(np.where(ratios <= alpha_h, rates, -np.inf)))
     return float(ratios[pos]), int(np.asarray(indices)[mask][pos])
 
@@ -233,7 +226,8 @@ def _violation(fam: Family, s: Shifts, it: Iterate, l: int) -> float:
 
 def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
               it: Iterate, l: int, solve: Callable[[], Direction],
-              orient: float, name: str) -> tuple[StepResult, Direction]:
+              orient: float, tol: float, name: str
+              ) -> tuple[StepResult, Direction]:
     """Body of step function ``name``: check that l is freed and that orient
     moves its repaired component toward its bound, then step along
     ``solve()`` (negated when orient < 0) until that component reaches
@@ -256,7 +250,7 @@ def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
                           & ~getattr(p, f"{fam.unguarded}_mask"))
     guarded = getattr(it, fam.guarded)[cand] + getattr(s, fam.guard_shift)[cand]
     alpha_max, k = ratio_test(guarded, getattr(d, "d" + fam.guarded)[cand],
-                              cand, scale_floor=_dir_scale(d))
+                              cand, tol, scale_floor=_dir_scale(d))
     alpha = min(alpha_star, alpha_max)
     hit = alpha_star <= alpha_max
     if np.isinf(alpha):

@@ -300,6 +300,26 @@ def test_degenerate_lowrank_instance_s12002_solves():
     assert sol.objective == pytest.approx(fstar, rel=1e-9)
 
 
+@pytest.mark.parametrize("check", [False, True])
+@pytest.mark.parametrize("strategy", ["auto", "primal-only", "dual-first"])
+def test_large_guarded_value_does_not_widen_ratio_ties(strategy, check):
+    # Basis {0, 1, 2} is primal feasible at x = (0, 0.5, 1e6).  Entering
+    # x3 lowers x0 at rate 1e-3 and x1 at rate 1, so the degenerate x0
+    # must block with a zero step; a tie band grown with max|x| = 1e6 let
+    # x1 block at step 0.5 and left x0 at -5e-4.
+    A = np.array([[1.0, 0.0, 0.0, 1e-3], [0.0, 1.0, 0.0, 1.0],
+                  [0.0, 0.0, 1.0, 0.0]])
+    p = QpProblem(H=np.zeros((4, 4)), M=np.zeros((3, 3)), A=A,
+                  b=np.array([0.0, 0.5, 1e6]),
+                  c=np.array([0.0, 0.0, 0.0, -1.0]))
+    sol = solve_standard(p, SolveConfig(initial_basis=[0, 1, 2],
+                                        strategy=strategy,
+                                        check_invariants=check))
+    assert sol.status == "optimal"
+    assert check_optimality(p, Shifts.zero(4), sol.iterate).optimal
+    assert_allclose(sol.iterate.x, [0.0, 0.5, 1e6, 0.0], atol=1e-9)
+
+
 def test_doubly_infeasible_problem_gets_either_certificate():
     # x1 + x2 = -1 has no solution x >= 0, and the dual needs
     # z3 = c3 = -1 >= 0.  With both feasible sets empty either
