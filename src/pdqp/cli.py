@@ -201,6 +201,15 @@ def parse_problem(path) -> GeneralQp:
     return GeneralQp(Hhat=H, Ahat=A, c=c, lower=lower, upper=upper, name=name)
 
 
+def _write_new(path, text: str) -> None:
+    """Replace ``path`` with a new file holding ``text``.  Unlinking first
+    makes a rerun write new files instead of truncating and rewriting the
+    old ones in place."""
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+
+
 def _fmt(v: float) -> str:
     if v == math.inf:
         return "inf"
@@ -229,7 +238,7 @@ def emit_problem(g: GeneralQp, path) -> None:
     out.append("lower " + " ".join(_fmt(v) for v in g.lower))
     out.append("upper " + " ".join(_fmt(v) for v in g.upper))
     out.append("end")
-    path.write_text("\n".join(out) + "\n")
+    _write_new(path, "\n".join(out) + "\n")
 
 
 @dataclass
@@ -276,7 +285,7 @@ def _solve_one(g: GeneralQp, config: SolveConfig, trace_to=None
                 f"{r.alpha_max:.9g},{r.dx_l:.9g},{r.dz_l:.9g},"
                 f"{r.violation:.9g},{r.f_primal:.12g},{r.f_dual:.12g}"
                 for r in records]
-        Path(trace_to).write_text("\n".join([header] + body) + "\n")
+        _write_new(trace_to, "\n".join([header] + body) + "\n")
     return row, sol
 
 
@@ -287,7 +296,7 @@ def _write_solution(sol: PdqpSolution, path: Path) -> None:
     lines.append("x " + " ".join(f"{v:.12g}" for v in sol.x))
     lines.append("y " + " ".join(f"{v:.12g}" for v in sol.y))
     lines.append("z " + " ".join(f"{v:.12g}" for v in sol.z))
-    path.write_text("\n".join(lines) + "\n")
+    _write_new(path, "\n".join(lines) + "\n")
 
 
 def read_expectations(path) -> dict[str, str]:
@@ -342,9 +351,8 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
                 (out / f"{row.name}.sol").unlink(missing_ok=True)
                 (out / f"{row.name}.trace.csv").unlink(missing_ok=True)
         rows.append(row)
-    log_path = out / "runlog.csv"
-    log_path.write_text("\n".join([",".join(RUNLOG_COLUMNS)]
-                                  + [r.csv() for r in rows]) + "\n")
+    _write_new(out / "runlog.csv", "\n".join([",".join(RUNLOG_COLUMNS)]
+                                             + [r.csv() for r in rows]) + "\n")
     expected = read_expectations(expect) if expect else None
     code = 0
     for row in rows:
@@ -426,7 +434,7 @@ def profile(log_a, log_b, out_path) -> dict:
     lines += [f"{tau:.9g},{frac:.9g}" for tau, frac in data["b"]]
     lines += ["# section: factors", "name,log2_ratio"]
     lines += [f"{name},{val}" for name, val in factors]
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    _write_new(out_path, "\n".join(lines) + "\n")
     return data
 
 

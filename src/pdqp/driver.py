@@ -33,7 +33,7 @@ from .kkt import (KktFactorization, factor_kb_or_raise, find_soc_basis,
                   solve_boundary_point)
 from .model import (InvariantError, Iterate, Partition, ProblemError,
                     QpProblem, Shifts, check_optimality, dual_objective,
-                    primal_objective)
+                    index_mask, primal_objective)
 from .primal import solve_primal
 from .steps import OPTIMAL, PRIMAL_INFEASIBLE, SolveOutcome, TraceSink
 
@@ -171,11 +171,13 @@ def standardize(g: GeneralQp) -> Standardized:
     n_std = nm + nb
     m_std = m + nb
 
-    hbar = np.zeros((n_std, n_std))
-    hbar[:n, :n] = g.Hhat
-    dfull = np.ones(n_std)
-    dfull[:nm] = sign
-    h_std = hbar * np.outer(dfull, dfull)
+    # H_std = D Hhat D, D = diag(sign): a sign flip, exact in floating point.
+    h_std = np.zeros((n_std, n_std))
+    h_std[:n, :n] = g.Hhat
+    flip = np.flatnonzero(sign[:n] < 0)
+    if flip.size:
+        h_std[flip] *= -1.0
+        h_std[:, flip] *= -1.0
 
     grad = g.Hhat @ anchor[:n] + g.c
     c_std = np.zeros(n_std)
@@ -195,12 +197,12 @@ def standardize(g: GeneralQp) -> Standardized:
     # A row whose every live (non-fixed) coefficient vanishes pins nothing:
     # it is redundant when the fixed values satisfy it and a proof of
     # primal infeasibility otherwise.
-    live = [j for j in range(n_std) if j not in fixed]
+    live = np.flatnonzero(~index_mask(n_std, fixed))
     kept_rows = list(range(m_std))
     dead_rows: list[int] = []
     inconsistent = None
     for i in range(m):
-        row_live = np.max(np.abs(a_std[i, live])) if live else 0.0
+        row_live = np.max(np.abs(a_std[i, live])) if live.size else 0.0
         if row_live > 1e-12 * max(1.0, float(np.max(np.abs(a_std[i])))):
             continue
         slack = 1e-9 * (1.0 + float(np.abs(a_std[i, :nm]) @ np.abs(anchor))
@@ -269,7 +271,7 @@ def temporary_bound_pass(registry: dict[int, float], stage: str,
     """
     if not registry:
         return
-    scale = max(1.0, float(np.max(np.abs(it.z))) if it.z.size else 0.0)
+    scale = max(1.0, float(np.abs(it.z).max()) if it.z.size else 0.0)
     for j in sorted(registry):
         if stage == "primal":
             if abs(it.z[j]) > tol * scale:
@@ -345,10 +347,10 @@ def _is_dual_feasible_start(p: QpProblem, shifts0: Shifts, it: Iterate,
                             fea_tol: float) -> bool:
     """Whether the initial dual shifts are within tolerance: r_j is
     max(-z_j, 0) on bounded nonbasic indices and -z_j on free ones."""
-    y_scale = max(1.0, float(np.max(np.abs(it.y))) if it.y.size else 0.0)
+    y_scale = max(1.0, float(np.abs(it.y).max()) if it.y.size else 0.0)
     free = p.free_mask
-    return (float(np.max(shifts0.r[~free], initial=0.0)) <= fea_tol * y_scale
-            and float(np.max(np.abs(shifts0.r[free]), initial=0.0)) <= fea_tol)
+    return (float(shifts0.r[~free].max(initial=0.0)) <= fea_tol * y_scale
+            and float(np.abs(shifts0.r[free]).max(initial=0.0)) <= fea_tol)
 
 
 def _stage_log(p: QpProblem, s: Shifts, out: SolveOutcome) -> StageLog:
@@ -438,7 +440,7 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
             raise InvariantError(f"final point failed the optimality "
                                  f"check: {rep}")
         for j in registry:
-            if abs(out.iterate.z[j]) > 1e-7 * max(1.0, float(np.max(np.abs(out.iterate.z)))):
+            if abs(out.iterate.z[j]) > 1e-7 * max(1.0, float(np.abs(out.iterate.z).max())):
                 raise InvariantError(
                     f"temporary-bound dual z[{j}] nonzero at completion")
     return StandardSolution(status=out.status, iterate=out.iterate,

@@ -28,7 +28,7 @@ from .steps import (PRIMAL_INFEASIBLE, Family, SolveOutcome, StepResult,
 
 
 def _check_start(p, s, part, it, opt_tol):
-    y_scale = max(1.0, float(np.max(np.abs(it.y))) if it.y.size else 0.0)
+    y_scale = max(1.0, float(np.abs(it.y).max()) if it.y.size else 0.0)
     for i in part.basic:
         if i in p.free:
             continue
@@ -42,7 +42,7 @@ def _check_start(p, s, part, it, opt_tol):
 
 
 def _check_invariants(p, s, part, it, opt_tol):
-    y_scale = max(1.0, float(np.max(np.abs(it.y))) if it.y.size else 0.0)
+    y_scale = max(1.0, float(np.abs(it.y).max()) if it.y.size else 0.0)
     for j in part.nonbasic:
         if j not in p.fixed and \
                 it.z[j] + s.r[j] < -opt_tol * y_scale - 1e-9:

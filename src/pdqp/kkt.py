@@ -100,13 +100,21 @@ on a singular matrix, and makes that factorization the new K_B0, when
   declines), so that only ``_freed_component`` on a fresh factorization
   settles a component at zero.
 
-A K_B0 of dim below UPDATE_MIN_DIM is not updated.  The threshold is a
-temporary gate, not a measured cost crossover.  It was set to keep the
-fresh numerics of problems whose ratio-test ties were broken by the sign
-of roundoff, which Harris's ratio test (``steps``) has since removed; it
-stays until in-band freed components are settled from K_B0, since the
-in-band fallback above now discards K_B0 on most base steps of a
-degenerate stage.
+A K_B0 of dim below UPDATE_MIN_DIM is not updated, because there an
+update costs more than a fresh factorization.  An updated solve costs a
+roughly fixed 50-70 us up to dim 165 (the eigendecomposition of S, the
+new border solve and two passes through K_B0), while a fresh
+Bunch-Kaufman factorization and solve grows as dim^3: on criterion-7
+K_B matrices, with one BLAS thread on a 2-vCPU VM, 12 us at dim 9,
+48 us at 69, 88 us at 109, 181 us at 164 and 316 us at 219 (updates
+53, 49, 54, 68 and 80 us), so the crossover lies between dim 70 and
+110.  Inside real solves the in-band fallback adds the cost of an update
+that is computed and then declined.  With the gate at 0, ten alternating
+benchmark pairs per workload lost 23-26% solves/s on ``suite500``
+(bases of dim <= 20), ``lowrank`` (dim 20-100) and ``mixed-bounds``
+(dim <= 50), and left ``ladder`` (dim >= 100, mostly >= 400) unchanged.
+No workload has bases between dim 100 and 200, so the measurements
+place the crossover but do not pin the gate's value within that range.
 """
 
 from __future__ import annotations
@@ -224,9 +232,13 @@ class _BunchKaufman(_Factor):
 def _swap(w: np.ndarray, perm: np.ndarray, i: int, j: int) -> None:
     if i == j:
         return
-    w[[i, j], :] = w[[j, i], :]
-    w[:, [i, j]] = w[:, [j, i]]
-    perm[[i, j]] = perm[[j, i]]
+    row = w[i].copy()
+    w[i] = w[j]
+    w[j] = row
+    col = w[:, i].copy()
+    w[:, i] = w[:, j]
+    w[:, j] = col
+    perm[i], perm[j] = perm[j], perm[i]
 
 
 def _inv2(p: np.ndarray) -> np.ndarray:
@@ -245,11 +257,14 @@ def _factor_symmetric_indefinite(k: np.ndarray,
     the remaining block falls below the pivot tolerance, every remaining
     index is deferred.  ``forced_first`` indices are tried as leading 1x1
     pivots (in the given order) when their current diagonal is eligible.
+    The 2x2 search reads the lower triangle of the working matrix, whose
+    two triangles differ by roundoff, so a 2x2 pivot takes both
+    off-diagonal entries from the one the search found.
     """
     dim = k.shape[0]
     w = np.array(k, dtype=float)
     perm = np.arange(dim)
-    scale = float(np.max(np.abs(k))) if dim else 0.0
+    scale = float(np.abs(k).max()) if dim else 0.0
     tol = PIVOT_TOL * scale
     dblocks: list[tuple[int, np.ndarray]] = []
     pos = 0
@@ -260,7 +275,7 @@ def _factor_symmetric_indefinite(k: np.ndarray,
         piv = w[pos, pos]
         col = w[pos + 1:, pos].copy()
         mult = col / piv
-        w[pos + 1:, pos + 1:] -= np.outer(mult, col)
+        w[pos + 1:, pos + 1:] -= mult[:, None] * col
         w[pos + 1:, pos] = mult
         w[pos, pos + 1:] = mult
         dblocks.append((pos, np.array([[piv]])))
@@ -268,11 +283,13 @@ def _factor_symmetric_indefinite(k: np.ndarray,
 
     def eliminate_2x2(at_i: int, at_j: int) -> None:
         nonlocal pos
+        off = w[max(at_i, at_j), min(at_i, at_j)]
         _swap(w, perm, pos, at_i)
         if at_j == pos:
             at_j = at_i
         _swap(w, perm, pos + 1, at_j)
         block = w[pos:pos + 2, pos:pos + 2].copy()
+        block[0, 1] = block[1, 0] = off
         u = w[pos + 2:, pos:pos + 2].copy()
         mult = u @ _inv2(block)
         w[pos + 2:, pos + 2:] -= mult @ u.T
@@ -290,15 +307,17 @@ def _factor_symmetric_indefinite(k: np.ndarray,
             eliminate_1x1(at)
 
     while pos < dim:
-        diag = np.abs(np.diag(w)[pos:])
-        dmax = float(np.max(diag))
+        diag = np.abs(w.diagonal()[pos:])
+        at = int(np.argmax(diag))
+        dmax = diag[at]
         if dmax > tol:
-            ties = pos + np.nonzero(diag == dmax)[0]
-            at = int(ties[np.argmin(perm[ties])])
-            eliminate_1x1(at)
+            ties = np.flatnonzero(diag == dmax)
+            if ties.size > 1:
+                at = int(ties[np.argmin(perm[pos + ties])])
+            eliminate_1x1(pos + at)
             continue
         sub = np.tril(np.abs(w[pos:, pos:]), -1)
-        omax = float(np.max(sub)) if sub.size else 0.0
+        omax = float(sub.max()) if sub.size else 0.0
         if omax <= tol:
             break
         pairs = []
@@ -340,7 +359,7 @@ def _bunch_kaufman(k: np.ndarray) -> _BunchKaufman | None:
     ldu, ipiv, info = lapack.dsytrf(k, lower=1, lwork=lwork)
     if info != 0:
         return None
-    anorm = float(np.max(np.sum(np.abs(k), axis=0)))
+    anorm = float(np.abs(k).sum(axis=0).max())
     rcond, info = lapack.dsycon(ldu, ipiv, anorm, lower=1)
     if info != 0 or not rcond > 100 * dim * PIVOT_TOL:    # NaN rejects too
         return None
@@ -415,31 +434,36 @@ class SocBasisResult:
     factor: KktFactorization | None = None
 
 
-def build_kb(p: QpProblem, basic: list[int]) -> np.ndarray:
+def build_kb(p: QpProblem, basic: Sequence[int] | np.ndarray) -> np.ndarray:
     """Assemble K_B = [[H_BB, A_B'], [A_B, -M]] for an ordered basic set."""
-    hbb = p.H[np.ix_(basic, basic)]
-    ab = p.A[:, basic]
-    top = np.hstack([hbb, ab.T])
-    bottom = np.hstack([ab, -p.M])
-    return np.vstack([top, bottom])
+    basic = np.asarray(basic, dtype=np.intp)
+    nb = basic.size
+    k = np.empty((nb + p.m, nb + p.m))
+    p.H.take(basic, axis=0).take(basic, axis=1, out=k[:nb, :nb])
+    ab = p.A.take(basic, axis=1)
+    k[nb:, :nb] = ab
+    k[:nb, nb:] = ab.T
+    np.negative(p.M, out=k[nb:, nb:])
+    return k
 
 
-def build_kl(p: QpProblem, basic: list[int], l: int) -> np.ndarray:
+def build_kl(p: QpProblem, basic: Sequence[int] | np.ndarray,
+             l: int) -> np.ndarray:
     """Assemble the bordered matrix K_l with the freed index leading."""
-    return build_kb(p, [l] + list(basic))
+    return build_kb(p, np.concatenate(([l], np.asarray(basic, np.intp))))
 
 
 def factor_kb(p: QpProblem, part: Partition) -> KktFactorization | SingularReport:
     """Factor K_B.  Returns a SingularReport instead of raising when K_B is
     singular within the pivot tolerance."""
-    basic = list(part.basic)
-    kb = build_kb(p, basic)
+    kb = build_kb(p, np.flatnonzero(part.basic_mask))
     data = _factorize(kb)
     if data.deferred.size:
-        return SingularReport(basis=tuple(basic), dim=kb.shape[0],
+        return SingularReport(basis=tuple(part.basic), dim=kb.shape[0],
                               null_vector=_null_vector(data),
                               message=f"{data.deferred.size} deferred pivot(s)")
-    return KktFactorization(basis=tuple(basic), dim=kb.shape[0], _data=data)
+    return KktFactorization(basis=tuple(part.basic), dim=kb.shape[0],
+                            _data=data)
 
 
 def factor_kb_or_raise(p: QpProblem, part: Partition) -> KktFactorization:
@@ -482,7 +506,7 @@ class KktBasis:
         self._basis0 = np.asarray(order, dtype=int)
         self._pos0 = np.full(self.p.n, -1)
         self._pos0[self._basis0] = np.arange(self._basis0.size)
-        self._max0 = float(np.max(np.abs(data.matrix)))
+        self._max0 = float(np.abs(data.matrix).max())
         self._slot: dict[int, int] = {}
         self._w = np.zeros((dim, BORDER_CAP))        # border columns W
         self._v = np.empty((dim, BORDER_CAP))        # V = K_B0^-1 W
@@ -527,7 +551,7 @@ class KktBasis:
             else:                       # a column of B not in B0
                 w[:nb0] = p.H[self._basis0, j]
                 w[nb0:] = p.A[:, j]
-                self._wmax[at] = float(np.max(np.abs(w)))
+                self._wmax[at] = float(np.abs(w).max())
             v = k0._once(w)
             self._v[:, at] = v
             g = self._w[:, :at + 1].T @ v
@@ -572,10 +596,10 @@ class KktBasis:
         schur = -self._gram[np.ix_(slots, slots)]
         schur[:na, :na] += hqq
         lam, vec = np.linalg.eigh(schur)
-        smallest = float(np.min(np.abs(lam), initial=np.inf))
-        vnorm = float(np.sqrt(np.sum(self._vnorm2[slots])))
-        max_kb = max(self._max0, float(np.max(self._wmax[slots], initial=0.0)),
-                     float(np.max(np.abs(hqq), initial=0.0)))
+        smallest = float(np.abs(lam).min(initial=np.inf))
+        vnorm = float(np.sqrt(self._vnorm2[slots].sum()))
+        max_kb = max(self._max0, float(self._wmax[slots].max(initial=0.0)),
+                     float(np.abs(hqq).max(initial=0.0)))
         if not smallest > 0.0:
             return None
         inv_bound = k0.inv_norm + (1.0 + vnorm) ** 2 / smallest
@@ -617,22 +641,23 @@ def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisRes
     defer nothing, so every non-fixed column is basic and the accepted
     factorization is that of K_B, which the result carries.
     """
-    n, m = p.n, p.m
-    cand = [j for j in range(n) if j not in p.fixed]
+    cand = np.flatnonzero(~p.fixed_mask)
     k_full = build_kb(p, cand)
     forced = None
     if prefer:
-        pos = {j: i for i, j in enumerate(cand)}
+        pos = {j: i for i, j in enumerate(cand.tolist())}
         forced = [pos[j] for j in sorted(prefer) if j in pos]
     accepted = _bunch_kaufman(k_full)
     data = accepted or _factor_symmetric_indefinite(k_full, forced_first=forced)
-    nc = len(cand)
-    deferred = sorted(cand[i] for i in data.deferred if i < nc)
-    if any(i >= nc for i in data.deferred):
+    nc = cand.size
+    if np.any(data.deferred >= nc):
         raise KktInternalError(
             "multiplier row deferred during basis discovery; "
             "[A M] should have full row rank")
-    basic = sorted(set(cand) - set(deferred))
+    kept = np.ones(nc, dtype=bool)
+    kept[data.deferred] = False
+    deferred = sorted(cand[data.deferred].tolist())
+    basic = cand[kept].tolist()
     part = Partition(basic=basic, nonbasic=sorted(deferred + sorted(p.fixed)))
     factor = None if accepted is None else KktFactorization(
         basis=tuple(basic), dim=k_full.shape[0], _data=accepted)
@@ -677,34 +702,35 @@ def _freed_component(raw: float, noise: float, own: _Factor,
     return value
 
 
-def _base_dz_l(p: QpProblem, basic: list[int], l: int,
+def _base_dz_l(p: QpProblem, l: int, h_bl: np.ndarray,
                w: np.ndarray) -> tuple[float, float]:
-    """dz_l of a base solve w = [dx_B; -dy] and its noise band."""
-    nb = len(basic)
-    dzl = float(p.H[l, l] + p.H[basic, l] @ w[:nb] + p.A[:, l] @ w[nb:])
+    """dz_l of a base solve w = [dx_B; -dy] and its noise band, given
+    h_bl = H[B, l]."""
+    nb = h_bl.size
+    dzl = float(p.H[l, l] + h_bl @ w[:nb] + p.A[:, l] @ w[nb:])
     noise = 1e-12 * float(abs(p.H[l, l])
-                          + np.abs(p.H[basic, l]) @ np.abs(w[:nb])
+                          + np.abs(h_bl) @ np.abs(w[:nb])
                           + np.abs(p.A[:, l]) @ np.abs(w[nb:]) + 1.0)
     return dzl, noise
 
 
-def _direction(p: QpProblem, part: Partition, l: int, dxl: float,
-               dzl: float, dxb: np.ndarray, dy: np.ndarray) -> Direction:
+def _direction(p: QpProblem, part: Partition, basic: np.ndarray, l: int,
+               dxl: float, dzl: float, dxb: np.ndarray,
+               dy: np.ndarray) -> Direction:
     """The direction with freed components (dx_l, dz_l), basic part dx_B
-    and multiplier step dy; dz_N follows from stationarity.  With dz_l = 0
-    the direction is a null ray of K_l, whose dual part vanishes
-    identically, and dz_N stays zero."""
-    basic = list(part.basic)
-    nonbasic = list(part.nonbasic)
+    (``basic`` holds B as an index array) and multiplier step dy; dz_N
+    follows from stationarity.  With dz_l = 0 the direction is a null ray
+    of K_l, whose dual part vanishes identically, and dz_N stays zero."""
     dx = np.zeros(p.n)
     dx[l] = dxl
     dx[basic] = dxb
     dz = np.zeros(p.n)
     dz[l] = dzl
-    if nonbasic and dzl != 0.0:
+    if part.nonbasic and dzl != 0.0:
+        nonbasic = np.flatnonzero(part.nonbasic_mask)
         dz[nonbasic] = p.H[nonbasic] @ dx - p.A[:, nonbasic].T @ dy
     return Direction(dx=dx, dy=dy, dz=dz, freed=l, dx_l=dxl, dz_l=dzl,
-                     basic=tuple(basic))
+                     basic=tuple(part.basic))
 
 
 def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
@@ -717,32 +743,33 @@ def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
     dz_l lies above the noise band, otherwise K_B is factored afresh and
     values lost in roundoff are settled by ``_freed_component``.
     """
-    basic = list(part.basic)
-    nb = len(basic)
-    rhs = -np.concatenate([p.H[basic, l], p.A[:, l]])
+    basic = np.flatnonzero(part.basic_mask)
+    nb = basic.size
+    h_bl = p.H[basic, l]
+    rhs = -np.concatenate([h_bl, p.A[:, l]])
 
     def above_band(w: np.ndarray) -> bool:
-        dzl, noise = _base_dz_l(p, basic, l, w)
+        dzl, noise = _base_dz_l(p, l, h_bl, w)
         return dzl > noise
 
     w, own = basis.solve(basic, rhs, above_band,
                          lambda: factor_kb_or_raise(p, part)._data)
-    dzl, noise = _base_dz_l(p, basic, l, w)
+    dzl, noise = _base_dz_l(p, l, h_bl, w)
     if own is not None:
         dzl = _freed_component(
             dzl, noise, own, lambda: build_kl(p, basic, l), "dz_l",
             abs(dzl), lambda: (nb + p.m + 1) * PIVOT_TOL * max(
-                float(np.max(np.abs(own.matrix), initial=0.0)),
-                abs(p.H[l, l]), float(np.max(np.abs(rhs), initial=0.0))))
+                float(np.abs(own.matrix).max(initial=0.0)),
+                abs(p.H[l, l]), float(np.abs(rhs).max(initial=0.0))))
     # dz_l = 0: singular bordered matrix.  The direction is its null ray,
     # whose multiplier and dual parts vanish identically; zeroing them
     # discards pure cancellation noise.
     dy = np.zeros(p.m) if dzl == 0.0 else -w[nb:]
-    return _direction(p, part, l, 1.0, dzl, w[:nb], dy)
+    return _direction(p, part, basic, l, 1.0, dzl, w[:nb], dy)
 
 
 def _dx_l_noise(w: np.ndarray) -> float:
-    return 1e-12 * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
+    return 1e-12 * max(1.0, float(np.abs(w).max()) if w.size else 0.0)
 
 
 def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
@@ -756,19 +783,21 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
     its dx_l lies above the noise band, otherwise K_l is factored afresh
     and values lost in roundoff are settled by ``_freed_component``.
     """
-    basic = list(part.basic)
-    nb = len(basic)
+    basic = np.flatnonzero(part.basic_mask)
+    nb = basic.size
+    order = np.concatenate(([l], basic))
     rhs = np.zeros(1 + nb + p.m)
     rhs[0] = 1.0
 
     def fresh() -> _Factor:
-        data = _factorize(build_kl(p, basic, l))
+        data = _factorize(build_kb(p, order))
         if data.deferred.size:
             raise KktInternalError(
-                f"K_l unexpectedly singular for freed index {l}, basis {basic}")
+                f"K_l unexpectedly singular for freed index {l}, "
+                f"basis {part.basic}")
         return data
 
-    w, own = basis.solve([l] + basic, rhs,
+    w, own = basis.solve(order, rhs,
                          lambda w: float(w[0]) > _dx_l_noise(w), fresh)
     dxl = float(w[0])
     if own is not None:
@@ -780,24 +809,25 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
         dxl = _freed_component(
             dxl, _dx_l_noise(w), own, lambda: build_kb(p, basic), "dx_l",
             backward, lambda: (kl.shape[0] - 1) * PIVOT_TOL
-            * float(np.max(np.abs(kl[1:, 1:]), initial=0.0)))
+            * float(np.abs(kl[1:, 1:]).max(initial=0.0)))
     # dx_l = 0: singular K_B.  Every x-component of the direction
     # vanishes and only the multiplier part moves.
     dxb = np.zeros(nb) if dxl == 0.0 else w[1:1 + nb]
-    return _direction(p, part, l, dxl, 1.0, dxb, -w[1 + nb:])
+    return _direction(p, part, basic, l, dxl, 1.0, dxb, -w[1 + nb:])
 
 
 def recover_z_nonbasic(p: QpProblem, part: Partition, it: Iterate,
                        s: Shifts) -> np.ndarray:
     """z_N = H_BN' x_B - H_NN q_N + c_N - A_N' y, the values making the
     stationarity equation hold exactly at the current (x_B, y)."""
-    basic = list(part.basic)
-    nonbasic = list(part.nonbasic)
-    if not nonbasic:
+    if not part.nonbasic:
         return np.zeros(0)
+    basic = np.flatnonzero(part.basic_mask)
+    nonbasic = np.flatnonzero(part.nonbasic_mask)
     qn = s.q[nonbasic]
-    zn = (p.H[np.ix_(nonbasic, basic)] @ it.x[basic]
-          - p.H[np.ix_(nonbasic, nonbasic)] @ qn
+    h_n = p.H.take(nonbasic, axis=0)
+    zn = (h_n.take(basic, axis=1) @ it.x[basic]
+          - h_n.take(nonbasic, axis=1) @ qn
           + p.c[nonbasic] - p.A[:, nonbasic].T @ it.y)
     return zn
 
@@ -808,11 +838,12 @@ def solve_boundary_point(p: QpProblem, s: Shifts, part: Partition,
     K_B [x_B; -y] = [H_BN q_N - c_B - r_B; A_N q_N + b], then recover z_N."""
     if f is None:
         f = factor_kb_or_raise(p, part)
-    basic = list(part.basic)
-    nonbasic = list(part.nonbasic)
-    nb = len(basic)
+    basic = np.flatnonzero(part.basic_mask)
+    nonbasic = np.flatnonzero(part.nonbasic_mask)
+    nb = basic.size
     qn = s.q[nonbasic]
-    top = p.H[np.ix_(basic, nonbasic)] @ qn - p.c[basic] - s.r[basic]
+    top = (p.H.take(basic, axis=0).take(nonbasic, axis=1) @ qn
+           - p.c[basic] - s.r[basic])
     bottom = p.A[:, nonbasic] @ qn + p.b
     w = f.solve(np.concatenate([top, bottom]))
     x = np.zeros(p.n)

@@ -32,7 +32,6 @@ from bisect import insort
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 
@@ -78,10 +77,10 @@ def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> None:
     so the greedy test runs only when that factorization fails or is not
     finite.
     """
-    live = np.any(s != 0.0, axis=1)
-    if not live.any():              # empty or zero
+    live = np.flatnonzero(np.any(s != 0.0, axis=1))
+    if not live.size:               # empty or zero
         return
-    factor, info = lapack.dpotrf(s[np.ix_(live, live)])
+    factor, info = lapack.dpotrf(s.take(live, axis=0).take(live, axis=1))
     if info == 0 and np.all(np.isfinite(factor)):
         return
     k = s.shape[0]
@@ -105,17 +104,32 @@ def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> None:
 
 
 def _check_row_rank(a: np.ndarray, m: int) -> None:
-    """Full-row-rank test via column-pivoted QR of the transpose."""
+    """Full-row-rank test via column-pivoted QR (LAPACK ``dgeqp3``, as
+    ``scipy.linalg.qr(..., pivoting=True)`` calls it) of the transpose."""
     if m == 0:
         return
-    r = scipy.linalg.qr(a.T, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(r))
+    at = np.asarray_chkfinite(a).T
+    lwork = int(lapack.dgeqp3(at, lwork=-1)[3][0])
+    qr = lapack.dgeqp3(at, lwork=lwork)[0]
+    diag = np.abs(np.diag(qr))
     scale = diag[0] if diag.size else 0.0
     rank = int(np.sum(diag > RANK_TOL * max(1.0, scale)))
     if rank < m:
         raise ProblemError(
             f"[A M] is rank deficient: rank {rank} < {m} rows; remove "
             f"dependent equality rows before constructing the problem")
+
+
+def _symmetrized(s: np.ndarray, name: str) -> np.ndarray:
+    """A symmetric copy of s taken from its lower triangle, after checking
+    that s is symmetric to 1e-12 relative.  Like the triangle sum, the
+    copy of an exactly symmetric s turns -0.0 entries into 0.0."""
+    if np.array_equal(s, s.T):     # empty s included
+        return s + 0.0
+    scale = max(1.0, float(np.abs(s).max()))
+    if float(np.abs(s - s.T).max()) > 1e-12 * scale:
+        raise ProblemError(f"{name} is not symmetric")
+    return np.tril(s) + np.tril(s, -1).T
 
 
 @dataclass(frozen=True)
@@ -154,13 +168,9 @@ class QpProblem:
             raise ProblemError(f"M must be {m}x{m}, got {M.shape}")
         if A.shape != (m, n):
             raise ProblemError(f"A must be {m}x{n}, got {A.shape}")
-        for s, name in ((H, "H"), (M, "M")):
-            scale = max(1.0, float(np.max(np.abs(s))) if s.size else 0.0)
-            if s.size and float(np.max(np.abs(s - s.T))) > 1e-12 * scale:
-                raise ProblemError(f"{name} is not symmetric")
         # The lower triangle is authoritative.
-        H = np.tril(H) + np.tril(H, -1).T
-        M = np.tril(M) + np.tril(M, -1).T
+        H = _symmetrized(H, "H")
+        M = _symmetrized(M, "M")
         _check_psd(H, "H")
         _check_psd(M, "M")
         _check_row_rank(np.hstack([A, M]), m)
@@ -179,8 +189,10 @@ class QpProblem:
             raise ProblemError(f"free/fixed indices out of range: {sorted(bad)}")
         if self.free & self.fixed:
             raise ProblemError("an index cannot be both free and fixed")
-        object.__setattr__(self, "H", _readonly(H))
-        object.__setattr__(self, "M", _readonly(M))
+        H.flags.writeable = False       # fresh copies from _symmetrized
+        M.flags.writeable = False
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "M", M)
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "b", _readonly(b))
         object.__setattr__(self, "c", _readonly(c))
@@ -201,14 +213,14 @@ class QpProblem:
 
     def kkt_scale(self) -> float:
         """Infinity-norm scale of the full KKT matrix data."""
-        parts = [np.max(np.abs(x)) if x.size else 0.0
+        parts = [np.abs(x).max() if x.size else 0.0
                  for x in (self.H, self.M, self.A)]
         return max(1.0, float(max(parts)))
 
     def data_scale(self) -> float:
         """1 + max|c| + max|b|, the scale of the residual tolerances."""
-        return 1.0 + float(np.max(np.abs(self.c)) if self.c.size else 0.0) \
-            + float(np.max(np.abs(self.b)) if self.b.size else 0.0)
+        return 1.0 + float(np.abs(self.c).max() if self.c.size else 0.0) \
+            + float(np.abs(self.b).max() if self.b.size else 0.0)
 
 
 def _shift_vector(v, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -217,7 +229,7 @@ def _shift_vector(v, shape: tuple[int, ...] | None = None) -> np.ndarray:
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if shape is not None and v.shape != shape:
         raise ProblemError("q and r must have the same length")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ProblemError("shift entries must be finite")
     return _readonly(v)
 
@@ -347,7 +359,7 @@ class Iterate:
         self.z = np.atleast_1d(np.asarray(self.z, dtype=float)).copy()
 
     def copy(self) -> "Iterate":
-        return Iterate(self.x.copy(), self.y.copy(), self.z.copy())
+        return Iterate(self.x, self.y, self.z)     # __post_init__ copies
 
 
 @dataclass
@@ -418,21 +430,21 @@ def check_optimality(p: QpProblem, s: Shifts, it: Iterate,
     if eps_fea <= 0 or eps_opt <= 0:
         raise ValueError("tolerances must be positive")
     stat, eq = residuals(p, it)
-    stat_res = float(np.max(np.abs(stat))) if stat.size else 0.0
-    eq_res = float(np.max(np.abs(eq))) if eq.size else 0.0
+    stat_res = float(np.abs(stat).max()) if stat.size else 0.0
+    eq_res = float(np.abs(eq).max()) if eq.size else 0.0
 
     xq = it.x + s.q
     zr = it.z + s.r
     free, fixed = p.free_mask, p.fixed_mask
     regular = ~free & ~fixed
-    worst_primal = max(0.0, float(np.max(-xq[~free], initial=0.0)))
-    worst_dual = max(0.0, float(np.max(-zr[regular], initial=0.0)),
-                     float(np.max(np.abs(zr[free]), initial=0.0)))
-    comp = float(np.max(np.abs(xq[regular] * zr[regular]), initial=0.0))
+    worst_primal = max(0.0, float((-xq[~free]).max(initial=0.0)))
+    worst_dual = max(0.0, float((-zr[regular]).max(initial=0.0)),
+                     float(np.abs(zr[free]).max(initial=0.0)))
+    comp = float(np.abs(xq[regular] * zr[regular]).max(initial=0.0))
 
     data_scale = p.data_scale()
-    y_scale = max(1.0, float(np.max(np.abs(it.y))) if it.y.size else 0.0)
-    x_scale = max(1.0, float(np.max(np.abs(xq))) if xq.size else 0.0)
+    y_scale = max(1.0, float(np.abs(it.y).max()) if it.y.size else 0.0)
+    x_scale = max(1.0, float(np.abs(xq).max()) if xq.size else 0.0)
 
     ok = (stat_res <= eps_fea * data_scale
           and eq_res <= eps_fea * data_scale

@@ -139,8 +139,8 @@ class Family:
 
 
 def _dir_scale(d: Direction) -> float:
-    return max(float(np.max(np.abs(d.dx))), float(np.max(np.abs(d.dz))),
-               float(np.max(np.abs(d.dy))) if d.dy.size else 0.0)
+    return max(float(np.abs(d.dx).max()), float(np.abs(d.dz).max()),
+               float(np.abs(d.dy).max()) if d.dy.size else 0.0)
 
 
 def ratio_test(values: np.ndarray, deltas: np.ndarray,
@@ -170,14 +170,14 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray,
         return np.inf, None
     deltas = np.asarray(deltas, dtype=float)
     values = np.asarray(values, dtype=float)
-    scale = max(1.0, scale_floor, float(np.max(np.abs(deltas))))
+    scale = max(1.0, scale_floor, float(np.abs(deltas).max()))
     mask = deltas < -1e-12 * scale
-    if not np.any(mask):
+    if not mask.any():
         return np.inf, None
-    delta = min(1e-9 * max(1.0, float(np.max(np.abs(values)))), 0.1 * tol)
+    delta = min(1e-9 * max(1.0, float(np.abs(values).max())), 0.1 * tol)
     rates = -deltas[mask]
     vals = values[mask]
-    alpha_h = float(np.min(np.maximum(vals + delta, 0.0) / rates))
+    alpha_h = float((np.maximum(vals + delta, 0.0) / rates).min())
     ratios = np.maximum(vals, 0.0) / rates
     pos = int(np.argmax(np.where(ratios <= alpha_h, rates, -np.inf)))
     return float(ratios[pos]), int(np.asarray(indices)[mask][pos])
@@ -214,8 +214,8 @@ def make_trace_record(method: str, iteration: int, subiteration: int,
         f_primal=primal_objective(p, eff, it_after),
         f_dual_before=dual_objective(p, eff, it_before),
         f_dual=dual_objective(p, eff, it_after),
-        stationarity=float(np.max(np.abs(stat))) if stat.size else 0.0,
-        equality=float(np.max(np.abs(eq))) if eq.size else 0.0,
+        stationarity=float(np.abs(stat).max()) if stat.size else 0.0,
+        equality=float(np.abs(eq).max()) if eq.size else 0.0,
         direction=d,
     )
 
@@ -268,8 +268,8 @@ def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
 
 def _check_equalities(p: QpProblem, it: Iterate, tol: float) -> bool:
     stat, eq = residuals(p, it)
-    return not ((stat.size and np.max(np.abs(stat)) > tol) or
-                (eq.size and np.max(np.abs(eq)) > tol))
+    return not ((stat.size and np.abs(stat).max() > tol) or
+                (eq.size and np.abs(eq).max() > tol))
 
 
 def run_active_set(fam: Family, p: QpProblem, s: Shifts,
@@ -339,11 +339,11 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
             def swap_sink(j, d):
                 zero = StepResult(0.0, 0.0, 0.0, j, False)
                 emit("temp_swap", l, zero, d, _violation(fam, s, it, l), eff,
-                     it.copy())
+                     it.copy() if trace is not None else None)
             step_kw["swap_sink"] = swap_sink
 
         if needs_base:
-            before = it.copy()
+            before = it.copy() if trace is not None else None
             viol = _violation(fam, s, it, l)
             step, d = base(part, it, l, **step_kw)
             emit("base", l, step, d, viol, eff, before)
@@ -359,7 +359,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
             if guard > p.n + 2:
                 raise InvariantError("intermediate subiterations did not "
                                      "terminate; basis exchange is stuck")
-            before = it.copy()
+            before = it.copy() if trace is not None else None
             viol = _violation(fam, s, it, l)
             step, d = intermediate(part, it, l, **step_kw)
             emit("intermediate", l, step, d, viol, eff, before)

@@ -5,10 +5,17 @@ that a refactor changes none of them.
     PYTHONPATH=/path/to/other/checkout/src python tests/output_digest.py
 
 The digest covers whichever ``pdqp`` the path puts first; run it against
-two trees and compare the lines.  Each solve contributes its status,
-iteration and subiteration counts, objective, final iterate and every
-field of every trace record (the direction included), or the type and
-message of the exception it raised.  The instances are:
+two trees and compare the lines.  ``--per-solve`` also prints one
+``<label> <sha256>`` line per solve, ahead of the summary, so that
+``diff`` of two trees' output names the first solve that differs:
+
+    PYTHONPATH=src python tests/output_digest.py --per-solve > a.txt
+
+The digest depends on the host (its BLAS and CPU), so compare two trees
+on one host.  Each solve contributes its status, iteration and
+subiteration counts, objective, final iterate and every field of every
+trace record (the direction included), or the type and message of the
+exception it raised.  The instances are:
 
 - ``random_instances(20260810, 300)`` (standard form) under the five
   strategies, with ``check_invariants``;
@@ -22,6 +29,7 @@ Not collected by pytest (the file name has no ``test_`` prefix).
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 from dataclasses import fields
@@ -40,21 +48,24 @@ STRATEGIES = ("auto", "primal-first", "dual-first", "primal-only",
 
 
 class Digest:
-    def __init__(self):
+    def __init__(self, per_solve: bool = False):
         self.h = hashlib.sha256()
+        self.per_solve = per_solve
+        self.one = None               # the current solve's own hash
         self.solves = 0
         self.errors: dict[str, int] = {}
 
     def add(self, value) -> None:
         if isinstance(value, np.ndarray):
             a = np.ascontiguousarray(value)
-            self.h.update(f"{a.dtype}{a.shape}".encode())
-            self.h.update(a.tobytes())
+            data = f"{a.dtype}{a.shape}".encode() + a.tobytes()
         elif isinstance(value, float):
-            self.h.update(np.float64(value).tobytes())
+            data = np.float64(value).tobytes()
         else:
-            self.h.update(repr(value).encode())
-        self.h.update(b"|")
+            data = repr(value).encode()
+        for h in (self.h, self.one):
+            if h is not None:
+                h.update(data + b"|")
 
     def record(self, rec) -> None:
         for f in fields(rec):
@@ -66,6 +77,14 @@ class Digest:
                 self.add(value)
 
     def solve(self, label: str, solve, config: pdqp.SolveConfig) -> None:
+        self.one = hashlib.sha256() if self.per_solve else None
+        try:
+            self._solve(label, solve, config)
+        finally:
+            if self.one is not None:
+                print(f"{label} {self.one.hexdigest()}")
+
+    def _solve(self, label: str, solve, config: pdqp.SolveConfig) -> None:
         self.solves += 1
         self.add(label)
         config.trace = self.record
@@ -89,7 +108,10 @@ class Digest:
 
 
 def main() -> None:
-    d = Digest()
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--per-solve", action="store_true",
+                    help="also print one hash per solve")
+    d = Digest(per_solve=ap.parse_args().per_solve)
     for i, p in enumerate(random_instances(20260810, 300)):
         for s in STRATEGIES:
             d.solve(f"random{i}/{s}", lambda c: pdqp.solve_standard(p, c),

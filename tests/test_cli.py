@@ -160,6 +160,26 @@ def test_error_row_removes_earlier_outputs(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["runlog.csv"]
 
 
+def test_rerun_replaces_longer_outputs_exactly(tmp_path):
+    # A rerun into the same directory whose .sol, trace and run log are
+    # shorter than the earlier run's leaves exactly the new bytes.
+    long_p = tmp_path / "long.qpt"
+    long_p.write_text((PROBLEMS / "rand5.qpt").read_text()
+                      .replace("name rand5", "name same"))
+    short_p = tmp_path / "short.qpt"
+    short_p.write_text((PROBLEMS / "p1.qpt").read_text()
+                       .replace("name p1", "name same"))
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    run([long_p, PROBLEMS / "p2.qpt"], out, trace=True)
+    run([short_p], out, trace=True)
+    run([short_p], fresh, trace=True)
+    for name in ("same.sol", "same.trace.csv"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+    strip = lambda path: [line.rsplit(",", 1)[0]
+                          for line in path.read_text().splitlines()]
+    assert strip(out / "runlog.csv") == strip(fresh / "runlog.csv")
+
+
 def test_run_max_iter_limit(tmp_path):
     rows, code = run([PROBLEMS / "rand5.qpt"], tmp_path, max_iter=1)
     assert rows[0].status == "iteration_limit"

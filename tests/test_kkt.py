@@ -1,14 +1,16 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdqp import (Iterate, KktFactorization, KktInternalError, Partition,
-                  QpProblem, Shifts, SingularReport, SolveConfig,
+from pdqp import (GeneralQp, Iterate, KktFactorization, KktInternalError,
+                  Partition, QpProblem, Shifts, SingularReport, SolveConfig,
                   enumerate_solve, factor_kb, find_soc_basis,
                   recover_z_nonbasic, solve_base_primal,
-                  solve_intermediate_primal, solve_pdqp, solve_standard)
+                  solve_intermediate_primal, solve_pdqp, solve_standard,
+                  standardize)
 from pdqp import dual, kkt, primal
 from pdqp.kkt import (KktBasis, _bunch_kaufman, _factor_symmetric_indefinite,
                       build_kb, build_kl, factor_kb_or_raise,
@@ -210,8 +212,74 @@ def test_solve_intermediate_decoupled():
 
 def test_solve_intermediate_raises_on_singular_kl(p_lp):
     part = Partition(basic=[1], nonbasic=[], freed=0)
-    with pytest.raises(KktInternalError):
+    # The message lists the basis as a Python list, not a numpy array.
+    with pytest.raises(KktInternalError,
+                       match=r"freed index 0, basis \[1\]$"):
         solve_intermediate_primal(p_lp, part, 0, KktBasis(p_lp))
+
+
+def _block_kkt(p, order):
+    """K_B assembled block by block, the reference for ``build_kb``."""
+    hbb = p.H[np.ix_(order, order)]
+    ab = p.A[:, order]
+    return np.vstack([np.hstack([hbb, ab.T]), np.hstack([ab, -p.M])])
+
+
+def test_build_kb_and_kl_equal_block_assembly_bit_for_bit():
+    rng = np.random.default_rng(17)
+    # Random standard-form problems, and a standardized criterion-7 one.
+    std = standardize(criterion7_instance(12, 3, 4, 5)[0]).problem
+    for p in random_instances(20260810, 40) + [std]:
+        for _ in range(3):
+            basic = sorted(rng.choice(p.n, rng.integers(0, p.n + 1),
+                                      replace=False).tolist())
+            want = _block_kkt(p, basic)
+            for got in (build_kb(p, basic),
+                        build_kb(p, np.array(basic, dtype=np.intp))):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            for l in set(range(p.n)) - set(basic):
+                got = build_kl(p, basic, l)
+                assert got.tobytes() == _block_kkt(p, [l] + basic).tobytes()
+
+
+def _weakly_active_instance(seed, n, m, rank, strict, weak):
+    """The criterion-7 construction with rank-``rank`` H = G'G/n, plus
+    ``weak`` zeros of x* whose bound duals are zero as well."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(rank, n))
+    h = g.T @ g / n
+    a = rng.normal(size=(m, n)) / np.sqrt(n)
+    xstar = np.abs(rng.normal(size=n)) + 0.05
+    idx = rng.permutation(n)
+    xstar[idx[:strict + weak]] = 0.0
+    zstar = np.zeros(n)
+    zstar[idx[:strict]] = np.abs(rng.normal(size=strict)) + 0.1
+    c = -h @ xstar + a.T @ rng.normal(size=m) + zstar
+    rows = a @ xstar
+    return GeneralQp(Hhat=h, Ahat=a, c=c,
+                     lower=np.concatenate([np.zeros(n), rows]),
+                     upper=np.concatenate([np.full(n, np.inf), rows]))
+
+
+def test_greedy_two_by_two_pivot_reads_one_triangle():
+    # Basis discovery on this instance reaches a 2x2 pivot where the two
+    # triangles of the updated matrix differ: read from both, the block is
+    # [[2.4e-12, -7.3e-12], [0, 0]], which is singular.  Both
+    # off-diagonals must come from the entry the pivot search found.
+    p = standardize(_weakly_active_instance(103, 30, 8, 1, 4, 8)).problem
+    k = build_kb(p, np.flatnonzero(~p.fixed_mask))
+    assert _bunch_kaufman(k) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = _factor_symmetric_indefinite(k)
+    pairs = [block for _, block in data.dblocks if block.shape[0] == 2]
+    assert pairs
+    for block in pairs:
+        assert block[0, 1] == block[1, 0]
+        assert block[0, 0] * block[1, 1] != block[0, 1] ** 2
+    assert np.all(np.isfinite(data.lower))
+    assert all(np.all(np.isfinite(b)) for _, b in data.dblocks)
 
 
 def test_recover_z_nonbasic_cases(p1, p2):

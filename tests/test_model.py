@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from pdqp import (Iterate, Partition, ProblemError, QpProblem, Shifts,
@@ -124,6 +125,45 @@ def test_rejects_rank_deficient_rows():
         QpProblem(H=np.eye(2), M=np.zeros((2, 2)),
                   A=np.array([[1.0, 1.0], [2.0, 2.0]]),
                   b=np.zeros(2), c=np.zeros(2))
+
+
+def test_negative_zeros_of_symmetric_h_and_m_become_zeros():
+    # An exactly symmetric H or M is copied as H + 0.0, which maps -0.0 to
+    # 0.0 as the lower-plus-upper triangle sum of an asymmetric one does.
+    h = np.array([[1.0, -0.0, 0.5], [-0.0, -0.0, 0.0], [0.5, 0.0, 2.0]])
+    m = np.array([[-0.0]])
+    p = QpProblem(H=h, M=m, A=np.array([[1.0, 1.0, 1.0]]), b=np.zeros(1),
+                  c=np.zeros(3))
+    for got, want in ((p.H, h), (p.M, m)):
+        assert np.array_equal(got, want)
+        assert not np.any(np.signbit(got[got == 0.0]))
+    asym = h.copy()
+    asym[0, 2] += 1e-14
+    q = QpProblem(H=asym, M=m, A=p.A, b=p.b, c=p.c)
+    assert q.H[2, 0] == q.H[0, 2] == 0.5
+    assert not np.any(np.signbit(q.H[q.H == 0.0]))
+
+
+def test_row_rank_verdict_matches_pivoted_qr():
+    # _check_row_rank calls dgeqp3 directly; its rank verdict is that of
+    # scipy.linalg.qr with pivoting on the transpose.
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        rank = int(rng.integers(0, m + 1))
+        a = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+        if rng.random() < 0.3:
+            a = np.round(a)
+        r = scipy.linalg.qr(a.T, mode="r", pivoting=True)[0]
+        diag = np.abs(np.diag(r))
+        scale = diag[0] if diag.size else 0.0
+        full = int(np.sum(diag > model.RANK_TOL * max(1.0, scale))) == m
+        try:
+            model._check_row_rank(a, m)
+            ok = True
+        except ProblemError:
+            ok = False
+        assert ok == full
 
 
 def test_accepts_semidefinite_with_regularizer():
