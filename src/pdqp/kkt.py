@@ -78,13 +78,24 @@ block of M^-1.  With V = K_B0^-1 W and the Schur block S = C - W'V,
 
 a solve costs one K_B0 solve and a dense solve with the small symmetric
 S, and ||K_B^-1|| <= ||M^-1|| <= ||K_B0^-1|| + (1 + ||V||)^2 ||S^-1||.
+S is factored by Bunch-Kaufman (``dsytrf``) and solved with ``dsytrs``.
+K_B0 is solved through its factor unpacked once, when it is taken, by
+``dsyconv`` into a unit lower L, the D blocks and a row permutation:
+each apply permutes, sweeps L and then L' with ``dtrsv`` around the
+block-diagonal solve, and permutes back (LAPACK's ``dsytrs2`` scheme).
+``dsytrs`` makes one BLAS-2 call per column instead; on criterion-7 K_B
+matrices with one BLAS thread it takes 18, 56 and 180 us at dim 270, 520
+and 1020 against 12, 33 and 100 us unpacked, and unpacking costs 48, 145
+and 480 us, about three applies.  Fresh solves therefore keep ``dsytrs``.
 An updated solve never changes a verdict either: it is used only when
 K_B0 passed the acceptance rule and this bound keeps sigma_min(K_B) above
 100 * dim * PIVOT_TOL * max|K_B|, the margin acceptance demands, so the
 greedy elimination of K_B would complete.  The bound takes ||K_B0^-1||
-from the ``dsycon`` estimate (the 1-norm bounds the 2-norm of a symmetric
-matrix; the estimator's slack is covered as for acceptance), ||V|| by its
-Frobenius norm and ||S^-1|| from the eigenvalues of S; max|K_B| is
+and ||S^-1|| from the ``dsycon`` estimates of their factorizations (the
+1-norm bounds the 2-norm of a symmetric matrix, and the factor-100
+margin covers the estimator's slack for both, as for acceptance), and
+||V|| by its Frobenius norm; an S that ``dsytrf`` reports singular, or
+whose estimate is not positive, declines the update.  max|K_B| is
 bounded by max|K_B0|, the border columns and H_QQ.  One refinement step
 against the product with K_B, formed from the problem data, follows, as
 in a fresh solve.  ``KktBasis.solve``, through which every direction
@@ -100,21 +111,19 @@ on a singular matrix, and makes that factorization the new K_B0, when
   declines), so that only ``_freed_component`` on a fresh factorization
   settles a component at zero.
 
-A K_B0 of dim below UPDATE_MIN_DIM is not updated, because there an
-update costs more than a fresh factorization.  An updated solve costs a
-roughly fixed 50-70 us up to dim 165 (the eigendecomposition of S, the
-new border solve and two passes through K_B0), while a fresh
-Bunch-Kaufman factorization and solve grows as dim^3: on criterion-7
-K_B matrices, with one BLAS thread on a 2-vCPU VM, 12 us at dim 9,
-48 us at 69, 88 us at 109, 181 us at 164 and 316 us at 219 (updates
-53, 49, 54, 68 and 80 us), so the crossover lies between dim 70 and
-110.  Inside real solves the in-band fallback adds the cost of an update
-that is computed and then declined.  With the gate at 0, ten alternating
-benchmark pairs per workload lost 23-26% solves/s on ``suite500``
-(bases of dim <= 20), ``lowrank`` (dim 20-100) and ``mixed-bounds``
-(dim <= 50), and left ``ladder`` (dim >= 100, mostly >= 400) unchanged.
-No workload has bases between dim 100 and 200, so the measurements
-place the crossover but do not pin the gate's value within that range.
+A K_B0 of dim below UPDATE_MIN_DIM is not updated.  On criterion-7 K_B
+matrices with one BLAS thread, an update that adds one column to a
+border of 1 to 20 columns costs a median 58, 64, 72, 87 and 106 us at
+dim 30, 70, 110, 165 and 220, against 28, 61, 107, 208 and 373 us for a
+fresh Bunch-Kaufman factorization and solve, so the crossover lies just
+above dim 70.  Inside real solves the in-band fallback adds the cost of an
+update that is computed and then declined.  With the gate at 0, ten
+alternating benchmark pairs per workload lost 21-28% solves/s on
+``suite500`` (bases of dim <= 20), ``lowrank`` (dim 20-100) and
+``mixed-bounds`` (dim <= 50), 0 of 10 pairs each, and left ``ladder``
+(dim >= 100, mostly >= 400) unchanged.  No workload has bases between
+dim 100 and 200, so the measurements place the crossover but do not pin
+the gate's value within that range.
 """
 
 from __future__ import annotations
@@ -124,7 +133,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .model import Direction, Iterate, Partition, QpProblem, Shifts
 
@@ -227,6 +236,52 @@ class _BunchKaufman(_Factor):
 
     def _once(self, r: np.ndarray) -> np.ndarray:
         return lapack.dsytrs(self.ldu, self.ipiv, r, lower=1)[0]
+
+
+def _unpack(f: _BunchKaufman) -> Callable[[np.ndarray], np.ndarray]:
+    """``f._once`` as LAPACK's ``dsytrs2`` applies it: ``dsyconv``
+    unpacks the factor once into a unit lower L (Fortran order), the D
+    blocks and a row permutation, and every apply is then
+    K^-1 r = P L'^-1 D^-1 L^-1 P' r with two BLAS-2 triangular sweeps.
+    ``dsytrs`` makes one BLAS-2 call per column instead."""
+    lower, sub, _ = lapack.dsyconv(f.ldu, f.ipiv, lower=1)
+    dim = f.ipiv.size
+    piv = f.ipiv.tolist()
+    perm = list(range(dim))
+    two = []                    # first row of each 2x2 block of D
+    k = 0
+    while k < dim:
+        if piv[k] < 0:          # rows k, k+1 pivot together; k+1 swaps
+            two.append(k)
+            k += 1
+        j = abs(piv[k]) - 1
+        perm[k], perm[j] = perm[j], perm[k]
+        k += 1
+    perm = np.array(perm)
+    two = np.array(two, dtype=np.intp)
+    diag = lower.diagonal().copy()
+    single = np.ones(dim, dtype=bool)
+    single[two] = single[two + 1] = False
+    rdiag = np.zeros(dim)
+    rdiag[single] = 1.0 / diag[single]
+    # 2x2 blocks [[a, e], [e, b]] solved in dsytrs's scaling by e.
+    e = sub[two]
+    a, b = diag[two] / e, diag[two + 1] / e
+    denom = a * b - 1.0
+
+    def once(r: np.ndarray) -> np.ndarray:
+        t = blas.dtrsv(lower, r[perm], lower=1, diag=1, overwrite_x=1)
+        x = t * rdiag
+        if two.size:
+            t0, t1 = t[two] / e, t[two + 1] / e
+            x[two] = (b * t0 - t1) / denom
+            x[two + 1] = (a * t1 - t0) / denom
+        t = blas.dtrsv(lower, x, lower=1, trans=1, diag=1, overwrite_x=1)
+        out = np.empty(dim)
+        out[perm] = t
+        return out
+
+    return once
 
 
 def _swap(w: np.ndarray, perm: np.ndarray, i: int, j: int) -> None:
@@ -497,12 +552,13 @@ class KktBasis:
         """Drop K_B0 and its caches; then take ``data``, a fresh
         factorization of the basis matrix with its variables in ``order``,
         as K_B0 if it is certified and of dim >= UPDATE_MIN_DIM."""
-        self._k0 = self._w = self._v = None
+        self._k0 = self._solve0 = self._w = self._v = None
         if data is None or not data.certified \
                 or data.matrix.shape[0] < UPDATE_MIN_DIM:
             return
         dim = data.matrix.shape[0]
         self._k0 = data
+        self._solve0 = _unpack(data)                 # applies K_B0^-1
         self._basis0 = np.asarray(order, dtype=int)
         self._pos0 = np.full(self.p.n, -1)
         self._pos0[self._basis0] = np.arange(self._basis0.size)
@@ -537,7 +593,7 @@ class KktBasis:
     def _slots(self, keys: np.ndarray) -> list[int] | None:
         """Cache slots of the border columns named by ``keys``, computing
         the missing ones; None once more than BORDER_CAP are needed."""
-        p, k0 = self.p, self._k0
+        p = self.p
         nb0 = self._basis0.size
         for j in keys.tolist():
             if j in self._slot:
@@ -549,10 +605,10 @@ class KktBasis:
             if self._pos0[j] >= 0:      # an index of B0 missing from B
                 w[self._pos0[j]] = 1.0
             else:                       # a column of B not in B0
-                w[:nb0] = p.H[self._basis0, j]
+                w[:nb0] = p.H[j].take(self._basis0)    # H is symmetric
                 w[nb0:] = p.A[:, j]
                 self._wmax[at] = float(np.abs(w).max())
-            v = k0._once(w)
+            v = self._solve0(w)
             self._v[:, at] = v
             g = self._w[:, :at + 1].T @ v
             self._gram[at, :at + 1] = g
@@ -575,8 +631,9 @@ class KktBasis:
                 ) -> np.ndarray | None:
         """K_B^-1 rhs for the basis matrix with variables in ``order``,
         with one refinement step against K_B, or None where no update is
-        certified: no K_B0, a full border cache, or a bound on ||K_B^-1||
-        that does not keep K_B clear of the deferral bound."""
+        certified: no K_B0, a full border cache, a Schur block S that
+        ``dsytrf`` finds singular, or a bound on ||K_B^-1|| that does not
+        keep K_B clear of the deferral bound."""
         if self._k0 is None:
             return None
         p, k0 = self.p, self._k0
@@ -591,21 +648,38 @@ class KktBasis:
         slots = self._slots(np.concatenate([added, removed]))
         if slots is None:
             return None
-        na = added.size
+        # The border in cache order, so that it is a view of the caches
+        # when it holds every cached column; qa places the added columns.
+        na, k = added.size, len(slots)
+        cached = np.sort(np.array(slots, dtype=np.intp))
+        qa = np.searchsorted(cached, slots[:na])
+        if k == len(self._slot):
+            w_b, v_b = self._w[:, :k], self._v[:, :k]
+            schur = -self._gram[:k, :k]
+        else:
+            w_b, v_b = self._w[:, cached], self._v[:, cached]
+            schur = -self._gram[np.ix_(cached, cached)]
         hqq = p.H[np.ix_(added, added)]
-        schur = -self._gram[np.ix_(slots, slots)]
-        schur[:na, :na] += hqq
-        lam, vec = np.linalg.eigh(schur)
-        smallest = float(np.abs(lam).min(initial=np.inf))
-        vnorm = float(np.sqrt(self._vnorm2[slots].sum()))
-        max_kb = max(self._max0, float(self._wmax[slots].max(initial=0.0)),
+        schur[np.ix_(qa, qa)] += hqq
+        vnorm = float(np.sqrt(self._vnorm2[cached].sum()))
+        max_kb = max(self._max0, float(self._wmax[cached].max(initial=0.0)),
                      float(np.abs(hqq).max(initial=0.0)))
-        if not smallest > 0.0:
-            return None
-        inv_bound = k0.inv_norm + (1.0 + vnorm) ** 2 / smallest
+        s_inv = 0.0                     # estimates ||S^-1||_1
+        if k:
+            s_norm = float(np.abs(schur).sum(axis=0).max())
+            # S is exactly symmetric, so its transpose is a Fortran-order
+            # copy of it for LAPACK to overwrite.
+            s_ldu, s_ipiv, info = lapack.dsytrf(schur.T, lower=1,
+                                                overwrite_a=1)
+            if info != 0:
+                return None
+            rcond, info = lapack.dsycon(s_ldu, s_ipiv, s_norm, lower=1)
+            if info != 0 or not rcond > 0.0:     # NaN declines too
+                return None
+            s_inv = 1.0 / (rcond * s_norm)
+        inv_bound = k0.inv_norm + (1.0 + vnorm) ** 2 * s_inv
         if not inv_bound * 100 * (nb + m) * PIVOT_TOL * max_kb < 1.0:
             return None
-        w_b, v_b = self._w[:, slots], self._v[:, slots]
         d0 = k0.matrix.shape[0]
         at = pos[kept]
 
@@ -613,14 +687,15 @@ class KktBasis:
             r0 = np.zeros(d0)
             r0[at] = r[:nb][kept]
             r0[d0 - m:] = r[nb:]
-            r1 = np.zeros(len(slots))
-            r1[:na] = r[:nb][~kept]
-            t = k0._once(r0)
-            u = vec @ ((vec.T @ (r1 - w_b.T @ t)) / lam)
+            r1 = np.zeros(k)
+            r1[qa] = r[:nb][~kept]
+            t = self._solve0(r0)
+            u = (lapack.dsytrs(s_ldu, s_ipiv, r1 - w_b.T @ t, lower=1)[0]
+                 if k else r1)
             z0 = t - v_b @ u
             out = np.empty(nb + m)
             out[:nb][kept] = z0[at]
-            out[:nb][~kept] = u[:na]
+            out[:nb][~kept] = u[qa]
             out[nb:] = z0[d0 - m:]
             return out
 

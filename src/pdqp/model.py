@@ -66,41 +66,44 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> None:
-    """Pivoted-Cholesky style semidefiniteness test.
+def _live_block(s: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """A copy of s[live][:, live] in Fortran order for LAPACK to overwrite:
+    the transpose of a C-order gather, which has the same values because s
+    is exactly symmetric."""
+    if live.size == s.shape[0]:
+        return s.copy().T
+    return s.take(live, axis=0).take(live, axis=1).T
 
-    Greedily eliminates the largest remaining diagonal; a diagonal pivot
-    below -tol * max-diagonal rejects the matrix.  A LAPACK Cholesky
-    factorization (``dpotrf``) of the rows and columns that are not
-    identically zero (standardized problems pad H with zero slack rows)
-    accepts first: a matrix definite on its nonzero part is semidefinite,
-    so the greedy test runs only when that factorization fails or is not
-    finite.
+
+def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> None:
+    """Pivoted-Cholesky semidefiniteness test of an exactly symmetric s.
+
+    Only the rows and columns that are not identically zero take part
+    (standardized problems pad H with zero slack rows).  A LAPACK Cholesky
+    factorization (``dpotrf``) that succeeds with a finite factor accepts
+    first: a matrix definite on its nonzero part is semidefinite.
+    Otherwise LAPACK's pivoted Cholesky (``dpstrf``) eliminates the
+    largest remaining diagonal until it falls to the cutoff
+    tol * max(1, max diagonal), and a trailing Schur diagonal entry below
+    -cutoff rejects the matrix.  That diagonal is the input's minus the
+    row sums of L^2, since ``dpstrf`` leaves the trailing block partly
+    updated.
     """
-    live = np.flatnonzero(np.any(s != 0.0, axis=1))
+    live = np.flatnonzero((s != 0.0).any(axis=1))
     if not live.size:               # empty or zero
         return
-    factor, info = lapack.dpotrf(s.take(live, axis=0).take(live, axis=1))
-    if info == 0 and np.all(np.isfinite(factor)):
+    factor, info = lapack.dpotrf(_live_block(s, live), overwrite_a=1,
+                                 clean=0)
+    if info == 0 and np.isfinite(factor).all():
         return
-    k = s.shape[0]
-    w = np.array(s, dtype=float)
-    scale = max(float(np.max(np.diag(w))), 0.0)
-    cutoff = tol * max(1.0, scale)
-    active = np.ones(k, dtype=bool)
-    for _ in range(k):
-        d = np.where(active, np.diag(w), -np.inf)
-        j = int(np.argmax(d))
-        piv = d[j]
-        if piv <= cutoff:
-            rest = np.diag(w)[active]
-            if rest.size and float(np.min(rest)) < -cutoff:
-                raise ProblemError(f"{name} is not positive semidefinite "
-                                   f"(pivot {float(np.min(rest)):.3e})")
-            return
-        col = np.where(active, w[:, j], 0.0)
-        w -= np.outer(col, col) / piv
-        active[j] = False
+    cutoff = tol * max(1.0, float(s.diagonal().max()))
+    factor, piv, rank, _ = lapack.dpstrf(_live_block(s, live), tol=cutoff,
+                                         lower=1, overwrite_a=1)
+    low = factor[rank:, :rank]
+    rest = s.diagonal()[live[piv[rank:] - 1]] - (low * low).sum(axis=1)
+    if rest.size and float(rest.min()) < -cutoff:
+        raise ProblemError(f"{name} is not positive semidefinite "
+                           f"(pivot {float(rest.min()):.3e})")
 
 
 def _check_row_rank(a: np.ndarray, m: int) -> None:

@@ -24,6 +24,13 @@ exception it raised.  The instances are:
 - the 24 ``lowrank`` constructions (seed bases 0 and 1) at the bench's
   ``max_iterations``.
 
+None of these holds a basis matrix of dim ``kkt.UPDATE_MIN_DIM`` or
+more, so none reaches the Schur-complement update path.  A second digest,
+``update-path``, covers solves that do: the ``pd300`` trajectory pin's
+instance (n=300) from its 240-column start basis under primal-first and
+under auto, primal-first and dual-first, and the ``ladder`` rungs with
+n >= 250 under the same three strategies.
+
 Not collected by pytest (the file name has no ``test_`` prefix).
 """
 
@@ -40,8 +47,10 @@ import numpy as np
 sys.path.insert(1, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import pdqp  # noqa: E402
-from conftest import random_instances  # noqa: E402
-from workloads import LowRank, constructed_qp, mixed_instance  # noqa: E402
+from conftest import criterion7_instance, random_instances  # noqa: E402
+from test_trajectories import PD_CASE  # noqa: E402
+from workloads import (Ladder, LowRank, constructed_qp,  # noqa: E402
+                       mixed_instance)
 
 STRATEGIES = ("auto", "primal-first", "dual-first", "primal-only",
               "dual-only")
@@ -128,9 +137,24 @@ def main() -> None:
             g = constructed_qp(*spec)[0]
             d.solve(g.name, lambda c: pdqp.solve_pdqp(g, c),
                     pdqp.SolveConfig(max_iterations=lowrank.max_iterations))
+    u = Digest(per_solve=d.per_solve)
+    g = criterion7_instance(*PD_CASE)[0]
+    u.solve(f"{g.name}/basis240-primal-first",
+            lambda c: pdqp.solve_pdqp(g, c),
+            pdqp.SolveConfig(strategy="primal-first",
+                             initial_basis=list(range(240))))
+    ladder = [constructed_qp(*spec)[0]
+              for spec in Ladder(Path(".")).specs(None) if spec[0] >= 250]
+    for g in [g] + ladder:
+        for s in STRATEGIES[:3]:
+            u.solve(f"{g.name}/{s}", lambda c: pdqp.solve_pdqp(g, c),
+                    pdqp.SolveConfig(strategy=s))
     print(f"pdqp from {Path(pdqp.__file__).parent}")
     print(f"solves {d.solves}, raised {dict(sorted(d.errors.items()))}")
     print(f"digest {d.h.hexdigest()}")
+    print(f"update-path solves {u.solves}, "
+          f"raised {dict(sorted(u.errors.items()))}")
+    print(f"update-path digest {u.h.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -659,14 +659,68 @@ def test_updated_directions_match_fresh_and_solves_stay_correct(
     assert sum(updated) > 1000, (sum(updated), len(updated))
 
 
-def test_update_refuses_a_singular_border(p_lp, updates_everywhere):
+@pytest.mark.parametrize("dim", [200, 401, 600])
+@pytest.mark.parametrize("two_by_two", [False, True], ids=["1x1", "2x2"])
+def test_unpacked_solve_matches_dsytrs(dim, two_by_two):
+    # Symmetric indefinite matrices: a dominant diagonal of either sign
+    # gives 1x1 pivots only; a random symmetric matrix gives 2x2 blocks.
+    rng = np.random.default_rng(dim)
+    g = rng.normal(size=(dim, dim))
+    k = g + g.T
+    if not two_by_two:
+        k += np.diag(rng.choice([-1.0, 1.0], dim) * 4.0 * np.sqrt(dim))
+    f = _bunch_kaufman(k)
+    assert f is not None
+    assert bool(np.any(f.ipiv < 0)) is two_by_two
+    once = kkt._unpack(f)
+    rhs = rng.normal(size=(dim, 3))
+    for r in (rhs[:, 0], rhs[:, 1] * 1e8, k @ rhs[:, 2]):
+        want = f._once(r)
+        assert np.max(np.abs(once(r) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert_allclose(once(k @ rhs[:, 2]), rhs[:, 2], rtol=0, atol=1e-10)
+
+
+def test_update_refuses_a_singular_border(p_lp, updates_everywhere,
+                                          monkeypatch):
+    # dsytrf info of every factorization: K_B0 (dim 2 or 3), S (dim 1).
+    infos = []
+    dsytrf = kkt.lapack.dsytrf
+
+    def recorded(a, **kw):
+        out = dsytrf(a, **kw)
+        infos.append((a.shape[0], out[2]))
+        return out
+
+    monkeypatch.setattr(kkt.lapack, "dsytrf", recorded)
+
     # K_B0 over B0 = {1} is [[0, -1], [-1, 0]]; dropping 1 or adding 0
-    # makes K_B singular.
+    # makes K_B singular, and S = 0 exactly.
     basis = kkt.KktBasis(p_lp, factor_kb_or_raise(
         p_lp, Partition(basic=[1], nonbasic=[0])))
     assert_allclose(basis._update([1], np.array([1.0, 2.0])), [-2.0, -1.0])
+    infos.clear()
     assert basis._update([], np.array([1.0])) is None
     assert basis._update([0, 1], np.array([1.0, 0.0, 0.0])) is None
+    assert infos == [(1, 1), (1, 1)]
+
+    # H = [[1, 1], [1, 1 + d]], A = [1 1]: adding 1 to B0 = {0} gives
+    # S = d exactly.  At d = 1e-9, K_B is nonsingular, but the dsycon
+    # estimate of ||S^-1|| breaks the bound; at d = 0.5 the update holds.
+    for d, holds in ((1e-9, False), (0.5, True)):
+        p = QpProblem(H=np.array([[1.0, 1.0], [1.0, 1.0 + d]]),
+                      M=np.zeros((1, 1)), A=np.array([[1.0, 1.0]]),
+                      b=np.zeros(1), c=np.zeros(2))
+        basis = kkt.KktBasis(p, factor_kb_or_raise(
+            p, Partition(basic=[0], nonbasic=[1])))
+        rhs = np.array([1.0, 2.0, 3.0])
+        infos.clear()
+        w = basis._update([0, 1], rhs)
+        assert infos == [(1, 0)]
+        if holds:
+            assert_allclose(w, np.linalg.solve(build_kb(p, [0, 1]), rhs),
+                            rtol=1e-12)
+        else:
+            assert w is None
     assert isinstance(factor_kb(p_lp, Partition(basic=[], nonbasic=[0, 1])),
                       SingularReport)
     with pytest.raises(KktInternalError, match="K_B unexpectedly singular"):

@@ -269,11 +269,74 @@ def _psd_verdict(s):
     return True
 
 
+def _greedy_psd_verdict(s, tol=model.PSD_PIVOT_TOL):
+    """The test _check_psd ran before it used LAPACK's pivoted Cholesky:
+    eliminate the largest remaining diagonal while it exceeds the cutoff,
+    then reject on a remaining diagonal below -cutoff."""
+    k = s.shape[0]
+    w = np.array(s, dtype=float)
+    cutoff = tol * max(1.0, float(np.max(np.diag(w), initial=0.0)))
+    active = np.ones(k, dtype=bool)
+    for _ in range(k):
+        d = np.where(active, np.diag(w), -np.inf)
+        j = int(np.argmax(d))
+        piv = d[j]
+        if piv <= cutoff:
+            break
+        col = np.where(active, w[:, j], 0.0)
+        w -= np.outer(col, col) / piv
+        active[j] = False
+    rest = np.diag(w)[active]
+    return not (rest.size and float(np.min(rest)) < -cutoff)
+
+
+# A Cholesky that always fails leaves the verdict to the pivoted one.
+_NO_CHOLESKY = SimpleNamespace(dpotrf=lambda a, **kw: (a, 1),
+                               dpstrf=scipy.linalg.lapack.dpstrf)
+
+
 @pytest.mark.parametrize("s,expected", _psd_cases())
 def test_check_psd_matches_greedy_verdict(monkeypatch, s, expected):
+    assert _greedy_psd_verdict(s) is expected
+    assert _psd_verdict(s) is expected
+    monkeypatch.setattr(model, "lapack", _NO_CHOLESKY)
     assert _psd_verdict(s) is expected
 
-    # A Cholesky that always fails leaves the verdict to the greedy test.
-    monkeypatch.setattr(model, "lapack",
-                        SimpleNamespace(dpotrf=lambda a: (a, 1)))
-    assert _psd_verdict(s) is expected
+
+def test_pivoted_cholesky_agrees_with_greedy_on_random_matrices(monkeypatch):
+    # Semidefinite matrices of every rank, some padded with zero rows, and
+    # indefinite ones whose negative eigenvalue lies far below the cutoff.
+    rng = np.random.default_rng(2026)
+    cases = []
+    for _ in range(300):
+        k = int(rng.integers(1, 40))
+        q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        lam = rng.uniform(0.1, 10.0, size=k)
+        lam[rng.random(k) < 0.5] = 0.0
+        psd = bool(rng.random() < 0.5)
+        if not psd:
+            lam[rng.integers(k)] = -rng.uniform(1e-3, 1.0)
+        s = q @ np.diag(lam * 10.0 ** rng.integers(-3, 4)) @ q.T
+        s = np.tril(s) + np.tril(s, -1).T
+        if rng.random() < 0.3:
+            pad = int(rng.integers(1, 5))
+            s = np.pad(s, (0, pad))
+        cases.append((s, psd))
+    assert sum(psd for _, psd in cases) > 100
+    assert sum(not psd for _, psd in cases) > 100
+    for s, psd in cases:
+        assert _greedy_psd_verdict(s) is psd
+        assert _psd_verdict(s) is psd
+    monkeypatch.setattr(model, "lapack", _NO_CHOLESKY)
+    for s, psd in cases:
+        assert _psd_verdict(s) is psd
+
+
+def test_check_psd_rejects_indefinite_matrix_with_tiny_diagonal():
+    # Every diagonal entry lies below the cutoff 1e-10, but the eigenvalue
+    # -1e-6 does not.  The greedy test stopped before its first pivot and
+    # accepted; LAPACK's pivoted Cholesky always takes the first pivot and
+    # sees the off-diagonal.
+    s = np.array([[1e-11, 1e-6], [1e-6, 1e-11]])
+    assert _greedy_psd_verdict(s)
+    assert not _psd_verdict(s)
