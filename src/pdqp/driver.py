@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import solve_dual
-from .kkt import (KktFactorization, factor_kb_or_raise, find_soc_basis,
+from .kkt import (KktFactorization, factor_kb, find_soc_basis,
                   solve_boundary_point)
 from .model import (InvariantError, Iterate, Partition, ProblemError,
                     QpProblem, Shifts, check_optimality, dual_objective,
@@ -378,7 +378,9 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
             raise ProblemError("fixed variables cannot be basic")
         part = Partition(basic=sorted(chosen),
                          nonbasic=[j for j in range(p.n) if j not in chosen])
-        factor = factor_kb_or_raise(p, part)
+        factor = factor_kb(p, part)
+        if factor is None:
+            raise ProblemError(f"initial basis {part.basic}: K_B is singular")
     else:
         found = find_soc_basis(p, prefer=sorted(p.free))
         part, factor = found.partition, found.factor

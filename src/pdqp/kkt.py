@@ -6,37 +6,25 @@ For a basic set B the matrix
     K_B = [ H_BB  A_B' ]
           [ A_B   -M   ]
 
-is factored as P' K_B P = L D L' with unit lower triangular L and block
-diagonal D of 1x1 and 2x2 pivots, along one of two paths:
-
-* LAPACK Bunch-Kaufman (``dsytrf``), accepted when the reciprocal
-  1-norm condition estimate from ``dsycon`` exceeds
-  100 * dim * PIVOT_TOL;
-* otherwise an in-repo greedy elimination that defers every pivot whose
-  magnitude falls below PIVOT_TOL * max|K|.  A completed elimination
-  certifies that B is second-order consistent; a deferral yields a
-  singularity report carrying a null vector.
-
-The acceptance rule never changes a verdict.  The greedy elimination
-defers only when some trailing Schur complement S has every entry below
-PIVOT_TOL * max|K|, so sigma_min(S) <= dim * PIVOT_TOL * max|K|; and
-S^-1 is a principal submatrix of K^-1, so sigma_min(K) <= sigma_min(S).
-For symmetric K, sigma_min(K) >= rcond_1 * ||K||_1 >= rcond_1 * max|K|.
-An accepted factorization therefore has sigma_min(K) a factor 100 above
-any deferral, a margin that covers the estimator's slack and roundoff,
-and the greedy path would have completed.  Basis discovery, singular
-reports and near-singular matrices keep the greedy path, whose deferral
-and tie-break order the tests pin down.
+is factored by LAPACK Bunch-Kaufman (``dsytrf``), P' K_B P = L D L' with
+unit lower triangular L and block diagonal D of 1x1 and 2x2 pivots.  The
+factorization is accepted when the reciprocal 1-norm condition estimate
+from ``dsycon`` exceeds 100 * dim * PIVOT_TOL, and a matrix it rejects is
+singular: that is the one singularity verdict, for K_B, for K_l and for
+the counterpart of a freed component.  For symmetric K,
+sigma_min(K) >= rcond_1 * ||K||_1 >= rcond_1 * max|K|, so an accepted K
+has sigma_min(K) a factor 100 above the singularity bound
+dim * PIVOT_TOL * max|K|, a margin that covers the estimator's slack and
+roundoff; a K within that bound of singular has rcond_1 <= dim *
+PIVOT_TOL and is rejected.
 
 A freed component, dz_l of a base solve or dx_l of an intermediate one,
 is det(counterpart) / det(own) for the pair K_B, K_l, so it is zero
 exactly when the counterpart is singular.  When the computed value lies
-inside its cancellation noise band and the solve's own factorization is
-certified (accepted by the rule above), it is settled at zero without
+inside its cancellation noise band, it is settled at zero without
 touching the counterpart if a change of the data that makes the
-counterpart exactly singular is within the greedy deferral bound
-dim * PIVOT_TOL * max|counterpart|, the bound under which the greedy
-elimination of the counterpart may defer:
+counterpart exactly singular is within the singularity bound
+dim * PIVOT_TOL * max|counterpart|:
 
 * dz_l = s = h_ll - k_l' K_B^-1 k_l, the Schur complement of K_B in K_l.
   With w = -K_B^-1 k_l, (K_l - s e_0 e_0') (1; w) = 0: moving h_ll by
@@ -47,15 +35,14 @@ elimination of the counterpart may defer:
 
 Both the change and the bound are relative to the counterpart's own
 scale, so the verdict does not depend on the scale of the data, while the
-noise band has an absolute floor.  Near the top of the band the greedy
-elimination can still complete such a counterpart; its determinant ratio
-then lies inside the band too, so the two answers differ by less than the
-noise.  The counterpart is still assembled and factored when the verdict
-is in doubt: when the own factorization came from the greedy elimination,
-when the value lies below -noise, or when the change exceeds the bound
-(a genuine small component of badly scaled data).  It is then pinned to
-zero on a deferral, or recomputed as a pivot-determinant ratio that must
-come out positive.
+noise band has an absolute floor.  Near the top of the band Bunch-Kaufman
+can still accept such a counterpart; its determinant ratio then lies
+inside the band too, so the two answers differ by less than the noise.
+The counterpart is still assembled and factored when the verdict is in
+doubt: when the value lies below -noise, or when the change exceeds the
+bound (a genuine small component of badly scaled data).  It is then
+pinned to zero on a rejection, or recomputed as a pivot-determinant
+ratio that must come out positive.
 
 Within a stage the basis changes by one index at a time, so a
 ``KktBasis`` factors K_B0, the basis matrix a stage starts from (or last
@@ -89,12 +76,11 @@ and 1020 against 12, 33 and 100 us unpacked, and unpacking costs 48, 145
 and 480 us, about three applies.  Fresh solves therefore keep ``dsytrs``.
 An updated solve never changes a verdict either: it is used only when
 K_B0 passed the acceptance rule and this bound keeps sigma_min(K_B) above
-100 * dim * PIVOT_TOL * max|K_B|, the margin acceptance demands, so the
-greedy elimination of K_B would complete.  The bound takes ||K_B0^-1||
-and ||S^-1|| from the ``dsycon`` estimates of their factorizations (the
-1-norm bounds the 2-norm of a symmetric matrix, and the factor-100
-margin covers the estimator's slack for both, as for acceptance), and
-||V|| by its Frobenius norm; an S that ``dsytrf`` reports singular, or
+100 * dim * PIVOT_TOL * max|K_B|, the margin acceptance demands.  The
+bound takes ||K_B0^-1|| and ||S^-1|| from the ``dsycon`` estimates of
+their factorizations (the 1-norm bounds the 2-norm of a symmetric
+matrix, and the factor-100 margin covers the estimator's slack for both,
+as for acceptance), and ||V|| by its Frobenius norm; an S that ``dsytrf`` reports singular, or
 whose estimate is not positive, declines the update.  max|K_B| is
 bounded by max|K_B0|, the border columns and H_QQ.  One refinement step
 against the product with K_B, formed from the problem data, follows, as
@@ -128,14 +114,15 @@ the gate's value within that range.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
-from .model import Direction, Iterate, Partition, QpProblem, Shifts
+from .model import (Direction, Iterate, Partition, QpProblem, Shifts,
+                    index_mask)
 
 PIVOT_TOL = 1e-11
 # K_B0 factorizations of smaller dim are not updated: every solve refactors.
@@ -149,26 +136,16 @@ class KktInternalError(RuntimeError):
     or a solved direction violates a sign guarantee."""
 
 
-def _logabsdet(blocks: Iterable[np.ndarray]) -> tuple[float, float]:
-    """(sign, log|det|) of a block diagonal D given its 1x1/2x2 blocks."""
-    sign = 1.0
-    logabs = 0.0
-    for block in blocks:
-        det = (block[0, 0] if block.shape[0] == 1
-               else block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0])
-        sign *= 1.0 if det > 0 else -1.0
-        logabs += float(np.log(abs(det)))
-    return sign, logabs
-
-
-class _Factor:
-    """A completed factorization of ``matrix``; subclasses apply its
-    inverse once in ``_once``.  ``certified`` marks a factorization whose
+@dataclass
+class _BunchKaufman:
+    """LAPACK ``dsytrf`` factorization (lower storage) of a matrix whose
     condition estimate passed the acceptance rule, so that the matrix is
     well away from singular."""
 
+    ldu: np.ndarray
+    ipiv: np.ndarray          # LAPACK 1-based pivots; a pair < 0 marks 2x2
     matrix: np.ndarray
-    certified = False
+    inv_norm: float           # 1 / (rcond * ||K||_1), estimates ||K^-1||_1
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the factorization, one refinement step."""
@@ -176,65 +153,24 @@ class _Factor:
         x += self._once(rhs - self.matrix @ x)
         return x
 
-
-@dataclass
-class _LdlData(_Factor):
-    """Raw output of the elimination engine (permuted coordinates)."""
-
-    perm: np.ndarray          # perm[pos] = original index
-    eliminated: int           # number of pivoted rows/columns
-    lower: np.ndarray         # unit lower factor, eliminated block only
-    dblocks: list[tuple[int, np.ndarray]]   # (start position, 1x1 or 2x2)
-    deferred: np.ndarray      # original indices never pivoted
-    matrix: np.ndarray        # copy of the input matrix
-
     def logabsdet(self) -> tuple[float, float]:
-        """(sign, log|det|) over the pivot blocks."""
-        return _logabsdet(block for _, block in self.dblocks)
-
-    def _once(self, r: np.ndarray) -> np.ndarray:
-        pb = r[self.perm]
-        t = scipy.linalg.solve_triangular(self.lower, pb, lower=True,
-                                          unit_diagonal=True)
-        t = _block_diag_solve(self.dblocks, t)
-        t = scipy.linalg.solve_triangular(self.lower.T, t, lower=False,
-                                          unit_diagonal=True)
-        out = np.empty_like(t)
-        out[self.perm] = t
-        return out
-
-
-@dataclass
-class _BunchKaufman(_Factor):
-    """LAPACK ``dsytrf`` factorization (lower storage) of a matrix whose
-    condition estimate certifies that no pivot would be deferred."""
-
-    ldu: np.ndarray
-    ipiv: np.ndarray          # LAPACK 1-based pivots; a pair < 0 marks 2x2
-    matrix: np.ndarray
-    inv_norm: float           # 1 / (rcond * ||K||_1), estimates ||K^-1||_1
-    certified = True
-
-    @property
-    def deferred(self) -> np.ndarray:
-        return np.empty(0, dtype=int)
-
-    def _dblocks(self):
+        """(sign, log|det|) over the 1x1 and 2x2 pivot blocks of D."""
         d, i = self.ldu, 0
+        sign, logabs = 1.0, 0.0
         while i < self.ipiv.size:
             if self.ipiv[i] > 0:
-                yield d[i:i + 1, i:i + 1]
+                det = d[i, i]
                 i += 1
             else:
-                yield np.array([[d[i, i], d[i + 1, i]],
-                                [d[i + 1, i], d[i + 1, i + 1]]])
+                det = d[i, i] * d[i + 1, i + 1] - d[i + 1, i] ** 2
                 i += 2
-
-    def logabsdet(self) -> tuple[float, float]:
-        """(sign, log|det|) over the pivot blocks."""
-        return _logabsdet(self._dblocks())
+            sign *= 1.0 if det > 0 else -1.0
+            logabs += float(np.log(abs(det)))
+        return sign, logabs
 
     def _once(self, r: np.ndarray) -> np.ndarray:
+        if not r.size:              # dsytrs rejects the empty system
+            return r.copy()
         return lapack.dsytrs(self.ldu, self.ipiv, r, lower=1)[0]
 
 
@@ -284,132 +220,14 @@ def _unpack(f: _BunchKaufman) -> Callable[[np.ndarray], np.ndarray]:
     return once
 
 
-def _swap(w: np.ndarray, perm: np.ndarray, i: int, j: int) -> None:
-    if i == j:
-        return
-    row = w[i].copy()
-    w[i] = w[j]
-    w[j] = row
-    col = w[:, i].copy()
-    w[:, i] = w[:, j]
-    w[:, j] = col
-    perm[i], perm[j] = perm[j], perm[i]
-
-
-def _inv2(p: np.ndarray) -> np.ndarray:
-    det = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
-    return np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]]) / det
-
-
-def _factor_symmetric_indefinite(k: np.ndarray,
-                                 forced_first: list[int] | None = None
-                                 ) -> _LdlData:
-    """Greedy LDL' elimination with 1x1 diagonal and 2x2 off-diagonal
-    pivots.
-
-    Pivot order: largest-magnitude eligible diagonal first, otherwise the
-    largest off-diagonal 2x2; ties broken by least original index.  When
-    the remaining block falls below the pivot tolerance, every remaining
-    index is deferred.  ``forced_first`` indices are tried as leading 1x1
-    pivots (in the given order) when their current diagonal is eligible.
-    The 2x2 search reads the lower triangle of the working matrix, whose
-    two triangles differ by roundoff, so a 2x2 pivot takes both
-    off-diagonal entries from the one the search found.
-    """
-    dim = k.shape[0]
-    w = np.array(k, dtype=float)
-    perm = np.arange(dim)
-    scale = float(np.abs(k).max()) if dim else 0.0
-    tol = PIVOT_TOL * scale
-    dblocks: list[tuple[int, np.ndarray]] = []
-    pos = 0
-
-    def eliminate_1x1(at: int) -> None:
-        nonlocal pos
-        _swap(w, perm, pos, at)
-        piv = w[pos, pos]
-        col = w[pos + 1:, pos].copy()
-        mult = col / piv
-        w[pos + 1:, pos + 1:] -= mult[:, None] * col
-        w[pos + 1:, pos] = mult
-        w[pos, pos + 1:] = mult
-        dblocks.append((pos, np.array([[piv]])))
-        pos += 1
-
-    def eliminate_2x2(at_i: int, at_j: int) -> None:
-        nonlocal pos
-        off = w[max(at_i, at_j), min(at_i, at_j)]
-        _swap(w, perm, pos, at_i)
-        if at_j == pos:
-            at_j = at_i
-        _swap(w, perm, pos + 1, at_j)
-        block = w[pos:pos + 2, pos:pos + 2].copy()
-        block[0, 1] = block[1, 0] = off
-        u = w[pos + 2:, pos:pos + 2].copy()
-        mult = u @ _inv2(block)
-        w[pos + 2:, pos + 2:] -= mult @ u.T
-        w[pos + 2:, pos:pos + 2] = mult
-        w[pos:pos + 2, pos + 2:] = mult.T
-        dblocks.append((pos, block))
-        pos += 2
-
-    for orig in forced_first or []:
-        where = np.nonzero(perm[pos:] == orig)[0]
-        if where.size == 0:
-            continue
-        at = pos + int(where[0])
-        if abs(w[at, at]) > tol:
-            eliminate_1x1(at)
-
-    while pos < dim:
-        diag = np.abs(w.diagonal()[pos:])
-        at = int(np.argmax(diag))
-        dmax = diag[at]
-        if dmax > tol:
-            ties = np.flatnonzero(diag == dmax)
-            if ties.size > 1:
-                at = int(ties[np.argmin(perm[pos + ties])])
-            eliminate_1x1(pos + at)
-            continue
-        sub = np.tril(np.abs(w[pos:, pos:]), -1)
-        omax = float(sub.max()) if sub.size else 0.0
-        if omax <= tol:
-            break
-        pairs = []
-        for a, b in zip(*np.nonzero(sub == omax)):
-            pa, pb = pos + int(a), pos + int(b)
-            if perm[pa] > perm[pb]:
-                pa, pb = pb, pa
-            pairs.append((perm[pa], perm[pb], pa, pb))
-        _, _, at_i, at_j = min(pairs)
-        eliminate_2x2(at_i, at_j)
-
-    lower = np.tril(w[:pos, :pos], -1) + np.eye(pos)
-    for start, block in dblocks:
-        if block.shape[0] == 2:
-            lower[start + 1, start] = 0.0
-    return _LdlData(perm=perm, eliminated=pos, lower=lower, dblocks=dblocks,
-                    deferred=perm[pos:].copy(),
-                    matrix=np.array(k, dtype=float))
-
-
-def _block_diag_solve(dblocks, rhs: np.ndarray) -> np.ndarray:
-    out = rhs.copy()
-    for start, block in dblocks:
-        if block.shape[0] == 1:
-            out[start] = rhs[start] / block[0, 0]
-        else:
-            out[start:start + 2] = _inv2(block) @ rhs[start:start + 2]
-    return out
-
-
 def _bunch_kaufman(k: np.ndarray) -> _BunchKaufman | None:
     """LAPACK factorization of K, or None unless its reciprocal condition
     estimate exceeds 100 * dim * PIVOT_TOL (see the module docstring)."""
     k = np.asarray(k, dtype=float)
     dim = k.shape[0]
-    if dim == 0:
-        return None
+    if dim == 0:                    # the empty matrix is nonsingular
+        return _BunchKaufman(ldu=k, ipiv=np.empty(0, dtype=np.int32),
+                             matrix=k, inv_norm=0.0)
     lwork = int(lapack.dsytrf_lwork(dim, lower=1)[0])
     ldu, ipiv, info = lapack.dsytrf(k, lower=1, lwork=lwork)
     if info != 0:
@@ -422,33 +240,6 @@ def _bunch_kaufman(k: np.ndarray) -> _BunchKaufman | None:
                          inv_norm=1.0 / (rcond * anorm))
 
 
-def _factorize(k: np.ndarray) -> _Factor:
-    """Factor a symmetric K: Bunch-Kaufman when its verdict is certain,
-    the greedy elimination (which may defer pivots) otherwise."""
-    return _bunch_kaufman(k) or _factor_symmetric_indefinite(k)
-
-
-def _null_vector(data: _LdlData) -> np.ndarray:
-    """A unit null vector of the (singular) input matrix, built from the
-    first deferred column against the eliminated block."""
-    dim = data.matrix.shape[0]
-    ne = data.eliminated
-    kp = data.matrix[np.ix_(data.perm, data.perm)]
-    v = np.zeros(dim)
-    v[ne] = 1.0
-    if ne:
-        rhs = kp[:ne, ne]
-        t = scipy.linalg.solve_triangular(data.lower, rhs, lower=True,
-                                          unit_diagonal=True)
-        t = _block_diag_solve(data.dblocks, t)
-        t = scipy.linalg.solve_triangular(data.lower.T, t, lower=False,
-                                          unit_diagonal=True)
-        v[:ne] = -t
-    out = np.empty(dim)
-    out[data.perm] = v
-    return out / np.linalg.norm(out)
-
-
 @dataclass
 class KktFactorization:
     """A reusable factorization of K_B; existing means B is second-order
@@ -456,7 +247,7 @@ class KktFactorization:
 
     basis: tuple[int, ...]
     dim: int
-    _data: _Factor
+    _data: _BunchKaufman
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -469,20 +260,10 @@ class KktFactorization:
 
 
 @dataclass
-class SingularReport:
-    """Evidence that K_B is singular: a unit null vector of K_B."""
-
-    basis: tuple[int, ...]
-    dim: int
-    null_vector: np.ndarray
-    message: str = ""
-
-
-@dataclass
 class SocBasisResult:
-    """A partition whose K_B factors, plus the columns deferred as
-    singular pivots on the way, and K_B's factorization when basis
-    discovery already computed it."""
+    """A partition whose K_B factors, plus the non-fixed columns left
+    nonbasic, and K_B's factorization when basis discovery already
+    computed it."""
 
     partition: Partition
     deferred: list[int]
@@ -508,30 +289,27 @@ def build_kl(p: QpProblem, basic: Sequence[int] | np.ndarray,
     return build_kb(p, np.concatenate(([l], np.asarray(basic, np.intp))))
 
 
-def factor_kb(p: QpProblem, part: Partition) -> KktFactorization | SingularReport:
-    """Factor K_B.  Returns a SingularReport instead of raising when K_B is
-    singular within the pivot tolerance."""
-    kb = build_kb(p, np.flatnonzero(part.basic_mask))
-    data = _factorize(kb)
-    if data.deferred.size:
-        return SingularReport(basis=tuple(part.basic), dim=kb.shape[0],
-                              null_vector=_null_vector(data),
-                              message=f"{data.deferred.size} deferred pivot(s)")
-    return KktFactorization(basis=tuple(part.basic), dim=kb.shape[0],
-                            _data=data)
+def factor_kb(p: QpProblem, part: Partition) -> KktFactorization | None:
+    """Factor K_B, or None when the acceptance rule rejects it: K_B is
+    singular."""
+    data = _bunch_kaufman(build_kb(p, np.flatnonzero(part.basic_mask)))
+    if data is None:
+        return None
+    return KktFactorization(basis=tuple(part.basic),
+                            dim=data.matrix.shape[0], _data=data)
 
 
 def factor_kb_or_raise(p: QpProblem, part: Partition) -> KktFactorization:
     f = factor_kb(p, part)
-    if isinstance(f, SingularReport):
+    if f is None:
         raise KktInternalError(
-            f"K_B unexpectedly singular for basis {f.basis}: {f.message}")
+            f"K_B unexpectedly singular for basis {tuple(part.basic)}")
     return f
 
 
 class KktBasis:
     """The one way a direction solve reaches K_B or K_l: Schur-complement
-    (block-LU) updates from a certified factorization of K_B0, or a fresh
+    (block-LU) updates from a factorization of K_B0, or a fresh
     factorization; see the module docstring.
 
     The border of a basis B is derived from B itself: the indices of B0
@@ -547,14 +325,13 @@ class KktBasis:
         if factor is not None:
             self._rebase(factor.basis, factor._data)
 
-    def _rebase(self, order: Sequence[int] = (), data: _Factor | None = None
-                ) -> None:
+    def _rebase(self, order: Sequence[int] = (),
+                data: _BunchKaufman | None = None) -> None:
         """Drop K_B0 and its caches; then take ``data``, a fresh
         factorization of the basis matrix with its variables in ``order``,
-        as K_B0 if it is certified and of dim >= UPDATE_MIN_DIM."""
+        as K_B0 if it is of dim >= UPDATE_MIN_DIM."""
         self._k0 = self._solve0 = self._w = self._v = None
-        if data is None or not data.certified \
-                or data.matrix.shape[0] < UPDATE_MIN_DIM:
+        if data is None or data.matrix.shape[0] < UPDATE_MIN_DIM:
             return
         dim = data.matrix.shape[0]
         self._k0 = data
@@ -572,8 +349,8 @@ class KktBasis:
 
     def solve(self, order: Sequence[int], rhs: np.ndarray,
               accept: Callable[[np.ndarray], bool],
-              fresh: Callable[[], _Factor]
-              ) -> tuple[np.ndarray, _Factor | None]:
+              fresh: Callable[[], _BunchKaufman]
+              ) -> tuple[np.ndarray, _BunchKaufman | None]:
         """Solve with the basis matrix whose variables come in ``order``.
 
         Returns (w, None) for an updated solve that ``accept(w)`` takes.
@@ -633,7 +410,7 @@ class KktBasis:
         with one refinement step against K_B, or None where no update is
         certified: no K_B0, a full border cache, a Schur block S that
         ``dsytrf`` finds singular, or a bound on ||K_B^-1|| that does not
-        keep K_B clear of the deferral bound."""
+        keep K_B clear of the singularity bound."""
         if self._k0 is None:
             return None
         p, k0 = self.p, self._k0
@@ -704,42 +481,108 @@ class KktBasis:
         return x
 
 
+def _cholesky_pivots(h: np.ndarray, tol: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Pivots of LAPACK's pivoted Cholesky (``dpstrf``) of a semidefinite
+    h while the pivot exceeds tol, in pivot order, and the lower factor
+    of h over them."""
+    factor, piv, rank, _ = lapack.dpstrf(h, tol=tol, lower=1)
+    if rank and not factor[0, 0] ** 2 > tol:
+        rank = 0                # dpstrf takes any positive first pivot
+    return piv[:rank] - 1, np.tril(factor[:rank, :rank])
+
+
+def _qr_pivots(r: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The leading pivots of a column-pivoted QR (``dgeqp3``) of r while
+    |r_ii| exceeds tol, and an orthonormal basis of their span."""
+    q, t, piv = scipy.linalg.qr(r, mode="economic", pivoting=True,
+                                check_finite=False)
+    big = np.abs(t.diagonal()) > tol
+    rank = big.size if big.all() else int(np.argmin(big))
+    return piv[:rank], q[:, :rank]
+
+
+def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    return a.take(rows, axis=0).take(cols, axis=1)
+
+
+def _revealed_basis(p: QpProblem, cand: np.ndarray, first: np.ndarray,
+                    tol: float) -> np.ndarray:
+    """B = P + C of ``find_soc_basis`` over the columns ``cand``, those
+    that the mask ``first`` marks taken first in each pass."""
+    h, m = p.H, p.m
+    one, two = cand[first[cand]], cand[~first[cand]]
+    k1, l1 = _cholesky_pivots(_gather(h, one, one), tol)
+    p1 = one[k1]
+    w = blas.dtrsm(1.0, l1, _gather(h, p1, two), lower=1)   # L1^-1 H_P1,two
+    k2, l2 = _cholesky_pivots(_gather(h, two, two) - w.T @ w, tol)
+    piv = np.concatenate([p1, two[k2]])
+    # H_PP = L L' with L = [[L1, 0], [W', L2]].
+    lower = np.zeros((piv.size, piv.size))
+    lower[:p1.size, :p1.size] = l1
+    lower[p1.size:, :p1.size] = w.take(k2, axis=1).T
+    lower[p1.size:, p1.size:] = l2
+    # R = A_N - A_P H_PP^-1 H_PN over the columns N that are not pivots.
+    rest = ~index_mask(p.n, piv)
+    nonpiv = cand[rest[cand]]
+    x = blas.dtrsm(1.0, lower, np.hstack([p.A.take(piv, axis=1).T,
+                                          _gather(h, piv, nonpiv)]), lower=1)
+    r = p.A.take(nonpiv, axis=1) - x[:, :m].T @ x[:, m:]
+    lead = first[nonpiv]
+    c1, q1 = _qr_pivots(r[:, lead], tol)
+    other = r[:, ~lead]
+    c2, _ = _qr_pivots(other - q1 @ (q1.T @ other), tol)
+    return np.sort(np.concatenate([piv, nonpiv[lead][c1],
+                                   nonpiv[~lead][c2]]))
+
+
 def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisResult:
     """Find an initial second-order consistent basis.
 
-    Runs the symmetric-indefinite elimination on the full KKT matrix over
-    the non-fixed columns; the variable indices that get pivoted form B
-    and the deferred ones form N.  ``prefer`` indices (typically free
-    variables) are tried first as 1x1 pivots.  The multiplier rows must
-    all be pivoted, which the full-row-rank load check guarantees.  When
-    the Bunch-Kaufman path accepts the matrix, the elimination would
-    defer nothing, so every non-fixed column is basic and the accepted
-    factorization is that of K_B, which the result carries.
+    When the acceptance rule takes the full KKT matrix over the non-fixed
+    columns, every one of them is basic and the result carries that
+    factorization, K_B's.  Otherwise B = P + C is revealed by rank at
+    tol = PIVOT_TOL * max|K|, the ``prefer`` columns (typically the free
+    variables) first in each pass, so that few of them stay nonbasic:
+
+    * P holds the pivots that LAPACK's pivoted Cholesky (``dpstrf``;
+      Hammarling, Higham and Lucas, 2007) keeps above tol, first from H
+      over the ``prefer`` columns, then from the Schur complement of the
+      others;
+    * C holds the leading pivots, with |r_ii| > tol, of column-pivoted QR
+      (``dgeqp3``; Businger and Golub, 1965) of
+      R = A_N - A_P H_PP^-1 H_PN over the remaining columns N, first over
+      the ``prefer`` columns of R, then over the others with the span of
+      those projected out.
+
+    In exact arithmetic K_B is nonsingular.  Eliminating H_PP leaves
+    [[E, R_C'], [R_C, -G]] with E = H_CC - H_CP H_PP^-1 H_PC and
+    G = M + A_P H_PP^-1 A_P', both semidefinite.  A null vector (u, v)
+    gives u'Eu + v'Gv = 0, so Eu = 0 and Gv = 0, and then R_C u = 0 and
+    R_C' v = 0.  The columns of R_C are independent, so u = 0.  They span
+    those of R, so R' v = 0; with A_P' v = 0 and M v = 0 (from Gv = 0)
+    that is A_N' v = 0, and the full row rank of [A M] over the non-fixed
+    columns, checked at load, gives v = 0.  B is also maximal: a column
+    left out has its Schur complement in H and its part of R outside the
+    span of R_C both below tol, so adding it makes K_B singular within tol.
     """
     cand = np.flatnonzero(~p.fixed_mask)
     k_full = build_kb(p, cand)
-    forced = None
-    if prefer:
-        pos = {j: i for i, j in enumerate(cand.tolist())}
-        forced = [pos[j] for j in sorted(prefer) if j in pos]
     accepted = _bunch_kaufman(k_full)
-    data = accepted or _factor_symmetric_indefinite(k_full, forced_first=forced)
-    nc = cand.size
-    if np.any(data.deferred >= nc):
-        raise KktInternalError(
-            "multiplier row deferred during basis discovery; "
-            "[A M] should have full row rank")
-    kept = np.ones(nc, dtype=bool)
-    kept[data.deferred] = False
-    deferred = sorted(cand[data.deferred].tolist())
-    basic = cand[kept].tolist()
-    part = Partition(basic=basic, nonbasic=sorted(deferred + sorted(p.fixed)))
+    if accepted is not None:
+        basic = cand
+    else:
+        basic = _revealed_basis(p, cand, index_mask(p.n, prefer or ()),
+                                PIVOT_TOL * float(np.abs(k_full).max()))
+    deferred = cand[~index_mask(p.n, basic)[cand]].tolist()
+    part = Partition(basic=basic.tolist(),
+                     nonbasic=sorted(deferred + sorted(p.fixed)))
     factor = None if accepted is None else KktFactorization(
-        basis=tuple(basic), dim=k_full.shape[0], _data=accepted)
+        basis=tuple(part.basic), dim=k_full.shape[0], _data=accepted)
     return SocBasisResult(partition=part, deferred=deferred, factor=factor)
 
 
-def _freed_component(raw: float, noise: float, own: _Factor,
+def _freed_component(raw: float, noise: float, own: _BunchKaufman,
                      other: Callable[[], np.ndarray], what: str,
                      backward: float, bound: Callable[[], float]) -> float:
     """Resolve the freed component of a direction near zero.
@@ -748,24 +591,22 @@ def _freed_component(raw: float, noise: float, own: _Factor,
     so it vanishes iff the counterpart matrix is singular.  A value above
     the cancellation noise band is returned as computed.  ``backward`` is
     the size of a change of the data that makes the counterpart exactly
-    singular, and ``bound()`` the greedy deferral bound of the counterpart,
+    singular, and ``bound()`` the singularity bound of the counterpart,
     dim * PIVOT_TOL * max|counterpart| (see the module docstring), taken
     from the data without assembling the counterpart.  Inside the band,
-    |raw| <= noise, a certified ``own`` with backward <= bound() settles
-    the component at zero: the backward-error verdict a greedy
-    deferral also gives.  Otherwise (``own`` came from the greedy
-    elimination, raw < -noise so that its sign is in doubt, or the change
+    |raw| <= noise, backward <= bound() settles the component at zero.
+    Otherwise (raw < -noise so that its sign is in doubt, or the change
     is larger than roundoff of the counterpart) build the counterpart with
-    ``other()``, factor it, and either pin the component to zero or
-    recompute it as a pivot-determinant ratio, which stays accurate at any
-    data scale.
+    ``other()``, factor it, and either pin the component to zero where the
+    acceptance rule rejects it or recompute it as a pivot-determinant
+    ratio, which stays accurate at any data scale.
     """
     if raw > noise:
         return raw
-    if own.certified and raw >= -noise and backward <= bound():
+    if raw >= -noise and backward <= bound():
         return 0.0
-    data = _factorize(other())
-    if data.deferred.size:
+    data = _bunch_kaufman(other())
+    if data is None:
         return 0.0
     s_own, ld_own = own.logabsdet()
     s_oth, ld_oth = data.logabsdet()
@@ -864,9 +705,9 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
     rhs = np.zeros(1 + nb + p.m)
     rhs[0] = 1.0
 
-    def fresh() -> _Factor:
-        data = _factorize(build_kb(p, order))
-        if data.deferred.size:
+    def fresh() -> _BunchKaufman:
+        data = _bunch_kaufman(build_kb(p, order))
+        if data is None:
             raise KktInternalError(
                 f"K_l unexpectedly singular for freed index {l}, "
                 f"basis {part.basic}")

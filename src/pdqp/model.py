@@ -36,8 +36,8 @@ from scipy.linalg import lapack
 
 
 class ProblemError(ValueError):
-    """Raised for invalid problem data: bad shapes, indefinite H or M,
-    or a rank-deficient [A M] block."""
+    """Raised for invalid problem data: non-finite entries, bad shapes,
+    indefinite H or M, or a rank-deficient [A M] block."""
 
 
 class StartConditionError(ValueError):
@@ -111,7 +111,7 @@ def _check_row_rank(a: np.ndarray, m: int) -> None:
     ``scipy.linalg.qr(..., pivoting=True)`` calls it) of the transpose."""
     if m == 0:
         return
-    at = np.asarray_chkfinite(a).T
+    at = a.T
     lwork = int(lapack.dgeqp3(at, lwork=-1)[3][0])
     qr = lapack.dgeqp3(at, lwork=lwork)[0]
     diag = np.abs(np.diag(qr))
@@ -159,6 +159,9 @@ class QpProblem:
         A = np.asarray(self.A, dtype=float)
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
+        for name, data in (("H", H), ("M", M), ("A", A), ("b", b), ("c", c)):
+            if not np.isfinite(data).all():
+                raise ProblemError(f"{name} has non-finite entries")
         n = c.shape[0]
         m = b.shape[0]
         if A.size == 0:

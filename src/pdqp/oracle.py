@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kkt import (SingularReport, build_kb, build_kl, factor_kb,
-                  solve_boundary_point)
+from .kkt import build_kb, build_kl, factor_kb, solve_boundary_point
 from .model import (Direction, Iterate, Partition, QpProblem, Shifts,
                     dual_objective, primal_objective)
 
@@ -167,7 +166,7 @@ def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
                              nonbasic=[j for j in range(p.n)
                                        if j not in set(basic)])
             f = factor_kb(p, part)
-            if isinstance(f, SingularReport):
+            if f is None:
                 continue
             it = solve_boundary_point(p, s, part, f)
             if crosscheck:

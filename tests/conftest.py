@@ -1,8 +1,14 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pdqp import GeneralQp, ProblemError, QpProblem, Shifts
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
+
+sys.path.insert(1, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import mixed_instance  # noqa: E402
 
 
 @pytest.fixture
@@ -106,6 +112,13 @@ def random_instances(seed, count, **kw):
         if p is not None:
             out.append(p)
     return out
+
+
+def mixed_instances(seed, count):
+    """The general-format problems of the ``mixed-bounds`` benchmark
+    workload (seed 1, 120 problems), named mixed000, mixed001, ..."""
+    rng = np.random.default_rng(seed)
+    return [mixed_instance(rng, f"mixed{i:03d}") for i in range(count)]
 
 
 def criterion7_instance(n, m, active, seed, rank=None):

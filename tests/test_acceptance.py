@@ -265,9 +265,12 @@ def test_criterion_9_profile_tooling(tmp_path):
 def test_criterion_10_temporary_bounds():
     g = parse_problem(PROBLEMS / "tempbound.qpt")
     std = standardize(g)
+    # Discovery makes the free column 1 basic; the start basis of the
+    # remaining non-fixed columns leaves it to a temporary bound.
     soc = find_soc_basis(std.problem, prefer=sorted(std.problem.free))
-    assert soc.deferred == [1]
-    sol = solve_pdqp(g, SolveConfig(check_invariants=True))
+    assert 1 in soc.partition.basic
+    sol = solve_pdqp(g, SolveConfig(check_invariants=True,
+                                    initial_basis=[0, 2]))
     assert sol.status == "optimal"
     reg = sol.standardized.registry
     assert sorted(reg) == [1]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdqp import Shifts, enumerate_solve, standardize
+from pdqp import KktInternalError, Shifts, driver, enumerate_solve, standardize
 from pdqp.cli import (QptParseError, emit_problem, main, parse_problem,
                       profile, read_runlog, run)
 
@@ -15,8 +15,8 @@ HEADER = ("name,n,m,status,objective,strategy,stage1_iters,stage2_iters,"
           "subiters,millis")
 
 
-def test_corpus_is_twelve_problems():
-    assert len(CORPUS) == 12
+def test_corpus_is_thirteen_problems():
+    assert len(CORPUS) == 13
 
 
 def test_parse_p1_fixture():
@@ -89,9 +89,9 @@ def test_asymmetric_dense_h_rejected(tmp_path):
 def test_run_corpus_matches_expectations(tmp_path):
     rows, code = run(CORPUS, tmp_path, expect=PROBLEMS / "expectations.csv")
     assert code == 0
-    assert len(rows) == 12
+    assert len(rows) == 13
     log = read_runlog(tmp_path / "runlog.csv")
-    assert len(log) == 12
+    assert len(log) == 13
     assert (tmp_path / "p1.sol").exists()
 
 
@@ -110,19 +110,25 @@ def test_run_primal_only_on_dual_infeasible_start(tmp_path):
     assert rows[0].objective == pytest.approx(-1.0)
 
 
-def test_run_records_error_status(tmp_path, capsys):
+def test_run_records_error_status(tmp_path, capsys, monkeypatch):
     # primal-only needs a primal-feasible initial basis; p2's is not.
     rows, code = run([PROBLEMS / "p2.qpt"], tmp_path, strategy="primal-only")
     assert rows[0].status == "error"
     assert code == 1
-    # An internal error (here dual-first's singular K_l after a
-    # temporary-bound swap) is recorded too, and the batch goes on; so
-    # are a malformed file and one with inconsistent bounds, which never
-    # reach the solver.
-    bad = tmp_path / "klsingular.qpt"
-    bad.write_text("QPT 1\ndims 4 1\nA dense\n2 -1 2 -2\nc 2 -1 -3 0\n"
-                   "lower -inf -inf -inf -inf -inf\n"
-                   "upper -1 inf inf 0 inf\nend\n")
+    # An internal error (injected here into the first basis discovery) is
+    # recorded too, and the batch goes on; so are a malformed file and one
+    # with inconsistent bounds, which never reach the solver.
+    find_soc_basis = driver.find_soc_basis
+    discoveries = []
+
+    def failing_once(p, prefer=None):
+        discoveries.append(p)
+        if len(discoveries) == 1:
+            raise KktInternalError("injected")
+        return find_soc_basis(p, prefer=prefer)
+
+    monkeypatch.setattr(driver, "find_soc_basis", failing_once)
+    bad = PROBLEMS / "klsingular.qpt"
     malformed = tmp_path / "malformed.qpt"
     malformed.write_text("QPT 2\n")
     crossed = tmp_path / "crossed.qpt"

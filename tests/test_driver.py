@@ -6,7 +6,7 @@ from pdqp import (GeneralQp, InvariantError, Partition, ProblemError,
                   QpProblem, Shifts, SolveConfig, check_optimality,
                   enumerate_solve, find_soc_basis, init_shifts, solve_pdqp,
                   solve_standard, standardize, temporary_bound_pass)
-from pdqp import kkt, steps
+from pdqp import driver, kkt, steps
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
 
 from conftest import criterion7_instance, random_instances
@@ -19,9 +19,16 @@ def general_p1():
                      upper=np.array([np.inf, np.inf, 1.0]))
 
 
+# Standardized, temp_bound_fixture has columns 0-2 and fixed slacks 3, 4.
+# Discovery makes the free column 1 basic; this start basis leaves it
+# nonbasic, for the temporary-bound machinery.
+TEMP_BOUND_BASIS = [0, 2]
+
+
 def temp_bound_fixture():
-    """A free variable with a dependent column: deferred at discovery and
-    handled through the temporary-bound machinery with a nonzero dual."""
+    """A free variable with a dependent column, handled through the
+    temporary-bound machinery with a nonzero dual when it starts outside
+    the basis (``TEMP_BOUND_BASIS``)."""
     return GeneralQp(Hhat=np.diag([4.0, 0.0, 0.0]),
                      Ahat=np.array([[1.0, 1.0, 2.0], [0.0, 1.0, 2.0]]),
                      c=np.array([-4.0, 1.0, 4.0]),
@@ -120,11 +127,24 @@ def test_solve_standard_factors_the_initial_basis_once(p1, monkeypatch,
     # the check of the given initial basis, and init_shifts reuses it.
     calls = []
     factor_kb = kkt.factor_kb
-    monkeypatch.setattr(kkt, "factor_kb",
-                        lambda p, part: calls.append(part) or factor_kb(p, part))
+
+    def counted(p, part):
+        calls.append(part)
+        return factor_kb(p, part)
+
+    monkeypatch.setattr(kkt, "factor_kb", counted)
+    monkeypatch.setattr(driver, "factor_kb", counted)
     sol = solve_standard(p1, SolveConfig(initial_basis=initial_basis))
     assert sol.status == "optimal" and sol.iterations == 0
     assert len(calls) == (0 if initial_basis is None else 1)
+
+
+def test_singular_initial_basis_is_a_problem_error(p1, p_unbounded):
+    # K_B = [[0]] for B = {} of p1; H_BB = 0 with one row for B = {0, 1}
+    # of p_unbounded.
+    for p, basis in ((p1, []), (p_unbounded, [0, 1])):
+        with pytest.raises(ProblemError, match="K_B is singular"):
+            solve_standard(p, SolveConfig(initial_basis=basis))
 
 
 def test_solve_standard_infeasible(p_infeasible):
@@ -199,8 +219,9 @@ def test_temporary_bound_fixture_nonzero_dual():
     g = temp_bound_fixture()
     std = standardize(g)
     soc = find_soc_basis(std.problem, prefer=sorted(std.problem.free))
-    assert soc.deferred == [1]       # the free variable stays nonbasic
-    sol = solve_pdqp(g, SolveConfig(check_invariants=True))
+    assert 1 in soc.partition.basic
+    sol = solve_pdqp(g, SolveConfig(check_invariants=True,
+                                    initial_basis=TEMP_BOUND_BASIS))
     reg = sol.standardized.registry
     assert sorted(reg) == [1]
     assert reg[1] == pytest.approx(-1.0)
@@ -216,7 +237,8 @@ def test_temporary_bound_fixture_nonzero_dual():
 def test_temporary_bound_fixture_dual_first_zero_step_rule():
     g = temp_bound_fixture()
     sol = solve_pdqp(g, SolveConfig(strategy="dual-first",
-                                    check_invariants=True))
+                                    check_invariants=True,
+                                    initial_basis=TEMP_BOUND_BASIS))
     assert sol.status == "optimal"
     assert_allclose(sol.x, [1.0, 2.0, 0.0], atol=1e-9)
 

@@ -1,23 +1,19 @@
-import copy
-import warnings
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from pdqp import (GeneralQp, Iterate, KktFactorization, KktInternalError,
-                  Partition, QpProblem, Shifts, SingularReport, SolveConfig,
+                  Partition, QpProblem, Shifts, SolveConfig,
                   enumerate_solve, factor_kb, find_soc_basis,
                   recover_z_nonbasic, solve_base_primal,
                   solve_intermediate_primal, solve_pdqp, solve_standard,
                   standardize)
 from pdqp import dual, kkt, primal
-from pdqp.kkt import (KktBasis, _bunch_kaufman, _factor_symmetric_indefinite,
-                      build_kb, build_kl, factor_kb_or_raise,
-                      solve_boundary_point)
+from pdqp.kkt import (KktBasis, _bunch_kaufman, build_kb, build_kl,
+                      factor_kb_or_raise, solve_boundary_point)
 from pdqp.oracle import _gauss_solve
 
-from conftest import criterion7_instance, random_instances
+from conftest import criterion7_instance, mixed_instances, random_instances
 
 
 @pytest.fixture
@@ -36,9 +32,7 @@ def test_factor_kb_two_by_two(p1):
 
 
 def test_factor_kb_singular_empty_basis(p_lp):
-    f = factor_kb(p_lp, Partition(basic=[], nonbasic=[0, 1]))
-    assert isinstance(f, SingularReport)
-    assert f.dim == 1
+    assert factor_kb(p_lp, Partition(basic=[], nonbasic=[0, 1])) is None
 
 
 def test_factor_kb_full_basis(p1):
@@ -50,19 +44,19 @@ def test_factor_kb_full_basis(p1):
     assert_allclose(k @ f.solve(rhs), rhs, atol=1e-12)
 
 
-def test_singular_report_null_vector_splits():
+def test_singular_kb_null_vector_splits():
     # Null vector (u, -v) of a singular K_B satisfies H_BB u = 0, A_B u = 0
     # and A_B' v = 0, M v = 0 separately.
     p = QpProblem(H=np.zeros((3, 3)), M=np.zeros((2, 2)),
                   A=np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
                   b=np.zeros(2), c=np.zeros(3))
     part = Partition(basic=[0, 1, 2], nonbasic=[])
-    f = factor_kb(p, part)
-    assert isinstance(f, SingularReport)
+    assert factor_kb(p, part) is None
     kb = build_kb(p, [0, 1, 2])
-    assert np.max(np.abs(kb @ f.null_vector)) < 1e-9
-    u = f.null_vector[:3]
-    v = -f.null_vector[3:]
+    null = np.linalg.svd(kb)[2][-1]
+    assert np.max(np.abs(kb @ null)) < 1e-9
+    u = null[:3]
+    v = -null[3:]
     hbb = p.H
     ab = p.A
     assert np.max(np.abs(hbb @ u)) < 1e-9
@@ -109,8 +103,7 @@ def test_find_soc_basis_defers_dependent_column():
     assert len(res.deferred) == 1
     assert isinstance(factor_kb(p, res.partition), KktFactorization)
     # The full basis would be singular: H_BB = 0 with a single row.
-    full = factor_kb(p, Partition(basic=[0, 1], nonbasic=[]))
-    assert isinstance(full, SingularReport)
+    assert factor_kb(p, Partition(basic=[0, 1], nonbasic=[])) is None
 
 
 def test_find_soc_basis_random_postcondition():
@@ -245,7 +238,8 @@ def test_build_kb_and_kl_equal_block_assembly_bit_for_bit():
 
 def _weakly_active_instance(seed, n, m, rank, strict, weak):
     """The criterion-7 construction with rank-``rank`` H = G'G/n, plus
-    ``weak`` zeros of x* whose bound duals are zero as well."""
+    ``weak`` zeros of x* whose bound duals are zero as well.  Returns the
+    problem and its optimal value."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(rank, n))
     h = g.T @ g / n
@@ -257,29 +251,26 @@ def _weakly_active_instance(seed, n, m, rank, strict, weak):
     zstar[idx[:strict]] = np.abs(rng.normal(size=strict)) + 0.1
     c = -h @ xstar + a.T @ rng.normal(size=m) + zstar
     rows = a @ xstar
-    return GeneralQp(Hhat=h, Ahat=a, c=c,
-                     lower=np.concatenate([np.zeros(n), rows]),
-                     upper=np.concatenate([np.full(n, np.inf), rows]))
+    g = GeneralQp(Hhat=h, Ahat=a, c=c,
+                  lower=np.concatenate([np.zeros(n), rows]),
+                  upper=np.concatenate([np.full(n, np.inf), rows]))
+    return g, float(0.5 * xstar @ h @ xstar + c @ xstar)
 
 
-def test_greedy_two_by_two_pivot_reads_one_triangle():
-    # Basis discovery on this instance reaches a 2x2 pivot where the two
-    # triangles of the updated matrix differ: read from both, the block is
-    # [[2.4e-12, -7.3e-12], [0, 0]], which is singular.  Both
-    # off-diagonals must come from the entry the pivot search found.
-    p = standardize(_weakly_active_instance(103, 30, 8, 1, 4, 8)).problem
-    k = build_kb(p, np.flatnonzero(~p.fixed_mask))
-    assert _bunch_kaufman(k) is None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        data = _factor_symmetric_indefinite(k)
-    pairs = [block for _, block in data.dblocks if block.shape[0] == 2]
-    assert pairs
-    for block in pairs:
-        assert block[0, 1] == block[1, 0]
-        assert block[0, 0] * block[1, 1] != block[0, 1] ** 2
-    assert np.all(np.isfinite(data.lower))
-    assert all(np.all(np.isfinite(b)) for _, b in data.dblocks)
+@pytest.mark.parametrize("strategy", ["auto", "primal-first", "dual-first"])
+@pytest.mark.parametrize("case", [(103, 30, 8, 1, 4, 8),
+                                  (1017, 12, 4, 1, 2, 5)],
+                         ids=["seed103", "seed1017"])
+def test_weakly_active_instances_solve(case, strategy):
+    # Rank-1 H with weakly active zeros: the full KKT matrix is singular, so
+    # discovery reveals the basis by rank.  A start basis whose K_B is
+    # numerically singular would fail its own optimality check.
+    g, fstar = _weakly_active_instance(*case)
+    p = standardize(g).problem
+    assert _bunch_kaufman(build_kb(p, np.flatnonzero(~p.fixed_mask))) is None
+    sol = solve_pdqp(g, SolveConfig(strategy=strategy))
+    assert sol.status == "optimal"
+    assert abs(sol.objective - fstar) <= 1e-7 * (1.0 + abs(fstar))
 
 
 def test_recover_z_nonbasic_cases(p1, p2):
@@ -302,8 +293,8 @@ def test_factor_solve_matches_gauss_on_random():
         dim = int(rng.integers(1, 9))
         k = rng.normal(size=(dim, dim))
         k = k + k.T
-        data = _factor_symmetric_indefinite(k)
-        if data.deferred.size:
+        data = _bunch_kaufman(k)
+        if data is None:
             continue
         rhs = rng.normal(size=dim)
         x = data.solve(rhs)
@@ -381,7 +372,10 @@ def _kkt_with_sigma_min(rng, integer, rel_sigma):
     return k
 
 
-def test_bunch_kaufman_acceptance_implies_greedy_completes():
+def test_bunch_kaufman_acceptance_clears_singularity_bound():
+    # Acceptance is the one nonsingularity verdict: every accepted K has
+    # sigma_min(K) above the singularity bound dim * PIVOT_TOL * max|K|,
+    # and its solves agree with a dense LU solve.
     rng = np.random.default_rng(20260810)
     accepted = rejected = 0
     for rel_sigma in [None] + [10.0 ** e for e in range(-15, -2)]:
@@ -389,16 +383,17 @@ def test_bunch_kaufman_acceptance_implies_greedy_completes():
             for _ in range(40):
                 k = _kkt_with_sigma_min(rng, integer, rel_sigma)
                 bk = _bunch_kaufman(k)
-                greedy = _factor_symmetric_indefinite(k)
                 if bk is None:
                     rejected += 1
                     continue
                 accepted += 1
-                assert greedy.deferred.size == 0
+                sigma_min = np.linalg.svd(k, compute_uv=False)[-1]
+                bound = k.shape[0] * kkt.PIVOT_TOL * np.max(np.abs(k))
+                assert sigma_min > bound
                 rhs = rng.normal(size=k.shape[0])
-                x_greedy = greedy.solve(rhs)
-                assert np.linalg.norm(bk.solve(rhs) - x_greedy) \
-                    <= 1e-8 * np.linalg.norm(x_greedy)
+                x = np.linalg.solve(k, rhs)
+                assert np.linalg.norm(bk.solve(rhs) - x) \
+                    <= 1e-8 * np.linalg.norm(x)
     assert accepted > 100 and rejected > 100
 
 
@@ -419,18 +414,23 @@ def test_bunch_kaufman_logabsdet_matches_slogdet():
     assert two_by_two > 20
 
 
-def test_find_soc_basis_matches_greedy_only_path(monkeypatch):
-    problems = random_instances(20260810, 500)
-    fast = [find_soc_basis(p) for p in problems]
-    accepted = sum(_bunch_kaufman(build_kb(p, list(range(p.n)))) is not None
-                   for p in problems)
-    assert 0 < accepted < len(problems)      # both paths are exercised
-    monkeypatch.setattr(kkt, "_bunch_kaufman", lambda k: None)
-    for p, res in zip(problems, fast):
-        ref = find_soc_basis(p)
-        assert res.partition.basic == ref.partition.basic
-        assert res.partition.nonbasic == ref.partition.nonbasic
-        assert res.deferred == ref.deferred
+def _discovery_problems():
+    std = [standardize(g).problem for g in mixed_instances(1, 120)]
+    return random_instances(20260810, 500) + std
+
+
+def test_discovered_basis_is_certified_and_maximal():
+    # K_B of the discovered basis passes the acceptance rule, and adding
+    # any column discovery left out makes the acceptance rule reject it.
+    revealed = 0
+    for p in _discovery_problems():
+        res = find_soc_basis(p, prefer=sorted(p.free))
+        assert factor_kb(p, res.partition) is not None
+        basic = res.partition.basic
+        for j in res.deferred:
+            assert _bunch_kaufman(build_kb(p, sorted(basic + [j]))) is None
+        revealed += res.factor is None
+    assert revealed > 100
 
 
 def test_certified_in_band_component_builds_no_counterpart(p_lp, p1,
@@ -439,7 +439,6 @@ def test_certified_in_band_component_builds_no_counterpart(p_lp, p1,
     # from a Bunch-Kaufman factorization: settled without assembling the
     # counterpart.
     f = factor_kb_or_raise(p_lp, Partition(basic=[1], nonbasic=[0]))
-    assert f._data.certified
     p = QpProblem(H=p1.H, M=p1.M, A=p1.A, b=np.array([-1.0]), c=p1.c)
     assert _bunch_kaufman(build_kl(p, [], 1)) is not None
     built = _recording_build_kb(monkeypatch)
@@ -451,23 +450,6 @@ def test_certified_in_band_component_builds_no_counterpart(p_lp, p1,
                                                freed=1), 1, KktBasis(p))
     assert d.dx_l == 0.0
     assert built == [[1], [1]]     # and the solve's own K_l
-
-
-def test_greedy_own_factorization_still_builds_counterpart(p_lp, p1,
-                                                          monkeypatch):
-    monkeypatch.setattr(kkt, "_bunch_kaufman", lambda k: None)
-    f = factor_kb_or_raise(p_lp, Partition(basic=[1], nonbasic=[0]))
-    assert not f._data.certified
-    built = _recording_build_kb(monkeypatch)
-    d = solve_base_primal(p_lp, Partition(basic=[1], nonbasic=[], freed=0),
-                          KktBasis(p_lp, f), 0)
-    assert d.dz_l == 0.0
-    assert built == [[1], [0, 1]]  # own K_B, then K_l, freed index leading
-    p = QpProblem(H=p1.H, M=p1.M, A=p1.A, b=np.array([-1.0]), c=p1.c)
-    d = solve_intermediate_primal(p, Partition(basic=[], nonbasic=[0],
-                                               freed=1), 1, KktBasis(p))
-    assert d.dx_l == 0.0
-    assert built == [[1], [0, 1], [1], []]
 
 
 def _in_band_dz(kb, k, frac):
@@ -526,8 +508,8 @@ def test_in_band_rule_agrees_with_greedy_counterpart(what, scale):
     # to the noise band.  The band has an absolute floor, so away from unit
     # scale it also holds genuine components.  A component the rule
     # settles at zero without assembling the counterpart must have a
-    # counterpart within the greedy deferral bound of singular, relative to
-    # its own scale; there the counterpart path agrees exactly up to a
+    # counterpart that a change within the singularity bound, relative to
+    # its own scale, makes singular; there the counterpart path agrees exactly up to a
     # tenth of the band and within the band above it.  Every other
     # component is the counterpart path's value, nonnegative, and when
     # nonzero a genuine component that matches the computed value.
@@ -555,11 +537,12 @@ def test_in_band_rule_agrees_with_greedy_counterpart(what, scale):
                         raw, noise, own,
                         lambda: built.append(1) or counterpart, what,
                         backward, lambda: bound)
-                    greedy_own = copy.copy(own)
-                    greedy_own.certified = False
+                    # A bound below every backward error forces the
+                    # counterpart path: factor the counterpart, pin the
+                    # component at zero on a rejection.
                     reference = kkt._freed_component(
-                        raw, noise, greedy_own, lambda: counterpart, what,
-                        backward, lambda: bound)
+                        raw, noise, own, lambda: counterpart, what,
+                        backward, lambda: -1.0)
                     if built:
                         assert value == reference >= 0.0
                         if reference > 0.0:
@@ -721,8 +704,7 @@ def test_update_refuses_a_singular_border(p_lp, updates_everywhere,
                             rtol=1e-12)
         else:
             assert w is None
-    assert isinstance(factor_kb(p_lp, Partition(basic=[], nonbasic=[0, 1])),
-                      SingularReport)
+    assert factor_kb(p_lp, Partition(basic=[], nonbasic=[0, 1])) is None
     with pytest.raises(KktInternalError, match="K_B unexpectedly singular"):
         solve_base_primal(p_lp, Partition(basic=[], nonbasic=[1], freed=0),
                           basis, 0)
@@ -736,7 +718,7 @@ def test_update_refuses_a_singular_border(p_lp, updates_everywhere,
 def test_in_band_freed_component_takes_the_fresh_path(p_lp, p1, monkeypatch,
                                                       updates_everywhere):
     factored = _counting(monkeypatch, kkt, "factor_kb")
-    lapack = _counting(monkeypatch, kkt, "_factorize")
+    lapack = _counting(monkeypatch, kkt, "_bunch_kaufman")
     settled = _counting(monkeypatch, kkt, "_freed_component")
     part = Partition(basic=[1], nonbasic=[], freed=0)
 

@@ -114,6 +114,17 @@ def test_rejects_indefinite_hessian():
                   A=np.array([[1.0, 1.0]]), b=np.zeros(1), c=np.zeros(2))
 
 
+@pytest.mark.parametrize("name", ["H", "M", "A", "b", "c"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_data(name, bad):
+    data = dict(H=np.eye(2), M=np.zeros((1, 1)), A=np.array([[1.0, 1.0]]),
+                b=np.zeros(1), c=np.zeros(2))
+    data[name] = data[name].copy()
+    data[name].flat[0] = bad
+    with pytest.raises(ProblemError, match=f"^{name} has non-finite entries"):
+        QpProblem(**data)
+
+
 def test_rejects_asymmetric_hessian():
     with pytest.raises(ProblemError, match="symmetric"):
         QpProblem(H=np.array([[1.0, 0.5], [0.0, 1.0]]), M=np.zeros((1, 1)),
