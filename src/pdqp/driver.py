@@ -13,12 +13,10 @@ bounds become free variables, and equal bounds mark fixed variables.
 The pipeline then finds a second-order consistent basis, builds minimal
 shifts making that basis optimal for the shifted pair, and removes the
 shifts with two consecutive solves (primal then dual, or dual then
-primal).  Free variables left outside the initial basis receive the
-temporary-bound treatment: a dual shift freezes them, the primal solve
-drives their duals to zero, and the dual solve never moves them.  The
-temporary bounds are exactly the free nonbasic variables, since a free
-index never leaves the basic set once in it; ``StandardSolution.registry``
-records their duals at the start partition.
+primal).  Free variables left outside the initial basis are temporary
+bounds, recorded in ``StandardSolution.registry``: a dual shift freezes
+their duals, a dual-solve direction that would move one blocks with a
+zero step and makes it basic, and the primal solve drives them to zero.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The dual active-set method, the mirror image of the primal: its
 ``Family`` descriptor for the shared engine in ``steps``, its two step
-functions with their temporary-bound swap loop, and its entry checks.
+functions, and its entry checks.
 
 Iterates keep the dual bounds z_N + r_N >= 0 while the negative
 components of x + q are repaired; a repaired index ends nonbasic with
@@ -9,8 +9,15 @@ subiteration, dz_l fixed) or, under the relaxed entry conditions, from
 the nonbasic set (straight to intermediate subiterations, dx_l fixed);
 blocking dual bounds move their index into the basic set.
 
-Temporary bounds are the free nonbasic variables: their duals must not
-move during a dual solve (see ``_direction_keeping_free_duals``).
+Temporary bounds are the free nonbasic variables: z_j + r_j = 0 is a
+dual bound of zero width (``Family.pinned``), so a direction that would
+move z_j blocks with a zero step and makes j basic.  The next system,
+K_B over B' + {j} with dx_l fixed (B' the basic set while l is freed), is
+nonsingular even if K_big over B' + {l, j} is singular: K_l over B' + {l}
+is not, so K_big has corank 1 and adj(K_big) = c ww' (c != 0, w spanning
+its null space, c w_j^2 = det K_l).  The rows of K_big w = 0 over B' + {l}
+give w_l = -w_j dz_j up to sign (dz_j: the base direction's rate for z_j),
+so deleting row and column l leaves det = c w_j^2 dz_j^2 != 0.
 """
 
 from __future__ import annotations
@@ -49,66 +56,33 @@ def _check_invariants(p, s, part, it, opt_tol):
             raise InvariantError(f"dual feasibility lost at nonbasic index {j}")
 
 
-def _eligible(p, part):
-    """Free indices have no primal bound and are never selected, nor are
-    fixed nonbasic ones; the rest are one-sided."""
-    excluded = p.free_mask | (p.fixed_mask & part.nonbasic_mask)
-    return ~excluded, np.zeros(p.n, dtype=bool)
-
-
 DUAL = Family(method="dual", repaired="x", repair_shift="q",
               guarded="z", guard_shift="r", live="nonbasic", idle="basic",
-              unguarded="fixed", scale_by="x", unbounded=PRIMAL_INFEASIBLE,
-              check_start=_check_start, check_invariants=_check_invariants,
-              eligible=_eligible, keeps_free_duals=True)
-
-
-def _direction_keeping_free_duals(p: QpProblem, part: Partition, solve,
-                                  swap_sink) -> Direction:
-    """The direction ``solve()`` gives once every free nonbasic index
-    whose dual it would move (dz_j != 0) has been moved into the basic
-    set, least first, with a fresh solve after each move."""
-    d = solve()
-    held = np.flatnonzero(p.free_mask & part.nonbasic_mask)
-    if held.size == 0:
-        return d
-    tol = 1e-11 * max(1.0, p.kkt_scale())
-    while True:
-        moving = held[np.abs(d.dz[held]) > tol]
-        if moving.size == 0:
-            return d
-        j = int(moving[0])
-        part.move(j, "basic")
-        if swap_sink is not None:
-            swap_sink(j, d)
-        d = solve()
-        held = np.flatnonzero(p.free_mask & part.nonbasic_mask)
+              unguarded="fixed", pinned="free", scale_by="x",
+              unbounded=PRIMAL_INFEASIBLE, check_start=_check_start,
+              check_invariants=_check_invariants)
 
 
 def dual_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
-              *, basis: KktBasis, orient: float = 1.0, opt_tol: float = 1e-6,
-              swap_sink=None) -> tuple[StepResult, Direction]:
+              *, basis: KktBasis, orient: float = 1.0, opt_tol: float = 1e-6
+              ) -> tuple[StepResult, Direction]:
     """Base subiteration: fix dz_l = orient (bordered K_l system) and
     move x_l + q_l toward zero (see ``take_step``).  An infinite step
     (dx_l = 0 with no blocking dual bound), returned unapplied, certifies
     the primal problem infeasible."""
-    solve = partial(_direction_keeping_free_duals, p, part,
-                    lambda: solve_intermediate_primal(p, part, l, basis),
-                    swap_sink)
-    return take_step(DUAL, p, s, part, it, l, solve, orient, opt_tol,
-                     "dual_base")
+    return take_step(DUAL, p, s, part, it, l,
+                     lambda: solve_intermediate_primal(p, part, l, basis),
+                     orient, opt_tol, "dual_base")
 
 
 def dual_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
                       l: int, *, basis: KktBasis, orient: float = 1.0,
-                      opt_tol: float = 1e-6, swap_sink=None
-                      ) -> tuple[StepResult, Direction]:
+                      opt_tol: float = 1e-6) -> tuple[StepResult, Direction]:
     """Intermediate subiteration: fix dx_l = orient (K_B system), so the
     target step -(x_l + q_l)/dx_l is always finite."""
-    solve = partial(_direction_keeping_free_duals, p, part,
-                    lambda: solve_base_primal(p, part, basis, l), swap_sink)
-    return take_step(DUAL, p, s, part, it, l, solve, orient, opt_tol,
-                     "dual_intermediate")
+    return take_step(DUAL, p, s, part, it, l,
+                     lambda: solve_base_primal(p, part, basis, l),
+                     orient, opt_tol, "dual_intermediate")
 
 
 def solve_dual(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],

@@ -122,7 +122,7 @@ import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from .model import (Direction, Iterate, Partition, QpProblem, Shifts,
-                    index_mask)
+                    index_mask, pivoted_cholesky)
 
 PIVOT_TOL = 1e-11
 # K_B0 factorizations of smaller dim are not updated: every solve refactors.
@@ -481,17 +481,6 @@ class KktBasis:
         return x
 
 
-def _cholesky_pivots(h: np.ndarray, tol: float
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Pivots of LAPACK's pivoted Cholesky (``dpstrf``) of a semidefinite
-    h while the pivot exceeds tol, in pivot order, and the lower factor
-    of h over them."""
-    factor, piv, rank, _ = lapack.dpstrf(h, tol=tol, lower=1)
-    if rank and not factor[0, 0] ** 2 > tol:
-        rank = 0                # dpstrf takes any positive first pivot
-    return piv[:rank] - 1, np.tril(factor[:rank, :rank])
-
-
 def _qr_pivots(r: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The leading pivots of a column-pivoted QR (``dgeqp3``) of r while
     |r_ii| exceeds tol, and an orthonormal basis of their span."""
@@ -512,16 +501,18 @@ def _revealed_basis(p: QpProblem, cand: np.ndarray, first: np.ndarray,
     that the mask ``first`` marks taken first in each pass."""
     h, m = p.H, p.m
     one, two = cand[first[cand]], cand[~first[cand]]
-    k1, l1 = _cholesky_pivots(_gather(h, one, one), tol)
-    p1 = one[k1]
+    f1, k1, r1 = pivoted_cholesky(_gather(h, one, one), tol)
+    p1 = one[k1[:r1]]
+    l1 = np.tril(f1[:r1, :r1])
     w = blas.dtrsm(1.0, l1, _gather(h, p1, two), lower=1)   # L1^-1 H_P1,two
-    k2, l2 = _cholesky_pivots(_gather(h, two, two) - w.T @ w, tol)
+    f2, k2, r2 = pivoted_cholesky(_gather(h, two, two) - w.T @ w, tol)
+    k2 = k2[:r2]
     piv = np.concatenate([p1, two[k2]])
     # H_PP = L L' with L = [[L1, 0], [W', L2]].
     lower = np.zeros((piv.size, piv.size))
     lower[:p1.size, :p1.size] = l1
     lower[p1.size:, :p1.size] = w.take(k2, axis=1).T
-    lower[p1.size:, p1.size:] = l2
+    lower[p1.size:, p1.size:] = np.tril(f2[:r2, :r2])
     # R = A_N - A_P H_PP^-1 H_PN over the columns N that are not pivots.
     rest = ~index_mask(p.n, piv)
     nonpiv = cand[rest[cand]]

@@ -75,6 +75,17 @@ def _live_block(s: np.ndarray, live: np.ndarray) -> np.ndarray:
     return s.take(live, axis=0).take(live, axis=1).T
 
 
+def pivoted_cholesky(h: np.ndarray, tol: float
+                     ) -> tuple[np.ndarray, np.ndarray, int]:
+    """LAPACK's pivoted Cholesky (``dpstrf``) of a semidefinite h, which
+    it may overwrite, while pivots exceed tol: (lower factor, 0-based
+    pivots, rank).  ``dpstrf`` takes any positive first pivot."""
+    factor, piv, rank, _ = lapack.dpstrf(h, tol=tol, lower=1, overwrite_a=1)
+    if rank and not factor[0, 0] ** 2 > tol:
+        rank = 0
+    return factor, piv - 1, rank
+
+
 def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> None:
     """Pivoted-Cholesky semidefiniteness test of an exactly symmetric s.
 
@@ -82,12 +93,13 @@ def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> None:
     (standardized problems pad H with zero slack rows).  A LAPACK Cholesky
     factorization (``dpotrf``) that succeeds with a finite factor accepts
     first: a matrix definite on its nonzero part is semidefinite.
-    Otherwise LAPACK's pivoted Cholesky (``dpstrf``) eliminates the
-    largest remaining diagonal until it falls to the cutoff
-    tol * max(1, max diagonal), and a trailing Schur diagonal entry below
-    -cutoff rejects the matrix.  That diagonal is the input's minus the
-    row sums of L^2, since ``dpstrf`` leaves the trailing block partly
-    updated.
+    Otherwise ``pivoted_cholesky`` eliminates the largest remaining
+    diagonal until it falls to the cutoff tol * max(1, max diagonal), and
+    a trailing Schur diagonal entry below -cutoff rejects the matrix.
+    That diagonal is the input's minus the row sums of L^2, since
+    ``dpstrf`` leaves the trailing block partly updated.  Without a pivot
+    above the cutoff the least eigenvalue decides instead, since the
+    diagonal cannot see an off-diagonal entry far above it.
     """
     live = np.flatnonzero((s != 0.0).any(axis=1))
     if not live.size:               # empty or zero
@@ -97,10 +109,10 @@ def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> None:
     if info == 0 and np.isfinite(factor).all():
         return
     cutoff = tol * max(1.0, float(s.diagonal().max()))
-    factor, piv, rank, _ = lapack.dpstrf(_live_block(s, live), tol=cutoff,
-                                         lower=1, overwrite_a=1)
+    factor, piv, rank = pivoted_cholesky(_live_block(s, live), cutoff)
     low = factor[rank:, :rank]
-    rest = s.diagonal()[live[piv[rank:] - 1]] - (low * low).sum(axis=1)
+    rest = (s.diagonal()[live[piv[rank:]]] - (low * low).sum(axis=1) if rank
+            else np.linalg.eigvalsh(_live_block(s, live)))
     if rest.size and float(rest.min()) < -cutoff:
         raise ProblemError(f"{name} is not positive semidefinite "
                            f"(pivot {float(rest.min()):.3e})")

@@ -41,19 +41,11 @@ def _check_invariants(p, s, part, it, fea_tol):
             raise InvariantError(f"primal feasibility lost at basic index {i}")
 
 
-def _eligible(p, part):
-    """Free indices are two-sided; fixed nonbasic indices are never
-    selected."""
-    excluded = p.fixed_mask & part.nonbasic_mask
-    two_sided = p.free_mask & ~excluded
-    return ~excluded & ~two_sided, two_sided
-
-
 PRIMAL = Family(method="primal", repaired="z", repair_shift="r",
                 guarded="x", guard_shift="q", live="basic", idle="nonbasic",
-                unguarded="free", scale_by="y", unbounded=DUAL_INFEASIBLE,
-                check_start=_check_start, check_invariants=_check_invariants,
-                eligible=_eligible, keeps_free_duals=False)
+                unguarded="free", pinned="fixed", scale_by="y",
+                unbounded=DUAL_INFEASIBLE, check_start=_check_start,
+                check_invariants=_check_invariants)
 
 
 def primal_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,

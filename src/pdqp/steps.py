@@ -89,8 +89,7 @@ class TraceRecord:
 
 TraceSink = Callable[[TraceRecord], None]
 # A step function with the problem, shifts and tolerances already bound:
-# (partition, iterate, l, orient=..., basis=..., [swap_sink=...])
-# -> (step, direction).
+# (partition, iterate, l, orient=..., basis=...) -> (step, direction).
 StepFn = Callable[..., tuple[StepResult, Direction]]
 
 
@@ -113,13 +112,12 @@ Check = Callable[[QpProblem, Shifts, Partition, Iterate, float], None]
 @dataclass(frozen=True)
 class Family:
     """How one method maps onto the shared engine.  ``check_start`` and
-    ``check_invariants`` add the family's own tests to the shared ones;
-    ``eligible`` masks the indices selectable one-sided (repaired value
-    < 0) and two-sided (it must vanish).  With ``keeps_free_duals`` the
-    step functions take a ``swap_sink`` for temporary-bound swaps.  The
-    temporary bounds are the free nonbasic variables: a free index never
-    leaves the basic set (the primal ratio test skips it, the dual never
-    selects it), so the partition alone says which bounds are live.
+    ``check_invariants`` add the family's own tests to the shared ones.
+    Bound kinds: an ``unguarded`` index has no guarded bound, so its
+    repaired value must vanish and it is selected two-sided (the primal's
+    free indices); a ``pinned`` index holds its guarded value at the bound
+    from both sides (the dual's free indices: z_j + r_j = 0 is a temporary
+    bound of zero width).  Fixed and pinned indices are never selected.
     """
 
     method: str               # label of outcomes and trace records
@@ -130,12 +128,11 @@ class Family:
     live: str                 # partition set where guarded bounds are live
     idle: str                 # the other partition set
     unguarded: str            # QpProblem index set whose guarded bound is void
+    pinned: str               # QpProblem index set held at its guarded bound
     scale_by: str             # iterate vector scaling the selection threshold
     unbounded: str            # status certified by an infinite base step
     check_start: Check
     check_invariants: Check
-    eligible: Callable[..., tuple[np.ndarray, np.ndarray]]
-    keeps_free_duals: bool
 
 
 def _dir_scale(d: Direction) -> float:
@@ -184,15 +181,19 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray,
 
 
 def select_index(v: np.ndarray, one_sided: np.ndarray, two_sided: np.ndarray,
-                 threshold: float, bland: bool) -> tuple[int | None, float]:
+                 first: np.ndarray, threshold: float, bland: bool
+                 ) -> tuple[int | None, float]:
     """Index to repair next and the sign of the move.
 
     One-sided indices are eligible when v < -threshold, two-sided ones
-    when |v| > threshold, oriented to shrink |v|.  Picks the largest
-    violation, least index on ties, or under ``bland`` the least index.
+    when |v| > threshold, oriented to shrink |v|.  Eligible indices in
+    ``first`` go before the others.  Picks the largest violation, least
+    index on ties, or under ``bland`` the least index.
     """
     magnitude = np.where(two_sided, np.abs(v), -v)
     eligible = (one_sided | two_sided) & (magnitude > threshold)
+    if (eligible & first).any():
+        eligible &= first
     l = int(eligible.argmax() if bland
             else np.where(eligible, magnitude, -np.inf).argmax())
     if not eligible[l]:
@@ -231,8 +232,9 @@ def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
     """Body of step function ``name``: check that l is freed and that orient
     moves its repaired component toward its bound, then step along
     ``solve()`` (negated when orient < 0) until that component reaches
-    the bound or a guarded bound blocks, whose index then leaves the live
-    set.  Returns the step and direction; an infinite step is unapplied.
+    the bound or a guarded bound blocks (a pinned value moving either way
+    blocks at once), whose index then leaves the live set.  Returns the
+    step and direction; an infinite step is unapplied.
     """
     if part.freed != l:
         raise StartConditionError(f"index l must be freed before {name}")
@@ -249,8 +251,13 @@ def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
     cand = np.flatnonzero(getattr(part, f"{fam.live}_mask")
                           & ~getattr(p, f"{fam.unguarded}_mask"))
     guarded = getattr(it, fam.guarded)[cand] + getattr(s, fam.guard_shift)[cand]
-    alpha_max, k = ratio_test(guarded, getattr(d, "d" + fam.guarded)[cand],
-                              cand, tol, scale_floor=_dir_scale(d))
+    rates = getattr(d, "d" + fam.guarded)[cand]
+    if getattr(p, fam.pinned):      # mirror pinned values moving up
+        up = getattr(p, f"{fam.pinned}_mask")[cand] & (rates > 0.0)
+        guarded[up] *= -1.0
+        rates[up] *= -1.0
+    alpha_max, k = ratio_test(guarded, rates, cand, tol,
+                              scale_floor=_dir_scale(d))
     alpha = min(alpha_star, alpha_max)
     hit = alpha_star <= alpha_max
     if np.isinf(alpha):
@@ -291,7 +298,13 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         raise StartConditionError("start partition has a pending freed index")
     if not _check_equalities(p, it, 1e-8 * p.data_scale()):
         raise StartConditionError("start point violates the equality system")
+    if (p.fixed_mask & part.basic_mask).any():
+        raise StartConditionError("a fixed index cannot be basic")
     fam.check_start(p, s, part, it, tol)
+    excluded = p.fixed_mask | getattr(p, f"{fam.pinned}_mask")
+    two_sided = getattr(p, f"{fam.unguarded}_mask") & ~excluded
+    one_sided = ~excluded & ~two_sided
+    live = getattr(part, f"{fam.live}_mask")
     cap = max_iterations if max_iterations > 0 else 100 + 50 * (p.n + p.m)
     basis = KktBasis(p, factor)
     iterations = 0
@@ -320,32 +333,27 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         # reported optimality test, which this overdelivers on.
         scale = float(np.abs(getattr(it, fam.scale_by)).max(initial=0.0))
         threshold = 1e-11 * max(1.0, scale)
-        one_sided, two_sided = fam.eligible(p, part)
         v = getattr(it, fam.repaired) + getattr(s, fam.repair_shift)
-        l, orient = select_index(v, one_sided, two_sided, threshold, bland)
+        # Two-sided live indices go first: a base step's ray certifies
+        # nothing while their repaired values are off their bound.
+        l, orient = select_index(v, one_sided, two_sided, two_sided & live,
+                                 threshold, bland)
         if l is None:
             break
         if iterations >= cap:
             status = ITERATION_LIMIT
             break
         iterations += 1
-        needs_base = not getattr(part, f"{fam.live}_mask")[l]
+        needs_base = not live[l]
         part.free_index(l)
         # Only trace records use the boundary-aligned shifts.
         eff = effective_shifts(p, s, part, it) if trace is not None else None
         inner_tol = 1e-12 * max(1.0, abs(_violation(fam, s, it, l)))
-        step_kw = {"orient": orient, "basis": basis}
-        if fam.keeps_free_duals:
-            def swap_sink(j, d):
-                zero = StepResult(0.0, 0.0, 0.0, j, False)
-                emit("temp_swap", l, zero, d, _violation(fam, s, it, l), eff,
-                     it.copy() if trace is not None else None)
-            step_kw["swap_sink"] = swap_sink
 
         if needs_base:
             before = it.copy() if trace is not None else None
             viol = _violation(fam, s, it, l)
-            step, d = base(part, it, l, **step_kw)
+            step, d = base(part, it, l, orient=orient, basis=basis)
             emit("base", l, step, d, viol, eff, before)
             if np.isinf(step.alpha):
                 status = fam.unbounded
@@ -361,7 +369,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
                                      "terminate; basis exchange is stuck")
             before = it.copy() if trace is not None else None
             viol = _violation(fam, s, it, l)
-            step, d = intermediate(part, it, l, **step_kw)
+            step, d = intermediate(part, it, l, orient=orient, basis=basis)
             emit("intermediate", l, step, d, viol, eff, before)
         part.bind_freed(fam.live)
         if check_invariants:

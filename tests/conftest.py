@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdqp import GeneralQp, ProblemError, QpProblem, Shifts
+from pdqp import (GeneralQp, Partition, ProblemError, QpProblem, Shifts,
+                  factor_kb, standardize)
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
 
 sys.path.insert(1, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -148,3 +149,66 @@ def criterion7_instance(n, m, active, seed, rank=None):
                   upper=np.concatenate([np.full(n, np.inf), rows]),
                   name=f"n{n}m{m}a{active}{kind}s{seed}")
     return g, xstar, float(0.5 * xstar @ H @ xstar + c @ xstar)
+
+
+def free_start_instance(rng):
+    """A tiny general-format QP: n in [2, 4], m in [1, 2], integer A in
+    [-2, 2], H = G'G with integer G in [-2, 2] of 0..n rows, integer c in
+    [-3, 3], and each of the n + m components, with equal odds, free,
+    lower-only, upper-only, boxed (width 1-3) or fixed at an integer in
+    [-2, 2].  It may be infeasible or unbounded."""
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(1, 3))
+    G = rng.integers(-2, 3, size=(int(rng.integers(0, n + 1)), n))
+    A = rng.integers(-2, 3, size=(m, n)).astype(float)
+    c = rng.integers(-3, 4, size=n).astype(float)
+    lo = np.full(n + m, -np.inf)
+    up = np.full(n + m, np.inf)
+    for j in range(n + m):
+        kind = int(rng.integers(0, 5))
+        at = float(rng.integers(-2, 3))
+        if kind == 1:
+            lo[j] = at
+        elif kind == 2:
+            up[j] = at
+        elif kind == 3:
+            lo[j], up[j] = at, at + float(rng.integers(1, 4))
+        elif kind == 4:
+            lo[j] = up[j] = at
+    return GeneralQp(Hhat=(G.T @ G).astype(float), Ahat=A, c=c, lower=lo,
+                     upper=up)
+
+
+def free_start_cases(seed, count, per_problem=6):
+    """(label, problem, start basis) for ``count`` standardized
+    ``free_start_instance`` problems that have a free index and n <= 12:
+    up to ``per_problem`` distinct start bases each, drawn from the
+    subsets of the non-fixed indices that leave a free index nonbasic and
+    whose K_B ``factor_kb`` accepts.  Such a start gives the first stage a
+    live temporary bound under every strategy."""
+    rng = np.random.default_rng(seed)
+    out = []
+    kept = 0
+    while kept < count:
+        try:
+            p = standardize(free_start_instance(rng)).problem
+        except ProblemError:
+            continue
+        if p is None or not p.free or p.n > 12:
+            continue
+        kept += 1
+        cand = [j for j in range(p.n) if j not in p.fixed]
+        bases = []
+        for _ in range(10 * per_problem):
+            basis = [j for j in cand if rng.random() < 0.5]
+            if basis in bases or p.free <= set(basis):
+                continue
+            part = Partition(basic=basis, nonbasic=[j for j in range(p.n)
+                                                    if j not in basis])
+            if factor_kb(p, part) is not None:
+                bases.append(basis)
+                if len(bases) == per_problem:
+                    break
+        out += [(f"freestart{kept - 1:03d}b{i}", p, b)
+                for i, b in enumerate(bases)]
+    return out

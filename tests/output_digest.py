@@ -29,7 +29,10 @@ more, so none reaches the Schur-complement update path.  A second digest,
 ``update-path``, covers solves that do: the ``pd300`` trajectory pin's
 instance (n=300) from its 240-column start basis under primal-first and
 under auto, primal-first and dual-first, and the ``ladder`` rungs with
-n >= 250 under the same three strategies.
+n >= 250 under the same three strategies.  A third, ``free-start``,
+covers start bases that leave a free index nonbasic, so that the first
+stage has a live temporary bound: ``conftest.free_start_cases(7, 100)``
+under auto, primal-first and dual-first, with ``check_invariants``.
 
 Not collected by pytest (the file name has no ``test_`` prefix).
 """
@@ -47,7 +50,8 @@ import numpy as np
 sys.path.insert(1, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import pdqp  # noqa: E402
-from conftest import criterion7_instance, random_instances  # noqa: E402
+from conftest import (criterion7_instance, free_start_cases,  # noqa: E402
+                      random_instances)
 from test_trajectories import PD_CASE  # noqa: E402
 from workloads import (Ladder, LowRank, constructed_qp,  # noqa: E402
                        mixed_instance)
@@ -149,12 +153,21 @@ def main() -> None:
         for s in STRATEGIES[:3]:
             u.solve(f"{g.name}/{s}", lambda c: pdqp.solve_pdqp(g, c),
                     pdqp.SolveConfig(strategy=s))
+    f = Digest(per_solve=d.per_solve)
+    for label, p, basis in free_start_cases(7, 100):
+        for s in STRATEGIES[:3]:
+            f.solve(f"{label}/{s}", lambda c: pdqp.solve_standard(p, c),
+                    pdqp.SolveConfig(strategy=s, initial_basis=basis,
+                                     check_invariants=True))
     print(f"pdqp from {Path(pdqp.__file__).parent}")
     print(f"solves {d.solves}, raised {dict(sorted(d.errors.items()))}")
     print(f"digest {d.h.hexdigest()}")
     print(f"update-path solves {u.solves}, "
           f"raised {dict(sorted(u.errors.items()))}")
     print(f"update-path digest {u.h.hexdigest()}")
+    print(f"free-start solves {f.solves}, "
+          f"raised {dict(sorted(f.errors.items()))}")
+    print(f"free-start digest {f.h.hexdigest()}")
 
 
 if __name__ == "__main__":

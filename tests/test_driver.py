@@ -1,15 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from pdqp import (GeneralQp, InvariantError, Partition, ProblemError,
-                  QpProblem, Shifts, SolveConfig, check_optimality,
-                  enumerate_solve, find_soc_basis, init_shifts, solve_pdqp,
+                  QpProblem, Shifts, SolveConfig, StartConditionError,
+                  check_optimality, enumerate_solve, find_soc_basis,
+                  init_shifts, solve_dual, solve_pdqp, solve_primal,
                   solve_standard, standardize, temporary_bound_pass)
 from pdqp import driver, kkt, steps
+from pdqp.cli import parse_problem
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
 
-from conftest import criterion7_instance, random_instances
+from conftest import criterion7_instance, free_start_cases, random_instances
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def general_p1():
@@ -254,6 +260,74 @@ def test_temporary_bound_decoupled_free_variable():
     assert sol.x[0] == pytest.approx(1.0)
 
 
+def _agrees_with_oracle(o, sol):
+    """Status as the oracle's ``o`` (either infeasibility status when both
+    feasible sets are empty) and, when optimal, its objective."""
+    if o.primal_feasible or o.dual_feasible:
+        if sol.status != o.status:
+            return False
+    elif sol.status not in ("primal_infeasible", "dual_infeasible"):
+        return False
+    return o.status != "optimal" or \
+        abs(sol.objective - o.objective) <= 1e-6 * (1 + abs(o.objective))
+
+
+INF = np.inf
+
+
+@pytest.mark.parametrize("g,basis", [
+    # A dual stage makes the free column 4 basic with z_4 != 0; a primal
+    # base step along a null ray then looked like a certificate.
+    (GeneralQp(Hhat=[[1, -1, 0, 1], [-1, 1, 0, -1], [0, 0, 0, 0],
+                     [1, -1, 0, 1]],
+               Ahat=[[2, 1, -1, 1], [-2, 0, 2, 0]], c=[1, 0, 0, 3],
+               lower=[1, -INF, 2, 0, -INF, 2],
+               upper=[2, -1, INF, 0, INF, INF]),
+     [0, 1, 6]),
+    # Once raised KktInternalError: K_l unexpectedly singular.
+    (GeneralQp(Hhat=[[0, 0], [0, 0]], Ahat=[[1, 1], [-1, -2]], c=[3, 3],
+               lower=[-INF, 1, 1, -INF], upper=[INF, INF, 4, INF]),
+     [0, 2, 4]),
+], ids=["false_dual_infeasible", "kl_singular"])
+def test_free_basic_index_off_its_dual_bound_is_repaired_first(g, basis):
+    p = standardize(g).problem
+    sol = solve_standard(p, SolveConfig(strategy="dual-first",
+                                        initial_basis=basis,
+                                        check_invariants=True))
+    assert sol.status == "optimal"
+    assert _agrees_with_oracle(enumerate_solve(p, Shifts.zero(p.n)), sol)
+
+
+def test_klsingular_from_a_free_nonbasic_start():
+    # The corpus file's free column 0 left nonbasic: its temporary bound
+    # blocks the first dual step instead of being swapped into the basis.
+    p = standardize(parse_problem(PROBLEMS / "klsingular.qpt")).problem
+    sol = solve_standard(p, SolveConfig(strategy="dual-first",
+                                        initial_basis=[0]))
+    assert sol.status == "dual_infeasible"
+    assert enumerate_solve(p, Shifts.zero(p.n)).status == "dual_infeasible"
+
+
+def test_free_start_bases_agree_with_oracle():
+    # Every bound kind, and start bases that leave a free column
+    # nonbasic, so that each strategy's first stage has a live temporary
+    # bound.
+    cases = free_start_cases(5, 100)
+    assert len(cases) > 300
+    wrong = []
+    oracle = {}
+    for label, p, basis in cases:
+        if id(p) not in oracle:
+            oracle[id(p)] = enumerate_solve(p, Shifts.zero(p.n))
+        for strategy in ("auto", "primal-first", "dual-first"):
+            sol = solve_standard(p, SolveConfig(strategy=strategy,
+                                                initial_basis=basis,
+                                                check_invariants=True))
+            if not _agrees_with_oracle(oracle[id(p)], sol):
+                wrong.append((label, strategy))
+    assert wrong == []
+
+
 def test_temporary_bound_pass_flags_moved_dual():
     reg = {0: 2.0}
     from pdqp import Iterate
@@ -480,3 +554,12 @@ def test_initial_basis_rejects_fixed_variables():
     std = standardize(g)
     with pytest.raises(ProblemError, match="fixed"):
         solve_standard(std.problem, SolveConfig(initial_basis=[0, 2]))
+
+
+def test_engine_rejects_a_basic_fixed_index():
+    p = standardize(general_p1()).problem
+    part = Partition(basic=[0, 2], nonbasic=[1])
+    shifts, it = init_shifts(p, part)
+    for solve in (solve_primal, solve_dual):
+        with pytest.raises(StartConditionError, match="fixed index"):
+            solve(p, shifts, (it, part))

@@ -197,8 +197,9 @@ def test_dual_monotone_objective_random():
 
 def test_direct_solve_dual_keeps_free_nonbasic_dual():
     # A free variable left nonbasic is a temporary bound even without the
-    # driver: the dual swaps it into the basic set instead of moving its
-    # dual.  On this instance the first base direction has dz_0 != 0.
+    # driver: a direction that would move its dual blocks with a zero step
+    # and makes it basic.  On this instance the first base direction has
+    # dz_0 != 0.
     from pdqp import init_shifts
     rng = np.random.default_rng(1)
     n, m = 5, 2
@@ -212,7 +213,8 @@ def test_direct_solve_dual_keeps_free_nonbasic_dual():
     records = []
     out = solve_dual(p, s, (it, part), trace=records.append,
                      check_invariants=True)
-    assert [(r.kind, r.k) for r in records][0] == ("temp_swap", 0)
+    assert (records[0].kind, records[0].k) == ("base", 0)
+    assert records[0].alpha == 0.0
     assert out.status == "optimal"
     assert out.iterate.z[0] == it.z[0]
     assert 0 in out.partition.basic

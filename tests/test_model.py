@@ -269,6 +269,8 @@ def _psd_cases():
         pytest.param(np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 0.0],
                                [0.0, 0.0, 1.0]]), False,
                      id="zero_diagonal_row"),
+        pytest.param(np.array([[1e-20, 1e-11], [1e-11, 0.0]]), True,
+                     id="first_pivot_below_cutoff"),
     ]
 
 
