@@ -29,9 +29,10 @@ import numpy as np
 from .dual import solve_dual
 from .kkt import (KktFactorization, factor_kb, find_soc_basis,
                   solve_boundary_point)
-from .model import (InvariantError, Iterate, Partition, ProblemError,
-                    QpProblem, Shifts, check_optimality, dual_objective,
-                    index_mask, primal_objective)
+from .model import (BOUND_SLACK, DEFAULT_TOL, InvariantError, Iterate,
+                    Partition, ProblemError, QpProblem, Shifts, bound_tol,
+                    check_optimality, dual_objective, index_mask, inf_norm,
+                    primal_objective)
 from .primal import solve_primal
 from .steps import OPTIMAL, PRIMAL_INFEASIBLE, SolveOutcome, TraceSink
 
@@ -258,37 +259,32 @@ def init_shifts(p: QpProblem, part: Partition,
 
 
 def temporary_bound_pass(registry: dict[int, float], stage: str,
-                         it: Iterate, reference: dict[int, float] | None = None,
-                         tol: float = 1e-7) -> None:
+                         it: Iterate, reference: dict[int, float] | None = None
+                         ) -> None:
     """Verify the temporary-bound contract after a stage.
 
     ``registry`` maps each temporary bound to its initial dual.  After a
     primal stage every one of these duals must be zero; after a dual
     stage every one must be unchanged from the stage start (pass the
-    start values as ``reference``).
+    start values as ``reference``), to BOUND_SLACK * max(1, max|z|).
     """
     if not registry:
         return
-    scale = max(1.0, float(np.abs(it.z).max()) if it.z.size else 0.0)
+    if stage not in ("primal", "dual"):
+        raise ValueError(f"unknown stage {stage!r}")
+    tol = BOUND_SLACK * max(1.0, inf_norm(it.z))
     for j in sorted(registry):
-        if stage == "primal":
-            if abs(it.z[j]) > tol * scale:
-                raise InvariantError(
-                    f"temporary-bound dual z[{j}] = {it.z[j]:.3e} nonzero "
-                    f"after a primal stage")
-        elif stage == "dual":
-            want = reference.get(j, 0.0) if reference else 0.0
-            if abs(it.z[j] - want) > tol * scale:
-                raise InvariantError(
-                    f"temporary-bound dual z[{j}] moved during a dual stage")
-        else:
-            raise ValueError(f"unknown stage {stage!r}")
+        want = (reference or {}).get(j, 0.0) if stage == "dual" else 0.0
+        if abs(it.z[j] - want) > tol:
+            raise InvariantError(f"temporary-bound dual z[{j}] = "
+                                 f"{it.z[j]:.3e}, not {want:.3e}, after a "
+                                 f"{stage} stage")
 
 
 @dataclass
 class SolveConfig:
-    opt_tol: float = 1e-6
-    fea_tol: float = 1e-6
+    opt_tol: float = DEFAULT_TOL
+    fea_tol: float = DEFAULT_TOL
     max_iterations: int = 0
     strategy: str = "auto"   # auto | primal-first | dual-first | primal-only | dual-only
     trace: TraceSink | None = None
@@ -341,16 +337,6 @@ class PdqpSolution:
     standardized: StandardSolution | None
 
 
-def _is_dual_feasible_start(p: QpProblem, shifts0: Shifts, it: Iterate,
-                            fea_tol: float) -> bool:
-    """Whether the initial dual shifts are within tolerance: r_j is
-    max(-z_j, 0) on bounded nonbasic indices and -z_j on free ones."""
-    y_scale = max(1.0, float(np.abs(it.y).max()) if it.y.size else 0.0)
-    free = p.free_mask
-    return (float(shifts0.r[~free].max(initial=0.0)) <= fea_tol * y_scale
-            and float(np.abs(shifts0.r[free]).max(initial=0.0)) <= fea_tol)
-
-
 def _stage_log(p: QpProblem, s: Shifts, out: SolveOutcome) -> StageLog:
     return StageLog(method=out.method, status=out.status,
                     iterations=out.iterations,
@@ -391,9 +377,9 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
                              f"check: {report}")
 
     strategy = config.strategy
-    if strategy == "auto":
-        strategy = ("dual-first"
-                    if _is_dual_feasible_start(p, shifts0, it, config.fea_tol)
+    if strategy == "auto":      # dual-first when r is within the z measure
+        strategy = ("dual-first" if inf_norm(shifts0.r) <= bound_tol(
+            "z", inf_norm(it.y), config.fea_tol, config.opt_tol)
                     else "primal-first")
     if strategy == "primal-only" and \
             float(np.max(shifts0.q, initial=0.0)) > config.fea_tol:
@@ -440,7 +426,8 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
             raise InvariantError(f"final point failed the optimality "
                                  f"check: {rep}")
         for j in registry:
-            if abs(out.iterate.z[j]) > 1e-7 * max(1.0, float(np.abs(out.iterate.z).max())):
+            if abs(out.iterate.z[j]) > BOUND_SLACK * max(
+                    1.0, inf_norm(out.iterate.z)):
                 raise InvariantError(
                     f"temporary-bound dual z[{j}] nonzero at completion")
     return StandardSolution(status=out.status, iterate=out.iterate,

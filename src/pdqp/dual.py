@@ -1,13 +1,15 @@
 """The dual active-set method, the mirror image of the primal: its
-``Family`` descriptor for the shared engine in ``steps``, its two step
-functions, and its entry checks.
+``Family`` descriptor for the shared engine in ``steps`` and its two
+step functions.  The engine derives the entry and invariant checks from
+the descriptor.
 
 Iterates keep the dual bounds z_N + r_N >= 0 while the negative
 components of x + q are repaired; a repaired index ends nonbasic with
-x_l + q_l = 0.  An index l is freed from the basic set (base
-subiteration, dz_l fixed) or, under the relaxed entry conditions, from
-the nonbasic set (straight to intermediate subiterations, dx_l fixed);
-blocking dual bounds move their index into the basic set.
+x_l + q_l = 0.  Basic duals, free ones included, start on their bounds.
+An index l is freed from the basic set (base subiteration, dz_l fixed)
+or, under the relaxed entry conditions, from the nonbasic set (straight
+to intermediate subiterations, dx_l fixed); blocking dual bounds move
+their index into the basic set.
 
 Temporary bounds are the free nonbasic variables: z_j + r_j = 0 is a
 dual bound of zero width (``Family.pinned``), so a direction that would
@@ -24,48 +26,23 @@ from __future__ import annotations
 
 from functools import partial
 
-import numpy as np
-
 from .kkt import (KktBasis, KktFactorization, solve_base_primal,
                   solve_intermediate_primal)
-from .model import (Direction, InvariantError, Iterate, Partition, QpProblem,
-                    Shifts, StartConditionError)
+from .model import (DEFAULT_TOL, Direction, Iterate, Partition, QpProblem,
+                    Shifts)
 from .steps import (PRIMAL_INFEASIBLE, Family, SolveOutcome, StepResult,
                     TraceSink, run_active_set, take_step)
-
-
-def _check_start(p, s, part, it, opt_tol):
-    y_scale = max(1.0, float(np.abs(it.y).max()) if it.y.size else 0.0)
-    for i in part.basic:
-        if i in p.free:
-            continue
-        if abs(it.z[i] + s.r[i]) > 1e-7 * max(1.0, abs(s.r[i])):
-            raise StartConditionError(f"z[{i}] is basic but off its bound")
-    for j in part.nonbasic:
-        if j not in p.fixed and it.z[j] + s.r[j] < -opt_tol * y_scale:
-            raise StartConditionError(f"nonbasic z[{j}] violates its shifted bound")
-        if it.x[j] + s.q[j] > 1e-7 * max(1.0, abs(s.q[j])):
-            raise StartConditionError(f"nonbasic x[{j}] above its shifted bound")
-
-
-def _check_invariants(p, s, part, it, opt_tol):
-    y_scale = max(1.0, float(np.abs(it.y).max()) if it.y.size else 0.0)
-    for j in part.nonbasic:
-        if j not in p.fixed and \
-                it.z[j] + s.r[j] < -opt_tol * y_scale - 1e-9:
-            raise InvariantError(f"dual feasibility lost at nonbasic index {j}")
 
 
 DUAL = Family(method="dual", repaired="x", repair_shift="q",
               guarded="z", guard_shift="r", live="nonbasic", idle="basic",
               unguarded="fixed", pinned="free", scale_by="x",
-              unbounded=PRIMAL_INFEASIBLE, check_start=_check_start,
-              check_invariants=_check_invariants)
+              unbounded=PRIMAL_INFEASIBLE)
 
 
 def dual_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
-              *, basis: KktBasis, orient: float = 1.0, opt_tol: float = 1e-6
-              ) -> tuple[StepResult, Direction]:
+              *, basis: KktBasis, orient: float = 1.0,
+              opt_tol: float = DEFAULT_TOL) -> tuple[StepResult, Direction]:
     """Base subiteration: fix dz_l = orient (bordered K_l system) and
     move x_l + q_l toward zero (see ``take_step``).  An infinite step
     (dx_l = 0 with no blocking dual bound), returned unapplied, certifies
@@ -77,7 +54,8 @@ def dual_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
 
 def dual_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
                       l: int, *, basis: KktBasis, orient: float = 1.0,
-                      opt_tol: float = 1e-6) -> tuple[StepResult, Direction]:
+                      opt_tol: float = DEFAULT_TOL
+                      ) -> tuple[StepResult, Direction]:
     """Intermediate subiteration: fix dx_l = orient (K_B system), so the
     target step -(x_l + q_l)/dx_l is always finite."""
     return take_step(DUAL, p, s, part, it, l,
@@ -86,8 +64,8 @@ def dual_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
 
 
 def solve_dual(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
-               *, max_iterations: int = 0, opt_tol: float = 1e-6,
-               fea_tol: float = 1e-6, trace: TraceSink | None = None,
+               *, max_iterations: int = 0, opt_tol: float = DEFAULT_TOL,
+               fea_tol: float = DEFAULT_TOL, trace: TraceSink | None = None,
                check_invariants: bool = False,
                factor: KktFactorization | None = None) -> SolveOutcome:
     """Run the dual method to optimality, primal infeasibility, or the
@@ -98,5 +76,5 @@ def solve_dual(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
         DUAL, p, s, start,
         partial(dual_base, p, s, opt_tol=opt_tol),
         partial(dual_intermediate, p, s, opt_tol=opt_tol),
-        tol=opt_tol, max_iterations=max_iterations, trace=trace,
-        check_invariants=check_invariants, factor=factor)
+        fea_tol=fea_tol, opt_tol=opt_tol, max_iterations=max_iterations,
+        trace=trace, check_invariants=check_invariants, factor=factor)

@@ -9,9 +9,11 @@ For a basic set B the matrix
 is factored by LAPACK Bunch-Kaufman (``dsytrf``), P' K_B P = L D L' with
 unit lower triangular L and block diagonal D of 1x1 and 2x2 pivots.  The
 factorization is accepted when the reciprocal 1-norm condition estimate
-from ``dsycon`` exceeds 100 * dim * PIVOT_TOL, and a matrix it rejects is
+from ``dsycon`` exceeds 100 * dim * PIVOT_TOL and no 1x1 pivot of D is
+below dim * PIVOT_TOL * ||K||_1 in magnitude, and a matrix it rejects is
 singular: that is the one singularity verdict, for K_B, for K_l and for
-the counterpart of a freed component.  For symmetric K,
+the counterpart of a freed component (the pivot test catches a singular
+K that ``dsycon``'s lower bound on ||K^-1|| misses).  For symmetric K,
 sigma_min(K) >= rcond_1 * ||K||_1 >= rcond_1 * max|K|, so an accepted K
 has sigma_min(K) a factor 100 above the singularity bound
 dim * PIVOT_TOL * max|K|, a margin that covers the estimator's slack and
@@ -121,8 +123,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
-from .model import (Direction, Iterate, Partition, QpProblem, Shifts,
-                    index_mask, pivoted_cholesky)
+from .model import (NOISE_BAND, Direction, Iterate, Partition, QpProblem,
+                    Shifts, index_mask, pivoted_cholesky)
 
 PIVOT_TOL = 1e-11
 # K_B0 factorizations of smaller dim are not updated: every solve refactors.
@@ -222,7 +224,8 @@ def _unpack(f: _BunchKaufman) -> Callable[[np.ndarray], np.ndarray]:
 
 def _bunch_kaufman(k: np.ndarray) -> _BunchKaufman | None:
     """LAPACK factorization of K, or None unless its reciprocal condition
-    estimate exceeds 100 * dim * PIVOT_TOL (see the module docstring)."""
+    estimate exceeds 100 * dim * PIVOT_TOL and every 1x1 pivot of D
+    exceeds dim * PIVOT_TOL * ||K||_1 (see the module docstring)."""
     k = np.asarray(k, dtype=float)
     dim = k.shape[0]
     if dim == 0:                    # the empty matrix is nonsingular
@@ -235,6 +238,9 @@ def _bunch_kaufman(k: np.ndarray) -> _BunchKaufman | None:
     anorm = float(np.abs(k).sum(axis=0).max())
     rcond, info = lapack.dsycon(ldu, ipiv, anorm, lower=1)
     if info != 0 or not rcond > 100 * dim * PIVOT_TOL:    # NaN rejects too
+        return None
+    single = np.abs(ldu.diagonal()[ipiv > 0])      # the 1x1 pivots of D
+    if not single.min(initial=np.inf) > dim * PIVOT_TOL * anorm:
         return None
     return _BunchKaufman(ldu=ldu, ipiv=ipiv, matrix=k,
                          inv_norm=1.0 / (rcond * anorm))
@@ -615,7 +621,7 @@ def _base_dz_l(p: QpProblem, l: int, h_bl: np.ndarray,
     h_bl = H[B, l]."""
     nb = h_bl.size
     dzl = float(p.H[l, l] + h_bl @ w[:nb] + p.A[:, l] @ w[nb:])
-    noise = 1e-12 * float(abs(p.H[l, l])
+    noise = NOISE_BAND * float(abs(p.H[l, l])
                           + np.abs(h_bl) @ np.abs(w[:nb])
                           + np.abs(p.A[:, l]) @ np.abs(w[nb:]) + 1.0)
     return dzl, noise
@@ -676,7 +682,7 @@ def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
 
 
 def _dx_l_noise(w: np.ndarray) -> float:
-    return 1e-12 * max(1.0, float(np.abs(w).max()) if w.size else 0.0)
+    return NOISE_BAND * max(1.0, float(np.abs(w).max()) if w.size else 0.0)
 
 
 def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,

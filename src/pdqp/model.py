@@ -60,6 +60,11 @@ def index_mask(n: int, indices) -> np.ndarray:
     return mask
 
 
+def inf_norm(v: np.ndarray) -> float:
+    """max|v|, 0 for an empty v."""
+    return float(np.abs(v).max(initial=0.0))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -231,14 +236,11 @@ class QpProblem:
 
     def kkt_scale(self) -> float:
         """Infinity-norm scale of the full KKT matrix data."""
-        parts = [np.abs(x).max() if x.size else 0.0
-                 for x in (self.H, self.M, self.A)]
-        return max(1.0, float(max(parts)))
+        return max(1.0, *(inf_norm(x) for x in (self.H, self.M, self.A)))
 
     def data_scale(self) -> float:
         """1 + max|c| + max|b|, the scale of the residual tolerances."""
-        return 1.0 + float(np.abs(self.c).max() if self.c.size else 0.0) \
-            + float(np.abs(self.b).max() if self.b.size else 0.0)
+        return 1.0 + inf_norm(self.c) + inf_norm(self.b)
 
 
 def _shift_vector(v, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -434,22 +436,43 @@ def residuals(p: QpProblem, it: Iterate) -> tuple[np.ndarray, np.ndarray]:
     return stat, eq
 
 
+# Tolerances.  ``bound_tol`` is the one measure of how far a vector may
+# lie below its bound: ``check_optimality`` applies it to the final point,
+# and the engine (``steps.run_active_set``) to its entry and invariant
+# checks and, at TOL_SHARE of it, to its stopping rule.  The bands below
+# absorb roundoff, each relative to the scale named with it.
+DEFAULT_TOL = 1e-6      # SolveConfig's fea_tol and opt_tol
+TOL_SHARE = 0.1         # share of a tolerance a tie band or a stop may use
+NOISE_BAND = 1e-12      # cancellation residue of a computed rate or component
+SELECT_BAND = 1e-11     # selection threshold, over max(1, max|scale_by|)
+HARRIS_BAND = 1e-9      # Harris tie band, over max(1, max|guarded|)
+ALIGN_BAND = 1e-9       # relaxed entry off its bound by more: aligned shift
+BOUND_SLACK = 1e-7      # a value held on its bound, over max(1, its scale)
+START_EQ_TOL = 1e-8     # equality residuals of a start point, over data_scale
+DRIFT_EQ_TOL = 1e-7     # equality residuals of later iterates, likewise
+
+
+def bound_tol(vector: str, y_norm: float, fea_tol: float,
+              opt_tol: float) -> float:
+    """How far below its bound ``vector`` may lie: x + q >= -fea_tol and
+    z + r >= -opt_tol * max(1, y_norm), where y_norm = max|y|."""
+    return fea_tol if vector == "x" else opt_tol * max(1.0, y_norm)
+
+
 def check_optimality(p: QpProblem, s: Shifts, it: Iterate,
-                     eps_fea: float = 1e-6,
-                     eps_opt: float = 1e-6) -> OptimalityReport:
+                     eps_fea: float = DEFAULT_TOL,
+                     eps_opt: float = DEFAULT_TOL) -> OptimalityReport:
     """Evaluate the joint optimality conditions (a)-(e).
 
-    The residual tests scale with the problem data, the primal bound test
-    is absolute in eps_fea, and the dual sign test is scaled by
-    max(1, ||y||_inf).  Free variables are exempt from the primal bound
+    The residual tests scale with the problem data and the bound tests
+    are ``bound_tol``'s.  Free variables are exempt from the primal bound
     test but must satisfy |z_j + r_j| <= tolerance; fixed variables are
     exempt from the dual sign test.
     """
     if eps_fea <= 0 or eps_opt <= 0:
         raise ValueError("tolerances must be positive")
     stat, eq = residuals(p, it)
-    stat_res = float(np.abs(stat).max()) if stat.size else 0.0
-    eq_res = float(np.abs(eq).max()) if eq.size else 0.0
+    stat_res, eq_res = inf_norm(stat), inf_norm(eq)
 
     xq = it.x + s.q
     zr = it.z + s.r
@@ -457,24 +480,24 @@ def check_optimality(p: QpProblem, s: Shifts, it: Iterate,
     regular = ~free & ~fixed
     worst_primal = max(0.0, float((-xq[~free]).max(initial=0.0)))
     worst_dual = max(0.0, float((-zr[regular]).max(initial=0.0)),
-                     float(np.abs(zr[free]).max(initial=0.0)))
+                     inf_norm(zr[free]))
     comp = float(np.abs(xq[regular] * zr[regular]).max(initial=0.0))
 
     data_scale = p.data_scale()
-    y_scale = max(1.0, float(np.abs(it.y).max()) if it.y.size else 0.0)
-    x_scale = max(1.0, float(np.abs(xq).max()) if xq.size else 0.0)
-
+    y_norm = inf_norm(it.y)
+    primal_tol, dual_tol = (bound_tol(v, y_norm, eps_fea, eps_opt)
+                            for v in "xz")
     ok = (stat_res <= eps_fea * data_scale
           and eq_res <= eps_fea * data_scale
-          and worst_primal <= eps_fea
-          and worst_dual <= eps_opt * y_scale
-          and comp <= eps_opt * y_scale * x_scale)
+          and worst_primal <= primal_tol
+          and worst_dual <= dual_tol
+          and comp <= dual_tol * max(1.0, inf_norm(xq)))
     return OptimalityReport(stat_res, eq_res, worst_primal, worst_dual,
                             comp, ok)
 
 
-def effective_shifts(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
-                     tol: float = 1e-9) -> Shifts:
+def effective_shifts(p: QpProblem, s: Shifts, part: Partition,
+                     it: Iterate) -> Shifts:
     """Shifts aligned with the current point on relaxed entries.
 
     A relaxed start can leave basic duals with z_i + r_i < 0 or nonbasic
@@ -482,6 +505,6 @@ def effective_shifts(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
     (resp. -x_j) restores the boundary equalities, which is the shift
     vector under which the per-step objective identities hold.
     """
-    off_r = part.basic_mask & (np.abs(it.z + s.r) > tol)
-    off_q = part.nonbasic_mask & (np.abs(it.x + s.q) > tol)
+    off_r = part.basic_mask & (np.abs(it.z + s.r) > ALIGN_BAND)
+    off_q = part.nonbasic_mask & (np.abs(it.x + s.q) > ALIGN_BAND)
     return Shifts(np.where(off_q, -it.x, s.q), np.where(off_r, -it.z, s.r))

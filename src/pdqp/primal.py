@@ -1,5 +1,6 @@
 """The primal active-set method: its ``Family`` descriptor for the
-shared engine in ``steps``, its two step functions, and its entry checks.
+shared engine in ``steps`` and its two step functions.  The engine
+derives the entry and invariant checks from the descriptor.
 
 Iterates stay feasible for the shifted primal bounds on the basic set
 while the negative components of z + r are driven to zero; a repaired
@@ -16,41 +17,21 @@ from functools import partial
 
 from .kkt import (KktBasis, KktFactorization, solve_base_primal,
                   solve_intermediate_primal)
-from .model import (Direction, InvariantError, Iterate, Partition, QpProblem,
-                    Shifts, StartConditionError)
+from .model import (DEFAULT_TOL, Direction, Iterate, Partition, QpProblem,
+                    Shifts)
 from .steps import (DUAL_INFEASIBLE, Family, SolveOutcome, StepResult,
                     TraceSink, run_active_set, take_step)
-
-
-def _check_start(p, s, part, it, fea_tol):
-    for j in part.nonbasic:
-        if abs(it.x[j] + s.q[j]) > 1e-7 * max(1.0, abs(s.q[j])):
-            raise StartConditionError(f"x[{j}] is nonbasic but off its bound")
-    for i in part.basic:
-        if i in p.free:
-            continue
-        if it.x[i] + s.q[i] < -fea_tol:
-            raise StartConditionError(f"basic x[{i}] violates its shifted bound")
-        if it.z[i] + s.r[i] > 1e-7 * max(1.0, abs(s.r[i])):
-            raise StartConditionError(f"basic z[{i}] + r[{i}] > 0 at start")
-
-
-def _check_invariants(p, s, part, it, fea_tol):
-    for i in part.basic:
-        if i not in p.free and it.x[i] + s.q[i] < -fea_tol * (1.0 + abs(s.q[i])):
-            raise InvariantError(f"primal feasibility lost at basic index {i}")
 
 
 PRIMAL = Family(method="primal", repaired="z", repair_shift="r",
                 guarded="x", guard_shift="q", live="basic", idle="nonbasic",
                 unguarded="free", pinned="fixed", scale_by="y",
-                unbounded=DUAL_INFEASIBLE, check_start=_check_start,
-                check_invariants=_check_invariants)
+                unbounded=DUAL_INFEASIBLE)
 
 
 def primal_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
-                *, basis: KktBasis, orient: float = 1.0, fea_tol: float = 1e-6
-                ) -> tuple[StepResult, Direction]:
+                *, basis: KktBasis, orient: float = 1.0,
+                fea_tol: float = DEFAULT_TOL) -> tuple[StepResult, Direction]:
     """Base subiteration: fix dx_l = orient (K_B system) and step as far
     as the primal bounds allow (see ``take_step``).  An infinite step,
     returned unapplied, certifies that the dual problem is infeasible."""
@@ -61,7 +42,7 @@ def primal_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
 
 def primal_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
                         l: int, *, basis: KktBasis, orient: float = 1.0,
-                        fea_tol: float = 1e-6
+                        fea_tol: float = DEFAULT_TOL
                         ) -> tuple[StepResult, Direction]:
     """Intermediate subiteration: fix dz_l = orient (bordered K_l system),
     so the target step -(z_l + r_l)/dz_l is always finite."""
@@ -71,8 +52,8 @@ def primal_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
 
 
 def solve_primal(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
-                 *, max_iterations: int = 0, opt_tol: float = 1e-6,
-                 fea_tol: float = 1e-6, trace: TraceSink | None = None,
+                 *, max_iterations: int = 0, opt_tol: float = DEFAULT_TOL,
+                 fea_tol: float = DEFAULT_TOL, trace: TraceSink | None = None,
                  check_invariants: bool = False,
                  factor: KktFactorization | None = None) -> SolveOutcome:
     """Run the primal method to optimality, dual infeasibility, or the
@@ -83,5 +64,5 @@ def solve_primal(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
         PRIMAL, p, s, start,
         partial(primal_base, p, s, fea_tol=fea_tol),
         partial(primal_intermediate, p, s, fea_tol=fea_tol),
-        tol=fea_tol, max_iterations=max_iterations, trace=trace,
-        check_invariants=check_invariants, factor=factor)
+        fea_tol=fea_tol, opt_tol=opt_tol, max_iterations=max_iterations,
+        trace=trace, check_invariants=check_invariants, factor=factor)

@@ -14,15 +14,18 @@ in per solve and this module's functions are called by name, so
 rebinding a module attribute (as the benchmark's tracer does) reaches
 every call.
 
+The entry and invariant checks (``_check_bounds``) and the stopping rule
+measure closeness to a bound as ``model.check_optimality`` does
+(``model.bound_tol``), so a stage optimum passes the final check.
+
 The bound that blocks a step is chosen by Harris's two-pass ratio test
 (``ratio_test``).  Degenerate stages are full of ratios that differ only
 by roundoff; treating those as ties broken by pivot size keeps
 trajectories independent of the roundoff of the KKT solves.  The price
-is an overshoot of at most delta <= 0.1 * tol per guarded value, which
-never accumulates over steps, so the families' ``check_invariants`` and
-``model.check_optimality`` hold with the same ``tol``.  If cycling
-shows, the documented remedy is EXPAND (Gill, Murray, Saunders & Wright,
-1989), which grows delta from step to step; the Bland switch
+is an overshoot of at most delta <= TOL_SHARE * (fea_tol or opt_tol) per
+guarded value, which never accumulates and so stays within ``bound_tol``.
+If cycling shows, the documented remedy is EXPAND (Gill, Murray, Saunders
+& Wright, 1989), which grows delta from step to step; the Bland switch
 (``BLAND_AFTER``) and the iteration cap remain the backstops.
 """
 
@@ -34,9 +37,11 @@ from typing import Callable
 import numpy as np
 
 from .kkt import KktBasis, KktFactorization
-from .model import (Direction, InvariantError, Iterate, Partition, QpProblem,
-                    Shifts, StartConditionError, dual_objective,
-                    effective_shifts, primal_objective, residuals)
+from .model import (BOUND_SLACK, DRIFT_EQ_TOL, HARRIS_BAND, NOISE_BAND,
+                    SELECT_BAND, START_EQ_TOL, TOL_SHARE, Direction,
+                    InvariantError, Iterate, Partition, QpProblem, Shifts,
+                    StartConditionError, bound_tol, dual_objective,
+                    effective_shifts, inf_norm, primal_objective, residuals)
 
 OPTIMAL = "optimal"
 PRIMAL_INFEASIBLE = "primal_infeasible"
@@ -106,13 +111,10 @@ class SolveOutcome:
     certificate: Direction | None = None
 
 
-Check = Callable[[QpProblem, Shifts, Partition, Iterate, float], None]
-
-
 @dataclass(frozen=True)
 class Family:
-    """How one method maps onto the shared engine.  ``check_start`` and
-    ``check_invariants`` add the family's own tests to the shared ones.
+    """How one method maps onto the shared engine.  The roles alone
+    define the method's entry and invariant checks (``_check_bounds``).
     Bound kinds: an ``unguarded`` index has no guarded bound, so its
     repaired value must vanish and it is selected two-sided (the primal's
     free indices); a ``pinned`` index holds its guarded value at the bound
@@ -129,15 +131,9 @@ class Family:
     idle: str                 # the other partition set
     unguarded: str            # QpProblem index set whose guarded bound is void
     pinned: str               # QpProblem index set held at its guarded bound
-    scale_by: str             # iterate vector scaling the selection threshold
+    scale_by: str             # scales the selection threshold; y wherever
+                              # the repaired vector's bound_tol reads y
     unbounded: str            # status certified by an infinite base step
-    check_start: Check
-    check_invariants: Check
-
-
-def _dir_scale(d: Direction) -> float:
-    return max(float(np.abs(d.dx).max()), float(np.abs(d.dz).max()),
-               float(np.abs(d.dy).max()) if d.dy.size else 0.0)
 
 
 def ratio_test(values: np.ndarray, deltas: np.ndarray,
@@ -146,14 +142,15 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray,
     """Harris's two-pass ratio test (Harris, 1973, "Pivot selection
     methods of the Devex LP code").
 
-    Candidates are the entries with deltas < -1e-12 * scale, where scale
-    is the larger of 1, ``scale_floor`` and max|deltas|: ``scale_floor``
-    should carry the overall direction magnitude, and smaller deltas are
-    cancellation residue (often of components that vanish identically),
-    not blockers.
+    Candidates are the entries with deltas < -NOISE_BAND * scale, where
+    scale is the larger of 1, ``scale_floor`` and max|deltas|:
+    ``scale_floor`` should carry the overall direction magnitude, and
+    smaller deltas are cancellation residue (often of components that
+    vanish identically), not blockers.
 
     Pass 1: alpha_H = min max(v_i + delta, 0) / (-d_i) over the
-    candidates, with delta = min(1e-9 * max(1, max|values|), 0.1 * tol).
+    candidates, with delta = min(HARRIS_BAND * max(1, max|values|),
+    TOL_SHARE * tol).
     Pass 2: among the candidates whose exact ratio max(v_i, 0) / (-d_i)
     is at most alpha_H, the one with the largest -d_i, the first in
     ``indices`` on ties.  Returns its exact ratio and index, or
@@ -168,10 +165,10 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray,
     deltas = np.asarray(deltas, dtype=float)
     values = np.asarray(values, dtype=float)
     scale = max(1.0, scale_floor, float(np.abs(deltas).max()))
-    mask = deltas < -1e-12 * scale
+    mask = deltas < -NOISE_BAND * scale
     if not mask.any():
         return np.inf, None
-    delta = min(1e-9 * max(1.0, float(np.abs(values).max())), 0.1 * tol)
+    delta = min(HARRIS_BAND * max(1.0, inf_norm(values)), TOL_SHARE * tol)
     rates = -deltas[mask]
     vals = values[mask]
     alpha_h = float((np.maximum(vals + delta, 0.0) / rates).min())
@@ -215,8 +212,7 @@ def make_trace_record(method: str, iteration: int, subiteration: int,
         f_primal=primal_objective(p, eff, it_after),
         f_dual_before=dual_objective(p, eff, it_before),
         f_dual=dual_objective(p, eff, it_after),
-        stationarity=float(np.abs(stat).max()) if stat.size else 0.0,
-        equality=float(np.abs(eq).max()) if eq.size else 0.0,
+        stationarity=inf_norm(stat), equality=inf_norm(eq),
         direction=d,
     )
 
@@ -256,8 +252,8 @@ def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
         up = getattr(p, f"{fam.pinned}_mask")[cand] & (rates > 0.0)
         guarded[up] *= -1.0
         rates[up] *= -1.0
-    alpha_max, k = ratio_test(guarded, rates, cand, tol,
-                              scale_floor=_dir_scale(d))
+    alpha_max, k = ratio_test(guarded, rates, cand, tol, scale_floor=max(
+        map(inf_norm, (d.dx, d.dy, d.dz))))
     alpha = min(alpha_star, alpha_max)
     hit = alpha_star <= alpha_max
     if np.isinf(alpha):
@@ -273,38 +269,66 @@ def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
     return StepResult(alpha, alpha_star, alpha_max, k, hit), d
 
 
-def _check_equalities(p: QpProblem, it: Iterate, tol: float) -> bool:
+def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
+                  live: np.ndarray, unguarded: np.ndarray,
+                  two_sided: np.ndarray, fea_tol: float, opt_tol: float,
+                  start: bool) -> None:
+    """Entry (``start``) or invariant conditions, from the roles alone: the
+    equalities hold and guarded values on live minus unguarded lie within
+    ``bound_tol`` of their bounds; at the start (~live is then the idle
+    set) idle guarded values also sit on their bounds and no repaired value
+    on live minus two_sided lies above its bound."""
+    error = StartConditionError if start else InvariantError
+    where = f"{fam.method} {'start' if start else 'invariant'}"
     stat, eq = residuals(p, it)
-    return not ((stat.size and np.abs(stat).max() > tol) or
-                (eq.size and np.abs(eq).max() > tol))
+    if max(inf_norm(stat), inf_norm(eq)) > p.data_scale() * (
+            START_EQ_TOL if start else DRIFT_EQ_TOL):
+        raise error(f"{where}: the point violates the equality system")
+    g = getattr(it, fam.guarded) + getattr(s, fam.guard_shift)
+    tol = bound_tol(fam.guarded, inf_norm(it.y), fea_tol, opt_tol)
+    tests = [("guarded", fam.guarded, fam.guard_shift, g,
+              live & ~unguarded & (g < -tol))]
+    if start:
+        r = getattr(it, fam.repaired) + getattr(s, fam.repair_shift)
+        g_on, r_on = (BOUND_SLACK * np.maximum(1.0, np.abs(getattr(s, v)))
+                      for v in (fam.guard_shift, fam.repair_shift))
+        tests += [("idle", fam.guarded, fam.guard_shift, g,
+                   ~live & (np.abs(g) > g_on)),
+                  ("relaxed", fam.repaired, fam.repair_shift, r,
+                   live & ~two_sided & (r > r_on))]
+    for clause, vec, shift, value, bad in tests:
+        if bad.any():
+            i = int(bad.argmax())
+            raise error(f"{where}: {clause} {vec}[{i}] + {shift}[{i}] = "
+                        f"{value[i]:.3e} violates its bound")
 
 
 def run_active_set(fam: Family, p: QpProblem, s: Shifts,
                    start: tuple[Iterate, Partition],
-                   base: StepFn, intermediate: StepFn, *, tol: float,
-                   max_iterations: int = 0, trace: TraceSink | None = None,
+                   base: StepFn, intermediate: StepFn, *, fea_tol: float,
+                   opt_tol: float, max_iterations: int = 0,
+                   trace: TraceSink | None = None,
                    check_invariants: bool = False,
                    factor: KktFactorization | None = None) -> SolveOutcome:
     """Run one method to optimality, its ``unbounded`` status, or the
     iteration limit: ``max_iterations``, or 100 + 50(n + m) when it is 0.
-    The start iterate and partition are copied; ``tol`` is the family's
-    feasibility tolerance for its guarded bounds.  One ``KktBasis``,
-    seeded with ``factor`` (K_B of the start basis) when given, serves
-    every KKT solve of the run."""
+    The start iterate and partition are copied; ``fea_tol`` and ``opt_tol``
+    set ``bound_tol``.  One ``KktBasis``, seeded with ``factor`` (K_B of
+    the start basis) when given, serves every KKT solve of the run."""
     it = start[0].copy()
     part = start[1].copy()
     part.validate(p.n)
     if part.freed is not None:
         raise StartConditionError("start partition has a pending freed index")
-    if not _check_equalities(p, it, 1e-8 * p.data_scale()):
-        raise StartConditionError("start point violates the equality system")
     if (p.fixed_mask & part.basic_mask).any():
         raise StartConditionError("a fixed index cannot be basic")
-    fam.check_start(p, s, part, it, tol)
     excluded = p.fixed_mask | getattr(p, f"{fam.pinned}_mask")
-    two_sided = getattr(p, f"{fam.unguarded}_mask") & ~excluded
+    unguarded = getattr(p, f"{fam.unguarded}_mask")
+    two_sided = unguarded & ~excluded
     one_sided = ~excluded & ~two_sided
     live = getattr(part, f"{fam.live}_mask")
+    _check_bounds(fam, p, s, it, live, unguarded, two_sided, fea_tol,
+                  opt_tol, start=True)
     cap = max_iterations if max_iterations > 0 else 100 + 50 * (p.n + p.m)
     basis = KktBasis(p, factor)
     iterations = 0
@@ -328,11 +352,11 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
                                     kind, l, step, d, viol, p, eff, before, it))
 
     while True:
-        # Selection uses a near-zero threshold so every stage optimum has
-        # essentially exact complementarity; opt_tol only enters the
-        # reported optimality test, which this overdelivers on.
-        scale = float(np.abs(getattr(it, fam.scale_by)).max(initial=0.0))
-        threshold = 1e-11 * max(1.0, scale)
+        # A near-zero threshold, for essentially exact complementarity, and
+        # at most TOL_SHARE of bound_tol, so that the final check passes.
+        scale = inf_norm(getattr(it, fam.scale_by))
+        threshold = min(SELECT_BAND * max(1.0, scale), TOL_SHARE * bound_tol(
+            fam.repaired, scale, fea_tol, opt_tol))
         v = getattr(it, fam.repaired) + getattr(s, fam.repair_shift)
         # Two-sided live indices go first: a base step's ray certifies
         # nothing while their repaired values are off their bound.
@@ -348,7 +372,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         part.free_index(l)
         # Only trace records use the boundary-aligned shifts.
         eff = effective_shifts(p, s, part, it) if trace is not None else None
-        inner_tol = 1e-12 * max(1.0, abs(_violation(fam, s, it, l)))
+        inner_tol = NOISE_BAND * max(1.0, abs(_violation(fam, s, it, l)))
 
         if needs_base:
             before = it.copy() if trace is not None else None
@@ -373,10 +397,8 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
             emit("intermediate", l, step, d, viol, eff, before)
         part.bind_freed(fam.live)
         if check_invariants:
-            if not _check_equalities(p, it, 1e-7 * p.data_scale()):
-                raise InvariantError(f"equality system drifted during "
-                                     f"{fam.method} solve")
-            fam.check_invariants(p, s, part, it, tol)
+            _check_bounds(fam, p, s, it, live, unguarded, two_sided, fea_tol,
+                          opt_tol, start=False)
 
     return SolveOutcome(method=fam.method, status=status, iterate=it,
                         partition=part, iterations=iterations,

@@ -151,6 +151,33 @@ def criterion7_instance(n, m, active, seed, rank=None):
     return g, xstar, float(0.5 * xstar @ H @ xstar + c @ xstar)
 
 
+def large_x_instance(seed, rank, scale):
+    """A criterion-7 style QP whose solution has max|x| far above 1e4:
+    n=12, m=4, H = G'G/n of ``rank``, x* >= 0 with 7 zeros of which 2
+    are strictly active, x* then multiplied entrywise by exp(3 N(0, 1)),
+    and c and the row bounds multiplied by ``scale``, so that the optimum
+    is scale * x*.  Returns (GeneralQp, f*)."""
+    rng = np.random.default_rng(seed)
+    n, m = 12, 4
+    G = rng.normal(size=(rank, n))
+    H = G.T @ G / n
+    A = rng.normal(size=(m, n)) / np.sqrt(n)
+    xstar = np.abs(rng.normal(size=n)) + 0.05
+    idx = rng.permutation(n)
+    xstar[idx[:7]] = 0.0
+    zstar = np.zeros(n)
+    zstar[idx[:2]] = np.abs(rng.normal(size=2)) + 0.1
+    xstar *= np.exp(3.0 * rng.normal(size=n))
+    c = -(H @ xstar) + A.T @ rng.normal(size=m) + zstar
+    rows = scale * (A @ xstar)
+    g = GeneralQp(Hhat=H, Ahat=A, c=scale * c,
+                  lower=np.concatenate([np.zeros(n), rows]),
+                  upper=np.concatenate([np.full(n, np.inf), rows]),
+                  name=f"largex_s{seed}r{rank}e{int(np.log10(scale))}")
+    xhat = scale * xstar
+    return g, float(0.5 * xhat @ H @ xhat + (scale * c) @ xhat)
+
+
 def free_start_instance(rng):
     """A tiny general-format QP: n in [2, 4], m in [1, 2], integer A in
     [-2, 2], H = G'G with integer G in [-2, 2] of 0..n rows, integer c in

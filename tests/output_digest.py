@@ -32,7 +32,10 @@ under auto, primal-first and dual-first, and the ``ladder`` rungs with
 n >= 250 under the same three strategies.  A third, ``free-start``,
 covers start bases that leave a free index nonbasic, so that the first
 stage has a live temporary bound: ``conftest.free_start_cases(7, 100)``
-under auto, primal-first and dual-first, with ``check_invariants``.
+under auto, primal-first and dual-first, with ``check_invariants``.  A
+fourth, ``large-x``, covers solutions with max|x| far above 1e4:
+``conftest.large_x_instance`` at seeds 0-49, ranks 0-3 and scales 1e5
+and 1e6, under auto, primal-first and dual-first.
 
 Not collected by pytest (the file name has no ``test_`` prefix).
 """
@@ -51,7 +54,7 @@ sys.path.insert(1, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import pdqp  # noqa: E402
 from conftest import (criterion7_instance, free_start_cases,  # noqa: E402
-                      random_instances)
+                      large_x_instance, random_instances)
 from test_trajectories import PD_CASE  # noqa: E402
 from workloads import (Ladder, LowRank, constructed_qp,  # noqa: E402
                        mixed_instance)
@@ -159,6 +162,14 @@ def main() -> None:
             f.solve(f"{label}/{s}", lambda c: pdqp.solve_standard(p, c),
                     pdqp.SolveConfig(strategy=s, initial_basis=basis,
                                      check_invariants=True))
+    x = Digest(per_solve=d.per_solve)
+    for seed in range(50):
+        for rank in range(4):
+            for scale in (1e5, 1e6):
+                g = large_x_instance(seed, rank, scale)[0]
+                for s in STRATEGIES[:3]:
+                    x.solve(f"{g.name}/{s}", lambda c: pdqp.solve_pdqp(g, c),
+                            pdqp.SolveConfig(strategy=s))
     print(f"pdqp from {Path(pdqp.__file__).parent}")
     print(f"solves {d.solves}, raised {dict(sorted(d.errors.items()))}")
     print(f"digest {d.h.hexdigest()}")
@@ -168,6 +179,9 @@ def main() -> None:
     print(f"free-start solves {f.solves}, "
           f"raised {dict(sorted(f.errors.items()))}")
     print(f"free-start digest {f.h.hexdigest()}")
+    print(f"large-x solves {x.solves}, "
+          f"raised {dict(sorted(x.errors.items()))}")
+    print(f"large-x digest {x.h.hexdigest()}")
 
 
 if __name__ == "__main__":

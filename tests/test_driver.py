@@ -13,7 +13,8 @@ from pdqp import driver, kkt, steps
 from pdqp.cli import parse_problem
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
 
-from conftest import criterion7_instance, free_start_cases, random_instances
+from conftest import (criterion7_instance, free_start_cases,
+                      large_x_instance, random_instances)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -326,6 +327,33 @@ def test_free_start_bases_agree_with_oracle():
             if not _agrees_with_oracle(oracle[id(p)], sol):
                 wrong.append((label, strategy))
     assert wrong == []
+
+
+@pytest.mark.parametrize("strategy", ["auto", "primal-first", "dual-first"])
+def test_large_x_optima_pass_the_final_check(strategy):
+    # max|x| near 1e10: selection once stopped a dual stage at a basic x
+    # 1e-11 * max|x| below its bound, which the final check's absolute
+    # fea_tol rejects (InvariantError, or StartConditionError in the
+    # primal stage after it).
+    for seed in (11, 37, 64, 167, 200, 249, 270):
+        g, f = large_x_instance(seed, 3, 1e6)
+        sol = solve_pdqp(g, SolveConfig(strategy=strategy,
+                                        check_invariants=True))
+        assert sol.status == "optimal"
+        assert abs(sol.objective - f) <= 1e-6 * abs(f)
+
+
+def test_auto_measures_the_dual_shifts_against_opt_tol():
+    # Basis [1] needs r_0 = 1e-7: within fea_tol = 1e-6 but not within the
+    # dual bounds' opt_tol = 1e-9, so the start is not dual feasible.
+    p = QpProblem(H=np.eye(2), M=np.zeros((1, 1)), A=np.array([[1.0, 1.0]]),
+                  b=np.array([1.0]), c=np.array([1.0 - 1e-7, 0.0]))
+    sol = solve_standard(p, SolveConfig(initial_basis=[1]))
+    assert sol.strategy == "dual-first"
+    sol = solve_standard(p, SolveConfig(initial_basis=[1], opt_tol=1e-9,
+                                        fea_tol=1e-6))
+    assert sol.strategy == "primal-first"
+    assert sol.status == "optimal"
 
 
 def test_temporary_bound_pass_flags_moved_dual():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdqp import (Iterate, Partition, QpProblem, Shifts, StartConditionError,
-                  check_optimality, dual_base, dual_intermediate, solve_dual)
+from pdqp import (InvariantError, Iterate, Partition, QpProblem, Shifts,
+                  StartConditionError, check_optimality, dual_base,
+                  dual_intermediate, solve_dual)
+from pdqp import steps
 from pdqp.kkt import KktBasis
 
 from conftest import random_instances
@@ -110,11 +112,44 @@ def test_solve_dual_relaxed_nonbasic_selection(p2):
     assert_allclose(out.iterate.x, [0.0, 1.0], atol=1e-12)
 
 
-def test_solve_dual_rejects_bad_start(p2):
-    it = Iterate(np.array([1.0, 0.0]), np.array([3.0]), np.array([0.0, -3.0]))
-    part = Partition(basic=[0], nonbasic=[1])
-    with pytest.raises(StartConditionError):
-        solve_dual(p2, Shifts.zero(2), (it, part))
+# min 0.5 x'Hx + c'x s.t. sum(x) = 1, x >= 0: p2, and the problem of
+# test_dual_degenerate_zero_step_swaps_and_continues.
+P2 = (np.eye(2), [2.0, 0.0])
+P3 = ([[1.0, 0.0, 0.0], [0.0, 5.0, 2.0], [0.0, 2.0, 1.0]], [3.0, -2.0, 0.0])
+
+
+@pytest.mark.parametrize("hc,free,x,y,z,basic,error,match", [
+    # Each state satisfies the equality system and violates one clause
+    # only.
+    # guarded: nonbasic z_1 below its bound
+    (P2, (), [1.0, 0.0], 3.0, [0.0, -3.0], [0], StartConditionError,
+     r"dual start: guarded z\[1\]"),
+    # idle: basic z_0 off its bound
+    (P2, (), [1.0, 0.0], 0.0, [3.0, 0.0], [0], StartConditionError,
+     r"dual start: idle z\[0\]"),
+    # idle, tightened: a free basic z_0 off its bound, once accepted
+    (P2, (0,), [1.0, 0.0], 0.0, [3.0, 0.0], [0], StartConditionError,
+     r"dual start: idle z\[0\]"),
+    # relaxed entry: nonbasic x_1 above its bound
+    (P2, (), [-1.0, 2.0], 1.0, [0.0, 1.0], [0], StartConditionError,
+     r"dual start: relaxed x\[1\]"),
+    # invariant: a step that ignores the blocking z_1 leaves it below
+    (P3, (), [-1.0, 0.0, 2.0], 2.0, [0.0, 0.0, 0.0], [0, 2], InvariantError,
+     r"dual invariant: guarded z\[1\]"),
+], ids=["guarded", "idle", "idle_free", "relaxed", "invariant"])
+def test_solve_dual_rejects_bad_start(monkeypatch, hc, free, x, y, z, basic,
+                                      error, match):
+    n = len(x)
+    p = QpProblem(H=hc[0], M=np.zeros((1, 1)), A=np.ones((1, n)),
+                  b=np.array([1.0]), c=hc[1], free=frozenset(free))
+    it = Iterate(np.array(x), np.array([y]), np.array(z))
+    part = Partition(basic=basic, nonbasic=[j for j in range(n)
+                                            if j not in basic])
+    if error is InvariantError:
+        monkeypatch.setattr(steps, "ratio_test",
+                            lambda *a, **k: (np.inf, None))
+    with pytest.raises(error, match=match):
+        solve_dual(p, Shifts.zero(n), (it, part), check_invariants=True)
 
 
 def test_solve_dual_iteration_limit():

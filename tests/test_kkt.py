@@ -397,6 +397,26 @@ def test_bunch_kaufman_acceptance_clears_singularity_bound():
     assert accepted > 100 and rejected > 100
 
 
+def test_bunch_kaufman_rejects_a_singular_k_with_a_roundoff_pivot():
+    # K_B of basis [0, 1, 2, 5] is exactly singular, but dsycon estimated
+    # rcond 0.077 for it: its factor ends in a 1x1 pivot of -2.2e-16,
+    # which the pivot test rejects.  The oracle, which trusted the
+    # factorization, then disagreed with its own Gaussian elimination.
+    inf = np.inf
+    g = GeneralQp(Hhat=[[5, -1, 4, 2], [-1, 1, 0, -2], [4, 0, 4, 0],
+                        [2, -2, 0, 4]],
+                  Ahat=[[-2, 2, 0, 0]], c=[3, 0, 2, 3],
+                  lower=[0, 2, -2, -inf, 1], upper=[2, inf, inf, inf, inf])
+    p = standardize(g).problem
+    assert p.free == {3}
+    part = Partition(basic=[0, 1, 2, 5], nonbasic=[3, 4])
+    assert np.linalg.matrix_rank(build_kb(p, part.basic)) < 6
+    assert factor_kb(p, part) is None
+    o = enumerate_solve(p, Shifts.zero(p.n))
+    assert o.status == "optimal"
+    assert o.objective == pytest.approx(-5.375)
+
+
 def test_bunch_kaufman_logabsdet_matches_slogdet():
     rng = np.random.default_rng(3)
     two_by_two = 0

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdqp import (Iterate, Partition, QpProblem, Shifts, StartConditionError,
-                  check_optimality, primal_base, primal_intermediate,
-                  solve_primal)
+from pdqp import (InvariantError, Iterate, Partition, QpProblem, Shifts,
+                  StartConditionError, check_optimality, primal_base,
+                  primal_intermediate, solve_primal)
+from pdqp import steps
 from pdqp.kkt import KktBasis
 
 from conftest import random_instances
@@ -136,11 +137,33 @@ def test_solve_primal_iteration_limit():
     assert out.iterations == 1
 
 
-def test_solve_primal_rejects_bad_start(p2):
-    it = Iterate(np.array([5.0, 5.0]), np.zeros(1), np.zeros(2))
-    part = Partition(basic=[0], nonbasic=[1])
-    with pytest.raises(StartConditionError):
-        solve_primal(p2, Shifts.zero(2), (it, part))
+@pytest.mark.parametrize("x,y,z,basic,error,match", [
+    # Each state satisfies the equality system (but the first) and
+    # violates one clause only.
+    ([5.0, 5.0], 0.0, [0.0, 0.0], [0], StartConditionError, "equality"),
+    # guarded: basic x_0 below its bound
+    ([-1.0, 2.0], 2.0, [-1.0, 0.0], [0, 1], StartConditionError,
+     r"primal start: guarded x\[0\]"),
+    # idle: nonbasic x_1 off its bound
+    ([0.5, 0.5], 2.5, [0.0, -2.0], [0], StartConditionError,
+     r"primal start: idle x\[1\]"),
+    # relaxed entry: basic z_0 above its bound
+    ([1.0, 0.0], 2.0, [1.0, -2.0], [0], StartConditionError,
+     r"primal start: relaxed z\[0\]"),
+    # invariant: a step that ignores the blocking x_0 leaves it at -0.5
+    ([1.0, 0.0], 3.0, [0.0, -3.0], [0], InvariantError,
+     r"primal invariant: guarded x\[0\]"),
+], ids=["equality", "guarded", "idle", "relaxed", "invariant"])
+def test_solve_primal_rejects_bad_start(p2, monkeypatch, x, y, z, basic,
+                                        error, match):
+    it = Iterate(np.array(x), np.array([y]), np.array(z))
+    part = Partition(basic=basic, nonbasic=[j for j in range(2)
+                                            if j not in basic])
+    if error is InvariantError:
+        monkeypatch.setattr(steps, "ratio_test",
+                            lambda *a, **k: (np.inf, None))
+    with pytest.raises(error, match=match):
+        solve_primal(p2, Shifts.zero(2), (it, part), check_invariants=True)
 
 
 def test_solve_primal_relaxed_basic_selection(p2):
