@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import solve_dual
-from .kkt import (KktFactorization, factor_kb, find_soc_basis,
-                  solve_boundary_point)
+from .kkt import (KktBasis, KktFactorization, factor_kb, factor_kb_or_raise,
+                  find_soc_basis, solve_boundary_point)
 from .model import (BOUND_SLACK, DEFAULT_TOL, InvariantError, Iterate,
                     Partition, ProblemError, QpProblem, Shifts, bound_tol,
                     check_optimality, dual_objective, index_mask, inf_norm,
@@ -353,7 +353,9 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
     A strategy is a list of stages, each a method and the shifts it runs
     under, started from where the previous stage ended.  The run stops
     at the first stage that is not optimal; after an optimal one the
-    temporary-bound contract of its method is checked.
+    temporary-bound contract of its method is checked.  One ``KktBasis``,
+    seeded with K_B of the start basis (factored once, for the shifts),
+    serves every KKT solve of every stage.
     """
     config = config or SolveConfig()
     if config.initial_basis is not None:
@@ -367,7 +369,9 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
             raise ProblemError(f"initial basis {part.basic}: K_B is singular")
     else:
         found = find_soc_basis(p, prefer=sorted(p.free))
-        part, factor = found.partition, found.factor
+        part = found.partition
+        factor = found.factor or factor_kb_or_raise(p, part)
+    basis = KktBasis(p, factor)
     shifts0, it = init_shifts(p, part, factor)
     registry = {j: float(it.z[j]) for j in part.nonbasic if j in p.free}
     found = None
@@ -376,19 +380,21 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
         raise InvariantError("initial shifted point failed the optimality "
                              f"check: {report}")
 
+    # Shifts are measured as check_optimality measures the bounds.
+    x_tol, z_tol = (bound_tol(v, inf_norm(it.y), config.fea_tol,
+                              config.opt_tol) for v in "xz")
     strategy = config.strategy
     if strategy == "auto":      # dual-first when r is within the z measure
-        strategy = ("dual-first" if inf_norm(shifts0.r) <= bound_tol(
-            "z", inf_norm(it.y), config.fea_tol, config.opt_tol)
+        strategy = ("dual-first" if inf_norm(shifts0.r) <= z_tol
                     else "primal-first")
+    # A one-stage strategy runs at zero shifts from the start point.
     if strategy == "primal-only" and \
-            float(np.max(shifts0.q, initial=0.0)) > config.fea_tol:
+            float(np.max(shifts0.q, initial=0.0)) > x_tol:
         raise ProblemError("primal-only requires a primal-feasible "
-                           "initial basis (zero primal shifts)")
-    if strategy == "dual-only" and \
-            float(np.max(np.abs(shifts0.r), initial=0.0)) > config.opt_tol:
+                           "initial basis (primal shifts within bound_tol)")
+    if strategy == "dual-only" and inf_norm(shifts0.r) > z_tol:
         raise ProblemError("dual-only requires a dual-feasible initial "
-                           "basis (zero dual shifts)")
+                           "basis (dual shifts within bound_tol)")
 
     zero = Shifts.zero(p.n)
     stages = {
@@ -409,9 +415,7 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
     start = (it, part)
     for solve, shifts in stages:
         ref = {j: float(start[0].z[j]) for j in registry}
-        # K_B of the start basis seeds the first stage's KKT updates.
-        out = solve(p, shifts, start, factor=factor, **kw)
-        factor = None
+        out = solve(p, shifts, start, basis=basis, **kw)
         logs.append(_stage_log(p, shifts, out))
         if out.status != OPTIMAL:
             break

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .kkt import (KktBasis, KktFactorization, solve_base_primal,
-                  solve_intermediate_primal)
+from .kkt import KktBasis, solve_base_primal, solve_intermediate_primal
 from .model import (DEFAULT_TOL, Direction, Iterate, Partition, QpProblem,
                     Shifts)
 from .steps import (PRIMAL_INFEASIBLE, Family, SolveOutcome, StepResult,
@@ -67,14 +66,14 @@ def solve_dual(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
                *, max_iterations: int = 0, opt_tol: float = DEFAULT_TOL,
                fea_tol: float = DEFAULT_TOL, trace: TraceSink | None = None,
                check_invariants: bool = False,
-               factor: KktFactorization | None = None) -> SolveOutcome:
+               basis: KktBasis | None = None) -> SolveOutcome:
     """Run the dual method to optimality, primal infeasibility, or the
     iteration limit (see ``run_active_set``).  The start iterate and
-    partition are copied; ``factor``, K_B of the start basis, seeds the
-    stage's KKT updates."""
+    partition are copied; ``basis`` serves the KKT solves and keeps its
+    held factorization for the caller's next stage."""
     return run_active_set(
         DUAL, p, s, start,
         partial(dual_base, p, s, opt_tol=opt_tol),
         partial(dual_intermediate, p, s, opt_tol=opt_tol),
         fea_tol=fea_tol, opt_tol=opt_tol, max_iterations=max_iterations,
-        trace=trace, check_invariants=check_invariants, factor=factor)
+        trace=trace, check_invariants=check_invariants, basis=basis)

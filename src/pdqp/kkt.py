@@ -29,11 +29,12 @@ counterpart exactly singular is within the singularity bound
 dim * PIVOT_TOL * max|counterpart|:
 
 * dz_l = s = h_ll - k_l' K_B^-1 k_l, the Schur complement of K_B in K_l.
-  With w = -K_B^-1 k_l, (K_l - s e_0 e_0') (1; w) = 0: moving h_ll by
-  |s| makes K_l singular.
-* dx_l is the leading entry of (dx_l; v) = K_l^-1 e_0.  Then
-  K_B v = -dx_l k_l, so the rank-one change dx_l k_l v' / (v'v), of norm
-  |dx_l| ||k_l|| / ||v||, makes K_B singular.
+  With w = -K_B^-1 k_l, K_l - s e_at e_at' maps (1 at l, w around it) to
+  zero: moving h_ll by |s| makes K_l singular.
+* dx_l is entry ``at`` of K_l^-1 e_at, where ``at`` is the position of
+  l among the variables of K_l (see below), and v the other entries.
+  Then K_B v = -dx_l k_l, so the rank-one change dx_l k_l v' / (v'v), of
+  norm |dx_l| ||k_l|| / ||v||, makes K_B singular.
 
 Both the change and the bound are relative to the counterpart's own
 scale, so the verdict does not depend on the scale of the data, while the
@@ -46,14 +47,27 @@ bound (a genuine small component of badly scaled data).  It is then
 pinned to zero on a rejection, or recomputed as a pivot-determinant
 ratio that must come out positive.
 
-Within a stage the basis changes by one index at a time, so a
-``KktBasis`` factors K_B0, the basis matrix a stage starts from (or last
-refactored), once and serves the K_B and K_l solves of every later basis
-B by Schur-complement (block-LU) updates, after Gill, Murray, Saunders
-and Wright, "A Schur-complement method for sparse quadratic programming"
-(1990).  K_l is the basis matrix of B and l.  The border W has, for each
-column q of B not in B0, its column of the full KKT matrix over B0's
-rows, and for each index r of B0 missing from B the unit vector e_r.  In
+Every basis matrix is built with its variables in ascending order: K_B
+over B, and K_l, the basis matrix of B and l, over B + l with l at its
+sorted position ``at`` (the intermediate solve's right-hand side is
+e_at).  Equal index sets therefore give identical matrices: the K_B of a
+base solve after an intermediate solve that bound l into B, the K_l of a
+dual base solve over the basis its intermediate solves left, and K_B of
+the start basis at the first solve of each stage.
+
+One ``KktBasis`` serves every direction solve of a problem, both stages
+of ``driver.solve_standard``; it is seeded with K_B of the start basis,
+which the initial shifts need anyway.  It holds its last fresh
+factorization at every dim, with the order of its variables, and a solve
+whose order is byte-equal to that one reuses it without refactoring.
+The basis changes by one index at a time, so from dim UPDATE_MIN_DIM up
+the held factorization is also K_B0, and the K_B
+and K_l solves of every later basis B are served by Schur-complement
+(block-LU) updates, after Gill, Murray, Saunders and Wright, "A
+Schur-complement method for sparse quadratic programming" (1990).  The
+border W has, for each column q of B not in B0, its column of the full
+KKT matrix over B0's rows, and for each index r of B0 missing from B the
+unit vector e_r.  In
 
     M = [ K_B0  W ]      C = [ H_QQ  0 ]
         [ W'    C ],         [ 0     0 ],
@@ -87,9 +101,10 @@ whose estimate is not positive, declines the update.  max|K_B| is
 bounded by max|K_B0|, the border columns and H_QQ.  One refinement step
 against the product with K_B, formed from the problem data, follows, as
 in a fresh solve.  ``KktBasis.solve``, through which every direction
-solve goes, alone decides between update and refactor.  It factors the
-matrix afresh with the caller's ``fresh``, which raises KktInternalError
-on a singular matrix, and makes that factorization the new K_B0, when
+solve goes, alone decides between reuse, update and refactor.  Unless
+the held factorization is of the same matrix, it factors the matrix
+afresh with the caller's ``fresh``, which raises KktInternalError on a
+singular matrix, and holds that factorization (as the new K_B0), when
 
 * the bound fails (or there is no accepted K_B0);
 * K_B0^-1 times BORDER_CAP border columns is cached already, which bounds
@@ -99,19 +114,24 @@ on a singular matrix, and makes that factorization the new K_B0, when
   declines), so that only ``_freed_component`` on a fresh factorization
   settles a component at zero.
 
-A K_B0 of dim below UPDATE_MIN_DIM is not updated.  On criterion-7 K_B
-matrices with one BLAS thread, an update that adds one column to a
-border of 1 to 20 columns costs a median 58, 64, 72, 87 and 106 us at
-dim 30, 70, 110, 165 and 220, against 28, 61, 107, 208 and 373 us for a
-fresh Bunch-Kaufman factorization and solve, so the crossover lies just
-above dim 70.  Inside real solves the in-band fallback adds the cost of an
-update that is computed and then declined.  With the gate at 0, ten
+A K_B0 of dim below UPDATE_MIN_DIM is not updated: a solve of another
+matrix refactors.  On criterion-7 K_B matrices with one BLAS thread, an
+update that adds one column to a border of 1 to 20 columns costs a
+median 58, 64, 72, 87 and 106 us at dim 30, 70, 110, 165 and 220,
+against 28, 61, 107, 208 and 373 us for a fresh Bunch-Kaufman
+factorization and solve, so the crossover lies just above dim 70.
+Inside real solves the in-band fallback adds the cost of an update that
+is computed and then declined.  With the gate at 0, ten
 alternating benchmark pairs per workload lost 21-28% solves/s on
 ``suite500`` (bases of dim <= 20), ``lowrank`` (dim 20-100) and
 ``mixed-bounds`` (dim <= 50), 0 of 10 pairs each, and left ``ladder``
 (dim >= 100, mostly >= 400) unchanged.  No workload has bases between
 dim 100 and 200, so the measurements place the crossover but do not pin
 the gate's value within that range.
+
+Basis discovery (``find_soc_basis``) factors the full KKT matrix first
+only where H is definite on its nonzero rows, and otherwise reveals the
+basis by rank first.
 """
 
 from __future__ import annotations
@@ -124,7 +144,7 @@ import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from .model import (NOISE_BAND, Direction, Iterate, Partition, QpProblem,
-                    Shifts, index_mask, pivoted_cholesky)
+                    Shifts, index_mask, inf_norm, pivoted_cholesky)
 
 PIVOT_TOL = 1e-11
 # K_B0 factorizations of smaller dim are not updated: every solve refactors.
@@ -295,6 +315,13 @@ def build_kl(p: QpProblem, basic: Sequence[int] | np.ndarray,
     return build_kb(p, np.concatenate(([l], np.asarray(basic, np.intp))))
 
 
+def _with_freed(basic: np.ndarray, l: int) -> tuple[np.ndarray, int]:
+    """The variables of K_l, the basis matrix of B and l, in their
+    canonical ascending order, and the position of l among them."""
+    at = int(np.searchsorted(basic, l))
+    return np.concatenate((basic[:at], (l,), basic[at:])), at
+
+
 def factor_kb(p: QpProblem, part: Partition) -> KktFactorization | None:
     """Factor K_B, or None when the acceptance rule rejects it: K_B is
     singular."""
@@ -314,15 +341,19 @@ def factor_kb_or_raise(p: QpProblem, part: Partition) -> KktFactorization:
 
 
 class KktBasis:
-    """The one way a direction solve reaches K_B or K_l: Schur-complement
+    """The one way a direction solve reaches K_B or K_l: the last fresh
+    factorization when it is of the same matrix, Schur-complement
     (block-LU) updates from a factorization of K_B0, or a fresh
-    factorization; see the module docstring.
+    factorization; see the module docstring.  One serves every solve of a
+    problem, both stages of ``driver.solve_standard``.
 
-    The border of a basis B is derived from B itself: the indices of B0
-    missing from B and the columns of B not in B0, so basis changes need
-    no notification.  K_B0^-1 times each border column is cached by index
-    until BORDER_CAP columns are cached.  A ``factor`` handed in (K_B of
-    the start basis) becomes K_B0 under the same rules as a fresh one.
+    A basis matrix is named by the order of its variables, ascending
+    (see the module docstring).  The border of a basis B is derived from
+    B itself: the
+    indices of B0 missing from B and the columns of B not in B0, so basis
+    changes need no notification.  K_B0^-1 times each border column is
+    cached by index until BORDER_CAP columns are cached.  A ``factor``
+    handed in (K_B of the start basis) is held like a fresh one.
     """
 
     def __init__(self, p: QpProblem, factor: KktFactorization | None = None):
@@ -333,16 +364,20 @@ class KktBasis:
 
     def _rebase(self, order: Sequence[int] = (),
                 data: _BunchKaufman | None = None) -> None:
-        """Drop K_B0 and its caches; then take ``data``, a fresh
-        factorization of the basis matrix with its variables in ``order``,
-        as K_B0 if it is of dim >= UPDATE_MIN_DIM."""
+        """Drop the held factorization, K_B0 and its caches; then hold
+        ``data``, a fresh factorization of the basis matrix with its
+        variables in ``order``, and take it as K_B0 if it is of dim >=
+        UPDATE_MIN_DIM."""
+        order = np.asarray(order, dtype=np.intp)
+        self._last = data
+        self._key = order.tobytes()
         self._k0 = self._solve0 = self._w = self._v = None
         if data is None or data.matrix.shape[0] < UPDATE_MIN_DIM:
             return
         dim = data.matrix.shape[0]
         self._k0 = data
         self._solve0 = _unpack(data)                 # applies K_B0^-1
-        self._basis0 = np.asarray(order, dtype=int)
+        self._basis0 = order
         self._pos0 = np.full(self.p.n, -1)
         self._pos0[self._basis0] = np.arange(self._basis0.size)
         self._max0 = float(np.abs(data.matrix).max())
@@ -357,14 +392,20 @@ class KktBasis:
               accept: Callable[[np.ndarray], bool],
               fresh: Callable[[], _BunchKaufman]
               ) -> tuple[np.ndarray, _BunchKaufman | None]:
-        """Solve with the basis matrix whose variables come in ``order``.
+        """Solve with the basis matrix whose variables come in ``order``,
+        ascending.
 
-        Returns (w, None) for an updated solve that ``accept(w)`` takes.
-        Otherwise K_B0 is dropped (so that two factorizations are not
-        held at once), ``fresh()`` factors the matrix (raising
-        KktInternalError where it is singular), becomes the new K_B0 under
-        the rules of ``_rebase``, and (w, that factorization) is returned.
+        Returns (w, f) with f the held factorization when ``order`` is
+        byte-equal to its order, and (w, None) for an updated solve that
+        ``accept(w)`` takes.  Otherwise the held factorization is dropped
+        (so that two are never held at once), ``fresh()`` factors the
+        matrix (raising KktInternalError where it is singular) and is held
+        under the rules of ``_rebase``, and (w, that factorization) is
+        returned.  A solve that returns a factorization is fresh.
         """
+        order = np.asarray(order, dtype=np.intp)
+        if self._last is not None and order.tobytes() == self._key:
+            return self._last.solve(rhs), self._last
         w = self._update(order, rhs)
         if w is not None and accept(w):
             return w, None
@@ -420,7 +461,7 @@ class KktBasis:
         if self._k0 is None:
             return None
         p, k0 = self.p, self._k0
-        basic = np.asarray(order, dtype=int)
+        basic = np.asarray(order, dtype=np.intp)
         nb, m = basic.size, p.m
         pos = self._pos0[basic]
         kept = pos >= 0
@@ -533,6 +574,12 @@ def _revealed_basis(p: QpProblem, cand: np.ndarray, first: np.ndarray,
                                    nonpiv[~lead][c2]]))
 
 
+def _kkt_max(p: QpProblem, cols: np.ndarray) -> float:
+    """max|K_B| over the columns ``cols``, taken from the data."""
+    return max(inf_norm(_gather(p.H, cols, cols)), inf_norm(p.A[:, cols]),
+               inf_norm(p.M))
+
+
 def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisResult:
     """Find an initial second-order consistent basis.
 
@@ -552,6 +599,13 @@ def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisRes
       the ``prefer`` columns of R, then over the others with the span of
       those projected out.
 
+    The full matrix is factored first only where H is definite on its
+    nonzero rows (``QpProblem.h_definite``).  Elsewhere it is mostly
+    singular, so B is revealed first, and the full matrix, then K_B, is
+    factored only when B keeps every column.  The partition is the same
+    either way except where the acceptance rule takes a full matrix from
+    which rank revelation drops a column.
+
     In exact arithmetic K_B is nonsingular.  Eliminating H_PP leaves
     [[E, R_C'], [R_C, -G]] with E = H_CC - H_CP H_PP^-1 H_PC and
     G = M + A_P H_PP^-1 A_P', both semidefinite.  A null vector (u, v)
@@ -564,34 +618,37 @@ def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisRes
     span of R_C both below tol, so adding it makes K_B singular within tol.
     """
     cand = np.flatnonzero(~p.fixed_mask)
-    k_full = build_kb(p, cand)
-    accepted = _bunch_kaufman(k_full)
+    accepted = _bunch_kaufman(build_kb(p, cand)) if p.h_definite else None
     if accepted is not None:
         basic = cand
     else:
         basic = _revealed_basis(p, cand, index_mask(p.n, prefer or ()),
-                                PIVOT_TOL * float(np.abs(k_full).max()))
+                                PIVOT_TOL * _kkt_max(p, cand))
+        if basic.size == cand.size and not p.h_definite:
+            accepted = _bunch_kaufman(build_kb(p, cand))
     deferred = cand[~index_mask(p.n, basic)[cand]].tolist()
     part = Partition(basic=basic.tolist(),
                      nonbasic=sorted(deferred + sorted(p.fixed)))
     factor = None if accepted is None else KktFactorization(
-        basis=tuple(part.basic), dim=k_full.shape[0], _data=accepted)
+        basis=tuple(part.basic), dim=accepted.matrix.shape[0], _data=accepted)
     return SocBasisResult(partition=part, deferred=deferred, factor=factor)
 
 
 def _freed_component(raw: float, noise: float, own: _BunchKaufman,
                      other: Callable[[], np.ndarray], what: str,
-                     backward: float, bound: Callable[[], float]) -> float:
+                     backward: Callable[[], float],
+                     bound: Callable[[], float]) -> float:
     """Resolve the freed component of a direction near zero.
 
     The dichotomy is exact: the component is det(counterpart) / det(own),
     so it vanishes iff the counterpart matrix is singular.  A value above
-    the cancellation noise band is returned as computed.  ``backward`` is
-    the size of a change of the data that makes the counterpart exactly
+    the cancellation noise band is returned as computed.  ``backward()``
+    is the size of a change of the data that makes the counterpart exactly
     singular, and ``bound()`` the singularity bound of the counterpart,
     dim * PIVOT_TOL * max|counterpart| (see the module docstring), taken
-    from the data without assembling the counterpart.  Inside the band,
-    |raw| <= noise, backward <= bound() settles the component at zero.
+    from the data without assembling the counterpart; both are computed
+    only inside the band.  There, |raw| <= noise, backward() <= bound()
+    settles the component at zero.
     Otherwise (raw < -noise so that its sign is in doubt, or the change
     is larger than roundoff of the counterpart) build the counterpart with
     ``other()``, factor it, and either pin the component to zero where the
@@ -600,7 +657,7 @@ def _freed_component(raw: float, noise: float, own: _BunchKaufman,
     """
     if raw > noise:
         return raw
-    if raw >= -noise and backward <= bound():
+    if raw >= -noise and backward() <= bound():
         return 0.0
     data = _bunch_kaufman(other())
     if data is None:
@@ -667,11 +724,12 @@ def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
 
     w, own = basis.solve(basic, rhs, above_band,
                          lambda: factor_kb_or_raise(p, part)._data)
-    dzl, noise = _base_dz_l(p, l, h_bl, w)
+    raw, noise = _base_dz_l(p, l, h_bl, w)
+    dzl = raw
     if own is not None:
         dzl = _freed_component(
-            dzl, noise, own, lambda: build_kl(p, basic, l), "dz_l",
-            abs(dzl), lambda: (nb + p.m + 1) * PIVOT_TOL * max(
+            raw, noise, own, lambda: build_kb(p, _with_freed(basic, l)[0]),
+            "dz_l", lambda: abs(raw), lambda: (nb + p.m + 1) * PIVOT_TOL * max(
                 float(np.abs(own.matrix).max(initial=0.0)),
                 abs(p.H[l, l]), float(np.abs(rhs).max(initial=0.0))))
     # dz_l = 0: singular bordered matrix.  The direction is its null ray,
@@ -689,18 +747,20 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
                               basis: KktBasis) -> Direction:
     """Direction with dz_l = 1 from the bordered K_l system.
 
-    Solves K_l [dx_l; dx_B; -dy] = [1; 0; 0] and recovers dz_N.  K_l is
-    nonsingular whenever this is called from a legal state; a singular
-    K_l here is an internal invariant violation.  ``basis`` serves the
-    solve (K_l is the basis matrix of B and l): an update is taken when
-    its dx_l lies above the noise band, otherwise K_l is factored afresh
+    K_l is the basis matrix of B and l, its variables ascending with l at
+    position ``at``.  Solves K_l [dx; -dy] = e_at, where dx holds dx_l at
+    ``at`` and dx_B around it, and recovers dz_N.  K_l is nonsingular
+    whenever this is called from a legal state; a singular K_l here is an
+    internal invariant violation.  ``basis`` serves the solve: an update
+    is taken when its dx_l lies above the noise band, otherwise K_l is
+    factored afresh (or the held factorization of the same K_l reused)
     and values lost in roundoff are settled by ``_freed_component``.
     """
     basic = np.flatnonzero(part.basic_mask)
     nb = basic.size
-    order = np.concatenate(([l], basic))
+    order, at = _with_freed(basic, l)
     rhs = np.zeros(1 + nb + p.m)
-    rhs[0] = 1.0
+    rhs[at] = 1.0
 
     def fresh() -> _BunchKaufman:
         data = _bunch_kaufman(build_kb(p, order))
@@ -711,22 +771,29 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
         return data
 
     w, own = basis.solve(order, rhs,
-                         lambda w: float(w[0]) > _dx_l_noise(w), fresh)
-    dxl = float(w[0])
+                         lambda w: float(w[at]) > _dx_l_noise(w), fresh)
+    raw = float(w[at])
+    rest = np.concatenate((w[:at], w[at + 1:]))     # [dx_B; -dy]
+    dxl = raw
     if own is not None:
-        # K_B is kl[1:, 1:], k_l is kl[1:, 0], v = w[1:] (module docstring).
+        # K_B is K_l without row and column at, k_l is column at of K_l
+        # without entry at, and v = rest (module docstring).
         kl = own.matrix
-        vnorm = float(np.linalg.norm(w[1:]))
-        backward = (abs(dxl) * float(np.linalg.norm(kl[1:, 0])) / vnorm
+
+        def backward() -> float:
+            vnorm = float(np.linalg.norm(rest))
+            k_l = np.delete(kl[:, at], at)
+            return (abs(raw) * float(np.linalg.norm(k_l)) / vnorm
                     if vnorm > 0.0 else np.inf)
+
         dxl = _freed_component(
-            dxl, _dx_l_noise(w), own, lambda: build_kb(p, basic), "dx_l",
-            backward, lambda: (kl.shape[0] - 1) * PIVOT_TOL
-            * float(np.abs(kl[1:, 1:]).max(initial=0.0)))
+            raw, _dx_l_noise(w), own, lambda: build_kb(p, basic), "dx_l",
+            backward, lambda: (kl.shape[0] - 1) * PIVOT_TOL * inf_norm(
+                np.delete(np.delete(kl, at, axis=0), at, axis=1)))
     # dx_l = 0: singular K_B.  Every x-component of the direction
     # vanishes and only the multiplier part moves.
-    dxb = np.zeros(nb) if dxl == 0.0 else w[1:1 + nb]
-    return _direction(p, part, basic, l, dxl, 1.0, dxb, -w[1 + nb:])
+    dxb = np.zeros(nb) if dxl == 0.0 else rest[:nb]
+    return _direction(p, part, basic, l, dxl, 1.0, dxb, -rest[nb:])
 
 
 def recover_z_nonbasic(p: QpProblem, part: Partition, it: Iterate,

@@ -91,8 +91,10 @@ def pivoted_cholesky(h: np.ndarray, tol: float
     return factor, piv - 1, rank
 
 
-def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> None:
-    """Pivoted-Cholesky semidefiniteness test of an exactly symmetric s.
+def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> bool:
+    """Pivoted-Cholesky semidefiniteness test of an exactly symmetric s;
+    returns whether s is definite on its nonzero part (``dpotrf`` below
+    accepted it).
 
     Only the rows and columns that are not identically zero take part
     (standardized problems pad H with zero slack rows).  A LAPACK Cholesky
@@ -108,11 +110,11 @@ def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> None:
     """
     live = np.flatnonzero((s != 0.0).any(axis=1))
     if not live.size:               # empty or zero
-        return
+        return False
     factor, info = lapack.dpotrf(_live_block(s, live), overwrite_a=1,
                                  clean=0)
     if info == 0 and np.isfinite(factor).all():
-        return
+        return True
     cutoff = tol * max(1.0, float(s.diagonal().max()))
     factor, piv, rank = pivoted_cholesky(_live_block(s, live), cutoff)
     low = factor[rank:, :rank]
@@ -121,6 +123,7 @@ def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> None:
     if rest.size and float(rest.min()) < -cutoff:
         raise ProblemError(f"{name} is not positive semidefinite "
                            f"(pivot {float(rest.min()):.3e})")
+    return False
 
 
 def _check_row_rank(a: np.ndarray, m: int) -> None:
@@ -159,7 +162,9 @@ class QpProblem:
     ``free`` lists variables with no bound at all; ``fixed`` lists
     variables pinned at their bound with an unrestricted dual.  Both are
     empty for a plain standard-form problem; ``free_mask`` and
-    ``fixed_mask`` hold them as read-only boolean masks.
+    ``fixed_mask`` hold them as read-only boolean masks.  ``h_definite``
+    records whether H is definite on its rows that are not identically
+    zero (``_check_psd``'s Cholesky test accepted it).
     """
 
     H: np.ndarray
@@ -194,7 +199,7 @@ class QpProblem:
         # The lower triangle is authoritative.
         H = _symmetrized(H, "H")
         M = _symmetrized(M, "M")
-        _check_psd(H, "H")
+        h_definite = _check_psd(H, "H")
         _check_psd(M, "M")
         _check_row_rank(np.hstack([A, M]), m)
         if self.fixed:
@@ -221,6 +226,7 @@ class QpProblem:
         object.__setattr__(self, "c", _readonly(c))
         object.__setattr__(self, "free", frozenset(self.free))
         object.__setattr__(self, "fixed", frozenset(self.fixed))
+        object.__setattr__(self, "h_definite", h_definite)
         for name in ("free", "fixed"):
             mask = index_mask(n, getattr(self, name))
             mask.flags.writeable = False

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .kkt import (KktBasis, KktFactorization, solve_base_primal,
-                  solve_intermediate_primal)
+from .kkt import KktBasis, solve_base_primal, solve_intermediate_primal
 from .model import (DEFAULT_TOL, Direction, Iterate, Partition, QpProblem,
                     Shifts)
 from .steps import (DUAL_INFEASIBLE, Family, SolveOutcome, StepResult,
@@ -55,14 +54,14 @@ def solve_primal(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
                  *, max_iterations: int = 0, opt_tol: float = DEFAULT_TOL,
                  fea_tol: float = DEFAULT_TOL, trace: TraceSink | None = None,
                  check_invariants: bool = False,
-                 factor: KktFactorization | None = None) -> SolveOutcome:
+                 basis: KktBasis | None = None) -> SolveOutcome:
     """Run the primal method to optimality, dual infeasibility, or the
     iteration limit (see ``run_active_set``).  The start iterate and
-    partition are copied; ``factor``, K_B of the start basis, seeds the
-    stage's KKT updates."""
+    partition are copied; ``basis`` serves the KKT solves and keeps its
+    held factorization for the caller's next stage."""
     return run_active_set(
         PRIMAL, p, s, start,
         partial(primal_base, p, s, fea_tol=fea_tol),
         partial(primal_intermediate, p, s, fea_tol=fea_tol),
         fea_tol=fea_tol, opt_tol=opt_tol, max_iterations=max_iterations,
-        trace=trace, check_invariants=check_invariants, factor=factor)
+        trace=trace, check_invariants=check_invariants, basis=basis)

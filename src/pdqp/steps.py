@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kkt import KktBasis, KktFactorization
+from .kkt import KktBasis
 from .model import (BOUND_SLACK, DRIFT_EQ_TOL, HARRIS_BAND, NOISE_BAND,
                     SELECT_BAND, START_EQ_TOL, TOL_SHARE, Direction,
                     InvariantError, Iterate, Partition, QpProblem, Shifts,
@@ -309,12 +309,14 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
                    opt_tol: float, max_iterations: int = 0,
                    trace: TraceSink | None = None,
                    check_invariants: bool = False,
-                   factor: KktFactorization | None = None) -> SolveOutcome:
+                   basis: KktBasis | None = None) -> SolveOutcome:
     """Run one method to optimality, its ``unbounded`` status, or the
     iteration limit: ``max_iterations``, or 100 + 50(n + m) when it is 0.
     The start iterate and partition are copied; ``fea_tol`` and ``opt_tol``
-    set ``bound_tol``.  One ``KktBasis``, seeded with ``factor`` (K_B of
-    the start basis) when given, serves every KKT solve of the run."""
+    set ``bound_tol``.  ``basis`` serves every KKT solve of the run and
+    keeps its held factorization for the caller's next run
+    (``driver.solve_standard`` passes one per problem, seeded with K_B of
+    the start basis, to both stages); without one the run makes its own."""
     it = start[0].copy()
     part = start[1].copy()
     part.validate(p.n)
@@ -330,7 +332,8 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
     _check_bounds(fam, p, s, it, live, unguarded, two_sided, fea_tol,
                   opt_tol, start=True)
     cap = max_iterations if max_iterations > 0 else 100 + 50 * (p.n + p.m)
-    basis = KktBasis(p, factor)
+    if basis is None:
+        basis = KktBasis(p)
     iterations = 0
     subiterations = 0
     zero_streak = 0

@@ -11,6 +11,15 @@ two trees and compare the lines.  ``--per-solve`` also prints one
 
     PYTHONPATH=src python tests/output_digest.py --per-solve > a.txt
 
+``--outcomes`` prints one line per solve, ahead of the summary, with
+what a change that moves only floating-point bits should leave alone:
+the status, strategy, per-stage (method, status, iterations,
+subiterations), the objective to 12 significant digits and the
+(kind, l, k) pivot path of the trace records, or the exception.
+``diff`` of two trees' lines then names the solves whose outcome moved:
+
+    PYTHONPATH=src python tests/output_digest.py --outcomes > a.txt
+
 The digest depends on the host (its BLAS and CPU), so compare two trees
 on one host.  Each solve contributes its status, iteration and
 subiteration counts, objective, final iterate and every field of every
@@ -64,10 +73,12 @@ STRATEGIES = ("auto", "primal-first", "dual-first", "primal-only",
 
 
 class Digest:
-    def __init__(self, per_solve: bool = False):
+    def __init__(self, per_solve: bool = False, outcomes: bool = False):
         self.h = hashlib.sha256()
         self.per_solve = per_solve
+        self.outcomes = outcomes
         self.one = None               # the current solve's own hash
+        self.path: list[tuple] = []   # the current solve's (kind, l, k)
         self.solves = 0
         self.errors: dict[str, int] = {}
 
@@ -84,6 +95,7 @@ class Digest:
                 h.update(data + b"|")
 
     def record(self, rec) -> None:
+        self.path.append((rec.kind[0], rec.l, rec.k))
         for f in fields(rec):
             value = getattr(rec, f.name)
             if f.name == "direction" and value is not None:
@@ -94,13 +106,15 @@ class Digest:
 
     def solve(self, label: str, solve, config: pdqp.SolveConfig) -> None:
         self.one = hashlib.sha256() if self.per_solve else None
-        try:
-            self._solve(label, solve, config)
-        finally:
-            if self.one is not None:
-                print(f"{label} {self.one.hexdigest()}")
+        self.path = []
+        outcome = self._solve(label, solve, config)
+        if self.one is not None:
+            print(f"{label} {self.one.hexdigest()}")
+        if self.outcomes:
+            print(f"{label} {outcome}")
 
-    def _solve(self, label: str, solve, config: pdqp.SolveConfig) -> None:
+    def _solve(self, label: str, solve, config: pdqp.SolveConfig) -> str:
+        """Add the solve to the digests; return its ``--outcomes`` line."""
         self.solves += 1
         self.add(label)
         config.trace = self.record
@@ -111,7 +125,7 @@ class Digest:
             self.errors[name] = self.errors.get(name, 0) + 1
             self.add(name)
             self.add(str(exc))
-            return
+            return f"raised {name}: {exc}"
         std = sol if isinstance(sol, pdqp.StandardSolution) else sol.standardized
         self.add(sol.status)
         self.add(sol.objective)
@@ -121,13 +135,20 @@ class Digest:
         if std is not None:
             for v in (std.iterate.x, std.iterate.y, std.iterate.z):
                 self.add(v)
+        stages = [(lg.method, lg.status, lg.iterations, lg.subiterations)
+                  for lg in sol.stage_log]
+        return (f"{sol.status} {sol.strategy} {stages} "
+                f"{sol.objective:.12g} {self.path}")
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--per-solve", action="store_true",
                     help="also print one hash per solve")
-    d = Digest(per_solve=ap.parse_args().per_solve)
+    ap.add_argument("--outcomes", action="store_true",
+                    help="also print one outcome line per solve")
+    args = ap.parse_args()
+    d = Digest(per_solve=args.per_solve, outcomes=args.outcomes)
     for i, p in enumerate(random_instances(20260810, 300)):
         for s in STRATEGIES:
             d.solve(f"random{i}/{s}", lambda c: pdqp.solve_standard(p, c),
@@ -144,7 +165,7 @@ def main() -> None:
             g = constructed_qp(*spec)[0]
             d.solve(g.name, lambda c: pdqp.solve_pdqp(g, c),
                     pdqp.SolveConfig(max_iterations=lowrank.max_iterations))
-    u = Digest(per_solve=d.per_solve)
+    u = Digest(per_solve=d.per_solve, outcomes=d.outcomes)
     g = criterion7_instance(*PD_CASE)[0]
     u.solve(f"{g.name}/basis240-primal-first",
             lambda c: pdqp.solve_pdqp(g, c),
@@ -156,13 +177,13 @@ def main() -> None:
         for s in STRATEGIES[:3]:
             u.solve(f"{g.name}/{s}", lambda c: pdqp.solve_pdqp(g, c),
                     pdqp.SolveConfig(strategy=s))
-    f = Digest(per_solve=d.per_solve)
+    f = Digest(per_solve=d.per_solve, outcomes=d.outcomes)
     for label, p, basis in free_start_cases(7, 100):
         for s in STRATEGIES[:3]:
             f.solve(f"{label}/{s}", lambda c: pdqp.solve_standard(p, c),
                     pdqp.SolveConfig(strategy=s, initial_basis=basis,
                                      check_invariants=True))
-    x = Digest(per_solve=d.per_solve)
+    x = Digest(per_solve=d.per_solve, outcomes=d.outcomes)
     for seed in range(50):
         for rank in range(4):
             for scale in (1e5, 1e6):

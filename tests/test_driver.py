@@ -403,6 +403,19 @@ def test_dual_only_solves_dual_feasible_instance(p1):
     assert sol.objective == pytest.approx(0.25)
 
 
+def test_dual_only_measures_dual_shifts_by_the_z_bound():
+    # Basis {1} gives y = 1001 and r_0 = 1e-4: above the absolute opt_tol
+    # of 1e-6, but within opt_tol * max|y|, the z measure of auto's choice
+    # and check_optimality, so the dual start is feasible.
+    p = QpProblem(H=np.eye(2), M=np.zeros((1, 1)), A=np.array([[1.0, 1.0]]),
+                  b=np.ones(1), c=np.array([1001.0 - 1e-4, 1000.0]))
+    sol = solve_standard(p, SolveConfig(strategy="dual-only",
+                                        initial_basis=[1]))
+    assert sol.shifts_initial.r[0] == pytest.approx(1e-4)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(1000.5)
+
+
 def test_bland_mode_still_converges(monkeypatch):
     # Force the least-index selection rule from the first zero step.
     monkeypatch.setattr(steps, "BLAND_AFTER", 1)

@@ -11,9 +11,11 @@ from pdqp import (GeneralQp, Iterate, KktFactorization, KktInternalError,
 from pdqp import dual, kkt, primal
 from pdqp.kkt import (KktBasis, _bunch_kaufman, build_kb, build_kl,
                       factor_kb_or_raise, solve_boundary_point)
+from pdqp.model import index_mask
 from pdqp.oracle import _gauss_solve
 
-from conftest import criterion7_instance, mixed_instances, random_instances
+from conftest import (criterion7_instance, free_start_cases, mixed_instances,
+                      random_instances)
 
 
 @pytest.fixture
@@ -138,11 +140,15 @@ def _recording_build_kb(monkeypatch):
 def test_counterpart_assembled_only_inside_noise_band(p1, monkeypatch):
     # dz_l = 2 and dx_l = 0.5 are far from zero: neither solve may build
     # the counterpart matrix (K_l for the base solve, K_B for the
-    # intermediate one); each assembles only its own fresh matrix.
+    # intermediate one); each assembles only its own fresh matrix, and a
+    # solve that reuses a held factorization of its matrix none.
     f = factor_kb_or_raise(p1, Partition(basic=[1], nonbasic=[0]))
     built = _recording_build_kb(monkeypatch)
     part = Partition(basic=[1], nonbasic=[], freed=0)
     assert solve_base_primal(p1, part, KktBasis(p1, f), 0).dz_l == \
+        pytest.approx(2.0)
+    assert built == []
+    assert solve_base_primal(p1, part, KktBasis(p1), 0).dz_l == \
         pytest.approx(2.0)
     assert built == [[1]]
     assert solve_intermediate_primal(p1, part, 0, KktBasis(p1)).dx_l == \
@@ -453,6 +459,74 @@ def test_discovered_basis_is_certified_and_maximal():
     assert revealed > 100
 
 
+def _lowrank_problems():
+    """The standardized n=60 ``lowrank`` trajectory-pin constructions."""
+    return [standardize(criterion7_instance(60, 6, 6, 1000 * rank + k,
+                                            rank)[0]).problem
+            for rank in (0, 2, 4, 6, 8) for k in range(4)]
+
+
+def test_discovery_gives_the_partition_of_the_full_matrix_first_rule():
+    # find_soc_basis factors the full KKT matrix first only where H is
+    # definite on its nonzero rows.  The rule it replaced always did, and
+    # kept every column where the acceptance rule took that matrix: the
+    # partitions (and whether a factorization comes with them) must agree.
+    problems = (_discovery_problems() + _lowrank_problems()
+                + list({id(p): p for _, p, _ in free_start_cases(7, 100)}
+                       .values()))
+    definite = 0
+    for p in problems:
+        prefer = sorted(p.free)
+        cand = np.flatnonzero(~p.fixed_mask)
+        k_full = build_kb(p, cand)
+        accepted = _bunch_kaufman(k_full) is not None
+        want = cand if accepted else kkt._revealed_basis(
+            p, cand, index_mask(p.n, prefer),
+            kkt.PIVOT_TOL * float(np.abs(k_full).max()))
+        res = find_soc_basis(p, prefer=prefer)
+        assert res.partition.basic == want.tolist()
+        assert (res.factor is not None) == accepted
+        definite += p.h_definite
+    assert 100 < definite < len(problems) - 100
+
+
+def test_each_solve_factors_no_basis_matrix_twice_in_a_row(monkeypatch):
+    # The index set of every Bunch-Kaufman factorization of a basis
+    # matrix (discovery, K_B, K_l and counterparts), in call order: one
+    # KktBasis per solve reuses its last factorization, so no solve
+    # factors the same matrix twice in a row.
+    built, factored = {}, []
+    build, factor = kkt.build_kb, kkt._bunch_kaufman
+
+    def recording_build(p, basic):
+        k = build(p, basic)
+        built[id(k)] = (k, tuple(sorted(np.asarray(basic).tolist())))
+        return k
+
+    def recording_factor(k):
+        factored.append(built.pop(id(k))[1])
+        return factor(k)
+
+    monkeypatch.setattr(kkt, "build_kb", recording_build)
+    monkeypatch.setattr(kkt, "_bunch_kaufman", recording_factor)
+    solves = [(p, lambda p, c: solve_standard(p, c))
+              for p in random_instances(20260810, 100)]
+    solves += [(g, lambda g, c: solve_pdqp(g, c))
+               for g in mixed_instances(1, 40)]
+    solves += [(criterion7_instance(60, 6, 6, 1000 * rank + k, rank)[0],
+                lambda g, c: solve_pdqp(g, c))
+               for rank in (0, 4, 8) for k in range(2)]
+    total = 0
+    for problem, solve in solves:
+        for strategy in ("auto", "primal-first", "dual-first"):
+            factored.clear()
+            solve(problem, SolveConfig(strategy=strategy, max_iterations=500))
+            assert all(a != b for a, b in zip(factored, factored[1:])), \
+                (strategy, factored)
+            total += len(factored)
+    assert total > 1000
+
+
 def test_certified_in_band_component_builds_no_counterpart(p_lp, p1,
                                                            monkeypatch):
     # dz_l = 0 (singular K_l) and dx_l = 0 (singular K_B), each computed
@@ -462,10 +536,11 @@ def test_certified_in_band_component_builds_no_counterpart(p_lp, p1,
     p = QpProblem(H=p1.H, M=p1.M, A=p1.A, b=np.array([-1.0]), c=p1.c)
     assert _bunch_kaufman(build_kl(p, [], 1)) is not None
     built = _recording_build_kb(monkeypatch)
-    d = solve_base_primal(p_lp, Partition(basic=[1], nonbasic=[], freed=0),
-                          KktBasis(p_lp, f), 0)
-    assert d.dz_l == 0.0 and np.all(d.dy == 0.0)
-    assert built == [[1]]          # the solve's own K_B only
+    for basis in (KktBasis(p_lp, f), KktBasis(p_lp)):
+        d = solve_base_primal(p_lp, Partition(basic=[1], nonbasic=[],
+                                              freed=0), basis, 0)
+        assert d.dz_l == 0.0 and np.all(d.dy == 0.0)
+    assert built == [[1]]          # the second solve's own K_B only
     d = solve_intermediate_primal(p, Partition(basic=[], nonbasic=[0],
                                                freed=1), 1, KktBasis(p))
     assert d.dx_l == 0.0
@@ -556,13 +631,13 @@ def test_in_band_rule_agrees_with_greedy_counterpart(what, scale):
                     value = kkt._freed_component(
                         raw, noise, own,
                         lambda: built.append(1) or counterpart, what,
-                        backward, lambda: bound)
+                        lambda: backward, lambda: bound)
                     # A bound below every backward error forces the
                     # counterpart path: factor the counterpart, pin the
                     # component at zero on a rejection.
                     reference = kkt._freed_component(
                         raw, noise, own, lambda: counterpart, what,
-                        backward, lambda: -1.0)
+                        lambda: backward, lambda: -1.0)
                     if built:
                         assert value == reference >= 0.0
                         if reference > 0.0:
@@ -651,7 +726,7 @@ def test_updated_directions_match_fresh_and_solves_stay_correct(
                 assert abs(sol.objective - want.objective) <= \
                     1e-7 * (1.0 + abs(want.objective)), strategy
     for rank in (0, 2, 4, 6, 8):
-        for k in range(4):
+        for k in range(6):
             g, _, fstar = criterion7_instance(60, 6, 6, 1000 * rank + k, rank)
             for strategy in strategies:
                 sol = solve_pdqp(g, SolveConfig(strategy=strategy,
@@ -742,17 +817,20 @@ def test_in_band_freed_component_takes_the_fresh_path(p_lp, p1, monkeypatch,
     settled = _counting(monkeypatch, kkt, "_freed_component")
     part = Partition(basic=[1], nonbasic=[], freed=0)
 
+    # Every K_B0 below has B0 = {0}, so that each solve (over B = {1} or
+    # B + l = {0, 1}) is a different matrix, which an update serves.
     # dz_l = 2 and dx_l = 0.5 lie above their bands: updates only.
     basis = kkt.KktBasis(p1, factor_kb_or_raise(
-        p1, Partition(basic=[1], nonbasic=[0])))
+        p1, Partition(basic=[0], nonbasic=[1])))
     assert solve_base_primal(p1, part, basis, 0).dz_l == pytest.approx(2.0)
     assert solve_intermediate_primal(p1, part, 0, basis).dx_l == \
         pytest.approx(0.5)
     assert (len(factored), len(lapack), len(settled)) == (1, 1, 0)
 
-    # dz_l = 0 (K_l singular): K_B refactored, then _freed_component.
+    # dz_l = 0 (K_l singular): the update is declined, K_B refactored,
+    # then _freed_component.
     basis = kkt.KktBasis(p_lp, factor_kb_or_raise(
-        p_lp, Partition(basic=[1], nonbasic=[0])))
+        p_lp, Partition(basic=[0], nonbasic=[1])))
     d = solve_base_primal(p_lp, part, basis, 0)
     assert d.dz_l == 0.0 and np.all(d.dy == 0.0)
     assert (len(factored), len(settled)) == (3, 1)
