@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import solve_dual
-from .kkt import (KktBasis, KktFactorization, factor_kb, factor_kb_or_raise,
+from .kkt import (KktBasis, KktFactorization, KktInternalError,
                   find_soc_basis, solve_boundary_point)
 from .model import (BOUND_SLACK, DEFAULT_TOL, InvariantError, Iterate,
                     Partition, ProblemError, QpProblem, Shifts, bound_tol,
@@ -230,8 +230,7 @@ def standardize(g: GeneralQp) -> Standardized:
     return base
 
 
-def init_shifts(p: QpProblem, part: Partition,
-                factor: KktFactorization | None = None
+def init_shifts(p: QpProblem, part: Partition, factor: KktFactorization
                 ) -> tuple[Shifts, Iterate]:
     """Minimal shifts making the given basis optimal for the shifted pair.
 
@@ -239,7 +238,7 @@ def init_shifts(p: QpProblem, part: Partition,
     z_N; taking q_B = max(-x_B, 0) and r_N = max(-z_N, 0) componentwise
     makes the point jointly optimal.  Free variables get no primal shift;
     a free nonbasic variable j is a temporary bound with dual shift
-    r_j = -z_j.  K_B is factored unless ``factor`` is given.
+    r_j = -z_j.  ``factor`` is the factorization of K_B.
     """
     it = solve_boundary_point(p, Shifts.zero(p.n), part, factor)
     q0 = np.zeros(p.n)
@@ -353,28 +352,31 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
     A strategy is a list of stages, each a method and the shifts it runs
     under, started from where the previous stage ended.  The run stops
     at the first stage that is not optimal; after an optimal one the
-    temporary-bound contract of its method is checked.  One ``KktBasis``,
-    seeded with K_B of the start basis (factored once, for the shifts),
-    serves every KKT solve of every stage.
+    temporary-bound contract of its method is checked.  One ``KktBasis``
+    serves basis discovery, the start basis's K_B (factored once, for the
+    shifts) and every KKT solve of every stage.
     """
     config = config or SolveConfig()
+    basis = KktBasis(p)
     if config.initial_basis is not None:
         chosen = set(config.initial_basis)
+        if not chosen <= set(range(p.n)):
+            raise ProblemError(f"initial basis {sorted(chosen)} has an index "
+                               f"outside 0..{p.n - 1}")
         if chosen & p.fixed:
             raise ProblemError("fixed variables cannot be basic")
         part = Partition(basic=sorted(chosen),
                          nonbasic=[j for j in range(p.n) if j not in chosen])
-        factor = factor_kb(p, part)
-        if factor is None:
-            raise ProblemError(f"initial basis {part.basic}: K_B is singular")
     else:
-        found = find_soc_basis(p, prefer=sorted(p.free))
-        part = found.partition
-        factor = found.factor or factor_kb_or_raise(p, part)
-    basis = KktBasis(p, factor)
+        part = find_soc_basis(p, basis, prefer=sorted(p.free))
+    factor = basis.factor(part.basic)
+    if factor is None:
+        if config.initial_basis is not None:
+            raise ProblemError(f"initial basis {part.basic}: K_B is singular")
+        raise KktInternalError(
+            f"K_B unexpectedly singular for basis {part.basic}")
     shifts0, it = init_shifts(p, part, factor)
     registry = {j: float(it.z[j]) for j in part.nonbasic if j in p.free}
-    found = None
     report = check_optimality(p, shifts0, it, config.fea_tol, config.opt_tol)
     if not report.optimal:
         raise InvariantError("initial shifted point failed the optimality "

@@ -55,11 +55,13 @@ base solve after an intermediate solve that bound l into B, the K_l of a
 dual base solve over the basis its intermediate solves left, and K_B of
 the start basis at the first solve of each stage.
 
-One ``KktBasis`` serves every direction solve of a problem, both stages
-of ``driver.solve_standard``; it is seeded with K_B of the start basis,
-which the initial shifts need anyway.  It holds its last fresh
-factorization at every dim, with the order of its variables, and a solve
-whose order is byte-equal to that one reuses it without refactoring.
+Every basis matrix is built and factored by ``factor_kb``, from the
+order of its variables.  One ``KktBasis`` serves every direction solve of
+a problem, both stages of ``driver.solve_standard``, and basis discovery
+and the start basis before them.  It holds its last fresh factorization
+at every dim, with the order of its variables, and ``KktBasis.factor``
+or a solve whose order is byte-equal to that one reuses it without
+refactoring.
 The basis changes by one index at a time, so from dim UPDATE_MIN_DIM up
 the held factorization is also K_B0, and the K_B
 and K_l solves of every later basis B are served by Schur-complement
@@ -103,8 +105,8 @@ against the product with K_B, formed from the problem data, follows, as
 in a fresh solve.  ``KktBasis.solve``, through which every direction
 solve goes, alone decides between reuse, update and refactor.  Unless
 the held factorization is of the same matrix, it factors the matrix
-afresh with the caller's ``fresh``, which raises KktInternalError on a
-singular matrix, and holds that factorization (as the new K_B0), when
+afresh with ``KktBasis.factor`` (raising KktInternalError on a singular
+matrix) and holds that factorization (as the new K_B0), when
 
 * the bound fails (or there is no accepted K_B0);
 * K_B0^-1 times BORDER_CAP border columns is cached already, which bounds
@@ -159,10 +161,10 @@ class KktInternalError(RuntimeError):
 
 
 @dataclass
-class _BunchKaufman:
+class KktFactorization:
     """LAPACK ``dsytrf`` factorization (lower storage) of a matrix whose
     condition estimate passed the acceptance rule, so that the matrix is
-    well away from singular."""
+    well away from singular.  Immutable once built."""
 
     ldu: np.ndarray
     ipiv: np.ndarray          # LAPACK 1-based pivots; a pair < 0 marks 2x2
@@ -196,7 +198,7 @@ class _BunchKaufman:
         return lapack.dsytrs(self.ldu, self.ipiv, r, lower=1)[0]
 
 
-def _unpack(f: _BunchKaufman) -> Callable[[np.ndarray], np.ndarray]:
+def _unpack(f: KktFactorization) -> Callable[[np.ndarray], np.ndarray]:
     """``f._once`` as LAPACK's ``dsytrs2`` applies it: ``dsyconv``
     unpacks the factor once into a unit lower L (Fortran order), the D
     blocks and a row permutation, and every apply is then
@@ -242,15 +244,15 @@ def _unpack(f: _BunchKaufman) -> Callable[[np.ndarray], np.ndarray]:
     return once
 
 
-def _bunch_kaufman(k: np.ndarray) -> _BunchKaufman | None:
+def _bunch_kaufman(k: np.ndarray) -> KktFactorization | None:
     """LAPACK factorization of K, or None unless its reciprocal condition
     estimate exceeds 100 * dim * PIVOT_TOL and every 1x1 pivot of D
     exceeds dim * PIVOT_TOL * ||K||_1 (see the module docstring)."""
     k = np.asarray(k, dtype=float)
     dim = k.shape[0]
     if dim == 0:                    # the empty matrix is nonsingular
-        return _BunchKaufman(ldu=k, ipiv=np.empty(0, dtype=np.int32),
-                             matrix=k, inv_norm=0.0)
+        return KktFactorization(ldu=k, ipiv=np.empty(0, dtype=np.int32),
+                                matrix=k, inv_norm=0.0)
     lwork = int(lapack.dsytrf_lwork(dim, lower=1)[0])
     ldu, ipiv, info = lapack.dsytrf(k, lower=1, lwork=lwork)
     if info != 0:
@@ -262,38 +264,8 @@ def _bunch_kaufman(k: np.ndarray) -> _BunchKaufman | None:
     single = np.abs(ldu.diagonal()[ipiv > 0])      # the 1x1 pivots of D
     if not single.min(initial=np.inf) > dim * PIVOT_TOL * anorm:
         return None
-    return _BunchKaufman(ldu=ldu, ipiv=ipiv, matrix=k,
-                         inv_norm=1.0 / (rcond * anorm))
-
-
-@dataclass
-class KktFactorization:
-    """A reusable factorization of K_B; existing means B is second-order
-    consistent.  Immutable once built."""
-
-    basis: tuple[int, ...]
-    dim: int
-    _data: _BunchKaufman
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.dim,):
-            raise ValueError(f"rhs must have length {self.dim}")
-        return self._data.solve(rhs)
-
-    def matrix(self) -> np.ndarray:
-        return self._data.matrix.copy()
-
-
-@dataclass
-class SocBasisResult:
-    """A partition whose K_B factors, plus the non-fixed columns left
-    nonbasic, and K_B's factorization when basis discovery already
-    computed it."""
-
-    partition: Partition
-    deferred: list[int]
-    factor: KktFactorization | None = None
+    return KktFactorization(ldu=ldu, ipiv=ipiv, matrix=k,
+                            inv_norm=1.0 / (rcond * anorm))
 
 
 def build_kb(p: QpProblem, basic: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -322,22 +294,12 @@ def _with_freed(basic: np.ndarray, l: int) -> tuple[np.ndarray, int]:
     return np.concatenate((basic[:at], (l,), basic[at:])), at
 
 
-def factor_kb(p: QpProblem, part: Partition) -> KktFactorization | None:
-    """Factor K_B, or None when the acceptance rule rejects it: K_B is
-    singular."""
-    data = _bunch_kaufman(build_kb(p, np.flatnonzero(part.basic_mask)))
-    if data is None:
-        return None
-    return KktFactorization(basis=tuple(part.basic),
-                            dim=data.matrix.shape[0], _data=data)
-
-
-def factor_kb_or_raise(p: QpProblem, part: Partition) -> KktFactorization:
-    f = factor_kb(p, part)
-    if f is None:
-        raise KktInternalError(
-            f"K_B unexpectedly singular for basis {tuple(part.basic)}")
-    return f
+def factor_kb(p: QpProblem, order: Sequence[int] | np.ndarray
+              ) -> KktFactorization | None:
+    """Build the basis matrix with its variables in ``order`` and factor
+    it, or None when the acceptance rule rejects it: the matrix is
+    singular.  Every basis matrix is factored here."""
+    return _bunch_kaufman(build_kb(p, order))
 
 
 class KktBasis:
@@ -352,18 +314,29 @@ class KktBasis:
     B itself: the
     indices of B0 missing from B and the columns of B not in B0, so basis
     changes need no notification.  K_B0^-1 times each border column is
-    cached by index until BORDER_CAP columns are cached.  A ``factor``
-    handed in (K_B of the start basis) is held like a fresh one.
+    cached by index until BORDER_CAP columns are cached.
     """
 
-    def __init__(self, p: QpProblem, factor: KktFactorization | None = None):
+    def __init__(self, p: QpProblem):
         self.p = p
         self._rebase()
-        if factor is not None:
-            self._rebase(factor.basis, factor._data)
+
+    def factor(self, order: Sequence[int] | np.ndarray
+               ) -> KktFactorization | None:
+        """The factorization of the basis matrix whose variables come in
+        ``order``, or None where it is singular: the held one when
+        ``order`` is byte-equal to its order, otherwise ``factor_kb``'s,
+        which is then held in its place under the rules of ``_rebase``."""
+        order = np.asarray(order, dtype=np.intp)
+        if self._last is not None and order.tobytes() == self._key:
+            return self._last
+        self._rebase()              # two factorizations are never held
+        f = factor_kb(self.p, order)
+        self._rebase(order, f)
+        return f
 
     def _rebase(self, order: Sequence[int] = (),
-                data: _BunchKaufman | None = None) -> None:
+                data: KktFactorization | None = None) -> None:
         """Drop the held factorization, K_B0 and its caches; then hold
         ``data``, a fresh factorization of the basis matrix with its
         variables in ``order``, and take it as K_B0 if it is of dim >=
@@ -389,30 +362,28 @@ class KktBasis:
         self._wmax = np.zeros(BORDER_CAP)            # max|W e_j|
 
     def solve(self, order: Sequence[int], rhs: np.ndarray,
-              accept: Callable[[np.ndarray], bool],
-              fresh: Callable[[], _BunchKaufman]
-              ) -> tuple[np.ndarray, _BunchKaufman | None]:
+              accept: Callable[[np.ndarray], bool]
+              ) -> tuple[np.ndarray, KktFactorization | None]:
         """Solve with the basis matrix whose variables come in ``order``,
         ascending.
 
         Returns (w, f) with f the held factorization when ``order`` is
         byte-equal to its order, and (w, None) for an updated solve that
-        ``accept(w)`` takes.  Otherwise the held factorization is dropped
-        (so that two are never held at once), ``fresh()`` factors the
-        matrix (raising KktInternalError where it is singular) and is held
-        under the rules of ``_rebase``, and (w, that factorization) is
-        returned.  A solve that returns a factorization is fresh.
+        ``accept(w)`` takes.  Otherwise ``factor(order)`` factors the
+        matrix afresh, KktInternalError is raised where it is singular,
+        and (w, that factorization) is returned.  A solve that returns a
+        factorization is fresh.
         """
         order = np.asarray(order, dtype=np.intp)
-        if self._last is not None and order.tobytes() == self._key:
-            return self._last.solve(rhs), self._last
-        w = self._update(order, rhs)
-        if w is not None and accept(w):
-            return w, None
-        self._rebase()
-        data = fresh()
-        self._rebase(order, data)
-        return data.solve(rhs), data
+        if self._last is None or order.tobytes() != self._key:
+            w = self._update(order, rhs)
+            if w is not None and accept(w):
+                return w, None
+        f = self.factor(order)
+        if f is None:
+            raise KktInternalError(f"basis matrix unexpectedly singular "
+                                   f"over variables {order.tolist()}")
+        return f.solve(rhs), f
 
     def _slots(self, keys: np.ndarray) -> list[int] | None:
         """Cache slots of the border columns named by ``keys``, computing
@@ -580,11 +551,12 @@ def _kkt_max(p: QpProblem, cols: np.ndarray) -> float:
                inf_norm(p.M))
 
 
-def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisResult:
+def find_soc_basis(p: QpProblem, basis: KktBasis,
+                   prefer: list[int] | None = None) -> Partition:
     """Find an initial second-order consistent basis.
 
     When the acceptance rule takes the full KKT matrix over the non-fixed
-    columns, every one of them is basic and the result carries that
+    columns, every one of them is basic and ``basis`` holds that
     factorization, K_B's.  Otherwise B = P + C is revealed by rank at
     tol = PIVOT_TOL * max|K|, the ``prefer`` columns (typically the free
     variables) first in each pass, so that few of them stay nonbasic:
@@ -599,12 +571,13 @@ def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisRes
       the ``prefer`` columns of R, then over the others with the span of
       those projected out.
 
-    The full matrix is factored first only where H is definite on its
-    nonzero rows (``QpProblem.h_definite``).  Elsewhere it is mostly
-    singular, so B is revealed first, and the full matrix, then K_B, is
-    factored only when B keeps every column.  The partition is the same
-    either way except where the acceptance rule takes a full matrix from
-    which rank revelation drops a column.
+    The full matrix is factored first, through ``basis.factor``, only
+    where H is definite on its nonzero rows (``QpProblem.h_definite``).
+    Elsewhere it is mostly singular, so B is revealed first, and K_B,
+    which is the full matrix when B keeps every column, is left to the
+    caller.  The partition is the same either way except where the
+    acceptance rule takes a full matrix from which rank revelation drops
+    a column.
 
     In exact arithmetic K_B is nonsingular.  Eliminating H_PP leaves
     [[E, R_C'], [R_C, -G]] with E = H_CC - H_CP H_PP^-1 H_PC and
@@ -618,24 +591,17 @@ def find_soc_basis(p: QpProblem, prefer: list[int] | None = None) -> SocBasisRes
     span of R_C both below tol, so adding it makes K_B singular within tol.
     """
     cand = np.flatnonzero(~p.fixed_mask)
-    accepted = _bunch_kaufman(build_kb(p, cand)) if p.h_definite else None
-    if accepted is not None:
+    if p.h_definite and basis.factor(cand) is not None:
         basic = cand
     else:
         basic = _revealed_basis(p, cand, index_mask(p.n, prefer or ()),
                                 PIVOT_TOL * _kkt_max(p, cand))
-        if basic.size == cand.size and not p.h_definite:
-            accepted = _bunch_kaufman(build_kb(p, cand))
-    deferred = cand[~index_mask(p.n, basic)[cand]].tolist()
-    part = Partition(basic=basic.tolist(),
-                     nonbasic=sorted(deferred + sorted(p.fixed)))
-    factor = None if accepted is None else KktFactorization(
-        basis=tuple(part.basic), dim=accepted.matrix.shape[0], _data=accepted)
-    return SocBasisResult(partition=part, deferred=deferred, factor=factor)
+    return Partition(basic=basic.tolist(),
+                     nonbasic=np.flatnonzero(~index_mask(p.n, basic)).tolist())
 
 
-def _freed_component(raw: float, noise: float, own: _BunchKaufman,
-                     other: Callable[[], np.ndarray], what: str,
+def _freed_component(raw: float, noise: float, own: KktFactorization,
+                     other: Callable[[], KktFactorization | None], what: str,
                      backward: Callable[[], float],
                      bound: Callable[[], float]) -> float:
     """Resolve the freed component of a direction near zero.
@@ -650,16 +616,16 @@ def _freed_component(raw: float, noise: float, own: _BunchKaufman,
     only inside the band.  There, |raw| <= noise, backward() <= bound()
     settles the component at zero.
     Otherwise (raw < -noise so that its sign is in doubt, or the change
-    is larger than roundoff of the counterpart) build the counterpart with
-    ``other()``, factor it, and either pin the component to zero where the
-    acceptance rule rejects it or recompute it as a pivot-determinant
-    ratio, which stays accurate at any data scale.
+    is larger than roundoff of the counterpart) factor the counterpart
+    with ``other()``, and either pin the component to zero where the
+    acceptance rule rejects it (``other()`` is None) or recompute it as a
+    pivot-determinant ratio, which stays accurate at any data scale.
     """
     if raw > noise:
         return raw
     if raw >= -noise and backward() <= bound():
         return 0.0
-    data = _bunch_kaufman(other())
+    data = other()
     if data is None:
         return 0.0
     s_own, ld_own = own.logabsdet()
@@ -722,13 +688,12 @@ def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
         dzl, noise = _base_dz_l(p, l, h_bl, w)
         return dzl > noise
 
-    w, own = basis.solve(basic, rhs, above_band,
-                         lambda: factor_kb_or_raise(p, part)._data)
+    w, own = basis.solve(basic, rhs, above_band)
     raw, noise = _base_dz_l(p, l, h_bl, w)
     dzl = raw
     if own is not None:
         dzl = _freed_component(
-            raw, noise, own, lambda: build_kb(p, _with_freed(basic, l)[0]),
+            raw, noise, own, lambda: factor_kb(p, _with_freed(basic, l)[0]),
             "dz_l", lambda: abs(raw), lambda: (nb + p.m + 1) * PIVOT_TOL * max(
                 float(np.abs(own.matrix).max(initial=0.0)),
                 abs(p.H[l, l]), float(np.abs(rhs).max(initial=0.0))))
@@ -761,17 +726,7 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
     order, at = _with_freed(basic, l)
     rhs = np.zeros(1 + nb + p.m)
     rhs[at] = 1.0
-
-    def fresh() -> _BunchKaufman:
-        data = _bunch_kaufman(build_kb(p, order))
-        if data is None:
-            raise KktInternalError(
-                f"K_l unexpectedly singular for freed index {l}, "
-                f"basis {part.basic}")
-        return data
-
-    w, own = basis.solve(order, rhs,
-                         lambda w: float(w[at]) > _dx_l_noise(w), fresh)
+    w, own = basis.solve(order, rhs, lambda w: float(w[at]) > _dx_l_noise(w))
     raw = float(w[at])
     rest = np.concatenate((w[:at], w[at + 1:]))     # [dx_B; -dy]
     dxl = raw
@@ -787,7 +742,7 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
                     if vnorm > 0.0 else np.inf)
 
         dxl = _freed_component(
-            raw, _dx_l_noise(w), own, lambda: build_kb(p, basic), "dx_l",
+            raw, _dx_l_noise(w), own, lambda: factor_kb(p, basic), "dx_l",
             backward, lambda: (kl.shape[0] - 1) * PIVOT_TOL * inf_norm(
                 np.delete(np.delete(kl, at, axis=0), at, axis=1)))
     # dx_l = 0: singular K_B.  Every x-component of the direction
@@ -813,11 +768,10 @@ def recover_z_nonbasic(p: QpProblem, part: Partition, it: Iterate,
 
 
 def solve_boundary_point(p: QpProblem, s: Shifts, part: Partition,
-                         f: KktFactorization | None = None) -> Iterate:
+                         f: KktFactorization) -> Iterate:
     """Solve the boundary equations for a basis: x_N = -q_N, z_B = -r_B,
-    K_B [x_B; -y] = [H_BN q_N - c_B - r_B; A_N q_N + b], then recover z_N."""
-    if f is None:
-        f = factor_kb_or_raise(p, part)
+    K_B [x_B; -y] = [H_BN q_N - c_B - r_B; A_N q_N + b], then recover z_N,
+    with ``f`` the factorization of K_B."""
     basic = np.flatnonzero(part.basic_mask)
     nonbasic = np.flatnonzero(part.nonbasic_mask)
     nb = basic.size

@@ -165,7 +165,7 @@ def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
             part = Partition(basic=basic,
                              nonbasic=[j for j in range(p.n)
                                        if j not in set(basic)])
-            f = factor_kb(p, part)
+            f = factor_kb(p, basic)
             if f is None:
                 continue
             it = solve_boundary_point(p, s, part, f)

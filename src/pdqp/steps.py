@@ -189,12 +189,12 @@ def select_index(v: np.ndarray, one_sided: np.ndarray, two_sided: np.ndarray,
     """
     magnitude = np.where(two_sided, np.abs(v), -v)
     eligible = (one_sided | two_sided) & (magnitude > threshold)
+    if not eligible.any():
+        return None, 0.0
     if (eligible & first).any():
         eligible &= first
     l = int(eligible.argmax() if bland
             else np.where(eligible, magnitude, -np.inf).argmax())
-    if not eligible[l]:
-        return None, 0.0
     return l, (-1.0 if two_sided[l] and v[l] > 0 else 1.0)
 
 
@@ -315,8 +315,8 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
     The start iterate and partition are copied; ``fea_tol`` and ``opt_tol``
     set ``bound_tol``.  ``basis`` serves every KKT solve of the run and
     keeps its held factorization for the caller's next run
-    (``driver.solve_standard`` passes one per problem, seeded with K_B of
-    the start basis, to both stages); without one the run makes its own."""
+    (``driver.solve_standard`` passes one per problem, holding K_B of the
+    start basis, to both stages); without one the run makes its own."""
     it = start[0].copy()
     part = start[1].copy()
     part.validate(p.n)

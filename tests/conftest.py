@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdqp import (GeneralQp, Partition, ProblemError, QpProblem, Shifts,
-                  factor_kb, standardize)
+from pdqp import (GeneralQp, ProblemError, QpProblem, Shifts, factor_kb,
+                  standardize)
+from pdqp.kkt import KktBasis
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
 
 sys.path.insert(1, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -39,6 +40,14 @@ def p_unbounded():
     return QpProblem(H=np.zeros((2, 2)), M=np.zeros((1, 1)),
                      A=np.array([[1.0, -1.0]]), b=np.array([0.0]),
                      c=np.array([-1.0, 0.0]))
+
+
+def held_basis(p, order):
+    """A ``KktBasis`` for ``p`` that holds the factorization of the basis
+    matrix over ``order``, as ``solve_standard`` holds the start basis."""
+    basis = KktBasis(p)
+    basis.factor(order)
+    return basis
 
 
 def random_psd(rng, n, kind):
@@ -230,9 +239,7 @@ def free_start_cases(seed, count, per_problem=6):
             basis = [j for j in cand if rng.random() < 0.5]
             if basis in bases or p.free <= set(basis):
                 continue
-            part = Partition(basic=basis, nonbasic=[j for j in range(p.n)
-                                                    if j not in basis])
-            if factor_kb(p, part) is not None:
+            if factor_kb(p, basis) is not None:
                 bases.append(basis)
                 if len(bases) == per_problem:
                     break

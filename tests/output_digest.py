@@ -30,8 +30,8 @@ exception it raised.  The instances are:
   strategies, with ``check_invariants``;
 - 150 ``bench/workloads.mixed_instance`` general-format problems (rng
   seed 7) under the five strategies;
-- the 24 ``lowrank`` constructions (seed bases 0 and 1) at the bench's
-  ``max_iterations``.
+- the 18 distinct ``lowrank`` constructions of seed bases 0 and 1 at the
+  bench's ``max_iterations`` (the two bases share six).
 
 None of these holds a basis matrix of dim ``kkt.UPDATE_MIN_DIM`` or
 more, so none reaches the Schur-complement update path.  A second digest,
@@ -160,9 +160,13 @@ def main() -> None:
             d.solve(f"{g.name}/{s}", lambda c: pdqp.solve_pdqp(g, c),
                     pdqp.SolveConfig(strategy=s))
     lowrank = LowRank(Path("."))
+    seen = set()                  # the two seed bases share six specs
     for base in (0, 1):
         for spec in lowrank.specs(base):
             g = constructed_qp(*spec)[0]
+            if g.name in seen:
+                continue
+            seen.add(g.name)
             d.solve(g.name, lambda c: pdqp.solve_pdqp(g, c),
                     pdqp.SolveConfig(max_iterations=lowrank.max_iterations))
     u = Digest(per_solve=d.per_solve, outcomes=d.outcomes)

@@ -19,11 +19,11 @@ from pdqp import (GeneralQp, Partition, QpProblem, Shifts, SolveConfig,
                   find_soc_basis, solve_base_primal,
                   solve_intermediate_primal, solve_pdqp, solve_standard,
                   standardize)
-from pdqp.kkt import KktBasis, KktFactorization, factor_kb_or_raise
+from pdqp.kkt import KktBasis, KktFactorization
 from pdqp.oracle import (check_direction_propositions, partition_for_direction)
 from pdqp.cli import parse_problem, profile, run
 
-from conftest import random_instances
+from conftest import held_basis, random_instances
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 SUITE_SIZE = 500
@@ -129,7 +129,7 @@ def test_criterion_4_basis_chain(suite):
     # final partition of every run must factor as well.
     refactored = 0
     for r in suite.runs:
-        f = factor_kb(r.problem, r.solution.partition)
+        f = factor_kb(r.problem, r.solution.partition.basic)
         assert isinstance(f, KktFactorization), r.solution.partition
         refactored += 1
     subiters = sum(len(r.records) for r in suite.runs)
@@ -150,8 +150,7 @@ def test_criterion_5_direction_propositions(suite, p_unbounded, p1):
     # constructed singular-K_l case: dz_l = 0 with a one-dimensional
     # null space
     part = Partition(basic=[1], nonbasic=[], freed=0)
-    f = factor_kb_or_raise(p_unbounded, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p_unbounded, part, KktBasis(p_unbounded, f), 0)
+    d = solve_base_primal(p_unbounded, part, held_basis(p_unbounded, [1]), 0)
     assert d.dz_l == 0.0
     rep = check_direction_propositions(p_unbounded, part, d)
     assert rep.ok, rep.failures()
@@ -267,8 +266,8 @@ def test_criterion_10_temporary_bounds():
     std = standardize(g)
     # Discovery makes the free column 1 basic; the start basis of the
     # remaining non-fixed columns leaves it to a temporary bound.
-    soc = find_soc_basis(std.problem, prefer=sorted(std.problem.free))
-    assert 1 in soc.partition.basic
+    p = std.problem
+    assert 1 in find_soc_basis(p, KktBasis(p), prefer=sorted(p.free)).basic
     sol = solve_pdqp(g, SolveConfig(check_invariants=True,
                                     initial_basis=[0, 2]))
     assert sol.status == "optimal"

@@ -121,11 +121,11 @@ def test_run_records_error_status(tmp_path, capsys, monkeypatch):
     find_soc_basis = driver.find_soc_basis
     discoveries = []
 
-    def failing_once(p, prefer=None):
+    def failing_once(p, basis, prefer=None):
         discoveries.append(p)
         if len(discoveries) == 1:
             raise KktInternalError("injected")
-        return find_soc_basis(p, prefer=prefer)
+        return find_soc_basis(p, basis, prefer=prefer)
 
     monkeypatch.setattr(driver, "find_soc_basis", failing_once)
     bad = PROBLEMS / "klsingular.qpt"

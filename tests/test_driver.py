@@ -6,10 +6,12 @@ from numpy.testing import assert_allclose
 
 from pdqp import (GeneralQp, InvariantError, Partition, ProblemError,
                   QpProblem, Shifts, SolveConfig, StartConditionError,
-                  check_optimality, enumerate_solve, find_soc_basis,
-                  init_shifts, solve_dual, solve_pdqp, solve_primal,
-                  solve_standard, standardize, temporary_bound_pass)
+                  check_optimality, enumerate_solve, factor_kb,
+                  find_soc_basis, init_shifts, solve_dual, solve_pdqp,
+                  solve_primal, solve_standard, standardize,
+                  temporary_bound_pass)
 from pdqp import driver, kkt, steps
+from pdqp.kkt import KktBasis
 from pdqp.cli import parse_problem
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
 
@@ -84,7 +86,7 @@ def test_standardize_rejects_inconsistent_bounds():
 
 def test_init_shifts_p2_fixture(p2):
     part = Partition(basic=[0], nonbasic=[1])
-    shifts, it = init_shifts(p2, part)
+    shifts, it = init_shifts(p2, part, factor_kb(p2, part.basic))
     assert_allclose(it.x, [1.0, 0.0])
     assert_allclose(it.y, [3.0])
     assert_allclose(it.z, [0.0, -3.0])
@@ -96,7 +98,7 @@ def test_init_shifts_p2_fixture(p2):
 
 def test_init_shifts_zero_when_already_optimal(p1):
     part = Partition(basic=[0, 1], nonbasic=[])
-    shifts, it = init_shifts(p1, part)
+    shifts, it = init_shifts(p1, part, factor_kb(p1, part.basic))
     assert_allclose(shifts.q, 0.0)
     assert_allclose(shifts.r, 0.0)
     assert_allclose(it.x, [0.5, 0.5])
@@ -104,8 +106,8 @@ def test_init_shifts_zero_when_already_optimal(p1):
 
 def test_init_shifts_optimal_on_random_instances():
     for p in random_instances(3, 30):
-        part = find_soc_basis(p, prefer=sorted(p.free)).partition
-        shifts, it = init_shifts(p, part)
+        part = find_soc_basis(p, KktBasis(p), prefer=sorted(p.free))
+        shifts, it = init_shifts(p, part, factor_kb(p, part.basic))
         assert check_optimality(p, shifts, it).optimal
         assert np.all(shifts.q >= 0)
 
@@ -126,24 +128,74 @@ def test_solve_standard_p1_trivial(p1):
     assert sol.iterations == 0 or sol.iterations <= 2
 
 
+def _recording_factor_kb(monkeypatch):
+    """Record the variable order of every basis-matrix factorization."""
+    calls = []
+    factor_kb = kkt.factor_kb
+
+    def counted(p, order):
+        calls.append(tuple(np.asarray(order).tolist()))
+        return factor_kb(p, order)
+
+    monkeypatch.setattr(kkt, "factor_kb", counted)
+    return calls
+
+
 @pytest.mark.parametrize("initial_basis", [None, [0, 1]])
 def test_solve_standard_factors_the_initial_basis_once(p1, monkeypatch,
                                                        initial_basis):
     # p1 starts optimal, so no stage factors K_B: the one factorization is
-    # basis discovery's accepted Bunch-Kaufman one (no factor_kb call) or
-    # the check of the given initial basis, and init_shifts reuses it.
-    calls = []
-    factor_kb = kkt.factor_kb
-
-    def counted(p, part):
-        calls.append(part)
-        return factor_kb(p, part)
-
-    monkeypatch.setattr(kkt, "factor_kb", counted)
-    monkeypatch.setattr(driver, "factor_kb", counted)
+    # basis discovery's accepted full matrix or the check of the given
+    # initial basis, and init_shifts reuses it.
+    calls = _recording_factor_kb(monkeypatch)
     sol = solve_standard(p1, SolveConfig(initial_basis=initial_basis))
     assert sol.status == "optimal" and sol.iterations == 0
-    assert len(calls) == (0 if initial_basis is None else 1)
+    assert calls == [(0, 1)]
+
+
+def test_h_definite_start_basis_is_factored_once(monkeypatch):
+    # Where H is definite on its nonzero rows, discovery factors the full
+    # matrix over the non-fixed columns first.  Where the acceptance rule
+    # takes it, the basis holds it, so the start K_B that init_shifts
+    # receives is that factorization, and the first stage does not factor
+    # it again.
+    problems = [p for p in random_instances(20260810, 100) if p.h_definite
+                and factor_kb(p, np.flatnonzero(~p.fixed_mask)) is not None]
+    calls = _recording_factor_kb(monkeypatch)
+    at_shifts = []
+    init = driver.init_shifts
+
+    def recorded(p, part, factor):
+        at_shifts.append(list(calls))
+        return init(p, part, factor)
+
+    monkeypatch.setattr(driver, "init_shifts", recorded)
+    for p in problems:
+        calls.clear()
+        at_shifts.clear()
+        solve_standard(p)
+        start = tuple(np.flatnonzero(~p.fixed_mask).tolist())
+        assert at_shifts == [[start]]
+        assert calls[1:2] != [start]
+    assert len(problems) > 20
+
+
+@pytest.mark.parametrize("strategy", ["auto", "primal-first", "dual-first",
+                                      "primal-only", "dual-only"])
+def test_problem_without_variables_solves(strategy):
+    # With n = 0 no index is eligible for repair; the index selection once
+    # took the argmax of an empty array and raised a bare ValueError.
+    empty = QpProblem(H=np.zeros((0, 0)), M=np.zeros((0, 0)),
+                      A=np.zeros((0, 0)), b=np.zeros(0), c=np.zeros(0))
+    sol = solve_standard(empty, SolveConfig(strategy=strategy))
+    assert sol.status == "optimal" and sol.objective == 0.0
+    # One row with M = [1] and b = 1: y = 1 at objective 0.5 y'My.
+    one_row = QpProblem(H=np.zeros((0, 0)), M=np.eye(1), A=np.zeros((1, 0)),
+                        b=np.ones(1), c=np.zeros(0))
+    sol = solve_standard(one_row, SolveConfig(strategy=strategy))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(0.5)
+    assert_allclose(sol.iterate.y, [1.0])
 
 
 def test_singular_initial_basis_is_a_problem_error(p1, p_unbounded):
@@ -152,6 +204,14 @@ def test_singular_initial_basis_is_a_problem_error(p1, p_unbounded):
     for p, basis in ((p1, []), (p_unbounded, [0, 1])):
         with pytest.raises(ProblemError, match="K_B is singular"):
             solve_standard(p, SolveConfig(initial_basis=basis))
+
+
+@pytest.mark.parametrize("basis", [[2], [-1, 0]])
+def test_out_of_range_initial_basis_is_a_problem_error(p1, basis):
+    # Once an IndexError from assembling K_B, or an InvariantError from a
+    # start point built over a negative index.
+    with pytest.raises(ProblemError, match="outside 0..1"):
+        solve_standard(p1, SolveConfig(initial_basis=basis))
 
 
 def test_solve_standard_infeasible(p_infeasible):
@@ -225,8 +285,8 @@ def test_solve_pdqp_free_variable_in_basis():
 def test_temporary_bound_fixture_nonzero_dual():
     g = temp_bound_fixture()
     std = standardize(g)
-    soc = find_soc_basis(std.problem, prefer=sorted(std.problem.free))
-    assert 1 in soc.partition.basic
+    p = std.problem
+    assert 1 in find_soc_basis(p, KktBasis(p), prefer=sorted(p.free)).basic
     sol = solve_pdqp(g, SolveConfig(check_invariants=True,
                                     initial_basis=TEMP_BOUND_BASIS))
     reg = sol.standardized.registry
@@ -600,7 +660,7 @@ def test_initial_basis_rejects_fixed_variables():
 def test_engine_rejects_a_basic_fixed_index():
     p = standardize(general_p1()).problem
     part = Partition(basic=[0, 2], nonbasic=[1])
-    shifts, it = init_shifts(p, part)
+    shifts, it = init_shifts(p, part, factor_kb(p, part.basic))
     for solve in (solve_primal, solve_dual):
         with pytest.raises(StartConditionError, match="fixed index"):
             solve(p, shifts, (it, part))

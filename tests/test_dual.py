@@ -200,8 +200,8 @@ def test_primal_dual_symmetry_on_self_dual_family():
         p = QpProblem(H=np.eye(n), M=np.zeros((m, m)), A=a, b=a @ x0,
                       c=rng.normal(size=n))
         from pdqp import find_soc_basis, init_shifts
-        part = find_soc_basis(p).partition
-        shifts, it = init_shifts(p, part)
+        part = find_soc_basis(p, KktBasis(p))
+        shifts, it = init_shifts(p, part, factor_kb(p, part.basic))
         outs = [
             solve_primal(p, Shifts(shifts.q, np.zeros(n)), (it, part),
                          check_invariants=True),
@@ -210,14 +210,15 @@ def test_primal_dual_symmetry_on_self_dual_family():
         ]
         for out in outs:
             assert out.status == "optimal"
-            assert isinstance(factor_kb(p, out.partition), KktFactorization)
+            assert isinstance(factor_kb(p, out.partition.basic),
+                              KktFactorization)
 
 
 def test_dual_monotone_objective_random():
-    from pdqp import find_soc_basis, init_shifts
+    from pdqp import factor_kb, find_soc_basis, init_shifts
     for p in random_instances(41, 20, kinds=("feasible",)):
-        part = find_soc_basis(p).partition
-        shifts, it = init_shifts(p, part)
+        part = find_soc_basis(p, KktBasis(p))
+        shifts, it = init_shifts(p, part, factor_kb(p, part.basic))
         records = []
         s1 = Shifts(np.zeros(p.n), shifts.r)
         out = solve_dual(p, s1, (it, part), trace=records.append,
@@ -235,7 +236,7 @@ def test_direct_solve_dual_keeps_free_nonbasic_dual():
     # driver: a direction that would move its dual blocks with a zero step
     # and makes it basic.  On this instance the first base direction has
     # dz_0 != 0.
-    from pdqp import init_shifts
+    from pdqp import factor_kb, init_shifts
     rng = np.random.default_rng(1)
     n, m = 5, 2
     g = rng.normal(size=(n, n))
@@ -243,7 +244,7 @@ def test_direct_solve_dual_keeps_free_nonbasic_dual():
                   b=rng.normal(size=m), c=rng.normal(size=n),
                   free=frozenset({0}))
     part = Partition(basic=[1, 2, 3, 4], nonbasic=[0])
-    shifts, it = init_shifts(p, part)
+    shifts, it = init_shifts(p, part, factor_kb(p, part.basic))
     s = Shifts(np.zeros(n), shifts.r)
     records = []
     out = solve_dual(p, s, (it, part), trace=records.append,

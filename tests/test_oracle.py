@@ -5,13 +5,13 @@ from numpy.testing import assert_allclose
 from pdqp import (Iterate, Partition, QpProblem, Shifts,
                   enumerate_solve, factor_kb, solve_base_primal,
                   solve_intermediate_primal)
-from pdqp.kkt import KktBasis, factor_kb_or_raise
+from pdqp.kkt import KktBasis
 from pdqp.oracle import (OracleBudgetError, _gauss_solve, _in_cone,
                          check_direction_propositions,
                          check_objective_identity, dual_set_nonempty,
                          partition_for_direction, primal_set_nonempty)
 
-from conftest import random_instances
+from conftest import held_basis, random_instances
 
 
 def test_enumerate_p1(p1):
@@ -95,8 +95,7 @@ def test_shifted_feasibility_changes_with_q(p_infeasible):
 
 def test_direction_propositions_base_case(p1):
     part = Partition(basic=[1], nonbasic=[], freed=0)
-    f = factor_kb_or_raise(p1, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p1, part, KktBasis(p1, f), 0)
+    d = solve_base_primal(p1, part, held_basis(p1, [1]), 0)
     rep = check_direction_propositions(p1, part, d)
     assert rep.ok, rep.failures()
     assert any(name == "case_kl_nonsingular" for name, _, _ in rep.checks)
@@ -104,8 +103,7 @@ def test_direction_propositions_base_case(p1):
 
 def test_direction_propositions_singular_kl(p_unbounded):
     part = Partition(basic=[1], nonbasic=[], freed=0)
-    f = factor_kb_or_raise(p_unbounded, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p_unbounded, part, KktBasis(p_unbounded, f), 0)
+    d = solve_base_primal(p_unbounded, part, held_basis(p_unbounded, [1]), 0)
     assert d.dz_l == 0.0
     rep = check_direction_propositions(p_unbounded, part, d)
     assert rep.ok, rep.failures()
@@ -128,23 +126,20 @@ def test_direction_propositions_random():
     from pdqp import find_soc_basis
     rng = np.random.default_rng(4)
     for p in random_instances(19, 25):
-        part = find_soc_basis(p).partition
+        part = find_soc_basis(p, KktBasis(p))
         if not part.nonbasic:
             continue
         l = part.nonbasic[int(rng.integers(len(part.nonbasic)))]
         work = part.copy()
         work.free_index(l)
-        f = factor_kb(p, Partition(basic=work.basic,
-                                   nonbasic=work.nonbasic + [l]))
-        d = solve_base_primal(p, work, KktBasis(p, f), l)
+        d = solve_base_primal(p, work, held_basis(p, work.basic), l)
         rep = check_direction_propositions(p, work, d)
         assert rep.ok, rep.failures()
 
 
 def test_partition_for_direction_roundtrip(p1):
     part = Partition(basic=[1], nonbasic=[], freed=0)
-    f = factor_kb_or_raise(p1, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p1, part, KktBasis(p1, f), 0)
+    d = solve_base_primal(p1, part, held_basis(p1, [1]), 0)
     rebuilt = partition_for_direction(p1, d)
     assert rebuilt.basic == [1]
     assert rebuilt.freed == 0
@@ -156,8 +151,7 @@ def test_objective_identity_hand_case(p1):
     # 0.5 -> 0.25 at alpha = 1/2.
     it = Iterate(np.array([0.0, 1.0]), np.array([1.0]), np.array([-1.0, 0.0]))
     part = Partition(basic=[1], nonbasic=[], freed=0)
-    f = factor_kb_or_raise(p1, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p1, part, KktBasis(p1, f), 0)
+    d = solve_base_primal(p1, part, held_basis(p1, [1]), 0)
     rep = check_objective_identity(p1, Shifts.zero(2), it, d, 0.5)
     assert rep.ok, rep.failures()
     pred = d.dx_l * (it.z[0]) * 0.5 + 0.5 * d.dx_l * d.dz_l * 0.25
@@ -167,8 +161,7 @@ def test_objective_identity_hand_case(p1):
 def test_objective_identity_zero_step(p1):
     it = Iterate(np.array([0.0, 1.0]), np.array([1.0]), np.array([-1.0, 0.0]))
     part = Partition(basic=[1], nonbasic=[], freed=0)
-    f = factor_kb_or_raise(p1, Partition(basic=[1], nonbasic=[0]))
-    d = solve_base_primal(p1, part, KktBasis(p1, f), 0)
+    d = solve_base_primal(p1, part, held_basis(p1, [1]), 0)
     rep = check_objective_identity(p1, Shifts.zero(2), it, d, 0.0)
     assert rep.ok
 
@@ -177,16 +170,14 @@ def test_objective_identity_random_steps():
     from pdqp import find_soc_basis, init_shifts
     rng = np.random.default_rng(14)
     for p in random_instances(29, 15, kinds=("feasible",)):
-        part = find_soc_basis(p).partition
+        part = find_soc_basis(p, KktBasis(p))
         if not part.nonbasic:
             continue
-        shifts, it = init_shifts(p, part)
+        shifts, it = init_shifts(p, part, factor_kb(p, part.basic))
         l = part.nonbasic[0]
         work = part.copy()
         work.free_index(l)
-        f = factor_kb(p, Partition(basic=work.basic,
-                                   nonbasic=work.nonbasic + [l]))
-        d = solve_base_primal(p, work, KktBasis(p, f), l)
+        d = solve_base_primal(p, work, held_basis(p, work.basic), l)
         alpha = float(rng.uniform(0.0, 2.0))
         rep = check_objective_identity(p, shifts, it, d, alpha)
         assert rep.ok, rep.failures()

@@ -177,10 +177,10 @@ def test_solve_primal_relaxed_basic_selection(p2):
 
 
 def test_primal_feasibility_and_monotonicity_random():
-    from pdqp import find_soc_basis, init_shifts
+    from pdqp import factor_kb, find_soc_basis, init_shifts
     for p in random_instances(23, 20, kinds=("feasible",)):
-        part = find_soc_basis(p).partition
-        shifts, it = init_shifts(p, part)
+        part = find_soc_basis(p, KktBasis(p))
+        shifts, it = init_shifts(p, part, factor_kb(p, part.basic))
         records = []
         s1 = Shifts(shifts.q, np.zeros(p.n))
         out = solve_primal(p, s1, (it, part), trace=records.append,

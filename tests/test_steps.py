@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdqp.steps import ratio_test
+from pdqp.steps import ratio_test, select_index
 
 TOL = 1e-6
 
@@ -61,3 +61,14 @@ def test_ratio_test_overshoot_is_at_most_delta(seed):
     # v_i + alpha * d_i itself.
     assert np.all(values + alpha * deltas
                   >= np.minimum(values, -delta) - 1e-15 * vmax)
+
+
+@pytest.mark.parametrize("bland", [False, True])
+def test_select_index_without_an_eligible_index(bland):
+    none = np.zeros(0, dtype=bool)
+    assert select_index(np.zeros(0), none, none, none, TOL, bland) \
+        == (None, 0.0)
+    one_sided = np.array([True, False])     # index 1 is fixed
+    assert select_index(np.array([-TOL / 2, 5.0]), one_sided,
+                        np.zeros(2, dtype=bool), one_sided, TOL,
+                        bland) == (None, 0.0)

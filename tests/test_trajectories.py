@@ -140,7 +140,8 @@ def test_trajectories_do_not_depend_on_refinement(monkeypatch):
     # A second refinement step changes the solves only at roundoff level.
     # Degenerate ties must not be broken by that roundoff, so every pinned
     # trajectory stays the same.
-    monkeypatch.setattr(kkt._BunchKaufman, "solve", _solve_refined_twice)
+    monkeypatch.setattr(kkt.KktFactorization, "solve",
+                        _solve_refined_twice)
     _assert_matches(LOWRANK, _lowrank_rows())
     _assert_matches(SUITE, _suite_rows())
     _assert_matches(PD, _pd_rows())
