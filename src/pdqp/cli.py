@@ -58,8 +58,10 @@ def _parse_value(tok: str, path, line_no, allow_inf=False) -> float:
     except ValueError:
         raise QptParseError(path, line_no, f"bad number {tok!r}") from None
     if not math.isfinite(v):
-        raise QptParseError(path, line_no,
-                            f"non-finite value {tok!r} outside a bounds line")
+        raise QptParseError(path, line_no, (
+            f"non-finite value {tok!r}: bounds take only 'inf' or '-inf'"
+            if allow_inf else
+            f"non-finite value {tok!r} outside a bounds line"))
     return v
 
 

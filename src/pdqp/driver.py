@@ -42,8 +42,9 @@ class GeneralQp:
     """General-format problem data.
 
     ``lower`` and ``upper`` have length n + m: bounds on the variables
-    first, then on the constraint rows.  Infinities mark absent bounds;
-    equal bounds mark a fixed variable or an equality row.
+    first, then on the constraint rows.  Infinities mark absent bounds
+    (-inf below, +inf above; the other sign is an error); equal bounds
+    mark a fixed variable or an equality row.
     """
 
     Hhat: np.ndarray
@@ -72,6 +73,11 @@ class GeneralQp:
             raise ProblemError(f"bounds must have length {n + m}")
         if np.any(np.isnan(lo)) or np.any(np.isnan(up)):
             raise ProblemError("bounds may not be NaN")
+        wrong = (lo == np.inf) | (up == -np.inf)
+        if wrong.any():
+            j = int(np.flatnonzero(wrong)[0])
+            raise ProblemError(f"infinite bound on the wrong side at "
+                               f"component {j}: lower {lo[j]}, upper {up[j]}")
         if np.any(lo > up):
             j = int(np.nonzero(lo > up)[0][0])
             raise ProblemError(f"inconsistent bounds at component {j}: "
@@ -383,8 +389,9 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
                              f"check: {report}")
 
     # Shifts are measured as check_optimality measures the bounds.
-    x_tol, z_tol = (bound_tol(v, inf_norm(it.y), config.fea_tol,
-                              config.opt_tol) for v in "xz")
+    y_norm = inf_norm(it.y)
+    x_tol, z_tol = (bound_tol(v, y_norm, config.fea_tol, config.opt_tol)
+                    for v in "xz")
     strategy = config.strategy
     if strategy == "auto":      # dual-first when r is within the z measure
         strategy = ("dual-first" if inf_norm(shifts0.r) <= z_tol

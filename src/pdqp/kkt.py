@@ -132,8 +132,12 @@ dim 100 and 200, so the measurements place the crossover but do not pin
 the gate's value within that range.
 
 Basis discovery (``find_soc_basis``) factors the full KKT matrix first
-only where H is definite on its nonzero rows, and otherwise reveals the
-basis by rank first.
+only where a rank count leaves it a chance: the non-fixed columns exceed
+rank(H) (``QpProblem.h_rank``, found by the load-time PSD check) by at
+most m.  Otherwise that matrix is singular, and discovery reveals the
+basis by rank first, with LAPACK's ``dpstrf``, ``dgeqp3`` and ``dorgqr``
+called directly and a pass for the preferred columns only where some
+candidate column is preferred.
 """
 
 from __future__ import annotations
@@ -142,11 +146,11 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from .model import (NOISE_BAND, Direction, Iterate, Partition, QpProblem,
-                    Shifts, index_mask, inf_norm, pivoted_cholesky)
+                    Shifts, index_mask, inf_norm, pivoted_cholesky,
+                    pivoted_qr)
 
 PIVOT_TOL = 1e-11
 # K_B0 factorizations of smaller dim are not updated: every solve refactors.
@@ -499,13 +503,23 @@ class KktBasis:
         return x
 
 
-def _qr_pivots(r: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The leading pivots of a column-pivoted QR (``dgeqp3``) of r while
-    |r_ii| exceeds tol, and an orthonormal basis of their span."""
-    q, t, piv = scipy.linalg.qr(r, mode="economic", pivoting=True,
-                                check_finite=False)
-    big = np.abs(t.diagonal()) > tol
+def _qr_pivots(r: np.ndarray, tol: float, span: bool = False
+               ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The leading pivots of a column-pivoted QR (``pivoted_qr``) of r
+    while |r_ii| exceeds tol and, with ``span``, an orthonormal basis of
+    their span: the leading columns of the economic Q that ``dorgqr``
+    forms after its workspace query, as ``scipy.linalg.qr(r,
+    mode="economic", pivoting=True)`` forms it."""
+    if not r.size:
+        return np.zeros(0, dtype=np.intp), np.zeros((r.shape[0], 0))
+    qr, piv, tau = pivoted_qr(r)
+    big = np.abs(qr.diagonal()) > tol
     rank = big.size if big.all() else int(np.argmin(big))
+    if not span:
+        return piv[:rank], None
+    reflectors = qr[:, :tau.size]
+    lwork = int(lapack.dorgqr(reflectors, tau, lwork=-1, overwrite_a=1)[1][0])
+    q = lapack.dorgqr(reflectors, tau, lwork=lwork, overwrite_a=1)[0]
     return piv[:rank], q[:, :rank]
 
 
@@ -516,14 +530,21 @@ def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _revealed_basis(p: QpProblem, cand: np.ndarray, first: np.ndarray,
                     tol: float) -> np.ndarray:
     """B = P + C of ``find_soc_basis`` over the columns ``cand``, those
-    that the mask ``first`` marks taken first in each pass."""
+    that the mask ``first`` marks taken first in each pass.  A first pass
+    without a column is skipped: it would find nothing and project out
+    nothing."""
     h, m = p.H, p.m
     one, two = cand[first[cand]], cand[~first[cand]]
-    f1, k1, r1 = pivoted_cholesky(_gather(h, one, one), tol)
-    p1 = one[k1[:r1]]
-    l1 = np.tril(f1[:r1, :r1])
-    w = blas.dtrsm(1.0, l1, _gather(h, p1, two), lower=1)   # L1^-1 H_P1,two
-    f2, k2, r2 = pivoted_cholesky(_gather(h, two, two) - w.T @ w, tol)
+    p1, l1, w = one, np.zeros((0, 0)), np.zeros((0, two.size))
+    schur = _gather(h, two, two)
+    if one.size:
+        f1, k1, r1 = pivoted_cholesky(_gather(h, one, one), tol)
+        p1 = one[k1[:r1]]
+        l1 = np.tril(f1[:r1, :r1])
+        # W = L1^-1 H_P1,two
+        w = blas.dtrsm(1.0, l1, _gather(h, p1, two), lower=1)
+        schur -= w.T @ w
+    f2, k2, r2 = pivoted_cholesky(schur, tol)
     k2 = k2[:r2]
     piv = np.concatenate([p1, two[k2]])
     # H_PP = L L' with L = [[L1, 0], [W', L2]].
@@ -538,9 +559,12 @@ def _revealed_basis(p: QpProblem, cand: np.ndarray, first: np.ndarray,
                                           _gather(h, piv, nonpiv)]), lower=1)
     r = p.A.take(nonpiv, axis=1) - x[:, :m].T @ x[:, m:]
     lead = first[nonpiv]
-    c1, q1 = _qr_pivots(r[:, lead], tol)
-    other = r[:, ~lead]
-    c2, _ = _qr_pivots(other - q1 @ (q1.T @ other), tol)
+    c1, other = np.zeros(0, dtype=np.intp), r
+    if lead.any():
+        c1, q1 = _qr_pivots(r[:, lead], tol, span=True)
+        other = r[:, ~lead]
+        other -= q1 @ (q1.T @ other)
+    c2, _ = _qr_pivots(other, tol)
     return np.sort(np.concatenate([piv, nonpiv[lead][c1],
                                    nonpiv[~lead][c2]]))
 
@@ -571,13 +595,17 @@ def find_soc_basis(p: QpProblem, basis: KktBasis,
       the ``prefer`` columns of R, then over the others with the span of
       those projected out.
 
-    The full matrix is factored first, through ``basis.factor``, only
-    where H is definite on its nonzero rows (``QpProblem.h_definite``).
-    Elsewhere it is mostly singular, so B is revealed first, and K_B,
-    which is the full matrix when B keeps every column, is left to the
-    caller.  The partition is the same either way except where the
-    acceptance rule takes a full matrix from which rank revelation drops
-    a column.
+    The full matrix over the k non-fixed columns is factored first,
+    through ``basis.factor``, only where k - rank(H) <= m
+    (``QpProblem.h_rank``).  Where k - rank(H) > m, H over those columns
+    has a null space of dimension above m, so some null vector u of it
+    has A u = 0, and (u, 0) is a null vector of the full matrix: B is
+    revealed first, and K_B, which is the full matrix when B keeps every
+    column, is left to the caller.  A rank found too low only skips the
+    first try, and one found too high only costs a factorization that
+    the acceptance rule rejects.  The partition is the same either way
+    except where the acceptance rule takes a full matrix from which rank
+    revelation drops a column.
 
     In exact arithmetic K_B is nonsingular.  Eliminating H_PP leaves
     [[E, R_C'], [R_C, -G]] with E = H_CC - H_CP H_PP^-1 H_PC and
@@ -591,7 +619,7 @@ def find_soc_basis(p: QpProblem, basis: KktBasis,
     span of R_C both below tol, so adding it makes K_B singular within tol.
     """
     cand = np.flatnonzero(~p.fixed_mask)
-    if p.h_definite and basis.factor(cand) is not None:
+    if cand.size - p.h_rank <= p.m and basis.factor(cand) is not None:
         basic = cand
     else:
         basic = _revealed_basis(p, cand, index_mask(p.n, prefer or ()),

@@ -91,10 +91,20 @@ def pivoted_cholesky(h: np.ndarray, tol: float
     return factor, piv - 1, rank
 
 
-def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> bool:
+def pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LAPACK's column-pivoted QR (``dgeqp3``) of a nonempty a, after the
+    workspace query that ``scipy.linalg.qr(..., pivoting=True)`` makes:
+    (packed factor, 0-based pivots, reflector scales tau)."""
+    lwork = int(lapack.dgeqp3(a, lwork=-1)[3][0])
+    qr, piv, tau, _, _ = lapack.dgeqp3(a, lwork=lwork)
+    return qr, piv - 1, tau
+
+
+def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> int:
     """Pivoted-Cholesky semidefiniteness test of an exactly symmetric s;
-    returns whether s is definite on its nonzero part (``dpotrf`` below
-    accepted it).
+    returns the rank that the test found: the number of nonzero rows
+    where ``dpotrf`` accepts, the number of ``dpstrf`` pivots above the
+    cutoff otherwise, and 0 where no pivot is (or s is zero).
 
     Only the rows and columns that are not identically zero take part
     (standardized problems pad H with zero slack rows).  A LAPACK Cholesky
@@ -110,11 +120,11 @@ def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> bool:
     """
     live = np.flatnonzero((s != 0.0).any(axis=1))
     if not live.size:               # empty or zero
-        return False
+        return 0
     factor, info = lapack.dpotrf(_live_block(s, live), overwrite_a=1,
                                  clean=0)
     if info == 0 and np.isfinite(factor).all():
-        return True
+        return live.size
     cutoff = tol * max(1.0, float(s.diagonal().max()))
     factor, piv, rank = pivoted_cholesky(_live_block(s, live), cutoff)
     low = factor[rank:, :rank]
@@ -123,18 +133,15 @@ def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> bool:
     if rest.size and float(rest.min()) < -cutoff:
         raise ProblemError(f"{name} is not positive semidefinite "
                            f"(pivot {float(rest.min()):.3e})")
-    return False
+    return rank
 
 
 def _check_row_rank(a: np.ndarray, m: int) -> None:
-    """Full-row-rank test via column-pivoted QR (LAPACK ``dgeqp3``, as
-    ``scipy.linalg.qr(..., pivoting=True)`` calls it) of the transpose."""
+    """Full-row-rank test via column-pivoted QR (``pivoted_qr``) of the
+    transpose."""
     if m == 0:
         return
-    at = a.T
-    lwork = int(lapack.dgeqp3(at, lwork=-1)[3][0])
-    qr = lapack.dgeqp3(at, lwork=lwork)[0]
-    diag = np.abs(np.diag(qr))
+    diag = np.abs(np.diag(pivoted_qr(a.T)[0]))
     scale = diag[0] if diag.size else 0.0
     rank = int(np.sum(diag > RANK_TOL * max(1.0, scale)))
     if rank < m:
@@ -162,9 +169,11 @@ class QpProblem:
     ``free`` lists variables with no bound at all; ``fixed`` lists
     variables pinned at their bound with an unrestricted dual.  Both are
     empty for a plain standard-form problem; ``free_mask`` and
-    ``fixed_mask`` hold them as read-only boolean masks.  ``h_definite``
-    records whether H is definite on its rows that are not identically
-    zero (``_check_psd``'s Cholesky test accepted it).
+    ``fixed_mask`` hold them as read-only boolean masks.  ``h_rank`` is
+    the rank of H that ``_check_psd`` found: exact where ``dpotrf``
+    accepts H on its rows that are not identically zero, the count of
+    ``dpstrf`` pivots above its cutoff otherwise, and 0 when there is no
+    such pivot.  Basis discovery reads it (``kkt.find_soc_basis``).
     """
 
     H: np.ndarray
@@ -199,7 +208,7 @@ class QpProblem:
         # The lower triangle is authoritative.
         H = _symmetrized(H, "H")
         M = _symmetrized(M, "M")
-        h_definite = _check_psd(H, "H")
+        h_rank = _check_psd(H, "H")
         _check_psd(M, "M")
         _check_row_rank(np.hstack([A, M]), m)
         if self.fixed:
@@ -226,7 +235,7 @@ class QpProblem:
         object.__setattr__(self, "c", _readonly(c))
         object.__setattr__(self, "free", frozenset(self.free))
         object.__setattr__(self, "fixed", frozenset(self.fixed))
-        object.__setattr__(self, "h_definite", h_definite)
+        object.__setattr__(self, "h_rank", h_rank)
         for name in ("free", "fixed"):
             mask = index_mask(n, getattr(self, name))
             mask.flags.writeable = False
@@ -245,8 +254,13 @@ class QpProblem:
         return max(1.0, *(inf_norm(x) for x in (self.H, self.M, self.A)))
 
     def data_scale(self) -> float:
-        """1 + max|c| + max|b|, the scale of the residual tolerances."""
-        return 1.0 + inf_norm(self.c) + inf_norm(self.b)
+        """1 + max|c| + max|b|, the scale of the residual tolerances,
+        computed at the first call and kept."""
+        scale = self.__dict__.get("_data_scale")
+        if scale is None:
+            scale = 1.0 + inf_norm(self.c) + inf_norm(self.b)
+            object.__setattr__(self, "_data_scale", scale)
+        return scale
 
 
 def _shift_vector(v, shape: tuple[int, ...] | None = None) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,33 @@ def test_asymmetric_dense_h_rejected(tmp_path):
                     "c 0 0\nlower 0 0 1\nupper inf inf 1\nend\n")
     with pytest.raises(QptParseError, match="not symmetric"):
         parse_problem(path)
+
+
+@pytest.mark.parametrize("key,token", [("upper", "+inf"), ("lower", "nan"),
+                                       ("upper", "Infinity")])
+def test_non_finite_bounds_token_names_the_allowed_ones(tmp_path, key,
+                                                         token):
+    path = tmp_path / "tok.qpt"
+    bounds = {"lower": "0", "upper": "1", key: token}
+    path.write_text(f"QPT 1\ndims 1 0\nc 0\nlower {bounds['lower']}\n"
+                    f"upper {bounds['upper']}\nend\n")
+    line = 4 if key == "lower" else 5
+    with pytest.raises(QptParseError, match=(
+            rf"tok\.qpt:{line}: non-finite value '{re.escape(token)}': "
+            r"bounds take only 'inf' or '-inf'$")):
+        parse_problem(path)
+
+
+def test_wrong_side_infinite_bound_gets_error_row(tmp_path, capsys):
+    path = tmp_path / "wrongside.qpt"
+    path.write_text("QPT 1\ndims 2 0\nH dense\n1 0\n0 1\nc 1 1\n"
+                    "lower inf 0\nupper inf inf\nend\n")
+    rows, code = run([path, PROBLEMS / "p1.qpt"], tmp_path / "out")
+    assert [(r.name, r.status) for r in rows] == [("wrongside", "error"),
+                                                  ("p1", "optimal")]
+    assert code == 1
+    assert ("wrongside: ProblemError: infinite bound on the wrong side at "
+            "component 0") in capsys.readouterr().err
 
 
 def test_run_corpus_matches_expectations(tmp_path):

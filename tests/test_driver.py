@@ -84,6 +84,20 @@ def test_standardize_rejects_inconsistent_bounds():
                   lower=np.array([1.0, 0.0]), upper=np.array([0.0, 0.0]))
 
 
+@pytest.mark.parametrize("lower,upper,j", [
+    ([-np.inf, 0.0], [-np.inf, np.inf], 0),
+    ([0.0, np.inf], [np.inf, np.inf], 1),
+    ([0.0, -np.inf, 0.0], [1.0, np.inf, -np.inf], 2),    # a row's bound
+])
+def test_wrong_side_infinite_bound_is_rejected(lower, upper, j):
+    n = 2
+    a = np.ones((len(lower) - n, n))
+    with pytest.raises(ProblemError,
+                       match=f"wrong side at component {j}: "):
+        GeneralQp(Hhat=np.eye(n), Ahat=a, c=np.ones(n), lower=lower,
+                  upper=upper)
+
+
 def test_init_shifts_p2_fixture(p2):
     part = Partition(basic=[0], nonbasic=[1])
     shifts, it = init_shifts(p2, part, factor_kb(p2, part.basic))
@@ -153,13 +167,14 @@ def test_solve_standard_factors_the_initial_basis_once(p1, monkeypatch,
     assert calls == [(0, 1)]
 
 
-def test_h_definite_start_basis_is_factored_once(monkeypatch):
-    # Where H is definite on its nonzero rows, discovery factors the full
-    # matrix over the non-fixed columns first.  Where the acceptance rule
+def test_full_matrix_start_basis_is_factored_once(monkeypatch):
+    # Where the non-fixed columns exceed rank(H) by at most m, discovery
+    # factors the full matrix over them first.  Where the acceptance rule
     # takes it, the basis holds it, so the start K_B that init_shifts
     # receives is that factorization, and the first stage does not factor
     # it again.
-    problems = [p for p in random_instances(20260810, 100) if p.h_definite
+    problems = [p for p in random_instances(20260810, 100)
+                if np.sum(~p.fixed_mask) - p.h_rank <= p.m
                 and factor_kb(p, np.flatnonzero(~p.fixed_mask)) is not None]
     calls = _recording_factor_kb(monkeypatch)
     at_shifts = []

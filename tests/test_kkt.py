@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
+from scipy.linalg import blas
 
 from pdqp import (GeneralQp, Iterate, KktFactorization, KktInternalError,
                   Partition, QpProblem, Shifts, SolveConfig,
@@ -11,7 +13,7 @@ from pdqp import (GeneralQp, Iterate, KktFactorization, KktInternalError,
 from pdqp import dual, kkt, primal
 from pdqp.kkt import (KktBasis, _bunch_kaufman, build_kb, build_kl,
                       solve_boundary_point)
-from pdqp.model import index_mask
+from pdqp.model import index_mask, pivoted_cholesky
 from pdqp.oracle import _gauss_solve
 
 from conftest import (criterion7_instance, free_start_cases, held_basis,
@@ -469,8 +471,9 @@ def _lowrank_problems():
 
 
 def test_discovery_gives_the_partition_of_the_full_matrix_first_rule():
-    # find_soc_basis factors the full KKT matrix first only where H is
-    # definite on its nonzero rows.  The rule it replaced always did, and
+    # find_soc_basis factors the full KKT matrix first only where the
+    # non-fixed columns exceed rank(H) by at most m; elsewhere that matrix
+    # is singular.  The rule it replaced always did, and
     # kept every column where the acceptance rule took that matrix: the
     # partitions must agree, and the basis must hold the full matrix's
     # factorization once the start K_B is factored exactly where the
@@ -478,7 +481,7 @@ def test_discovery_gives_the_partition_of_the_full_matrix_first_rule():
     problems = (_discovery_problems() + _lowrank_problems()
                 + list({id(p): p for _, p, _ in free_start_cases(7, 100)}
                        .values()))
-    definite = 0
+    tried = 0
     for p in problems:
         prefer = sorted(p.free)
         cand = np.flatnonzero(~p.fixed_mask)
@@ -490,11 +493,94 @@ def test_discovery_gives_the_partition_of_the_full_matrix_first_rule():
         basis = KktBasis(p)
         part = find_soc_basis(p, basis, prefer=prefer)
         assert part.basic == want.tolist()
-        assert _holds(basis, cand) == (accepted and p.h_definite)
+        rank_test = cand.size - p.h_rank <= p.m
+        assert _holds(basis, cand) == (accepted and rank_test)
         basis.factor(part.basic)          # the start K_B, as the driver does
         assert _holds(basis, cand) == accepted
-        definite += p.h_definite
-    assert 100 < definite < len(problems) - 100
+        tried += rank_test
+    assert 100 < tried < len(problems) - 100
+
+
+def test_qr_pivots_match_scipy_qr():
+    # _qr_pivots calls dgeqp3 and dorgqr directly, with scipy's workspace
+    # queries: pivots, rank and the Q columns must be scipy.linalg.qr's,
+    # bit for bit, at every shape (150 x 140 takes dorgqr's blocked path).
+    rng = np.random.default_rng(11)
+    shapes = [(6, 3), (3, 6), (5, 5), (1, 1), (8, 1), (1, 8), (40, 60),
+              (150, 140), (0, 4), (4, 0), (0, 0)]
+    mats = [rng.normal(size=s) for s in shapes]
+    deficient = [rng.normal(size=(a, k)) @ rng.normal(size=(k, b))
+                 for a, b, k in [(6, 5, 2), (3, 7, 2), (5, 5, 4), (4, 4, 0),
+                                 (30, 20, 7)]]
+    tol = 1e-10
+    for r in mats + deficient:
+        q, t, piv = scipy.linalg.qr(r, mode="economic", pivoting=True,
+                                    check_finite=False)
+        big = np.abs(t.diagonal()) > tol
+        rank = big.size if big.all() else int(np.argmin(big))
+        got, span = kkt._qr_pivots(r, tol, span=True)
+        assert np.array_equal(got, piv[:rank])
+        assert span.shape == (r.shape[0], rank)
+        assert np.array_equal(span, q[:, :rank])
+        assert np.array_equal(kkt._qr_pivots(r, tol)[0], piv[:rank])
+    assert all(kkt._qr_pivots(r, tol)[0].size < min(r.shape)
+               for r in deficient)
+
+
+def _two_pass_basis(p, cand, first, tol):
+    """``kkt._revealed_basis`` as it was before a first pass without a
+    column was skipped: both passes always run, through scipy.linalg.qr."""
+    def qr_pivots(r):
+        q, t, piv = scipy.linalg.qr(r, mode="economic", pivoting=True,
+                                    check_finite=False)
+        big = np.abs(t.diagonal()) > tol
+        rank = big.size if big.all() else int(np.argmin(big))
+        return piv[:rank], q[:, :rank]
+
+    def gather(a, rows, cols):
+        return a.take(rows, axis=0).take(cols, axis=1)
+
+    h, m = p.H, p.m
+    one, two = cand[first[cand]], cand[~first[cand]]
+    f1, k1, r1 = pivoted_cholesky(gather(h, one, one), tol)
+    p1 = one[k1[:r1]]
+    l1 = np.tril(f1[:r1, :r1])
+    w = blas.dtrsm(1.0, l1, gather(h, p1, two), lower=1)
+    f2, k2, r2 = pivoted_cholesky(gather(h, two, two) - w.T @ w, tol)
+    k2 = k2[:r2]
+    piv = np.concatenate([p1, two[k2]])
+    lower = np.zeros((piv.size, piv.size))
+    lower[:p1.size, :p1.size] = l1
+    lower[p1.size:, :p1.size] = w.take(k2, axis=1).T
+    lower[p1.size:, p1.size:] = np.tril(f2[:r2, :r2])
+    nonpiv = cand[~index_mask(p.n, piv)[cand]]
+    x = blas.dtrsm(1.0, lower, np.hstack([p.A.take(piv, axis=1).T,
+                                          gather(h, piv, nonpiv)]), lower=1)
+    r = p.A.take(nonpiv, axis=1) - x[:, :m].T @ x[:, m:]
+    lead = first[nonpiv]
+    c1, q1 = qr_pivots(r[:, lead])
+    other = r[:, ~lead]
+    c2, _ = qr_pivots(other - q1 @ (q1.T @ other))
+    return np.sort(np.concatenate([piv, nonpiv[lead][c1],
+                                   nonpiv[~lead][c2]]))
+
+
+def test_revealed_basis_matches_two_pass_formula():
+    # Skipping the empty first pass, and calling LAPACK directly, must
+    # leave the revealed basis exactly as the two-pass formula gives it,
+    # with no preferred column (the suite) and with some (free starts).
+    problems = (random_instances(20260810, 500)
+                + list({id(p): p for _, p, _ in free_start_cases(7, 100)}
+                       .values()))
+    preferring = 0
+    for p in problems:
+        cand = np.flatnonzero(~p.fixed_mask)
+        first = index_mask(p.n, sorted(p.free))
+        tol = kkt.PIVOT_TOL * kkt._kkt_max(p, cand)
+        assert np.array_equal(kkt._revealed_basis(p, cand, first, tol),
+                              _two_pass_basis(p, cand, first, tol))
+        preferring += bool(first[cand].any())
+    assert 50 < preferring < len(problems) - 400
 
 
 def test_each_solve_factors_no_basis_matrix_twice_in_a_row(monkeypatch):

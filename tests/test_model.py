@@ -260,26 +260,31 @@ def _psd_cases():
         lam[-1] = eig
         return q @ np.diag(lam) @ q.T
 
+    # (matrix, semidefinite, the rank _check_psd returns when it is)
     return [
-        pytest.param(g.T @ g + np.eye(6), True, id="pd"),
-        pytest.param(padded, True, id="psd_zero_slack_rows"),
-        pytest.param(low.T @ low, True, id="low_rank"),
-        pytest.param(with_last(-1e-12), True, id="eig_minus_1e-12"),
-        pytest.param(with_last(-1e-6), False, id="eig_minus_1e-6"),
+        pytest.param(g.T @ g + np.eye(6), True, 6, id="pd"),
+        pytest.param(padded, True, 6, id="psd_zero_slack_rows"),
+        pytest.param(low.T @ low, True, 2, id="low_rank"),
+        pytest.param(with_last(-1e-12), True, 5, id="eig_minus_1e-12"),
+        pytest.param(with_last(-1e-6), False, None, id="eig_minus_1e-6"),
         pytest.param(np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 0.0],
-                               [0.0, 0.0, 1.0]]), False,
+                               [0.0, 0.0, 1.0]]), False, None,
                      id="zero_diagonal_row"),
-        pytest.param(np.array([[1e-20, 1e-11], [1e-11, 0.0]]), True,
+        pytest.param(np.array([[1e-20, 1e-11], [1e-11, 0.0]]), True, 0,
                      id="first_pivot_below_cutoff"),
     ]
 
 
-def _psd_verdict(s):
+def _psd_rank(s):
+    """The rank _check_psd returns, or None where it rejects s."""
     try:
-        _check_psd(s, "H")
+        return _check_psd(s, "H")
     except ProblemError:
-        return False
-    return True
+        return None
+
+
+def _psd_verdict(s):
+    return _psd_rank(s) is not None
 
 
 def _greedy_psd_verdict(s, tol=model.PSD_PIVOT_TOL):
@@ -308,12 +313,13 @@ _NO_CHOLESKY = SimpleNamespace(dpotrf=lambda a, **kw: (a, 1),
                                dpstrf=scipy.linalg.lapack.dpstrf)
 
 
-@pytest.mark.parametrize("s,expected", _psd_cases())
-def test_check_psd_matches_greedy_verdict(monkeypatch, s, expected):
+@pytest.mark.parametrize("s,expected,rank", _psd_cases())
+def test_check_psd_matches_greedy_verdict(monkeypatch, s, expected, rank):
+    # The rank is the same whether dpotrf or dpstrf settles the verdict.
     assert _greedy_psd_verdict(s) is expected
-    assert _psd_verdict(s) is expected
+    assert _psd_rank(s) == rank
     monkeypatch.setattr(model, "lapack", _NO_CHOLESKY)
-    assert _psd_verdict(s) is expected
+    assert _psd_rank(s) == rank
 
 
 def test_pivoted_cholesky_agrees_with_greedy_on_random_matrices(monkeypatch):
