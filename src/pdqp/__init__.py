@@ -21,7 +21,7 @@ from .kkt import (KktBasis, KktFactorization, factor_kb,  # noqa: F401
                   solve_intermediate_primal)
 from .primal import primal_base, primal_intermediate  # noqa: F401
 from .dual import dual_base, dual_intermediate  # noqa: F401
-from .driver import init_shifts, temporary_bound_pass  # noqa: F401
+from .driver import init_shifts  # noqa: F401
 
 __all__ = [
     "Direction", "GeneralQp", "InvariantError", "Iterate",

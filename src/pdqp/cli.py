@@ -41,11 +41,26 @@ RUNLOG_COLUMNS = ("name", "n", "m", "status", "objective", "strategy",
 TERMINAL_STATUSES = {"optimal", "primal_infeasible", "dual_infeasible"}
 
 
-class QptParseError(ValueError):
+class InputError(ValueError):
+    """A malformed or unreadable input file: ``path[:line]: message``."""
+
     def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
+        where = path if line_no is None else f"{path}:{line_no}"
+        super().__init__(f"{where}: {message}")
         self.path = path
         self.line_no = line_no
+
+
+class QptParseError(InputError):
+    """A malformed problem file."""
+
+
+def _read_lines(path) -> list[str]:
+    try:
+        return Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(path, None, f"cannot read: {reason}") from None
 
 
 def _parse_value(tok: str, path, line_no, allow_inf=False) -> float:
@@ -303,11 +318,13 @@ def _write_solution(sol: PdqpSolution, path: Path) -> None:
 
 def read_expectations(path) -> dict[str, str]:
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for no, line in enumerate(_read_lines(path), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         parts = [t.strip() for t in line.split(",")]
+        if len(parts) != 2 or not all(parts):
+            raise InputError(path, no, f"expected 'name,status', got {line!r}")
         out[parts[0]] = parts[1]
     return out
 
@@ -315,12 +332,14 @@ def read_expectations(path) -> dict[str, str]:
 def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
         max_iter=0, trace=False, expect=None) -> tuple[list[RunRow], int]:
     """Solve each problem file, write the run log and solution files, and
-    return the rows plus the process exit code.  A problem's outputs are
-    named after its ``name`` line (the file stem when it has none).  A
-    file that cannot be read or solved gets an ``error`` row (n = m = 0
-    when it did not parse) and a message on stderr, and the batch goes
-    on; so does a file whose name an earlier file of the batch took,
-    whose outputs it leaves in place."""
+    return the rows plus the process exit code.  A bad ``expect`` file
+    raises ``InputError`` before any solve.  A problem's outputs are named
+    after its ``name`` line (the file stem when it has none).  A file that
+    cannot be read or solved gets an ``error`` row (n = m = 0 when it did
+    not parse) and a message on stderr, and the batch goes on; so does a
+    file whose name an earlier file of the batch took, whose outputs it
+    leaves in place."""
+    expected = read_expectations(expect) if expect else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = SolveConfig(opt_tol=opt_tol, fea_tol=fea_tol,
@@ -355,7 +374,6 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
         rows.append(row)
     _write_new(out / "runlog.csv", "\n".join([",".join(RUNLOG_COLUMNS)]
                                              + [r.csv() for r in rows]) + "\n")
-    expected = read_expectations(expect) if expect else None
     code = 0
     for row in rows:
         if expected is not None:
@@ -367,15 +385,22 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
 
 
 def read_runlog(path) -> list[dict]:
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    if tuple(header) != RUNLOG_COLUMNS:
-        raise ValueError(f"unexpected run-log columns in {path}")
+    """A run log's rows as column -> text, with its header, the field count
+    of each row and the count columns checked."""
+    lines = _read_lines(path)
+    if not lines or tuple(lines[0].split(",")) != RUNLOG_COLUMNS:
+        raise InputError(path, 1, "unexpected run-log columns")
     rows = []
-    for line in lines[1:]:
+    counts = ("n", "m", "stage1_iters", "stage2_iters", "subiters")
+    for no, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
-        rows.append(dict(zip(header, line.split(","))))
+        fields = line.split(",")
+        row = dict(zip(RUNLOG_COLUMNS, fields))
+        if len(fields) != len(RUNLOG_COLUMNS) or not all(
+                row[k].isdecimal() for k in counts):
+            raise InputError(path, no, f"malformed run-log row {line!r}")
+        rows.append(row)
     return rows
 
 
@@ -396,7 +421,8 @@ def profile(log_a, log_b, out_path) -> dict:
     rows_a = {r["name"]: r for r in read_runlog(log_a)}
     rows_b = {r["name"]: r for r in read_runlog(log_b)}
     if set(rows_a) != set(rows_b):
-        raise ValueError("run logs cover different problem sets")
+        raise InputError(log_b, None, f"run logs cover different problem "
+                                      f"sets (compared with {log_a})")
     names = sorted(rows_a)
     ratios = {"a": [], "b": []}
     factors = []
@@ -463,18 +489,21 @@ def main(argv=None) -> int:
     prof.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
+    try:
+        if args.command == "profile":
+            profile(args.log_a, args.log_b, args.out)
+            return 0
         rows, code = run(args.paths, args.out, strategy=args.strategy,
                          opt_tol=args.opt_tol, fea_tol=args.fea_tol,
                          max_iter=args.max_iter, trace=args.trace,
                          expect=args.expect)
-        for row in rows:
-            print(f"{row.name}: {row.status}"
-                  + (f" objective {row.objective:.12g}"
-                     if row.objective is not None else ""))
-        return code
-    profile(args.log_a, args.log_b, args.out)
-    return 0
+    except InputError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    for row in rows:
+        print(f"{row.name}: {row.status}"
+              + (f" objective {row.objective:.12g}"
+                 if row.objective is not None else ""))
+    return code
 
 
 if __name__ == "__main__":

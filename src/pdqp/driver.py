@@ -14,9 +14,10 @@ The pipeline then finds a second-order consistent basis, builds minimal
 shifts making that basis optimal for the shifted pair, and removes the
 shifts with two consecutive solves (primal then dual, or dual then
 primal).  Free variables left outside the initial basis are temporary
-bounds, recorded in ``StandardSolution.registry``: a dual shift freezes
-their duals, a dual-solve direction that would move one blocks with a
+bounds: the shift r_j = -z_j puts each on its dual bound z_j + r_j = 0
+of zero width, a dual-solve direction that would move one blocks with a
 zero step and makes it basic, and the primal solve drives them to zero.
+The engine checks them as it checks any bound (``steps.Family.pinned``).
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import numpy as np
 from .dual import solve_dual
 from .kkt import (KktBasis, KktFactorization, KktInternalError,
                   find_soc_basis, solve_boundary_point)
-from .model import (BOUND_SLACK, DEFAULT_TOL, InvariantError, Iterate,
-                    Partition, ProblemError, QpProblem, Shifts, bound_tol,
+from .model import (DEFAULT_TOL, InvariantError, Iterate, Partition,
+                    ProblemError, QpProblem, Shifts, bound_tol,
                     check_optimality, dual_objective, index_mask, inf_norm,
                     primal_objective)
 from .primal import solve_primal
@@ -263,29 +264,6 @@ def init_shifts(p: QpProblem, part: Partition, factor: KktFactorization
     return Shifts(q0, r0), it
 
 
-def temporary_bound_pass(registry: dict[int, float], stage: str,
-                         it: Iterate, reference: dict[int, float] | None = None
-                         ) -> None:
-    """Verify the temporary-bound contract after a stage.
-
-    ``registry`` maps each temporary bound to its initial dual.  After a
-    primal stage every one of these duals must be zero; after a dual
-    stage every one must be unchanged from the stage start (pass the
-    start values as ``reference``), to BOUND_SLACK * max(1, max|z|).
-    """
-    if not registry:
-        return
-    if stage not in ("primal", "dual"):
-        raise ValueError(f"unknown stage {stage!r}")
-    tol = BOUND_SLACK * max(1.0, inf_norm(it.z))
-    for j in sorted(registry):
-        want = (reference or {}).get(j, 0.0) if stage == "dual" else 0.0
-        if abs(it.z[j] - want) > tol:
-            raise InvariantError(f"temporary-bound dual z[{j}] = "
-                                 f"{it.z[j]:.3e}, not {want:.3e}, after a "
-                                 f"{stage} stage")
-
-
 @dataclass
 class SolveConfig:
     opt_tol: float = DEFAULT_TOL
@@ -310,11 +288,7 @@ class StageLog:
 
 @dataclass
 class StandardSolution:
-    """Result of the combined pipeline on a standard-form problem.
-
-    ``registry`` maps each temporary bound (free index nonbasic in the
-    start partition) to its dual there.
-    """
+    """Result of the combined pipeline on a standard-form problem."""
 
     status: str
     iterate: Iterate
@@ -323,7 +297,6 @@ class StandardSolution:
     strategy: str
     stage_log: list[StageLog]
     shifts_initial: Shifts
-    registry: dict[int, float]
     iterations: int
     subiterations: int
 
@@ -357,9 +330,8 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
 
     A strategy is a list of stages, each a method and the shifts it runs
     under, started from where the previous stage ended.  The run stops
-    at the first stage that is not optimal; after an optimal one the
-    temporary-bound contract of its method is checked.  One ``KktBasis``
-    serves basis discovery, the start basis's K_B (factored once, for the
+    at the first stage that is not optimal.  One ``KktBasis`` serves
+    basis discovery, the start basis's K_B (factored once, for the
     shifts) and every KKT solve of every stage.
     """
     config = config or SolveConfig()
@@ -382,7 +354,6 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
         raise KktInternalError(
             f"K_B unexpectedly singular for basis {part.basic}")
     shifts0, it = init_shifts(p, part, factor)
-    registry = {j: float(it.z[j]) for j in part.nonbasic if j in p.free}
     report = check_optimality(p, shifts0, it, config.fea_tol, config.opt_tol)
     if not report.optimal:
         raise InvariantError("initial shifted point failed the optimality "
@@ -423,12 +394,10 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
     logs: list[StageLog] = []
     start = (it, part)
     for solve, shifts in stages:
-        ref = {j: float(start[0].z[j]) for j in registry}
         out = solve(p, shifts, start, basis=basis, **kw)
         logs.append(_stage_log(p, shifts, out))
         if out.status != OPTIMAL:
             break
-        temporary_bound_pass(registry, out.method, out.iterate, ref)
         start = (out.iterate, out.partition)
 
     obj = primal_objective(p, zero, out.iterate)
@@ -438,15 +407,10 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
         if not rep.optimal:
             raise InvariantError(f"final point failed the optimality "
                                  f"check: {rep}")
-        for j in registry:
-            if abs(out.iterate.z[j]) > BOUND_SLACK * max(
-                    1.0, inf_norm(out.iterate.z)):
-                raise InvariantError(
-                    f"temporary-bound dual z[{j}] nonzero at completion")
     return StandardSolution(status=out.status, iterate=out.iterate,
                             partition=out.partition, objective=obj,
                             strategy=strategy, stage_log=logs,
-                            shifts_initial=shifts0, registry=registry,
+                            shifts_initial=shifts0,
                             iterations=sum(lg.iterations for lg in logs),
                             subiterations=sum(lg.subiterations for lg in logs))
 

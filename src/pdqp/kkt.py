@@ -285,12 +285,6 @@ def build_kb(p: QpProblem, basic: Sequence[int] | np.ndarray) -> np.ndarray:
     return k
 
 
-def build_kl(p: QpProblem, basic: Sequence[int] | np.ndarray,
-             l: int) -> np.ndarray:
-    """Assemble the bordered matrix K_l with the freed index leading."""
-    return build_kb(p, np.concatenate(([l], np.asarray(basic, np.intp))))
-
-
 def _with_freed(basic: np.ndarray, l: int) -> tuple[np.ndarray, int]:
     """The variables of K_l, the basis matrix of B and l, in their
     canonical ascending order, and the position of l among them."""

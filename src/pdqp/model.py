@@ -489,7 +489,7 @@ def check_optimality(p: QpProblem, s: Shifts, it: Iterate,
     test but must satisfy |z_j + r_j| <= tolerance; fixed variables are
     exempt from the dual sign test.
     """
-    if eps_fea <= 0 or eps_opt <= 0:
+    if not (eps_fea > 0 and eps_opt > 0):      # NaN fails too
         raise ValueError("tolerances must be positive")
     stat, eq = residuals(p, it)
     stat_res, eq_res = inf_norm(stat), inf_norm(eq)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kkt import build_kb, build_kl, factor_kb, solve_boundary_point
+from .kkt import build_kb, factor_kb, solve_boundary_point
 from .model import (Direction, Iterate, Partition, QpProblem, Shifts,
                     dual_objective, primal_objective)
 
@@ -312,7 +312,8 @@ def check_direction_propositions(p: QpProblem, part: Partition,
 
     basic = list(part.basic)
     kb = build_kb(p, basic)
-    kl = build_kl(p, basic, l)
+    kl_order = sorted(basic + [l])      # K_l's variables, ascending
+    kl = build_kb(p, kl_order)
     kb_rank = np.linalg.matrix_rank(kb, tol=1e-9 * scale) if kb.size else 0
     kl_rank = np.linalg.matrix_rank(kl, tol=1e-9 * scale)
     kb_nonsing = kb_rank == kb.shape[0] if kb.size else True
@@ -327,7 +328,7 @@ def check_direction_propositions(p: QpProblem, part: Partition,
         else:
             rep.add("case_kl_singular", not kl_nonsing,
                     "dz_l = 0 but K_l nonsingular")
-            null = np.concatenate([[d.dx_l], d.dx[basic], np.zeros(p.m)])
+            null = np.concatenate([d.dx[kl_order], np.zeros(p.m)])
             resid = float(np.max(np.abs(kl @ null)))
             rep.add("kl_null_vector", resid <= tol, f"residual {resid:.3e}")
             rep.add("kl_null_dimension", kl_rank == kl.shape[0] - 1,

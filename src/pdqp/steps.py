@@ -119,7 +119,8 @@ class Family:
     repaired value must vanish and it is selected two-sided (the primal's
     free indices); a ``pinned`` index holds its guarded value at the bound
     from both sides (the dual's free indices: z_j + r_j = 0 is a temporary
-    bound of zero width).  Fixed and pinned indices are never selected.
+    bound of zero width; the primal's fixed ones are never live).  Fixed
+    and pinned indices are never selected.
     """
 
     method: str               # label of outcomes and trace records
@@ -272,22 +273,28 @@ def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
 def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
                   live: np.ndarray, unguarded: np.ndarray,
                   two_sided: np.ndarray, fea_tol: float, opt_tol: float,
-                  start: bool) -> None:
-    """Entry (``start``) or invariant conditions, from the roles alone: the
+                  start: bool, pinned_only: bool = False) -> None:
+    """Entry (``start``) or invariant conditions, from the roles alone:
+    guarded values on live and pinned lie within ``bound_tol`` of their
+    bounds from both sides (the one clause under ``pinned_only``); the
     equalities hold and guarded values on live minus unguarded lie within
-    ``bound_tol`` of their bounds; at the start (~live is then the idle
-    set) idle guarded values also sit on their bounds and no repaired value
-    on live minus two_sided lies above its bound."""
+    it from below; at the start (~live is then the idle set) idle guarded
+    values also sit on their bounds and no repaired value on live minus
+    two_sided lies above its bound."""
     error = StartConditionError if start else InvariantError
     where = f"{fam.method} {'start' if start else 'invariant'}"
-    stat, eq = residuals(p, it)
-    if max(inf_norm(stat), inf_norm(eq)) > p.data_scale() * (
-            START_EQ_TOL if start else DRIFT_EQ_TOL):
-        raise error(f"{where}: the point violates the equality system")
+    if not pinned_only:
+        stat, eq = residuals(p, it)
+        if max(inf_norm(stat), inf_norm(eq)) > p.data_scale() * (
+                START_EQ_TOL if start else DRIFT_EQ_TOL):
+            raise error(f"{where}: the point violates the equality system")
     g = getattr(it, fam.guarded) + getattr(s, fam.guard_shift)
     tol = bound_tol(fam.guarded, inf_norm(it.y), fea_tol, opt_tol)
-    tests = [("guarded", fam.guarded, fam.guard_shift, g,
-              live & ~unguarded & (g < -tol))]
+    tests = [] if pinned_only else [("guarded", fam.guarded, fam.guard_shift,
+                                     g, live & ~unguarded & (g < -tol))]
+    if getattr(p, fam.pinned):      # first: "guarded" sees its lower side
+        pinned = live & getattr(p, f"{fam.pinned}_mask") & (np.abs(g) > tol)
+        tests.insert(0, ("pinned", fam.guarded, fam.guard_shift, g, pinned))
     if start:
         r = getattr(it, fam.repaired) + getattr(s, fam.repair_shift)
         g_on, r_on = (BOUND_SLACK * np.maximum(1.0, np.abs(getattr(s, v)))
@@ -324,7 +331,8 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         raise StartConditionError("start partition has a pending freed index")
     if (p.fixed_mask & part.basic_mask).any():
         raise StartConditionError("a fixed index cannot be basic")
-    excluded = p.fixed_mask | getattr(p, f"{fam.pinned}_mask")
+    pinned = getattr(p, f"{fam.pinned}_mask")
+    excluded = p.fixed_mask | pinned
     unguarded = getattr(p, f"{fam.unguarded}_mask")
     two_sided = unguarded & ~excluded
     one_sided = ~excluded & ~two_sided
@@ -403,6 +411,9 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
             _check_bounds(fam, p, s, it, live, unguarded, two_sided, fea_tol,
                           opt_tol, start=False)
 
+    if status == OPTIMAL and getattr(p, fam.pinned) and (live & pinned).any():
+        _check_bounds(fam, p, s, it, live, unguarded, two_sided, fea_tol,
+                      opt_tol, start=False, pinned_only=True)
     return SolveOutcome(method=fam.method, status=status, iterate=it,
                         partition=part, iterations=iterations,
                         subiterations=subiterations, certificate=certificate)

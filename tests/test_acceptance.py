@@ -271,14 +271,16 @@ def test_criterion_10_temporary_bounds():
     sol = solve_pdqp(g, SolveConfig(check_invariants=True,
                                     initial_basis=[0, 2]))
     assert sol.status == "optimal"
-    reg = sol.standardized.registry
-    assert sorted(reg) == [1]
-    assert reg[1] != 0.0
+    # The free column 1 starts nonbasic with its dual z_1 = -r_1 recorded
+    # in the shift.
+    assert sorted(p.free - {0, 2}) == [1]
+    recorded = -sol.standardized.shifts_initial.r[1]
+    assert recorded != 0.0
     assert abs(sol.standardized.iterate.z[1]) <= 1e-9
     orc = enumerate_solve(std.problem, Shifts.zero(std.problem.n))
     assert orc.status == "optimal"
     assert abs(sol.standardized.objective - orc.objective) \
         <= 1e-7 * (1 + abs(orc.objective))
     _report(10, f"temporary bound with recorded dual "
-                f"{reg[1]:+.2f} drained to zero at the "
+                f"{recorded:+.2f} drained to zero at the "
                 f"oracle optimum")

@@ -342,3 +342,53 @@ def test_solutions_match_oracle_on_corpus(tmp_path):
         if o.status == "optimal":
             want = o.objective + std.objective_offset
             assert row.objective == pytest.approx(want, abs=1e-7), g.name
+
+
+def _main_error(argv, capsys):
+    """main's exit code and its one stderr line."""
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return exc.value.code, err.rstrip("\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, ": cannot read: No such file or directory"),
+    ("p1,optimal\np2 optimal\n",
+     ":2: expected 'name,status', got 'p2 optimal'"),
+    ("p1,\n", ":1: expected 'name,status', got 'p1,'"),
+], ids=["missing", "no_comma", "empty_status"])
+def test_run_rejects_bad_expectations_before_solving(tmp_path, capsys, text,
+                                                      message):
+    expect = tmp_path / "expect.csv"
+    if text is not None:
+        expect.write_text(text)
+    out = tmp_path / "out"
+    code, err = _main_error(["run", PROBLEMS / "p1.qpt", "--out", out,
+                             "--expect", expect], capsys)
+    assert code == 2
+    assert err == f"pdqp: error: {expect}{message}"
+    assert not out.exists()         # nothing was solved or written
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, ": cannot read: No such file or directory"),
+    ("", ":1: unexpected run-log columns"),
+    ("name,n,m,status\n", ":1: unexpected run-log columns"),
+    (HEADER + "\np1,2,1,optimal\n",
+     ":2: malformed run-log row 'p1,2,1,optimal'"),
+    (HEADER + "\np1,2,1,optimal,1,auto,-2,0,2,1\n",
+     ":2: malformed run-log row 'p1,2,1,optimal,1,auto,-2,0,2,1'"),
+], ids=["missing", "empty", "header", "short_row", "bad_count"])
+def test_profile_rejects_a_malformed_run_log(tmp_path, capsys, text, message):
+    good = tmp_path / "good.csv"
+    good.write_text(HEADER + "\np1,2,1,optimal,1,auto,2,0,2,1\n")
+    bad = tmp_path / "bad.csv"
+    if text is not None:
+        bad.write_text(text)
+    code, err = _main_error(["profile", good, bad, "--out",
+                             tmp_path / "prof.txt"], capsys)
+    assert code == 2
+    assert err == f"pdqp: error: {bad}{message}"
+    assert not (tmp_path / "prof.txt").exists()

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdqp import (GeneralQp, InvariantError, Partition, ProblemError,
+from pdqp import (GeneralQp, Partition, ProblemError,
                   QpProblem, Shifts, SolveConfig, StartConditionError,
                   check_optimality, enumerate_solve, factor_kb,
                   find_soc_basis, init_shifts, solve_dual, solve_pdqp,
-                  solve_primal, solve_standard, standardize,
-                  temporary_bound_pass)
+                  solve_primal, solve_standard, standardize)
 from pdqp import driver, kkt, steps
 from pdqp.kkt import KktBasis
 from pdqp.cli import parse_problem
@@ -294,7 +293,10 @@ def test_solve_pdqp_free_variable_in_basis():
     sol = solve_pdqp(g, SolveConfig(check_invariants=True))
     assert sol.status == "optimal"
     assert_allclose(sol.x, [0.0, 1.0], atol=1e-10)
-    assert len(sol.standardized.registry) == 0
+    # Discovery makes the free column basic: no temporary bound.
+    p = standardize(g).problem
+    assert p.free <= set(find_soc_basis(p, KktBasis(p),
+                                        prefer=sorted(p.free)).basic)
 
 
 def test_temporary_bound_fixture_nonzero_dual():
@@ -304,9 +306,10 @@ def test_temporary_bound_fixture_nonzero_dual():
     assert 1 in find_soc_basis(p, KktBasis(p), prefer=sorted(p.free)).basic
     sol = solve_pdqp(g, SolveConfig(check_invariants=True,
                                     initial_basis=TEMP_BOUND_BASIS))
-    reg = sol.standardized.registry
-    assert sorted(reg) == [1]
-    assert reg[1] == pytest.approx(-1.0)
+    # The free column 1 starts nonbasic, a temporary bound whose dual
+    # z_1 = -r_1 = -1 is nonzero.
+    assert sorted(p.free - set(TEMP_BOUND_BASIS)) == [1]
+    assert sol.standardized.shifts_initial.r[1] == pytest.approx(1.0)
     assert sol.status == "optimal"
     assert_allclose(sol.x, [1.0, 2.0, 0.0], atol=1e-9)
     assert abs(sol.standardized.iterate.z[1]) < 1e-9
@@ -332,7 +335,10 @@ def test_temporary_bound_decoupled_free_variable():
                   upper=np.array([np.inf, np.inf, 10.0]))
     sol = solve_pdqp(g, SolveConfig(check_invariants=True))
     assert sol.status == "optimal"
-    assert sorted(sol.standardized.registry) == [1]
+    # Discovery leaves the free column 1 nonbasic: a temporary bound.
+    p = standardize(g).problem
+    part = find_soc_basis(p, KktBasis(p), prefer=sorted(p.free))
+    assert sorted(p.free & set(part.nonbasic)) == [1]
     assert sol.x[0] == pytest.approx(1.0)
 
 
@@ -388,20 +394,34 @@ def test_free_start_bases_agree_with_oracle():
     # Every bound kind, and start bases that leave a free column
     # nonbasic, so that each strategy's first stage has a live temporary
     # bound.
+    # The one-stage strategies either solve or refuse the start by their
+    # precondition (ProblemError), never by a StartConditionError: the
+    # dual's entry check on temporary bounds and dual-only's precondition
+    # share one measure.
     cases = free_start_cases(5, 100)
     assert len(cases) > 300
     wrong = []
     oracle = {}
+    solved = dict.fromkeys(("primal-only", "dual-only"), 0)
     for label, p, basis in cases:
         if id(p) not in oracle:
             oracle[id(p)] = enumerate_solve(p, Shifts.zero(p.n))
-        for strategy in ("auto", "primal-first", "dual-first"):
-            sol = solve_standard(p, SolveConfig(strategy=strategy,
-                                                initial_basis=basis,
-                                                check_invariants=True))
+        for strategy in ("auto", "primal-first", "dual-first",
+                         "primal-only", "dual-only"):
+            try:
+                sol = solve_standard(p, SolveConfig(strategy=strategy,
+                                                    initial_basis=basis,
+                                                    check_invariants=True))
+            except ProblemError:
+                if strategy not in solved:
+                    raise
+                continue
             if not _agrees_with_oracle(oracle[id(p)], sol):
                 wrong.append((label, strategy))
+            if strategy in solved:
+                solved[strategy] += 1
     assert wrong == []
+    assert min(solved.values()) > 0
 
 
 @pytest.mark.parametrize("strategy", ["auto", "primal-first", "dual-first"])
@@ -418,6 +438,14 @@ def test_large_x_optima_pass_the_final_check(strategy):
         assert abs(sol.objective - f) <= 1e-6 * abs(f)
 
 
+@pytest.mark.parametrize("tol", ["opt_tol", "fea_tol"])
+def test_nan_tolerance_is_a_value_error(p1, tol):
+    # A NaN tolerance is not positive: a plain ValueError, not the failed
+    # initial optimality check it once read as (InvariantError).
+    with pytest.raises(ValueError, match="tolerances must be positive"):
+        solve_standard(p1, SolveConfig(**{tol: float("nan")}))
+
+
 def test_auto_measures_the_dual_shifts_against_opt_tol():
     # Basis [1] needs r_0 = 1e-7: within fea_tol = 1e-6 but not within the
     # dual bounds' opt_tol = 1e-9, so the start is not dual feasible.
@@ -429,17 +457,6 @@ def test_auto_measures_the_dual_shifts_against_opt_tol():
                                         fea_tol=1e-6))
     assert sol.strategy == "primal-first"
     assert sol.status == "optimal"
-
-
-def test_temporary_bound_pass_flags_moved_dual():
-    reg = {0: 2.0}
-    from pdqp import Iterate
-    it = Iterate(np.zeros(2), np.zeros(1), np.array([2.0, 0.0]))
-    temporary_bound_pass(reg, "dual", it, {0: 2.0})   # unchanged: fine
-    with pytest.raises(InvariantError):
-        temporary_bound_pass(reg, "primal", it)       # nonzero after primal
-    with pytest.raises(InvariantError):
-        temporary_bound_pass(reg, "dual", it, {0: 0.5})
 
 
 def test_pipeline_matches_oracle_with_mu_regularizer():

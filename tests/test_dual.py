@@ -116,6 +116,7 @@ def test_solve_dual_relaxed_nonbasic_selection(p2):
 # test_dual_degenerate_zero_step_swaps_and_continues.
 P2 = (np.eye(2), [2.0, 0.0])
 P3 = ([[1.0, 0.0, 0.0], [0.0, 5.0, 2.0], [0.0, 2.0, 1.0]], [3.0, -2.0, 0.0])
+P4 = (np.eye(2), [4.0, 0.0])
 
 
 @pytest.mark.parametrize("hc,free,x,y,z,basic,error,match", [
@@ -133,10 +134,19 @@ P3 = ([[1.0, 0.0, 0.0], [0.0, 5.0, 2.0], [0.0, 2.0, 1.0]], [3.0, -2.0, 0.0])
     # relaxed entry: nonbasic x_1 above its bound
     (P2, (), [-1.0, 2.0], 1.0, [0.0, 1.0], [0], StartConditionError,
      r"dual start: relaxed x\[1\]"),
+    # pinned: a free nonbasic z_0 off its temporary bound z_0 + r_0 = 0,
+    # once solved to a false optimum
+    (P4, (0,), [0.0, 1.0], 1.0, [3.0, 0.0], [1], StartConditionError,
+     r"dual start: pinned z\[0\] \+ r\[0\] = 3\.000e\+00"),
     # invariant: a step that ignores the blocking z_1 leaves it below
     (P3, (), [-1.0, 0.0, 2.0], 2.0, [0.0, 0.0, 0.0], [0, 2], InvariantError,
      r"dual invariant: guarded z\[1\]"),
-], ids=["guarded", "idle", "idle_free", "relaxed", "invariant"])
+    # pinned invariant: the same step moves a free nonbasic z_1 off its
+    # temporary bound
+    (P3, (1,), [-1.0, 0.0, 2.0], 2.0, [0.0, 0.0, 0.0], [0, 2],
+     InvariantError, r"dual invariant: pinned z\[1\]"),
+], ids=["guarded", "idle", "idle_free", "relaxed", "pinned", "invariant",
+        "pinned_invariant"])
 def test_solve_dual_rejects_bad_start(monkeypatch, hc, free, x, y, z, basic,
                                       error, match):
     n = len(x)

@@ -11,8 +11,7 @@ from pdqp import (GeneralQp, Iterate, KktFactorization, KktInternalError,
                   solve_intermediate_primal, solve_pdqp, solve_standard,
                   standardize)
 from pdqp import dual, kkt, primal
-from pdqp.kkt import (KktBasis, _bunch_kaufman, build_kb, build_kl,
-                      solve_boundary_point)
+from pdqp.kkt import KktBasis, _bunch_kaufman, build_kb, solve_boundary_point
 from pdqp.model import index_mask, pivoted_cholesky
 from pdqp.oracle import _gauss_solve
 
@@ -185,7 +184,7 @@ def test_solve_intermediate_base_of_dual(p1):
 
 def test_solve_intermediate_three_by_three(p1):
     part = Partition(basic=[1], nonbasic=[], freed=0)
-    kl = build_kl(p1, [1], 0)
+    kl = build_kb(p1, [0, 1])
     assert_allclose(kl, [[1, 0, 1], [0, 1, 1], [1, 1, 0]])
     d = solve_intermediate_primal(p1, part, 0, KktBasis(p1))
     assert d.dx_l == pytest.approx(0.5)
@@ -235,9 +234,6 @@ def test_build_kb_and_kl_equal_block_assembly_bit_for_bit():
                         build_kb(p, np.array(basic, dtype=np.intp))):
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
-            for l in set(range(p.n)) - set(basic):
-                got = build_kl(p, basic, l)
-                assert got.tobytes() == _block_kkt(p, [l] + basic).tobytes()
 
 
 def _weakly_active_instance(seed, n, m, rank, strict, weak):
@@ -321,7 +317,7 @@ def test_base_null_space_dimension_when_dzl_zero(p_lp):
     part = Partition(basic=[1], nonbasic=[], freed=0)
     d = solve_base_primal(p_lp, part, held_basis(p_lp, [1]), 0)
     assert d.dz_l == 0.0
-    kl = build_kl(p_lp, [1], 0)
+    kl = build_kb(p_lp, [0, 1])
     null = np.array([d.dx[0], d.dx[1], 0.0])
     assert np.max(np.abs(kl @ null)) < 1e-12
     assert np.linalg.matrix_rank(kl) == kl.shape[0] - 1
