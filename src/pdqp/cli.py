@@ -384,9 +384,8 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
     return rows, code
 
 
-def read_runlog(path) -> list[dict]:
-    """A run log's rows as column -> text, with its header, the field count
-    of each row and the count columns checked."""
+def _numbered_runlog(path) -> list[tuple[int, dict]]:
+    """``read_runlog``'s rows, each with its line number."""
     lines = _read_lines(path)
     if not lines or tuple(lines[0].split(",")) != RUNLOG_COLUMNS:
         raise InputError(path, 1, "unexpected run-log columns")
@@ -400,7 +399,25 @@ def read_runlog(path) -> list[dict]:
         if len(fields) != len(RUNLOG_COLUMNS) or not all(
                 row[k].isdecimal() for k in counts):
             raise InputError(path, no, f"malformed run-log row {line!r}")
-        rows.append(row)
+        rows.append((no, row))
+    return rows
+
+
+def read_runlog(path) -> list[dict]:
+    """A run log's rows as column -> text, with its header, the field count
+    of each row and the count columns checked."""
+    return [row for _, row in _numbered_runlog(path)]
+
+
+def _runlog_by_name(path) -> dict[str, dict]:
+    """A run log's rows keyed by problem name; a name that appears twice
+    raises ``InputError`` at its second row."""
+    rows: dict[str, dict] = {}
+    for no, row in _numbered_runlog(path):
+        if row["name"] in rows:
+            raise InputError(path, no,
+                             f"problem {row['name']!r} appears twice")
+        rows[row["name"]] = row
     return rows
 
 
@@ -416,10 +433,11 @@ def profile(log_a, log_b, out_path) -> dict:
     Emits the cumulative-step breakpoints (tau, fraction) of each
     solver's ratio distribution on total iterations, and the per-problem
     log2 iteration ratios.  Failures take infinite ratio; a failed
-    problem's factor is marked instead of numeric.
+    problem's factor is marked instead of numeric.  Each log must name
+    each problem once.
     """
-    rows_a = {r["name"]: r for r in read_runlog(log_a)}
-    rows_b = {r["name"]: r for r in read_runlog(log_b)}
+    rows_a = _runlog_by_name(log_a)
+    rows_b = _runlog_by_name(log_b)
     if set(rows_a) != set(rows_b):
         raise InputError(log_b, None, f"run logs cover different problem "
                                       f"sets (compared with {log_a})")
@@ -489,6 +507,15 @@ def main(argv=None) -> int:
     prof.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
+    if args.command == "run":
+        for flag, value in (("--opt-tol", args.opt_tol),
+                            ("--fea-tol", args.fea_tol)):
+            if not (math.isfinite(value) and value > 0):
+                parser.exit(2, f"{parser.prog}: error: {flag} must be "
+                               f"finite and positive, got {value!r}\n")
+        if args.max_iter < 0:
+            parser.exit(2, f"{parser.prog}: error: --max-iter must be "
+                           f"0 or more, got {args.max_iter}\n")
     try:
         if args.command == "profile":
             profile(args.log_a, args.log_b, args.out)

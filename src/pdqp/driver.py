@@ -22,7 +22,6 @@ The engine checks them as it checks any bound (``steps.Family.pinned``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +75,7 @@ class GeneralQp:
             raise ProblemError("bounds may not be NaN")
         wrong = (lo == np.inf) | (up == -np.inf)
         if wrong.any():
-            j = int(np.flatnonzero(wrong)[0])
+            j = int(wrong.nonzero()[0][0])
             raise ProblemError(f"infinite bound on the wrong side at "
                                f"component {j}: lower {lo[j]}, upper {up[j]}")
         if np.any(lo > up):
@@ -151,27 +150,14 @@ def standardize(g: GeneralQp) -> Standardized:
     n, m = g.n, g.m
     nm = n + m
     lo, up = g.lower, g.upper
-    anchor = np.zeros(nm)
-    sign = np.ones(nm)
-    free: set[int] = set()
-    fixed: set[int] = set()
-    boxed: list[int] = []
-    for j in range(nm):
-        lo_fin = math.isfinite(lo[j])
-        up_fin = math.isfinite(up[j])
-        if lo_fin and up_fin:
-            anchor[j] = lo[j]
-            if lo[j] == up[j]:
-                fixed.add(j)
-            else:
-                boxed.append(j)
-        elif lo_fin:
-            anchor[j] = lo[j]
-        elif up_fin:
-            anchor[j] = up[j]
-            sign[j] = -1.0
-        else:
-            free.add(j)
+    lo_fin, up_fin = np.isfinite(lo), np.isfinite(up)
+    upper_only = up_fin & ~lo_fin
+    anchor = np.where(lo_fin, lo, np.where(upper_only, up, 0.0))
+    sign = np.where(upper_only, -1.0, 1.0)
+    fixed_mask = lo_fin & up_fin & (lo == up)
+    free = (~lo_fin & ~up_fin).nonzero()[0].tolist()
+    fixed = fixed_mask.nonzero()[0].tolist()
+    boxed = (lo_fin & up_fin & ~fixed_mask).nonzero()[0].tolist()
 
     nb = len(boxed)
     n_std = nm + nb
@@ -180,7 +166,7 @@ def standardize(g: GeneralQp) -> Standardized:
     # H_std = D Hhat D, D = diag(sign): a sign flip, exact in floating point.
     h_std = np.zeros((n_std, n_std))
     h_std[:n, :n] = g.Hhat
-    flip = np.flatnonzero(sign[:n] < 0)
+    flip = (sign[:n] < 0).nonzero()[0]
     if flip.size:
         h_std[flip] *= -1.0
         h_std[:, flip] *= -1.0
@@ -195,23 +181,22 @@ def standardize(g: GeneralQp) -> Standardized:
     a_std[:m, :nm] = cv * sign
     b_std = np.zeros(m_std)
     b_std[:m] = -cv @ anchor
-    for k, j in enumerate(boxed):
-        a_std[m + k, j] = 1.0
-        a_std[m + k, nm + k] = 1.0
-        b_std[m + k] = up[j] - lo[j]
+    balance = np.arange(nb)
+    a_std[m + balance, boxed] = 1.0
+    a_std[m + balance, nm + balance] = 1.0
+    b_std[m:] = up[boxed] - lo[boxed]
 
     # A row whose every live (non-fixed) coefficient vanishes pins nothing:
     # it is redundant when the fixed values satisfy it and a proof of
     # primal infeasibility otherwise.
-    live = np.flatnonzero(~index_mask(n_std, fixed))
+    rows = np.abs(a_std[:m])
+    row_live = rows[:, ~index_mask(n_std, fixed)].max(axis=1, initial=0.0)
+    scale = np.maximum(rows.max(axis=1, initial=0.0), 1.0)
     kept_rows = list(range(m_std))
     dead_rows: list[int] = []
     inconsistent = None
-    for i in range(m):
-        row_live = np.max(np.abs(a_std[i, live])) if live.size else 0.0
-        if row_live > 1e-12 * max(1.0, float(np.max(np.abs(a_std[i])))):
-            continue
-        slack = 1e-9 * (1.0 + float(np.abs(a_std[i, :nm]) @ np.abs(anchor))
+    for i in (~(row_live > 1e-12 * scale)).nonzero()[0].tolist():
+        slack = 1e-9 * (1.0 + float(rows[i, :nm] @ np.abs(anchor))
                         + abs(b_std[i]))
         if abs(b_std[i]) > slack:
             inconsistent = i
@@ -226,7 +211,8 @@ def standardize(g: GeneralQp) -> Standardized:
     if inconsistent is not None:
         return base
     if dead_rows:
-        kept_rows = [i for i in range(m_std) if i not in set(dead_rows)]
+        dead = set(dead_rows)
+        kept_rows = [i for i in range(m_std) if i not in dead]
         a_std = a_std[kept_rows]
         b_std = b_std[kept_rows]
         m_std = len(kept_rows)

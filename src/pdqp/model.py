@@ -61,8 +61,8 @@ def index_mask(n: int, indices) -> np.ndarray:
 
 
 def inf_norm(v: np.ndarray) -> float:
-    """max|v|, 0 for an empty v."""
-    return float(np.abs(v).max(initial=0.0))
+    """max|v| over every entry of a vector or matrix, 0 for an empty v."""
+    return float(np.maximum.reduce(np.abs(v), axis=None, initial=0.0))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

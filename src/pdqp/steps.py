@@ -31,6 +31,7 @@ If cycling shows, the documented remedy is EXPAND (Gill, Murray, Saunders
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -165,17 +166,17 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray,
         return np.inf, None
     deltas = np.asarray(deltas, dtype=float)
     values = np.asarray(values, dtype=float)
-    scale = max(1.0, scale_floor, float(np.abs(deltas).max()))
-    mask = deltas < -NOISE_BAND * scale
-    if not mask.any():
+    scale = max(1.0, scale_floor, inf_norm(deltas))
+    cand = (deltas < -NOISE_BAND * scale).nonzero()[0]
+    if not cand.size:
         return np.inf, None
     delta = min(HARRIS_BAND * max(1.0, inf_norm(values)), TOL_SHARE * tol)
-    rates = -deltas[mask]
-    vals = values[mask]
+    rates = -deltas.take(cand)
+    vals = values.take(cand)
     alpha_h = float((np.maximum(vals + delta, 0.0) / rates).min())
     ratios = np.maximum(vals, 0.0) / rates
-    pos = int(np.argmax(np.where(ratios <= alpha_h, rates, -np.inf)))
-    return float(ratios[pos]), int(np.asarray(indices)[mask][pos])
+    pos = int(np.where(ratios <= alpha_h, rates, -np.inf).argmax())
+    return float(ratios[pos]), int(indices[int(cand[pos])])
 
 
 def select_index(v: np.ndarray, one_sided: np.ndarray, two_sided: np.ndarray,
@@ -184,15 +185,22 @@ def select_index(v: np.ndarray, one_sided: np.ndarray, two_sided: np.ndarray,
     """Index to repair next and the sign of the move.
 
     One-sided indices are eligible when v < -threshold, two-sided ones
-    when |v| > threshold, oriented to shrink |v|.  Eligible indices in
-    ``first`` go before the others.  Picks the largest violation, least
-    index on ties, or under ``bland`` the least index.
+    when |v| > threshold, oriented to shrink |v|.  Eligible two-sided
+    indices in ``first`` go before the others.  Picks the largest
+    violation, least index on ties, or under ``bland`` the least index.
+    Without a two-sided index, the magnitude is -v and ``first`` has
+    nothing to choose.
     """
-    magnitude = np.where(two_sided, np.abs(v), -v)
-    eligible = (one_sided | two_sided) & (magnitude > threshold)
+    two = two_sided.any()
+    if two:
+        magnitude = np.where(two_sided, np.abs(v), -v)
+        eligible = (one_sided | two_sided) & (magnitude > threshold)
+    else:
+        magnitude = -v
+        eligible = one_sided & (magnitude > threshold)
     if not eligible.any():
         return None, 0.0
-    if (eligible & first).any():
+    if two and (eligible & first).any():
         eligible &= first
     l = int(eligible.argmax() if bland
             else np.where(eligible, magnitude, -np.inf).argmax())
@@ -218,10 +226,6 @@ def make_trace_record(method: str, iteration: int, subiteration: int,
     )
 
 
-def _violation(fam: Family, s: Shifts, it: Iterate, l: int) -> float:
-    return float(getattr(it, fam.repaired)[l] + getattr(s, fam.repair_shift)[l])
-
-
 def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
               it: Iterate, l: int, solve: Callable[[], Direction],
               orient: float, tol: float, name: str
@@ -235,7 +239,8 @@ def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
     """
     if part.freed != l:
         raise StartConditionError(f"index l must be freed before {name}")
-    viol = _violation(fam, s, it, l)
+    viol = float(getattr(it, fam.repaired)[l]
+                 + getattr(s, fam.repair_shift)[l])
     if orient * viol >= 0.0:
         raise StartConditionError(
             f"{name} requires orient*({fam.repaired}_l + {fam.repair_shift}_l)"
@@ -245,19 +250,23 @@ def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
         d = d.negated()
     rate = float(getattr(d, "d" + fam.repaired)[l])
     alpha_star = np.inf if rate == 0.0 else -viol / rate
-    cand = np.flatnonzero(getattr(part, f"{fam.live}_mask")
-                          & ~getattr(p, f"{fam.unguarded}_mask"))
-    guarded = getattr(it, fam.guarded)[cand] + getattr(s, fam.guard_shift)[cand]
-    rates = getattr(d, "d" + fam.guarded)[cand]
-    if getattr(p, fam.pinned):      # mirror pinned values moving up
-        up = getattr(p, f"{fam.pinned}_mask")[cand] & (rates > 0.0)
+    live = getattr(part, f"{fam.live}_mask")
+    if getattr(p, fam.unguarded):
+        live = live & ~getattr(p, f"{fam.unguarded}_mask")
+    cand = live.nonzero()[0]
+    guarded = (getattr(it, fam.guarded)
+               + getattr(s, fam.guard_shift)).take(cand)
+    rates = getattr(d, "d" + fam.guarded).take(cand)
+    pinned = getattr(p, f"{fam.pinned}_mask").take(cand)
+    if pinned.any():                # mirror pinned values moving up
+        up = pinned & (rates > 0.0)
         guarded[up] *= -1.0
         rates[up] *= -1.0
     alpha_max, k = ratio_test(guarded, rates, cand, tol, scale_floor=max(
-        map(inf_norm, (d.dx, d.dy, d.dz))))
+        inf_norm(d.dx), inf_norm(d.dy), inf_norm(d.dz)))
     alpha = min(alpha_star, alpha_max)
     hit = alpha_star <= alpha_max
-    if np.isinf(alpha):
+    if math.isinf(alpha):
         return StepResult(np.inf, alpha_star, alpha_max, None, False), d
     it.x += alpha * d.dx
     it.y += alpha * d.dy
@@ -339,6 +348,9 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
     live = getattr(part, f"{fam.live}_mask")
     _check_bounds(fam, p, s, it, live, unguarded, two_sided, fea_tol,
                   opt_tol, start=True)
+    # Steps update the iterate in place, so these stay its vectors.
+    repaired = getattr(it, fam.repaired)
+    repair_shift = getattr(s, fam.repair_shift)
     cap = max_iterations if max_iterations > 0 else 100 + 50 * (p.n + p.m)
     if basis is None:
         basis = KktBasis(p)
@@ -356,7 +368,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
             zero_streak += 1
             if zero_streak >= BLAND_AFTER:
                 bland = True
-        elif np.isfinite(step.alpha):
+        elif math.isfinite(step.alpha):
             zero_streak = 0
         if trace is not None:
             trace(make_trace_record(fam.method, iterations, subiterations,
@@ -368,7 +380,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         scale = inf_norm(getattr(it, fam.scale_by))
         threshold = min(SELECT_BAND * max(1.0, scale), TOL_SHARE * bound_tol(
             fam.repaired, scale, fea_tol, opt_tol))
-        v = getattr(it, fam.repaired) + getattr(s, fam.repair_shift)
+        v = repaired + repair_shift
         # Two-sided live indices go first: a base step's ray certifies
         # nothing while their repaired values are off their bound.
         l, orient = select_index(v, one_sided, two_sided, two_sided & live,
@@ -383,27 +395,27 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         part.free_index(l)
         # Only trace records use the boundary-aligned shifts.
         eff = effective_shifts(p, s, part, it) if trace is not None else None
-        inner_tol = NOISE_BAND * max(1.0, abs(_violation(fam, s, it, l)))
+        viol = float(repaired[l] + repair_shift[l])
+        inner_tol = NOISE_BAND * max(1.0, abs(viol))
 
         if needs_base:
             before = it.copy() if trace is not None else None
-            viol = _violation(fam, s, it, l)
             step, d = base(part, it, l, orient=orient, basis=basis)
             emit("base", l, step, d, viol, eff, before)
-            if np.isinf(step.alpha):
+            if math.isinf(step.alpha):
                 status = fam.unbounded
                 certificate = d
                 part.bind_freed(fam.idle)
                 break
 
         guard = 0
-        while orient * _violation(fam, s, it, l) < -inner_tol:
+        while orient * (viol := float(repaired[l] + repair_shift[l])
+                        ) < -inner_tol:
             guard += 1
             if guard > p.n + 2:
                 raise InvariantError("intermediate subiterations did not "
                                      "terminate; basis exchange is stuck")
             before = it.copy() if trace is not None else None
-            viol = _violation(fam, s, it, l)
             step, d = intermediate(part, it, l, orient=orient, basis=basis)
             emit("intermediate", l, step, d, viol, eff, before)
         part.bind_freed(fam.live)

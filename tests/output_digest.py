@@ -20,6 +20,11 @@ subiterations), the objective to 12 significant digits and the
 
     PYTHONPATH=src python tests/output_digest.py --outcomes > a.txt
 
+Each set of solves (below) then ends with a ``<set> outcomes <sha256>``
+line, the hash of that set's outcome lines (each with its newline), so
+that two trees' outcomes can be compared by four hashes: ``main``,
+``update-path``, ``free-start`` and ``large-x``.
+
 The digest depends on the host (its BLAS and CPU), so compare two trees
 on one host.  Each solve contributes its status, iteration and
 subiteration counts, objective, final iterate and every field of every
@@ -73,8 +78,11 @@ STRATEGIES = ("auto", "primal-first", "dual-first", "primal-only",
 
 
 class Digest:
-    def __init__(self, per_solve: bool = False, outcomes: bool = False):
+    def __init__(self, name: str, per_solve: bool = False,
+                 outcomes: bool = False):
+        self.name = name
         self.h = hashlib.sha256()
+        self.outcome_h = hashlib.sha256()   # over the set's outcome lines
         self.per_solve = per_solve
         self.outcomes = outcomes
         self.one = None               # the current solve's own hash
@@ -111,7 +119,14 @@ class Digest:
         if self.one is not None:
             print(f"{label} {self.one.hexdigest()}")
         if self.outcomes:
-            print(f"{label} {outcome}")
+            line = f"{label} {outcome}\n"
+            self.outcome_h.update(line.encode())
+            print(line, end="")
+
+    def end(self) -> None:
+        """Close the set: print its outcome hash under ``--outcomes``."""
+        if self.outcomes:
+            print(f"{self.name} outcomes {self.outcome_h.hexdigest()}")
 
     def _solve(self, label: str, solve, config: pdqp.SolveConfig) -> str:
         """Add the solve to the digests; return its ``--outcomes`` line."""
@@ -148,7 +163,7 @@ def main() -> None:
     ap.add_argument("--outcomes", action="store_true",
                     help="also print one outcome line per solve")
     args = ap.parse_args()
-    d = Digest(per_solve=args.per_solve, outcomes=args.outcomes)
+    d = Digest("main", per_solve=args.per_solve, outcomes=args.outcomes)
     for i, p in enumerate(random_instances(20260810, 300)):
         for s in STRATEGIES:
             d.solve(f"random{i}/{s}", lambda c: pdqp.solve_standard(p, c),
@@ -169,7 +184,8 @@ def main() -> None:
             seen.add(g.name)
             d.solve(g.name, lambda c: pdqp.solve_pdqp(g, c),
                     pdqp.SolveConfig(max_iterations=lowrank.max_iterations))
-    u = Digest(per_solve=d.per_solve, outcomes=d.outcomes)
+    d.end()
+    u = Digest("update-path", per_solve=d.per_solve, outcomes=d.outcomes)
     g = criterion7_instance(*PD_CASE)[0]
     u.solve(f"{g.name}/basis240-primal-first",
             lambda c: pdqp.solve_pdqp(g, c),
@@ -181,13 +197,15 @@ def main() -> None:
         for s in STRATEGIES[:3]:
             u.solve(f"{g.name}/{s}", lambda c: pdqp.solve_pdqp(g, c),
                     pdqp.SolveConfig(strategy=s))
-    f = Digest(per_solve=d.per_solve, outcomes=d.outcomes)
+    u.end()
+    f = Digest("free-start", per_solve=d.per_solve, outcomes=d.outcomes)
     for label, p, basis in free_start_cases(7, 100):
         for s in STRATEGIES[:3]:
             f.solve(f"{label}/{s}", lambda c: pdqp.solve_standard(p, c),
                     pdqp.SolveConfig(strategy=s, initial_basis=basis,
                                      check_invariants=True))
-    x = Digest(per_solve=d.per_solve, outcomes=d.outcomes)
+    f.end()
+    x = Digest("large-x", per_solve=d.per_solve, outcomes=d.outcomes)
     for seed in range(50):
         for rank in range(4):
             for scale in (1e5, 1e6):
@@ -195,6 +213,7 @@ def main() -> None:
                 for s in STRATEGIES[:3]:
                     x.solve(f"{g.name}/{s}", lambda c: pdqp.solve_pdqp(g, c),
                             pdqp.SolveConfig(strategy=s))
+    x.end()
     print(f"pdqp from {Path(pdqp.__file__).parent}")
     print(f"solves {d.solves}, raised {dict(sorted(d.errors.items()))}")
     print(f"digest {d.h.hexdigest()}")

@@ -392,3 +392,35 @@ def test_profile_rejects_a_malformed_run_log(tmp_path, capsys, text, message):
     assert code == 2
     assert err == f"pdqp: error: {bad}{message}"
     assert not (tmp_path / "prof.txt").exists()
+
+
+def test_profile_rejects_a_problem_named_twice(tmp_path, capsys):
+    # Keyed by name, the second p1 row would silently replace the first.
+    good = tmp_path / "good.csv"
+    good.write_text(HEADER + "\np1,2,1,optimal,1,auto,2,0,2,1\n")
+    twice = tmp_path / "twice.csv"
+    twice.write_text(HEADER + "\np1,2,1,optimal,1,auto,2,0,2,1\n"
+                              "\np1,2,1,optimal,1,auto,9,0,9,1\n")
+    for a, b in ((twice, good), (good, twice)):
+        code, err = _main_error(["profile", a, b, "--out",
+                                 tmp_path / "prof.txt"], capsys)
+        assert code == 2
+        assert err == f"pdqp: error: {twice}:4: problem 'p1' appears twice"
+    assert not (tmp_path / "prof.txt").exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--opt-tol", "-1", "--opt-tol must be finite and positive, got -1.0"),
+    ("--opt-tol", "0", "--opt-tol must be finite and positive, got 0.0"),
+    ("--fea-tol", "nan", "--fea-tol must be finite and positive, got nan"),
+    ("--fea-tol", "inf", "--fea-tol must be finite and positive, got inf"),
+    ("--max-iter", "-5", "--max-iter must be 0 or more, got -5"),
+], ids=["negative_opt", "zero_opt", "nan_fea", "inf_fea", "negative_iter"])
+def test_run_rejects_bad_numeric_flags_before_solving(tmp_path, capsys, flag,
+                                                      value, message):
+    out = tmp_path / "out"
+    code, err = _main_error(["run", PROBLEMS / "p1.qpt", "--out", out,
+                             flag, value], capsys)
+    assert code == 2
+    assert err == f"pdqp: error: {message}"
+    assert not out.exists()         # nothing was solved or written

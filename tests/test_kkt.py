@@ -921,3 +921,32 @@ def test_in_band_freed_component_takes_the_fresh_path(p_lp, p1, monkeypatch,
         p1, Partition(basic=[], nonbasic=[0], freed=1), 1, basis)
     assert d.dx_l == 0.0
     assert (len(factored), len(lapack), len(settled)) == (5, 5, 2)
+
+
+@pytest.mark.parametrize("rank,n,m,active,larger", [
+    (2, 60, 10, 6, "nonbasic"),         # |N| > |B| + 1: rows of H over S
+    (None, 30, 5, 3, "basic"),          # |N| <= |B|: rows of H over N
+])
+def test_dz_nonbasic_from_either_side_of_h(rank, n, m, active, larger):
+    p = standardize(criterion7_instance(n, m, active, 3, rank=rank)[0]).problem
+    start = find_soc_basis(p, KktBasis(p))
+    for l in start.basic[:3]:
+        part = start.copy()
+        part.free_index(l)
+        nb, nn = len(part.basic), len(part.nonbasic)
+        assert (nn > nb + 1) if larger == "nonbasic" else (nn <= nb)
+        basic = np.array(part.basic)
+        nonbasic = np.array(part.nonbasic)
+        support = np.array(start.basic)             # S = B + l
+        for d in (solve_base_primal(p, part, KktBasis(p), l),
+                  solve_intermediate_primal(p, part, l, KktBasis(p))):
+            assert d.dz_l != 0.0 and np.all(d.dz[basic] == 0.0)
+            assert np.all(d.dx[nonbasic] == 0.0)
+            rows_n = p.H[nonbasic] @ d.dx - p.A[:, nonbasic].T @ d.dy
+            rows_s = (d.dx[support] @ p.H[support] - d.dy @ p.A)[nonbasic]
+            # Relative to the size of the terms that the sums cancel.
+            scale = max(1.0, float((np.abs(p.H[nonbasic]) @ np.abs(d.dx)
+                                    + np.abs(p.A[:, nonbasic]).T
+                                    @ np.abs(d.dy)).max()))
+            for ref in (rows_n, rows_s):
+                assert np.abs(d.dz[nonbasic] - ref).max() <= 1e-12 * scale

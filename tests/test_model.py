@@ -359,3 +359,15 @@ def test_check_psd_rejects_indefinite_matrix_with_tiny_diagonal():
     s = np.array([[1e-11, 1e-6], [1e-6, 1e-11]])
     assert _greedy_psd_verdict(s)
     assert not _psd_verdict(s)
+
+
+@pytest.mark.parametrize("v", [
+    np.array([0.5, -3.0, 2.0]),
+    np.array([[1.0, -2.0], [-7.5, 3.0], [0.0, 4.0]]),   # max off row 0
+    np.zeros(0),
+    np.zeros((0, 3)),
+], ids=["vector", "matrix", "empty", "empty_matrix"])
+def test_inf_norm_is_the_largest_magnitude_of_every_entry(v):
+    got = model.inf_norm(v)
+    assert type(got) is float
+    assert got == (float(np.abs(v).max()) if v.size else 0.0)
