@@ -33,12 +33,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .driver import GeneralQp, PdqpSolution, SolveConfig, solve_pdqp
-from .steps import TraceRecord
+from .driver import (STRATEGIES, GeneralQp, PdqpSolution, SolveConfig,
+                     solve_pdqp)
+from .steps import DUAL_INFEASIBLE, OPTIMAL, PRIMAL_INFEASIBLE, TraceRecord
 
 RUNLOG_COLUMNS = ("name", "n", "m", "status", "objective", "strategy",
                   "stage1_iters", "stage2_iters", "subiters", "millis")
-TERMINAL_STATUSES = {"optimal", "primal_infeasible", "dual_infeasible"}
+TERMINAL_STATUSES = {OPTIMAL, PRIMAL_INFEASIBLE, DUAL_INFEASIBLE}
 
 
 class InputError(ValueError):
@@ -83,9 +84,8 @@ def _parse_value(tok: str, path, line_no, allow_inf=False) -> float:
 class _Lines:
     def __init__(self, path: Path):
         self.path = path
-        raw = path.read_text().splitlines()
         self.rows = [(i + 1, line.split("#", 1)[0].strip())
-                     for i, line in enumerate(raw)]
+                     for i, line in enumerate(_read_lines(path))]
         self.rows = [(no, line) for no, line in self.rows if line]
         self.pos = 0
 
@@ -291,7 +291,7 @@ def _solve_one(g: GeneralQp, config: SolveConfig, trace_to=None
     stage2 = sol.stage_log[1].iterations if len(sol.stage_log) > 1 else 0
     subs = sum(lg.subiterations for lg in sol.stage_log)
     row = RunRow(name=g.name, n=g.n, m=g.m, status=sol.status,
-                 objective=sol.objective if sol.status == "optimal" else None,
+                 objective=sol.objective if sol.status == OPTIMAL else None,
                  strategy=sol.strategy, stage1_iters=stage1,
                  stage2_iters=stage2, subiters=subs, millis=millis)
     if trace_to is not None:
@@ -308,7 +308,7 @@ def _solve_one(g: GeneralQp, config: SolveConfig, trace_to=None
 
 def _write_solution(sol: PdqpSolution, path: Path) -> None:
     lines = [f"status {sol.status}"]
-    if sol.status == "optimal":
+    if sol.status == OPTIMAL:
         lines.append(f"objective {sol.objective:.12g}")
     lines.append("x " + " ".join(f"{v:.12g}" for v in sol.x))
     lines.append("y " + " ".join(f"{v:.12g}" for v in sol.y))
@@ -491,9 +491,7 @@ def main(argv=None) -> int:
 
     runp = sub.add_parser("run", help="solve problem files")
     runp.add_argument("paths", nargs="+")
-    runp.add_argument("--strategy", default="auto",
-                      choices=["auto", "primal-first", "dual-first",
-                               "primal-only", "dual-only"])
+    runp.add_argument("--strategy", default="auto", choices=STRATEGIES)
     runp.add_argument("--opt-tol", type=float, default=1e-6)
     runp.add_argument("--fea-tol", type=float, default=1e-6)
     runp.add_argument("--max-iter", type=int, default=0)

@@ -36,6 +36,9 @@ from .model import (DEFAULT_TOL, InvariantError, Iterate, Partition,
 from .primal import solve_primal
 from .steps import OPTIMAL, PRIMAL_INFEASIBLE, SolveOutcome, TraceSink
 
+STRATEGIES = ("auto", "primal-first", "dual-first", "primal-only",
+              "dual-only")
+
 
 @dataclass(frozen=True)
 class GeneralQp:
@@ -109,35 +112,24 @@ class Standardized:
     """
 
     problem: QpProblem | None
-    lower: np.ndarray
-    upper: np.ndarray
     anchor: np.ndarray        # v0: bound each original component is anchored at
     sign: np.ndarray          # +1, or -1 for components anchored at an upper bound
     objective_offset: float
-    n_orig: int
-    m_orig: int
     boxed: list[int]          # original component ids that got a balance row
     kept_rows: list[int]      # standardized row ids surviving the dead-row drop
     dead_rows: list[int]
     inconsistent_row: int | None = None
 
     def recover(self, it: Iterate, g: GeneralQp
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Map a standardized iterate to (x, y, z) in original coordinates.
-
-        z holds the reduced costs Hhat x + c - Ahat' y of the original
-        variables, the combined multiplier of their bounds.  Dropped
-        redundant rows carry a zero multiplier.
-        """
-        nm = self.n_orig + self.m_orig
-        v = self.anchor + self.sign * it.x[:nm]
-        x = v[:self.n_orig]
-        y = np.zeros(self.m_orig)
-        for pos, i in enumerate(self.kept_rows):
-            if i < self.m_orig:
-                y[i] = it.y[pos]
-        z = g.Hhat @ x + g.c - g.Ahat.T @ y
-        return x, y, z
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Map a standardized iterate to (x, y) in original coordinates.
+        Dropped redundant rows carry a zero multiplier."""
+        v = self.anchor + self.sign * it.x[:self.anchor.size]
+        kept = np.asarray(self.kept_rows, dtype=int)
+        original = kept < g.m
+        y = np.zeros(g.m)
+        y[kept[original]] = it.y[original]
+        return v[:g.n], y
 
 
 def standardize(g: GeneralQp) -> Standardized:
@@ -203,9 +195,8 @@ def standardize(g: GeneralQp) -> Standardized:
             break
         dead_rows.append(i)
 
-    base = Standardized(problem=None, lower=lo.copy(), upper=up.copy(),
-                        anchor=anchor, sign=sign, objective_offset=offset,
-                        n_orig=n, m_orig=m, boxed=boxed,
+    base = Standardized(problem=None, anchor=anchor, sign=sign,
+                        objective_offset=offset, boxed=boxed,
                         kept_rows=kept_rows, dead_rows=dead_rows,
                         inconsistent_row=inconsistent)
     if inconsistent is not None:
@@ -231,22 +222,16 @@ def init_shifts(p: QpProblem, part: Partition, factor: KktFactorization
     z_N; taking q_B = max(-x_B, 0) and r_N = max(-z_N, 0) componentwise
     makes the point jointly optimal.  Free variables get no primal shift;
     a free nonbasic variable j is a temporary bound with dual shift
-    r_j = -z_j.  ``factor`` is the factorization of K_B.
+    r_j = -z_j.  Fixed variables get no dual shift.  Where x or z is 0.0
+    the shift is -0.0, as Python's ``max(-0.0, 0.0)`` gives: that zero
+    reaches later iterates through x_l = -q_l.  ``factor`` is the
+    factorization of K_B.
     """
     it = solve_boundary_point(p, Shifts.zero(p.n), part, factor)
-    q0 = np.zeros(p.n)
-    r0 = np.zeros(p.n)
-    for i in part.basic:
-        if i in p.free:
-            continue
-        q0[i] = max(-float(it.x[i]), 0.0)
-    for j in part.nonbasic:
-        if j in p.fixed:
-            continue
-        if j in p.free:
-            r0[j] = -float(it.z[j])
-        else:
-            r0[j] = max(-float(it.z[j]), 0.0)
+    x, z = it.x, it.z
+    q0, r0 = -x, -z
+    q0[part.nonbasic_mask | p.free_mask | (x > 0.0)] = 0.0
+    r0[part.basic_mask | p.fixed_mask | (~p.free_mask & (z > 0.0))] = 0.0
     return Shifts(q0, r0), it
 
 
@@ -255,7 +240,7 @@ class SolveConfig:
     opt_tol: float = DEFAULT_TOL
     fea_tol: float = DEFAULT_TOL
     max_iterations: int = 0
-    strategy: str = "auto"   # auto | primal-first | dual-first | primal-only | dual-only
+    strategy: str = "auto"   # one of STRATEGIES
     trace: TraceSink | None = None
     check_invariants: bool = False
     initial_basis: list[int] | None = None
@@ -321,6 +306,8 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
     shifts) and every KKT solve of every stage.
     """
     config = config or SolveConfig()
+    if config.strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {config.strategy!r}")
     basis = KktBasis(p)
     if config.initial_basis is not None:
         chosen = set(config.initial_basis)
@@ -329,8 +316,7 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
                                f"outside 0..{p.n - 1}")
         if chosen & p.fixed:
             raise ProblemError("fixed variables cannot be basic")
-        part = Partition(basic=sorted(chosen),
-                         nonbasic=[j for j in range(p.n) if j not in chosen])
+        part = Partition.from_basic(p.n, sorted(chosen))
     else:
         part = find_soc_basis(p, basis, prefer=sorted(p.free))
     factor = basis.factor(part.basic)
@@ -370,9 +356,7 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
                        (solve_primal, zero)],
         "primal-only": [(solve_primal, zero)],
         "dual-only": [(solve_dual, zero)],
-    }.get(strategy)
-    if stages is None:
-        raise ValueError(f"unknown strategy {config.strategy!r}")
+    }[strategy]
 
     kw = dict(opt_tol=config.opt_tol, fea_tol=config.fea_tol,
               max_iterations=config.max_iterations, trace=config.trace,
@@ -406,16 +390,21 @@ def solve_pdqp(g: GeneralQp, config: SolveConfig | None = None) -> PdqpSolution:
     solution back to the original coordinates."""
     std = standardize(g)
     if std.inconsistent_row is not None:
-        x = std.anchor[:g.n]
-        y = np.zeros(g.m)
-        z = g.Hhat @ x + g.c - g.Ahat.T @ y
-        return PdqpSolution(status=PRIMAL_INFEASIBLE, x=x, y=y, z=z,
-                            objective=float(0.5 * x @ g.Hhat @ x + g.c @ x),
-                            strategy="presolve", stage_log=[],
-                            standardized=None)
+        return _original_solution(g, std.anchor[:g.n], np.zeros(g.m),
+                                  status=PRIMAL_INFEASIBLE,
+                                  strategy="presolve", stage_log=[],
+                                  standardized=None)
     sol = solve_standard(std.problem, config)
-    x, y, z = std.recover(sol.iterate, g)
-    objective = float(0.5 * x @ g.Hhat @ x + g.c @ x)
-    return PdqpSolution(status=sol.status, x=x, y=y, z=z,
-                        objective=objective, strategy=sol.strategy,
-                        stage_log=sol.stage_log, standardized=sol)
+    return _original_solution(g, *std.recover(sol.iterate, g),
+                              status=sol.status, strategy=sol.strategy,
+                              stage_log=sol.stage_log, standardized=sol)
+
+
+def _original_solution(g: GeneralQp, x: np.ndarray, y: np.ndarray,
+                       **fields) -> PdqpSolution:
+    """The solution at (x, y) in original coordinates: objective
+    0.5 x'Hhat x + c'x, and z the reduced costs Hhat x + c - Ahat' y of
+    the original variables, the combined multiplier of their bounds."""
+    return PdqpSolution(x=x, y=y, z=g.Hhat @ x + g.c - g.Ahat.T @ y,
+                        objective=float(0.5 * x @ g.Hhat @ x + g.c @ x),
+                        **fields)

@@ -633,8 +633,7 @@ def find_soc_basis(p: QpProblem, basis: KktBasis,
     else:
         basic = _revealed_basis(p, cand, index_mask(p.n, prefer or ()),
                                 PIVOT_TOL * _kkt_max(p, cand))
-    return Partition(basic=basic.tolist(),
-                     nonbasic=(~index_mask(p.n, basic)).nonzero()[0].tolist())
+    return Partition.from_basic(p.n, basic)
 
 
 def _freed_component(raw: float, noise: float, own: KktFactorization,
@@ -687,13 +686,13 @@ def _base_dz_l(p: QpProblem, l: int, h_bl: np.ndarray,
     return dzl, noise
 
 
-def _direction(p: QpProblem, part: Partition, l: int, dx: np.ndarray,
-               dzl: float, dy: np.ndarray) -> Direction:
-    """The direction with primal step dx (zero outside S = B + l), freed
-    dual component dz_l and multiplier step dy; dz_B = 0 and dz_N follows
-    from stationarity, dz_N = H_N. dx - A_N' dy.  With dz_l = 0 the
-    direction is a null ray of K_l, whose dual part vanishes identically,
-    and dz_N stays zero.
+def _direction(p: QpProblem, part: Partition, basic: np.ndarray, l: int,
+               dx: np.ndarray, dzl: float, dy: np.ndarray) -> Direction:
+    """The direction with primal step dx (zero outside S = B + l, B's
+    indices ascending in ``basic``), freed dual component dz_l and
+    multiplier step dy; dz_B = 0 and dz_N follows from stationarity,
+    dz_N = H_N. dx - A_N' dy.  With dz_l = 0 the direction is a null ray
+    of K_l, whose dual part vanishes identically, and dz_N stays zero.
 
     Only H_NS dx_S enters, and it is taken from the smaller side of H at
     O(min(|N|, |S|) n): the |N| rows H_N. where |N| <= |B|, otherwise
@@ -701,8 +700,9 @@ def _direction(p: QpProblem, part: Partition, l: int, dx: np.ndarray,
     dx_S' H_S. - dy' A is H dx - A' dy at every index.  The two forms sum
     in different orders, so they agree to roundoff."""
     dz = np.zeros(p.n)
-    if part.nonbasic and dzl != 0.0:
-        if len(part.nonbasic) <= len(part.basic):
+    n_nonbasic = np.count_nonzero(part.nonbasic_mask)
+    if n_nonbasic and dzl != 0.0:
+        if n_nonbasic <= basic.size:
             nonbasic = part.nonbasic_mask.nonzero()[0]
             dz[nonbasic] = p.H[nonbasic] @ dx - p.A[:, nonbasic].T @ dy
         else:
@@ -712,7 +712,7 @@ def _direction(p: QpProblem, part: Partition, l: int, dx: np.ndarray,
                           - dy @ p.A, 0.0)
     dz[l] = dzl
     return Direction(dx=dx, dy=dy, dz=dz, freed=l, dx_l=float(dx[l]),
-                     dz_l=dzl, basic=tuple(part.basic))
+                     dz_l=dzl, basic=tuple(basic.tolist()))
 
 
 def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
@@ -752,7 +752,7 @@ def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
     dx = np.zeros(p.n)
     dx[basic] = w[:nb]
     dx[l] = 1.0
-    return _direction(p, part, l, dx, dzl, dy)
+    return _direction(p, part, basic, l, dx, dzl, dy)
 
 
 def _dx_l_noise(w: np.ndarray) -> float:
@@ -802,17 +802,17 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
     if dxl != 0.0:
         dx[order] = w[:nb + 1]
         dx[l] = dxl
-    return _direction(p, part, l, dx, 1.0, -w[nb + 1:])
+    return _direction(p, part, basic, l, dx, 1.0, -w[nb + 1:])
 
 
 def recover_z_nonbasic(p: QpProblem, part: Partition, it: Iterate,
                        s: Shifts) -> np.ndarray:
     """z_N = H_BN' x_B - H_NN q_N + c_N - A_N' y, the values making the
     stationarity equation hold exactly at the current (x_B, y)."""
-    if not part.nonbasic:
+    nonbasic = part.nonbasic_mask.nonzero()[0]
+    if not nonbasic.size:
         return np.zeros(0)
     basic = part.basic_mask.nonzero()[0]
-    nonbasic = part.nonbasic_mask.nonzero()[0]
     qn = s.q[nonbasic]
     h_n = p.H.take(nonbasic, axis=0)
     zn = (h_n.take(basic, axis=1) @ it.x[basic]

@@ -28,8 +28,7 @@ Plain problems leave both sets empty.
 
 from __future__ import annotations
 
-from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -311,78 +310,105 @@ class Shifts:
         return Shifts._checked(self.q, _shift_vector(r, self.q.shape))
 
 
-@dataclass
 class Partition:
     """Index sets driving the active-set state machine.
 
-    ``basic`` and ``nonbasic`` partition {0..n-1} except for at most one
-    ``freed`` index which belongs to neither while a direction is being
-    followed.  Both lists are kept sorted ascending, and ``basic_mask`` /
-    ``nonbasic_mask`` mark their members; mutate them only through the
-    methods below, which keep lists and masks in step.
+    The boolean masks ``basic_mask`` and ``nonbasic_mask`` are the state:
+    they partition {0..n-1} except for at most one ``freed`` index, which
+    belongs to neither while a direction is being followed.  ``basic`` and
+    ``nonbasic`` list their members in ascending order.  The methods below
+    set mask entries in place, and ``steps.run_active_set`` relies on
+    that: the live set's mask it reads once follows every later move.
+    An index that a method does not find where it expects one raises
+    ``InvariantError``, and so does an index listed twice in one set.
     """
 
-    basic: list[int]
-    nonbasic: list[int]
-    freed: int | None = None
-    basic_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    nonbasic_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, basic, nonbasic, freed: int | None = None):
+        basic = [int(i) for i in basic]
+        nonbasic = [int(i) for i in nonbasic]
+        every = basic + nonbasic + ([] if freed is None else [freed])
+        if min(every, default=0) < 0:
+            raise InvariantError(f"negative index in partition: {min(every)}")
+        size = 1 + max(every, default=-1)
+        self.basic_mask = index_mask(size, basic)
+        self.nonbasic_mask = index_mask(size, nonbasic)
+        self.freed = freed
+        if (np.count_nonzero(self.basic_mask) != len(basic)
+                or np.count_nonzero(self.nonbasic_mask) != len(nonbasic)):
+            raise InvariantError("an index appears twice in one set")
 
-    def __post_init__(self):
-        self.basic = sorted(int(i) for i in self.basic)
-        self.nonbasic = sorted(int(i) for i in self.nonbasic)
-        extra = [] if self.freed is None else [self.freed]
-        size = 1 + max(self.basic + self.nonbasic + extra, default=-1)
-        self.basic_mask = index_mask(size, self.basic)
-        self.nonbasic_mask = index_mask(size, self.nonbasic)
+    @classmethod
+    def _from_masks(cls, basic_mask: np.ndarray, nonbasic_mask: np.ndarray,
+                    freed: int | None = None) -> "Partition":
+        out = cls.__new__(cls)
+        out.basic_mask, out.nonbasic_mask = basic_mask, nonbasic_mask
+        out.freed = freed
+        return out
 
-    def _add(self, into: str, i: int) -> None:
-        i = int(i)
-        insort(getattr(self, into), i)
-        getattr(self, f"{into}_mask")[i] = True
+    @classmethod
+    def from_basic(cls, n: int, basic) -> "Partition":
+        """{0..n-1} with ``basic``, distinct indices in that range, basic
+        and every other index nonbasic."""
+        mask = index_mask(n, basic)
+        return cls._from_masks(mask, ~mask)
 
-    def _remove(self, frm: str, i: int) -> None:
-        getattr(self, frm).remove(i)
-        getattr(self, f"{frm}_mask")[i] = False
+    @property
+    def basic(self) -> list[int]:
+        return self.basic_mask.nonzero()[0].tolist()
+
+    @property
+    def nonbasic(self) -> list[int]:
+        return self.nonbasic_mask.nonzero()[0].tolist()
+
+    def __repr__(self) -> str:
+        return (f"Partition(basic={self.basic}, nonbasic={self.nonbasic}, "
+                f"freed={self.freed})")
+
+    def _mask(self, name: str) -> np.ndarray:
+        return {"basic": self.basic_mask, "nonbasic": self.nonbasic_mask}[name]
 
     def validate(self, n: int) -> None:
-        groups = [self.basic, self.nonbasic]
-        if self.freed is not None:
-            groups.append([self.freed])
-        seen: set[int] = set()
-        for g in groups:
-            for i in g:
-                if i in seen:
-                    raise InvariantError(f"index {i} appears twice in partition")
-                seen.add(i)
-        if seen != set(range(n)):
+        basic, nonbasic, freed = (self.basic_mask, self.nonbasic_mask,
+                                  self.freed)
+        both = basic & nonbasic
+        if both.any():
+            raise InvariantError(f"index {int(both.argmax())} appears twice "
+                                 f"in partition")
+        if freed is not None and (basic[freed] or nonbasic[freed]):
+            raise InvariantError(f"index {freed} appears twice in partition")
+        if basic.size != n or np.count_nonzero(basic | nonbasic) + (
+                freed is not None) != n:
             raise InvariantError("partition does not cover 0..n-1")
 
     def copy(self) -> "Partition":
-        return Partition(list(self.basic), list(self.nonbasic), self.freed)
+        return Partition._from_masks(self.basic_mask.copy(),
+                                     self.nonbasic_mask.copy(), self.freed)
 
     def free_index(self, l: int) -> None:
         """Remove l from whichever set holds it and mark it freed."""
         if self.freed is not None:
             raise InvariantError("a freed index is already pending")
-        for frm in ("basic", "nonbasic"):
-            mask = getattr(self, f"{frm}_mask")
+        for mask in (self.basic_mask, self.nonbasic_mask):
             if 0 <= l < mask.size and mask[l]:
-                self._remove(frm, l)
-                break
-        else:
-            raise InvariantError(f"index {l} not in partition")
-        self.freed = l
+                mask[l] = False
+                self.freed = l
+                return
+        raise InvariantError(f"index {l} not in partition")
 
     def bind_freed(self, into: str) -> None:
         """Put the freed index into the ``"basic"`` or ``"nonbasic"`` set."""
-        self._add(into, self.freed)
+        if self.freed is None:
+            raise InvariantError("no freed index to bind")
+        self._mask(into)[self.freed] = True
         self.freed = None
 
     def move(self, k: int, into: str) -> None:
         """Move k into the ``"basic"`` or ``"nonbasic"`` set from the other."""
-        self._remove("nonbasic" if into == "basic" else "basic", k)
-        self._add(into, k)
+        source = self._mask("nonbasic" if into == "basic" else "basic")
+        if not (0 <= k < source.size and source[k]):
+            raise InvariantError(f"index {k} is not in the set it leaves")
+        source[k] = False
+        self._mask(into)[k] = True
 
 
 @dataclass

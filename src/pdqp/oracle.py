@@ -19,11 +19,9 @@ import numpy as np
 from .kkt import build_kb, factor_kb, solve_boundary_point
 from .model import (Direction, Iterate, Partition, QpProblem, Shifts,
                     dual_objective, primal_objective)
+from .steps import DUAL_INFEASIBLE, OPTIMAL, PRIMAL_INFEASIBLE
 
 ENUMERATION_LIMIT = 16
-OPTIMAL = "optimal"
-PRIMAL_INFEASIBLE = "primal_infeasible"
-DUAL_INFEASIBLE = "dual_infeasible"
 
 
 class OracleBudgetError(ValueError):
@@ -162,9 +160,7 @@ def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
     for size in range(len(candidates) + 1):
         for subset in itertools.combinations(candidates, size):
             basic = list(subset)
-            part = Partition(basic=basic,
-                             nonbasic=[j for j in range(p.n)
-                                       if j not in set(basic)])
+            part = Partition.from_basic(p.n, basic)
             f = factor_kb(p, basic)
             if f is None:
                 continue
@@ -177,26 +173,11 @@ def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
                           float(np.max(np.abs(s.q))))
             z_scale = max(1.0, float(np.max(np.abs(it.z))),
                           float(np.max(np.abs(s.r))))
-            ok = True
-            for i in basic:
-                if i in p.free:
-                    continue
-                if it.x[i] + s.q[i] < -tol * x_scale:
-                    ok = False
-                    break
-            if ok:
-                for j in part.nonbasic:
-                    if j in p.fixed:
-                        continue
-                    v = it.z[j] + s.r[j]
-                    if j in p.free:
-                        if abs(v) > tol * z_scale:
-                            ok = False
-                            break
-                    elif v < -tol * z_scale:
-                        ok = False
-                        break
-            if not ok:
+            xq, zr = it.x + s.q, it.z + s.r
+            z_bad = np.where(p.free_mask, np.abs(zr) > tol * z_scale,
+                             zr < -tol * z_scale)
+            if ((part.basic_mask & ~p.free_mask & (xq < -tol * x_scale))
+                    | (part.nonbasic_mask & ~p.fixed_mask & z_bad)).any():
                 continue
             obj = primal_objective(p, s, it)
             found.append((basic, obj))
@@ -255,10 +236,9 @@ def _crosscheck_solve(p, s, part, it):
 
 def partition_for_direction(p: QpProblem, d: Direction) -> Partition:
     """Rebuild the partition a direction was solved against."""
-    basic = list(d.basic)
-    taken = set(basic) | {d.freed}
-    nonbasic = [j for j in range(p.n) if j not in taken]
-    return Partition(basic=basic, nonbasic=nonbasic, freed=d.freed)
+    part = Partition.from_basic(p.n, d.basic)
+    part.free_index(d.freed)
+    return part
 
 
 @dataclass

@@ -140,13 +140,13 @@ class Family:
 
 def ratio_test(values: np.ndarray, deltas: np.ndarray,
                indices: np.ndarray | list[int], tol: float,
-               scale_floor: float = 1.0) -> tuple[float, int | None]:
+               scale: float) -> tuple[float, int | None]:
     """Harris's two-pass ratio test (Harris, 1973, "Pivot selection
     methods of the Devex LP code").
 
-    Candidates are the entries with deltas < -NOISE_BAND * scale, where
-    scale is the larger of 1, ``scale_floor`` and max|deltas|:
-    ``scale_floor`` should carry the overall direction magnitude, and
+    Candidates are the entries with deltas < -NOISE_BAND * max(1, scale),
+    where ``scale`` is the overall direction magnitude, at least
+    max|deltas| (``take_step`` passes max(max|dx|, max|dy|, max|dz|));
     smaller deltas are cancellation residue (often of components that
     vanish identically), not blockers.
 
@@ -166,8 +166,7 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray,
         return np.inf, None
     deltas = np.asarray(deltas, dtype=float)
     values = np.asarray(values, dtype=float)
-    scale = max(1.0, scale_floor, inf_norm(deltas))
-    cand = (deltas < -NOISE_BAND * scale).nonzero()[0]
+    cand = (deltas < -NOISE_BAND * max(1.0, scale)).nonzero()[0]
     if not cand.size:
         return np.inf, None
     delta = min(HARRIS_BAND * max(1.0, inf_norm(values)), TOL_SHARE * tol)
@@ -262,7 +261,7 @@ def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
         up = pinned & (rates > 0.0)
         guarded[up] *= -1.0
         rates[up] *= -1.0
-    alpha_max, k = ratio_test(guarded, rates, cand, tol, scale_floor=max(
+    alpha_max, k = ratio_test(guarded, rates, cand, tol, max(
         inf_norm(d.dx), inf_norm(d.dy), inf_norm(d.dz)))
     alpha = min(alpha_star, alpha_max)
     hit = alpha_star <= alpha_max

@@ -7,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pdqp import KktInternalError, Shifts, driver, enumerate_solve, standardize
-from pdqp.cli import (QptParseError, emit_problem, main, parse_problem,
-                      profile, read_runlog, run)
+from pdqp.cli import (InputError, QptParseError, emit_problem, main,
+                      parse_problem, profile, read_runlog, run)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 CORPUS = sorted(PROBLEMS.glob("*.qpt"))
@@ -112,6 +112,27 @@ def test_wrong_side_infinite_bound_gets_error_row(tmp_path, capsys):
     assert code == 1
     assert ("wrongside: ProblemError: infinite bound on the wrong side at "
             "component 0") in capsys.readouterr().err
+
+
+def test_unreadable_problem_file_gets_error_row(tmp_path, capsys):
+    missing = tmp_path / "missing.qpt"
+    folder = tmp_path / "folder.qpt"
+    folder.mkdir()
+    latin = tmp_path / "latin.qpt"
+    latin.write_bytes(b"QPT 1\nname caf\xe9\n")
+    for path in (missing, folder, latin):
+        with pytest.raises(InputError,
+                           match=f"^{re.escape(str(path))}: cannot read: "):
+            parse_problem(path)
+    rows, code = run([missing, folder, latin, PROBLEMS / "p1.qpt"],
+                     tmp_path / "out")
+    assert [(r.name, r.status) for r in rows] == [
+        ("missing", "error"), ("folder", "error"), ("latin", "error"),
+        ("p1", "optimal")]
+    assert code == 1
+    err = capsys.readouterr().err
+    for name in ("missing", "folder", "latin"):
+        assert f"{name}: InputError: " in err
 
 
 def test_run_corpus_matches_expectations(tmp_path):

@@ -125,6 +125,37 @@ def test_init_shifts_optimal_on_random_instances():
         assert np.all(shifts.q >= 0)
 
 
+def _loop_shifts(p, part, it):
+    """init_shifts' shifts, one index at a time, as Python's max gives
+    them (signed zeros included)."""
+    q0, r0 = np.zeros(p.n), np.zeros(p.n)
+    for i in part.basic:
+        if i not in p.free:
+            q0[i] = max(-float(it.x[i]), 0.0)
+    for j in part.nonbasic:
+        if j in p.free:
+            r0[j] = -float(it.z[j])
+        elif j not in p.fixed:
+            r0[j] = max(-float(it.z[j]), 0.0)
+    return q0, r0
+
+
+def test_init_shifts_match_the_loop_bit_for_bit():
+    cases = [(p, find_soc_basis(p, KktBasis(p), prefer=sorted(p.free)))
+             for p in random_instances(3, 30)]
+    cases += [(p, Partition.from_basic(p.n, basis))
+              for _, p, basis in free_start_cases(7, 10)]
+    negative_zeros = 0
+    for p, part in cases:
+        shifts, it = init_shifts(p, part, factor_kb(p, part.basic))
+        q0, r0 = _loop_shifts(p, part, it)
+        assert shifts.q.tobytes() == q0.tobytes()
+        assert shifts.r.tobytes() == r0.tobytes()
+        negative_zeros += int(np.sum(np.signbit(q0) & (q0 == 0.0))
+                              + np.sum(np.signbit(r0) & (r0 == 0.0)))
+    assert negative_zeros
+
+
 def test_solve_standard_p2_primal_first_from_injected_basis(p2):
     sol = solve_standard(p2, SolveConfig(initial_basis=[0],
                                          check_invariants=True))
@@ -218,6 +249,20 @@ def test_singular_initial_basis_is_a_problem_error(p1, p_unbounded):
     for p, basis in ((p1, []), (p_unbounded, [0, 1])):
         with pytest.raises(ProblemError, match="K_B is singular"):
             solve_standard(p, SolveConfig(initial_basis=basis))
+
+
+def test_unknown_strategy_is_rejected_before_any_solve_work(p1,
+                                                            monkeypatch):
+    def discovery(*args, **kwargs):
+        raise AssertionError("basis discovery ran")
+
+    monkeypatch.setattr(driver, "find_soc_basis", discovery)
+    # A singular initial basis (see above) must not turn it into a
+    # ProblemError either.
+    for basis in (None, []):
+        with pytest.raises(ValueError, match="^unknown strategy 'bogus'$"):
+            solve_standard(p1, SolveConfig(strategy="bogus",
+                                           initial_basis=basis))
 
 
 @pytest.mark.parametrize("basis", [[2], [-1, 0]])

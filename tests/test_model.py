@@ -238,6 +238,87 @@ def test_partition_validates_cover():
         part.validate(2)
 
 
+def _rejects(action):
+    def check():
+        with pytest.raises(model.InvariantError):
+            action()
+    return check
+
+
+def _copy_is_independent():
+    part = Partition(basic=[0, 2], nonbasic=[1, 3])
+    other = part.copy()
+    other.free_index(0)
+    other.bind_freed("nonbasic")
+    other.move(1, "basic")
+    assert (part.basic, part.nonbasic, part.freed) == ([0, 2], [1, 3], None)
+    assert (other.basic, other.nonbasic) == ([1, 2], [0, 3])
+
+
+def _from_basic_matches_the_complement():
+    # The inputs of the three callers: a sorted list (an initial basis),
+    # an index array (basis discovery) and a tuple (oracle enumeration).
+    for n, basic in ((5, [1, 3]), (5, np.array([0, 2, 3])), (3, ()),
+                     (2, (0, 1))):
+        part = Partition.from_basic(n, basic)
+        part.validate(n)
+        chosen = [int(i) for i in basic]
+        assert part.basic == chosen
+        assert part.nonbasic == [j for j in range(n) if j not in chosen]
+        assert all(type(i) is int for i in part.basic + part.nonbasic)
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(_rejects(lambda: Partition(basic=[0, 0], nonbasic=[1])),
+                 id="duplicate-in-basic"),
+    pytest.param(_rejects(lambda: Partition(basic=[0], nonbasic=[2, 1, 2])),
+                 id="duplicate-in-nonbasic"),
+    pytest.param(_rejects(
+        lambda: Partition(basic=[0], nonbasic=[0, 1]).validate(2)),
+        id="in-both-sets"),
+    pytest.param(_rejects(
+        lambda: Partition(basic=[0], nonbasic=[1], freed=1).validate(2)),
+        id="freed-in-a-set"),
+    pytest.param(_rejects(
+        lambda: Partition(basic=[0], nonbasic=[2]).validate(3)),
+        id="gap"),
+    pytest.param(_rejects(
+        lambda: Partition(basic=[0], nonbasic=[1]).validate(3)),
+        id="n-too-large"),
+    pytest.param(_rejects(
+        lambda: Partition(basic=[0, 1], nonbasic=[2]).validate(2)),
+        id="n-too-small"),
+    pytest.param(_rejects(
+        lambda: Partition(basic=[-1], nonbasic=[0]).validate(1)),
+        id="negative-index"),
+    pytest.param(_rejects(
+        lambda: Partition(basic=[0], nonbasic=[2], freed=1).free_index(0)),
+        id="second-freed-index"),
+    pytest.param(_rejects(
+        lambda: Partition(basic=[0], nonbasic=[2]).free_index(1)),
+        id="free-absent-index"),
+    pytest.param(_rejects(
+        lambda: Partition(basic=[0], nonbasic=[1]).free_index(2)),
+        id="free-out-of-range"),
+    pytest.param(_rejects(
+        lambda: Partition(basic=[0], nonbasic=[1]).free_index(-1)),
+        id="free-negative"),
+    pytest.param(_rejects(
+        lambda: Partition(basic=[0], nonbasic=[1]).move(1, "nonbasic")),
+        id="move-not-in-source"),
+    pytest.param(_rejects(
+        lambda: Partition(basic=[0], nonbasic=[1]).move(2, "basic")),
+        id="move-out-of-range"),
+    pytest.param(_rejects(
+        lambda: Partition(basic=[0], nonbasic=[1]).bind_freed("basic")),
+        id="bind-without-freed"),
+    pytest.param(_copy_is_independent, id="copy-is-independent"),
+    pytest.param(_from_basic_matches_the_complement, id="from-basic"),
+])
+def test_partition_contract(check):
+    check()
+
+
 def test_effective_shifts_align_relaxed_entries(p1):
     part = Partition(basic=[0], nonbasic=[1])
     point = it([1.0, -0.25], [1.0], [-0.5, 0.5])

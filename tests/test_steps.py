@@ -9,24 +9,29 @@ TOL = 1e-6
 def test_ratio_test_breaks_near_ties_by_pivot_size():
     # Ratios 0 and 5e-18 differ by roundoff only: the larger pivot wins,
     # whichever of the two carries the roundoff.
-    assert ratio_test([0.0, 1e-17], [-1.0, -2.0], [3, 7], TOL) == (5e-18, 7)
-    assert ratio_test([1e-17, 0.0], [-2.0, -1.0], [3, 7], TOL) == (5e-18, 3)
+    assert ratio_test([0.0, 1e-17], [-1.0, -2.0], [3, 7], TOL,
+                      2.0) == (5e-18, 7)
+    assert ratio_test([1e-17, 0.0], [-2.0, -1.0], [3, 7], TOL,
+                      2.0) == (5e-18, 3)
     # Equal pivots: the first index.
-    assert ratio_test([0.0, 0.0], [-1.0, -1.0], [3, 7], TOL) == (0.0, 3)
+    assert ratio_test([0.0, 0.0], [-1.0, -1.0], [3, 7], TOL, 1.0) == (0.0, 3)
 
 
 def test_ratio_test_takes_the_exact_ratio_of_a_clear_minimum():
-    assert ratio_test([1.0, 0.5], [-1.0, -10.0], [0, 1], TOL) == (0.05, 1)
-    assert ratio_test([0.5, 1.0], [-10.0, -1e-3], [0, 1], TOL) == (0.05, 0)
+    assert ratio_test([1.0, 0.5], [-1.0, -10.0], [0, 1], TOL,
+                      10.0) == (0.05, 1)
+    assert ratio_test([0.5, 1.0], [-10.0, -1e-3], [0, 1], TOL,
+                      10.0) == (0.05, 0)
 
 
 def test_ratio_test_candidates():
     # Infeasible values count as zero; nonnegative and noise-level deltas
     # do not block.
-    assert ratio_test([-1e-8, 1.0], [-1.0, -1.0], [0, 1], TOL) == (0.0, 0)
-    assert ratio_test([1.0, 2.0], [0.0, 1.0], [0, 1], TOL) == (np.inf, None)
-    assert ratio_test([1.0], [-1e-13], [0], TOL) == (np.inf, None)
-    assert ratio_test([], [], [], TOL) == (np.inf, None)
+    assert ratio_test([-1e-8, 1.0], [-1.0, -1.0], [0, 1], TOL, 1.0) == (0.0, 0)
+    assert ratio_test([1.0, 2.0], [0.0, 1.0], [0, 1], TOL,
+                      1.0) == (np.inf, None)
+    assert ratio_test([1.0], [-1e-13], [0], TOL, 1e-13) == (np.inf, None)
+    assert ratio_test([], [], [], TOL, 0.0) == (np.inf, None)
 
 
 def test_ratio_test_tie_band_is_capped_by_the_tolerance():
@@ -34,13 +39,14 @@ def test_ratio_test_tie_band_is_capped_by_the_tolerance():
     # tolerance: the degenerate entry blocks with a zero step, not the
     # larger pivot at ratio 0.5, which would leave entry 0 at -5e-4.
     assert ratio_test([0.0, 0.5, 1e6], [-1e-3, -1.0, 0.0], [0, 1, 2],
-                      TOL) == (0.0, 0)
+                      TOL, 1.0) == (0.0, 0)
 
 
 def test_ratio_test_does_not_push_a_negative_value_further():
     # Below -delta only a zero step is allowed, so overshoots of earlier
     # steps do not add up.
-    assert ratio_test([-5e-8, 1e-9], [-1e-3, -1.0], [0, 1], TOL) == (0.0, 0)
+    assert ratio_test([-5e-8, 1e-9], [-1e-3, -1.0], [0, 1], TOL,
+                      1.0) == (0.0, 0)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -53,7 +59,8 @@ def test_ratio_test_overshoot_is_at_most_delta(seed):
     values[neg] = -10.0 ** rng.uniform(-12, -6, size=int(neg.sum()))
     values *= 10.0 ** (seed % 8)
     deltas = rng.normal(size=n)
-    alpha, k = ratio_test(values, deltas, np.arange(n), TOL)
+    alpha, k = ratio_test(values, deltas, np.arange(n), TOL,
+                          float(np.abs(deltas).max()))
     vmax = max(1.0, float(np.max(np.abs(values))))
     delta = min(1e-9 * vmax, 0.1 * TOL)
     assert deltas[k] < 0 and alpha == max(values[k], 0.0) / -deltas[k]
