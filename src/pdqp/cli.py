@@ -25,6 +25,7 @@ Run logs are CSV with the fixed column schema
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -338,7 +339,9 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
     cannot be read or solved gets an ``error`` row (n = m = 0 when it did
     not parse) and a message on stderr, and the batch goes on; so does a
     file whose name an earlier file of the batch took, whose outputs it
-    leaves in place."""
+    leaves in place.  An error row whose name an earlier row holds is
+    named ``<name>~k``, with k the smallest integer from 2 up that no
+    earlier row holds, so no two rows share a name."""
     expected = read_expectations(expect) if expect else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -358,19 +361,21 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
                 g, config, out / f"{g.name}.trace.csv" if trace else None)
         except Exception as exc:     # one bad problem must not end the batch
             name, n, m = (path.stem, 0, 0) if g is None else (g.name, g.n, g.m)
+            if name in taken:
+                name = next(f"{name}~{k}" for k in itertools.count(2)
+                            if f"{name}~{k}" not in taken)
             print(f"{name}: {type(exc).__name__}: {exc}", file=sys.stderr)
             row, sol = RunRow(name=name, n=n, m=m, status="error",
                               objective=None, strategy=strategy,
                               stage1_iters=0, stage2_iters=0, subiters=0,
                               millis=0.0), None
-        if row.name not in taken:
-            taken.add(row.name)
-            if sol is not None:
-                _write_solution(sol, out / f"{row.name}.sol")
-            else:
-                # An earlier run's files would contradict the error row.
-                (out / f"{row.name}.sol").unlink(missing_ok=True)
-                (out / f"{row.name}.trace.csv").unlink(missing_ok=True)
+        taken.add(row.name)
+        if sol is not None:
+            _write_solution(sol, out / f"{row.name}.sol")
+        else:
+            # An earlier run's files would contradict the error row.
+            (out / f"{row.name}.sol").unlink(missing_ok=True)
+            (out / f"{row.name}.trace.csv").unlink(missing_ok=True)
         rows.append(row)
     _write_new(out / "runlog.csv", "\n".join([",".join(RUNLOG_COLUMNS)]
                                              + [r.csv() for r in rows]) + "\n")

@@ -308,6 +308,8 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
     config = config or SolveConfig()
     if config.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {config.strategy!r}")
+    if not all(0.0 < tol < np.inf for tol in (config.fea_tol, config.opt_tol)):
+        raise ValueError("tolerances must be positive and finite")
     basis = KktBasis(p)
     if config.initial_basis is not None:
         chosen = set(config.initial_basis)

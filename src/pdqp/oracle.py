@@ -2,8 +2,11 @@
 
 ``enumerate_solve`` tries every candidate basic set, solves the boundary
 equations, and tests the sign conditions; infeasibility is certified by
-direct cone-membership tests on the primal and dual feasible sets,
-enumerated over support subsets.  Nothing here shares step or direction
+direct cone-membership tests on the primal and dual feasible sets: is a
+target vector a nonnegative combination of cone generators plus any
+combination of free ones?  ``_in_cone`` answers that by nonnegative least
+squares (Lawson-Hanson, numpy only), accepting a residual of at most
+1e-9 times the data's scale.  Nothing here shares step or direction
 logic with the solver (only the K_B assembly and factorization are
 reused, and a naive Gaussian elimination cross-checks those solves on
 small instances).
@@ -70,8 +73,14 @@ def _in_cone(target: np.ndarray, cone_gens: np.ndarray,
              free_gens: np.ndarray, tol: float = 1e-9) -> bool:
     """Is target in cone(cone_gens) + span(free_gens)?
 
-    Projects out the span, then enumerates independent support subsets of
-    the projected cone generators (Caratheodory).
+    Projects the target and the cone generators G onto the orthogonal
+    complement of the span, then runs Lawson-Hanson nonnegative least
+    squares (Lawson & Hanson, 1974, ch. 23) on min |G lam - t| over
+    lam >= 0.  The answer is yes as soon as max|G lam - t| <= tol * scale,
+    with ``scale`` the largest of 1 and the data's magnitudes; it is no
+    once no generator's gradient entry g_j'r exceeds 1e-12 |g_j| |r| (r
+    the residual), that is once lam is optimal.  A run that reaches the
+    iteration cap raises ``OracleInconsistencyError``.
     """
     d = target.shape[0]
     if d == 0:
@@ -79,62 +88,67 @@ def _in_cone(target: np.ndarray, cone_gens: np.ndarray,
     scale = max(1.0, float(np.max(np.abs(target))),
                 float(np.max(np.abs(cone_gens))) if cone_gens.size else 0.0,
                 float(np.max(np.abs(free_gens))) if free_gens.size else 0.0)
+    t, g = target, cone_gens
     if free_gens.size:
         u, sv, _ = np.linalg.svd(free_gens, full_matrices=False)
         rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0] if sv.size else 0.0)))
         basis = u[:, :rank]
-        proj = lambda v: v - basis @ (basis.T @ v)
-    else:
-        proj = lambda v: v
-    t = proj(target)
-    if float(np.max(np.abs(t), initial=0.0)) <= tol * scale:
+        t = t - basis @ (basis.T @ t)
+        g = g - basis @ (basis.T @ g)
+    accept = tol * scale
+    if float(np.max(np.abs(t))) <= accept:
         return True
-    if cone_gens.size == 0:
-        return False
-    g = np.column_stack([proj(cone_gens[:, j])
-                         for j in range(cone_gens.shape[1])])
     k = g.shape[1]
-    max_support = min(k, d)
-    for size in range(1, max_support + 1):
-        for subset in itertools.combinations(range(k), size):
-            gs = g[:, subset]
-            lam, *_ = np.linalg.lstsq(gs, t, rcond=None)
-            if np.any(lam < -tol * scale):
-                continue
-            if float(np.max(np.abs(gs @ lam - t))) <= tol * scale:
-                return True
-    return False
+    norms = np.sqrt(np.einsum("ij,ij->j", g, g))
+    lam = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+    r = t
+    cap = 3 * k + 3
+    for _ in range(cap):
+        w = g.T @ r
+        add = ~passive & (w > 1e-12 * float(np.linalg.norm(r)) * norms)
+        if not add.any():
+            return False              # lam minimizes |G lam - t|
+        passive[int(np.argmax(np.where(add, w, -np.inf)))] = True
+        while True:                   # least squares on the passive set
+            idx = np.flatnonzero(passive)
+            s = np.linalg.lstsq(g[:, idx], t, rcond=None)[0]
+            if (s > 0.0).all():
+                lam[idx] = s
+                break
+            # Step from lam toward s until the first coefficient reaches
+            # zero, and drop every coefficient that is then zero.
+            old = lam[idx]
+            neg = s <= 0.0
+            ratio = old[neg] / np.maximum(old[neg] - s[neg],
+                                          np.finfo(float).tiny)
+            alpha = float(ratio.min())
+            lam[idx] = np.maximum(old + alpha * (s - old), 0.0)
+            lam[idx[neg][ratio <= alpha]] = 0.0
+            passive[idx[lam[idx] == 0.0]] = False
+        r = t - g @ lam
+        if float(np.max(np.abs(r))) <= accept:
+            return True
+    raise OracleInconsistencyError(
+        f"cone-membership test did not converge in {cap} steps")
 
 
 def primal_set_nonempty(p: QpProblem, s: Shifts) -> bool:
     """Is {(x, y) : Ax + My = b, x >= -q (regular), x free/fixed per kind}
     nonempty?"""
-    regular = [j for j in range(p.n) if j not in p.free and j not in p.fixed]
-    free = sorted(p.free)
-    fixed = sorted(p.fixed)
-    target = p.b.copy()
-    if regular:
-        target = target + p.A[:, regular] @ s.q[regular]
-    if fixed:
-        target = target + p.A[:, fixed] @ s.q[fixed]
-    cone = p.A[:, regular] if regular else np.zeros((p.m, 0))
-    free_cols = [p.A[:, free]] if free else []
-    free_cols.append(p.M)
-    return _in_cone(target, cone, np.hstack(free_cols))
+    regular = ~p.free_mask & ~p.fixed_mask
+    target = p.b + p.A[:, regular] @ s.q[regular] \
+        + p.A[:, p.fixed_mask] @ s.q[p.fixed_mask]
+    return _in_cone(target, p.A[:, regular],
+                    np.hstack([p.A[:, p.free_mask], p.M]))
 
 
 def dual_set_nonempty(p: QpProblem, s: Shifts) -> bool:
     """Is {(x, y, z) : -Hx + A'y + z = c, z >= -r (regular), z free for
     fixed variables, z = -r for free variables} nonempty?"""
-    regular = [j for j in range(p.n) if j not in p.free and j not in p.fixed]
-    fixed = sorted(p.fixed)
     eye = np.eye(p.n)
-    target = p.c + s.r
-    cone = eye[:, regular] if regular else np.zeros((p.n, 0))
-    free_cols = [-p.H, p.A.T]
-    if fixed:
-        free_cols.append(eye[:, fixed])
-    return _in_cone(target, cone, np.hstack(free_cols))
+    return _in_cone(p.c + s.r, eye[:, ~p.free_mask & ~p.fixed_mask],
+                    np.hstack([-p.H, p.A.T, eye[:, p.fixed_mask]]))
 
 
 def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8

@@ -25,6 +25,21 @@ line, the hash of that set's outcome lines (each with its newline), so
 that two trees' outcomes can be compared by four hashes: ``main``,
 ``update-path``, ``free-start`` and ``large-x``.
 
+``--oracle`` prints, in place of all the above, one line per problem
+with what ``enumerate_solve`` returns at zero shifts (status, objective
+to 12 significant digits, witness, and the primal and dual feasibility
+flags), or the exception it raised, and ends each set with a
+``<set> oracle <sha256>`` line over that set's lines:
+
+    PYTHONPATH=src python tests/output_digest.py --oracle > a.txt
+
+Its two sets are ``suite500``, the benchmark workload's instances
+(``random_instances(20260810, 500)``), and ``mixed-bounds``, the
+workload's 120 ``mixed_instance`` problems (rng seed 1) standardized.
+A ``mixed-bounds`` problem past the workload's oracle cut-off
+(``workloads.ORACLE_MAX_N``, ``workloads.ORACLE_MAX_LIVE``) gets a
+``skipped`` line.
+
 The digest depends on the host (its BLAS and CPU), so compare two trees
 on one host.  Each solve contributes its status, iteration and
 subiteration counts, objective, final iterate and every field of every
@@ -68,10 +83,10 @@ sys.path.insert(1, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import pdqp  # noqa: E402
 from conftest import (criterion7_instance, free_start_cases,  # noqa: E402
-                      large_x_instance, random_instances)
+                      large_x_instance, mixed_instances, random_instances)
 from test_trajectories import PD_CASE  # noqa: E402
-from workloads import (Ladder, LowRank, constructed_qp,  # noqa: E402
-                       mixed_instance)
+from workloads import (ORACLE_MAX_LIVE, ORACLE_MAX_N, Ladder,  # noqa: E402
+                       LowRank, constructed_qp, mixed_instance)
 
 STRATEGIES = ("auto", "primal-first", "dual-first", "primal-only",
               "dual-only")
@@ -156,13 +171,48 @@ class Digest:
                 f"{sol.objective:.12g} {self.path}")
 
 
+def oracle_line(p: pdqp.QpProblem) -> str:
+    """What ``enumerate_solve`` returns for ``p`` at zero shifts."""
+    try:
+        sol = pdqp.enumerate_solve(p, pdqp.Shifts.zero(p.n))
+    except Exception as exc:     # the failure itself is an output
+        return f"raised {type(exc).__name__}: {exc}"
+    objective = "None" if sol.objective is None else f"{sol.objective:.12g}"
+    return (f"{sol.status} {objective} {sol.witness} "
+            f"primal_feasible={sol.primal_feasible} "
+            f"dual_feasible={sol.dual_feasible}")
+
+
+def oracle_digests() -> None:
+    """Print the ``--oracle`` lines and their two set hashes."""
+    suite = [(f"suite{i}", p)
+             for i, p in enumerate(random_instances(20260810, 500))]
+    mixed = [(g.name, pdqp.standardize(g).problem)
+             for g in mixed_instances(1, 120)]
+    for name, problems in (("suite500", suite), ("mixed-bounds", mixed)):
+        h = hashlib.sha256()
+        for label, p in problems:
+            small = p is not None and p.n <= ORACLE_MAX_N \
+                and p.n - len(p.fixed) <= ORACLE_MAX_LIVE
+            line = f"{label} {oracle_line(p) if small else 'skipped'}\n"
+            h.update(line.encode())
+            print(line, end="")
+        print(f"{name} oracle {h.hexdigest()}")
+    print(f"pdqp from {Path(pdqp.__file__).parent}")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--per-solve", action="store_true",
                     help="also print one hash per solve")
     ap.add_argument("--outcomes", action="store_true",
                     help="also print one outcome line per solve")
+    ap.add_argument("--oracle", action="store_true",
+                    help="print the oracle's answers instead")
     args = ap.parse_args()
+    if args.oracle:
+        oracle_digests()
+        return
     d = Digest("main", per_solve=args.per_solve, outcomes=args.outcomes)
     for i, p in enumerate(random_instances(20260810, 300)):
         for s in STRATEGIES:

@@ -284,9 +284,9 @@ def test_reused_name_gets_error_row(tmp_path, capsys):
     out = tmp_path / "out"
     rows, code = run([PROBLEMS / "p1.qpt", second], out, trace=True)
     assert [(r.name, r.status) for r in rows] == [("p1", "optimal"),
-                                                  ("p1", "error")]
+                                                  ("p1~2", "error")]
     assert code == 1
-    assert "p1: ValueError: name 'p1' is taken" in capsys.readouterr().err
+    assert "p1~2: ValueError: name 'p1' is taken" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == [
         "p1.sol", "p1.trace.csv", "runlog.csv"]
     alone = tmp_path / "alone"
@@ -294,6 +294,28 @@ def test_reused_name_gets_error_row(tmp_path, capsys):
     for name in ("p1.sol", "p1.trace.csv"):
         assert (out / name).read_text() == (alone / name).read_text()
     assert read_runlog(out / "runlog.csv")[1]["status"] == "error"
+
+
+def test_error_rows_of_a_taken_name_are_numbered(tmp_path):
+    # Two copies of one file, a file named like the second copy's row and
+    # an unreadable file with the same stem: every row keeps its own name,
+    # and the log is one that profile accepts.
+    paths = []
+    for d in "abc":
+        (tmp_path / d).mkdir()
+        paths.append(tmp_path / d / "boxed.qpt")
+        paths[-1].write_text((PROBLEMS / "boxed.qpt").read_text())
+    paths[2].write_text(paths[2].read_text().replace("name boxed",
+                                                     "name boxed~3"))
+    paths += [tmp_path / "d" / "boxed.qpt", paths[0]]   # d/ does not exist
+    out = tmp_path / "out"
+    rows, _ = run(paths, out)
+    assert [(r.name, r.status) for r in rows] == [
+        ("boxed", "optimal"), ("boxed~2", "error"), ("boxed~3", "optimal"),
+        ("boxed~4", "error"), ("boxed~5", "error")]
+    log = out / "runlog.csv"
+    assert main(["profile", str(log), str(log), "--out",
+                 str(tmp_path / "prof.txt")]) == 0
 
 
 def test_profile_worked_example(tmp_path):

@@ -491,6 +491,17 @@ def test_nan_tolerance_is_a_value_error(p1, tol):
         solve_standard(p1, SolveConfig(**{tol: float("nan")}))
 
 
+@pytest.mark.parametrize("bad", [{"opt_tol": -1.0}, {"fea_tol": 0.0},
+                                 {"opt_tol": float("inf")}])
+def test_bad_tolerance_is_rejected_before_any_solve_work(p1, bad):
+    # Checked with the strategy: a singular initial basis does not turn
+    # it into a ProblemError.
+    for basis in (None, []):
+        with pytest.raises(ValueError,
+                           match="^tolerances must be positive and finite$"):
+            solve_standard(p1, SolveConfig(initial_basis=basis, **bad))
+
+
 def test_auto_measures_the_dual_shifts_against_opt_tol():
     # Basis [1] needs r_0 = 1e-7: within fea_tol = 1e-6 but not within the
     # dual bounds' opt_tol = 1e-9, so the start is not dual feasible.

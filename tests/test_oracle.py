@@ -1,3 +1,8 @@
+import itertools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +10,7 @@ from numpy.testing import assert_allclose
 from pdqp import (Iterate, Partition, QpProblem, Shifts,
                   enumerate_solve, factor_kb, solve_base_primal,
                   solve_intermediate_primal)
+from pdqp import oracle
 from pdqp.kkt import KktBasis
 from pdqp.oracle import (OracleBudgetError, _gauss_solve, _in_cone,
                          check_direction_propositions,
@@ -77,6 +83,120 @@ def test_cone_membership_basics():
     assert not _in_cone(np.array([-1.0, 0.0]), gens, none)
     # span part absorbs any sign
     assert _in_cone(np.array([-1.0, 0.0]), none, gens[:, :1])
+
+
+def _in_cone_by_subsets(target, cone_gens, free_gens, tol=1e-9):
+    """The reference for ``_in_cone``: project out the span, then try an
+    unconstrained least-squares fit on every support subset of at most d
+    projected generators (Caratheodory), accepting lam >= -tol * scale."""
+    d = target.shape[0]
+    if d == 0:
+        return True
+    scale = max(1.0, float(np.max(np.abs(target))),
+                float(np.max(np.abs(cone_gens))) if cone_gens.size else 0.0,
+                float(np.max(np.abs(free_gens))) if free_gens.size else 0.0)
+    if free_gens.size:
+        u, sv, _ = np.linalg.svd(free_gens, full_matrices=False)
+        rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0] if sv.size else 0.0)))
+        basis = u[:, :rank]
+        proj = lambda v: v - basis @ (basis.T @ v)
+    else:
+        proj = lambda v: v
+    t = proj(target)
+    if float(np.max(np.abs(t), initial=0.0)) <= tol * scale:
+        return True
+    if cone_gens.size == 0:
+        return False
+    g = np.column_stack([proj(cone_gens[:, j])
+                         for j in range(cone_gens.shape[1])])
+    k = g.shape[1]
+    for size in range(1, min(k, d) + 1):
+        for subset in itertools.combinations(range(k), size):
+            gs = g[:, subset]
+            lam, *_ = np.linalg.lstsq(gs, t, rcond=None)
+            if np.any(lam < -tol * scale):
+                continue
+            if float(np.max(np.abs(gs @ lam - t))) <= tol * scale:
+                return True
+    return False
+
+
+def _random_cone(rng, d, k):
+    """k generators in R^d: random columns, some replaced by a zero
+    column, a duplicate, or a positive or negative multiple of another."""
+    g = rng.normal(size=(d, k))
+    for j in range(1, k):
+        kind = rng.integers(0, 8)
+        if kind == 0:
+            g[:, j] = 0.0
+        elif kind == 1:
+            g[:, j] = g[:, rng.integers(0, j)]
+        elif kind == 2:
+            g[:, j] = rng.choice([-2.5, 0.5, 3.0]) * g[:, rng.integers(0, j)]
+    return g
+
+
+def test_in_cone_matches_subset_enumeration_on_random_cones():
+    rng = np.random.default_rng(20)
+    verdicts = {True: 0, False: 0}
+    for d, k, rep in itertools.product(range(9), range(11), range(2)):
+        g = _random_cone(rng, d, k)
+        # Free generators of every rank 0..d, over rank columns or over
+        # rank + 1 of which one depends on the others (for rank 0: no
+        # column, or a zero one).
+        rank = (k + rep) % (d + 1)
+        free = rng.normal(size=(d, rank)) @ rng.normal(size=(rank,
+                                                              rank + rep))
+        lam = np.abs(rng.normal(size=k)) + 0.1
+        face = lam * (rng.random(k) < 0.5)
+        ray = np.zeros(k)
+        if k:
+            ray[rng.integers(0, k)] = 2.0
+        inside = g @ lam
+        for target in (inside, g @ face, g @ ray, -inside - 0.1,
+                       rng.normal(size=d),
+                       inside + free @ rng.normal(size=free.shape[1])):
+            want = _in_cone_by_subsets(target, g, free)
+            assert _in_cone(target, g, free) == want, (d, k, rank)
+            verdicts[want] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_in_cone_matches_subset_enumeration_on_generator_calls(monkeypatch):
+    # Every cone test that random_instances makes to certify its
+    # infeasible draws, the suite500 workload's instance set.
+    calls = []
+
+    def record(*args):
+        calls.append((args, _in_cone(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(oracle, "_in_cone", record)
+    random_instances(20260810, 500)
+    assert len(calls) > 1000
+    for args, got in calls:
+        assert got == _in_cone_by_subsets(*args)
+
+
+def test_in_cone_iteration_cap_is_an_inconsistency(monkeypatch):
+    # A run that never settles on its passive set ends in the error, not
+    # in a loop: here every least-squares fit comes back negative.
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda a, b, rcond: (-np.ones(a.shape[1]),))
+    gens = np.eye(2)
+    with pytest.raises(oracle.OracleInconsistencyError, match="converge"):
+        _in_cone(np.array([1.0, 2.0]), gens, np.zeros((2, 0)))
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # The oracle's NNLS is numpy's: importing scipy.optimize would cost
+    # every process that imports pdqp about 20 MB and 0.1 s.
+    code = "import sys, pdqp; print('scipy.optimize' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oracle.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_feasible_set_tests(p1, p_infeasible, p_unbounded):
