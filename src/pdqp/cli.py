@@ -36,6 +36,7 @@ import numpy as np
 
 from .driver import (STRATEGIES, GeneralQp, PdqpSolution, SolveConfig,
                      solve_pdqp)
+from .model import inf_norm
 from .steps import DUAL_INFEASIBLE, OPTIMAL, PRIMAL_INFEASIBLE, TraceRecord
 
 RUNLOG_COLUMNS = ("name", "n", "m", "status", "objective", "strategy",
@@ -111,8 +112,8 @@ def _parse_matrix(lines: _Lines, tokens, nrows, ncols, symmetric, path, no):
                                     f"expected {ncols} values, got {len(vals)}")
             mat[i] = [_parse_value(t, path, rno) for t in vals]
         if symmetric:
-            scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 0.0)
-            if float(np.max(np.abs(mat - mat.T), initial=0.0)) > 1e-12 * scale:
+            scale = max(1.0, inf_norm(mat))
+            if inf_norm(mat - mat.T) > 1e-12 * scale:
                 raise QptParseError(path, no, "dense H block is not symmetric")
         return mat
     if len(tokens) == 3 and tokens[1] == "coord":
@@ -318,6 +319,8 @@ def _write_solution(sol: PdqpSolution, path: Path) -> None:
 
 
 def read_expectations(path) -> dict[str, str]:
+    """An expectations file's ``name,status`` lines as name -> status; a
+    name that appears twice raises ``InputError`` at its second line."""
     out = {}
     for no, line in enumerate(_read_lines(path), 1):
         line = line.split("#", 1)[0].strip()
@@ -326,6 +329,8 @@ def read_expectations(path) -> dict[str, str]:
         parts = [t.strip() for t in line.split(",")]
         if len(parts) != 2 or not all(parts):
             raise InputError(path, no, f"expected 'name,status', got {line!r}")
+        if parts[0] in out:
+            raise InputError(path, no, f"problem {parts[0]!r} appears twice")
         out[parts[0]] = parts[1]
     return out
 

@@ -1,27 +1,27 @@
-"""Independent ground truth for small problems.
+"""Independent ground truth for small problems, and nothing else.
 
 ``enumerate_solve`` tries every candidate basic set, solves the boundary
 equations, and tests the sign conditions; infeasibility is certified by
-direct cone-membership tests on the primal and dual feasible sets: is a
-target vector a nonnegative combination of cone generators plus any
-combination of free ones?  ``_in_cone`` answers that by nonnegative least
-squares (Lawson-Hanson, numpy only), accepting a residual of at most
-1e-9 times the data's scale.  Nothing here shares step or direction
-logic with the solver (only the K_B assembly and factorization are
-reused, and a naive Gaussian elimination cross-checks those solves on
-small instances).
+direct cone-membership tests on the primal and dual feasible sets
+(``primal_set_nonempty``, ``dual_set_nonempty``): is a target vector a
+nonnegative combination of cone generators plus any combination of free
+ones?  ``_in_cone`` answers that by nonnegative least squares
+(Lawson-Hanson, numpy only), accepting a residual of at most 1e-9 times
+the data's scale.  Nothing here shares step or direction logic with the
+solver (only the K_B assembly and factorization are reused, and a naive
+Gaussian elimination cross-checks those solves on small instances).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kkt import build_kb, factor_kb, solve_boundary_point
-from .model import (Direction, Iterate, Partition, QpProblem, Shifts,
-                    dual_objective, primal_objective)
+from .model import (Partition, QpProblem, Shifts, inf_norm,
+                    primal_objective)
 from .steps import DUAL_INFEASIBLE, OPTIMAL, PRIMAL_INFEASIBLE
 
 ENUMERATION_LIMIT = 16
@@ -85,9 +85,8 @@ def _in_cone(target: np.ndarray, cone_gens: np.ndarray,
     d = target.shape[0]
     if d == 0:
         return True
-    scale = max(1.0, float(np.max(np.abs(target))),
-                float(np.max(np.abs(cone_gens))) if cone_gens.size else 0.0,
-                float(np.max(np.abs(free_gens))) if free_gens.size else 0.0)
+    scale = max(1.0, inf_norm(target), inf_norm(cone_gens),
+                inf_norm(free_gens))
     t, g = target, cone_gens
     if free_gens.size:
         u, sv, _ = np.linalg.svd(free_gens, full_matrices=False)
@@ -96,7 +95,7 @@ def _in_cone(target: np.ndarray, cone_gens: np.ndarray,
         t = t - basis @ (basis.T @ t)
         g = g - basis @ (basis.T @ g)
     accept = tol * scale
-    if float(np.max(np.abs(t))) <= accept:
+    if inf_norm(t) <= accept:
         return True
     k = g.shape[1]
     norms = np.sqrt(np.einsum("ij,ij->j", g, g))
@@ -127,7 +126,7 @@ def _in_cone(target: np.ndarray, cone_gens: np.ndarray,
             lam[idx[neg][ratio <= alpha]] = 0.0
             passive[idx[lam[idx] == 0.0]] = False
         r = t - g @ lam
-        if float(np.max(np.abs(r))) <= accept:
+        if inf_norm(r) <= accept:
             return True
     raise OracleInconsistencyError(
         f"cone-membership test did not converge in {cap} steps")
@@ -183,10 +182,8 @@ def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
                 _crosscheck_solve(p, s, part, it)
             # Per-family scales: the primal sign slack must not inflate
             # with the dual magnitudes or vice versa.
-            x_scale = max(1.0, float(np.max(np.abs(it.x))),
-                          float(np.max(np.abs(s.q))))
-            z_scale = max(1.0, float(np.max(np.abs(it.z))),
-                          float(np.max(np.abs(s.r))))
+            x_scale = max(1.0, inf_norm(it.x), inf_norm(s.q))
+            z_scale = max(1.0, inf_norm(it.z), inf_norm(s.r))
             xq, zr = it.x + s.q, it.z + s.r
             z_bad = np.where(p.free_mask, np.abs(zr) > tol * z_scale,
                              zr < -tol * z_scale)
@@ -204,9 +201,8 @@ def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
         # Witnesses accepted at the sign slack may sit off the optimal
         # face by up to that slack, which moves the objective by at most
         # slack times the gradient scale.
-        x_big = max(1.0, float(np.max(np.abs(best.x))))
-        grad = float(np.max(np.abs(p.c + s.r), initial=0.0)) \
-            + p.kkt_scale() * x_big
+        x_big = max(1.0, inf_norm(best.x))
+        grad = inf_norm(p.c + s.r) + p.kkt_scale() * x_big
         agree = 1e-10 * (1.0 + abs(ref)) + 4.0 * tol * x_big * grad
         for basic, obj in found:
             if abs(obj - ref) > agree:
@@ -240,140 +236,9 @@ def _crosscheck_solve(p, s, part, it):
         w = _gauss_solve(kb, rhs)
     except np.linalg.LinAlgError:
         return
-    scale = max(1.0, float(np.max(np.abs(w))))
+    scale = max(1.0, inf_norm(w))
     got = np.concatenate([it.x[basic], -it.y])
-    if float(np.max(np.abs(got - w), initial=0.0)) > 1e-6 * scale:
+    if inf_norm(got - w) > 1e-6 * scale:
         raise OracleInconsistencyError(
             f"factorization solve disagrees with Gaussian elimination "
             f"for basis {basic}")
-
-
-def partition_for_direction(p: QpProblem, d: Direction) -> Partition:
-    """Rebuild the partition a direction was solved against."""
-    part = Partition.from_basic(p.n, d.basic)
-    part.free_index(d.freed)
-    return part
-
-
-@dataclass
-class PropertyReport:
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append((name, passed, detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
-
-    def failures(self) -> list[str]:
-        return [f"{name}: {detail}" for name, passed, detail in self.checks
-                if not passed]
-
-
-def check_direction_propositions(p: QpProblem, part: Partition,
-                                 d: Direction) -> PropertyReport:
-    """Verify a direction against the homogeneous equations, the inner
-    product identity, and the nonsingular/singular case dichotomies."""
-    rep = PropertyReport()
-    n = p.n
-    l = d.freed
-    scale = max(1.0, p.kkt_scale(),
-                float(np.max(np.abs(d.dx))), float(np.max(np.abs(d.dz))),
-                float(np.max(np.abs(d.dy))) if d.dy.size else 0.0)
-    tol = 1e-8 * scale
-
-    res1 = p.H @ d.dx - p.A.T @ d.dy - d.dz
-    res2 = p.A @ d.dx + p.M @ d.dy
-    rep.add("stationarity_homogeneous",
-            float(np.max(np.abs(res1), initial=0.0)) <= tol,
-            f"residual {float(np.max(np.abs(res1), initial=0.0)):.3e}")
-    rep.add("equality_homogeneous",
-            float(np.max(np.abs(res2), initial=0.0)) <= tol,
-            f"residual {float(np.max(np.abs(res2), initial=0.0)):.3e}")
-    nb = [j for j in part.nonbasic if j != l]
-    rep.add("dx_nonbasic_zero",
-            all(d.dx[j] == 0.0 for j in nb), "")
-    rep.add("dz_basic_zero",
-            all(d.dz[i] == 0.0 for i in part.basic), "")
-
-    lhs = float(d.dx @ d.dz)
-    rhs = float(d.dx @ p.H @ d.dx + d.dy @ p.M @ d.dy)
-    rep.add("inner_product_identity", abs(lhs - rhs) <= tol,
-            f"dx'dz {lhs:.6e} vs curvature {rhs:.6e}")
-    rep.add("dxl_dzl_nonnegative", d.dx_l * d.dz_l >= -tol,
-            f"product {d.dx_l * d.dz_l:.3e}")
-
-    basic = list(part.basic)
-    kb = build_kb(p, basic)
-    kl_order = sorted(basic + [l])      # K_l's variables, ascending
-    kl = build_kb(p, kl_order)
-    kb_rank = np.linalg.matrix_rank(kb, tol=1e-9 * scale) if kb.size else 0
-    kl_rank = np.linalg.matrix_rank(kl, tol=1e-9 * scale)
-    kb_nonsing = kb_rank == kb.shape[0] if kb.size else True
-    kl_nonsing = kl_rank == kl.shape[0]
-
-    if abs(abs(d.dx_l) - 1.0) <= 1e-12:
-        # Base-type direction: dz_l > 0 iff K_l nonsingular.
-        dzl = d.dz_l * np.sign(d.dx_l)
-        if dzl > 0:
-            rep.add("case_kl_nonsingular", kl_nonsing,
-                    f"dz_l {dzl:.3e} > 0 but K_l rank {kl_rank}/{kl.shape[0]}")
-        else:
-            rep.add("case_kl_singular", not kl_nonsing,
-                    "dz_l = 0 but K_l nonsingular")
-            null = np.concatenate([d.dx[kl_order], np.zeros(p.m)])
-            resid = float(np.max(np.abs(kl @ null)))
-            rep.add("kl_null_vector", resid <= tol, f"residual {resid:.3e}")
-            rep.add("kl_null_dimension", kl_rank == kl.shape[0] - 1,
-                    f"rank {kl_rank} of {kl.shape[0]}")
-            rep.add("dy_zero_when_dzl_zero",
-                    float(np.max(np.abs(d.dy), initial=0.0)) <= tol, "")
-            dzn = [abs(d.dz[j]) for j in nb]
-            rep.add("dzn_zero_when_dzl_zero",
-                    max(dzn, default=0.0) <= tol, "")
-    elif abs(abs(d.dz_l) - 1.0) <= 1e-12:
-        # Intermediate-type direction: dx_l > 0 iff K_B nonsingular.
-        dxl = d.dx_l * np.sign(d.dz_l)
-        if dxl > 0:
-            rep.add("case_kb_nonsingular", kb_nonsing,
-                    f"dx_l {dxl:.3e} > 0 but K_B rank {kb_rank}/{kb.shape[0]}")
-        else:
-            rep.add("case_kb_singular", not kb_nonsing,
-                    "dx_l = 0 but K_B nonsingular")
-            dxb = [abs(d.dx[i]) for i in basic]
-            rep.add("dxb_zero_when_dxl_zero",
-                    max(dxb, default=0.0) <= tol, "")
-            if kb.size:
-                null = np.concatenate([np.zeros(len(basic)), d.dy])
-                resid = float(np.max(np.abs(kb @ null), initial=0.0))
-                rep.add("kb_null_vector", resid <= tol, f"residual {resid:.3e}")
-                rep.add("kb_null_dimension", kb_rank == kb.shape[0] - 1,
-                        f"rank {kb_rank} of {kb.shape[0]}")
-    return rep
-
-
-def check_objective_identity(p: QpProblem, s: Shifts, it: Iterate,
-                             d: Direction, alpha: float,
-                             rel_tol: float = 1e-9) -> PropertyReport:
-    """Compare the objective change along a step with the closed-form
-    prediction from the freed components."""
-    rep = PropertyReport()
-    l = d.freed
-    moved = Iterate(it.x + alpha * d.dx, it.y + alpha * d.dy,
-                    it.z + alpha * d.dz)
-    fp0 = primal_objective(p, s, it)
-    fp1 = primal_objective(p, s, moved)
-    fd0 = dual_objective(p, s, it)
-    fd1 = dual_objective(p, s, moved)
-    pred_p = d.dx_l * (it.z[l] + s.r[l]) * alpha \
-        + 0.5 * d.dx_l * d.dz_l * alpha ** 2
-    pred_d = -d.dz_l * (it.x[l] + s.q[l]) * alpha \
-        - 0.5 * d.dx_l * d.dz_l * alpha ** 2
-    tol_p = rel_tol * (1.0 + abs(fp0) + abs(pred_p))
-    tol_d = rel_tol * (1.0 + abs(fd0) + abs(pred_d))
-    rep.add("primal_objective_identity", abs((fp1 - fp0) - pred_p) <= tol_p,
-            f"actual {fp1 - fp0:.6e} predicted {pred_p:.6e}")
-    rep.add("dual_objective_identity", abs((fd1 - fd0) - pred_d) <= tol_d,
-            f"actual {fd1 - fd0:.6e} predicted {pred_d:.6e}")
-    return rep

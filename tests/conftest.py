@@ -6,6 +6,7 @@ import pytest
 
 from pdqp import (GeneralQp, ProblemError, QpProblem, Shifts, factor_kb,
                   standardize)
+from pdqp import oracle
 from pdqp.kkt import KktBasis
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
 
@@ -122,6 +123,31 @@ def random_instances(seed, count, **kw):
         if p is not None:
             out.append(p)
     return out
+
+
+@pytest.fixture(scope="session")
+def suite500_draw():
+    """``random_instances(20260810, 500)``, the ``suite500`` benchmark
+    workload's instances, drawn once per test session: (the problems as a
+    tuple, the (arguments, answer) of every ``oracle._in_cone`` call the
+    draw made to certify its infeasible instances)."""
+    calls = []
+    in_cone = oracle._in_cone
+
+    def record(*args):
+        calls.append((args, in_cone(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_in_cone", record)
+        problems = tuple(random_instances(20260810, 500))
+    return problems, calls
+
+
+@pytest.fixture(scope="session")
+def suite500(suite500_draw):
+    """The ``suite500`` instances as a tuple (see ``suite500_draw``)."""
+    return suite500_draw[0]
 
 
 def mixed_instances(seed, count):

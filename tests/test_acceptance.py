@@ -20,13 +20,13 @@ from pdqp import (GeneralQp, Partition, QpProblem, Shifts, SolveConfig,
                   solve_intermediate_primal, solve_pdqp, solve_standard,
                   standardize)
 from pdqp.kkt import KktBasis, KktFactorization
-from pdqp.oracle import (check_direction_propositions, partition_for_direction)
 from pdqp.cli import parse_problem, profile, run
 
-from conftest import held_basis, random_instances
+from conftest import held_basis
+from propositions import (check_direction_propositions, objective_change,
+                          partition_for_direction)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
-SUITE_SIZE = 500
 
 
 @dataclass
@@ -48,10 +48,10 @@ def _report(criterion, detail):
 
 
 @pytest.fixture(scope="module")
-def suite():
+def suite(suite500):
     t0 = time.perf_counter()
     runs = []
-    for p in random_instances(20260810, SUITE_SIZE):
+    for p in suite500:
         records = []
         sol = solve_standard(p, SolveConfig(trace=records.append,
                                             check_invariants=True))
@@ -104,22 +104,17 @@ def test_criterion_3_monotone_objective_identity(suite):
             if not np.isfinite(rec.alpha):
                 continue
             checked += 1
-            if rec.method == "primal":
-                pred = rec.dx_l * rec.violation * rec.alpha \
-                    + 0.5 * rec.dx_l * rec.dz_l * rec.alpha ** 2
-                actual = rec.f_primal - rec.f_primal_before
-                tol = 1e-9 * (1 + abs(rec.f_primal_before) + abs(pred))
-                assert abs(actual - pred) <= tol, (rec, pred, actual)
-                assert rec.f_primal <= rec.f_primal_before \
-                    + 1e-9 * (1 + abs(rec.f_primal_before))
+            primal = rec.method == "primal"
+            f0, f1 = ((rec.f_primal_before, rec.f_primal) if primal
+                      else (rec.f_dual_before, rec.f_dual))
+            pred, tol = objective_change(primal, rec.dx_l, rec.dz_l,
+                                         rec.violation, rec.alpha, f0)
+            actual = f1 - f0
+            assert abs(actual - pred) <= tol, (rec, pred, actual)
+            if primal:
+                assert f1 <= f0 + 1e-9 * (1 + abs(f0))
             else:
-                pred = -rec.dz_l * rec.violation * rec.alpha \
-                    - 0.5 * rec.dx_l * rec.dz_l * rec.alpha ** 2
-                actual = rec.f_dual - rec.f_dual_before
-                tol = 1e-9 * (1 + abs(rec.f_dual_before) + abs(pred))
-                assert abs(actual - pred) <= tol, (rec, pred, actual)
-                assert rec.f_dual >= rec.f_dual_before \
-                    - 1e-9 * (1 + abs(rec.f_dual_before))
+                assert f1 >= f0 - 1e-9 * (1 + abs(f0))
     _report(3, f"objective identities held on {checked} subiterations")
 
 

@@ -87,6 +87,49 @@ def test_asymmetric_dense_h_rejected(tmp_path):
         parse_problem(path)
 
 
+# One valid problem, then edits of it: (old, new) replaces a line's text.
+GOOD = ("QPT 1\ndims 2 1\nH dense\n1 0\n0 1\nA dense\n1 1\nc 0 0\n"
+        "lower 0 0 1\nupper inf inf 1\nend\n")
+
+
+@pytest.mark.parametrize("edit,line,message", [
+    (("c 0 0", "c 0 oops"), 8, "bad number 'oops'"),
+    (("c 0 0", "c 0 nan"), 8,
+     "non-finite value 'nan' outside a bounds line"),
+    (("end\n", "# no end\n"), 10,
+     "unexpected end of file, expected a directive or 'end'"),
+    (("1 0\n", "1\n"), 4, "expected 2 values, got 1"),
+    (("H dense\n1 0\n0 1", "H coord x"), 3, "bad entry count 'x'"),
+    (("H dense\n1 0\n0 1", "H coord 1\n1 1"), 4,
+     "expected 'i j value', got '1 1'"),
+    (("H dense\n1 0\n0 1", "H coord 1\n3 1 1.0"), 4,
+     "index (3, 1) out of range"),
+    (("H dense", "H sparse"), 3,
+     "expected 'dense' or 'coord <nnz>' after H"),
+    (("dims 2 1", "name a b\ndims 2 1"), 2, "name takes one token"),
+    (("dims 2 1", "dims 2"), 2, "dims takes two integers"),
+    (("dims 2 1", "dims 2 one"), 2, "dims takes two integers"),
+    (("dims 2 1", "dims 0 1"), 2, "bad dimensions n=0, m=1"),
+    (("dims 2 1\n", "c 0 0\ndims 2 1\n"), 2, "'dims' must precede 'c'"),
+    (("c 0 0", "c 0 0 0"), 8, "c takes 2 values, got 3"),
+    (("c 0 0", "cost 0 0"), 8, "unknown directive 'cost'"),
+    (("QPT 1\n", "QPT 1\nend\n"), 1, "missing 'dims' directive"),
+    (("upper inf inf 1\n", ""), 1, "missing 'lower' or 'upper' directive"),
+], ids=["bad_number", "nan_value", "no_end", "short_dense_row",
+        "bad_nnz", "short_triplet", "index_range", "block_kind",
+        "name_tokens", "dims_count", "dims_integer", "dims_range",
+        "dims_late", "vector_length", "unknown", "no_dims", "no_upper"])
+def test_malformed_file_names_path_line_and_message(tmp_path, edit, line,
+                                                     message):
+    old, new = edit
+    assert GOOD.count(old) == 1
+    path = tmp_path / "bad.qpt"
+    path.write_text(GOOD.replace(old, new))
+    with pytest.raises(QptParseError) as exc:
+        parse_problem(path)
+    assert str(exc.value) == f"{path}:{line}: {message}"
+
+
 @pytest.mark.parametrize("key,token", [("upper", "+inf"), ("lower", "nan"),
                                        ("upper", "Infinity")])
 def test_non_finite_bounds_token_names_the_allowed_ones(tmp_path, key,
@@ -401,7 +444,12 @@ def _main_error(argv, capsys):
     ("p1,optimal\np2 optimal\n",
      ":2: expected 'name,status', got 'p2 optimal'"),
     ("p1,\n", ":1: expected 'name,status', got 'p1,'"),
-], ids=["missing", "no_comma", "empty_status"])
+    # Kept by name, the second line would silently replace the first.
+    ("p1,dual_infeasible\n# again\np1 , optimal\n",
+     ":3: problem 'p1' appears twice"),
+    ("p1,optimal\np1,dual_infeasible\n", ":2: problem 'p1' appears twice"),
+], ids=["missing", "no_comma", "empty_status", "twice_wrong_first",
+        "twice_right_first"])
 def test_run_rejects_bad_expectations_before_solving(tmp_path, capsys, text,
                                                       message):
     expect = tmp_path / "expect.csv"

@@ -35,10 +35,10 @@ PIN = Path(__file__).resolve().parent / "data" / "discovery" / "partitions.csv"
 FIELDS = ("name", "basic")
 
 
-def _problems():
-    """(name, standard-form problem) of every pinned discovery."""
-    out = [(f"suite/{i:03d}", p)
-           for i, p in enumerate(random_instances(20260810, 500))]
+def _problems(suite500):
+    """(name, standard-form problem) of every pinned discovery, given the
+    ``random_instances(20260810, 500)`` draw."""
+    out = [(f"suite/{i:03d}", p) for i, p in enumerate(suite500)]
     out += [(f"mixed/{g.name}", standardize(g).problem)
             for g in mixed_instances(1, 120)]
     out += [(f"lowrank/{g.name}", standardize(g).problem)
@@ -47,19 +47,19 @@ def _problems():
     return out
 
 
-def _rows():
+def _rows(suite500):
     rows = []
-    for name, p in _problems():
+    for name, p in _problems(suite500):
         part = find_soc_basis(p, KktBasis(p), prefer=sorted(p.free))
         rows.append({"name": name,
                      "basic": " ".join(map(str, part.basic))})
     return rows
 
 
-def test_discovered_partitions_unchanged():
+def test_discovered_partitions_unchanged(suite500):
     with PIN.open(newline="") as fh:
         expected = list(csv.DictReader(fh))
-    got = _rows()
+    got = _rows(suite500)
     assert [r["name"] for r in got] == [r["name"] for r in expected]
     moved = [(e["name"], e["basic"], r["basic"])
              for e, r in zip(expected, got) if e != r]
@@ -86,4 +86,4 @@ def _write(path, rows):
 
 
 if __name__ == "__main__":
-    _write(PIN, _rows())
+    _write(PIN, _rows(random_instances(20260810, 500)))

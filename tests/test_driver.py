@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,20 @@ def test_wrong_side_infinite_bound_is_rejected(lower, upper, j):
                        match=f"wrong side at component {j}: "):
         GeneralQp(Hhat=np.eye(n), Ahat=a, c=np.ones(n), lower=lower,
                   upper=upper)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"Hhat": np.eye(3)}, "Hhat must be 2x2, got (3, 3)"),
+    ({"Ahat": np.ones((1, 3))}, "Ahat must be 1x2, got (1, 3)"),
+    ({"lower": np.zeros(2)}, "bounds must have length 3"),
+    ({"upper": np.array([np.inf, np.nan, 1.0])}, "bounds may not be NaN"),
+], ids=["Hhat", "Ahat", "bounds_length", "nan_bound"])
+def test_general_qp_rejects_misshapen_data(change, message):
+    data = dict(Hhat=np.eye(2), Ahat=np.array([[1.0, 1.0]]), c=np.zeros(2),
+                lower=np.array([0.0, 0.0, 1.0]),
+                upper=np.array([np.inf, np.inf, 1.0]))
+    with pytest.raises(ProblemError, match=f"^{re.escape(message)}$"):
+        GeneralQp(**{**data, **change})
 
 
 def test_init_shifts_p2_fixture(p2):
@@ -564,8 +579,19 @@ def test_dual_only_measures_dual_shifts_by_the_z_bound():
     assert sol.objective == pytest.approx(1000.5)
 
 
-def test_bland_mode_still_converges(monkeypatch):
+# Suite instances whose solves take zero-length steps: 18, 99 and 369 end
+# optimal, 115 dual infeasible and 318 primal infeasible (4 zero steps).
+ZERO_STEP_SUITE = (18, 99, 115, 318, 369)
+
+
+def test_bland_mode_still_converges(monkeypatch, suite500):
     # Force the least-index selection rule from the first zero step.
+    default, default_paths = {}, {}
+    for i in ZERO_STEP_SUITE:
+        records = []
+        default[i] = solve_standard(suite500[i],
+                                    SolveConfig(trace=records.append))
+        default_paths[i] = [(r.kind, r.l, r.k) for r in records]
     monkeypatch.setattr(steps, "BLAND_AFTER", 1)
     p = QpProblem(H=np.eye(3), M=np.zeros((1, 1)),
                   A=np.array([[1.0, 1.0, 1.0]]), b=np.array([0.0]),
@@ -573,6 +599,19 @@ def test_bland_mode_still_converges(monkeypatch):
     sol = solve_standard(p, SolveConfig(check_invariants=True))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.0)
+    moved = 0
+    for i in ZERO_STEP_SUITE:
+        records = []
+        sol = solve_standard(suite500[i], SolveConfig(trace=records.append,
+                                                      check_invariants=True))
+        # A zero-length step puts the solve in Bland mode.
+        assert any(r.alpha == 0.0 for r in records), i
+        assert sol.status == default[i].status, i
+        if sol.status == "optimal":
+            assert sol.objective == pytest.approx(default[i].objective,
+                                                  rel=1e-9), i
+        moved += [(r.kind, r.l, r.k) for r in records] != default_paths[i]
+    assert moved > 0                  # the least-index rule chose otherwise
 
 
 def test_degenerate_lowrank_instance_s12002_solves():

@@ -432,9 +432,9 @@ def test_bunch_kaufman_logabsdet_matches_slogdet():
     assert two_by_two > 20
 
 
-def _discovery_problems():
+def _discovery_problems(suite500):
     std = [standardize(g).problem for g in mixed_instances(1, 120)]
-    return random_instances(20260810, 500) + std
+    return list(suite500) + std
 
 
 def _holds(basis, order):
@@ -444,12 +444,12 @@ def _holds(basis, order):
             and basis._key == np.asarray(order, dtype=np.intp).tobytes())
 
 
-def test_discovered_basis_is_certified_and_maximal():
+def test_discovered_basis_is_certified_and_maximal(suite500):
     # K_B of the discovered basis passes the acceptance rule, and adding
     # any non-fixed column discovery left out makes the acceptance rule
     # reject it.
     revealed = 0
-    for p in _discovery_problems():
+    for p in _discovery_problems(suite500):
         basis = KktBasis(p)
         part = find_soc_basis(p, basis, prefer=sorted(p.free))
         assert factor_kb(p, part.basic) is not None
@@ -466,7 +466,8 @@ def _lowrank_problems():
             for rank in (0, 2, 4, 6, 8) for k in range(4)]
 
 
-def test_discovery_gives_the_partition_of_the_full_matrix_first_rule():
+def test_discovery_gives_the_partition_of_the_full_matrix_first_rule(
+        suite500):
     # find_soc_basis factors the full KKT matrix first only where the
     # non-fixed columns exceed rank(H) by at most m; elsewhere that matrix
     # is singular.  The rule it replaced always did, and
@@ -474,7 +475,7 @@ def test_discovery_gives_the_partition_of_the_full_matrix_first_rule():
     # partitions must agree, and the basis must hold the full matrix's
     # factorization once the start K_B is factored exactly where the
     # acceptance rule takes it.
-    problems = (_discovery_problems() + _lowrank_problems()
+    problems = (_discovery_problems(suite500) + _lowrank_problems()
                 + list({id(p): p for _, p, _ in free_start_cases(7, 100)}
                        .values()))
     tried = 0
@@ -561,11 +562,11 @@ def _two_pass_basis(p, cand, first, tol):
                                    nonpiv[~lead][c2]]))
 
 
-def test_revealed_basis_matches_two_pass_formula():
+def test_revealed_basis_matches_two_pass_formula(suite500):
     # Skipping the empty first pass, and calling LAPACK directly, must
     # leave the revealed basis exactly as the two-pass formula gives it,
     # with no preferred column (the suite) and with some (free starts).
-    problems = (random_instances(20260810, 500)
+    problems = (list(suite500)
                 + list({id(p): p for _, p, _ in free_start_cases(7, 100)}
                        .values()))
     preferring = 0

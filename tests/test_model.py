@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -123,6 +124,20 @@ def test_rejects_non_finite_data(name, bad):
     data[name].flat[0] = bad
     with pytest.raises(ProblemError, match=f"^{name} has non-finite entries"):
         QpProblem(**data)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"H": np.eye(3)}, "H must be 2x2, got (3, 3)"),
+    ({"M": np.zeros((2, 2))}, "M must be 1x1, got (2, 2)"),
+    ({"A": np.ones((1, 3))}, "A must be 1x2, got (1, 3)"),
+    ({"free": frozenset({2})}, "free/fixed indices out of range: [2]"),
+    ({"fixed": frozenset({-1, 0})}, "free/fixed indices out of range: [-1]"),
+], ids=["H", "M", "A", "free", "fixed"])
+def test_rejects_misshapen_data(change, message):
+    data = dict(H=np.eye(2), M=np.zeros((1, 1)), A=np.array([[1.0, 1.0]]),
+                b=np.zeros(1), c=np.zeros(2))
+    with pytest.raises(ProblemError, match=f"^{re.escape(message)}$"):
+        QpProblem(**{**data, **change})
 
 
 def test_rejects_asymmetric_hessian():

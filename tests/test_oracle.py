@@ -13,11 +13,12 @@ from pdqp import (Iterate, Partition, QpProblem, Shifts,
 from pdqp import oracle
 from pdqp.kkt import KktBasis
 from pdqp.oracle import (OracleBudgetError, _gauss_solve, _in_cone,
-                         check_direction_propositions,
-                         check_objective_identity, dual_set_nonempty,
-                         partition_for_direction, primal_set_nonempty)
+                         dual_set_nonempty, primal_set_nonempty)
 
 from conftest import held_basis, random_instances
+from propositions import (check_direction_propositions,
+                          check_objective_identity, objective_change,
+                          partition_for_direction)
 
 
 def test_enumerate_p1(p1):
@@ -162,17 +163,11 @@ def test_in_cone_matches_subset_enumeration_on_random_cones():
     assert min(verdicts.values()) >= 100, verdicts
 
 
-def test_in_cone_matches_subset_enumeration_on_generator_calls(monkeypatch):
+def test_in_cone_matches_subset_enumeration_on_generator_calls(
+        suite500_draw):
     # Every cone test that random_instances makes to certify its
     # infeasible draws, the suite500 workload's instance set.
-    calls = []
-
-    def record(*args):
-        calls.append((args, _in_cone(*args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(oracle, "_in_cone", record)
-    random_instances(20260810, 500)
+    _, calls = suite500_draw
     assert len(calls) > 1000
     for args, got in calls:
         assert got == _in_cone_by_subsets(*args)
@@ -274,7 +269,7 @@ def test_objective_identity_hand_case(p1):
     d = solve_base_primal(p1, part, held_basis(p1, [1]), 0)
     rep = check_objective_identity(p1, Shifts.zero(2), it, d, 0.5)
     assert rep.ok, rep.failures()
-    pred = d.dx_l * (it.z[0]) * 0.5 + 0.5 * d.dx_l * d.dz_l * 0.25
+    pred, _ = objective_change(True, d.dx_l, d.dz_l, it.z[0], 0.5, 0.5)
     assert pred == pytest.approx(-0.25)
 
 
