@@ -12,19 +12,27 @@ Problem file grammar (version header "QPT 1"):
     upper <n+m values>
     end
 
+Each directive appears at most once, and dims before any data.  The
+name token may not hold "/" or "\\", since it names the output files.
 A dense block is followed by its rows, one line each (n rows for H, m
 rows for A).  A coord block is followed by nnz lines "i j value" with
 1-based indices; H triplets may name either triangle and are mirrored,
 but the same cell given twice with different values is rejected.  Blank
 lines and "#" comments are ignored everywhere.
 
-Run logs are CSV with the fixed column schema
+Run logs are CSV (quoted as ``csv.writer`` quotes) with the fixed column
+schema
 ``name,n,m,status,objective,strategy,stage1_iters,stage2_iters,subiters,millis``.
+An expectations file (``--expect``) holds ``name,status`` CSV lines, each
+status one of ``RUN_STATUSES``: the three terminal ones, iteration_limit
+and error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import itertools
 import math
 import sys
@@ -37,11 +45,13 @@ import numpy as np
 from .driver import (STRATEGIES, GeneralQp, PdqpSolution, SolveConfig,
                      solve_pdqp)
 from .model import inf_norm
-from .steps import DUAL_INFEASIBLE, OPTIMAL, PRIMAL_INFEASIBLE, TraceRecord
+from .steps import (DUAL_INFEASIBLE, ITERATION_LIMIT, OPTIMAL,
+                    PRIMAL_INFEASIBLE, TraceRecord)
 
 RUNLOG_COLUMNS = ("name", "n", "m", "status", "objective", "strategy",
                   "stage1_iters", "stage2_iters", "subiters", "millis")
 TERMINAL_STATUSES = {OPTIMAL, PRIMAL_INFEASIBLE, DUAL_INFEASIBLE}
+RUN_STATUSES = TERMINAL_STATUSES | {ITERATION_LIMIT, "error"}
 
 
 class InputError(ValueError):
@@ -93,7 +103,7 @@ class _Lines:
 
     def next(self, what: str) -> tuple[int, str]:
         if self.pos >= len(self.rows):
-            last = self.rows[-1][0] if self.rows else 0
+            last = self.rows[-1][0] if self.rows else None
             raise QptParseError(self.path, last, f"unexpected end of file, "
                                                  f"expected {what}")
         row = self.rows[self.pos]
@@ -101,9 +111,10 @@ class _Lines:
         return row
 
 
-def _parse_matrix(lines: _Lines, tokens, nrows, ncols, symmetric, path, no):
+def _parse_matrix(lines: _Lines, key, args, nrows, ncols, path, no):
+    symmetric = key == "H"
     mat = np.zeros((nrows, ncols))
-    if len(tokens) == 2 and tokens[1] == "dense":
+    if args == ["dense"]:
         for i in range(nrows):
             rno, row = lines.next(f"row {i + 1} of a dense block")
             vals = row.split()
@@ -116,12 +127,13 @@ def _parse_matrix(lines: _Lines, tokens, nrows, ncols, symmetric, path, no):
             if inf_norm(mat - mat.T) > 1e-12 * scale:
                 raise QptParseError(path, no, "dense H block is not symmetric")
         return mat
-    if len(tokens) == 3 and tokens[1] == "coord":
+    if len(args) == 2 and args[0] == "coord":
         try:
-            nnz = int(tokens[2])
+            nnz = int(args[1])
         except ValueError:
-            raise QptParseError(path, no, f"bad entry count {tokens[2]!r}") \
-                from None
+            nnz = -1
+        if nnz < 0:
+            raise QptParseError(path, no, f"bad entry count {args[1]!r}")
         seen: dict[tuple[int, int], float] = {}
         for _ in range(nnz):
             rno, row = lines.next("a coordinate triplet")
@@ -138,18 +150,18 @@ def _parse_matrix(lines: _Lines, tokens, nrows, ncols, symmetric, path, no):
                 raise QptParseError(path, rno,
                                     f"index ({i + 1}, {j + 1}) out of range")
             v = _parse_value(vals[2], path, rno)
-            key = (min(i, j), max(i, j)) if symmetric else (i, j)
-            if key in seen and seen[key] != v:
+            cell = (min(i, j), max(i, j)) if symmetric else (i, j)
+            if cell in seen and seen[cell] != v:
                 raise QptParseError(path, rno,
                                     f"conflicting duplicate entry at "
                                     f"({i + 1}, {j + 1})")
-            seen[key] = v
+            seen[cell] = v
             mat[i, j] = v
             if symmetric:
                 mat[j, i] = v
         return mat
     raise QptParseError(path, no, f"expected 'dense' or 'coord <nnz>' after "
-                                  f"{tokens[0]}")
+                                  f"{key}")
 
 
 def parse_problem(path) -> GeneralQp:
@@ -159,65 +171,57 @@ def parse_problem(path) -> GeneralQp:
     no, header = lines.next("the 'QPT 1' header")
     if header.split() != ["QPT", "1"]:
         raise QptParseError(path, no, f"bad header {header!r}, expected 'QPT 1'")
-    name = path.stem
-    n = m = None
-    H = A = c = lower = upper = None
+    got: dict[str, object] = {}     # directive -> its parsed value
+    first: dict[str, int] = {}      # directive -> its line
     while True:
         no, line = lines.next("a directive or 'end'")
-        tokens = line.split()
-        key = tokens[0]
+        key, *args = line.split()
         if key == "end":
             break
+        if key in first:
+            raise QptParseError(path, no, f"repeated {key!r} directive, "
+                                          f"first given at line {first[key]}")
+        first[key] = no
         if key == "name":
-            if len(tokens) != 2:
+            if len(args) != 1:
                 raise QptParseError(path, no, "name takes one token")
-            name = tokens[1]
-            continue
-        if key == "dims":
-            if len(tokens) != 3:
-                raise QptParseError(path, no, "dims takes two integers")
+            if "/" in args[0] or "\\" in args[0]:
+                raise QptParseError(path, no, f"name {args[0]!r} holds a "
+                                              f"path separator")
+            got[key] = args[0]
+        elif key == "dims":
             try:
-                n, m = int(tokens[1]), int(tokens[2])
+                n, m = map(int, args)
             except ValueError:
                 raise QptParseError(path, no, "dims takes two integers") \
                     from None
             if n < 1 or m < 0:
                 raise QptParseError(path, no, f"bad dimensions n={n}, m={m}")
-            continue
-        if n is None:
+            got[key] = n, m
+        elif "dims" not in got:
             raise QptParseError(path, no, f"'dims' must precede {key!r}")
-        if key == "H":
-            H = _parse_matrix(lines, tokens, n, n, True, path, no)
-        elif key == "A":
-            A = _parse_matrix(lines, tokens, m, n, False, path, no)
+        elif key in ("H", "A"):
+            got[key] = _parse_matrix(lines, key, args, n if key == "H" else m,
+                                     n, path, no)
         elif key in ("c", "lower", "upper"):
             want = n if key == "c" else n + m
-            vals = tokens[1:]
-            if len(vals) != want:
+            if len(args) != want:
                 raise QptParseError(path, no,
-                                    f"{key} takes {want} values, got {len(vals)}")
-            vec = np.array([_parse_value(t, path, no,
-                                         allow_inf=(key != "c"))
-                            for t in vals])
-            if key == "c":
-                c = vec
-            elif key == "lower":
-                lower = vec
-            else:
-                upper = vec
+                                    f"{key} takes {want} values, got {len(args)}")
+            got[key] = np.array([_parse_value(t, path, no,
+                                              allow_inf=(key != "c"))
+                                 for t in args])
         else:
             raise QptParseError(path, no, f"unknown directive {key!r}")
-    if n is None:
+    if "dims" not in got:
         raise QptParseError(path, 1, "missing 'dims' directive")
-    if c is None:
-        c = np.zeros(n)
-    if H is None:
-        H = np.zeros((n, n))
-    if A is None:
-        A = np.zeros((m, n))
-    if lower is None or upper is None:
+    if "lower" not in got or "upper" not in got:
         raise QptParseError(path, 1, "missing 'lower' or 'upper' directive")
-    return GeneralQp(Hhat=H, Ahat=A, c=c, lower=lower, upper=upper, name=name)
+    n, m = got["dims"]
+    return GeneralQp(Hhat=got.get("H", np.zeros((n, n))),
+                     Ahat=got.get("A", np.zeros((m, n))),
+                     c=got.get("c", np.zeros(n)), lower=got["lower"],
+                     upper=got["upper"], name=got.get("name", path.stem))
 
 
 def _write_new(path, text: str) -> None:
@@ -273,12 +277,11 @@ class RunRow:
     subiters: int
     millis: float
 
-    def csv(self) -> str:
+    def fields(self) -> list[str]:
         obj = "" if self.objective is None else f"{self.objective:.12g}"
-        return ",".join([self.name, str(self.n), str(self.m), self.status,
-                         obj, self.strategy, str(self.stage1_iters),
-                         str(self.stage2_iters), str(self.subiters),
-                         f"{self.millis:.3f}"])
+        return [self.name, str(self.n), str(self.m), self.status, obj,
+                self.strategy, str(self.stage1_iters), str(self.stage2_iters),
+                str(self.subiters), f"{self.millis:.3f}"]
 
 
 def _solve_one(g: GeneralQp, config: SolveConfig, trace_to=None
@@ -318,20 +321,31 @@ def _write_solution(sol: PdqpSolution, path: Path) -> None:
     _write_new(path, "\n".join(lines) + "\n")
 
 
+def _csv_fields(line: str) -> list[str]:
+    """One CSV line's fields, quotes undone as ``csv.writer`` made them."""
+    return next(csv.reader([line]))
+
+
 def read_expectations(path) -> dict[str, str]:
-    """An expectations file's ``name,status`` lines as name -> status; a
-    name that appears twice raises ``InputError`` at its second line."""
+    """An expectations file's ``name,status`` CSV lines as name -> status;
+    a status that ``run`` never writes, or a name that appears twice,
+    raises ``InputError`` at its line."""
     out = {}
     for no, line in enumerate(_read_lines(path), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = [t.strip() for t in line.split(",")]
+        parts = [t.strip() for t in _csv_fields(line)]
         if len(parts) != 2 or not all(parts):
             raise InputError(path, no, f"expected 'name,status', got {line!r}")
-        if parts[0] in out:
-            raise InputError(path, no, f"problem {parts[0]!r} appears twice")
-        out[parts[0]] = parts[1]
+        name, status = parts
+        if status not in RUN_STATUSES:
+            known = ", ".join(sorted(RUN_STATUSES))
+            raise InputError(path, no, f"unknown status {status!r}, expected "
+                                       f"one of {known}")
+        if name in out:
+            raise InputError(path, no, f"problem {name!r} appears twice")
+        out[name] = status
     return out
 
 
@@ -382,8 +396,10 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
             (out / f"{row.name}.sol").unlink(missing_ok=True)
             (out / f"{row.name}.trace.csv").unlink(missing_ok=True)
         rows.append(row)
-    _write_new(out / "runlog.csv", "\n".join([",".join(RUNLOG_COLUMNS)]
-                                             + [r.csv() for r in rows]) + "\n")
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(
+        [RUNLOG_COLUMNS] + [r.fields() for r in rows])
+    _write_new(out / "runlog.csv", text.getvalue())
     code = 0
     for row in rows:
         if expected is not None:
@@ -397,14 +413,14 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
 def _numbered_runlog(path) -> list[tuple[int, dict]]:
     """``read_runlog``'s rows, each with its line number."""
     lines = _read_lines(path)
-    if not lines or tuple(lines[0].split(",")) != RUNLOG_COLUMNS:
+    if not lines or tuple(_csv_fields(lines[0])) != RUNLOG_COLUMNS:
         raise InputError(path, 1, "unexpected run-log columns")
     rows = []
     counts = ("n", "m", "stage1_iters", "stage2_iters", "subiters")
     for no, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
-        fields = line.split(",")
+        fields = _csv_fields(line)
         row = dict(zip(RUNLOG_COLUMNS, fields))
         if len(fields) != len(RUNLOG_COLUMNS) or not all(
                 row[k].isdecimal() for k in counts):

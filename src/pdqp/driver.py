@@ -320,7 +320,7 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
             raise ProblemError("fixed variables cannot be basic")
         part = Partition.from_basic(p.n, sorted(chosen))
     else:
-        part = find_soc_basis(p, basis, prefer=sorted(p.free))
+        part = find_soc_basis(p, basis)
     factor = basis.factor(part.basic)
     if factor is None:
         if config.initial_basis is not None:

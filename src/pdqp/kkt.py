@@ -146,8 +146,8 @@ only where a rank count leaves it a chance: the non-fixed columns exceed
 rank(H) (``QpProblem.h_rank``, found by the load-time PSD check) by at
 most m.  Otherwise that matrix is singular, and discovery reveals the
 basis by rank first, with LAPACK's ``dpstrf``, ``dgeqp3`` and ``dorgqr``
-called directly and a pass for the preferred columns only where some
-candidate column is preferred.
+called directly and a pass for the free columns only where some
+candidate column is free.
 """
 
 from __future__ import annotations
@@ -584,25 +584,23 @@ def _kkt_max(p: QpProblem, cols: np.ndarray) -> float:
                inf_norm(p.M))
 
 
-def find_soc_basis(p: QpProblem, basis: KktBasis,
-                   prefer: list[int] | None = None) -> Partition:
+def find_soc_basis(p: QpProblem, basis: KktBasis) -> Partition:
     """Find an initial second-order consistent basis.
 
     When the acceptance rule takes the full KKT matrix over the non-fixed
     columns, every one of them is basic and ``basis`` holds that
     factorization, K_B's.  Otherwise B = P + C is revealed by rank at
-    tol = PIVOT_TOL * max|K|, the ``prefer`` columns (typically the free
-    variables) first in each pass, so that few of them stay nonbasic:
+    tol = PIVOT_TOL * max|K|, the free columns first in each pass, so that
+    few of them stay nonbasic:
 
     * P holds the pivots that LAPACK's pivoted Cholesky (``dpstrf``;
       Hammarling, Higham and Lucas, 2007) keeps above tol, first from H
-      over the ``prefer`` columns, then from the Schur complement of the
-      others;
+      over the free columns, then from the Schur complement of the others;
     * C holds the leading pivots, with |r_ii| > tol, of column-pivoted QR
       (``dgeqp3``; Businger and Golub, 1965) of
       R = A_N - A_P H_PP^-1 H_PN over the remaining columns N, first over
-      the ``prefer`` columns of R, then over the others with the span of
-      those projected out.
+      the free columns of R, then over the others with the span of those
+      projected out.
 
     The full matrix over the k non-fixed columns is factored first,
     through ``basis.factor``, only where k - rank(H) <= m
@@ -631,7 +629,7 @@ def find_soc_basis(p: QpProblem, basis: KktBasis,
     if cand.size - p.h_rank <= p.m and basis.factor(cand) is not None:
         basic = cand
     else:
-        basic = _revealed_basis(p, cand, index_mask(p.n, prefer or ()),
+        basic = _revealed_basis(p, cand, p.free_mask,
                                 PIVOT_TOL * _kkt_max(p, cand))
     return Partition.from_basic(p.n, basic)
 

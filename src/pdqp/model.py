@@ -99,7 +99,7 @@ def pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return qr, piv - 1, tau
 
 
-def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> int:
+def _check_psd(s: np.ndarray, name: str) -> int:
     """Pivoted-Cholesky semidefiniteness test of an exactly symmetric s;
     returns the rank that the test found: the number of nonzero rows
     where ``dpotrf`` accepts, the number of ``dpstrf`` pivots above the
@@ -110,11 +110,11 @@ def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> int:
     factorization (``dpotrf``) that succeeds with a finite factor accepts
     first: a matrix definite on its nonzero part is semidefinite.
     Otherwise ``pivoted_cholesky`` eliminates the largest remaining
-    diagonal until it falls to the cutoff tol * max(1, max diagonal), and
-    a trailing Schur diagonal entry below -cutoff rejects the matrix.
-    That diagonal is the input's minus the row sums of L^2, since
-    ``dpstrf`` leaves the trailing block partly updated.  Without a pivot
-    above the cutoff the least eigenvalue decides instead, since the
+    diagonal until it falls to the cutoff PSD_PIVOT_TOL * max(1, max
+    diagonal), and a trailing Schur diagonal entry below -cutoff rejects
+    the matrix.  That diagonal is the input's minus the row sums of L^2,
+    since ``dpstrf`` leaves the trailing block partly updated.  Without a
+    pivot above the cutoff the least eigenvalue decides instead, since the
     diagonal cannot see an off-diagonal entry far above it.
     """
     live = np.flatnonzero((s != 0.0).any(axis=1))
@@ -124,7 +124,7 @@ def _check_psd(s: np.ndarray, name: str, tol: float = PSD_PIVOT_TOL) -> int:
                                  clean=0)
     if info == 0 and np.isfinite(factor).all():
         return live.size
-    cutoff = tol * max(1.0, float(s.diagonal().max()))
+    cutoff = PSD_PIVOT_TOL * max(1.0, float(s.diagonal().max()))
     factor, piv, rank = pivoted_cholesky(_live_block(s, live), cutoff)
     low = factor[rank:, :rank]
     rest = (s.diagonal()[live[piv[rank:]]] - (low * low).sum(axis=1) if rank
@@ -209,22 +209,26 @@ class QpProblem:
         M = _symmetrized(M, "M")
         h_rank = _check_psd(H, "H")
         _check_psd(M, "M")
-        _check_row_rank(np.hstack([A, M]), m)
-        if self.fixed:
-            live = [j for j in range(n) if j not in self.fixed]
-            try:
-                _check_row_rank(np.hstack([A[:, live], M]), m)
-            except ProblemError:
-                raise ProblemError(
-                    "[A M] loses full row rank once fixed variables are "
-                    "pinned; rows supported only by fixed variables must be "
-                    "dropped or resolved before constructing the problem"
-                ) from None
         bad = (self.free | self.fixed) - set(range(n))
         if bad:
             raise ProblemError(f"free/fixed indices out of range: {sorted(bad)}")
         if self.free & self.fixed:
             raise ProblemError("an index cannot be both free and fixed")
+        for name in ("free", "fixed"):
+            mask = index_mask(n, getattr(self, name))
+            mask.flags.writeable = False
+            object.__setattr__(self, f"{name}_mask", mask)
+        # Full row rank over the non-fixed columns implies it over all.
+        try:
+            _check_row_rank(np.hstack([A[:, ~self.fixed_mask], M]), m)
+        except ProblemError:
+            if not self.fixed:
+                raise
+            raise ProblemError(
+                "[A M] loses full row rank once fixed variables are "
+                "pinned; rows supported only by fixed variables must be "
+                "dropped or resolved before constructing the problem"
+            ) from None
         H.flags.writeable = False       # fresh copies from _symmetrized
         M.flags.writeable = False
         object.__setattr__(self, "H", H)
@@ -235,10 +239,6 @@ class QpProblem:
         object.__setattr__(self, "free", frozenset(self.free))
         object.__setattr__(self, "fixed", frozenset(self.fixed))
         object.__setattr__(self, "h_rank", h_rank)
-        for name in ("free", "fixed"):
-            mask = index_mask(n, getattr(self, name))
-            mask.flags.writeable = False
-            object.__setattr__(self, f"{name}_mask", mask)
 
     @property
     def n(self) -> int:

@@ -115,10 +115,30 @@ GOOD = ("QPT 1\ndims 2 1\nH dense\n1 0\n0 1\nA dense\n1 1\nc 0 0\n"
     (("c 0 0", "cost 0 0"), 8, "unknown directive 'cost'"),
     (("QPT 1\n", "QPT 1\nend\n"), 1, "missing 'dims' directive"),
     (("upper inf inf 1\n", ""), 1, "missing 'lower' or 'upper' directive"),
+    ((GOOD, ""), None,
+     "unexpected end of file, expected the 'QPT 1' header"),
+    ((GOOD, "# only a comment\n\n"), None,
+     "unexpected end of file, expected the 'QPT 1' header"),
+    (("H dense\n1 0\n0 1", "H coord -3"), 3, "bad entry count '-3'"),
+    (("c 0 0\n", "c -1 0\nc 1 0\n"), 9,
+     "repeated 'c' directive, first given at line 8"),
+    (("A dense", "H coord 0\nA dense"), 6,
+     "repeated 'H' directive, first given at line 3"),
+    (("dims 2 1", "name a\nname b\ndims 2 1"), 3,
+     "repeated 'name' directive, first given at line 2"),
+    (("c 0 0", "dims 3 1\nc 0 0"), 8,
+     "repeated 'dims' directive, first given at line 2"),
+    (("dims 2 1", "name ../victim\ndims 2 1"), 2,
+     "name '../victim' holds a path separator"),
+    (("dims 2 1", "name a\\b\ndims 2 1"), 2,
+     "name 'a\\\\b' holds a path separator"),
 ], ids=["bad_number", "nan_value", "no_end", "short_dense_row",
         "bad_nnz", "short_triplet", "index_range", "block_kind",
         "name_tokens", "dims_count", "dims_integer", "dims_range",
-        "dims_late", "vector_length", "unknown", "no_dims", "no_upper"])
+        "dims_late", "vector_length", "unknown", "no_dims", "no_upper",
+        "empty", "comment_only", "negative_nnz", "repeated_c", "repeated_h",
+        "repeated_name", "dims_after_block", "name_slash",
+        "name_backslash"])
 def test_malformed_file_names_path_line_and_message(tmp_path, edit, line,
                                                      message):
     old, new = edit
@@ -127,7 +147,8 @@ def test_malformed_file_names_path_line_and_message(tmp_path, edit, line,
     path.write_text(GOOD.replace(old, new))
     with pytest.raises(QptParseError) as exc:
         parse_problem(path)
-    assert str(exc.value) == f"{path}:{line}: {message}"
+    where = path if line is None else f"{path}:{line}"
+    assert str(exc.value) == f"{where}: {message}"
 
 
 @pytest.mark.parametrize("key,token", [("upper", "+inf"), ("lower", "nan"),
@@ -213,11 +234,11 @@ def test_run_records_error_status(tmp_path, capsys, monkeypatch):
     find_soc_basis = driver.find_soc_basis
     discoveries = []
 
-    def failing_once(p, basis, prefer=None):
+    def failing_once(p, basis):
         discoveries.append(p)
         if len(discoveries) == 1:
             raise KktInternalError("injected")
-        return find_soc_basis(p, basis, prefer=prefer)
+        return find_soc_basis(p, basis)
 
     monkeypatch.setattr(driver, "find_soc_basis", failing_once)
     bad = PROBLEMS / "klsingular.qpt"
@@ -361,6 +382,34 @@ def test_error_rows_of_a_taken_name_are_numbered(tmp_path):
                  str(tmp_path / "prof.txt")]) == 0
 
 
+def test_run_writes_nothing_outside_out(tmp_path):
+    # A name with a path separator would put the outputs (or, for an error
+    # row, the removal of earlier ones) outside --out; a comma in a name or
+    # file stem must survive the run log's round trip.
+    work = tmp_path / "work"
+    work.mkdir()
+    victim = work / "victim.sol"
+    victim.write_text("status optimal\n")
+    p1, p2 = ((PROBLEMS / f"{k}.qpt").read_text() for k in ("p1", "p2"))
+    files = {"victim.qpt": p2.replace("name p2", "name ../victim"),
+             "evil.qpt": p1.replace("name p1", "name ../evil"),
+             "comma.qpt": p1.replace("name p1", "name a,b"),
+             "c,d.qpt": p1.replace("name p1\n", "")}
+    paths = [work / f for f in files]
+    for path, text in zip(paths, files.values()):
+        path.write_text(text)
+    out = work / "out"
+    run(paths, out, strategy="primal-only")
+    assert victim.read_text() == "status optimal\n"
+    assert [p for p in tmp_path.rglob("*.sol")
+            if out not in p.parents] == [victim]
+    log = out / "runlog.csv"
+    assert [(r["name"], r["status"]) for r in read_runlog(log)] == [
+        ("victim", "error"), ("evil", "error"), ("a,b", "optimal"),
+        ("c,d", "optimal")]
+    profile(log, log, tmp_path / "prof.txt")
+
+
 def test_profile_worked_example(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -448,8 +497,11 @@ def _main_error(argv, capsys):
     ("p1,dual_infeasible\n# again\np1 , optimal\n",
      ":3: problem 'p1' appears twice"),
     ("p1,optimal\np1,dual_infeasible\n", ":2: problem 'p1' appears twice"),
+    ("p1,optimall\n", ":1: unknown status 'optimall', expected one of "
+                      "dual_infeasible, error, iteration_limit, optimal, "
+                      "primal_infeasible"),
 ], ids=["missing", "no_comma", "empty_status", "twice_wrong_first",
-        "twice_right_first"])
+        "twice_right_first", "unknown_status"])
 def test_run_rejects_bad_expectations_before_solving(tmp_path, capsys, text,
                                                       message):
     expect = tmp_path / "expect.csv"

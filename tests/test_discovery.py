@@ -50,7 +50,7 @@ def _problems(suite500):
 def _rows(suite500):
     rows = []
     for name, p in _problems(suite500):
-        part = find_soc_basis(p, KktBasis(p), prefer=sorted(p.free))
+        part = find_soc_basis(p, KktBasis(p))
         rows.append({"name": name,
                      "basic": " ".join(map(str, part.basic))})
     return rows

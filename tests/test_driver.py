@@ -134,7 +134,7 @@ def test_init_shifts_zero_when_already_optimal(p1):
 
 def test_init_shifts_optimal_on_random_instances():
     for p in random_instances(3, 30):
-        part = find_soc_basis(p, KktBasis(p), prefer=sorted(p.free))
+        part = find_soc_basis(p, KktBasis(p))
         shifts, it = init_shifts(p, part, factor_kb(p, part.basic))
         assert check_optimality(p, shifts, it).optimal
         assert np.all(shifts.q >= 0)
@@ -156,7 +156,7 @@ def _loop_shifts(p, part, it):
 
 
 def test_init_shifts_match_the_loop_bit_for_bit():
-    cases = [(p, find_soc_basis(p, KktBasis(p), prefer=sorted(p.free)))
+    cases = [(p, find_soc_basis(p, KktBasis(p)))
              for p in random_instances(3, 30)]
     cases += [(p, Partition.from_basic(p.n, basis))
               for _, p, basis in free_start_cases(7, 10)]
@@ -185,6 +185,25 @@ def test_solve_standard_p1_trivial(p1):
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(0.25)
     assert sol.iterations == 0 or sol.iterations <= 2
+
+
+def test_row_rank_is_tested_over_the_non_fixed_columns():
+    # A fixed column of 1e12 sets the pivoted-QR scale of [A M] over all
+    # columns, under which the second row falls below the rank cutoff; over
+    # the columns a basis can use the rows are independent.
+    p = QpProblem(H=np.eye(3), M=np.zeros((2, 2)),
+                  A=np.array([[1.0, 0.0, 1e12], [0.0, 1.0, 0.0]]),
+                  b=np.array([1.0, 2.0]), c=np.zeros(3),
+                  fixed=frozenset({2}))
+    sol = solve_standard(p, SolveConfig(check_invariants=True))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(2.5)
+    with pytest.raises(ProblemError, match="^\\[A M\\] loses full row rank "
+                                           "once fixed variables are pinned"):
+        QpProblem(H=np.eye(3), M=np.zeros((2, 2)),
+                  A=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]),
+                  b=np.array([1.0, 2.0]), c=np.zeros(3),
+                  fixed=frozenset({0}))
 
 
 def _recording_factor_kb(monkeypatch):
@@ -355,15 +374,14 @@ def test_solve_pdqp_free_variable_in_basis():
     assert_allclose(sol.x, [0.0, 1.0], atol=1e-10)
     # Discovery makes the free column basic: no temporary bound.
     p = standardize(g).problem
-    assert p.free <= set(find_soc_basis(p, KktBasis(p),
-                                        prefer=sorted(p.free)).basic)
+    assert p.free <= set(find_soc_basis(p, KktBasis(p)).basic)
 
 
 def test_temporary_bound_fixture_nonzero_dual():
     g = temp_bound_fixture()
     std = standardize(g)
     p = std.problem
-    assert 1 in find_soc_basis(p, KktBasis(p), prefer=sorted(p.free)).basic
+    assert 1 in find_soc_basis(p, KktBasis(p)).basic
     sol = solve_pdqp(g, SolveConfig(check_invariants=True,
                                     initial_basis=TEMP_BOUND_BASIS))
     # The free column 1 starts nonbasic, a temporary bound whose dual
@@ -397,7 +415,7 @@ def test_temporary_bound_decoupled_free_variable():
     assert sol.status == "optimal"
     # Discovery leaves the free column 1 nonbasic: a temporary bound.
     p = standardize(g).problem
-    part = find_soc_basis(p, KktBasis(p), prefer=sorted(p.free))
+    part = find_soc_basis(p, KktBasis(p))
     assert sorted(p.free & set(part.nonbasic)) == [1]
     assert sol.x[0] == pytest.approx(1.0)
 

@@ -451,7 +451,7 @@ def test_discovered_basis_is_certified_and_maximal(suite500):
     revealed = 0
     for p in _discovery_problems(suite500):
         basis = KktBasis(p)
-        part = find_soc_basis(p, basis, prefer=sorted(p.free))
+        part = find_soc_basis(p, basis)
         assert factor_kb(p, part.basic) is not None
         for j in set(part.nonbasic) - p.fixed:
             assert factor_kb(p, sorted(part.basic + [j])) is None
@@ -488,7 +488,7 @@ def test_discovery_gives_the_partition_of_the_full_matrix_first_rule(
             p, cand, index_mask(p.n, prefer),
             kkt.PIVOT_TOL * float(np.abs(k_full).max()))
         basis = KktBasis(p)
-        part = find_soc_basis(p, basis, prefer=prefer)
+        part = find_soc_basis(p, basis)
         assert part.basic == want.tolist()
         rank_test = cand.size - p.h_rank <= p.m
         assert _holds(basis, cand) == (accepted and rank_test)
