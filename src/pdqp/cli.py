@@ -20,12 +20,10 @@ rows for A).  A coord block is followed by nnz lines "i j value" with
 but the same cell given twice with different values is rejected.  Blank
 lines and "#" comments are ignored everywhere.
 
-Run logs are CSV (quoted as ``csv.writer`` quotes) with the fixed column
-schema
+Run logs are CSV, a name that holds a comma quoted, with the columns
 ``name,n,m,status,objective,strategy,stage1_iters,stage2_iters,subiters,millis``.
-An expectations file (``--expect``) holds ``name,status`` CSV lines, each
-status one of ``RUN_STATUSES``: the three terminal ones, iteration_limit
-and error.
+An expectations file (``--expect``) holds ``name,status`` CSV lines with
+statuses from ``RUN_STATUSES``, the ones that ``run`` writes.
 """
 
 from __future__ import annotations
@@ -77,10 +75,8 @@ def _read_lines(path) -> list[str]:
 
 
 def _parse_value(tok: str, path, line_no, allow_inf=False) -> float:
-    if allow_inf and tok == "inf":
-        return math.inf
-    if allow_inf and tok == "-inf":
-        return -math.inf
+    if allow_inf and tok in ("inf", "-inf"):
+        return float(tok)
     try:
         v = float(tok)
     except ValueError:
@@ -233,17 +229,8 @@ def _write_new(path, text: str) -> None:
     path.write_text(text)
 
 
-def _fmt(v: float) -> str:
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return repr(float(v))
-
-
 def emit_problem(g: GeneralQp, path) -> None:
     """Write a GeneralQp as a QPT file that parses back to identical data."""
-    path = Path(path)
     out = ["QPT 1", f"name {g.name}", f"dims {g.n} {g.m}"]
     for label, mat, symmetric in (("H", g.Hhat, True), ("A", g.Ahat, False)):
         nz = np.nonzero(mat)
@@ -252,14 +239,13 @@ def emit_problem(g: GeneralQp, path) -> None:
             nz = (nz[0][keep], nz[1][keep])
         if mat.size and len(nz[0]) and mat.shape[0] <= 20:
             out.append(f"{label} dense")
-            out.extend(" ".join(_fmt(v) for v in row) for row in mat)
+            out.extend(" ".join(map(repr, row)) for row in mat.tolist())
         elif len(nz[0]):
             out.append(f"{label} coord {len(nz[0])}")
-            out.extend(f"{i + 1} {j + 1} {_fmt(mat[i, j])}"
+            out.extend(f"{i + 1} {j + 1} {float(mat[i, j])!r}"
                        for i, j in zip(*nz))
-    out.append("c " + " ".join(_fmt(v) for v in g.c))
-    out.append("lower " + " ".join(_fmt(v) for v in g.lower))
-    out.append("upper " + " ".join(_fmt(v) for v in g.upper))
+    out += [f"{key} " + " ".join(map(repr, vec.tolist())) for key, vec
+            in (("c", g.c), ("lower", g.lower), ("upper", g.upper))]
     out.append("end")
     _write_new(path, "\n".join(out) + "\n")
 
@@ -321,11 +307,6 @@ def _write_solution(sol: PdqpSolution, path: Path) -> None:
     _write_new(path, "\n".join(lines) + "\n")
 
 
-def _csv_fields(line: str) -> list[str]:
-    """One CSV line's fields, quotes undone as ``csv.writer`` made them."""
-    return next(csv.reader([line]))
-
-
 def read_expectations(path) -> dict[str, str]:
     """An expectations file's ``name,status`` CSV lines as name -> status;
     a status that ``run`` never writes, or a name that appears twice,
@@ -335,7 +316,7 @@ def read_expectations(path) -> dict[str, str]:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = [t.strip() for t in _csv_fields(line)]
+        parts = [t.strip() for t in next(csv.reader([line]))]
         if len(parts) != 2 or not all(parts):
             raise InputError(path, no, f"expected 'name,status', got {line!r}")
         name, status = parts
@@ -413,14 +394,14 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
 def _numbered_runlog(path) -> list[tuple[int, dict]]:
     """``read_runlog``'s rows, each with its line number."""
     lines = _read_lines(path)
-    if not lines or tuple(_csv_fields(lines[0])) != RUNLOG_COLUMNS:
+    if not lines or tuple(next(csv.reader(lines[:1]))) != RUNLOG_COLUMNS:
         raise InputError(path, 1, "unexpected run-log columns")
     rows = []
     counts = ("n", "m", "stage1_iters", "stage2_iters", "subiters")
     for no, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
-        fields = _csv_fields(line)
+        fields = next(csv.reader([line]))
         row = dict(zip(RUNLOG_COLUMNS, fields))
         if len(fields) != len(RUNLOG_COLUMNS) or not all(
                 row[k].isdecimal() for k in counts):
