@@ -88,8 +88,6 @@ class TraceRecord:
     f_primal: float
     f_dual_before: float
     f_dual: float
-    stationarity: float
-    equality: float
     direction: Direction | None = None
 
 
@@ -210,7 +208,6 @@ def make_trace_record(method: str, iteration: int, subiteration: int,
                       kind: str, l: int, step: StepResult, d: Direction,
                       violation: float, p: QpProblem, eff: Shifts,
                       it_before: Iterate, it_after: Iterate) -> TraceRecord:
-    stat, eq = residuals(p, it_after)
     return TraceRecord(
         method=method, iteration=iteration, subiteration=subiteration,
         kind=kind, l=l, k=step.blocking,
@@ -219,9 +216,7 @@ def make_trace_record(method: str, iteration: int, subiteration: int,
         f_primal_before=primal_objective(p, eff, it_before),
         f_primal=primal_objective(p, eff, it_after),
         f_dual_before=dual_objective(p, eff, it_before),
-        f_dual=dual_objective(p, eff, it_after),
-        stationarity=inf_norm(stat), equality=inf_norm(eq),
-        direction=d,
+        f_dual=dual_objective(p, eff, it_after), direction=d,
     )
 
 
