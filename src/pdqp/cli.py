@@ -20,10 +20,12 @@ rows for A).  A coord block is followed by nnz lines "i j value" with
 but the same cell given twice with different values is rejected.  Blank
 lines and "#" comments are ignored everywhere.
 
-Run logs are CSV, a name that holds a comma quoted, with the columns
-``name,n,m,status,objective,strategy,stage1_iters,stage2_iters,subiters,millis``.
-An expectations file (``--expect``) holds ``name,status`` CSV lines with
-statuses from ``RUN_STATUSES``, the ones that ``run`` writes.
+Run logs are CSV records with the columns
+``name,n,m,status,objective,strategy,stage1_iters,stage2_iters,subiters,millis``,
+quoted as ``csv.writer`` quotes them, so a name may span lines.  An
+expectations file (``--expect``) holds ``name,status`` CSV records with
+statuses from ``RUN_STATUSES``, the ones that ``run`` writes; a line whose
+first non-blank character is "#" is a comment, and a "#" elsewhere is data.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 
 from .driver import (STRATEGIES, GeneralQp, PdqpSolution, SolveConfig,
                      solve_pdqp)
-from .model import inf_norm
+from .model import DEFAULT_TOL, inf_norm
 from .steps import (DUAL_INFEASIBLE, ITERATION_LIMIT, OPTIMAL,
                     PRIMAL_INFEASIBLE, TraceRecord)
 
@@ -66,12 +68,35 @@ class QptParseError(InputError):
     """A malformed problem file."""
 
 
-def _read_lines(path) -> list[str]:
+def _read_text(path) -> str:
+    """The text of ``path`` with its line ends as they are."""
     try:
-        return Path(path).read_text().splitlines()
+        with open(path, newline="") as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise InputError(path, None, f"cannot read: {reason}") from None
+
+
+def _csv_records(path, comments: bool = False):
+    """Each CSV record of ``path`` as (its first line's number, fields).
+    Blank lines between records are skipped, and so, under ``comments``,
+    are lines whose first non-blank character is "#"."""
+    numbered = enumerate(io.StringIO(_read_text(path), newline=""), 1)
+    start = None
+
+    def lines():                    # the reader asks for one record's lines
+        nonlocal start
+        for no, line in numbered:
+            if start is None:
+                if not line.strip() or comments and line.lstrip()[0] == "#":
+                    continue
+                start = no
+            yield line
+
+    for fields in csv.reader(lines()):
+        yield start, fields
+        start = None
 
 
 def _parse_value(tok: str, path, line_no, allow_inf=False) -> float:
@@ -93,7 +118,7 @@ class _Lines:
     def __init__(self, path: Path):
         self.path = path
         self.rows = [(i + 1, line.split("#", 1)[0].strip())
-                     for i, line in enumerate(_read_lines(path))]
+                     for i, line in enumerate(_read_text(path).splitlines())]
         self.rows = [(no, line) for no, line in self.rows if line]
         self.pos = 0
 
@@ -308,17 +333,16 @@ def _write_solution(sol: PdqpSolution, path: Path) -> None:
 
 
 def read_expectations(path) -> dict[str, str]:
-    """An expectations file's ``name,status`` CSV lines as name -> status;
-    a status that ``run`` never writes, or a name that appears twice,
-    raises ``InputError`` at its line."""
+    """An expectations file's ``name,status`` CSV records as name -> status,
+    each field stripped of surrounding blanks; a status that ``run`` never
+    writes, or a name that appears twice, raises ``InputError`` at its
+    record."""
     out = {}
-    for no, line in enumerate(_read_lines(path), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [t.strip() for t in next(csv.reader([line]))]
+    for no, fields in _csv_records(path, comments=True):
+        parts = [t.strip() for t in fields]
         if len(parts) != 2 or not all(parts):
-            raise InputError(path, no, f"expected 'name,status', got {line!r}")
+            raise InputError(path, no, f"expected 'name,status', got "
+                                       f"{','.join(fields).strip()!r}")
         name, status = parts
         if status not in RUN_STATUSES:
             known = ", ".join(sorted(RUN_STATUSES))
@@ -330,8 +354,9 @@ def read_expectations(path) -> dict[str, str]:
     return out
 
 
-def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
-        max_iter=0, trace=False, expect=None) -> tuple[list[RunRow], int]:
+def run(paths, out_dir, *, strategy="auto", opt_tol=DEFAULT_TOL,
+        fea_tol=DEFAULT_TOL, max_iter=0, trace=False,
+        expect=None) -> tuple[list[RunRow], int]:
     """Solve each problem file, write the run log and solution files, and
     return the rows plus the process exit code.  A bad ``expect`` file
     raises ``InputError`` before any solve.  A problem's outputs are named
@@ -381,51 +406,32 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=1e-6, fea_tol=1e-6,
     csv.writer(text, lineterminator="\n").writerows(
         [RUNLOG_COLUMNS] + [r.fields() for r in rows])
     _write_new(out / "runlog.csv", text.getvalue())
-    code = 0
-    for row in rows:
-        if expected is not None:
-            if expected.get(row.name) != row.status:
-                code = 1
-        elif row.status not in TERMINAL_STATUSES:
-            code = 1
-    return rows, code
-
-
-def _numbered_runlog(path) -> list[tuple[int, dict]]:
-    """``read_runlog``'s rows, each with its line number."""
-    lines = _read_lines(path)
-    if not lines or tuple(next(csv.reader(lines[:1]))) != RUNLOG_COLUMNS:
-        raise InputError(path, 1, "unexpected run-log columns")
-    rows = []
-    counts = ("n", "m", "stage1_iters", "stage2_iters", "subiters")
-    for no, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        fields = next(csv.reader([line]))
-        row = dict(zip(RUNLOG_COLUMNS, fields))
-        if len(fields) != len(RUNLOG_COLUMNS) or not all(
-                row[k].isdecimal() for k in counts):
-            raise InputError(path, no, f"malformed run-log row {line!r}")
-        rows.append((no, row))
-    return rows
+    if expected is None:
+        ok = all(row.status in TERMINAL_STATUSES for row in rows)
+    else:
+        ok = all(expected.get(row.name.strip()) == row.status for row in rows)
+    return rows, 0 if ok else 1
 
 
 def read_runlog(path) -> list[dict]:
     """A run log's rows as column -> text, with its header, the field count
-    of each row and the count columns checked."""
-    return [row for _, row in _numbered_runlog(path)]
-
-
-def _runlog_by_name(path) -> dict[str, dict]:
-    """A run log's rows keyed by problem name; a name that appears twice
-    raises ``InputError`` at its second row."""
-    rows: dict[str, dict] = {}
-    for no, row in _numbered_runlog(path):
+    of each row, the count columns and the uniqueness of names checked."""
+    records = _csv_records(path)
+    if next(records, None) != (1, list(RUNLOG_COLUMNS)):
+        raise InputError(path, 1, "unexpected run-log columns")
+    rows = {}
+    counts = ("n", "m", "stage1_iters", "stage2_iters", "subiters")
+    for no, fields in records:
+        row = dict(zip(RUNLOG_COLUMNS, fields))
+        if len(fields) != len(RUNLOG_COLUMNS) or not all(
+                row[k].isdecimal() for k in counts):
+            raise InputError(path, no, f"malformed run-log row "
+                                       f"{','.join(fields)!r}")
         if row["name"] in rows:
             raise InputError(path, no,
                              f"problem {row['name']!r} appears twice")
         rows[row["name"]] = row
-    return rows
+    return list(rows.values())
 
 
 def _iteration_metric(row: dict) -> tuple[bool, int]:
@@ -443,8 +449,8 @@ def profile(log_a, log_b, out_path) -> dict:
     problem's factor is marked instead of numeric.  Each log must name
     each problem once.
     """
-    rows_a = _runlog_by_name(log_a)
-    rows_b = _runlog_by_name(log_b)
+    rows_a, rows_b = ({row["name"]: row for row in read_runlog(log)}
+                      for log in (log_a, log_b))
     if set(rows_a) != set(rows_b):
         raise InputError(log_b, None, f"run logs cover different problem "
                                       f"sets (compared with {log_a})")
@@ -499,8 +505,8 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="solve problem files")
     runp.add_argument("paths", nargs="+")
     runp.add_argument("--strategy", default="auto", choices=STRATEGIES)
-    runp.add_argument("--opt-tol", type=float, default=1e-6)
-    runp.add_argument("--fea-tol", type=float, default=1e-6)
+    runp.add_argument("--opt-tol", type=float, default=DEFAULT_TOL)
+    runp.add_argument("--fea-tol", type=float, default=DEFAULT_TOL)
     runp.add_argument("--max-iter", type=int, default=0)
     runp.add_argument("--trace", action="store_true")
     runp.add_argument("--out", default="pdqp-out")

@@ -313,44 +313,48 @@ class Shifts:
 class Partition:
     """Index sets driving the active-set state machine.
 
-    The boolean masks ``basic_mask`` and ``nonbasic_mask`` are the state:
-    they partition {0..n-1} except for at most one ``freed`` index, which
-    belongs to neither while a direction is being followed.  ``basic`` and
-    ``nonbasic`` list their members in ascending order.  The methods below
-    set mask entries in place, and ``steps.run_active_set`` relies on
-    that: the live set's mask it reads once follows every later move.
-    An index that a method does not find where it expects one raises
-    ``InvariantError``, and so does an index listed twice in one set.
+    Each index of {0..n-1} is basic or nonbasic, except for at most one
+    ``freed`` index, which belongs to neither while a direction is being
+    followed.  The boolean mask ``basic_mask`` and ``freed`` are the whole
+    state: ``nonbasic_mask`` is derived from them, a new array at each
+    read.  ``basic`` and ``nonbasic`` list their members in ascending
+    order.  A constructor argument that lists an index twice, leaves a gap
+    or holds a negative index raises ``InvariantError``, and so does an
+    index that a method does not find where it expects one.
     """
 
     def __init__(self, basic, nonbasic, freed: int | None = None):
         basic = [int(i) for i in basic]
-        nonbasic = [int(i) for i in nonbasic]
-        every = basic + nonbasic + ([] if freed is None else [freed])
+        every = basic + [int(i) for i in nonbasic] + (
+            [] if freed is None else [freed])
         if min(every, default=0) < 0:
             raise InvariantError(f"negative index in partition: {min(every)}")
-        size = 1 + max(every, default=-1)
-        self.basic_mask = index_mask(size, basic)
-        self.nonbasic_mask = index_mask(size, nonbasic)
+        if len(set(every)) != len(every):
+            raise InvariantError("an index appears twice in partition")
+        if len(every) != 1 + max(every, default=-1):
+            raise InvariantError("partition does not cover 0..n-1")
+        self.basic_mask = index_mask(len(every), basic)
         self.freed = freed
-        if (np.count_nonzero(self.basic_mask) != len(basic)
-                or np.count_nonzero(self.nonbasic_mask) != len(nonbasic)):
-            raise InvariantError("an index appears twice in one set")
 
     @classmethod
-    def _from_masks(cls, basic_mask: np.ndarray, nonbasic_mask: np.ndarray,
-                    freed: int | None = None) -> "Partition":
+    def _from_mask(cls, basic_mask: np.ndarray,
+                   freed: int | None = None) -> "Partition":
         out = cls.__new__(cls)
-        out.basic_mask, out.nonbasic_mask = basic_mask, nonbasic_mask
-        out.freed = freed
+        out.basic_mask, out.freed = basic_mask, freed
         return out
 
     @classmethod
     def from_basic(cls, n: int, basic) -> "Partition":
         """{0..n-1} with ``basic``, distinct indices in that range, basic
         and every other index nonbasic."""
-        mask = index_mask(n, basic)
-        return cls._from_masks(mask, ~mask)
+        return cls._from_mask(index_mask(n, basic))
+
+    @property
+    def nonbasic_mask(self) -> np.ndarray:
+        mask = ~self.basic_mask
+        if self.freed is not None:
+            mask[self.freed] = False
+        return mask
 
     @property
     def basic(self) -> list[int]:
@@ -364,51 +368,36 @@ class Partition:
         return (f"Partition(basic={self.basic}, nonbasic={self.nonbasic}, "
                 f"freed={self.freed})")
 
-    def _mask(self, name: str) -> np.ndarray:
-        return {"basic": self.basic_mask, "nonbasic": self.nonbasic_mask}[name]
-
     def validate(self, n: int) -> None:
-        basic, nonbasic, freed = (self.basic_mask, self.nonbasic_mask,
-                                  self.freed)
-        both = basic & nonbasic
-        if both.any():
-            raise InvariantError(f"index {int(both.argmax())} appears twice "
-                                 f"in partition")
-        if freed is not None and (basic[freed] or nonbasic[freed]):
-            raise InvariantError(f"index {freed} appears twice in partition")
-        if basic.size != n or np.count_nonzero(basic | nonbasic) + (
-                freed is not None) != n:
+        if self.basic_mask.size != n:
             raise InvariantError("partition does not cover 0..n-1")
 
     def copy(self) -> "Partition":
-        return Partition._from_masks(self.basic_mask.copy(),
-                                     self.nonbasic_mask.copy(), self.freed)
+        return Partition._from_mask(self.basic_mask.copy(), self.freed)
 
     def free_index(self, l: int) -> None:
         """Remove l from whichever set holds it and mark it freed."""
         if self.freed is not None:
             raise InvariantError("a freed index is already pending")
-        for mask in (self.basic_mask, self.nonbasic_mask):
-            if 0 <= l < mask.size and mask[l]:
-                mask[l] = False
-                self.freed = l
-                return
-        raise InvariantError(f"index {l} not in partition")
+        if not 0 <= l < self.basic_mask.size:
+            raise InvariantError(f"index {l} not in partition")
+        self.basic_mask[l] = False
+        self.freed = l
 
     def bind_freed(self, into: str) -> None:
         """Put the freed index into the ``"basic"`` or ``"nonbasic"`` set."""
         if self.freed is None:
             raise InvariantError("no freed index to bind")
-        self._mask(into)[self.freed] = True
+        self.basic_mask[self.freed] = into == "basic"
         self.freed = None
 
     def move(self, k: int, into: str) -> None:
         """Move k into the ``"basic"`` or ``"nonbasic"`` set from the other."""
-        source = self._mask("nonbasic" if into == "basic" else "basic")
-        if not (0 <= k < source.size and source[k]):
+        to_basic = into == "basic"
+        if not (0 <= k < self.basic_mask.size and k != self.freed
+                and self.basic_mask[k] != to_basic):
             raise InvariantError(f"index {k} is not in the set it leaves")
-        source[k] = False
-        self._mask(into)[k] = True
+        self.basic_mask[k] = to_basic
 
 
 @dataclass

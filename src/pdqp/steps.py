@@ -274,18 +274,19 @@ def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
 
 
 def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
-                  live: np.ndarray, unguarded: np.ndarray,
+                  part: Partition, unguarded: np.ndarray,
                   two_sided: np.ndarray, fea_tol: float, opt_tol: float,
                   start: bool, pinned_only: bool = False) -> None:
-    """Entry (``start``) or invariant conditions, from the roles alone:
-    guarded values on live and pinned lie within ``bound_tol`` of their
-    bounds from both sides (the one clause under ``pinned_only``); the
-    equalities hold and guarded values on live minus unguarded lie within
-    it from below; at the start (~live is then the idle set) idle guarded
-    values also sit on their bounds and no repaired value on live minus
-    two_sided lies above its bound."""
+    """Entry (``start``) or invariant conditions, from the roles and the
+    live set of ``part`` alone: guarded values on live and pinned lie
+    within ``bound_tol`` of their bounds from both sides (the one clause
+    under ``pinned_only``); the equalities hold and guarded values on live
+    minus unguarded lie within it from below; at the start (~live is then
+    the idle set) idle guarded values also sit on their bounds and no
+    repaired value on live minus two_sided lies above its bound."""
     error = StartConditionError if start else InvariantError
     where = f"{fam.method} {'start' if start else 'invariant'}"
+    live = getattr(part, f"{fam.live}_mask")
     if not pinned_only:
         stat, eq = residuals(p, it)
         if max(inf_norm(stat), inf_norm(eq)) > p.data_scale() * (
@@ -339,8 +340,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
     unguarded = getattr(p, f"{fam.unguarded}_mask")
     two_sided = unguarded & ~excluded
     one_sided = ~excluded & ~two_sided
-    live = getattr(part, f"{fam.live}_mask")
-    _check_bounds(fam, p, s, it, live, unguarded, two_sided, fea_tol,
+    _check_bounds(fam, p, s, it, part, unguarded, two_sided, fea_tol,
                   opt_tol, start=True)
     # Steps update the iterate in place, so these stay its vectors.
     repaired = getattr(it, fam.repaired)
@@ -369,6 +369,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
                                     kind, l, step, d, viol, p, eff, before, it))
 
     while True:
+        live = getattr(part, f"{fam.live}_mask")
         # A near-zero threshold, for essentially exact complementarity, and
         # at most TOL_SHARE of bound_tol, so that the final check passes.
         scale = inf_norm(getattr(it, fam.scale_by))
@@ -414,11 +415,11 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
             emit("intermediate", l, step, d, viol, eff, before)
         part.bind_freed(fam.live)
         if check_invariants:
-            _check_bounds(fam, p, s, it, live, unguarded, two_sided, fea_tol,
+            _check_bounds(fam, p, s, it, part, unguarded, two_sided, fea_tol,
                           opt_tol, start=False)
 
-    if status == OPTIMAL and getattr(p, fam.pinned) and (live & pinned).any():
-        _check_bounds(fam, p, s, it, live, unguarded, two_sided, fea_tol,
+    if status == OPTIMAL and getattr(p, fam.pinned):
+        _check_bounds(fam, p, s, it, part, unguarded, two_sided, fea_tol,
                       opt_tol, start=False, pinned_only=True)
     return SolveOutcome(method=fam.method, status=status, iterate=it,
                         partition=part, iterations=iterations,

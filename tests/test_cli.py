@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 from pathlib import Path
@@ -440,6 +441,48 @@ def test_profile_failure_convention(tmp_path):
     assert data["a"] == []          # failed run never appears
     assert data["b"] == [(1.0, 1.0)]
     assert data["factors"] == [("p1", "fail_a")]
+
+
+def test_profile_factor_of_a_failed_or_iterationless_b(tmp_path):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text(HEADER + "\nfb,2,1,optimal,1,auto,3,0,3,1\n"
+                          "ninf,2,1,optimal,1,auto,0,0,0,1\n"
+                          "pinf,2,1,optimal,1,auto,4,0,4,1\n")
+    b.write_text(HEADER + "\nfb,2,1,error,,auto,0,0,0,0\n"
+                          "ninf,2,1,optimal,1,auto,2,0,2,1\n"
+                          "pinf,2,1,optimal,1,auto,0,0,0,1\n")
+    profile(a, b, tmp_path / "prof.txt")
+    factors = (tmp_path / "prof.txt").read_text().split("name,log2_ratio\n")
+    assert factors[1] == "fb,fail_b\nninf,-inf\npinf,inf\n"
+
+
+def test_names_round_trip_through_run_log_and_expectations(tmp_path):
+    # Names holding what CSV quotes, a "#", a newline and surrounding
+    # blanks, from file stems and from a name line ("#" there starts a
+    # comment).
+    p1 = (PROBLEMS / "p1.qpt").read_text()
+    stem = p1.replace("name p1\n", "")
+    files = {"a,b.qpt": stem, 'q"q.qpt': stem, "a#b.qpt": stem,
+             "x\ny.qpt": stem, " sp .qpt": stem,
+             "named.qpt": p1.replace("name p1", 'name c,"d')}
+    names = ["a,b", 'q"q', "a#b", "x\ny", " sp ", 'c,"d']
+    work = tmp_path / "in"
+    work.mkdir()
+    paths = [work / f for f in files]
+    for path, text in zip(paths, files.values()):
+        path.write_text(text)
+    out = tmp_path / "out"
+    assert run(paths, out)[1] == 0
+    log = out / "runlog.csv"
+    assert [r["name"] for r in read_runlog(log)] == names
+    profile(log, log, tmp_path / "prof.txt")
+    expect = tmp_path / "expect.csv"
+    with open(expect, "w", newline="") as f:
+        f.write("# every problem of the batch\n")
+        csv.writer(f).writerows([name, "optimal"] for name in names)
+    assert main(["run", *map(str, paths), "--out", str(out),
+                 "--expect", str(expect)]) == 0
 
 
 def test_profile_rejects_mismatched_sets(tmp_path):

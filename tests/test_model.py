@@ -247,9 +247,20 @@ def test_partition_masks_follow_every_move():
         part.free_index(7)
 
 
+def test_partition_state_is_one_mask_and_the_freed_index():
+    part = Partition(basic=[0, 2], nonbasic=[1, 3], freed=4)
+    for one in (part, part.copy(), Partition.from_basic(3, [1])):
+        assert sorted(vars(one)) == ["basic_mask", "freed"]
+    assert part.nonbasic_mask.tolist() == [False, True, False, True, False]
+    with pytest.raises(AttributeError):
+        part.nonbasic_mask = np.ones(5, dtype=bool)
+    part.nonbasic_mask[1] = False       # a derived copy: the state stays
+    assert (part.basic, part.nonbasic, part.freed) == ([0, 2], [1, 3], 4)
+
+
 def test_partition_validates_cover():
-    part = Partition(basic=[0], nonbasic=[0, 1])
     with pytest.raises(Exception):
+        part = Partition(basic=[0], nonbasic=[0, 1])
         part.validate(2)
 
 
