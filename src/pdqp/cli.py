@@ -22,10 +22,11 @@ lines and "#" comments are ignored everywhere.
 
 Run logs are CSV records with the columns
 ``name,n,m,status,objective,strategy,stage1_iters,stage2_iters,subiters,millis``,
-quoted as ``csv.writer`` quotes them, so a name may span lines.  An
-expectations file (``--expect``) holds ``name,status`` CSV records with
-statuses from ``RUN_STATUSES``, the ones that ``run`` writes; a line whose
-first non-blank character is "#" is a comment, and a "#" elsewhere is data.
+quoted as ``csv.writer`` quotes them (a field holding "\\r" is quoted
+too), so a name may span lines.  An expectations file (``--expect``)
+holds ``name,status`` CSV records with statuses from ``RUN_STATUSES``,
+the ones that ``run`` writes; a line whose first non-blank character is
+"#" is a comment, and a "#" elsewhere is data.
 """
 
 from __future__ import annotations
@@ -245,6 +246,19 @@ def parse_problem(path) -> GeneralQp:
                      upper=got["upper"], name=got.get("name", path.stem))
 
 
+def _csv_text(rows) -> str:
+    """``rows`` as CSV records, each ended by "\\n".  ``csv.writer`` quotes
+    a field that holds a character of its line terminator, so each record
+    is written with "\\r\\n" and then ended by "\\n" alone: a field holding
+    "\\r" is quoted like one holding "\\n"."""
+    records = []
+    for row in rows:
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\r\n").writerow(row)
+        records.append(text.getvalue()[:-2] + "\n")
+    return "".join(records)
+
+
 def _write_new(path, text: str) -> None:
     """Replace ``path`` with a new file holding ``text``.  Unlinking first
     makes a rerun write new files instead of truncating and rewriting the
@@ -402,10 +416,8 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=DEFAULT_TOL,
             (out / f"{row.name}.sol").unlink(missing_ok=True)
             (out / f"{row.name}.trace.csv").unlink(missing_ok=True)
         rows.append(row)
-    text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(
-        [RUNLOG_COLUMNS] + [r.fields() for r in rows])
-    _write_new(out / "runlog.csv", text.getvalue())
+    _write_new(out / "runlog.csv",
+               _csv_text([RUNLOG_COLUMNS] + [r.fields() for r in rows]))
     if expected is None:
         ok = all(row.status in TERMINAL_STATUSES for row in rows)
     else:
@@ -492,8 +504,7 @@ def profile(log_a, log_b, out_path) -> dict:
     lines += ["# section: profile_b", "tau,fraction"]
     lines += [f"{tau:.9g},{frac:.9g}" for tau, frac in data["b"]]
     lines += ["# section: factors", "name,log2_ratio"]
-    lines += [f"{name},{val}" for name, val in factors]
-    _write_new(out_path, "\n".join(lines) + "\n")
+    _write_new(out_path, "\n".join(lines) + "\n" + _csv_text(factors))
     return data
 
 

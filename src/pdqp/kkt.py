@@ -91,8 +91,13 @@ block of M^-1.  With V = K_B0^-1 W and the Schur block S = C - W'V,
     M^-1 = [ K_B0^-1 + V S^-1 V'   -V S^-1 ]
            [ -S^-1 V'               S^-1   ],
 
-a solve costs one K_B0 solve and a dense solve with the small symmetric
-S, and ||K_B^-1|| <= ||M^-1|| <= ||K_B0^-1|| + (1 + ||V||)^2 ||S^-1||.
+an updated solve costs two K_B0 applies, one for the solve and one for
+its refinement step, and two dense solves with the small symmetric S.
+Each new border column costs one more K_B0 apply, except the unit vector
+e_r of an index r that the solve which freed r had as its K_B0
+right-hand side (the dual base solve K_l w = e_at with l in B0): that
+solve's K_B0^-1 e_r is held and becomes r's column of V.  And
+||K_B^-1|| <= ||M^-1|| <= ||K_B0^-1|| + (1 + ||V||)^2 ||S^-1||.
 S is factored by Bunch-Kaufman (``dsytrf``) and solved with ``dsytrs``.
 K_B0 is solved through its factor unpacked once, when it is taken, by
 ``dsyconv`` into a unit lower L, the D blocks and a row permutation:
@@ -160,7 +165,7 @@ from scipy.linalg import blas, lapack
 
 from .model import (NOISE_BAND, Direction, Iterate, Partition, QpProblem,
                     Shifts, index_mask, inf_norm, pivoted_cholesky,
-                    pivoted_qr)
+                    pivoted_qr, principal_block)
 
 PIVOT_TOL = 1e-11
 # K_B0 factorizations of smaller dim are not updated: every solve refactors.
@@ -259,16 +264,19 @@ def _unpack(f: KktFactorization) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _bunch_kaufman(k: np.ndarray) -> KktFactorization | None:
-    """LAPACK factorization of K, or None unless its reciprocal condition
-    estimate exceeds 100 * dim * PIVOT_TOL and every 1x1 pivot of D
-    exceeds dim * PIVOT_TOL * ||K||_1 (see the module docstring)."""
+    """LAPACK factorization of an exactly symmetric K, or None unless its
+    reciprocal condition estimate exceeds 100 * dim * PIVOT_TOL and every
+    1x1 pivot of D exceeds dim * PIVOT_TOL * ||K||_1 (see the module
+    docstring)."""
     k = np.asarray(k, dtype=float)
     dim = k.shape[0]
     if dim == 0:                    # the empty matrix is nonsingular
         return KktFactorization(ldu=k, ipiv=np.empty(0, dtype=np.int32),
                                 matrix=k, inv_norm=0.0)
     lwork = int(lapack.dsytrf_lwork(dim, lower=1)[0])
-    ldu, ipiv, info = lapack.dsytrf(k, lower=1, lwork=lwork)
+    # K.T, a Fortran-order view with K's values, spares f2py a transposing
+    # copy.
+    ldu, ipiv, info = lapack.dsytrf(k.T, lower=1, lwork=lwork)
     if info != 0:
         return None
     anorm = float(np.abs(k).sum(axis=0).max())
@@ -287,7 +295,7 @@ def build_kb(p: QpProblem, basic: Sequence[int] | np.ndarray) -> np.ndarray:
     basic = np.asarray(basic, dtype=np.intp)
     nb = basic.size
     k = np.empty((nb + p.m, nb + p.m))
-    p.H.take(basic, axis=0).take(basic, axis=1, out=k[:nb, :nb])
+    principal_block(p.H, basic, out=k[:nb, :nb])
     ab = p.A.take(basic, axis=1)
     k[nb:, :nb] = ab
     k[:nb, nb:] = ab.T
@@ -322,7 +330,10 @@ class KktBasis:
     B itself: the
     indices of B0 missing from B and the columns of B not in B0, so basis
     changes need no notification.  K_B0^-1 times each border column is
-    cached by index until BORDER_CAP columns are cached.
+    cached by index until BORDER_CAP columns are cached.  An updated
+    solve whose K_B0 right-hand side is a unit vector e_r, r in B0 (the
+    dual base solve K_l w = e_at with l in B0), leaves K_B0^-1 e_r held,
+    and it becomes r's border column once a later basis drops r.
     """
 
     def __init__(self, p: QpProblem):
@@ -358,15 +369,17 @@ class KktBasis:
         self._last = data
         self._key = key
         self._k0 = self._solve0 = self._w = self._v = None
+        self._unit: tuple[int, np.ndarray] | None = None  # r, K_B0^-1 e_r
         if data is None or data.matrix.shape[0] < UPDATE_MIN_DIM:
             return
-        dim = data.matrix.shape[0]
+        k0 = data.matrix
+        dim = k0.shape[0]
         self._k0 = data
         self._solve0 = _unpack(data)                 # applies K_B0^-1
         self._basis0 = order
         self._pos0 = np.full(self.p.n, -1)
         self._pos0[self._basis0] = np.arange(self._basis0.size)
-        self._max0 = float(np.abs(data.matrix).max())
+        self._max0 = max(float(k0.max()), -float(k0.min()))    # max|K_B0|
         self._slot: dict[int, int] = {}
         self._w = np.zeros((dim, BORDER_CAP))        # border columns W
         self._v = np.empty((dim, BORDER_CAP))        # V = K_B0^-1 W
@@ -405,6 +418,7 @@ class KktBasis:
         the missing ones; None once more than BORDER_CAP are needed."""
         p = self.p
         nb0 = self._basis0.size
+        unit = self._unit
         for j in keys.tolist():
             if j in self._slot:
                 continue
@@ -418,7 +432,10 @@ class KktBasis:
                 w[:nb0] = p.H[j].take(self._basis0)    # H is symmetric
                 w[nb0:] = p.A[:, j]
                 self._wmax[at] = float(np.abs(w).max())
-            v = self._solve0(w)
+            if unit is not None and unit[0] == j:
+                v = unit[1]     # the same bytes in as the solve that held it
+            else:
+                v = self._solve0(w)
             self._v[:, at] = v
             g = self._w[:, :at + 1].T @ v
             self._gram[at, :at + 1] = g
@@ -448,8 +465,8 @@ class KktBasis:
         basic = np.asarray(order, dtype=np.intp)
         nb, m = basic.size, p.m
         pos = self._pos0[basic]
-        kept = pos >= 0
-        added = basic[~kept]
+        kept_at, added_at = (pos >= 0).nonzero()[0], (pos < 0).nonzero()[0]
+        added = basic[added_at]
         inside = np.zeros(p.n, dtype=bool)
         inside[basic] = True
         removed = self._basis0[~inside[self._basis0]]
@@ -467,11 +484,12 @@ class KktBasis:
         else:
             w_b, v_b = self._w[:, cached], self._v[:, cached]
             schur = -self._gram[np.ix_(cached, cached)]
-        hqq = p.H[np.ix_(added, added)]
-        schur[np.ix_(qa, qa)] += hqq
+        max_kb = max(self._max0, float(self._wmax[cached].max(initial=0.0)))
+        if na:
+            hqq = p.H[np.ix_(added, added)]
+            schur[np.ix_(qa, qa)] += hqq
+            max_kb = max(max_kb, float(np.abs(hqq).max()))
         vnorm = float(np.sqrt(self._vnorm2[cached].sum()))
-        max_kb = max(self._max0, float(self._wmax[cached].max(initial=0.0)),
-                     float(np.abs(hqq).max(initial=0.0)))
         s_inv = 0.0                     # estimates ||S^-1||_1
         if k:
             s_norm = float(np.abs(schur).sum(axis=0).max())
@@ -489,26 +507,37 @@ class KktBasis:
         if not inv_bound * 100 * (nb + m) * PIVOT_TOL * max_kb < 1.0:
             return None
         d0 = k0.matrix.shape[0]
-        at = pos[kept]
+        at = pos[kept_at]
 
-        def once(r: np.ndarray) -> np.ndarray:
+        def lift(r: np.ndarray) -> np.ndarray:
+            """r's rows of K_B0's variables and multipliers, in its order."""
             r0 = np.zeros(d0)
-            r0[at] = r[:nb][kept]
+            r0[at] = r[kept_at]
             r0[d0 - m:] = r[nb:]
+            return r0
+
+        def once(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+            """K_B^-1 r, given t = K_B0^-1 lift(r)."""
             r1 = np.zeros(k)
-            r1[qa] = r[:nb][~kept]
-            t = self._solve0(r0)
+            r1[qa] = r[added_at]
             u = (lapack.dsytrs(s_ldu, s_ipiv, r1 - w_b.T @ t, lower=1)[0]
                  if k else r1)
             z0 = t - v_b @ u
             out = np.empty(nb + m)
-            out[:nb][kept] = z0[at]
-            out[:nb][~kept] = u[qa]
+            out[kept_at] = z0[at]
+            out[added_at] = u[qa]
             out[nb:] = z0[d0 - m:]
             return out
 
-        x = once(rhs)
-        x += once(rhs - self._product(basic, x))
+        r0 = lift(rhs)
+        t = self._solve0(r0)
+        one = r0.nonzero()[0]       # r0 = e_r, r in B0: hold K_B0^-1 e_r
+        if (one.size == 1 and one[0] < d0 - m and r0[one[0]] == 1.0
+                and not np.signbit(r0).any()):
+            self._unit = (int(self._basis0[one[0]]), t)
+        x = once(rhs, t)
+        res = rhs - self._product(basic, x)
+        x += once(res, self._solve0(lift(res)))
         return x
 
 
@@ -828,7 +857,9 @@ def solve_boundary_point(p: QpProblem, s: Shifts, part: Partition,
     nonbasic = part.nonbasic_mask.nonzero()[0]
     nb = basic.size
     qn = s.q[nonbasic]
-    top = (p.H.take(basic, axis=0).take(nonbasic, axis=1) @ qn
+    # H_BN from the |N| columns of H: far less than its |B| rows where
+    # |N| << |B|, and the same C-order bytes.
+    top = (p.H.take(nonbasic, axis=1).take(basic, axis=0) @ qn
            - p.c[basic] - s.r[basic])
     bottom = p.A[:, nonbasic] @ qn + p.b
     w = f.solve(np.concatenate([top, bottom]))

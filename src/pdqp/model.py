@@ -70,13 +70,28 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def principal_block(s: np.ndarray, idx: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """s[idx][:, idx] for an integer array ``idx``, written into ``out``
+    when one is given: one slice copy where ``idx`` is an ascending run
+    of consecutive indices, two ``take`` gathers otherwise."""
+    at = idx.tolist()
+    lo = at[0] if at else 0
+    hi = lo + len(at)
+    # The last index rules out most other sets before the exact test.
+    if at and at[-1] == hi - 1 and at == list(range(lo, hi)):
+        if out is None:
+            return s[lo:hi, lo:hi].copy()
+        out[...] = s[lo:hi, lo:hi]
+        return out
+    return s.take(idx, axis=0).take(idx, axis=1, out=out)
+
+
 def _live_block(s: np.ndarray, live: np.ndarray) -> np.ndarray:
     """A copy of s[live][:, live] in Fortran order for LAPACK to overwrite:
     the transpose of a C-order gather, which has the same values because s
     is exactly symmetric."""
-    if live.size == s.shape[0]:
-        return s.copy().T
-    return s.take(live, axis=0).take(live, axis=1).T
+    return principal_block(s, live).T
 
 
 def pivoted_cholesky(h: np.ndarray, tol: float

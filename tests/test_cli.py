@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import re
 from pathlib import Path
@@ -483,6 +484,41 @@ def test_names_round_trip_through_run_log_and_expectations(tmp_path):
         csv.writer(f).writerows([name, "optimal"] for name in names)
     assert main(["run", *map(str, paths), "--out", str(out),
                  "--expect", str(expect)]) == 0
+
+
+def _profile_factors(path):
+    """The factors section of a profile file, read back as CSV records."""
+    with open(path, newline="") as f:
+        section = f.read().split("name,log2_ratio\n")[1]
+    return list(csv.reader(io.StringIO(section, newline="")))
+
+
+def test_a_name_holding_a_carriage_return_round_trips(tmp_path):
+    # Without quoting, the reader would end the run-log row at the "\r".
+    stem = (PROBLEMS / "p1.qpt").read_text().replace("name p1\n", "")
+    path = tmp_path / "x\ry.qpt"
+    path.write_text(stem)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    log = out / "runlog.csv"
+    assert log.read_bytes().split(b"\n")[1].startswith(b'"x\ry",2,1,')
+    assert [r["name"] for r in read_runlog(log)] == ["x\ry"]
+    prof = tmp_path / "prof.txt"
+    assert main(["profile", str(log), str(log), "--out", str(prof)]) == 0
+    assert _profile_factors(prof) == [["x\ry", "0"]]
+
+
+def test_profile_factors_read_back_as_csv(tmp_path):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text(HEADER + '\n"a,b",2,1,optimal,1,auto,2,0,2,1\n'
+                          '"x\ny",2,1,optimal,1,auto,8,0,8,1\n')
+    b.write_text(HEADER + '\n"a,b",2,1,optimal,1,auto,4,0,4,1\n'
+                          '"x\ny",2,1,optimal,1,auto,4,0,4,1\n')
+    prof = tmp_path / "prof.txt"
+    data = profile(a, b, prof)
+    assert data["factors"] == [("a,b", "-1"), ("x\ny", "1")]
+    assert _profile_factors(prof) == [["a,b", "-1"], ["x\ny", "1"]]
 
 
 def test_profile_rejects_mismatched_sets(tmp_path):

@@ -224,11 +224,19 @@ def _block_kkt(p, order):
 def test_build_kb_and_kl_equal_block_assembly_bit_for_bit():
     rng = np.random.default_rng(17)
     # Random standard-form problems, and a standardized criterion-7 one.
+    # H_BB is one slice copy over a run of consecutive indices (the full
+    # set, a prefix, an interior run) and a gather over any other set,
+    # a permuted run among them.
     std = standardize(criterion7_instance(12, 3, 4, 5)[0]).problem
     for p in random_instances(20260810, 40) + [std]:
+        lo, hi = sorted(rng.choice(p.n + 1, 2, replace=False).tolist())
+        orders = [list(range(p.n)), list(range(hi)), list(range(lo, hi))]
+        if p.n >= 4:
+            orders.append([0, 2, 1, 3])
         for _ in range(3):
-            basic = sorted(rng.choice(p.n, rng.integers(0, p.n + 1),
-                                      replace=False).tolist())
+            orders.append(sorted(rng.choice(p.n, rng.integers(0, p.n + 1),
+                                            replace=False).tolist()))
+        for basic in orders:
             want = _block_kkt(p, basic)
             for got in (build_kb(p, basic),
                         build_kb(p, np.array(basic, dtype=np.intp))):
@@ -819,6 +827,78 @@ def test_updated_directions_match_fresh_and_solves_stay_correct(
                 assert abs(sol.objective - fstar) <= \
                     1e-7 * (1.0 + abs(fstar)), (g.name, strategy)
     assert sum(updated) > 1000, (sum(updated), len(updated))
+
+
+def test_bunch_kaufman_hands_dsytrf_a_fortran_order_array(monkeypatch):
+    # K is exactly symmetric, so K.T carries its values in Fortran order
+    # and gives the factorization of the C-order call bit for bit.
+    dsytrf = kkt.lapack.dsytrf
+    given = []
+
+    def recorded(a, **kw):
+        given.append(a)
+        return dsytrf(a, **kw)
+
+    monkeypatch.setattr(kkt.lapack, "dsytrf", recorded)
+    rng = np.random.default_rng(8)
+    ks = []
+    for dim in (8, 50, 300):
+        g = rng.normal(size=(dim, dim))
+        ks.append(g + g.T)
+    p = standardize(criterion7_instance(250, 20, 10, 500)[0]).problem
+    ks.append(build_kb(p, np.arange(p.n)))
+    for k in ks:
+        given.clear()
+        f = _bunch_kaufman(k)
+        assert len(given) == 1 and given[0].flags.f_contiguous
+        lwork = int(kkt.lapack.dsytrf_lwork(k.shape[0], lower=1)[0])
+        ldu, ipiv, info = dsytrf(k, lower=1, lwork=lwork)
+        assert info == 0 and k.flags.c_contiguous
+        assert f.ldu.tobytes() == ldu.tobytes()
+        assert f.ipiv.tobytes() == ipiv.tobytes()
+
+
+def test_freeing_solve_supplies_the_next_border_column(monkeypatch):
+    # n = 250 gives K of dim 270, past UPDATE_MIN_DIM: every dual base
+    # step after the first is an update.  Its solve K_l w = e_at applies
+    # K_B0^-1 to e_l, which is l's border column once the step drops l.
+    g, xstar, fstar = criterion7_instance(250, 20, 10, 500)
+    unpack = kkt._unpack
+    applies = []
+
+    def counted_unpack(f):
+        once = unpack(f)
+
+        def counted(r):
+            applies.append(r.size)
+            return once(r)
+
+        return counted
+
+    monkeypatch.setattr(kkt, "_unpack", counted_unpack)
+    slots = kkt.KktBasis._slots
+    checked = set()
+
+    def checked_slots(self, keys):
+        out = slots(self, keys)
+        direct = unpack(self._k0)       # uncounted
+        for j, at in self._slot.items():
+            if self._pos0[j] >= 0 and j not in checked:
+                e = np.zeros(self._k0.matrix.shape[0])
+                e[self._pos0[j]] = 1.0
+                assert self._v[:, at].tobytes() == direct(e).tobytes()
+                checked.add(j)
+        return out
+
+    monkeypatch.setattr(kkt.KktBasis, "_slots", checked_slots)
+    sol = solve_pdqp(g)
+    assert sol.status == "optimal"
+    assert abs(sol.objective - fstar) <= 1e-9 * (1.0 + abs(fstar))
+    assert np.max(np.abs(sol.x - xstar)) <= 1e-8 * (1.0 + np.max(xstar))
+    # Nine updated steps: two applies each, and one border column that no
+    # updated solve made (the index the fresh first step dropped).
+    assert len(checked) == 9
+    assert applies == [270] * 19
 
 
 @pytest.mark.parametrize("dim", [200, 401, 600])

@@ -420,13 +420,29 @@ _NO_CHOLESKY = SimpleNamespace(dpotrf=lambda a, **kw: (a, 1),
                                dpstrf=scipy.linalg.lapack.dpstrf)
 
 
+def _zero_padded(s):
+    """s with two zero rows and columns after it, around it, and one of
+    them inside it: its rows then form a prefix, an interior run and a
+    scattered set of the nonzero rows that ``_check_psd`` gathers."""
+    k = s.shape[0]
+    out = []
+    for live in (list(range(k)), list(range(1, k + 1)),
+                 [0] + list(range(2, k + 1))):
+        t = np.zeros((k + 2, k + 2))
+        t[np.ix_(live, live)] = s
+        out.append(t)
+    return out
+
+
 @pytest.mark.parametrize("s,expected,rank", _psd_cases())
 def test_check_psd_matches_greedy_verdict(monkeypatch, s, expected, rank):
-    # The rank is the same whether dpotrf or dpstrf settles the verdict.
+    # The rank is the same whether dpotrf or dpstrf settles the verdict,
+    # and wherever zero rows lie.
     assert _greedy_psd_verdict(s) is expected
-    assert _psd_rank(s) == rank
+    cases = [s] + _zero_padded(s)
+    assert [_psd_rank(t) for t in cases] == [rank] * 4
     monkeypatch.setattr(model, "lapack", _NO_CHOLESKY)
-    assert _psd_rank(s) == rank
+    assert [_psd_rank(t) for t in cases] == [rank] * 4
 
 
 def test_pivoted_cholesky_agrees_with_greedy_on_random_matrices(monkeypatch):
