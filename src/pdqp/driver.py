@@ -60,8 +60,13 @@ class GeneralQp:
     def __post_init__(self):
         H = np.atleast_2d(np.asarray(self.Hhat, dtype=float))
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        n = c.shape[0]
         A = np.asarray(self.Ahat, dtype=float)
+        for name, data in (("Hhat", H), ("Ahat", A), ("c", c)):
+            if not np.isfinite(data).all():
+                raise ProblemError(f"{name} has non-finite entries")
+        if c.ndim != 1:
+            raise ProblemError(f"c must be a vector, got shape {c.shape}")
+        n = c.shape[0]
         if A.size == 0:
             A = A.reshape(0, n)
         A = np.atleast_2d(A)

@@ -28,6 +28,7 @@ Plain problems leave both sets empty.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,7 @@ def inf_norm(v: np.ndarray) -> float:
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -132,7 +133,7 @@ def _check_psd(s: np.ndarray, name: str) -> int:
     pivot above the cutoff the least eigenvalue decides instead, since the
     diagonal cannot see an off-diagonal entry far above it.
     """
-    live = np.flatnonzero((s != 0.0).any(axis=1))
+    live = s.any(axis=1).nonzero()[0]
     if not live.size:               # empty or zero
         return 0
     factor, info = lapack.dpotrf(_live_block(s, live), overwrite_a=1,
@@ -155,9 +156,9 @@ def _check_row_rank(a: np.ndarray, m: int) -> None:
     transpose."""
     if m == 0:
         return
-    diag = np.abs(np.diag(pivoted_qr(a.T)[0]))
+    diag = np.abs(pivoted_qr(a.T)[0].diagonal())
     scale = diag[0] if diag.size else 0.0
-    rank = int(np.sum(diag > RANK_TOL * max(1.0, scale)))
+    rank = np.count_nonzero(diag > RANK_TOL * max(1.0, scale))
     if rank < m:
         raise ProblemError(
             f"[A M] is rank deficient: rank {rank} < {m} rows; remove "
@@ -167,13 +168,28 @@ def _check_row_rank(a: np.ndarray, m: int) -> None:
 def _symmetrized(s: np.ndarray, name: str) -> np.ndarray:
     """A symmetric copy of s taken from its lower triangle, after checking
     that s is symmetric to 1e-12 relative.  Like the triangle sum, the
-    copy of an exactly symmetric s turns -0.0 entries into 0.0."""
-    if np.array_equal(s, s.T):     # empty s included
+    copy of an exactly symmetric s turns -0.0 entries into 0.0.  The
+    entries of s must be finite."""
+    if (s == s.T).all():           # empty s included
         return s + 0.0
     scale = max(1.0, float(np.abs(s).max()))
     if float(np.abs(s - s.T).max()) > 1e-12 * scale:
         raise ProblemError(f"{name} is not symmetric")
     return np.tril(s) + np.tril(s, -1).T
+
+
+def _index_set(indices, name: str) -> frozenset[int]:
+    """The integer indices of an iterable as a frozenset of ints; a float,
+    bool or other non-integer entry raises ``ProblemError``."""
+    try:
+        items = list(indices)
+    except TypeError:
+        raise ProblemError(f"{name} must be an iterable of integer indices, "
+                           f"got {indices!r}") from None
+    for i in items:
+        if isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__"):
+            raise ProblemError(f"{name} index {i!r} is not an integer")
+    return frozenset(operator.index(i) for i in items)
 
 
 @dataclass(frozen=True)
@@ -182,12 +198,14 @@ class QpProblem:
 
     ``free`` lists variables with no bound at all; ``fixed`` lists
     variables pinned at their bound with an unrestricted dual.  Both are
-    empty for a plain standard-form problem; ``free_mask`` and
-    ``fixed_mask`` hold them as read-only boolean masks.  ``h_rank`` is
-    the rank of H that ``_check_psd`` found: exact where ``dpotrf``
-    accepts H on its rows that are not identically zero, the count of
-    ``dpstrf`` pivots above its cutoff otherwise, and 0 when there is no
-    such pivot.  Basis discovery reads it (``kkt.find_soc_basis``).
+    empty for a plain standard-form problem.  Either may be given as any
+    iterable of integer indices and is stored as a ``frozenset[int]``;
+    ``free_mask`` and ``fixed_mask`` hold them as read-only boolean
+    masks.  ``h_rank`` is the rank of H that ``_check_psd`` found: exact
+    where ``dpotrf`` accepts H on its rows that are not identically zero,
+    the count of ``dpstrf`` pivots above its cutoff otherwise, and 0 when
+    there is no such pivot.  Basis discovery reads it
+    (``kkt.find_soc_basis``).
     """
 
     H: np.ndarray
@@ -204,9 +222,20 @@ class QpProblem:
         A = np.asarray(self.A, dtype=float)
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        for name, data in (("H", H), ("M", M), ("A", A), ("b", b), ("c", c)):
-            if not np.isfinite(data).all():
-                raise ProblemError(f"{name} has non-finite entries")
+        if not np.isfinite(H).all():
+            raise ProblemError("H has non-finite entries")
+        # One test over the smaller arrays' entries (no copy of H); the
+        # arrays one by one only to name the first that fails it.
+        rest = (("M", M), ("A", A), ("b", b), ("c", c))
+        if not np.isfinite(np.concatenate([a for _, a in rest],
+                                          axis=None)).all():
+            for name, a in rest:
+                if not np.isfinite(a).all():
+                    raise ProblemError(f"{name} has non-finite entries")
+        for name, v in (("b", b), ("c", c)):
+            if v.ndim != 1:
+                raise ProblemError(
+                    f"{name} must be a vector, got shape {v.shape}")
         n = c.shape[0]
         m = b.shape[0]
         if A.size == 0:
@@ -219,40 +248,50 @@ class QpProblem:
             raise ProblemError(f"M must be {m}x{m}, got {M.shape}")
         if A.shape != (m, n):
             raise ProblemError(f"A must be {m}x{n}, got {A.shape}")
-        # The lower triangle is authoritative.
+        # The lower triangle is authoritative.  A zero M is symmetric and
+        # semidefinite.
+        m_live = M.any()
         H = _symmetrized(H, "H")
-        M = _symmetrized(M, "M")
+        M = _symmetrized(M, "M") if m_live else M + 0.0
         h_rank = _check_psd(H, "H")
-        _check_psd(M, "M")
-        bad = (self.free | self.fixed) - set(range(n))
-        if bad:
-            raise ProblemError(f"free/fixed indices out of range: {sorted(bad)}")
-        if self.free & self.fixed:
-            raise ProblemError("an index cannot be both free and fixed")
-        for name in ("free", "fixed"):
-            mask = index_mask(n, getattr(self, name))
-            mask.flags.writeable = False
+        if m_live:
+            _check_psd(M, "M")
+        free = _index_set(self.free, "free")
+        fixed = _index_set(self.fixed, "fixed")
+        if free or fixed:
+            bad = (free | fixed) - set(range(n))
+            if bad:
+                raise ProblemError(
+                    f"free/fixed indices out of range: {sorted(bad)}")
+            if free & fixed:
+                raise ProblemError("an index cannot be both free and fixed")
+        for name, indices in (("free", free), ("fixed", fixed)):
+            mask = np.zeros(n, dtype=bool)
+            if indices:
+                mask[list(indices)] = True
+            mask.setflags(write=False)
             object.__setattr__(self, f"{name}_mask", mask)
         # Full row rank over the non-fixed columns implies it over all.
         try:
-            _check_row_rank(np.hstack([A[:, ~self.fixed_mask], M]), m)
+            _check_row_rank(np.concatenate(
+                (A[:, ~self.fixed_mask] if fixed else A, M), axis=1), m)
         except ProblemError:
-            if not self.fixed:
+            if not fixed:
                 raise
             raise ProblemError(
                 "[A M] loses full row rank once fixed variables are "
                 "pinned; rows supported only by fixed variables must be "
                 "dropped or resolved before constructing the problem"
             ) from None
-        H.flags.writeable = False       # fresh copies from _symmetrized
-        M.flags.writeable = False
+        H.setflags(write=False)  # fresh copies from _symmetrized
+        M.setflags(write=False)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "A", _readonly(A))
         object.__setattr__(self, "b", _readonly(b))
         object.__setattr__(self, "c", _readonly(c))
-        object.__setattr__(self, "free", frozenset(self.free))
-        object.__setattr__(self, "fixed", frozenset(self.fixed))
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "fixed", fixed)
         object.__setattr__(self, "h_rank", h_rank)
 
     @property

@@ -88,7 +88,7 @@ def _in_cone(target: np.ndarray, cone_gens: np.ndarray,
     scale = max(1.0, inf_norm(target), inf_norm(cone_gens),
                 inf_norm(free_gens))
     t, g = target, cone_gens
-    if free_gens.size:
+    if free_gens.any():            # a zero span (rank 0) projects out nothing
         u, sv, _ = np.linalg.svd(free_gens, full_matrices=False)
         rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0] if sv.size else 0.0)))
         basis = u[:, :rank]

@@ -40,6 +40,22 @@ A ``mixed-bounds`` problem past the workload's oracle cut-off
 (``workloads.ORACLE_MAX_N``, ``workloads.ORACLE_MAX_LIVE``) gets a
 ``skipped`` line.
 
+``--problems`` prints, in place of all the above, one line per problem
+construction with what ``QpProblem`` stored: the SHA-256 of H, M, A, b
+and c (dtype, shape and bytes of each), the sorted free and fixed sets,
+``h_rank`` and whether all five arrays are read-only, or the exception
+that the construction raised.  Each set ends with a
+``<set> problems <sha256>`` line over its lines:
+
+    PYTHONPATH=src python tests/output_digest.py --problems > a.txt
+
+Its five sets are ``suite500``, every construction that
+``random_instances(20260810, 500)`` makes (those that raise included);
+``mixed-bounds``, ``ladder`` and ``lowrank``, the workloads' general-format
+problems standardized; and ``malformed``, hand-made inputs that reach
+every ``ProblemError`` of ``QpProblem`` and ``GeneralQp``, next to valid
+inputs of the same kinds.
+
 The digest depends on the host (its BLAS and CPU), so compare two trees
 on one host.  Each solve contributes its status, iteration and
 subiteration counts, objective, final iterate and every field of every
@@ -86,7 +102,7 @@ from conftest import (criterion7_instance, free_start_cases,  # noqa: E402
                       large_x_instance, mixed_instances, random_instances)
 from test_trajectories import PD_CASE  # noqa: E402
 from workloads import (ORACLE_MAX_LIVE, ORACLE_MAX_N, Ladder,  # noqa: E402
-                       LowRank, constructed_qp, mixed_instance)
+                       LowRank, constructed_qp, digest, mixed_instance)
 
 STRATEGIES = ("auto", "primal-first", "dual-first", "primal-only",
               "dual-only")
@@ -201,6 +217,146 @@ def oracle_digests() -> None:
     print(f"pdqp from {Path(pdqp.__file__).parent}")
 
 
+def stored(p) -> str:
+    """What a built ``QpProblem`` holds, or "no problem" for None (a
+    standardized problem found inconsistent)."""
+    if p is None:
+        return "no problem"
+    arrays = (p.H, p.M, p.A, p.b, p.c)
+    readonly = not any(a.flags.writeable for a in arrays)
+    return (f"{digest(*arrays)} free={sorted(p.free)} "
+            f"fixed={sorted(p.fixed)} h_rank={p.h_rank} "
+            f"readonly={readonly}")
+
+
+def problem_line(build) -> str:
+    """``stored`` of what ``build()`` returns, or the exception it
+    raised."""
+    try:
+        return stored(build())
+    except Exception as exc:     # the failure itself is an output
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def draw_lines(draw) -> list[str]:
+    """One line per ``QpProblem`` construction that ``draw()`` makes, in
+    order: ``stored`` of the problem, or the exception it raised."""
+    qp = pdqp.model.QpProblem
+    original = qp.__post_init__
+    lines = []
+
+    def record(p):
+        try:
+            original(p)
+        except Exception as exc:
+            lines.append(f"raised {type(exc).__name__}: {exc}")
+            raise
+        lines.append(stored(p))
+
+    qp.__post_init__ = record
+    try:
+        draw()
+    finally:
+        qp.__post_init__ = original
+    return [f"draw{i} {line}" for i, line in enumerate(lines)]
+
+
+def malformed_cases():
+    """(label, build) pairs: one input per ``ProblemError`` raise site of
+    ``QpProblem`` and ``GeneralQp``, and valid inputs beside them."""
+    inf, nan = np.inf, np.nan
+
+    def qp(**kw):
+        data = dict(H=np.eye(2), M=np.zeros((1, 1)), A=[[1.0, 1.0]],
+                    b=[1.0], c=[0.0, 1.0])
+        return lambda: pdqp.QpProblem(**(data | kw))
+
+    def general(**kw):
+        data = dict(Hhat=np.eye(2), Ahat=[[1.0, 1.0]], c=[0.0, 1.0],
+                    lower=[0.0, 0.0, 1.0], upper=[inf, inf, 1.0])
+        return lambda: pdqp.standardize(pdqp.GeneralQp(**(data | kw))).problem
+
+    two = dict(A=np.eye(2), b=[1.0, 1.0])
+    return [
+        ("qp", qp()),
+        ("qp-b-scalar", qp(b=1.0)),
+        ("qp-free-fixed", qp(free=frozenset([0]), fixed=frozenset([1]))),
+        ("qp-M-mu", qp(M=[[1e-2]])),
+        ("qp-H-nan", qp(H=[[nan, 0.0], [0.0, 1.0]])),
+        ("qp-M-inf", qp(M=[[inf]])),
+        ("qp-A-inf", qp(A=[[1.0, inf]])),
+        ("qp-b-nan", qp(b=[nan])),
+        ("qp-c-inf", qp(c=[0.0, -inf])),
+        ("qp-b-2d", qp(b=[[1.0]])),
+        ("qp-c-2d", qp(c=[[0.0], [1.0]])),
+        ("qp-H-shape", qp(H=np.eye(3))),
+        ("qp-M-shape", qp(M=np.zeros((2, 2)))),
+        ("qp-A-shape", qp(A=[[1.0, 1.0, 1.0]])),
+        ("qp-H-asymmetric", qp(H=[[1.0, 0.5], [0.0, 1.0]])),
+        ("qp-H-near-symmetric", qp(H=[[1.0, 0.5], [0.5 + 1e-14, 1.0]])),
+        ("qp-M-asymmetric", qp(M=[[1.0, 0.5], [0.0, 1.0]], **two)),
+        ("qp-H-indefinite", qp(H=[[1.0, 2.0], [2.0, 1.0]])),
+        ("qp-H-indefinite-zero-diagonal", qp(H=[[0.0, 1.0], [1.0, 0.0]])),
+        ("qp-M-indefinite", qp(M=[[-1.0]])),
+        ("qp-free-list", qp(free=[0])),
+        ("qp-fixed-array", qp(fixed=np.array([1]))),
+        ("qp-free-float", qp(free=frozenset([0.0]))),
+        ("qp-free-bool", qp(free=frozenset([True]))),
+        ("qp-fixed-scalar", qp(fixed=1)),
+        ("qp-index-range", qp(free=frozenset([5]))),
+        ("qp-index-negative", qp(fixed=frozenset([-1]))),
+        ("qp-free-and-fixed", qp(free=frozenset([0]), fixed=frozenset([0]))),
+        ("qp-rank-deficient", qp(A=[[1.0, 1.0], [2.0, 2.0]], b=[1.0, 2.0],
+                                 M=np.zeros((2, 2)))),
+        ("qp-rank-fixed", qp(fixed=frozenset([0, 1]))),
+        ("general", general()),
+        ("general-inconsistent", general(Ahat=[[0.0, 0.0]])),
+        ("general-Hhat-inf", general(Hhat=[[inf, 0.0], [0.0, 1.0]])),
+        ("general-Ahat-inf", general(Ahat=[[1.0, inf]])),
+        ("general-Ahat-nan", general(Ahat=[[1.0, nan]])),
+        ("general-Ahat-inf-inequality", general(Ahat=[[1.0, inf]],
+                                                lower=[0.0, 0.0, -inf])),
+        ("general-Ahat-inf-boxed", general(Ahat=[[1.0, inf]],
+                                           lower=[0.0, 0.0, 0.0])),
+        ("general-c-nan", general(c=[nan, 1.0])),
+        ("general-c-2d", general(c=[[0.0], [1.0]])),
+        ("general-Hhat-shape", general(Hhat=np.eye(3))),
+        ("general-Ahat-shape", general(Ahat=[[1.0, 1.0, 1.0]])),
+        ("general-Hhat-indefinite", general(Hhat=[[1.0, 2.0], [2.0, 1.0]])),
+        ("general-bounds-length", general(lower=[0.0, 0.0])),
+        ("general-bounds-nan", general(lower=[nan, 0.0, 1.0])),
+        ("general-bounds-wrong-side", general(lower=[inf, 0.0, 1.0])),
+        ("general-bounds-inconsistent", general(lower=[2.0, 0.0, 1.0],
+                                                upper=[1.0, inf, 1.0])),
+    ]
+
+
+def problem_digests() -> None:
+    """Print the ``--problems`` lines and their five set hashes."""
+    def standardized(gs):
+        return [f"{g.name} {problem_line(lambda: pdqp.standardize(g).problem)}"
+                for g in gs]
+
+    root = Path(".")
+    sets = {
+        "suite500": draw_lines(lambda: random_instances(20260810, 500)),
+        "mixed-bounds": standardized(mixed_instances(1, 120)),
+        "ladder": standardized(constructed_qp(*spec)[0]
+                               for spec in Ladder(root).specs(None)),
+        "lowrank": standardized(constructed_qp(*spec)[0]
+                                for spec in LowRank(root).specs(None)),
+        "malformed": [f"{label} {problem_line(build)}"
+                      for label, build in malformed_cases()],
+    }
+    for name, lines in sets.items():
+        h = hashlib.sha256()
+        for line in lines:
+            h.update(f"{line}\n".encode())
+            print(line)
+        print(f"{name} problems {h.hexdigest()}")
+    print(f"pdqp from {Path(pdqp.__file__).parent}")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--per-solve", action="store_true",
@@ -209,9 +365,15 @@ def main() -> None:
                     help="also print one outcome line per solve")
     ap.add_argument("--oracle", action="store_true",
                     help="print the oracle's answers instead")
+    ap.add_argument("--problems", action="store_true",
+                    help="print what each problem construction stored "
+                         "instead")
     args = ap.parse_args()
     if args.oracle:
         oracle_digests()
+        return
+    if args.problems:
+        problem_digests()
         return
     d = Digest("main", per_solve=args.per_solve, outcomes=args.outcomes)
     for i, p in enumerate(random_instances(20260810, 300)):

@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,35 @@ def test_general_qp_rejects_misshapen_data(change, message):
                 upper=np.array([np.inf, np.inf, 1.0]))
     with pytest.raises(ProblemError, match=f"^{re.escape(message)}$"):
         GeneralQp(**{**data, **change})
+
+
+@pytest.mark.parametrize("name,bad", [
+    ("Ahat", np.inf), ("Ahat", np.nan), ("Hhat", np.inf), ("c", np.nan)])
+@pytest.mark.parametrize("row", ["equality", "inequality", "boxed"])
+def test_general_qp_rejects_non_finite_data_before_any_arithmetic(name, bad,
+                                                                  row):
+    # A non-finite Ahat row used to be dropped as redundant by standardize
+    # (inf > 1e-12 * inf is false), and the solve then reported optimal.
+    data = dict(Hhat=np.eye(2), Ahat=np.array([[1.0, 1.0]]),
+                c=np.array([0.0, 1.0]), lower=np.array([0.0, 0.0, 1.0]),
+                upper=np.array([np.inf, np.inf, 1.0]))
+    data["lower"][2] = {"equality": 1.0, "inequality": -np.inf,
+                        "boxed": 0.0}[row]
+    data[name] = data[name].copy()
+    data[name].flat[1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProblemError,
+                           match=f"^{name} has non-finite entries$"):
+            solve_pdqp(GeneralQp(**data))
+
+
+def test_general_qp_rejects_a_matrix_c():
+    message = "c must be a vector, got shape (2, 1)"
+    with pytest.raises(ProblemError, match=f"^{re.escape(message)}$"):
+        GeneralQp(Hhat=np.eye(2), Ahat=np.array([[1.0, 1.0]]),
+                  c=np.array([[0.0], [1.0]]), lower=np.array([0.0, 0.0, 1.0]),
+                  upper=np.array([np.inf, np.inf, 1.0]))
 
 
 def test_init_shifts_p2_fixture(p2):

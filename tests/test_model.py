@@ -140,6 +140,57 @@ def test_rejects_misshapen_data(change, message):
         QpProblem(**{**data, **change})
 
 
+@pytest.mark.parametrize("name,value", [
+    ("b", np.zeros((1, 1))), ("c", np.zeros((2, 1))), ("c", np.zeros((1, 2)))])
+def test_rejects_b_or_c_that_is_not_a_vector(name, value):
+    # Such a b or c used to pass construction and crash the solve with a
+    # plain ValueError.
+    data = dict(H=np.eye(2), M=np.zeros((1, 1)), A=np.array([[1.0, 1.0]]),
+                b=np.zeros(1), c=np.zeros(2))
+    data[name] = value
+    message = f"{name} must be a vector, got shape {value.shape}"
+    with pytest.raises(ProblemError, match=f"^{re.escape(message)}$"):
+        QpProblem(**data)
+
+
+def test_scalar_b_and_c_are_vectors_of_length_one():
+    p = QpProblem(H=np.eye(1), M=np.zeros((1, 1)), A=np.ones((1, 1)), b=2.0,
+                  c=-1.0)
+    assert p.b.shape == p.c.shape == (1,)
+
+
+@pytest.mark.parametrize("free,fixed,want", [
+    ([0], (), ({0}, set())),
+    ((), np.array([2]), (set(), {2})),
+    (range(2), [np.int64(2)], ({0, 1}, {2})),
+    ({np.int32(1)}, iter([0]), ({1}, {0})),
+])
+def test_index_sets_take_any_iterable_of_integers(free, fixed, want):
+    p = QpProblem(H=np.eye(3), M=np.zeros((1, 1)), A=np.ones((1, 3)),
+                  b=np.ones(1), c=np.zeros(3), free=free, fixed=fixed)
+    assert (p.free, p.fixed) == want
+    assert isinstance(p.free, frozenset) and isinstance(p.fixed, frozenset)
+    assert all(type(i) is int for i in p.free | p.fixed)
+    assert p.free_mask.nonzero()[0].tolist() == sorted(want[0])
+    assert p.fixed_mask.nonzero()[0].tolist() == sorted(want[1])
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"free": frozenset([0.0])}, "free index 0.0 is not an integer"),
+    ({"free": frozenset([True])}, "free index True is not an integer"),
+    ({"fixed": [np.True_]}, "fixed index np.True_ is not an integer"),
+    ({"fixed": [np.float64(1.0)]},
+     "fixed index np.float64(1.0) is not an integer"),
+    ({"free": "0"}, "free index '0' is not an integer"),
+    ({"fixed": 1}, "fixed must be an iterable of integer indices, got 1"),
+])
+def test_index_sets_reject_non_integer_entries(change, message):
+    data = dict(H=np.eye(2), M=np.zeros((1, 1)), A=np.array([[1.0, 1.0]]),
+                b=np.zeros(1), c=np.zeros(2))
+    with pytest.raises(ProblemError, match=f"^{re.escape(message)}$"):
+        QpProblem(**data, **change)
+
+
 def test_rejects_asymmetric_hessian():
     with pytest.raises(ProblemError, match="symmetric"):
         QpProblem(H=np.array([[1.0, 0.5], [0.0, 1.0]]), M=np.zeros((1, 1)),

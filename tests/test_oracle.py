@@ -144,10 +144,12 @@ def test_in_cone_matches_subset_enumeration_on_random_cones():
         g = _random_cone(rng, d, k)
         # Free generators of every rank 0..d, over rank columns or over
         # rank + 1 of which one depends on the others (for rank 0: no
-        # column, or a zero one).
+        # column, or a zero one); and, up to 6 cone generators, a zero
+        # block of 2 or 3 columns.
         rank = (k + rep) % (d + 1)
         free = rng.normal(size=(d, rank)) @ rng.normal(size=(rank,
                                                               rank + rep))
+        zero = np.zeros((d, 2 + rep))
         lam = np.abs(rng.normal(size=k)) + 0.1
         face = lam * (rng.random(k) < 0.5)
         ray = np.zeros(k)
@@ -157,9 +159,10 @@ def test_in_cone_matches_subset_enumeration_on_random_cones():
         for target in (inside, g @ face, g @ ray, -inside - 0.1,
                        rng.normal(size=d),
                        inside + free @ rng.normal(size=free.shape[1])):
-            want = _in_cone_by_subsets(target, g, free)
-            assert _in_cone(target, g, free) == want, (d, k, rank)
-            verdicts[want] += 1
+            for span in (free, zero)[:1 + (k <= 6)]:
+                want = _in_cone_by_subsets(target, g, span)
+                assert _in_cone(target, g, span) == want, (d, k, span.shape)
+                verdicts[want] += 1
     assert min(verdicts.values()) >= 100, verdicts
 
 
