@@ -30,9 +30,9 @@ from .dual import solve_dual
 from .kkt import (KktBasis, KktFactorization, KktInternalError,
                   find_soc_basis, solve_boundary_point)
 from .model import (DEFAULT_TOL, InvariantError, Iterate, Partition,
-                    ProblemError, QpProblem, Shifts, bound_tol,
-                    check_optimality, dual_objective, index_mask, inf_norm,
-                    primal_objective)
+                    ProblemError, QpProblem, Shifts, _indices, _vector,
+                    bound_tol, check_optimality, dual_objective, index_mask,
+                    inf_norm, primal_objective)
 from .primal import solve_primal
 from .steps import OPTIMAL, PRIMAL_INFEASIBLE, SolveOutcome, TraceSink
 
@@ -59,20 +59,18 @@ class GeneralQp:
 
     def __post_init__(self):
         H = np.atleast_2d(np.asarray(self.Hhat, dtype=float))
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
+        c = _vector(self.c, "c")
         A = np.asarray(self.Ahat, dtype=float)
         for name, data in (("Hhat", H), ("Ahat", A), ("c", c)):
             if not np.isfinite(data).all():
                 raise ProblemError(f"{name} has non-finite entries")
-        if c.ndim != 1:
-            raise ProblemError(f"c must be a vector, got shape {c.shape}")
         n = c.shape[0]
         if A.size == 0:
             A = A.reshape(0, n)
         A = np.atleast_2d(A)
         m = A.shape[0]
-        lo = np.asarray(self.lower, dtype=float).reshape(-1)
-        up = np.asarray(self.upper, dtype=float).reshape(-1)
+        lo = _vector(self.lower, "lower")
+        up = _vector(self.upper, "upper")
         if H.shape != (n, n):
             raise ProblemError(f"Hhat must be {n}x{n}, got {H.shape}")
         if A.shape != (m, n):
@@ -317,7 +315,7 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
         raise ValueError("tolerances must be positive and finite")
     basis = KktBasis(p)
     if config.initial_basis is not None:
-        chosen = set(config.initial_basis)
+        chosen = set(_indices(config.initial_basis, "initial basis"))
         if not chosen <= set(range(p.n)):
             raise ProblemError(f"initial basis {sorted(chosen)} has an index "
                                f"outside 0..{p.n - 1}")

@@ -178,18 +178,26 @@ def _symmetrized(s: np.ndarray, name: str) -> np.ndarray:
     return np.tril(s) + np.tril(s, -1).T
 
 
-def _index_set(indices, name: str) -> frozenset[int]:
-    """The integer indices of an iterable as a frozenset of ints; a float,
-    bool or other non-integer entry raises ``ProblemError``."""
+def _vector(v, name: str) -> np.ndarray:
+    """v as a float vector (a scalar has length 1); else ``ProblemError``."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.ndim != 1:
+        raise ProblemError(f"{name} must be a vector, got shape {v.shape}")
+    return v
+
+
+def _indices(values, name: str, error=ProblemError) -> list[int]:
+    """Integer indices as a list of ints; a float, bool, string or other
+    non-integer entry, or a non-iterable, raises ``error``."""
     try:
-        items = list(indices)
+        items = list(values)
     except TypeError:
-        raise ProblemError(f"{name} must be an iterable of integer indices, "
-                           f"got {indices!r}") from None
+        raise error(f"{name} must be an iterable of integer indices, "
+                    f"got {values!r}") from None
     for i in items:
         if isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__"):
-            raise ProblemError(f"{name} index {i!r} is not an integer")
-    return frozenset(operator.index(i) for i in items)
+            raise error(f"{name} index {i!r} is not an integer")
+    return [operator.index(i) for i in items]
 
 
 @dataclass(frozen=True)
@@ -220,8 +228,8 @@ class QpProblem:
         H = np.atleast_2d(np.asarray(self.H, dtype=float))
         M = np.atleast_2d(np.asarray(self.M, dtype=float))
         A = np.asarray(self.A, dtype=float)
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
+        b = _vector(self.b, "b")
+        c = _vector(self.c, "c")
         if not np.isfinite(H).all():
             raise ProblemError("H has non-finite entries")
         # One test over the smaller arrays' entries (no copy of H); the
@@ -232,10 +240,6 @@ class QpProblem:
             for name, a in rest:
                 if not np.isfinite(a).all():
                     raise ProblemError(f"{name} has non-finite entries")
-        for name, v in (("b", b), ("c", c)):
-            if v.ndim != 1:
-                raise ProblemError(
-                    f"{name} must be a vector, got shape {v.shape}")
         n = c.shape[0]
         m = b.shape[0]
         if A.size == 0:
@@ -256,8 +260,8 @@ class QpProblem:
         h_rank = _check_psd(H, "H")
         if m_live:
             _check_psd(M, "M")
-        free = _index_set(self.free, "free")
-        fixed = _index_set(self.fixed, "fixed")
+        free = frozenset(_indices(self.free, "free"))
+        fixed = frozenset(_indices(self.fixed, "fixed"))
         if free or fixed:
             bad = (free | fixed) - set(range(n))
             if bad:
@@ -316,10 +320,10 @@ class QpProblem:
         return scale
 
 
-def _shift_vector(v, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """A read-only float copy of a shift vector, checked to be finite and
-    (when given) of ``shape``."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+def _shift_vector(v, name: str, shape: tuple | None = None) -> np.ndarray:
+    """A read-only float copy of shift vector ``name``, checked to be a
+    finite vector and (when given) of ``shape``."""
+    v = _vector(v, name)
     if shape is not None and v.shape != shape:
         raise ProblemError("q and r must have the same length")
     if not np.isfinite(v).all():
@@ -339,9 +343,9 @@ class Shifts:
     r: np.ndarray
 
     def __post_init__(self):
-        q = _shift_vector(self.q)
+        q = _shift_vector(self.q, "q")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", _shift_vector(self.r, q.shape))
+        object.__setattr__(self, "r", _shift_vector(self.r, "r", q.shape))
 
     @classmethod
     def _checked(cls, q: np.ndarray, r: np.ndarray) -> "Shifts":
@@ -358,10 +362,10 @@ class Shifts:
         return cls._checked(z, z)
 
     def with_q(self, q) -> "Shifts":
-        return Shifts._checked(_shift_vector(q, self.r.shape), self.r)
+        return Shifts._checked(_shift_vector(q, "q", self.r.shape), self.r)
 
     def with_r(self, r) -> "Shifts":
-        return Shifts._checked(self.q, _shift_vector(r, self.q.shape))
+        return Shifts._checked(self.q, _shift_vector(r, "r", self.q.shape))
 
 
 class Partition:
@@ -372,21 +376,19 @@ class Partition:
     followed.  The boolean mask ``basic_mask`` and ``freed`` are the whole
     state: ``nonbasic_mask`` is derived from them, a new array at each
     read.  ``basic`` and ``nonbasic`` list their members in ascending
-    order.  A constructor argument that lists an index twice, leaves a gap
-    or holds a negative index raises ``InvariantError``, and so does an
-    index that a method does not find where it expects one.
+    order.  A non-integer index, or arguments that do not list each of
+    0..n-1 exactly once, raise ``InvariantError``, and so does an index
+    that a method does not find where it expects one.
     """
 
     def __init__(self, basic, nonbasic, freed: int | None = None):
-        basic = [int(i) for i in basic]
-        every = basic + [int(i) for i in nonbasic] + (
+        basic = _indices(basic, "basic", InvariantError)
+        freed = (None if freed is None
+                 else _indices([freed], "freed", InvariantError)[0])
+        every = basic + _indices(nonbasic, "nonbasic", InvariantError) + (
             [] if freed is None else [freed])
-        if min(every, default=0) < 0:
-            raise InvariantError(f"negative index in partition: {min(every)}")
-        if len(set(every)) != len(every):
-            raise InvariantError("an index appears twice in partition")
-        if len(every) != 1 + max(every, default=-1):
-            raise InvariantError("partition does not cover 0..n-1")
+        if sorted(every) != list(range(len(every))):
+            raise InvariantError(f"not a partition of 0..n-1: {sorted(every)}")
         self.basic_mask = index_mask(len(every), basic)
         self.freed = freed
 
@@ -548,6 +550,18 @@ def bound_tol(vector: str, y_norm: float, fea_tol: float,
     return fea_tol if vector == "x" else opt_tol * max(1.0, y_norm)
 
 
+def check_sizes(p: QpProblem, s: Shifts, it: Iterate | None = None) -> None:
+    """Raise ``ProblemError`` unless q (and r, which matches it) and, when
+    ``it`` is given, x and z have length n and y has length m."""
+    sizes = [("q and r", s.q, p.n)]
+    if it is not None:
+        sizes += [("x", it.x, p.n), ("y", it.y, p.m), ("z", it.z, p.n)]
+    for name, v, size in sizes:
+        if v.shape != (size,):
+            raise ProblemError(f"{name} must have length {size} to match "
+                               f"the problem, got shape {v.shape}")
+
+
 def check_optimality(p: QpProblem, s: Shifts, it: Iterate,
                      eps_fea: float = DEFAULT_TOL,
                      eps_opt: float = DEFAULT_TOL) -> OptimalityReport:
@@ -556,10 +570,12 @@ def check_optimality(p: QpProblem, s: Shifts, it: Iterate,
     The residual tests scale with the problem data and the bound tests
     are ``bound_tol``'s.  Free variables are exempt from the primal bound
     test but must satisfy |z_j + r_j| <= tolerance; fixed variables are
-    exempt from the dual sign test.
+    exempt from the dual sign test.  Shifts or a point whose sizes do
+    not match the problem raise ``ProblemError`` (``check_sizes``).
     """
     if not (eps_fea > 0 and eps_opt > 0):      # NaN fails too
         raise ValueError("tolerances must be positive")
+    check_sizes(p, s, it)
     stat, eq = residuals(p, it)
     stat_res, eq_res = inf_norm(stat), inf_norm(eq)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kkt import build_kb, factor_kb, solve_boundary_point
-from .model import (Partition, QpProblem, Shifts, inf_norm,
+from .model import (Partition, QpProblem, Shifts, check_sizes, inf_norm,
                     primal_objective)
 from .steps import DUAL_INFEASIBLE, OPTIMAL, PRIMAL_INFEASIBLE
 
@@ -161,8 +161,10 @@ def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
     both are empty the answer is ``primal_infeasible``, but either
     infeasibility status is then correct and the solver may report
     ``dual_infeasible``; the result's ``primal_feasible`` and
-    ``dual_feasible`` flags show when both sets are empty.
+    ``dual_feasible`` flags show when both sets are empty.  Shifts whose
+    length is not n raise ``ProblemError``.
     """
+    check_sizes(p, s)
     if p.n > ENUMERATION_LIMIT:
         raise OracleBudgetError(
             f"enumeration supports n <= {ENUMERATION_LIMIT}, got {p.n}")

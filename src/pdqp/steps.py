@@ -41,8 +41,9 @@ from .kkt import KktBasis
 from .model import (BOUND_SLACK, DRIFT_EQ_TOL, HARRIS_BAND, NOISE_BAND,
                     SELECT_BAND, START_EQ_TOL, TOL_SHARE, Direction,
                     InvariantError, Iterate, Partition, QpProblem, Shifts,
-                    StartConditionError, bound_tol, dual_objective,
-                    effective_shifts, inf_norm, primal_objective, residuals)
+                    StartConditionError, bound_tol, check_sizes,
+                    dual_objective, effective_shifts, inf_norm,
+                    primal_objective, residuals)
 
 OPTIMAL = "optimal"
 PRIMAL_INFEASIBLE = "primal_infeasible"
@@ -323,7 +324,8 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
                    basis: KktBasis | None = None) -> SolveOutcome:
     """Run one method to optimality, its ``unbounded`` status, or the
     iteration limit: ``max_iterations``, or 100 + 50(n + m) when it is 0.
-    The start iterate and partition are copied; ``fea_tol`` and ``opt_tol``
+    The start iterate and partition are copied and checked against the
+    problem's sizes (``check_sizes``); ``fea_tol`` and ``opt_tol``
     set ``bound_tol``.  ``basis`` serves every KKT solve of the run and
     keeps its held factorization for the caller's next run
     (``driver.solve_standard`` passes one per problem, holding K_B of the
@@ -335,6 +337,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         raise StartConditionError("start partition has a pending freed index")
     if (p.fixed_mask & part.basic_mask).any():
         raise StartConditionError("a fixed index cannot be basic")
+    check_sizes(p, s, it)
     pinned = getattr(p, f"{fam.pinned}_mask")
     excluded = p.fixed_mask | pinned
     unguarded = getattr(p, f"{fam.unguarded}_mask")

@@ -324,6 +324,8 @@ def malformed_cases():
         ("general-Ahat-shape", general(Ahat=[[1.0, 1.0, 1.0]])),
         ("general-Hhat-indefinite", general(Hhat=[[1.0, 2.0], [2.0, 1.0]])),
         ("general-bounds-length", general(lower=[0.0, 0.0])),
+        ("general-lower-2d", general(lower=[[0.0, 0.0, 1.0]])),
+        ("general-upper-2d", general(upper=[[inf, inf, 1.0]])),
         ("general-bounds-nan", general(lower=[nan, 0.0, 1.0])),
         ("general-bounds-wrong-side", general(lower=[inf, 0.0, 1.0])),
         ("general-bounds-inconsistent", general(lower=[2.0, 0.0, 1.0],

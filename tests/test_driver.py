@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdqp import (GeneralQp, Partition, ProblemError,
+from pdqp import (GeneralQp, InvariantError, Partition, ProblemError,
                   QpProblem, Shifts, SolveConfig, StartConditionError,
                   check_optimality, enumerate_solve, factor_kb,
                   find_soc_basis, init_shifts, solve_dual, solve_pdqp,
@@ -160,6 +160,30 @@ def test_init_shifts_zero_when_already_optimal(p1):
     assert_allclose(shifts.q, 0.0)
     assert_allclose(shifts.r, 0.0)
     assert_allclose(it.x, [0.5, 0.5])
+
+
+def test_initial_point_failing_the_optimality_check_raises(p2, monkeypatch):
+    def perturbed(*args):
+        shifts, it = init_shifts(*args)
+        it.x[0] += 1.0
+        return shifts, it
+
+    monkeypatch.setattr(driver, "init_shifts", perturbed)
+    with pytest.raises(InvariantError, match="^initial shifted point failed "
+                                             "the optimality check"):
+        solve_standard(p2)
+
+
+def test_final_point_failing_the_optimality_check_raises(p2, monkeypatch):
+    def perturbed(*args, **kw):
+        out = solve_dual(*args, **kw)
+        out.iterate.x[0] += 1.0
+        return out
+
+    monkeypatch.setattr(driver, "solve_dual", perturbed)
+    with pytest.raises(InvariantError,
+                       match="^final point failed the optimality check"):
+        solve_standard(p2, SolveConfig(strategy="primal-first"))
 
 
 def test_init_shifts_optimal_on_random_instances():

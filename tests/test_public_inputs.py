@@ -1,0 +1,87 @@
+"""Inputs at the public entry points that the exception contract rejects.
+
+Each case names in its id what happened to it before the vector and
+index-list rules were shared: it was accepted, truncated to an integer,
+or crashed with a plain ``IndexError`` or ``ValueError`` inside numpy.
+"""
+
+import numpy as np
+import pytest
+
+from pdqp import (GeneralQp, InvariantError, Iterate, Partition,
+                  ProblemError, QpProblem, Shifts, SolveConfig,
+                  check_optimality, enumerate_solve, solve_primal,
+                  solve_standard)
+
+INF = np.inf
+
+
+def _p1():
+    return QpProblem(H=np.eye(2), M=np.zeros((1, 1)), A=np.array([[1.0, 1.0]]),
+                     b=np.array([1.0]), c=np.zeros(2))
+
+
+def _general(**change):
+    data = dict(Hhat=np.eye(2), Ahat=[[1.0, 1.0]], c=[0.0, 1.0],
+                lower=[0.0, 0.0, 1.0], upper=[INF, INF, 1.0])
+    return lambda: GeneralQp(**(data | change))
+
+
+def _point(n_x=2, m=1):
+    return Iterate(np.zeros(n_x), np.zeros(m), np.zeros(n_x))
+
+
+def _primal_from(it):
+    return lambda: solve_primal(_p1(), Shifts.zero(2),
+                                (it, Partition([0], [1])))
+
+
+@pytest.mark.parametrize("build,error,message", [
+    pytest.param(_general(lower=[[0.0, 0.0, 1.0]]), ProblemError,
+                 "lower must be a vector, got shape (1, 3)",
+                 id="general-lower-2d-was-accepted"),
+    pytest.param(_general(upper=[[INF, INF, 1.0]]), ProblemError,
+                 "upper must be a vector, got shape (1, 3)",
+                 id="general-upper-2d-was-accepted"),
+    pytest.param(lambda: Shifts(np.zeros((1, 2)), np.zeros((1, 2))),
+                 ProblemError, "q must be a vector, got shape (1, 2)",
+                 id="shifts-2d-was-accepted"),
+    pytest.param(lambda: Partition([0.7], [1]), InvariantError,
+                 "basic index 0.7 is not an integer",
+                 id="partition-float-was-truncated"),
+    pytest.param(lambda: Partition([True], [0]), InvariantError,
+                 "basic index True is not an integer",
+                 id="partition-bool-was-accepted-as-1"),
+    pytest.param(lambda: Partition(["0"], [1]), InvariantError,
+                 "basic index '0' is not an integer",
+                 id="partition-string-was-accepted"),
+    pytest.param(lambda: Partition([0], [1], freed=2.0), InvariantError,
+                 "freed index 2.0 is not an integer",
+                 id="partition-freed-float-raised-IndexError-on-use"),
+    pytest.param(lambda: solve_standard(_p1(),
+                                        SolveConfig(initial_basis=[0.0])),
+                 ProblemError, "initial basis index 0.0 is not an integer",
+                 id="initial-basis-float-raised-IndexError"),
+    pytest.param(lambda: solve_standard(_p1(),
+                                        SolveConfig(initial_basis=[True])),
+                 ProblemError, "initial basis index True is not an integer",
+                 id="initial-basis-bool-raised-IndexError"),
+    pytest.param(lambda: enumerate_solve(_p1(), Shifts.zero(3)),
+                 ProblemError, "q and r must have length 2 to match the "
+                 "problem, got shape (3,)",
+                 id="oracle-shifts-length-raised-ValueError"),
+    pytest.param(lambda: check_optimality(_p1(), Shifts.zero(3), _point()),
+                 ProblemError, "q and r must have length 2 to match the "
+                 "problem, got shape (3,)",
+                 id="check-shifts-length-raised-ValueError"),
+    pytest.param(_primal_from(_point(n_x=3)), ProblemError,
+                 "x must have length 2 to match the problem, got shape (3,)",
+                 id="primal-x-length-raised-ValueError"),
+    pytest.param(_primal_from(_point(m=2)), ProblemError,
+                 "y must have length 1 to match the problem, got shape (2,)",
+                 id="primal-y-length-raised-ValueError"),
+])
+def test_public_entry_points_reject_malformed_inputs(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from pdqp.steps import ratio_test, select_index
+from pdqp import (InvariantError, Iterate, Partition, Shifts,
+                  StartConditionError, factor_kb, init_shifts, primal_base,
+                  solve_primal)
+from pdqp.kkt import KktBasis
+from pdqp.primal import PRIMAL
+from pdqp.steps import StepResult, ratio_test, run_active_set, select_index
 
 TOL = 1e-6
 
@@ -79,3 +84,39 @@ def test_select_index_without_an_eligible_index(bland):
     assert select_index(np.array([-TOL / 2, 5.0]), one_sided,
                         np.zeros(2, dtype=bool), one_sided, TOL,
                         bland) == (None, 0.0)
+
+
+def test_step_function_requires_l_freed(p2):
+    # z_0 + r_0 = -1 < 0 suits orient = 1; only the freed check objects.
+    it = Iterate(np.zeros(2), np.zeros(1), np.array([-1.0, 0.0]))
+    with pytest.raises(StartConditionError,
+                       match="^index l must be freed before primal_base$"):
+        primal_base(p2, Shifts.zero(2), Partition([1], [0]), it, 0,
+                    basis=KktBasis(p2))
+
+
+def test_start_partition_with_a_pending_freed_index_is_rejected(p1):
+    start = (Iterate([0.5, 0.5], [0.0], [0.0, 0.0]),
+             Partition(basic=[1], nonbasic=[], freed=0))
+    with pytest.raises(StartConditionError,
+                       match="^start partition has a pending freed index$"):
+        solve_primal(p1, Shifts.zero(2), start)
+
+
+def test_intermediate_loop_that_does_not_move_is_stopped(p2):
+    # From p2's shifted start at basis {0}, the primal stage (r = 0)
+    # frees l = 1 with z_1 + r_1 = -3; steps that never move it must trip
+    # the guard, not loop for ever.
+    part = Partition(basic=[0], nonbasic=[1])
+    shifts, it = init_shifts(p2, part, factor_kb(p2, part.basic))
+    calls = []
+
+    def still(part, it, l, orient, basis):
+        calls.append(l)
+        assert len(calls) < 100, "the stuck guard did not trip"
+        return StepResult(0.0, 3.0, 0.0, None, False), None
+
+    with pytest.raises(InvariantError, match="^intermediate subiterations "
+                                             "did not terminate"):
+        run_active_set(PRIMAL, p2, shifts.with_r(np.zeros(2)), (it, part),
+                       still, still, fea_tol=TOL, opt_tol=TOL)
