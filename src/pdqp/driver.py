@@ -321,7 +321,7 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
                                f"outside 0..{p.n - 1}")
         if chosen & p.fixed:
             raise ProblemError("fixed variables cannot be basic")
-        part = Partition.from_basic(p.n, sorted(chosen))
+        part = Partition._from_mask(index_mask(p.n, chosen))
     else:
         part = find_soc_basis(p, basis)
     factor = basis.factor(part.basic)

@@ -401,8 +401,15 @@ class Partition:
 
     @classmethod
     def from_basic(cls, n: int, basic) -> "Partition":
-        """{0..n-1} with ``basic``, distinct indices in that range, basic
-        and every other index nonbasic."""
+        """{0..n-1} with ``basic`` basic and every other index nonbasic.
+        ``basic`` must list distinct integer indices in 0..n-1; anything
+        else raises ``InvariantError``."""
+        basic = _indices(basic, "basic", InvariantError)
+        for i in basic:
+            if not 0 <= i < n:
+                raise InvariantError(f"basic index {i} is not in 0..{n - 1}")
+        if len(set(basic)) != len(basic):
+            raise InvariantError(f"a basic index is given twice: {basic}")
         return cls._from_mask(index_mask(n, basic))
 
     @property
@@ -435,6 +442,7 @@ class Partition:
         """Remove l from whichever set holds it and mark it freed."""
         if self.freed is not None:
             raise InvariantError("a freed index is already pending")
+        l = _indices([l], "freed", InvariantError)[0]
         if not 0 <= l < self.basic_mask.size:
             raise InvariantError(f"index {l} not in partition")
         self.basic_mask[l] = False

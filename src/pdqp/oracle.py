@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kkt import build_kb, factor_kb, solve_boundary_point
-from .model import (Partition, QpProblem, Shifts, check_sizes, inf_norm,
-                    primal_objective)
+from .model import (Partition, QpProblem, Shifts, check_sizes, index_mask,
+                    inf_norm, primal_objective)
 from .steps import DUAL_INFEASIBLE, OPTIMAL, PRIMAL_INFEASIBLE
 
 ENUMERATION_LIMIT = 16
@@ -175,7 +175,7 @@ def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
     for size in range(len(candidates) + 1):
         for subset in itertools.combinations(candidates, size):
             basic = list(subset)
-            part = Partition.from_basic(p.n, basic)
+            part = Partition._from_mask(index_mask(p.n, basic))
             f = factor_kb(p, basic)
             if f is None:
                 continue

@@ -858,24 +858,27 @@ def test_bunch_kaufman_hands_dsytrf_a_fortran_order_array(monkeypatch):
         assert f.ipiv.tobytes() == ipiv.tobytes()
 
 
+def _counting_applies(monkeypatch):
+    """The dim of every K_B0 apply, in order, of each K_B0 taken after
+    the call."""
+    applies = []
+    unpack = kkt._unpack
+
+    def counted_unpack(f):
+        once = unpack(f)
+        return lambda r: applies.append(r.size) or once(r)
+
+    monkeypatch.setattr(kkt, "_unpack", counted_unpack)
+    return applies
+
+
 def test_freeing_solve_supplies_the_next_border_column(monkeypatch):
     # n = 250 gives K of dim 270, past UPDATE_MIN_DIM: every dual base
     # step after the first is an update.  Its solve K_l w = e_at applies
     # K_B0^-1 to e_l, which is l's border column once the step drops l.
     g, xstar, fstar = criterion7_instance(250, 20, 10, 500)
     unpack = kkt._unpack
-    applies = []
-
-    def counted_unpack(f):
-        once = unpack(f)
-
-        def counted(r):
-            applies.append(r.size)
-            return once(r)
-
-        return counted
-
-    monkeypatch.setattr(kkt, "_unpack", counted_unpack)
+    applies = _counting_applies(monkeypatch)
     slots = kkt.KktBasis._slots
     checked = set()
 
@@ -895,10 +898,76 @@ def test_freeing_solve_supplies_the_next_border_column(monkeypatch):
     assert sol.status == "optimal"
     assert abs(sol.objective - fstar) <= 1e-9 * (1.0 + abs(fstar))
     assert np.max(np.abs(sol.x - xstar)) <= 1e-8 * (1.0 + np.max(xstar))
-    # Nine updated steps: two applies each, and one border column that no
-    # updated solve made (the index the fresh first step dropped).
+    # Nine updated steps: one apply each, as none needs its refinement
+    # step, and one border column that no updated solve made (the index
+    # the fresh first step dropped).
     assert len(checked) == 9
-    assert applies == [270] * 19
+    assert applies == [270] * 10
+
+
+def _unit_roundoffs(kb, w, rhs):
+    """The normwise backward error of w in K_B w = rhs, with the exact
+    ||K_B||_inf, in units of d u (d the dim, u the unit roundoff)."""
+    k_norm = float(np.abs(kb).sum(axis=1).max())
+    eta = kkt._backward_error(rhs - kb @ w, k_norm, w, rhs)
+    return eta / (rhs.size * np.finfo(float).eps / 2)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_updated_solve_refines_only_past_its_backward_error_bound(
+        monkeypatch, perturbed):
+    # K_B0 over the 240 positive components of x* on the n = 250 ladder
+    # rung, dim 260; K_B adds one active index, a border column of one
+    # K_B0 apply.  The solve's own apply, the second, is off by 1e-8
+    # relative when perturbed: its backward error then asks for the
+    # refinement apply, and that one step brings it below d u.
+    g, xstar, _ = criterion7_instance(250, 20, 10, 500)
+    p = standardize(g).problem
+    b0 = xstar.nonzero()[0]
+    order = np.sort(np.append(b0, (xstar == 0.0).nonzero()[0][0]))
+    basis = held_basis(p, b0)
+    assert basis._k0 is not None
+    solve0, applies = basis._solve0, []
+
+    def counted(r):
+        applies.append(r.size)
+        t = solve0(r)
+        return t * (1.0 + 1e-8) if perturbed and len(applies) == 2 else t
+
+    basis._solve0 = counted
+    rhs = np.random.default_rng(4).normal(size=order.size + p.m)
+    w = basis._update(order, rhs)
+    assert applies == [260] * (3 if perturbed else 2)
+    assert _unit_roundoffs(build_kb(p, order), w, rhs) <= 1.0
+
+
+def test_a_ladder_pass_makes_130_k_b0_applies_and_15_factorizations(
+        monkeypatch):
+    # The five rungs (n, m, active) of the benchmark's ``ladder`` workload
+    # at its seed 500: exact work counts, which do not scatter as times
+    # do.  None of the 125 updated solves refines.  The backward error of
+    # each stays far below the d u that would make it refine, so a host
+    # whose BLAS eats that margin fails here rather than slowly.
+    rungs = ((100, 10, 10), (250, 20, 10), (500, 20, 10), (1000, 20, 10),
+             (500, 20, 100))
+    applies = _counting_applies(monkeypatch)
+    fresh = _counting(monkeypatch, kkt, "_bunch_kaufman")
+    ratios = []
+    backward_error = kkt._backward_error
+
+    def recorded(res, k_norm_bound, x, rhs):
+        eta = backward_error(res, k_norm_bound, x, rhs)
+        ratios.append(eta / (res.size * np.finfo(float).eps / 2))
+        return eta
+
+    monkeypatch.setattr(kkt, "_backward_error", recorded)
+    for n, m, active in rungs:
+        g, _, fstar = criterion7_instance(n, m, active, 500)
+        sol = solve_pdqp(g)
+        assert sol.status == "optimal"
+        assert abs(sol.objective - fstar) <= 1e-9 * (1.0 + abs(fstar))
+    assert (len(applies), len(fresh), len(ratios)) == (130, 15, 125)
+    assert max(ratios) < 1e-2
 
 
 @pytest.mark.parametrize("dim", [200, 401, 600])

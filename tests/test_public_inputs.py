@@ -58,6 +58,24 @@ def _primal_from(it):
     pytest.param(lambda: Partition([0], [1], freed=2.0), InvariantError,
                  "freed index 2.0 is not an integer",
                  id="partition-freed-float-raised-IndexError-on-use"),
+    pytest.param(lambda: Partition.from_basic(2, [-1]), InvariantError,
+                 "basic index -1 is not in 0..1",
+                 id="from-basic-negative-made-index-1-basic"),
+    pytest.param(lambda: Partition.from_basic(2, [5]), InvariantError,
+                 "basic index 5 is not in 0..1",
+                 id="from-basic-out-of-range-raised-IndexError"),
+    pytest.param(lambda: Partition.from_basic(2, [0, 0]), InvariantError,
+                 "a basic index is given twice: [0, 0]",
+                 id="from-basic-duplicate-was-accepted"),
+    pytest.param(lambda: Partition.from_basic(2, [0.0]), InvariantError,
+                 "basic index 0.0 is not an integer",
+                 id="from-basic-float-raised-IndexError"),
+    pytest.param(lambda: Partition.from_basic(2, [True]), InvariantError,
+                 "basic index True is not an integer",
+                 id="from-basic-bool-raised-IndexError"),
+    pytest.param(lambda: Partition([0], [1]).free_index(1.0), InvariantError,
+                 "freed index 1.0 is not an integer",
+                 id="free-index-float-raised-IndexError"),
     pytest.param(lambda: solve_standard(_p1(),
                                         SolveConfig(initial_basis=[0.0])),
                  ProblemError, "initial basis index 0.0 is not an integer",
