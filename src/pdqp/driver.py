@@ -31,8 +31,8 @@ from .kkt import (KktBasis, KktFactorization, KktInternalError,
                   find_soc_basis, solve_boundary_point)
 from .model import (DEFAULT_TOL, InvariantError, Iterate, Partition,
                     ProblemError, QpProblem, Shifts, _indices, _vector,
-                    bound_tol, check_optimality, dual_objective, index_mask,
-                    inf_norm, primal_objective)
+                    bound_tol, check_optimality, check_tolerances,
+                    dual_objective, index_mask, inf_norm, primal_objective)
 from .primal import solve_primal
 from .steps import OPTIMAL, PRIMAL_INFEASIBLE, SolveOutcome, TraceSink
 
@@ -311,8 +311,7 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
     config = config or SolveConfig()
     if config.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {config.strategy!r}")
-    if not all(0.0 < tol < np.inf for tol in (config.fea_tol, config.opt_tol)):
-        raise ValueError("tolerances must be positive and finite")
+    check_tolerances(config.fea_tol, config.opt_tol)
     basis = KktBasis(p)
     if config.initial_basis is not None:
         chosen = set(_indices(config.initial_basis, "initial basis"))

@@ -551,6 +551,12 @@ START_EQ_TOL = 1e-8     # equality residuals of a start point, over data_scale
 DRIFT_EQ_TOL = 1e-7     # equality residuals of later iterates, likewise
 
 
+def check_tolerances(fea_tol: float, opt_tol: float) -> None:
+    """The one test of tolerances: both positive and finite (NaN fails)."""
+    if not (0.0 < fea_tol < np.inf and 0.0 < opt_tol < np.inf):
+        raise ValueError("tolerances must be positive and finite")
+
+
 def bound_tol(vector: str, y_norm: float, fea_tol: float,
               opt_tol: float) -> float:
     """How far below its bound ``vector`` may lie: x + q >= -fea_tol and
@@ -581,8 +587,7 @@ def check_optimality(p: QpProblem, s: Shifts, it: Iterate,
     exempt from the dual sign test.  Shifts or a point whose sizes do
     not match the problem raise ``ProblemError`` (``check_sizes``).
     """
-    if not (eps_fea > 0 and eps_opt > 0):      # NaN fails too
-        raise ValueError("tolerances must be positive")
+    check_tolerances(eps_fea, eps_opt)
     check_sizes(p, s, it)
     stat, eq = residuals(p, it)
     stat_res, eq_res = inf_norm(stat), inf_norm(eq)

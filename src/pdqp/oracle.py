@@ -6,10 +6,10 @@ direct cone-membership tests on the primal and dual feasible sets
 (``primal_set_nonempty``, ``dual_set_nonempty``): is a target vector a
 nonnegative combination of cone generators plus any combination of free
 ones?  ``_in_cone`` answers that by nonnegative least squares
-(Lawson-Hanson, numpy only), accepting a residual of at most 1e-9 times
-the data's scale.  Nothing here shares step or direction logic with the
-solver (only the K_B assembly and factorization are reused, and a naive
-Gaussian elimination cross-checks those solves on small instances).
+(Lawson-Hanson, numpy only), accepting a residual of at most CONE_TOL
+times the data's scale.  Nothing here shares step or direction logic with
+the solver; only the K_B assembly and factorization are reused, and the
+tests prove returned optima exactly without them (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -19,12 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kkt import build_kb, factor_kb, solve_boundary_point
+from .kkt import factor_kb, solve_boundary_point
 from .model import (Partition, QpProblem, Shifts, check_sizes, index_mask,
                     inf_norm, primal_objective)
 from .steps import DUAL_INFEASIBLE, OPTIMAL, PRIMAL_INFEASIBLE
 
 ENUMERATION_LIMIT = 16
+SIGN_TOL = 1e-8     # a witness's sign slack, over the scale of its values
+CONE_TOL = 1e-9     # a cone test's residual acceptance, over the data's
 
 
 class OracleBudgetError(ValueError):
@@ -48,38 +50,17 @@ class OracleSolution:
     dual_feasible: bool
 
 
-def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain Gaussian elimination with partial pivoting; the deliberate
-    second opinion on the factorization solves."""
-    a = np.array(a, dtype=float)
-    x = np.array(b, dtype=float)
-    n = a.shape[0]
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) == 0.0:
-            raise np.linalg.LinAlgError("singular matrix in gauss solve")
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            x[[k, piv]] = x[[piv, k]]
-        mult = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= np.outer(mult, a[k, k:])
-        x[k + 1:] -= mult * x[k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x
-
-
 def _in_cone(target: np.ndarray, cone_gens: np.ndarray,
-             free_gens: np.ndarray, tol: float = 1e-9) -> bool:
+             free_gens: np.ndarray) -> bool:
     """Is target in cone(cone_gens) + span(free_gens)?
 
     Projects the target and the cone generators G onto the orthogonal
     complement of the span, then runs Lawson-Hanson nonnegative least
     squares (Lawson & Hanson, 1974, ch. 23) on min |G lam - t| over
-    lam >= 0.  The answer is yes as soon as max|G lam - t| <= tol * scale,
-    with ``scale`` the largest of 1 and the data's magnitudes; it is no
-    once no generator's gradient entry g_j'r exceeds 1e-12 |g_j| |r| (r
-    the residual), that is once lam is optimal.  A run that reaches the
+    lam >= 0.  The answer is yes as soon as max|G lam - t| <= CONE_TOL *
+    scale, with ``scale`` the largest of 1 and the data's magnitudes; it
+    is no once no generator's gradient entry g_j'r exceeds 1e-12 |g_j| |r|
+    (r the residual), that is once lam is optimal.  A run that reaches the
     iteration cap raises ``OracleInconsistencyError``.
     """
     d = target.shape[0]
@@ -94,7 +75,7 @@ def _in_cone(target: np.ndarray, cone_gens: np.ndarray,
         basis = u[:, :rank]
         t = t - basis @ (basis.T @ t)
         g = g - basis @ (basis.T @ g)
-    accept = tol * scale
+    accept = CONE_TOL * scale
     if inf_norm(t) <= accept:
         return True
     k = g.shape[1]
@@ -150,8 +131,7 @@ def dual_set_nonempty(p: QpProblem, s: Shifts) -> bool:
                     np.hstack([-p.H, p.A.T, eye[:, p.fixed_mask]]))
 
 
-def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
-                    ) -> OracleSolution:
+def enumerate_solve(p: QpProblem, s: Shifts) -> OracleSolution:
     """Exhaustive solve by enumerating candidate basic sets.
 
     Every subset of the non-fixed indices is tried; subsets whose K_B
@@ -169,7 +149,6 @@ def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
         raise OracleBudgetError(
             f"enumeration supports n <= {ENUMERATION_LIMIT}, got {p.n}")
     candidates = [j for j in range(p.n) if j not in p.fixed]
-    crosscheck = p.n <= 8
     best: OracleSolution | None = None
     found: list[tuple[list[int], float]] = []
     for size in range(len(candidates) + 1):
@@ -180,16 +159,13 @@ def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
             if f is None:
                 continue
             it = solve_boundary_point(p, s, part, f)
-            if crosscheck:
-                _crosscheck_solve(p, s, part, it)
             # Per-family scales: the primal sign slack must not inflate
             # with the dual magnitudes or vice versa.
-            x_scale = max(1.0, inf_norm(it.x), inf_norm(s.q))
-            z_scale = max(1.0, inf_norm(it.z), inf_norm(s.r))
+            x_slack = SIGN_TOL * max(1.0, inf_norm(it.x), inf_norm(s.q))
+            z_slack = SIGN_TOL * max(1.0, inf_norm(it.z), inf_norm(s.r))
             xq, zr = it.x + s.q, it.z + s.r
-            z_bad = np.where(p.free_mask, np.abs(zr) > tol * z_scale,
-                             zr < -tol * z_scale)
-            if ((part.basic_mask & ~p.free_mask & (xq < -tol * x_scale))
+            z_bad = np.where(p.free_mask, np.abs(zr) > z_slack, zr < -z_slack)
+            if ((part.basic_mask & ~p.free_mask & (xq < -x_slack))
                     | (part.nonbasic_mask & ~p.fixed_mask & z_bad)).any():
                 continue
             obj = primal_objective(p, s, it)
@@ -205,7 +181,7 @@ def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
         # slack times the gradient scale.
         x_big = max(1.0, inf_norm(best.x))
         grad = inf_norm(p.c + s.r) + p.kkt_scale() * x_big
-        agree = 1e-10 * (1.0 + abs(ref)) + 4.0 * tol * x_big * grad
+        agree = 1e-10 * (1.0 + abs(ref)) + 4.0 * SIGN_TOL * x_big * grad
         for basic, obj in found:
             if abs(obj - ref) > agree:
                 raise OracleInconsistencyError(
@@ -221,26 +197,3 @@ def enumerate_solve(p: QpProblem, s: Shifts, tol: float = 1e-8
     return OracleSolution(status=status, x=None, y=None, z=None,
                           objective=None, witness=None,
                           primal_feasible=p_ok, dual_feasible=d_ok)
-
-
-def _crosscheck_solve(p, s, part, it):
-    basic = list(part.basic)
-    nonbasic = list(part.nonbasic)
-    qn = s.q[nonbasic]
-    rhs = np.concatenate([
-        p.H[np.ix_(basic, nonbasic)] @ qn - p.c[basic] - s.r[basic],
-        p.A[:, nonbasic] @ qn + p.b,
-    ])
-    kb = build_kb(p, basic)
-    if kb.shape[0] == 0:
-        return
-    try:
-        w = _gauss_solve(kb, rhs)
-    except np.linalg.LinAlgError:
-        return
-    scale = max(1.0, inf_norm(w))
-    got = np.concatenate([it.x[basic], -it.y])
-    if inf_norm(got - w) > 1e-6 * scale:
-        raise OracleInconsistencyError(
-            f"factorization solve disagrees with Gaussian elimination "
-            f"for basis {basic}")

@@ -42,8 +42,8 @@ from .model import (BOUND_SLACK, DRIFT_EQ_TOL, HARRIS_BAND, NOISE_BAND,
                     SELECT_BAND, START_EQ_TOL, TOL_SHARE, Direction,
                     InvariantError, Iterate, Partition, QpProblem, Shifts,
                     StartConditionError, bound_tol, check_sizes,
-                    dual_objective, effective_shifts, inf_norm,
-                    primal_objective, residuals)
+                    check_tolerances, dual_objective, effective_shifts,
+                    inf_norm, primal_objective, residuals)
 
 OPTIMAL = "optimal"
 PRIMAL_INFEASIBLE = "primal_infeasible"
@@ -284,30 +284,31 @@ def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
     under ``pinned_only``); the equalities hold and guarded values on live
     minus unguarded lie within it from below; at the start (~live is then
     the idle set) idle guarded values also sit on their bounds and no
-    repaired value on live minus two_sided lies above its bound."""
+    repaired value on live minus two_sided lies above its bound.  Each
+    test asks that a value lie within its limit, so a NaN fails it."""
     error = StartConditionError if start else InvariantError
     where = f"{fam.method} {'start' if start else 'invariant'}"
     live = getattr(part, f"{fam.live}_mask")
     if not pinned_only:
         stat, eq = residuals(p, it)
-        if max(inf_norm(stat), inf_norm(eq)) > p.data_scale() * (
-                START_EQ_TOL if start else DRIFT_EQ_TOL):
+        limit = p.data_scale() * (START_EQ_TOL if start else DRIFT_EQ_TOL)
+        if not (inf_norm(stat) <= limit and inf_norm(eq) <= limit):
             raise error(f"{where}: the point violates the equality system")
     g = getattr(it, fam.guarded) + getattr(s, fam.guard_shift)
     tol = bound_tol(fam.guarded, inf_norm(it.y), fea_tol, opt_tol)
     tests = [] if pinned_only else [("guarded", fam.guarded, fam.guard_shift,
-                                     g, live & ~unguarded & (g < -tol))]
+                                     g, live & ~unguarded & ~(g >= -tol))]
     if getattr(p, fam.pinned):      # first: "guarded" sees its lower side
-        pinned = live & getattr(p, f"{fam.pinned}_mask") & (np.abs(g) > tol)
+        pinned = live & getattr(p, f"{fam.pinned}_mask") & ~(np.abs(g) <= tol)
         tests.insert(0, ("pinned", fam.guarded, fam.guard_shift, g, pinned))
     if start:
         r = getattr(it, fam.repaired) + getattr(s, fam.repair_shift)
         g_on, r_on = (BOUND_SLACK * np.maximum(1.0, np.abs(getattr(s, v)))
                       for v in (fam.guard_shift, fam.repair_shift))
         tests += [("idle", fam.guarded, fam.guard_shift, g,
-                   ~live & (np.abs(g) > g_on)),
+                   ~live & ~(np.abs(g) <= g_on)),
                   ("relaxed", fam.repaired, fam.repair_shift, r,
-                   live & ~two_sided & (r > r_on))]
+                   live & ~two_sided & ~(r <= r_on))]
     for clause, vec, shift, value, bad in tests:
         if bad.any():
             i = int(bad.argmax())
@@ -330,6 +331,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
     keeps its held factorization for the caller's next run
     (``driver.solve_standard`` passes one per problem, holding K_B of the
     start basis, to both stages); without one the run makes its own."""
+    check_tolerances(fea_tol, opt_tol)
     it = start[0].copy()
     part = start[1].copy()
     part.validate(p.n)

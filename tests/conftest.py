@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdqp import (GeneralQp, ProblemError, QpProblem, Shifts, factor_kb,
-                  standardize)
+from pdqp import (GeneralQp, ProblemError, QpProblem, Shifts,
+                  enumerate_solve, factor_kb, standardize)
 from pdqp import oracle
 from pdqp.kkt import KktBasis
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
@@ -148,6 +148,13 @@ def suite500_draw():
 def suite500(suite500_draw):
     """The ``suite500`` instances as a tuple (see ``suite500_draw``)."""
     return suite500_draw[0]
+
+
+@pytest.fixture(scope="session")
+def suite500_oracle(suite500):
+    """``enumerate_solve`` of each ``suite500`` instance at zero shifts, in
+    the same order."""
+    return tuple(enumerate_solve(p, Shifts.zero(p.n)) for p in suite500)
 
 
 def mixed_instances(seed, count):

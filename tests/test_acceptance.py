@@ -48,14 +48,13 @@ def _report(criterion, detail):
 
 
 @pytest.fixture(scope="module")
-def suite(suite500):
+def suite(suite500, suite500_oracle):
     t0 = time.perf_counter()
     runs = []
-    for p in suite500:
+    for p, orc in zip(suite500, suite500_oracle):
         records = []
         sol = solve_standard(p, SolveConfig(trace=records.append,
                                             check_invariants=True))
-        orc = enumerate_solve(p, Shifts.zero(p.n))
         runs.append(SuiteRun(problem=p, solution=sol, oracle=orc,
                              records=records))
     return Suite(runs=runs, elapsed=time.perf_counter() - t0)
@@ -81,8 +80,8 @@ def test_criterion_1_oracle_equivalence(suite):
     n_dinf = sum(r.oracle.status == "dual_infeasible" for r in suite.runs)
     _report(1, f"{len(suite.runs)} instances "
                f"({n_opt} optimal, {n_pinf} primal-infeasible, "
-               f"{n_dinf} dual-infeasible) matched the oracle "
-               f"in {suite.elapsed:.1f}s")
+               f"{n_dinf} dual-infeasible), solved in "
+               f"{suite.elapsed:.1f}s, matched the oracle")
 
 
 def test_criterion_2_duality_gap_identity(suite):

@@ -13,10 +13,10 @@ from pdqp import (GeneralQp, Iterate, KktFactorization, KktInternalError,
 from pdqp import dual, kkt, primal
 from pdqp.kkt import KktBasis, _bunch_kaufman, build_kb, solve_boundary_point
 from pdqp.model import index_mask, pivoted_cholesky
-from pdqp.oracle import _gauss_solve
 
 from conftest import (criterion7_instance, free_start_cases, held_basis,
                       mixed_instances, random_instances)
+from reference import _gauss_solve
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from pdqp import (Iterate, Partition, QpProblem, Shifts,
                   solve_intermediate_primal)
 from pdqp import oracle
 from pdqp.kkt import KktBasis
-from pdqp.oracle import (OracleBudgetError, _gauss_solve, _in_cone,
-                         dual_set_nonempty, primal_set_nonempty)
+from pdqp.oracle import (OracleBudgetError, _in_cone, dual_set_nonempty,
+                         primal_set_nonempty)
 
 from conftest import held_basis, random_instances
 from propositions import (check_direction_propositions,
                           check_objective_identity, objective_change,
                           partition_for_direction)
+from reference import _gauss_solve, certify
 
 
 def test_enumerate_p1(p1):
@@ -86,7 +88,8 @@ def test_cone_membership_basics():
     assert _in_cone(np.array([-1.0, 0.0]), none, gens[:, :1])
 
 
-def _in_cone_by_subsets(target, cone_gens, free_gens, tol=1e-9):
+def _in_cone_by_subsets(target, cone_gens, free_gens,
+                        tol=oracle.CONE_TOL):
     """The reference for ``_in_cone``: project out the span, then try an
     unconstrained least-squares fit on every support subset of at most d
     projected generators (Caratheodory), accepting lam >= -tol * scale."""
@@ -325,7 +328,9 @@ def test_row_rank_transfer_with_nonzero_pivot():
             assert np.linalg.matrix_rank(reduced) == m
 
 
-def test_oracle_crosscheck_triggers_on_small_instances(p1):
-    # n <= 8 runs the Gaussian cross-check path; it must agree silently.
+def test_oracle_witness_of_p1_is_certified_exactly(p1):
     sol = enumerate_solve(p1, Shifts.zero(2))
     assert sol.status == "optimal"
+    cert = certify(p1, Shifts.zero(2), sol.witness)
+    assert cert.x == [Fraction(1, 2), Fraction(1, 2)]
+    assert cert.violation == 0

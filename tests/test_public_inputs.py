@@ -1,8 +1,9 @@
 """Inputs at the public entry points that the exception contract rejects.
 
-Each case names in its id what happened to it before the vector and
-index-list rules were shared: it was accepted, truncated to an integer,
-or crashed with a plain ``IndexError`` or ``ValueError`` inside numpy.
+Each case names in its id what happened to it before the vector,
+index-list and tolerance rules were shared and the engine's entry checks
+failed on NaN: it was accepted, truncated to an integer, crashed with a
+plain ``IndexError`` or ``ValueError`` inside numpy, or solved.
 """
 
 import numpy as np
@@ -10,10 +11,12 @@ import pytest
 
 from pdqp import (GeneralQp, InvariantError, Iterate, Partition,
                   ProblemError, QpProblem, Shifts, SolveConfig,
-                  check_optimality, enumerate_solve, solve_primal,
-                  solve_standard)
+                  StartConditionError, check_optimality, enumerate_solve,
+                  solve_dual, solve_primal, solve_standard)
 
 INF = np.inf
+NAN = np.nan
+TOLERANCES = "tolerances must be positive and finite"
 
 
 def _p1():
@@ -34,6 +37,18 @@ def _point(n_x=2, m=1):
 def _primal_from(it):
     return lambda: solve_primal(_p1(), Shifts.zero(2),
                                 (it, Partition([0], [1])))
+
+
+def _from_basis_01(solve, x, y, z, **tols):
+    """``solve`` on p1 from (x, y, z) with both variables basic."""
+    return lambda: solve(_p1(), Shifts.zero(2),
+                         (Iterate(x, y, z), Partition([0, 1], [])), **tols)
+
+
+NAN_STARTS = {"x": ([NAN, 0.5], [0.0], [0.0, 0.0]),
+              "y": ([0.5, 0.5], [NAN], [0.0, 0.0]),
+              "z": ([0.5, 0.5], [0.0], [NAN, 0.0])}
+OPTIMUM = ([0.5, 0.5], [0.5], [0.0, 0.0])
 
 
 @pytest.mark.parametrize("build,error,message", [
@@ -98,6 +113,26 @@ def _primal_from(it):
     pytest.param(_primal_from(_point(m=2)), ProblemError,
                  "y must have length 1 to match the problem, got shape (2,)",
                  id="primal-y-length-raised-ValueError"),
+    *[pytest.param(_from_basis_01(solve, *NAN_STARTS[v]),
+                   StartConditionError,
+                   f"{method} start: the point violates the equality system",
+                   id=f"{method}-nan-{v}-returned-optimal")
+      for method, solve in (("primal", solve_primal), ("dual", solve_dual))
+      for v in NAN_STARTS],
+    pytest.param(_from_basis_01(solve_primal, *OPTIMUM, fea_tol=NAN),
+                 ValueError, TOLERANCES,
+                 id="primal-nan-fea-tol-returned-optimal"),
+    pytest.param(_from_basis_01(solve_dual, *OPTIMUM, opt_tol=INF),
+                 ValueError, TOLERANCES,
+                 id="dual-inf-opt-tol-returned-optimal"),
+    pytest.param(_from_basis_01(solve_dual, *OPTIMUM, fea_tol=-1.0),
+                 ValueError, TOLERANCES,
+                 id="dual-negative-fea-tol-returned-optimal"),
+    pytest.param(lambda: check_optimality(_p1(), Shifts.zero(2),
+                                          Iterate([5.0, -7.0], [0.0],
+                                                  [0.0, 0.0]), INF, INF),
+                 ValueError, TOLERANCES,
+                 id="check-inf-tolerances-called-a-wrong-point-optimal"),
 ])
 def test_public_entry_points_reject_malformed_inputs(build, error, message):
     with pytest.raises(error) as caught:
