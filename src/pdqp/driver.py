@@ -31,8 +31,9 @@ from .kkt import (KktBasis, KktFactorization, KktInternalError,
                   find_soc_basis, solve_boundary_point)
 from .model import (DEFAULT_TOL, InvariantError, Iterate, Partition,
                     ProblemError, QpProblem, Shifts, _indices, _vector,
-                    bound_tol, check_optimality, check_tolerances,
-                    dual_objective, index_mask, inf_norm, primal_objective)
+                    bound_tol, check_max_iterations, check_optimality,
+                    check_tolerances, dual_objective, index_mask, inf_norm,
+                    primal_objective)
 from .primal import solve_primal
 from .steps import OPTIMAL, PRIMAL_INFEASIBLE, SolveOutcome, TraceSink
 
@@ -312,6 +313,7 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
     if config.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {config.strategy!r}")
     check_tolerances(config.fea_tol, config.opt_tol)
+    check_max_iterations(config.max_iterations)
     basis = KktBasis(p)
     if config.initial_basis is not None:
         chosen = set(_indices(config.initial_basis, "initial basis"))

@@ -51,6 +51,11 @@ class InvariantError(RuntimeError):
 
 PSD_PIVOT_TOL = 1e-10
 RANK_TOL = 1e-10
+# Share by which a diagonal must exceed its row's off-diagonal sum for
+# ``_check_psd`` to accept without a factorization.  It is far larger than
+# the n*u rounding of a computed row sum (u the unit roundoff), so the
+# computed test implies the exact one.
+DOMINANCE_MARGIN = 1e-8
 
 
 def index_mask(n: int, indices) -> np.ndarray:
@@ -116,26 +121,39 @@ def pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _check_psd(s: np.ndarray, name: str) -> int:
-    """Pivoted-Cholesky semidefiniteness test of an exactly symmetric s;
-    returns the rank that the test found: the number of nonzero rows
-    where ``dpotrf`` accepts, the number of ``dpstrf`` pivots above the
+    """Semidefiniteness test of an exactly symmetric s; returns the rank
+    that the test found: the number of nonzero rows where the dominance
+    test or ``dpotrf`` accepts, the number of ``dpstrf`` pivots above the
     cutoff otherwise, and 0 where no pivot is (or s is zero).
 
     Only the rows and columns that are not identically zero take part
-    (standardized problems pad H with zero slack rows).  A LAPACK Cholesky
-    factorization (``dpotrf``) that succeeds with a finite factor accepts
-    first: a matrix definite on its nonzero part is semidefinite.
-    Otherwise ``pivoted_cholesky`` eliminates the largest remaining
-    diagonal until it falls to the cutoff PSD_PIVOT_TOL * max(1, max
-    diagonal), and a trailing Schur diagonal entry below -cutoff rejects
-    the matrix.  That diagonal is the input's minus the row sums of L^2,
-    since ``dpstrf`` leaves the trailing block partly updated.  Without a
-    pivot above the cutoff the least eigenvalue decides instead, since the
-    diagonal cannot see an off-diagonal entry far above it.
+    (standardized problems pad H with zero slack rows).  The paths, in
+    order:
+
+    1. Where every nonzero row has a positive diagonal that exceeds the
+       sum of the row's other magnitudes by DOMINANCE_MARGIN, s is
+       definite on those rows (Gershgorin), with no LAPACK call.
+    2. A LAPACK Cholesky factorization (``dpotrf``) that succeeds with a
+       finite factor accepts: a matrix definite on its nonzero part is
+       semidefinite.
+    3. Otherwise ``pivoted_cholesky`` (``dpstrf``) eliminates the largest
+       remaining diagonal until it falls to the cutoff PSD_PIVOT_TOL *
+       max(1, max diagonal), and a trailing Schur diagonal entry below
+       -cutoff rejects the matrix.  That diagonal is the input's minus the
+       row sums of L^2, since ``dpstrf`` leaves the trailing block partly
+       updated.
+    4. Without a pivot above the cutoff the least eigenvalue
+       (``eigvalsh``) decides instead, since the diagonal cannot see an
+       off-diagonal entry far above it.
     """
-    live = s.any(axis=1).nonzero()[0]
+    rows = np.abs(s).sum(axis=1)
+    live = rows.nonzero()[0]
     if not live.size:               # empty or zero
         return 0
+    # Zero rows and rows with a nonpositive diagonal never pass.
+    if np.count_nonzero(2.0 * s.diagonal()
+                        > (1.0 + DOMINANCE_MARGIN) * rows) == live.size:
+        return live.size
     factor, info = lapack.dpotrf(_live_block(s, live), overwrite_a=1,
                                  clean=0)
     if info == 0 and np.isfinite(factor).all():
@@ -210,9 +228,10 @@ class QpProblem:
     iterable of integer indices and is stored as a ``frozenset[int]``;
     ``free_mask`` and ``fixed_mask`` hold them as read-only boolean
     masks.  ``h_rank`` is the rank of H that ``_check_psd`` found: exact
-    where ``dpotrf`` accepts H on its rows that are not identically zero,
-    the count of ``dpstrf`` pivots above its cutoff otherwise, and 0 when
-    there is no such pivot.  Basis discovery reads it
+    where H's rows that are not identically zero pass its diagonal
+    dominance test or ``dpotrf`` accepts them, the count of ``dpstrf``
+    pivots above its cutoff otherwise, and 0 when there is no such
+    pivot.  Basis discovery reads it
     (``kkt.find_soc_basis``).
     """
 
@@ -466,19 +485,25 @@ class Partition:
 
 @dataclass
 class Iterate:
-    """The point (x, y, z).  Mutable; owned by a single solve."""
+    """The point (x, y, z).  Mutable; owned by a single solve.
+
+    Vectors from callers are copied; one that is not a vector (a scalar
+    has length 1) raises ``ProblemError``.
+    """
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
 
     def __post_init__(self):
-        self.x = np.atleast_1d(np.asarray(self.x, dtype=float)).copy()
-        self.y = np.asarray(self.y, dtype=float).reshape(-1).copy()
-        self.z = np.atleast_1d(np.asarray(self.z, dtype=float)).copy()
+        self.x = _vector(self.x, "x").copy()
+        self.y = _vector(self.y, "y").copy()
+        self.z = _vector(self.z, "z").copy()
 
     def copy(self) -> "Iterate":
-        return Iterate(self.x, self.y, self.z)     # __post_init__ copies
+        out = object.__new__(Iterate)
+        out.x, out.y, out.z = self.x.copy(), self.y.copy(), self.z.copy()
+        return out
 
 
 @dataclass
@@ -555,6 +580,16 @@ def check_tolerances(fea_tol: float, opt_tol: float) -> None:
     """The one test of tolerances: both positive and finite (NaN fails)."""
     if not (0.0 < fea_tol < np.inf and 0.0 < opt_tol < np.inf):
         raise ValueError("tolerances must be positive and finite")
+
+
+def check_max_iterations(max_iterations) -> None:
+    """The one test of an iteration cap: an integer >= 0 (0 asks for the
+    default cap); a bool, a float or a negative number fails."""
+    if (isinstance(max_iterations, (bool, np.bool_))
+            or not hasattr(max_iterations, "__index__")
+            or max_iterations < 0):
+        raise ValueError(f"max_iterations must be an integer >= 0, "
+                         f"got {max_iterations!r}")
 
 
 def bound_tol(vector: str, y_norm: float, fea_tol: float,

@@ -41,9 +41,10 @@ from .kkt import KktBasis
 from .model import (BOUND_SLACK, DRIFT_EQ_TOL, HARRIS_BAND, NOISE_BAND,
                     SELECT_BAND, START_EQ_TOL, TOL_SHARE, Direction,
                     InvariantError, Iterate, Partition, QpProblem, Shifts,
-                    StartConditionError, bound_tol, check_sizes,
-                    check_tolerances, dual_objective, effective_shifts,
-                    inf_norm, primal_objective, residuals)
+                    StartConditionError, bound_tol, check_max_iterations,
+                    check_sizes, check_tolerances, dual_objective,
+                    effective_shifts, inf_norm, primal_objective,
+                    residuals)
 
 OPTIMAL = "optimal"
 PRIMAL_INFEASIBLE = "primal_infeasible"
@@ -332,6 +333,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
     (``driver.solve_standard`` passes one per problem, holding K_B of the
     start basis, to both stages); without one the run makes its own."""
     check_tolerances(fea_tol, opt_tol)
+    check_max_iterations(max_iterations)
     it = start[0].copy()
     part = start[1].copy()
     part.validate(p.n)

@@ -10,7 +10,7 @@ from pdqp import (GeneralQp, Iterate, KktFactorization, KktInternalError,
                   recover_z_nonbasic, solve_base_primal,
                   solve_intermediate_primal, solve_pdqp, solve_standard,
                   standardize)
-from pdqp import dual, kkt, primal
+from pdqp import dual, kkt, model, primal
 from pdqp.kkt import KktBasis, _bunch_kaufman, build_kb, solve_boundary_point
 from pdqp.model import index_mask, pivoted_cholesky
 
@@ -947,11 +947,14 @@ def test_a_ladder_pass_makes_130_k_b0_applies_and_15_factorizations(
     # at its seed 500: exact work counts, which do not scatter as times
     # do.  None of the 125 updated solves refines.  The backward error of
     # each stays far below the d u that would make it refine, so a host
-    # whose BLAS eats that margin fails here rather than slowly.
+    # whose BLAS eats that margin fails here rather than slowly.  Every
+    # rung's tridiagonal H passes the load-time dominance test, so no
+    # Cholesky factorization (dpotrf) runs.
     rungs = ((100, 10, 10), (250, 20, 10), (500, 20, 10), (1000, 20, 10),
              (500, 20, 100))
     applies = _counting_applies(monkeypatch)
     fresh = _counting(monkeypatch, kkt, "_bunch_kaufman")
+    cholesky = _counting(monkeypatch, model.lapack, "dpotrf")
     ratios = []
     backward_error = kkt._backward_error
 
@@ -966,7 +969,8 @@ def test_a_ladder_pass_makes_130_k_b0_applies_and_15_factorizations(
         sol = solve_pdqp(g)
         assert sol.status == "optimal"
         assert abs(sol.objective - fstar) <= 1e-9 * (1.0 + abs(fstar))
-    assert (len(applies), len(fresh), len(ratios)) == (130, 15, 125)
+    assert (len(applies), len(fresh), len(ratios), len(cholesky)) == (
+        130, 15, 125, 0)
     assert max(ratios) < 1e-2
 
 

@@ -12,7 +12,7 @@ from pdqp import (Iterate, Partition, ProblemError, QpProblem, Shifts,
 from pdqp import model
 from pdqp.model import _check_psd, effective_shifts
 
-from conftest import random_instances
+from conftest import criterion7_instance, random_instances
 
 
 def it(x, y, z):
@@ -404,6 +404,12 @@ def test_effective_shifts_align_relaxed_entries(p1):
     assert eff.q[1] == 0.25
 
 
+def _dominated_by(factor, off):
+    """off, symmetric with a zero diagonal, with each diagonal entry
+    ``factor`` times the magnitude sum of the rest of its row."""
+    return off + np.diag(factor * np.abs(off).sum(axis=1))
+
+
 def _psd_cases():
     rng = np.random.default_rng(17)
     q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
@@ -418,6 +424,10 @@ def _psd_cases():
         lam[-1] = eig
         return q @ np.diag(lam) @ q.T
 
+    off = np.tril(rng.normal(size=(7, 7)), -1)
+    off += off.T
+    path = np.eye(6, k=1) + np.eye(6, k=-1)     # its Laplacian is singular
+
     # (matrix, semidefinite, the rank _check_psd returns when it is)
     return [
         pytest.param(g.T @ g + np.eye(6), True, 6, id="pd"),
@@ -430,6 +440,26 @@ def _psd_cases():
                      id="zero_diagonal_row"),
         pytest.param(np.array([[1e-20, 1e-11], [1e-11, 0.0]]), True, 0,
                      id="first_pivot_below_cutoff"),
+        # Strictly diagonally dominant beyond DOMINANCE_MARGIN: accepted
+        # before any factorization.
+        pytest.param(criterion7_instance(12, 3, 2, 5)[0].Hhat, True, 12,
+                     id="criterion7_tridiagonal"),
+        pytest.param(np.diag([3.0, 0.5, 1e-3, 2.0]), True, 4, id="diagonal"),
+        pytest.param(1e-2 * np.eye(5), True, 5, id="regularizer_1e-2_I"),
+        pytest.param(_dominated_by(1.0 + 1e-6, off), True, 7,
+                     id="row_sum_times_1+1e-6"),
+        # Within the margin or short of dominance: the factorizations
+        # decide.
+        pytest.param(_dominated_by(1.0 + 1e-9, off), True, 7,
+                     id="row_sum_times_1+1e-9"),
+        pytest.param(_dominated_by(1.0 - 1e-9, off), True, 7,
+                     id="row_sum_times_1-1e-9"),
+        pytest.param(_dominated_by(1.0 - 1e-9, -path), False, None,
+                     id="laplacian_row_sum_times_1-1e-9"),
+        pytest.param(-_dominated_by(1.0 + 1e-6, off), False, None,
+                     id="dominant_negative_diagonal"),
+        pytest.param(np.array([[1.0, -1.0], [-1.0, 1.0]]), True, 1,
+                     id="weakly_dominant_singular"),
     ]
 
 
@@ -469,6 +499,9 @@ def _greedy_psd_verdict(s, tol=model.PSD_PIVOT_TOL):
 # A Cholesky that always fails leaves the verdict to the pivoted one.
 _NO_CHOLESKY = SimpleNamespace(dpotrf=lambda a, **kw: (a, 1),
                                dpstrf=scipy.linalg.lapack.dpstrf)
+# A margin of 1 asks for 2 s_ii > 2 sum_j |s_ij|, which no row passes since
+# the sum holds |s_ii|: the factorizations decide.
+_NO_DOMINANCE = 1.0
 
 
 def _zero_padded(s):
@@ -487,13 +520,79 @@ def _zero_padded(s):
 
 @pytest.mark.parametrize("s,expected,rank", _psd_cases())
 def test_check_psd_matches_greedy_verdict(monkeypatch, s, expected, rank):
-    # The rank is the same whether dpotrf or dpstrf settles the verdict,
-    # and wherever zero rows lie.
+    # The rank is the same whether the dominance test, dpotrf or dpstrf
+    # settles the verdict, and wherever zero rows lie.
     assert _greedy_psd_verdict(s) is expected
     cases = [s] + _zero_padded(s)
-    assert [_psd_rank(t) for t in cases] == [rank] * 4
-    monkeypatch.setattr(model, "lapack", _NO_CHOLESKY)
-    assert [_psd_rank(t) for t in cases] == [rank] * 4
+    for margin in (model.DOMINANCE_MARGIN, _NO_DOMINANCE):
+        for lapack in (model.lapack, _NO_CHOLESKY):
+            monkeypatch.setattr(model, "DOMINANCE_MARGIN", margin)
+            monkeypatch.setattr(model, "lapack", lapack)
+            assert [_psd_rank(t) for t in cases] == [rank] * 4
+
+
+def _counting_dpotrf(monkeypatch):
+    calls = []
+    lapack = scipy.linalg.lapack
+    monkeypatch.setattr(model, "lapack", SimpleNamespace(
+        dpotrf=lambda a, **kw: calls.append(a.shape) or lapack.dpotrf(a, **kw),
+        dpstrf=lapack.dpstrf))
+    return calls
+
+
+@pytest.mark.parametrize("factor,factored", [
+    (4.0, False), (1.0 + 1e-6, False), (1.0 + 3e-8, False),
+    (1.0 + 1e-9, True), (1.0, True), (1.0 - 1e-9, True)])
+def test_only_rows_dominant_beyond_the_margin_skip_dpotrf(monkeypatch, factor,
+                                                           factored):
+    rng = np.random.default_rng(5)
+    off = np.tril(rng.normal(size=(9, 9)), -1)
+    calls = _counting_dpotrf(monkeypatch)
+    assert _psd_rank(_dominated_by(factor, off + off.T)) == 9
+    assert len(calls) == factored
+
+
+def test_dominance_test_gives_the_rank_of_the_factorizations(monkeypatch):
+    # Matrices whose diagonal is a factor times its row's off-diagonal
+    # magnitude sum, the factor straddling the margin, of either sign or
+    # zero in some rows, with zero rows placed anywhere among them: the
+    # rank (or rejection) is the one dpotrf, dpstrf and eigvalsh give.
+    rng = np.random.default_rng(2029)
+    factors = (1.0 - 1e-6, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 1e-8,
+               1.0 + 3e-8, 1.0 + 1e-6, 1.5, 4.0)
+    margin = model.DOMINANCE_MARGIN
+    calls = _counting_dpotrf(monkeypatch)
+    skipped = 0
+    outcomes = set()
+    for _ in range(400):
+        k = int(rng.integers(1, 51))
+        off = np.tril(rng.normal(size=(k, k))
+                      * (rng.random((k, k)) < rng.uniform(0.05, 1.0)), -1)
+        if rng.random() < 0.3:       # Laplacian sign pattern: near singular
+            off = -np.abs(off)
+        off += off.T
+        diag = rng.choice(factors) * np.abs(off).sum(axis=1)
+        if rng.random() < 0.2:
+            diag[rng.integers(k)] *= rng.choice([-1.0, 0.0])
+        if not diag.any():
+            diag[:] = 1.0
+        s = (off + np.diag(diag)) * 10.0 ** rng.integers(-4, 5)
+        pad = int(rng.integers(0, 11)) if rng.random() < 0.4 else 0
+        if pad:
+            live = np.sort(rng.choice(k + pad, size=k, replace=False))
+            t = np.zeros((k + pad, k + pad))
+            t[np.ix_(live, live)] = s
+            s = t
+        monkeypatch.setattr(model, "DOMINANCE_MARGIN", _NO_DOMINANCE)
+        want = _psd_rank(s)
+        monkeypatch.setattr(model, "DOMINANCE_MARGIN", margin)
+        before = len(calls)
+        assert _psd_rank(s) == want
+        skipped += len(calls) == before
+        outcomes.add("rejected" if want is None else
+                     "full" if want == k else "deficient")
+    assert 100 < skipped < 300
+    assert outcomes == {"rejected", "full", "deficient"}
 
 
 def test_pivoted_cholesky_agrees_with_greedy_on_random_matrices(monkeypatch):

@@ -133,8 +133,47 @@ OPTIMUM = ([0.5, 0.5], [0.5], [0.0, 0.0])
                                                   [0.0, 0.0]), INF, INF),
                  ValueError, TOLERANCES,
                  id="check-inf-tolerances-called-a-wrong-point-optimal"),
+    pytest.param(lambda: Iterate([[0.5, 0.5]], [0.5], [0.0, 0.0]),
+                 ProblemError, "x must be a vector, got shape (1, 2)",
+                 id="iterate-x-2d-was-kept-until-check-sizes"),
+    pytest.param(lambda: Iterate([0.5, 0.5], [[0.5]], [0.0, 0.0]),
+                 ProblemError, "y must be a vector, got shape (1, 1)",
+                 id="iterate-y-2d-was-flattened-and-solved-optimal"),
+    pytest.param(lambda: Iterate([0.5, 0.5], [0.5], [[0.0], [0.0]]),
+                 ProblemError, "z must be a vector, got shape (2, 1)",
+                 id="iterate-z-2d-was-kept-until-check-sizes"),
+    pytest.param(lambda: solve_standard(_p1(),
+                                        SolveConfig(max_iterations=-5)),
+                 ValueError, "max_iterations must be an integer >= 0, got -5",
+                 id="config-negative-max-iterations-ran-the-default-cap"),
+    pytest.param(lambda: solve_standard(_p1(),
+                                        SolveConfig(max_iterations=True)),
+                 ValueError,
+                 "max_iterations must be an integer >= 0, got True",
+                 id="config-bool-max-iterations-capped-at-1"),
+    pytest.param(lambda: solve_standard(_p1(),
+                                        SolveConfig(max_iterations=2.5)),
+                 ValueError, "max_iterations must be an integer >= 0, got 2.5",
+                 id="config-float-max-iterations-was-accepted"),
+    pytest.param(_from_basis_01(solve_primal, *OPTIMUM, max_iterations=-5),
+                 ValueError, "max_iterations must be an integer >= 0, got -5",
+                 id="primal-negative-max-iterations-ran-the-default-cap"),
+    pytest.param(_from_basis_01(solve_dual, *OPTIMUM, max_iterations=True),
+                 ValueError,
+                 "max_iterations must be an integer >= 0, got True",
+                 id="dual-bool-max-iterations-capped-at-1"),
+    pytest.param(_from_basis_01(solve_dual, *OPTIMUM, max_iterations=1.0),
+                 ValueError, "max_iterations must be an integer >= 0, got 1.0",
+                 id="dual-float-max-iterations-was-accepted"),
 ])
 def test_public_entry_points_reject_malformed_inputs(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("cap", [0, 3, np.int64(3)],
+                         ids=["default", "int", "numpy-int"])
+def test_an_integer_max_iterations_is_accepted(cap):
+    assert solve_standard(_p1(), SolveConfig(max_iterations=cap)).status \
+        == "optimal"
