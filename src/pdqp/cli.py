@@ -269,7 +269,12 @@ def _write_new(path, text: str) -> None:
 
 
 def emit_problem(g: GeneralQp, path) -> None:
-    """Write a GeneralQp as a QPT file that parses back to identical data."""
+    """Write a GeneralQp as a QPT file that parses back to identical data.
+    A name that is not one token free of "#", "/" and "\\" would not
+    parse back, and raises ``ValueError`` before anything is written."""
+    if g.name.split() != [g.name] or any(ch in g.name for ch in "#/\\"):
+        raise ValueError(f"name {g.name!r} does not round-trip through a "
+                         f"QPT file")
     out = ["QPT 1", f"name {g.name}", f"dims {g.n} {g.m}"]
     for label, mat, symmetric in (("H", g.Hhat, True), ("A", g.Ahat, False)):
         nz = np.nonzero(mat)

@@ -119,7 +119,6 @@ class Standardized:
     anchor: np.ndarray        # v0: bound each original component is anchored at
     sign: np.ndarray          # +1, or -1 for components anchored at an upper bound
     objective_offset: float
-    boxed: list[int]          # original component ids that got a balance row
     kept_rows: list[int]      # standardized row ids surviving the dead-row drop
     dead_rows: list[int]
     inconsistent_row: int | None = None
@@ -200,9 +199,8 @@ def standardize(g: GeneralQp) -> Standardized:
         dead_rows.append(i)
 
     base = Standardized(problem=None, anchor=anchor, sign=sign,
-                        objective_offset=offset, boxed=boxed,
-                        kept_rows=kept_rows, dead_rows=dead_rows,
-                        inconsistent_row=inconsistent)
+                        objective_offset=offset, kept_rows=kept_rows,
+                        dead_rows=dead_rows, inconsistent_row=inconsistent)
     if inconsistent is not None:
         return base
     if dead_rows:

@@ -39,13 +39,13 @@ dim * PIVOT_TOL * max|counterpart|:
 Both the change and the bound are relative to the counterpart's own
 scale, so the verdict does not depend on the scale of the data, while the
 noise band has an absolute floor.  Near the top of the band Bunch-Kaufman
-can still accept such a counterpart; its determinant ratio then lies
-inside the band too, so the two answers differ by less than the noise.
-The counterpart is still assembled and factored when the verdict is in
-doubt: when the value lies below -noise, or when the change exceeds the
-bound (a genuine small component of badly scaled data).  It is then
-pinned to zero on a rejection, or recomputed as a pivot-determinant
-ratio that must come out positive.
+can still accept such a counterpart, whose component then differs from
+zero by less than the noise.  The counterpart is factored when the
+verdict is in doubt: below -noise, or when the change exceeds the bound
+(a genuine small component of badly scaled data).  Its verdict alone
+then settles the component: zero on a rejection, else the computed
+value, which must be positive; a refined solve with an accepted factor
+gives it a small backward error (Higham, ch. 7 and 12).
 
 Every basis matrix is built with its variables in ascending order: K_B
 over B, and K_l, the basis matrix of B and l, over B + l with l at its
@@ -202,21 +202,6 @@ class KktFactorization:
         x = self._once(rhs)
         x += self._once(rhs - self.matrix @ x)
         return x
-
-    def logabsdet(self) -> tuple[float, float]:
-        """(sign, log|det|) over the 1x1 and 2x2 pivot blocks of D."""
-        d, i = self.ldu, 0
-        sign, logabs = 1.0, 0.0
-        while i < self.ipiv.size:
-            if self.ipiv[i] > 0:
-                det = d[i, i]
-                i += 1
-            else:
-                det = d[i, i] * d[i + 1, i + 1] - d[i + 1, i] ** 2
-                i += 2
-            sign *= 1.0 if det > 0 else -1.0
-            logabs += float(np.log(abs(det)))
-        return sign, logabs
 
     def _once(self, r: np.ndarray) -> np.ndarray:
         if not r.size:              # dsytrs rejects the empty system
@@ -686,7 +671,7 @@ def find_soc_basis(p: QpProblem, basis: KktBasis) -> Partition:
     return Partition._from_mask(index_mask(p.n, basic))
 
 
-def _freed_component(raw: float, noise: float, own: KktFactorization,
+def _freed_component(raw: float, noise: float,
                      other: Callable[[], KktFactorization | None], what: str,
                      backward: Callable[[], float],
                      bound: Callable[[], float]) -> float:
@@ -700,28 +685,23 @@ def _freed_component(raw: float, noise: float, own: KktFactorization,
     dim * PIVOT_TOL * max|counterpart| (see the module docstring), taken
     from the data without assembling the counterpart; both are computed
     only inside the band.  There, |raw| <= noise, backward() <= bound()
-    settles the component at zero.
-    Otherwise (raw < -noise so that its sign is in doubt, or the change
-    is larger than roundoff of the counterpart) factor the counterpart
-    with ``other()``, and either pin the component to zero where the
-    acceptance rule rejects it (``other()`` is None) or recompute it as a
-    pivot-determinant ratio, which stays accurate at any data scale.
+    settles the component at zero.  Otherwise (raw < -noise so that its
+    sign is in doubt, or the change is larger than roundoff of the
+    counterpart) the verdict of ``other()`` settles it: zero where the
+    acceptance rule rejects the counterpart (None), else raw, which must
+    then be positive (KktInternalError).
     """
     if raw > noise:
         return raw
     if raw >= -noise and backward() <= bound():
         return 0.0
-    data = other()
-    if data is None:
+    if other() is None:
         return 0.0
-    s_own, ld_own = own.logabsdet()
-    s_oth, ld_oth = data.logabsdet()
-    value = s_oth * s_own * float(np.exp(ld_oth - ld_own))
-    if value <= 0.0:
+    if raw <= 0.0:
         raise KktInternalError(
-            f"{what} resolved nonpositive ({value:.3e}) against a "
+            f"{what} computed nonpositive ({raw:.3e}) against a "
             f"nonsingular counterpart matrix")
-    return value
+    return raw
 
 
 def _base_dz_l(p: QpProblem, l: int, h_bl: np.ndarray,
@@ -791,7 +771,7 @@ def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
     dzl = raw
     if own is not None:
         dzl = _freed_component(
-            raw, noise, own, lambda: factor_kb(p, _with_freed(basic, l)[0]),
+            raw, noise, lambda: factor_kb(p, _with_freed(basic, l)[0]),
             "dz_l", lambda: abs(raw), lambda: (nb + p.m + 1) * PIVOT_TOL * max(
                 float(np.abs(own.matrix).max(initial=0.0)),
                 abs(p.H[l, l]), float(np.abs(rhs).max(initial=0.0))))
@@ -843,7 +823,7 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
                     if vnorm > 0.0 else np.inf)
 
         dxl = _freed_component(
-            raw, _dx_l_noise(w), own, lambda: factor_kb(p, basic), "dx_l",
+            raw, _dx_l_noise(w), lambda: factor_kb(p, basic), "dx_l",
             backward, lambda: (kl.shape[0] - 1) * PIVOT_TOL * inf_norm(
                 np.delete(np.delete(kl, at, axis=0), at, axis=1)))
     # dx_l = 0: singular K_B.  Every x-component of the direction

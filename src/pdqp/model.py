@@ -387,6 +387,14 @@ class Shifts:
         return Shifts._checked(self.q, _shift_vector(r, "r", self.q.shape))
 
 
+def _to_basic(into: str) -> bool:
+    """Whether ``into`` names the basic set; a name other than ``"basic"``
+    or ``"nonbasic"`` raises ``InvariantError``."""
+    if into not in ("basic", "nonbasic"):
+        raise InvariantError(f"no index set is named {into!r}")
+    return into == "basic"
+
+
 class Partition:
     """Index sets driving the active-set state machine.
 
@@ -471,12 +479,12 @@ class Partition:
         """Put the freed index into the ``"basic"`` or ``"nonbasic"`` set."""
         if self.freed is None:
             raise InvariantError("no freed index to bind")
-        self.basic_mask[self.freed] = into == "basic"
+        self.basic_mask[self.freed] = _to_basic(into)
         self.freed = None
 
     def move(self, k: int, into: str) -> None:
         """Move k into the ``"basic"`` or ``"nonbasic"`` set from the other."""
-        to_basic = into == "basic"
+        to_basic = _to_basic(into)
         if not (0 <= k < self.basic_mask.size and k != self.freed
                 and self.basic_mask[k] != to_basic):
             raise InvariantError(f"index {k} is not in the set it leaves")

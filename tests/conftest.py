@@ -220,6 +220,26 @@ def large_x_instance(seed, rank, scale):
     return g, float(0.5 * xhat @ H @ xhat + (scale * c) @ xhat)
 
 
+def scale_probe(seed, objective_scale=1.0, row_scale=1.0):
+    """A QP at n=5, m=2 with its objective scaled by ``objective_scale``
+    and its rows by ``row_scale``.  With ``rng = default_rng(seed)``:
+    G = rng.normal(size=(seed % 4, 5)), A normal, b = A|x0| with x0
+    normal, c normal, H = G'G and M = 0; then H and c are multiplied by
+    ``objective_scale`` and A and b by ``row_scale``.  The solution x is
+    the unit-scale one and the objective ``objective_scale`` times it.
+    The load-time rank test may reject the scaled rows (``ProblemError``).
+    """
+    rng = np.random.default_rng(seed)
+    n, m = 5, 2
+    G = rng.normal(size=(seed % 4, n))
+    A = rng.normal(size=(m, n))
+    x0 = rng.normal(size=n)
+    b = A @ np.abs(x0)
+    c = rng.normal(size=n)
+    return QpProblem(H=objective_scale * (G.T @ G), M=np.zeros((m, m)),
+                     A=row_scale * A, b=row_scale * b, c=objective_scale * c)
+
+
 def free_start_instance(rng):
     """A tiny general-format QP: n in [2, 4], m in [1, 2], integer A in
     [-2, 2], H = G'G with integer G in [-2, 2] of 0..n rows, integer c in

@@ -22,8 +22,8 @@ subiterations), the objective to 12 significant digits and the
 
 Each set of solves (below) then ends with a ``<set> outcomes <sha256>``
 line, the hash of that set's outcome lines (each with its newline), so
-that two trees' outcomes can be compared by four hashes: ``main``,
-``update-path``, ``free-start`` and ``large-x``.
+that two trees' outcomes can be compared by five hashes: ``main``,
+``update-path``, ``free-start``, ``large-x`` and ``scaled``.
 
 ``--oracle`` prints, in place of all the above, one line per problem
 with what ``enumerate_solve`` returns at zero shifts (status, objective
@@ -80,7 +80,10 @@ stage has a live temporary bound: ``conftest.free_start_cases(7, 100)``
 under auto, primal-first and dual-first, with ``check_invariants``.  A
 fourth, ``large-x``, covers solutions with max|x| far above 1e4:
 ``conftest.large_x_instance`` at seeds 0-49, ranks 0-3 and scales 1e5
-and 1e6, under auto, primal-first and dual-first.
+and 1e6, under auto, primal-first and dual-first.  A fifth, ``scaled``,
+covers badly scaled data: ``conftest.scale_probe`` at seeds 0-29 in four
+families (``SCALED``: H and c at 1e12, H and c at 1e-12, all data at
+1e12, all data at 2e-10), under auto, primal-first and dual-first.
 
 Not collected by pytest (the file name has no ``test_`` prefix).
 """
@@ -99,13 +102,17 @@ sys.path.insert(1, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import pdqp  # noqa: E402
 from conftest import (criterion7_instance, free_start_cases,  # noqa: E402
-                      large_x_instance, mixed_instances, random_instances)
+                      large_x_instance, mixed_instances, random_instances,
+                      scale_probe)
 from test_trajectories import PD_CASE  # noqa: E402
 from workloads import (ORACLE_MAX_LIVE, ORACLE_MAX_N, Ladder,  # noqa: E402
                        LowRank, constructed_qp, digest, mixed_instance)
 
 STRATEGIES = ("auto", "primal-first", "dual-first", "primal-only",
               "dual-only")
+# The ``scaled`` families: (label, objective scale, row scale).
+SCALED = (("hc1e12", 1e12, 1.0), ("hc1e-12", 1e-12, 1.0),
+          ("all1e12", 1e12, 1e12), ("all2e-10", 2e-10, 2e-10))
 
 
 class Digest:
@@ -428,6 +435,15 @@ def main() -> None:
                     x.solve(f"{g.name}/{s}", lambda c: pdqp.solve_pdqp(g, c),
                             pdqp.SolveConfig(strategy=s))
     x.end()
+    sc = Digest("scaled", per_solve=d.per_solve, outcomes=d.outcomes)
+    for family, objective_scale, row_scale in SCALED:
+        for seed in range(30):
+            for s in STRATEGIES[:3]:
+                sc.solve(f"{family}/seed{seed}/{s}",
+                         lambda c: pdqp.solve_standard(
+                             scale_probe(seed, objective_scale, row_scale), c),
+                         pdqp.SolveConfig(strategy=s))
+    sc.end()
     print(f"pdqp from {Path(pdqp.__file__).parent}")
     print(f"solves {d.solves}, raised {dict(sorted(d.errors.items()))}")
     print(f"digest {d.h.hexdigest()}")
@@ -440,6 +456,9 @@ def main() -> None:
     print(f"large-x solves {x.solves}, "
           f"raised {dict(sorted(x.errors.items()))}")
     print(f"large-x digest {x.h.hexdigest()}")
+    print(f"scaled solves {sc.solves}, "
+          f"raised {dict(sorted(sc.errors.items()))}")
+    print(f"scaled digest {sc.h.hexdigest()}")
 
 
 if __name__ == "__main__":

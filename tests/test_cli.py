@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -45,6 +46,17 @@ def test_roundtrip_all_fixtures(tmp_path):
                      (g.lower, h.lower), (g.upper, h.upper)]:
             assert np.array_equal(a, b)
         assert g.name == h.name
+
+
+@pytest.mark.parametrize("name", ["x#y", "a b", "", "a/b", "a\\b", "x\ry",
+                                  " lead"])
+def test_name_that_cannot_round_trip_is_not_written(tmp_path, name):
+    # "x#y" would parse back as "x"; the others would be rejected.
+    g = dataclasses.replace(parse_problem(PROBLEMS / "p1.qpt"), name=name)
+    out = tmp_path / "p.qpt"
+    with pytest.raises(ValueError, match="does not round-trip"):
+        emit_problem(g, out)
+    assert not out.exists()
 
 
 def test_coord_format_roundtrip(tmp_path):

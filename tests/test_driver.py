@@ -73,7 +73,6 @@ def test_standardize_boxed_component_adds_row():
     g = GeneralQp(Hhat=np.eye(1), Ahat=np.array([[1.0]]), c=np.zeros(1),
                   lower=np.array([0.0, 0.0]), upper=np.array([2.0, np.inf]))
     std = standardize(g)
-    assert std.boxed == [0]
     assert std.problem.n == 3 and std.problem.m == 2
     assert_allclose(std.problem.A[1], [1.0, 0.0, 1.0])
     assert_allclose(std.problem.b[1], 2.0)

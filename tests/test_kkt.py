@@ -15,7 +15,7 @@ from pdqp.kkt import KktBasis, _bunch_kaufman, build_kb, solve_boundary_point
 from pdqp.model import index_mask, pivoted_cholesky
 
 from conftest import (criterion7_instance, free_start_cases, held_basis,
-                      mixed_instances, random_instances)
+                      mixed_instances, random_instances, scale_probe)
 from reference import _gauss_solve
 
 
@@ -423,23 +423,6 @@ def test_bunch_kaufman_rejects_a_singular_k_with_a_roundoff_pivot():
     assert o.objective == pytest.approx(-5.375)
 
 
-def test_bunch_kaufman_logabsdet_matches_slogdet():
-    rng = np.random.default_rng(3)
-    two_by_two = 0
-    for _ in range(200):
-        k = _kkt_with_sigma_min(rng, bool(rng.integers(2)), None)
-        k += np.diag(rng.normal(scale=1e-3, size=k.shape[0]))
-        bk = _bunch_kaufman(k)
-        if bk is None:
-            continue
-        two_by_two += int(np.any(bk.ipiv < 0))
-        sign, logabs = bk.logabsdet()
-        ref_sign, ref_logabs = np.linalg.slogdet(k)
-        assert sign == ref_sign
-        assert logabs == pytest.approx(ref_logabs, rel=1e-9, abs=1e-9)
-    assert two_by_two > 20
-
-
 def _discovery_problems(suite500):
     std = [standardize(g).problem for g in mixed_instances(1, 120)]
     return list(suite500) + std
@@ -716,19 +699,19 @@ def test_in_band_rule_agrees_with_greedy_counterpart(what, scale):
                             else _in_band_dx(kb0, k, h, frac))
                     if case is None:
                         continue
-                    own, raw, noise, counterpart, backward, bound = case
+                    _, raw, noise, counterpart, backward, bound = case
                     if not -noise <= raw <= noise:
                         continue
                     built = []
                     value = kkt._freed_component(
-                        raw, noise, own,
+                        raw, noise,
                         lambda: built.append(1) or _bunch_kaufman(counterpart),
                         what, lambda: backward, lambda: bound)
                     # A bound below every backward error forces the
                     # counterpart path: factor the counterpart, pin the
                     # component at zero on a rejection.
                     reference = kkt._freed_component(
-                        raw, noise, own, lambda: _bunch_kaufman(counterpart),
+                        raw, noise, lambda: _bunch_kaufman(counterpart),
                         what, lambda: backward, lambda: -1.0)
                     if built:
                         assert value == reference >= 0.0
@@ -751,6 +734,72 @@ def test_in_band_rule_agrees_with_greedy_counterpart(what, scale):
     # dx_l ~ 1 / scale is.
     assert settled > 100
     assert (genuine > 100) == (scale == (1e-12 if what == "dz_l" else 1e12))
+
+
+@pytest.mark.parametrize("raw,accepted,want", [
+    pytest.param(0.0, True, KktInternalError, id="accepted-zero-raises"),
+    pytest.param(-0.5e-12, True, KktInternalError,
+                 id="accepted-negative-in-band-raises"),
+    pytest.param(-2e-12, True, KktInternalError,
+                 id="accepted-below-band-raises"),
+    pytest.param(0.5e-12, True, 0.5e-12, id="accepted-keeps-raw"),
+    pytest.param(0.5e-12, False, 0.0, id="rejected-pins-zero"),
+    pytest.param(-2e-12, False, 0.0, id="rejected-below-band-pins-zero"),
+])
+def test_counterpart_verdict_settles_a_component_outside_the_rule(
+        raw, accepted, want):
+    # A change within the singularity bound does not make the counterpart
+    # singular (backward() > bound()), so its factorization verdict
+    # settles the component: zero on a rejection, else the computed value,
+    # which must be positive.
+    counterpart = _bunch_kaufman(np.eye(2)) if accepted else None
+
+    def settle():
+        return kkt._freed_component(raw, 1e-12, lambda: counterpart, "dz_l",
+                                    lambda: 1.0, lambda: 1e-20)
+
+    if want is KktInternalError:
+        with pytest.raises(KktInternalError, match=r"dz_l computed "
+                           r"nonpositive .* nonsingular counterpart"):
+            settle()
+    else:
+        assert settle() == want
+
+
+def test_all_data_at_1e12_settles_against_accepted_counterparts(monkeypatch):
+    # The scale probe with all data at 1e12 holds genuine freed components
+    # inside the noise band's absolute floor whose counterpart is factored
+    # and accepted.  Every solve but one matches the oracle on the
+    # unit-scale problem; seed 26 under dual-first raises InvariantError,
+    # a failure of badly scaled data kept on record here.
+    accepted = []
+    settle = kkt._freed_component
+
+    def counting(raw, noise, other, what, backward, bound):
+        def counted():
+            data = other()
+            if data is not None:
+                accepted.append(what)
+            return data
+        return settle(raw, noise, counted, what, backward, bound)
+
+    monkeypatch.setattr(kkt, "_freed_component", counting)
+    failed = {}
+    for seed in range(30):
+        ref = enumerate_solve(scale_probe(seed), Shifts.zero(5))
+        p = scale_probe(seed, 1e12, 1e12)
+        for strategy in ("auto", "primal-first", "dual-first"):
+            try:
+                sol = solve_standard(p, SolveConfig(strategy=strategy))
+            except Exception as exc:    # the failure itself is the result
+                failed[seed, strategy] = type(exc).__name__
+                continue
+            assert sol.status == ref.status
+            if ref.status == "optimal":
+                assert sol.objective / 1e12 == pytest.approx(ref.objective,
+                                                             rel=1e-6)
+    assert failed == {(26, "dual-first"): "InvariantError"}
+    assert accepted
 
 
 # Schur-complement updates (KktBasis), run at every dim by lowering the

@@ -389,6 +389,13 @@ def _from_basic_matches_the_complement():
     pytest.param(_rejects(
         lambda: Partition(basic=[0], nonbasic=[1]).bind_freed("basic")),
         id="bind-without-freed"),
+    pytest.param(_rejects(
+        lambda: Partition(basic=[0, 1], nonbasic=[2]).move(0, "basics")),
+        id="move-into-unknown-set"),
+    pytest.param(_rejects(
+        lambda: Partition(basic=[0], nonbasic=[2], freed=1).bind_freed(
+            "Basic")),
+        id="bind-into-unknown-set"),
     pytest.param(_copy_is_independent, id="copy-is-independent"),
     pytest.param(_from_basic_matches_the_complement, id="from-basic"),
 ])
