@@ -385,12 +385,14 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=DEFAULT_TOL,
     file whose name an earlier file of the batch took, whose outputs it
     leaves in place.  An error row whose name an earlier row holds is
     named ``<name>~k``, with k the smallest integer from 2 up that no
-    earlier row holds, so no two rows share a name."""
+    earlier row holds, so no two rows share a name.  A bad setting
+    raises ValueError (``SolveConfig.check``) before any file is touched."""
+    config = SolveConfig(opt_tol=opt_tol, fea_tol=fea_tol,
+                         max_iterations=max_iter, strategy=strategy)
+    config.check()
     expected = read_expectations(expect) if expect else None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = SolveConfig(opt_tol=opt_tol, fea_tol=fea_tol,
-                         max_iterations=max_iter, strategy=strategy)
     rows = []
     taken = set()
     for path in paths:

@@ -247,6 +247,13 @@ class SolveConfig:
     check_invariants: bool = False
     initial_basis: list[int] | None = None
 
+    def check(self) -> None:
+        """Raise ValueError for a setting that no solve accepts."""
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        check_tolerances(self.fea_tol, self.opt_tol)
+        check_max_iterations(self.max_iterations)
+
 
 @dataclass
 class StageLog:
@@ -308,10 +315,7 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
     shifts) and every KKT solve of every stage.
     """
     config = config or SolveConfig()
-    if config.strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {config.strategy!r}")
-    check_tolerances(config.fea_tol, config.opt_tol)
-    check_max_iterations(config.max_iterations)
+    config.check()
     basis = KktBasis(p)
     if config.initial_basis is not None:
         chosen = set(_indices(config.initial_basis, "initial basis"))

@@ -24,13 +24,10 @@ so deleting row and column l leaves det = c w_j^2 dz_j^2 != 0.
 
 from __future__ import annotations
 
-from functools import partial
-
-from .kkt import KktBasis, solve_base_primal, solve_intermediate_primal
 from .model import (DEFAULT_TOL, Direction, Iterate, Partition, QpProblem,
                     Shifts)
 from .steps import (PRIMAL_INFEASIBLE, Family, SolveOutcome, StepResult,
-                    TraceSink, run_active_set, take_step)
+                    run_active_set, take_step)
 
 
 DUAL = Family(method="dual", repaired="x", repair_shift="q",
@@ -40,40 +37,28 @@ DUAL = Family(method="dual", repaired="x", repair_shift="q",
 
 
 def dual_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
-              *, basis: KktBasis, orient: float = 1.0,
-              opt_tol: float = DEFAULT_TOL) -> tuple[StepResult, Direction]:
+              *, basis, orient: float = 1.0, tol: float = DEFAULT_TOL
+              ) -> tuple[StepResult, Direction]:
     """Base subiteration: fix dz_l = orient (bordered K_l system) and
     move x_l + q_l toward zero (see ``take_step``).  An infinite step
     (dx_l = 0 with no blocking dual bound), returned unapplied, certifies
     the primal problem infeasible."""
-    return take_step(DUAL, p, s, part, it, l,
-                     lambda: solve_intermediate_primal(p, part, l, basis),
-                     orient, opt_tol, "dual_base")
+    return take_step(DUAL, "base", p, s, part, it, l, basis, orient, tol)
 
 
 def dual_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
-                      l: int, *, basis: KktBasis, orient: float = 1.0,
-                      opt_tol: float = DEFAULT_TOL
+                      l: int, *, basis, orient: float = 1.0,
+                      tol: float = DEFAULT_TOL
                       ) -> tuple[StepResult, Direction]:
     """Intermediate subiteration: fix dx_l = orient (K_B system), so the
     target step -(x_l + q_l)/dx_l is always finite."""
-    return take_step(DUAL, p, s, part, it, l,
-                     lambda: solve_base_primal(p, part, basis, l),
-                     orient, opt_tol, "dual_intermediate")
+    return take_step(DUAL, "intermediate", p, s, part, it, l, basis,
+                     orient, tol)
 
 
 def solve_dual(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
-               *, max_iterations: int = 0, opt_tol: float = DEFAULT_TOL,
-               fea_tol: float = DEFAULT_TOL, trace: TraceSink | None = None,
-               check_invariants: bool = False,
-               basis: KktBasis | None = None) -> SolveOutcome:
+               **kw) -> SolveOutcome:
     """Run the dual method to optimality, primal infeasibility, or the
-    iteration limit (see ``run_active_set``).  The start iterate and
-    partition are copied; ``basis`` serves the KKT solves and keeps its
-    held factorization for the caller's next stage."""
-    return run_active_set(
-        DUAL, p, s, start,
-        partial(dual_base, p, s, opt_tol=opt_tol),
-        partial(dual_intermediate, p, s, opt_tol=opt_tol),
-        fea_tol=fea_tol, opt_tol=opt_tol, max_iterations=max_iterations,
-        trace=trace, check_invariants=check_invariants, basis=basis)
+    iteration limit; ``run_active_set`` takes the keywords."""
+    return run_active_set(DUAL, p, s, start, dual_base,
+                          dual_intermediate, **kw)

@@ -13,13 +13,10 @@ set, as a warm start from a dual solve with a smaller shift produces.
 
 from __future__ import annotations
 
-from functools import partial
-
-from .kkt import KktBasis, solve_base_primal, solve_intermediate_primal
 from .model import (DEFAULT_TOL, Direction, Iterate, Partition, QpProblem,
                     Shifts)
 from .steps import (DUAL_INFEASIBLE, Family, SolveOutcome, StepResult,
-                    TraceSink, run_active_set, take_step)
+                    run_active_set, take_step)
 
 
 PRIMAL = Family(method="primal", repaired="z", repair_shift="r",
@@ -29,39 +26,27 @@ PRIMAL = Family(method="primal", repaired="z", repair_shift="r",
 
 
 def primal_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,
-                *, basis: KktBasis, orient: float = 1.0,
-                fea_tol: float = DEFAULT_TOL) -> tuple[StepResult, Direction]:
+                *, basis, orient: float = 1.0, tol: float = DEFAULT_TOL
+                ) -> tuple[StepResult, Direction]:
     """Base subiteration: fix dx_l = orient (K_B system) and step as far
     as the primal bounds allow (see ``take_step``).  An infinite step,
     returned unapplied, certifies that the dual problem is infeasible."""
-    return take_step(PRIMAL, p, s, part, it, l,
-                     lambda: solve_base_primal(p, part, basis, l),
-                     orient, fea_tol, "primal_base")
+    return take_step(PRIMAL, "base", p, s, part, it, l, basis, orient, tol)
 
 
 def primal_intermediate(p: QpProblem, s: Shifts, part: Partition, it: Iterate,
-                        l: int, *, basis: KktBasis, orient: float = 1.0,
-                        fea_tol: float = DEFAULT_TOL
+                        l: int, *, basis, orient: float = 1.0,
+                        tol: float = DEFAULT_TOL
                         ) -> tuple[StepResult, Direction]:
     """Intermediate subiteration: fix dz_l = orient (bordered K_l system),
     so the target step -(z_l + r_l)/dz_l is always finite."""
-    return take_step(PRIMAL, p, s, part, it, l,
-                     lambda: solve_intermediate_primal(p, part, l, basis),
-                     orient, fea_tol, "primal_intermediate")
+    return take_step(PRIMAL, "intermediate", p, s, part, it, l, basis,
+                     orient, tol)
 
 
 def solve_primal(p: QpProblem, s: Shifts, start: tuple[Iterate, Partition],
-                 *, max_iterations: int = 0, opt_tol: float = DEFAULT_TOL,
-                 fea_tol: float = DEFAULT_TOL, trace: TraceSink | None = None,
-                 check_invariants: bool = False,
-                 basis: KktBasis | None = None) -> SolveOutcome:
+                 **kw) -> SolveOutcome:
     """Run the primal method to optimality, dual infeasibility, or the
-    iteration limit (see ``run_active_set``).  The start iterate and
-    partition are copied; ``basis`` serves the KKT solves and keeps its
-    held factorization for the caller's next stage."""
-    return run_active_set(
-        PRIMAL, p, s, start,
-        partial(primal_base, p, s, fea_tol=fea_tol),
-        partial(primal_intermediate, p, s, fea_tol=fea_tol),
-        fea_tol=fea_tol, opt_tol=opt_tol, max_iterations=max_iterations,
-        trace=trace, check_invariants=check_invariants, basis=basis)
+    iteration limit; ``run_active_set`` takes the keywords."""
+    return run_active_set(PRIMAL, p, s, start, primal_base,
+                          primal_intermediate, **kw)

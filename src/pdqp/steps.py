@@ -10,7 +10,7 @@ subiteration when l comes from outside the live set, then intermediate
 subiterations until its repaired component reaches its bound, and binds
 l into the live set.  An infinite base step is returned unapplied and
 certifies the family's ``unbounded`` status.  Step functions are passed
-in per solve and this module's functions are called by name, so
+in per solve and the KKT solves are called by name from this module, so
 rebinding a module attribute (as the benchmark's tracer does) reaches
 every call.
 
@@ -37,14 +37,14 @@ from typing import Callable
 
 import numpy as np
 
-from .kkt import KktBasis
-from .model import (BOUND_SLACK, DRIFT_EQ_TOL, HARRIS_BAND, NOISE_BAND,
-                    SELECT_BAND, START_EQ_TOL, TOL_SHARE, Direction,
-                    InvariantError, Iterate, Partition, QpProblem, Shifts,
-                    StartConditionError, bound_tol, check_max_iterations,
-                    check_sizes, check_tolerances, dual_objective,
-                    effective_shifts, inf_norm, primal_objective,
-                    residuals)
+from .kkt import KktBasis, solve_base_primal, solve_intermediate_primal
+from .model import (BOUND_SLACK, DEFAULT_TOL, DRIFT_EQ_TOL, HARRIS_BAND,
+                    NOISE_BAND, SELECT_BAND, START_EQ_TOL, TOL_SHARE,
+                    Direction, InvariantError, Iterate, Partition, QpProblem,
+                    Shifts, StartConditionError, bound_tol,
+                    check_max_iterations, check_sizes, check_tolerances,
+                    dual_objective, effective_shifts, inf_norm,
+                    primal_objective, residuals)
 
 OPTIMAL = "optimal"
 PRIMAL_INFEASIBLE = "primal_infeasible"
@@ -94,8 +94,8 @@ class TraceRecord:
 
 
 TraceSink = Callable[[TraceRecord], None]
-# A step function with the problem, shifts and tolerances already bound:
-# (partition, iterate, l, orient=..., basis=...) -> (step, direction).
+# A step function: (p, s, part, it, l, basis=..., orient=..., tol=...)
+# -> (step, direction); ``tol`` is the ratio test's tolerance.
 StepFn = Callable[..., tuple[StepResult, Direction]]
 
 
@@ -222,26 +222,30 @@ def make_trace_record(method: str, iteration: int, subiteration: int,
     )
 
 
-def take_step(fam: Family, p: QpProblem, s: Shifts, part: Partition,
-              it: Iterate, l: int, solve: Callable[[], Direction],
-              orient: float, tol: float, name: str
-              ) -> tuple[StepResult, Direction]:
-    """Body of step function ``name``: check that l is freed and that orient
-    moves its repaired component toward its bound, then step along
-    ``solve()`` (negated when orient < 0) until that component reaches
-    the bound or a guarded bound blocks (a pinned value moving either way
-    blocks at once), whose index then leaves the live set.  Returns the
-    step and direction; an infinite step is unapplied.
+def take_step(fam: Family, kind: str, p: QpProblem, s: Shifts,
+              part: Partition, it: Iterate, l: int, basis: KktBasis,
+              orient: float, tol: float) -> tuple[StepResult, Direction]:
+    """Body of step function ``<method>_<kind>``: check that l is freed and
+    that orient moves its repaired component toward its bound, then step
+    along the direction that fixes d<guarded>_l = orient ("base") or
+    d<repaired>_l = orient ("intermediate"), dx_l on K_B and dz_l on the
+    bordered K_l, until that component reaches the bound or a guarded
+    bound blocks (a pinned value moving either way blocks at once), whose
+    index then leaves the live set.  Returns the step and direction; an
+    infinite step is unapplied.
     """
     if part.freed != l:
-        raise StartConditionError(f"index l must be freed before {name}")
+        raise StartConditionError(
+            f"index l must be freed before {fam.method}_{kind}")
     viol = float(getattr(it, fam.repaired)[l]
                  + getattr(s, fam.repair_shift)[l])
     if orient * viol >= 0.0:
         raise StartConditionError(
-            f"{name} requires orient*({fam.repaired}_l + {fam.repair_shift}_l)"
-            f" < 0, got {viol:.3e}")
-    d = solve()
+            f"{fam.method}_{kind} requires orient*({fam.repaired}_l + "
+            f"{fam.repair_shift}_l) < 0, got {viol:.3e}")
+    fixed = fam.guarded if kind == "base" else fam.repaired
+    d = (solve_base_primal(p, part, basis, l) if fixed == "x"
+         else solve_intermediate_primal(p, part, l, basis))
     if orient < 0:
         d = d.negated()
     rate = float(getattr(d, "d" + fam.repaired)[l])
@@ -319,19 +323,21 @@ def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
 
 def run_active_set(fam: Family, p: QpProblem, s: Shifts,
                    start: tuple[Iterate, Partition],
-                   base: StepFn, intermediate: StepFn, *, fea_tol: float,
-                   opt_tol: float, max_iterations: int = 0,
-                   trace: TraceSink | None = None,
+                   base: StepFn, intermediate: StepFn, *,
+                   fea_tol: float = DEFAULT_TOL, opt_tol: float = DEFAULT_TOL,
+                   max_iterations: int = 0, trace: TraceSink | None = None,
                    check_invariants: bool = False,
                    basis: KktBasis | None = None) -> SolveOutcome:
     """Run one method to optimality, its ``unbounded`` status, or the
     iteration limit: ``max_iterations``, or 100 + 50(n + m) when it is 0.
     The start iterate and partition are copied and checked against the
     problem's sizes (``check_sizes``); ``fea_tol`` and ``opt_tol``
-    set ``bound_tol``.  ``basis`` serves every KKT solve of the run and
-    keeps its held factorization for the caller's next run
-    (``driver.solve_standard`` passes one per problem, holding K_B of the
-    start basis, to both stages); without one the run makes its own."""
+    set ``bound_tol``, and the guarded vector's (``fea_tol`` for x,
+    ``opt_tol`` for z) is the steps' ``tol``.  ``basis`` serves every KKT
+    solve of the run and keeps its held factorization for the caller's
+    next run (``driver.solve_standard`` passes one per problem, holding
+    K_B of the start basis, to both stages); without one the run makes
+    its own."""
     check_tolerances(fea_tol, opt_tol)
     check_max_iterations(max_iterations)
     it = start[0].copy()
@@ -352,6 +358,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
     # Steps update the iterate in place, so these stay its vectors.
     repaired = getattr(it, fam.repaired)
     repair_shift = getattr(s, fam.repair_shift)
+    step_tol = fea_tol if fam.guarded == "x" else opt_tol
     cap = max_iterations if max_iterations > 0 else 100 + 50 * (p.n + p.m)
     if basis is None:
         basis = KktBasis(p)
@@ -402,7 +409,8 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
 
         if needs_base:
             before = it.copy() if trace is not None else None
-            step, d = base(part, it, l, orient=orient, basis=basis)
+            step, d = base(p, s, part, it, l, basis=basis, orient=orient,
+                           tol=step_tol)
             emit("base", l, step, d, viol, eff, before)
             if math.isinf(step.alpha):
                 status = fam.unbounded
@@ -418,7 +426,8 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
                 raise InvariantError("intermediate subiterations did not "
                                      "terminate; basis exchange is stuck")
             before = it.copy() if trace is not None else None
-            step, d = intermediate(part, it, l, orient=orient, basis=basis)
+            step, d = intermediate(p, s, part, it, l, basis=basis,
+                                   orient=orient, tol=step_tol)
             emit("intermediate", l, step, d, viol, eff, before)
         part.bind_freed(fam.live)
         if check_invariants:

@@ -15,7 +15,9 @@ two trees and compare the lines.  ``--per-solve`` also prints one
 what a change that moves only floating-point bits should leave alone:
 the status, strategy, per-stage (method, status, iterations,
 subiterations), the objective to 12 significant digits and the
-(kind, l, k) pivot path of the trace records, or the exception.
+(kind, l, k) pivot path of the trace records, or the exception with
+each float literal of its message printed as ``<float>`` (integers
+stay), so that a failed point's residuals in the message do not count.
 ``diff`` of two trees' lines then names the solves whose outcome moved:
 
     PYTHONPATH=src python tests/output_digest.py --outcomes > a.txt
@@ -92,6 +94,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -113,6 +116,10 @@ STRATEGIES = ("auto", "primal-first", "dual-first", "primal-only",
 # The ``scaled`` families: (label, objective scale, row scale).
 SCALED = (("hc1e12", 1e12, 1.0), ("hc1e-12", 1e-12, 1.0),
           ("all1e12", 1e12, 1e12), ("all2e-10", 2e-10, 2e-10))
+# A float literal of an exception message: digits with a point or an
+# exponent, not inside a name or a dotted word ("p1.qpt").
+FLOAT = re.compile(r"(?<![\w.])[-+]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))"
+                   r"(?:[eE][-+]?\d+)?(?![\w.])")
 
 
 class Digest:
@@ -178,7 +185,7 @@ class Digest:
             self.errors[name] = self.errors.get(name, 0) + 1
             self.add(name)
             self.add(str(exc))
-            return f"raised {name}: {exc}"
+            return f"raised {name}: {FLOAT.sub('<float>', str(exc))}"
         std = sol if isinstance(sol, pdqp.StandardSolution) else sol.standardized
         self.add(sol.status)
         self.add(sol.objective)

@@ -293,6 +293,30 @@ def test_error_row_removes_earlier_outputs(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["runlog.csv"]
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"strategy": "primal_first"}, "unknown strategy 'primal_first'"),
+    ({"max_iter": -1}, "max_iterations must be an integer >= 0, got -1"),
+    ({"opt_tol": math.nan}, "tolerances must be positive and finite"),
+    ({"fea_tol": 0.0}, "tolerances must be positive and finite"),
+], ids=["strategy", "max-iter", "opt-tol", "fea-tol"])
+def test_bad_setting_raises_before_any_file_is_touched(tmp_path, setting,
+                                                       message):
+    # A setting that no solve accepts solves nothing, so it must neither
+    # remove an earlier run's outputs nor create the output directory.
+    paths = [PROBLEMS / "p1.qpt", PROBLEMS / "p2.qpt"]
+    out = tmp_path / "out"
+    run(paths, out, trace=True)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["p1.sol", "p1.trace.csv", "p2.sol",
+                              "p2.trace.csv", "runlog.csv"]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(paths, out, trace=True, **setting)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(paths, tmp_path / "fresh", **setting)
+    assert not (tmp_path / "fresh").exists()
+
+
 def test_rerun_replaces_longer_outputs_exactly(tmp_path):
     # A rerun into the same directory whose .sol, trace and run log are
     # shorter than the earlier run's leaves exactly the new bytes.

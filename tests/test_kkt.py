@@ -10,7 +10,7 @@ from pdqp import (GeneralQp, Iterate, KktFactorization, KktInternalError,
                   recover_z_nonbasic, solve_base_primal,
                   solve_intermediate_primal, solve_pdqp, solve_standard,
                   standardize)
-from pdqp import dual, kkt, model, primal
+from pdqp import kkt, model, steps
 from pdqp.kkt import KktBasis, _bunch_kaufman, build_kb, solve_boundary_point
 from pdqp.model import index_mask, pivoted_cholesky
 
@@ -843,10 +843,9 @@ def test_updated_directions_match_fresh_and_solves_stay_correct(
         _assert_same_direction(d, inter(p, part, l, KktBasis(p)))
         return d
 
-    for module in (primal, dual):
-        monkeypatch.setattr(module, "solve_base_primal", checked_base)
-        monkeypatch.setattr(module, "solve_intermediate_primal",
-                            checked_intermediate)
+    monkeypatch.setattr(steps, "solve_base_primal", checked_base)
+    monkeypatch.setattr(steps, "solve_intermediate_primal",
+                        checked_intermediate)
     updated = []
     update = kkt.KktBasis._update
 

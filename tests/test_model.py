@@ -93,6 +93,35 @@ def test_check_optimality_flags_equality_residual(p1):
     assert rep.equality_residual == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("factor, optimal", [(10.0, False), (0.5, True)])
+def test_check_optimality_stationarity_bound(p2, factor, optimal):
+    # p2's optimum x = (0, 1), y = 1, z = (1, 0) with y raised by delta:
+    # only the stationarity residual moves, to exactly delta on each row.
+    limit = model.DEFAULT_TOL * p2.data_scale()
+    delta = factor * limit
+    rep = check_optimality(p2, Shifts.zero(2), it([0, 1], [1 + delta], [1, 0]))
+    assert rep.stationarity_residual == pytest.approx(delta, rel=1e-6)
+    assert (rep.equality_residual, rep.worst_primal_violation,
+            rep.worst_dual_violation, rep.complementarity) == (0, 0, 0, 0)
+    assert rep.optimal == optimal
+
+
+@pytest.mark.parametrize("factor, optimal", [(10.0, False), (0.5, True)])
+def test_check_optimality_complementarity_bound(p2, factor, optimal):
+    # r_1 > 0 on p2's basic index 1 (x_1 = 1) makes (x+q)'(z+r) = r_1
+    # while every residual and bound violation stays zero.  With max|y|
+    # and max|x+q| both 1, the bound is bound_tol("z") itself.
+    limit = model.bound_tol("z", 1.0, model.DEFAULT_TOL, model.DEFAULT_TOL)
+    r1 = factor * limit
+    rep = check_optimality(p2, Shifts(np.zeros(2), np.array([0.0, r1])),
+                           it([0, 1], [1], [1, 0]))
+    assert rep.complementarity == r1
+    assert (rep.stationarity_residual, rep.equality_residual,
+            rep.worst_primal_violation, rep.worst_dual_violation) \
+        == (0, 0, 0, 0)
+    assert rep.optimal == optimal
+
+
 def test_check_optimality_rejects_bad_tolerances(p1):
     with pytest.raises(ValueError):
         check_optimality(p1, Shifts.zero(2), it([0, 0], [0], [0, 0]), -1.0, 1e-6)

@@ -111,7 +111,7 @@ def test_intermediate_loop_that_does_not_move_is_stopped(p2):
     shifts, it = init_shifts(p2, part, factor_kb(p2, part.basic))
     calls = []
 
-    def still(part, it, l, orient, basis):
+    def still(p, s, part, it, l, basis, orient, tol):
         calls.append(l)
         assert len(calls) < 100, "the stuck guard did not trip"
         return StepResult(0.0, 3.0, 0.0, None, False), None

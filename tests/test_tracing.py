@@ -5,7 +5,9 @@ direction function would silently zero the per-layer
 ``zero_step_share`` and ``direction_solves_per_subiter``.
 """
 
-from tracing import TARGETS, SpanRecorder, install
+from pdqp import SolveConfig, solve_standard
+from tracing import (DIRECTION_SOLVES, STEP_SPANS, TARGETS, SpanRecorder,
+                     install)
 
 
 def test_tracer_targets_are_defined():
@@ -20,3 +22,26 @@ def test_tracer_targets_are_defined():
                            if name != "kkt.factorize"}
     finally:
         handle.remove()
+
+
+def test_step_and_direction_spans_are_reached(suite500):
+    # Defined is not enough: a step or KKT solve called by a name the
+    # tracer does not rebind records no span.  Over the first 20 suite500
+    # problems under both two-stage strategies, every step span and both
+    # direction solves record calls, and the step spans count exactly the
+    # subiterations the solves report.
+    recorder = SpanRecorder()
+    handle = install(recorder)
+    try:
+        subiterations = sum(
+            solve_standard(p, SolveConfig(strategy=strategy)).subiterations
+            for p in suite500[:20]
+            for strategy in ("primal-first", "dual-first"))
+    finally:
+        handle.remove()
+    calls = {name: 0 for name in STEP_SPANS + DIRECTION_SOLVES}
+    for name, *_ in recorder.spans:
+        if name in calls:
+            calls[name] += 1
+    assert all(calls.values()), calls
+    assert sum(calls[name] for name in STEP_SPANS) == subiterations
