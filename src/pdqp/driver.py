@@ -253,6 +253,8 @@ class SolveConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         check_tolerances(self.fea_tol, self.opt_tol)
         check_max_iterations(self.max_iterations)
+        if self.trace is not None and not callable(self.trace):
+            raise ValueError(f"trace must be callable, got {self.trace!r}")
 
 
 @dataclass
@@ -396,6 +398,8 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
 def solve_pdqp(g: GeneralQp, config: SolveConfig | None = None) -> PdqpSolution:
     """Standardize a general-format problem, solve it, and map the
     solution back to the original coordinates."""
+    config = config or SolveConfig()
+    config.check()
     std = standardize(g)
     if std.inconsistent_row is not None:
         return _original_solution(g, std.anchor[:g.n], np.zeros(g.m),

@@ -133,10 +133,13 @@ matrix) and holds that factorization (as the new K_B0), when
 * the bound fails (or there is no accepted K_B0);
 * K_B0^-1 times BORDER_CAP border columns is cached already, which bounds
   the cost of forming S and makes at most one refactorization per
-  BORDER_CAP basis changes;
-* the freed component lies in its noise band (the caller's ``accept``
-  declines), so that only ``_freed_component`` on a fresh factorization
-  settles a component at zero.
+  BORDER_CAP basis changes.
+
+A freed component is settled alike after a fresh, reused or updated
+solve: ``_freed_component`` reads only the computed value, its band, w,
+the data and its own counterpart factorization, and an update has the
+acceptance margin and a backward error checked against d u (refined once
+above it).  The counterpart bounds take K_B or K_l from ``KktBasis.matrix``.
 
 A K_B0 of dim below UPDATE_MIN_DIM is not updated: a solve of another
 matrix refactors.  On criterion-7 K_B matrices with one BLAS thread, an
@@ -144,12 +147,12 @@ update that adds one column to a border of 1 to 20 columns costs a
 median 58, 64, 72, 87 and 106 us at dim 30, 70, 110, 165 and 220,
 against 28, 61, 107, 208 and 373 us for a fresh Bunch-Kaufman
 factorization and solve, so the crossover lies just above dim 70.
-Inside real solves the in-band fallback adds the cost of an update that
-is computed and then declined.  With the gate at 0, ten
-alternating benchmark pairs per workload lost 21-28% solves/s on
-``suite500`` (bases of dim <= 20), ``lowrank`` (dim 20-100) and
-``mixed-bounds`` (dim <= 50), 0 of 10 pairs each, and left ``ladder``
-(dim >= 100, mostly >= 400) unchanged.  No workload has bases between
+With the gate at 0, ten alternating in-process pairs of benchmark passes
+took 30% longer on ``suite500`` (bases of dim <= 20), 69% on ``lowrank``
+(dim 20-100) and 36% on ``mixed-bounds`` under auto (dim <= 50), slower
+in 10 of 10 pairs each, for 581, 12 and 128 factorizations instead of
+1008, 304 and 607; ``ladder`` (dim >= 100, mostly >= 400) was
+unchanged.  No workload has bases between
 dim 100 and 200, so the measurements place the crossover but do not pin
 the gate's value within that range.
 
@@ -390,31 +393,32 @@ class KktBasis:
         self._vnorm2 = np.empty(BORDER_CAP)          # ||V e_j||^2
         self._wmax = np.zeros(BORDER_CAP)            # max|W e_j|
 
-    def solve(self, order: Sequence[int], rhs: np.ndarray,
-              accept: Callable[[np.ndarray], bool]
-              ) -> tuple[np.ndarray, KktFactorization | None]:
+    def solve(self, order: Sequence[int], rhs: np.ndarray) -> np.ndarray:
         """Solve with the basis matrix whose variables come in ``order``,
-        ascending.
-
-        Returns (w, f) with f the held factorization when ``order`` is
-        byte-equal to its order, and (w, None) for an updated solve that
-        ``accept(w)`` takes; an update is tried only from a held K_B0.
-        Otherwise ``factor(order)`` factors the matrix afresh,
-        KktInternalError is raised where it is singular, and (w, that
-        factorization) is returned.  A solve that returns a factorization
-        is fresh.
+        ascending: with the held factorization when ``order`` is
+        byte-equal to its order, else by an update from a held K_B0 where
+        one is certified, else with ``factor(order)``, a fresh
+        factorization, raising KktInternalError where it is singular.
         """
         order = np.asarray(order, dtype=np.intp)
         key = order.tobytes()
         if self._k0 is not None and key != self._key:
             w = self._update(order, rhs)
-            if w is not None and accept(w):
-                return w, None
+            if w is not None:
+                return w
         f = self._factor(order, key)
         if f is None:
             raise KktInternalError(f"basis matrix unexpectedly singular "
                                    f"over variables {order.tolist()}")
-        return f.solve(rhs), f
+        return f.solve(rhs)
+
+    def matrix(self, order: np.ndarray) -> np.ndarray:
+        """The basis matrix whose variables come in ``order``: the held
+        factorization's when ``order`` is byte-equal to its order, as after
+        every fresh solve, else assembled by ``build_kb``."""
+        if self._last is not None and order.tobytes() == self._key:
+            return self._last.matrix
+        return build_kb(self.p, order)
 
     def _slots(self, keys: np.ndarray) -> list[int] | None:
         """Cache slots of the border columns named by ``keys``, computing
@@ -675,11 +679,11 @@ def _freed_component(raw: float, noise: float,
                      other: Callable[[], KktFactorization | None], what: str,
                      backward: Callable[[], float],
                      bound: Callable[[], float]) -> float:
-    """Resolve the freed component of a direction near zero.
+    """Resolve the freed component of a direction at or below its
+    cancellation noise band, raw <= noise.
 
     The dichotomy is exact: the component is det(counterpart) / det(own),
-    so it vanishes iff the counterpart matrix is singular.  A value above
-    the cancellation noise band is returned as computed.  ``backward()``
+    so it vanishes iff the counterpart matrix is singular.  ``backward()``
     is the size of a change of the data that makes the counterpart exactly
     singular, and ``bound()`` the singularity bound of the counterpart,
     dim * PIVOT_TOL * max|counterpart| (see the module docstring), taken
@@ -691,8 +695,6 @@ def _freed_component(raw: float, noise: float,
     acceptance rule rejects the counterpart (None), else raw, which must
     then be positive (KktInternalError).
     """
-    if raw > noise:
-        return raw
     if raw >= -noise and backward() <= bound():
         return 0.0
     if other() is None:
@@ -751,9 +753,8 @@ def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
 
     Solves K_B [dx_B; -dy] = -[h_Bl; a_l], then recovers dz_l and dz_N.
     dz_l is nonnegative, and exactly zero iff the bordered matrix is
-    singular.  ``basis`` serves the solve: an update is taken when its
-    dz_l lies above the noise band, otherwise K_B is factored afresh and
-    values lost in roundoff are settled by ``_freed_component``.
+    singular.  ``basis`` serves the solve, fresh or updated, and a dz_l
+    at or below its noise band is settled by ``_freed_component``.
     """
     basic = part.basic_mask.nonzero()[0]
     nb = basic.size
@@ -761,20 +762,13 @@ def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
     rhs = np.empty(nb + p.m)
     np.negative(h_bl, out=rhs[:nb])
     np.negative(p.A[:, l], out=rhs[nb:])
-
-    def above_band(w: np.ndarray) -> bool:
-        dzl, noise = _base_dz_l(p, l, h_bl, w)
-        return dzl > noise
-
-    w, own = basis.solve(basic, rhs, above_band)
+    w = basis.solve(basic, rhs)
     raw, noise = _base_dz_l(p, l, h_bl, w)
-    dzl = raw
-    if own is not None:
-        dzl = _freed_component(
-            raw, noise, lambda: factor_kb(p, _with_freed(basic, l)[0]),
-            "dz_l", lambda: abs(raw), lambda: (nb + p.m + 1) * PIVOT_TOL * max(
-                float(np.abs(own.matrix).max(initial=0.0)),
-                abs(p.H[l, l]), float(np.abs(rhs).max(initial=0.0))))
+    dzl = raw if raw > noise else _freed_component(
+        raw, noise, lambda: factor_kb(p, _with_freed(basic, l)[0]),
+        "dz_l", lambda: abs(raw), lambda: (nb + p.m + 1) * PIVOT_TOL * max(
+            float(np.abs(basis.matrix(basic)).max(initial=0.0)),
+            abs(p.H[l, l]), float(np.abs(rhs).max(initial=0.0))))
     # dz_l = 0: singular bordered matrix.  The direction is its null ray,
     # whose multiplier and dual parts vanish identically; zeroing them
     # discards pure cancellation noise.
@@ -797,24 +791,23 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
     position ``at``.  Solves K_l [dx; -dy] = e_at, where dx holds dx_l at
     ``at`` and dx_B around it, and recovers dz_N.  K_l is nonsingular
     whenever this is called from a legal state; a singular K_l here is an
-    internal invariant violation.  ``basis`` serves the solve: an update
-    is taken when its dx_l lies above the noise band, otherwise K_l is
-    factored afresh (or the held factorization of the same K_l reused)
-    and values lost in roundoff are settled by ``_freed_component``.
+    internal invariant violation.  ``basis`` serves the solve, fresh or
+    updated, and a dx_l at or below its noise band is settled by
+    ``_freed_component``.
     """
     basic = part.basic_mask.nonzero()[0]
     nb = basic.size
     order, at = _with_freed(basic, l)
     rhs = np.zeros(1 + nb + p.m)
     rhs[at] = 1.0
-    w, own = basis.solve(order, rhs, lambda w: float(w[at]) > _dx_l_noise(w))
-    raw = float(w[at])
+    w = basis.solve(order, rhs)
+    raw, noise = float(w[at]), _dx_l_noise(w)
     dxl = raw
-    if own is not None:
+    if raw <= noise:
         # K_B is K_l without row and column at, k_l is column at of K_l
         # without entry at, and v = [dx_B; -dy], w without entry at
         # (module docstring).
-        kl = own.matrix
+        kl = basis.matrix(order)
 
         def backward() -> float:
             vnorm = float(np.linalg.norm(np.delete(w, at)))
@@ -823,7 +816,7 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
                     if vnorm > 0.0 else np.inf)
 
         dxl = _freed_component(
-            raw, _dx_l_noise(w), lambda: factor_kb(p, basic), "dx_l",
+            raw, noise, lambda: factor_kb(p, basic), "dx_l",
             backward, lambda: (kl.shape[0] - 1) * PIVOT_TOL * inf_norm(
                 np.delete(np.delete(kl, at, axis=0), at, axis=1)))
     # dx_l = 0: singular K_B.  Every x-component of the direction

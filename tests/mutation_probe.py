@@ -1,0 +1,127 @@
+"""Mutation probe of tier-1: does each check have a test that fails
+without it?
+
+    python tests/mutation_probe.py            # every mutant
+    python tests/mutation_probe.py START_EQ_TOL DRIFT_EQ_TOL
+    python tests/mutation_probe.py --list
+
+Each mutant is a one-line edit of ``src/pdqp`` that loosens a check or
+widens a band, given as (name, file, old text, new text); the old text
+must occur exactly once in the file.  For each, the tree (``src``,
+``tests``, ``bench``, ``problems`` and ``pyproject.toml``) is copied to a
+temporary directory, the edit applied there, and tier-1 run on the copy
+with ``-x``.  A mutant is ``killed`` when tier-1 fails and ``survived``
+when it passes; a survivor is a check or a band whose value no test pins.
+One line per mutant, then the counts.  The working tree is never edited.
+
+``BLAND_AFTER`` is not a mutant: the test of Bland's rule sets it itself,
+so raising it cannot show anything.
+
+Standard library only.  Not collected by pytest (the file name has no
+``test_`` prefix).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "bench", "problems", "pyproject.toml")
+
+MUTANTS = (
+    ("harris-band-x1e3", "src/pdqp/model.py",
+     "HARRIS_BAND = 1e-9 ", "HARRIS_BAND = 1e-6 "),
+    ("stationarity-check-x1e3", "src/pdqp/model.py",
+     "ok = (stat_res <= eps_fea * data_scale",
+     "ok = (stat_res <= 1e3 * eps_fea * data_scale"),
+    ("complementarity-check-x1e3", "src/pdqp/model.py",
+     "and comp <= dual_tol * max(1.0, inf_norm(xq)))",
+     "and comp <= 1e3 * dual_tol * max(1.0, inf_norm(xq)))"),
+    ("guarded-bound-check-x1e3", "src/pdqp/steps.py",
+     "live & ~unguarded & ~(g >= -tol)",
+     "live & ~unguarded & ~(g >= -1e3 * tol)"),
+    ("dead-row-slack-1e-3", "src/pdqp/driver.py",
+     "slack = 1e-9 * (1.0", "slack = 1e-3 * (1.0"),
+    ("START_EQ_TOL-x1e4", "src/pdqp/model.py",
+     "START_EQ_TOL = 1e-8 ", "START_EQ_TOL = 1e-4 "),
+    ("DRIFT_EQ_TOL-x1e4", "src/pdqp/model.py",
+     "DRIFT_EQ_TOL = 1e-7 ", "DRIFT_EQ_TOL = 1e-3 "),
+    ("SELECT_BAND-x100", "src/pdqp/model.py",
+     "SELECT_BAND = 1e-11 ", "SELECT_BAND = 1e-9 "),
+    ("dx_l-noise-floor-x1e3", "src/pdqp/kkt.py",
+     "return NOISE_BAND * max(1.0, ", "return NOISE_BAND * max(1e3, "),
+    ("BOUND_SLACK-x1e3", "src/pdqp/model.py",
+     "BOUND_SLACK = 1e-7 ", "BOUND_SLACK = 1e-4 "),
+    ("ALIGN_BAND-x1e3", "src/pdqp/model.py",
+     "ALIGN_BAND = 1e-9 ", "ALIGN_BAND = 1e-6 "),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def _run(name: str, path: str, old: str, new: str) -> tuple[str, float]:
+    """Apply one mutant to a fresh copy of the tree and run tier-1 on it
+    with ``-x``: ("killed" | "survived", seconds)."""
+    with tempfile.TemporaryDirectory(prefix="pdqp-mutant-") as tmp:
+        tree = Path(tmp)
+        _copy_tree(tree)
+        target = tree / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            raise SystemExit(f"{name}: {old!r} occurs {text.count(old)} "
+                             f"times in {path}, not once")
+        target.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", "--continue-on-collection-errors"],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        seconds = time.perf_counter() - start
+    return ("survived" if done.returncode == 0 else "killed"), seconds
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("names", nargs="*",
+                    help="mutants to run, by name (default: all)")
+    ap.add_argument("--list", action="store_true",
+                    help="print the mutants and run none")
+    args = ap.parse_args(argv)
+    known = {m[0]: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        ap.error(f"unknown mutants {unknown}; --list names them")
+    chosen = [known[n] for n in args.names] or list(MUTANTS)
+    if args.list:
+        for name, path, old, new in chosen:
+            print(f"{name}: {path}: {old!r} -> {new!r}")
+        return 0
+    counts = {"killed": 0, "survived": 0}
+    for mutant in chosen:
+        verdict, seconds = _run(*mutant)
+        counts[verdict] += 1
+        print(f"{mutant[0]} {verdict} ({seconds:.1f} s)", flush=True)
+    print(f"killed {counts['killed']}, survived {counts['survived']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

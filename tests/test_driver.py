@@ -822,18 +822,59 @@ def test_dead_row_consistent_is_dropped():
     assert abs(sol.standardized.objective - o.objective) <= 1e-9
 
 
-def test_dead_row_inconsistent_is_primal_infeasible():
+@pytest.mark.parametrize("factor", [10.0, 0.5])
+def test_dead_row_slack_separates_consistent_from_inconsistent(factor):
+    # The second row, 2 x2 = v over the fixed x2 = 1, pins nothing; its
+    # fixed value v = 2 + d misses it by d.  The slack is 1e-9 (1 + 2 * 1
+    # + |v| + |d|), 5e-9 up to a relative 1e-8; a miss of ``factor``
+    # times that is inconsistent past it and a dropped dead row within.
+    v = 2.0 + factor * 5e-9
+    std = standardize(GeneralQp(Hhat=np.eye(2),
+                                Ahat=np.array([[1.0, 1.0], [0.0, 2.0]]),
+                                c=np.zeros(2),
+                                lower=np.array([0.0, 1.0, 0.0, v]),
+                                upper=np.array([np.inf, 1.0, np.inf, v])))
+    if factor > 1.0:
+        assert std.inconsistent_row == 1 and std.problem is None
+    else:
+        assert std.inconsistent_row is None and std.dead_rows == [1]
+
+
+def _dead_row_inconsistent():
     # Same structure but the fixed value violates the second row.
-    g = GeneralQp(Hhat=np.eye(2), Ahat=np.array([[1.0, 1.0], [0.0, 2.0]]),
-                  c=np.zeros(2),
-                  lower=np.array([0.0, 1.0, 0.0, 5.0]),
-                  upper=np.array([np.inf, 1.0, np.inf, 5.0]))
+    return GeneralQp(Hhat=np.eye(2),
+                     Ahat=np.array([[1.0, 1.0], [0.0, 2.0]]), c=np.zeros(2),
+                     lower=np.array([0.0, 1.0, 0.0, 5.0]),
+                     upper=np.array([np.inf, 1.0, np.inf, 5.0]))
+
+
+def test_dead_row_inconsistent_is_primal_infeasible():
+    g = _dead_row_inconsistent()
     std = standardize(g)
     assert std.inconsistent_row == 1
     assert std.problem is None
     sol = solve_pdqp(g)
     assert sol.status == "primal_infeasible"
     assert sol.strategy == "presolve"
+
+
+@pytest.mark.parametrize("bad,message", [
+    pytest.param({"strategy": "bogus"}, "unknown strategy 'bogus'",
+                 id="strategy"),
+    pytest.param({"opt_tol": float("nan")},
+                 "tolerances must be positive and finite", id="nan-opt-tol"),
+    pytest.param({"max_iterations": -1},
+                 "max_iterations must be an integer >= 0, got -1",
+                 id="negative-max-iterations"),
+    pytest.param({"trace": 123}, "trace must be callable, got 123",
+                 id="int-trace"),
+])
+def test_presolved_problem_still_checks_its_config(bad, message):
+    # standardize settles the problem as inconsistent, so no stage runs;
+    # the config is checked all the same, as solve_standard checks it.
+    with pytest.raises(ValueError) as caught:
+        solve_pdqp(_dead_row_inconsistent(), SolveConfig(**bad))
+    assert str(caught.value) == message
 
 
 def test_pinned_rank_deficiency_rejected():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,6 +19,7 @@ from pdqp.model import index_mask, pivoted_cholesky
 from conftest import (criterion7_instance, free_start_cases, held_basis,
                       mixed_instances, random_instances, scale_probe)
 from reference import _gauss_solve
+from workloads import LowRank, constructed_qp
 
 
 @pytest.fixture
@@ -830,16 +833,29 @@ def _assert_same_direction(got, want):
 def test_updated_directions_match_fresh_and_solves_stay_correct(
         updates_everywhere, monkeypatch):
     # Every direction the solves ask for is recomputed by the fresh path
-    # (a solve against a KktBasis that holds no K_B0) and compared.
+    # (a solve against a KktBasis that holds no K_B0) and compared.  Some
+    # of them are updated solves whose freed component lies in its band,
+    # which _freed_component settles from the update, with no fresh
+    # factorization of the basis matrix.
     base, inter = kkt.solve_base_primal, kkt.solve_intermediate_primal
+    settled = _counting(monkeypatch, kkt, "_freed_component")
+    fresh = _counting(monkeypatch, kkt.KktBasis, "_factor")
+    in_band = []
+
+    def served(solve):
+        start, at, was = len(updated), len(settled), len(fresh)
+        d = solve()
+        in_band.append(updated[start:] == [True] and len(settled) > at
+                       and len(fresh) == was)
+        return d
 
     def checked_base(p, part, basis, l):
-        d = base(p, part, basis, l)
+        d = served(lambda: base(p, part, basis, l))
         _assert_same_direction(d, base(p, part, KktBasis(p), l))
         return d
 
     def checked_intermediate(p, part, l, basis):
-        d = inter(p, part, l, basis)
+        d = served(lambda: inter(p, part, l, basis))
         _assert_same_direction(d, inter(p, part, l, KktBasis(p)))
         return d
 
@@ -875,6 +891,7 @@ def test_updated_directions_match_fresh_and_solves_stay_correct(
                 assert abs(sol.objective - fstar) <= \
                     1e-7 * (1.0 + abs(fstar)), (g.name, strategy)
     assert sum(updated) > 1000, (sum(updated), len(updated))
+    assert sum(in_band) > 100, (sum(in_band), len(in_band))
 
 
 def test_bunch_kaufman_hands_dsytrf_a_fortran_order_array(monkeypatch):
@@ -1022,6 +1039,21 @@ def test_a_ladder_pass_makes_130_k_b0_applies_and_15_factorizations(
     assert max(ratios) < 1e-2
 
 
+def test_lowrank_with_updates_everywhere_factors_once_per_instance(
+        updates_everywhere, monkeypatch):
+    # The 12 constructions of the benchmark's ``lowrank`` workload with
+    # every basis matrix past the update gate: each instance factors only
+    # its start basis, and every later solve, its freed component in its
+    # noise band or not, is an update.  A refactor of K_B for each
+    # in-band dz_l would make 144.
+    factored = _counting(monkeypatch, kkt, "factor_kb")
+    workload = LowRank(Path("."))
+    statuses = [solve_pdqp(constructed_qp(*spec)[0], workload.config()).status
+                for spec in workload.specs(None)]
+    assert statuses == ["optimal"] * 12
+    assert len(factored) == 12
+
+
 @pytest.mark.parametrize("dim", [200, 401, 600])
 @pytest.mark.parametrize("two_by_two", [False, True], ids=["1x1", "2x2"])
 def test_unpacked_solve_matches_dsytrs(dim, two_by_two):
@@ -1094,35 +1126,40 @@ def test_update_refuses_a_singular_border(p_lp, updates_everywhere,
             p_lp, Partition(basic=[1], nonbasic=[], freed=0), 0, basis)
 
 
-def test_in_band_freed_component_takes_the_fresh_path(p_lp, p1, monkeypatch,
-                                                      updates_everywhere):
+def test_in_band_freed_component_settles_from_the_update(p_lp, p1,
+                                                         monkeypatch,
+                                                         updates_everywhere):
     factored = _counting(monkeypatch, kkt, "factor_kb")
     lapack = _counting(monkeypatch, kkt, "_bunch_kaufman")
     settled = _counting(monkeypatch, kkt, "_freed_component")
     part = Partition(basic=[1], nonbasic=[], freed=0)
 
     # Every K_B0 below has B0 = {0}, so that each solve (over B = {1} or
-    # B + l = {0, 1}) is a different matrix, which an update serves.
+    # B + l = {0, 1}) is a different matrix, which an update serves; no
+    # solve refactors, so the basis still holds K_B0 afterwards.
     # dz_l = 2 and dx_l = 0.5 lie above their bands: updates only.
     basis = held_basis(p1, [0])
     assert solve_base_primal(p1, part, basis, 0).dz_l == pytest.approx(2.0)
     assert solve_intermediate_primal(p1, part, 0, basis).dx_l == \
         pytest.approx(0.5)
     assert (len(factored), len(lapack), len(settled)) == (1, 1, 0)
+    assert _holds(basis, [0])
 
-    # dz_l = 0 (K_l singular): the update is declined, K_B refactored,
-    # then _freed_component.
+    # dz_l = 0 (K_l singular): the updated solve's dz_l is settled by
+    # _freed_component, which factors no counterpart.
     basis = held_basis(p_lp, [0])
     d = solve_base_primal(p_lp, part, basis, 0)
     assert d.dz_l == 0.0 and np.all(d.dy == 0.0)
-    assert (len(factored), len(settled)) == (3, 1)
+    assert (len(factored), len(settled)) == (2, 1)
+    assert _holds(basis, [0])
 
-    # dx_l = 0 (K_B = [0] singular): K_l factored, then _freed_component.
+    # dx_l = 0 (K_B = [0] singular): likewise from the updated K_l solve.
     basis = held_basis(p1, [0])
     d = solve_intermediate_primal(
         p1, Partition(basic=[], nonbasic=[0], freed=1), 1, basis)
     assert d.dx_l == 0.0
-    assert (len(factored), len(lapack), len(settled)) == (5, 5, 2)
+    assert (len(factored), len(lapack), len(settled)) == (3, 3, 2)
+    assert _holds(basis, [0])
 
 
 @pytest.mark.parametrize("rank,n,m,active,larger", [

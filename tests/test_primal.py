@@ -166,6 +166,25 @@ def test_solve_primal_rejects_bad_start(p2, monkeypatch, x, y, z, basic,
         solve_primal(p2, Shifts.zero(2), (it, part), check_invariants=True)
 
 
+@pytest.mark.parametrize("factor", [10.0, 0.5])
+def test_guarded_value_limit_of_the_entry_check(factor):
+    # H = I, A = [1 1], b = 1 and c = (1 + 2e, 0): the point with both
+    # indices basic and z = 0 is x = (-e, 1 + e), y = 1 + e, so basic x_0
+    # lies e below its bound, ``factor`` times bound_tol = fea_tol.
+    e = factor * 1e-6
+    p = QpProblem(H=np.eye(2), M=np.zeros((1, 1)), A=np.array([[1.0, 1.0]]),
+                  b=np.array([1.0]), c=np.array([1.0 + 2.0 * e, 0.0]))
+    start = (Iterate([-e, 1.0 + e], [1.0 + e], [0.0, 0.0]),
+             Partition(basic=[0, 1], nonbasic=[]))
+    if factor > 1.0:
+        with pytest.raises(StartConditionError,
+                           match=r"^primal start: guarded x\[0\]"):
+            solve_primal(p, Shifts.zero(2), start, fea_tol=1e-6)
+    else:
+        out = solve_primal(p, Shifts.zero(2), start, fea_tol=1e-6)
+        assert out.status == "optimal" and out.iterations == 0
+
+
 def test_solve_primal_relaxed_basic_selection(p2):
     # A basic dual below its bound (z_B + r_B < 0) must be repaired by
     # freeing the basic index directly.

@@ -155,6 +155,9 @@ OPTIMUM = ([0.5, 0.5], [0.5], [0.0, 0.0])
                                         SolveConfig(max_iterations=2.5)),
                  ValueError, "max_iterations must be an integer >= 0, got 2.5",
                  id="config-float-max-iterations-was-accepted"),
+    pytest.param(lambda: solve_standard(_p1(), SolveConfig(trace=123)),
+                 ValueError, "trace must be callable, got 123",
+                 id="config-int-trace-raised-TypeError-mid-solve"),
     pytest.param(_from_basis_01(solve_primal, *OPTIMUM, max_iterations=-5),
                  ValueError, "max_iterations must be an integer >= 0, got -5",
                  id="primal-negative-max-iterations-ran-the-default-cap"),

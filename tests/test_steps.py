@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from pdqp import (InvariantError, Iterate, Partition, Shifts,
+from pdqp import (InvariantError, Iterate, Partition, QpProblem, Shifts,
                   StartConditionError, factor_kb, init_shifts, primal_base,
                   solve_primal)
 from pdqp.kkt import KktBasis
 from pdqp.primal import PRIMAL
-from pdqp.steps import StepResult, ratio_test, run_active_set, select_index
+from pdqp.steps import (StepResult, _check_bounds, ratio_test,
+                        run_active_set, select_index)
 
 TOL = 1e-6
 
@@ -120,3 +121,32 @@ def test_intermediate_loop_that_does_not_move_is_stopped(p2):
                                              "did not terminate"):
         run_active_set(PRIMAL, p2, shifts.with_r(np.zeros(2)), (it, part),
                        still, still, fea_tol=TOL, opt_tol=TOL)
+
+
+@pytest.mark.parametrize("start,limit,error", [
+    (True, 1e-8, StartConditionError),      # START_EQ_TOL
+    (False, 1e-7, InvariantError),          # DRIFT_EQ_TOL
+], ids=["start", "drift"])
+@pytest.mark.parametrize("factor", [10.0, 0.5])
+def test_equality_residual_limit_of_the_entry_and_invariant_checks(
+        p2, start, limit, error, factor):
+    # p2's optimum x = (0, 1), y = 1, z = (1, 0) over basis {1}, with z_0
+    # moved so that the stationarity residual is ``factor`` times the
+    # check's limit, limit * data_scale with data_scale = 1 + 2 + 1.  The
+    # limits are literals, so that a changed constant fails here.
+    assert p2.data_scale() == 4.0
+    residual = factor * limit * 4.0
+    it = Iterate([0.0, 1.0], [1.0], [1.0 + residual, 0.0])
+    none = np.zeros(2, dtype=bool)
+
+    def check():
+        _check_bounds(PRIMAL, p2, Shifts.zero(2), it,
+                      Partition(basic=[1], nonbasic=[0]), none, none, TOL,
+                      TOL, start=start)
+
+    if factor > 1.0:
+        with pytest.raises(error, match="the point violates the equality "
+                                        "system$"):
+            check()
+    else:
+        check()
