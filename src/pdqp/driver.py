@@ -32,8 +32,8 @@ from .kkt import (KktBasis, KktFactorization, KktInternalError,
 from .model import (DEFAULT_TOL, InvariantError, Iterate, Partition,
                     ProblemError, QpProblem, Shifts, _indices, _vector,
                     bound_tol, check_max_iterations, check_optimality,
-                    check_tolerances, dual_objective, index_mask, inf_norm,
-                    primal_objective)
+                    check_tolerances, check_trace, dual_objective,
+                    index_mask, inf_norm, primal_objective)
 from .primal import solve_primal
 from .steps import OPTIMAL, PRIMAL_INFEASIBLE, SolveOutcome, TraceSink
 
@@ -253,8 +253,7 @@ class SolveConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         check_tolerances(self.fea_tol, self.opt_tol)
         check_max_iterations(self.max_iterations)
-        if self.trace is not None and not callable(self.trace):
-            raise ValueError(f"trace must be callable, got {self.trace!r}")
+        check_trace(self.trace)
 
 
 @dataclass

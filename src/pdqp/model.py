@@ -52,9 +52,9 @@ class InvariantError(RuntimeError):
 PSD_PIVOT_TOL = 1e-10
 RANK_TOL = 1e-10
 # Share by which a diagonal must exceed its row's off-diagonal sum for
-# ``_check_psd`` to accept without a factorization.  It is far larger than
-# the n*u rounding of a computed row sum (u the unit roundoff), so the
-# computed test implies the exact one.
+# ``_check_psd`` to accept without its one factorization (``dpstrf``).  It
+# is far larger than the n*u rounding of a computed row sum (u the unit
+# roundoff), so the computed test implies the exact one.
 DOMINANCE_MARGIN = 1e-8
 
 
@@ -93,13 +93,6 @@ def principal_block(s: np.ndarray, idx: np.ndarray,
     return s.take(idx, axis=0).take(idx, axis=1, out=out)
 
 
-def _live_block(s: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """A copy of s[live][:, live] in Fortran order for LAPACK to overwrite:
-    the transpose of a C-order gather, which has the same values because s
-    is exactly symmetric."""
-    return principal_block(s, live).T
-
-
 def pivoted_cholesky(h: np.ndarray, tol: float
                      ) -> tuple[np.ndarray, np.ndarray, int]:
     """LAPACK's pivoted Cholesky (``dpstrf``) of a semidefinite h, which
@@ -123,28 +116,23 @@ def pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _check_psd(s: np.ndarray, name: str) -> int:
     """Semidefiniteness test of an exactly symmetric s; returns the rank
     that the test found: the number of nonzero rows where the dominance
-    test or ``dpotrf`` accepts, the number of ``dpstrf`` pivots above the
-    cutoff otherwise, and 0 where no pivot is (or s is zero).
+    test accepts, the number of ``dpstrf`` pivots above the cutoff
+    otherwise.
 
     Only the rows and columns that are not identically zero take part
-    (standardized problems pad H with zero slack rows).  The paths, in
-    order:
+    (standardized problems pad H with zero slack rows).  The two paths:
 
     1. Where every nonzero row has a positive diagonal that exceeds the
        sum of the row's other magnitudes by DOMINANCE_MARGIN, s is
        definite on those rows (Gershgorin), with no LAPACK call.
-    2. A LAPACK Cholesky factorization (``dpotrf``) that succeeds with a
-       finite factor accepts: a matrix definite on its nonzero part is
-       semidefinite.
-    3. Otherwise ``pivoted_cholesky`` (``dpstrf``) eliminates the largest
+    2. Otherwise ``pivoted_cholesky`` (``dpstrf``) eliminates the largest
        remaining diagonal until it falls to the cutoff PSD_PIVOT_TOL *
-       max(1, max diagonal), and a trailing Schur diagonal entry below
-       -cutoff rejects the matrix.  That diagonal is the input's minus the
-       row sums of L^2, since ``dpstrf`` leaves the trailing block partly
-       updated.
-    4. Without a pivot above the cutoff the least eigenvalue
-       (``eigvalsh``) decides instead, since the diagonal cannot see an
-       off-diagonal entry far above it.
+       max(1, max diagonal).  Where rows remain, their Schur complement
+       S = s_TT - L_T L_T' (the whole live block at rank 0; ``dpstrf``
+       leaves it only partly updated) decides: a diagonal entry below
+       -cutoff or an off-diagonal one above cutoff in magnitude rejects
+       s.  The diagonal of S is at most cutoff, and a semidefinite S
+       has |S_ij| <= sqrt(S_ii S_jj), so neither fires on one.
     """
     rows = np.abs(s).sum(axis=1)
     live = rows.nonzero()[0]
@@ -154,18 +142,20 @@ def _check_psd(s: np.ndarray, name: str) -> int:
     if np.count_nonzero(2.0 * s.diagonal()
                         > (1.0 + DOMINANCE_MARGIN) * rows) == live.size:
         return live.size
-    factor, info = lapack.dpotrf(_live_block(s, live), overwrite_a=1,
-                                 clean=0)
-    if info == 0 and np.isfinite(factor).all():
-        return live.size
     cutoff = PSD_PIVOT_TOL * max(1.0, float(s.diagonal().max()))
-    factor, piv, rank = pivoted_cholesky(_live_block(s, live), cutoff)
+    # The transpose of a C-order gather is the Fortran-order copy that
+    # LAPACK overwrites; it has the same values since s is symmetric.
+    factor, piv, rank = pivoted_cholesky(principal_block(s, live).T, cutoff)
+    if rank == live.size:
+        return rank
     low = factor[rank:, :rank]
-    rest = (s.diagonal()[live[piv[rank:]]] - (low * low).sum(axis=1) if rank
-            else np.linalg.eigvalsh(_live_block(s, live)))
-    if rest.size and float(rest.min()) < -cutoff:
+    trail = principal_block(s, live[piv[rank:]]) - low @ low.T
+    least = float(trail.diagonal().min())
+    np.fill_diagonal(trail, 0.0)
+    worst = min(least, -inf_norm(trail))
+    if worst < -cutoff:
         raise ProblemError(f"{name} is not positive semidefinite "
-                           f"(pivot {float(rest.min()):.3e})")
+                           f"(pivot {worst:.3e})")
     return rank
 
 
@@ -227,12 +217,10 @@ class QpProblem:
     empty for a plain standard-form problem.  Either may be given as any
     iterable of integer indices and is stored as a ``frozenset[int]``;
     ``free_mask`` and ``fixed_mask`` hold them as read-only boolean
-    masks.  ``h_rank`` is the rank of H that ``_check_psd`` found: exact
-    where H's rows that are not identically zero pass its diagonal
-    dominance test or ``dpotrf`` accepts them, the count of ``dpstrf``
-    pivots above its cutoff otherwise, and 0 when there is no such
-    pivot.  Basis discovery reads it
-    (``kkt.find_soc_basis``).
+    masks.  ``h_rank`` is the rank of H that ``_check_psd`` found: the
+    count of H's rows that are not identically zero where they pass its
+    diagonal dominance test, the count of ``dpstrf`` pivots above its
+    cutoff otherwise.  Basis discovery reads it (``kkt.find_soc_basis``).
     """
 
     H: np.ndarray
@@ -598,6 +586,12 @@ def check_max_iterations(max_iterations) -> None:
             or max_iterations < 0):
         raise ValueError(f"max_iterations must be an integer >= 0, "
                          f"got {max_iterations!r}")
+
+
+def check_trace(trace) -> None:
+    """The one test of a trace sink: None or a callable."""
+    if trace is not None and not callable(trace):
+        raise ValueError(f"trace must be callable, got {trace!r}")
 
 
 def bound_tol(vector: str, y_norm: float, fea_tol: float,

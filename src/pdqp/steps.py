@@ -43,7 +43,7 @@ from .model import (BOUND_SLACK, DEFAULT_TOL, DRIFT_EQ_TOL, HARRIS_BAND,
                     Direction, InvariantError, Iterate, Partition, QpProblem,
                     Shifts, StartConditionError, bound_tol,
                     check_max_iterations, check_sizes, check_tolerances,
-                    dual_objective, effective_shifts, inf_norm,
+                    check_trace, dual_objective, effective_shifts, inf_norm,
                     primal_objective, residuals)
 
 OPTIMAL = "optimal"
@@ -340,6 +340,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
     its own."""
     check_tolerances(fea_tol, opt_tol)
     check_max_iterations(max_iterations)
+    check_trace(trace)
     it = start[0].copy()
     part = start[1].copy()
     part.validate(p.n)

@@ -61,6 +61,11 @@ MUTANTS = (
      "BOUND_SLACK = 1e-7 ", "BOUND_SLACK = 1e-4 "),
     ("ALIGN_BAND-x1e3", "src/pdqp/model.py",
      "ALIGN_BAND = 1e-9 ", "ALIGN_BAND = 1e-6 "),
+    ("psd-off-diagonal-dropped", "src/pdqp/model.py",
+     "worst = min(least, -inf_norm(trail))", "worst = least"),
+    ("psd-off-diagonal-x1e3", "src/pdqp/model.py",
+     "worst = min(least, -inf_norm(trail))",
+     "worst = min(least, -1e-3 * inf_norm(trail))"),
 )
 
 

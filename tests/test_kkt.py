@@ -1014,12 +1014,12 @@ def test_a_ladder_pass_makes_130_k_b0_applies_and_15_factorizations(
     # each stays far below the d u that would make it refine, so a host
     # whose BLAS eats that margin fails here rather than slowly.  Every
     # rung's tridiagonal H passes the load-time dominance test, so no
-    # Cholesky factorization (dpotrf) runs.
+    # pivoted Cholesky factorization (dpstrf) runs.
     rungs = ((100, 10, 10), (250, 20, 10), (500, 20, 10), (1000, 20, 10),
              (500, 20, 100))
     applies = _counting_applies(monkeypatch)
     fresh = _counting(monkeypatch, kkt, "_bunch_kaufman")
-    cholesky = _counting(monkeypatch, model.lapack, "dpotrf")
+    cholesky = _counting(monkeypatch, model.lapack, "dpstrf")
     ratios = []
     backward_error = kkt._backward_error
 

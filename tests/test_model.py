@@ -6,13 +6,13 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from pdqp import (Iterate, Partition, ProblemError, QpProblem, Shifts,
-                  check_optimality, dual_objective, enumerate_solve,
-                  primal_objective, residuals)
+from pdqp import (GeneralQp, Iterate, Partition, ProblemError, QpProblem,
+                  Shifts, check_optimality, dual_objective, enumerate_solve,
+                  primal_objective, residuals, solve_pdqp, standardize)
 from pdqp import model
 from pdqp.model import _check_psd, effective_shifts
 
-from conftest import criterion7_instance, random_instances
+from conftest import criterion7_instance, mixed_instances, random_instances
 
 
 def it(x, y, z):
@@ -532,11 +532,8 @@ def _greedy_psd_verdict(s, tol=model.PSD_PIVOT_TOL):
     return not (rest.size and float(np.min(rest)) < -cutoff)
 
 
-# A Cholesky that always fails leaves the verdict to the pivoted one.
-_NO_CHOLESKY = SimpleNamespace(dpotrf=lambda a, **kw: (a, 1),
-                               dpstrf=scipy.linalg.lapack.dpstrf)
 # A margin of 1 asks for 2 s_ii > 2 sum_j |s_ij|, which no row passes since
-# the sum holds |s_ii|: the factorizations decide.
+# the sum holds |s_ii|: the pivoted Cholesky decides.
 _NO_DOMINANCE = 1.0
 
 
@@ -556,23 +553,20 @@ def _zero_padded(s):
 
 @pytest.mark.parametrize("s,expected,rank", _psd_cases())
 def test_check_psd_matches_greedy_verdict(monkeypatch, s, expected, rank):
-    # The rank is the same whether the dominance test, dpotrf or dpstrf
-    # settles the verdict, and wherever zero rows lie.
+    # The rank is the same whether the dominance test or dpstrf settles
+    # the verdict, and wherever zero rows lie.
     assert _greedy_psd_verdict(s) is expected
     cases = [s] + _zero_padded(s)
     for margin in (model.DOMINANCE_MARGIN, _NO_DOMINANCE):
-        for lapack in (model.lapack, _NO_CHOLESKY):
-            monkeypatch.setattr(model, "DOMINANCE_MARGIN", margin)
-            monkeypatch.setattr(model, "lapack", lapack)
-            assert [_psd_rank(t) for t in cases] == [rank] * 4
+        monkeypatch.setattr(model, "DOMINANCE_MARGIN", margin)
+        assert [_psd_rank(t) for t in cases] == [rank] * 4
 
 
-def _counting_dpotrf(monkeypatch):
+def _counting_dpstrf(monkeypatch):
     calls = []
-    lapack = scipy.linalg.lapack
+    dpstrf = scipy.linalg.lapack.dpstrf
     monkeypatch.setattr(model, "lapack", SimpleNamespace(
-        dpotrf=lambda a, **kw: calls.append(a.shape) or lapack.dpotrf(a, **kw),
-        dpstrf=lapack.dpstrf))
+        dpstrf=lambda a, **kw: calls.append(a.shape) or dpstrf(a, **kw)))
     return calls
 
 
@@ -581,9 +575,10 @@ def _counting_dpotrf(monkeypatch):
     (1.0 + 1e-9, True), (1.0, True), (1.0 - 1e-9, True)])
 def test_only_rows_dominant_beyond_the_margin_skip_dpotrf(monkeypatch, factor,
                                                            factored):
+    # Counts dpstrf, the one factorization of _check_psd.
     rng = np.random.default_rng(5)
     off = np.tril(rng.normal(size=(9, 9)), -1)
-    calls = _counting_dpotrf(monkeypatch)
+    calls = _counting_dpstrf(monkeypatch)
     assert _psd_rank(_dominated_by(factor, off + off.T)) == 9
     assert len(calls) == factored
 
@@ -592,12 +587,12 @@ def test_dominance_test_gives_the_rank_of_the_factorizations(monkeypatch):
     # Matrices whose diagonal is a factor times its row's off-diagonal
     # magnitude sum, the factor straddling the margin, of either sign or
     # zero in some rows, with zero rows placed anywhere among them: the
-    # rank (or rejection) is the one dpotrf, dpstrf and eigvalsh give.
+    # rank (or rejection) is the one dpstrf gives.
     rng = np.random.default_rng(2029)
     factors = (1.0 - 1e-6, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 1e-8,
                1.0 + 3e-8, 1.0 + 1e-6, 1.5, 4.0)
     margin = model.DOMINANCE_MARGIN
-    calls = _counting_dpotrf(monkeypatch)
+    calls = _counting_dpstrf(monkeypatch)
     skipped = 0
     outcomes = set()
     for _ in range(400):
@@ -631,7 +626,7 @@ def test_dominance_test_gives_the_rank_of_the_factorizations(monkeypatch):
     assert outcomes == {"rejected", "full", "deficient"}
 
 
-def test_pivoted_cholesky_agrees_with_greedy_on_random_matrices(monkeypatch):
+def test_pivoted_cholesky_agrees_with_greedy_on_random_matrices():
     # Semidefinite matrices of every rank, some padded with zero rows, and
     # indefinite ones whose negative eigenvalue lies far below the cutoff.
     rng = np.random.default_rng(2026)
@@ -655,19 +650,69 @@ def test_pivoted_cholesky_agrees_with_greedy_on_random_matrices(monkeypatch):
     for s, psd in cases:
         assert _greedy_psd_verdict(s) is psd
         assert _psd_verdict(s) is psd
-    monkeypatch.setattr(model, "lapack", _NO_CHOLESKY)
-    for s, psd in cases:
-        assert _psd_verdict(s) is psd
 
 
 def test_check_psd_rejects_indefinite_matrix_with_tiny_diagonal():
     # Every diagonal entry lies below the cutoff 1e-10, but the eigenvalue
     # -1e-6 does not.  The greedy test stopped before its first pivot and
-    # accepted; LAPACK's pivoted Cholesky always takes the first pivot and
-    # sees the off-diagonal.
+    # accepted; with no pivot above the cutoff, the off-diagonal 1e-6 of
+    # the whole matrix rejects it.
     s = np.array([[1e-11, 1e-6], [1e-6, 1e-11]])
     assert _greedy_psd_verdict(s)
     assert not _psd_verdict(s)
+
+
+ZERO_TRAILING_DIAGONAL = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                                   [0.0, 1.0, 0.0]])
+
+
+# Each has least eigenvalue about -1, from an off-diagonal entry of the
+# block that dpstrf leaves unpivoted, whose diagonal is at most the cutoff.
+@pytest.mark.parametrize("h", [
+    ZERO_TRAILING_DIAGONAL,
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[4.0, 0.0, 0.0], [0.0, 1e-12, 1.0], [0.0, 1.0, 1e-12]]),
+], ids=["one-pivot-then-zero-diagonal", "no-pivot",
+        "one-pivot-then-tiny-diagonal"])
+def test_check_psd_rejects_indefinite_trailing_block_with_tiny_diagonal(h):
+    # The greedy reference reads only the trailing diagonal, and accepts.
+    assert _greedy_psd_verdict(h)
+    n = h.shape[0]
+    with pytest.raises(ProblemError, match="H is not positive semidefinite"):
+        QpProblem(H=h, M=np.zeros((1, 1)), A=np.ones((1, n)), b=[1.0],
+                  c=np.zeros(n))
+
+
+@pytest.mark.parametrize("times,psd", [(10.0, False), (0.5, True)])
+def test_trailing_off_diagonal_limit_of_the_psd_check(times, psd):
+    # One pivot of 1 leaves a zero trailing diagonal and the cutoff 1e-10,
+    # written as a literal so that a mutant of the check cannot move it.
+    e = times * 1e-10
+    s = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, e], [0.0, e, 0.0]])
+    assert _psd_verdict(s) is psd
+
+
+def test_free_problem_with_indefinite_hessian_is_rejected_at_load():
+    # Unbounded below along (0, 1, -1); no bound or row stops it.
+    g = GeneralQp(Hhat=ZERO_TRAILING_DIAGONAL, Ahat=np.zeros((0, 3)),
+                  c=np.zeros(3), lower=[-np.inf] * 3, upper=[np.inf] * 3)
+    with pytest.raises(ProblemError, match="H is not positive semidefinite"):
+        solve_pdqp(g)
+
+
+def _h_rank_misses(problems):
+    """Positions of the problems whose h_rank is not numpy's rank of H."""
+    return [i for i, p in enumerate(problems)
+            if p.h_rank != np.linalg.matrix_rank(p.H)]
+
+
+def test_h_rank_is_the_rank_of_h_on_the_suite_draw(suite500):
+    assert _h_rank_misses(suite500) == []
+
+
+def test_h_rank_is_the_rank_of_h_on_the_mixed_bounds_problems():
+    problems = [standardize(g).problem for g in mixed_instances(1, 120)]
+    assert _h_rank_misses(problems) == []
 
 
 @pytest.mark.parametrize("v", [

@@ -168,6 +168,12 @@ OPTIMUM = ([0.5, 0.5], [0.5], [0.0, 0.0])
     pytest.param(_from_basis_01(solve_dual, *OPTIMUM, max_iterations=1.0),
                  ValueError, "max_iterations must be an integer >= 0, got 1.0",
                  id="dual-float-max-iterations-was-accepted"),
+    pytest.param(_from_basis_01(solve_primal, *OPTIMUM, trace=123),
+                 ValueError, "trace must be callable, got 123",
+                 id="primal-int-trace-was-accepted"),
+    pytest.param(_from_basis_01(solve_dual, *OPTIMUM, trace=123),
+                 ValueError, "trace must be callable, got 123",
+                 id="dual-int-trace-was-accepted"),
 ])
 def test_public_entry_points_reject_malformed_inputs(build, error, message):
     with pytest.raises(error) as caught:
