@@ -30,10 +30,10 @@ from .dual import solve_dual
 from .kkt import (KktBasis, KktFactorization, KktInternalError,
                   find_soc_basis, solve_boundary_point)
 from .model import (DEFAULT_TOL, InvariantError, Iterate, Partition,
-                    ProblemError, QpProblem, Shifts, _indices, _vector,
-                    bound_tol, check_max_iterations, check_optimality,
-                    check_tolerances, check_trace, dual_objective,
-                    index_mask, inf_norm, primal_objective)
+                    ProblemError, QpProblem, Shifts, _indices, _matrix,
+                    _vector, bound_tol, check_max_iterations,
+                    check_optimality, check_tolerances, check_trace,
+                    dual_objective, index_mask, inf_norm, primal_objective)
 from .primal import solve_primal
 from .steps import OPTIMAL, PRIMAL_INFEASIBLE, SolveOutcome, TraceSink
 
@@ -48,7 +48,9 @@ class GeneralQp:
     ``lower`` and ``upper`` have length n + m: bounds on the variables
     first, then on the constraint rows.  Infinities mark absent bounds
     (-inf below, +inf above; the other sign is an error); equal bounds
-    mark a fixed variable or an equality row.
+    mark a fixed variable or an equality row.  c fixes n, and
+    ``model._matrix`` reads Hhat (n x n) and Ahat (m x n, m its own row
+    count; an Ahat with no entries has no rows).
     """
 
     Hhat: np.ndarray
@@ -59,23 +61,16 @@ class GeneralQp:
     name: str = "qp"
 
     def __post_init__(self):
-        H = np.atleast_2d(np.asarray(self.Hhat, dtype=float))
         c = _vector(self.c, "c")
-        A = np.asarray(self.Ahat, dtype=float)
+        n = c.shape[0]
+        H = _matrix(self.Hhat, "Hhat", n, n)
+        A = _matrix(self.Ahat, "Ahat", None, n)
         for name, data in (("Hhat", H), ("Ahat", A), ("c", c)):
             if not np.isfinite(data).all():
                 raise ProblemError(f"{name} has non-finite entries")
-        n = c.shape[0]
-        if A.size == 0:
-            A = A.reshape(0, n)
-        A = np.atleast_2d(A)
         m = A.shape[0]
         lo = _vector(self.lower, "lower")
         up = _vector(self.upper, "upper")
-        if H.shape != (n, n):
-            raise ProblemError(f"Hhat must be {n}x{n}, got {H.shape}")
-        if A.shape != (m, n):
-            raise ProblemError(f"Ahat must be {m}x{n}, got {A.shape}")
         if lo.shape != (n + m,) or up.shape != (n + m,):
             raise ProblemError(f"bounds must have length {n + m}")
         if np.any(np.isnan(lo)) or np.any(np.isnan(up)):
@@ -319,11 +314,9 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
     config.check()
     basis = KktBasis(p)
     if config.initial_basis is not None:
-        chosen = set(_indices(config.initial_basis, "initial basis"))
-        if not chosen <= set(range(p.n)):
-            raise ProblemError(f"initial basis {sorted(chosen)} has an index "
-                               f"outside 0..{p.n - 1}")
-        if chosen & p.fixed:
+        chosen = _indices(config.initial_basis, "initial basis", n=p.n,
+                          distinct=True)
+        if p.fixed.intersection(chosen):
             raise ProblemError("fixed variables cannot be basic")
         part = Partition._from_mask(index_mask(p.n, chosen))
     else:

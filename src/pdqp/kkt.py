@@ -139,7 +139,8 @@ A freed component is settled alike after a fresh, reused or updated
 solve: ``_freed_component`` reads only the computed value, its band, w,
 the data and its own counterpart factorization, and an update has the
 acceptance margin and a backward error checked against d u (refined once
-above it).  The counterpart bounds take K_B or K_l from ``KktBasis.matrix``.
+above it).  The counterpart bounds are taken from the data
+(``_singular_bound``).
 
 A K_B0 of dim below UPDATE_MIN_DIM is not updated: a solve of another
 matrix refactors.  On criterion-7 K_B matrices with one BLAS thread, an
@@ -412,14 +413,6 @@ class KktBasis:
                                    f"over variables {order.tolist()}")
         return f.solve(rhs)
 
-    def matrix(self, order: np.ndarray) -> np.ndarray:
-        """The basis matrix whose variables come in ``order``: the held
-        factorization's when ``order`` is byte-equal to its order, as after
-        every fresh solve, else assembled by ``build_kb``."""
-        if self._last is not None and order.tobytes() == self._key:
-            return self._last.matrix
-        return build_kb(self.p, order)
-
     def _slots(self, keys: np.ndarray) -> list[int] | None:
         """Cache slots of the border columns named by ``keys``, computing
         the missing ones; None once more than BORDER_CAP are needed."""
@@ -625,6 +618,12 @@ def _kkt_max(p: QpProblem, cols: np.ndarray) -> float:
                inf_norm(p.M))
 
 
+def _singular_bound(p: QpProblem, cols: np.ndarray) -> float:
+    """dim * PIVOT_TOL * max|K| of the basis matrix over ``cols``, the
+    singularity bound (module docstring), taken from the data."""
+    return (cols.size + p.m) * PIVOT_TOL * _kkt_max(p, cols)
+
+
 def find_soc_basis(p: QpProblem, basis: KktBasis) -> Partition:
     """Find an initial second-order consistent basis.
 
@@ -764,11 +763,12 @@ def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
     np.negative(p.A[:, l], out=rhs[nb:])
     w = basis.solve(basic, rhs)
     raw, noise = _base_dz_l(p, l, h_bl, w)
-    dzl = raw if raw > noise else _freed_component(
-        raw, noise, lambda: factor_kb(p, _with_freed(basic, l)[0]),
-        "dz_l", lambda: abs(raw), lambda: (nb + p.m + 1) * PIVOT_TOL * max(
-            float(np.abs(basis.matrix(basic)).max(initial=0.0)),
-            abs(p.H[l, l]), float(np.abs(rhs).max(initial=0.0))))
+    dzl = raw
+    if raw <= noise:
+        order = _with_freed(basic, l)[0]
+        dzl = _freed_component(raw, noise, lambda: factor_kb(p, order),
+                               "dz_l", lambda: abs(raw),
+                               lambda: _singular_bound(p, order))
     # dz_l = 0: singular bordered matrix.  The direction is its null ray,
     # whose multiplier and dual parts vanish identically; zeroing them
     # discards pure cancellation noise.
@@ -804,21 +804,17 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
     raw, noise = float(w[at]), _dx_l_noise(w)
     dxl = raw
     if raw <= noise:
-        # K_B is K_l without row and column at, k_l is column at of K_l
-        # without entry at, and v = [dx_B; -dy], w without entry at
-        # (module docstring).
-        kl = basis.matrix(order)
-
+        # k_l = [h_Bl; a_l] is column at of K_l without entry at, and
+        # v = [dx_B; -dy] is w without entry at (module docstring).
         def backward() -> float:
             vnorm = float(np.linalg.norm(np.delete(w, at)))
-            k_l = np.delete(kl[:, at], at)
+            k_l = np.concatenate((p.H[l].take(basic), p.A[:, l]))
             return (abs(raw) * float(np.linalg.norm(k_l)) / vnorm
                     if vnorm > 0.0 else np.inf)
 
-        dxl = _freed_component(
-            raw, noise, lambda: factor_kb(p, basic), "dx_l",
-            backward, lambda: (kl.shape[0] - 1) * PIVOT_TOL * inf_norm(
-                np.delete(np.delete(kl, at, axis=0), at, axis=1)))
+        dxl = _freed_component(raw, noise, lambda: factor_kb(p, basic),
+                               "dx_l", backward,
+                               lambda: _singular_bound(p, basic))
     # dx_l = 0: singular K_B.  Every x-component of the direction
     # vanishes and only the multiplier part moves.
     dx = np.zeros(p.n)

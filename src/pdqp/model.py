@@ -36,8 +36,8 @@ from scipy.linalg import lapack
 
 
 class ProblemError(ValueError):
-    """Raised for invalid problem data: non-finite entries, bad shapes,
-    indefinite H or M, or a rank-deficient [A M] block."""
+    """Raised for invalid problem data: non-numeric or non-finite entries,
+    bad shapes, indefinite H or M, or a rank-deficient [A M] block."""
 
 
 class StartConditionError(ValueError):
@@ -186,17 +186,42 @@ def _symmetrized(s: np.ndarray, name: str) -> np.ndarray:
     return np.tril(s) + np.tril(s, -1).T
 
 
+def _floats(v, name: str) -> np.ndarray:
+    """v as a float array; else (non-numeric, ragged) ``ProblemError``."""
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise ProblemError(f"{name} is not an array of real numbers") from None
+
+
 def _vector(v, name: str) -> np.ndarray:
     """v as a float vector (a scalar has length 1); else ``ProblemError``."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    v = np.atleast_1d(_floats(v, name))
     if v.ndim != 1:
         raise ProblemError(f"{name} must be a vector, got shape {v.shape}")
     return v
 
 
-def _indices(values, name: str, error=ProblemError) -> list[int]:
+def _matrix(v, name: str, rows: int | None, cols: int) -> np.ndarray:
+    """v as a float rows x cols matrix (``rows`` None: its own count); else
+    ``ProblemError``.  A scalar is 1x1, a vector one row, and input with
+    no entries the empty matrix, so it passes only for an empty shape."""
+    a = np.atleast_2d(_floats(v, name))
+    if rows is None:
+        rows = a.shape[0] if a.size else 0
+    if not a.size and not rows * cols:
+        a = a.reshape(rows, cols)
+    if a.shape != (rows, cols):
+        raise ProblemError(f"{name} must be {rows}x{cols}, got {a.shape}")
+    return a
+
+
+def _indices(values, name: str, error=ProblemError, n: int | None = None,
+             distinct: bool = False) -> list[int]:
     """Integer indices as a list of ints; a float, bool, string or other
-    non-integer entry, or a non-iterable, raises ``error``."""
+    non-integer entry, or a non-iterable, raises ``error``, and so does
+    an index outside 0..n-1 where ``n`` is given, and a repeated one
+    where ``distinct`` is set."""
     try:
         items = list(values)
     except TypeError:
@@ -205,22 +230,32 @@ def _indices(values, name: str, error=ProblemError) -> list[int]:
     for i in items:
         if isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__"):
             raise error(f"{name} index {i!r} is not an integer")
-    return [operator.index(i) for i in items]
+    items = [operator.index(i) for i in items]
+    if n is not None:
+        for i in items:
+            if not 0 <= i < n:
+                raise error(f"{name} index {i} is not in 0..{n - 1}")
+    if distinct and len(set(items)) != len(items):
+        article = "an" if name[0] in "aeiou" else "a"
+        raise error(f"{article} {name} index is given twice: {items}")
+    return items
 
 
 @dataclass(frozen=True)
 class QpProblem:
     """Immutable problem data (H, M, A, b, c) plus bound-existence markers.
 
-    ``free`` lists variables with no bound at all; ``fixed`` lists
-    variables pinned at their bound with an unrestricted dual.  Both are
-    empty for a plain standard-form problem.  Either may be given as any
-    iterable of integer indices and is stored as a ``frozenset[int]``;
-    ``free_mask`` and ``fixed_mask`` hold them as read-only boolean
-    masks.  ``h_rank`` is the rank of H that ``_check_psd`` found: the
-    count of H's rows that are not identically zero where they pass its
-    diagonal dominance test, the count of ``dpstrf`` pivots above its
-    cutoff otherwise.  Basis discovery reads it (``kkt.find_soc_basis``).
+    b and c (``_vector``) fix m and n, and ``_matrix`` reads H (n x n), M
+    (m x m) and A (m x n).  ``free`` lists variables with no bound at all;
+    ``fixed`` lists variables pinned at their bound with an unrestricted
+    dual.  Both are empty for a plain standard-form problem.  Either may
+    be given as any iterable of integer indices in 0..n-1 (a repeat
+    collapses) and is stored as a ``frozenset[int]``; ``free_mask`` and
+    ``fixed_mask`` hold them as read-only boolean masks.  ``h_rank`` is
+    the rank of H that ``_check_psd`` found: the count of H's rows that
+    are not identically zero where they pass its diagonal dominance test,
+    the count of ``dpstrf`` pivots above its cutoff otherwise.  Basis
+    discovery reads it (``kkt.find_soc_basis``).
     """
 
     H: np.ndarray
@@ -232,11 +267,12 @@ class QpProblem:
     fixed: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        M = np.atleast_2d(np.asarray(self.M, dtype=float))
-        A = np.asarray(self.A, dtype=float)
         b = _vector(self.b, "b")
         c = _vector(self.c, "c")
+        n, m = c.shape[0], b.shape[0]
+        H = _matrix(self.H, "H", n, n)
+        M = _matrix(self.M, "M", m, m)
+        A = _matrix(self.A, "A", m, n)
         if not np.isfinite(H).all():
             raise ProblemError("H has non-finite entries")
         # One test over the smaller arrays' entries (no copy of H); the
@@ -247,18 +283,6 @@ class QpProblem:
             for name, a in rest:
                 if not np.isfinite(a).all():
                     raise ProblemError(f"{name} has non-finite entries")
-        n = c.shape[0]
-        m = b.shape[0]
-        if A.size == 0:
-            A = A.reshape(m, n)
-        if M.size == 0:
-            M = M.reshape(m, m)
-        if H.shape != (n, n):
-            raise ProblemError(f"H must be {n}x{n}, got {H.shape}")
-        if M.shape != (m, m):
-            raise ProblemError(f"M must be {m}x{m}, got {M.shape}")
-        if A.shape != (m, n):
-            raise ProblemError(f"A must be {m}x{n}, got {A.shape}")
         # The lower triangle is authoritative.  A zero M is symmetric and
         # semidefinite.
         m_live = M.any()
@@ -267,15 +291,10 @@ class QpProblem:
         h_rank = _check_psd(H, "H")
         if m_live:
             _check_psd(M, "M")
-        free = frozenset(_indices(self.free, "free"))
-        fixed = frozenset(_indices(self.fixed, "fixed"))
-        if free or fixed:
-            bad = (free | fixed) - set(range(n))
-            if bad:
-                raise ProblemError(
-                    f"free/fixed indices out of range: {sorted(bad)}")
-            if free & fixed:
-                raise ProblemError("an index cannot be both free and fixed")
+        free = frozenset(_indices(self.free, "free", n=n))
+        fixed = frozenset(_indices(self.fixed, "fixed", n=n))
+        if free & fixed:
+            raise ProblemError("an index cannot be both free and fixed")
         for name, indices in (("free", free), ("fixed", fixed)):
             mask = np.zeros(n, dtype=bool)
             if indices:
@@ -283,17 +302,8 @@ class QpProblem:
             mask.setflags(write=False)
             object.__setattr__(self, f"{name}_mask", mask)
         # Full row rank over the non-fixed columns implies it over all.
-        try:
-            _check_row_rank(np.concatenate(
-                (A[:, ~self.fixed_mask] if fixed else A, M), axis=1), m)
-        except ProblemError:
-            if not fixed:
-                raise
-            raise ProblemError(
-                "[A M] loses full row rank once fixed variables are "
-                "pinned; rows supported only by fixed variables must be "
-                "dropped or resolved before constructing the problem"
-            ) from None
+        _check_row_rank(np.concatenate(
+            (A[:, ~self.fixed_mask] if fixed else A, M), axis=1), m)
         H.setflags(write=False)  # fresh copies from _symmetrized
         M.setflags(write=False)
         object.__setattr__(self, "H", H)
@@ -419,13 +429,8 @@ class Partition:
         """{0..n-1} with ``basic`` basic and every other index nonbasic.
         ``basic`` must list distinct integer indices in 0..n-1; anything
         else raises ``InvariantError``."""
-        basic = _indices(basic, "basic", InvariantError)
-        for i in basic:
-            if not 0 <= i < n:
-                raise InvariantError(f"basic index {i} is not in 0..{n - 1}")
-        if len(set(basic)) != len(basic):
-            raise InvariantError(f"a basic index is given twice: {basic}")
-        return cls._from_mask(index_mask(n, basic))
+        return cls._from_mask(index_mask(
+            n, _indices(basic, "basic", InvariantError, n, distinct=True)))
 
     @property
     def nonbasic_mask(self) -> np.ndarray:
@@ -573,9 +578,13 @@ DRIFT_EQ_TOL = 1e-7     # equality residuals of later iterates, likewise
 
 
 def check_tolerances(fea_tol: float, opt_tol: float) -> None:
-    """The one test of tolerances: both positive and finite (NaN fails)."""
-    if not (0.0 < fea_tol < np.inf and 0.0 < opt_tol < np.inf):
-        raise ValueError("tolerances must be positive and finite")
+    """The one test of tolerances: both real scalars, positive and finite;
+    NaN, a bool, a string, an array or None fails."""
+    for tol in (fea_tol, opt_tol):
+        if (isinstance(tol, bool)
+                or not isinstance(tol, (float, int, np.floating, np.integer))
+                or not 0.0 < tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 def check_max_iterations(max_iterations) -> None:

@@ -66,6 +66,14 @@ MUTANTS = (
     ("psd-off-diagonal-x1e3", "src/pdqp/model.py",
      "worst = min(least, -inf_norm(trail))",
      "worst = min(least, -1e-3 * inf_norm(trail))"),
+    ("indices-range-test-dropped", "src/pdqp/model.py",
+     "if not 0 <= i < n:", "if False:"),
+    ("basic-repeat-test-dropped", "src/pdqp/model.py",
+     "if distinct and len(set(items)) != len(items):", "if False:"),
+    ("matrix-empty-guard-widened", "src/pdqp/model.py",
+     "if not a.size and not rows * cols:", "if not a.size:"),
+    ("matrix-conversion-guard-removed", "src/pdqp/model.py",
+     "except (TypeError, ValueError):", "except ():"),
 )
 
 

@@ -306,6 +306,11 @@ def malformed_cases():
         ("qp-H-shape", qp(H=np.eye(3))),
         ("qp-M-shape", qp(M=np.zeros((2, 2)))),
         ("qp-A-shape", qp(A=[[1.0, 1.0, 1.0]])),
+        ("qp-A-empty", qp(A=[])),
+        ("qp-A-vector", qp(A=[1.0, 1.0])),
+        ("qp-H-string", qp(H=[["a", 0.0], [0.0, 1.0]])),
+        ("qp-H-ragged", qp(H=[[1.0, 0.0], [1.0]])),
+        ("qp-b-string", qp(b=["x"])),
         ("qp-H-asymmetric", qp(H=[[1.0, 0.5], [0.0, 1.0]])),
         ("qp-H-near-symmetric", qp(H=[[1.0, 0.5], [0.5 + 1e-14, 1.0]])),
         ("qp-M-asymmetric", qp(M=[[1.0, 0.5], [0.0, 1.0]], **two)),
@@ -336,6 +341,9 @@ def malformed_cases():
         ("general-c-2d", general(c=[[0.0], [1.0]])),
         ("general-Hhat-shape", general(Hhat=np.eye(3))),
         ("general-Ahat-shape", general(Ahat=[[1.0, 1.0, 1.0]])),
+        ("general-Ahat-string", general(Ahat=[["q", 1.0]])),
+        ("general-Ahat-empty", general(Ahat=[], lower=[0.0, 0.0],
+                                       upper=[inf, inf])),
         ("general-Hhat-indefinite", general(Hhat=[[1.0, 2.0], [2.0, 1.0]])),
         ("general-bounds-length", general(lower=[0.0, 0.0])),
         ("general-lower-2d", general(lower=[[0.0, 0.0, 1.0]])),

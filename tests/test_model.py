@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pdqp import (GeneralQp, Iterate, Partition, ProblemError, QpProblem,
                   Shifts, check_optimality, dual_objective, enumerate_solve,
@@ -159,14 +159,31 @@ def test_rejects_non_finite_data(name, bad):
     ({"H": np.eye(3)}, "H must be 2x2, got (3, 3)"),
     ({"M": np.zeros((2, 2))}, "M must be 1x1, got (2, 2)"),
     ({"A": np.ones((1, 3))}, "A must be 1x2, got (1, 3)"),
-    ({"free": frozenset({2})}, "free/fixed indices out of range: [2]"),
-    ({"fixed": frozenset({-1, 0})}, "free/fixed indices out of range: [-1]"),
+    ({"free": frozenset({2})}, "free index 2 is not in 0..1"),
+    ({"fixed": frozenset({-1, 0})}, "fixed index -1 is not in 0..1"),
 ], ids=["H", "M", "A", "free", "fixed"])
 def test_rejects_misshapen_data(change, message):
     data = dict(H=np.eye(2), M=np.zeros((1, 1)), A=np.array([[1.0, 1.0]]),
                 b=np.zeros(1), c=np.zeros(2))
     with pytest.raises(ProblemError, match=f"^{re.escape(message)}$"):
         QpProblem(**{**data, **change})
+
+
+@pytest.mark.parametrize("change,same", [
+    ({"A": [1.0, 1.0]}, {"A": [[1.0, 1.0]]}),
+    ({"H": 2.0, "A": 1.0, "c": [0.0]}, {"H": [[2.0]], "A": [[1.0]],
+                                        "c": [0.0]}),
+    ({"M": [], "A": [], "b": []}, {"M": np.zeros((0, 0)),
+                                   "A": np.zeros((0, 2)), "b": []}),
+], ids=["A-vector-is-one-row", "scalars-are-1x1", "empty-for-m-0"])
+def test_accepts_matrices_under_the_one_reading(change, same):
+    # A vector A with m = 1 used to be rejected as "A must be 1x2, got
+    # (2,)", where H, M and GeneralQp's Ahat read a vector as one row.
+    data = dict(H=np.eye(2), M=np.zeros((1, 1)), A=np.array([[1.0, 1.0]]),
+                b=np.zeros(1), c=np.zeros(2))
+    p, q = QpProblem(**{**data, **change}), QpProblem(**{**data, **same})
+    for name in ("H", "M", "A"):
+        assert_array_equal(getattr(p, name), getattr(q, name), strict=True)
 
 
 @pytest.mark.parametrize("name,value", [

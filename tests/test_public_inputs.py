@@ -1,9 +1,10 @@
 """Inputs at the public entry points that the exception contract rejects.
 
 Each case names in its id what happened to it before the vector,
-index-list and tolerance rules were shared and the engine's entry checks
-failed on NaN: it was accepted, truncated to an integer, crashed with a
-plain ``IndexError`` or ``ValueError`` inside numpy, or solved.
+matrix, index-list and tolerance rules were shared and the engine's entry
+checks failed on NaN: it was accepted, truncated to an integer, crashed
+with a plain ``IndexError``, ``TypeError`` or ``ValueError`` inside
+numpy, or solved.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from pdqp import (GeneralQp, InvariantError, Iterate, Partition,
 INF = np.inf
 NAN = np.nan
 TOLERANCES = "tolerances must be positive and finite"
+NOT_REAL = "{} is not an array of real numbers"
 
 
 def _p1():
@@ -28,6 +30,15 @@ def _general(**change):
     data = dict(Hhat=np.eye(2), Ahat=[[1.0, 1.0]], c=[0.0, 1.0],
                 lower=[0.0, 0.0, 1.0], upper=[INF, INF, 1.0])
     return lambda: GeneralQp(**(data | change))
+
+
+def _qp(**change):
+    data = dict(H=[[1.0]], M=[[0.0]], A=[[1.0]], b=[1.0], c=[1.0])
+    return lambda: QpProblem(**(data | change))
+
+
+def _solve_p1(**config):
+    return lambda: solve_standard(_p1(), SolveConfig(**config))
 
 
 def _point(n_x=2, m=1):
@@ -99,6 +110,38 @@ OPTIMUM = ([0.5, 0.5], [0.5], [0.0, 0.0])
                                         SolveConfig(initial_basis=[True])),
                  ProblemError, "initial basis index True is not an integer",
                  id="initial-basis-bool-raised-IndexError"),
+    pytest.param(_solve_p1(initial_basis=[0, 0]), ProblemError,
+                 "an initial basis index is given twice: [0, 0]",
+                 id="initial-basis-repeat-was-accepted"),
+    pytest.param(_qp(A=[]), ProblemError, "A must be 1x1, got (1, 0)",
+                 id="qp-empty-A-raised-numpy-reshape-ValueError"),
+    pytest.param(_qp(M=[]), ProblemError, "M must be 1x1, got (1, 0)",
+                 id="qp-empty-M-raised-numpy-reshape-ValueError"),
+    pytest.param(_qp(H=[["a"]]), ProblemError, NOT_REAL.format("H"),
+                 id="qp-string-H-raised-numpy-ValueError"),
+    pytest.param(_qp(H=[[1.0, 0.0], [0.0]], A=[[1.0, 1.0]], c=[1.0, 1.0]),
+                 ProblemError, NOT_REAL.format("H"),
+                 id="qp-ragged-H-raised-numpy-ValueError"),
+    pytest.param(_qp(b=["x"]), ProblemError, NOT_REAL.format("b"),
+                 id="qp-string-b-raised-numpy-ValueError"),
+    pytest.param(_general(Ahat=[["q", 1.0]]), ProblemError,
+                 NOT_REAL.format("Ahat"),
+                 id="general-string-Ahat-raised-numpy-ValueError"),
+    pytest.param(_general(lower=["a", 0.0, 1.0]), ProblemError,
+                 NOT_REAL.format("lower"),
+                 id="general-string-lower-raised-numpy-ValueError"),
+    pytest.param(lambda: Shifts(["a"], [0.0]), ProblemError,
+                 NOT_REAL.format("q"),
+                 id="shifts-string-raised-numpy-ValueError"),
+    pytest.param(_solve_p1(opt_tol="1e-6"), ValueError, TOLERANCES,
+                 id="config-string-opt-tol-raised-TypeError"),
+    pytest.param(_solve_p1(fea_tol=None), ValueError, TOLERANCES,
+                 id="config-none-fea-tol-raised-TypeError"),
+    pytest.param(_solve_p1(opt_tol=np.array([1e-6, 1e-6])), ValueError,
+                 TOLERANCES,
+                 id="config-array-opt-tol-raised-numpy-ValueError"),
+    pytest.param(_solve_p1(opt_tol=True), ValueError, TOLERANCES,
+                 id="config-bool-opt-tol-ran-as-1"),
     pytest.param(lambda: enumerate_solve(_p1(), Shifts.zero(3)),
                  ProblemError, "q and r must have length 2 to match the "
                  "problem, got shape (3,)",
