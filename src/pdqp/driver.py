@@ -33,7 +33,7 @@ from .model import (DEFAULT_TOL, InvariantError, Iterate, Partition,
                     ProblemError, QpProblem, Shifts, _indices, _matrix,
                     _vector, bound_tol, check_max_iterations,
                     check_optimality, check_tolerances, check_trace,
-                    dual_objective, index_mask, inf_norm, primal_objective)
+                    index_mask, inf_norm, primal_objective)
 from .primal import solve_primal
 from .steps import OPTIMAL, PRIMAL_INFEASIBLE, SolveOutcome, TraceSink
 
@@ -229,7 +229,13 @@ def init_shifts(p: QpProblem, part: Partition, factor: KktFactorization
     q0, r0 = -x, -z
     q0[part.nonbasic_mask | p.free_mask | (x > 0.0)] = 0.0
     r0[part.basic_mask | p.fixed_mask | (~p.free_mask & (z > 0.0))] = 0.0
-    return Shifts(q0, r0), it
+    # q0 and r0 are fresh vectors of the right length: Shifts' own checks
+    # reduce to finiteness, and they are kept without a copy.
+    if not (np.isfinite(q0).all() and np.isfinite(r0).all()):
+        raise ProblemError("shift entries must be finite")
+    q0.setflags(write=False)
+    r0.setflags(write=False)
+    return Shifts._checked(q0, r0), it
 
 
 @dataclass
@@ -292,11 +298,17 @@ class PdqpSolution:
 
 
 def _stage_log(p: QpProblem, s: Shifts, out: SolveOutcome) -> StageLog:
+    """The stage's outcome with ``primal_objective`` and ``dual_objective``
+    at its end point, which share 0.5 x'Hx and 0.5 y'My: scaling by -0.5
+    in place of 0.5 is exact, so each value has the bits of its function."""
+    x, y, z = out.iterate.x, out.iterate.y, out.iterate.z
+    hx = 0.5 * x @ p.H @ x
+    my = 0.5 * y @ p.M @ y
     return StageLog(method=out.method, status=out.status,
                     iterations=out.iterations,
                     subiterations=out.subiterations,
-                    f_primal=primal_objective(p, s, out.iterate),
-                    f_dual=dual_objective(p, s, out.iterate),
+                    f_primal=float(hx + my + p.c @ x + s.r @ x),
+                    f_dual=float(-hx - my + p.b @ y - s.q @ z),
                     q_dot_r=float(s.q @ s.r))
 
 
@@ -350,15 +362,17 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
         raise ProblemError("dual-only requires a dual-feasible initial "
                            "basis (dual shifts within bound_tol)")
 
+    # zero's and shifts0's vectors are checked and read-only already.
     zero = Shifts.zero(p.n)
-    stages = {
-        "primal-first": [(solve_primal, shifts0.with_r(zero.r)),
-                         (solve_dual, zero)],
-        "dual-first": [(solve_dual, shifts0.with_q(zero.q)),
-                       (solve_primal, zero)],
-        "primal-only": [(solve_primal, zero)],
-        "dual-only": [(solve_dual, zero)],
-    }[strategy]
+    if strategy == "primal-first":
+        stages = [(solve_primal, Shifts._checked(shifts0.q, zero.r)),
+                  (solve_dual, zero)]
+    elif strategy == "dual-first":
+        stages = [(solve_dual, Shifts._checked(zero.q, shifts0.r)),
+                  (solve_primal, zero)]
+    else:
+        stages = [(solve_primal if strategy == "primal-only" else solve_dual,
+                   zero)]
 
     kw = dict(opt_tol=config.opt_tol, fea_tol=config.fea_tol,
               max_iterations=config.max_iterations, trace=config.trace,
@@ -372,7 +386,9 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
             break
         start = (out.iterate, out.partition)
 
-    obj = primal_objective(p, zero, out.iterate)
+    # A last stage at zero shifts has logged this very value.
+    obj = (logs[-1].f_primal if shifts is zero
+           else primal_objective(p, zero, out.iterate))
     if out.status == OPTIMAL:
         rep = check_optimality(p, zero, out.iterate,
                                config.fea_tol, config.opt_tol)

@@ -139,8 +139,11 @@ A freed component is settled alike after a fresh, reused or updated
 solve: ``_freed_component`` reads only the computed value, its band, w,
 the data and its own counterpart factorization, and an update has the
 acceptance margin and a backward error checked against d u (refined once
-above it).  The counterpart bounds are taken from the data
-(``_singular_bound``).
+above it).  The counterpart bounds rest on maxima, exact however they
+are gathered: dz_l's takes max|K_l| from max|K_B| of the factorization
+that served the solve (``KktBasis.held``, ``KktFactorization.max_abs``)
+and the border k_l, h_ll, as after every solve below UPDATE_MIN_DIM;
+after an updated solve, and for dx_l, from the data (``_singular_bound``).
 
 A K_B0 of dim below UPDATE_MIN_DIM is not updated: a solve of another
 matrix refactors.  On criterion-7 K_B matrices with one BLAS thread, an
@@ -170,6 +173,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -200,6 +204,12 @@ class KktFactorization:
     ipiv: np.ndarray          # LAPACK 1-based pivots; a pair < 0 marks 2x2
     matrix: np.ndarray
     inv_norm: float           # 1 / (rcond * ||K||_1), estimates ||K^-1||_1
+
+    @cached_property
+    def max_abs(self) -> float:
+        """max|K|, computed at the first use and kept."""
+        k = self.matrix
+        return max(float(k.max(initial=0.0)), -float(k.min(initial=0.0)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the factorization, one refinement step."""
@@ -386,7 +396,6 @@ class KktBasis:
         self._basis0 = order
         self._pos0 = np.full(self.p.n, -1)
         self._pos0[self._basis0] = np.arange(self._basis0.size)
-        self._max0 = max(float(k0.max()), -float(k0.min()))    # max|K_B0|
         self._slot: dict[int, int] = {}
         self._w = np.zeros((dim, BORDER_CAP))        # border columns W
         self._v = np.empty((dim, BORDER_CAP))        # V = K_B0^-1 W
@@ -412,6 +421,12 @@ class KktBasis:
             raise KktInternalError(f"basis matrix unexpectedly singular "
                                    f"over variables {order.tolist()}")
         return f.solve(rhs)
+
+    def held(self, order: np.ndarray) -> KktFactorization | None:
+        """The held factorization where it is of the basis matrix whose
+        variables come in ``order`` (after a ``solve`` of that matrix that
+        no update served), else None."""
+        return self._last if order.tobytes() == self._key else None
 
     def _slots(self, keys: np.ndarray) -> list[int] | None:
         """Cache slots of the border columns named by ``keys``, computing
@@ -485,7 +500,7 @@ class KktBasis:
         else:
             w_b, v_b = self._w[:, cached], self._v[:, cached]
             schur = -self._gram[np.ix_(cached, cached)]
-        max_kb = max(self._max0, float(self._wmax[cached].max(initial=0.0)))
+        max_kb = max(k0.max_abs, float(self._wmax[cached].max(initial=0.0)))
         if na:
             hqq = p.H[np.ix_(added, added)]
             schur[np.ix_(qa, qa)] += hqq
@@ -614,8 +629,8 @@ def _revealed_basis(p: QpProblem, cand: np.ndarray, first: np.ndarray,
 
 def _kkt_max(p: QpProblem, cols: np.ndarray) -> float:
     """max|K_B| over the columns ``cols``, taken from the data."""
-    return max(inf_norm(_gather(p.H, cols, cols)), inf_norm(p.A[:, cols]),
-               inf_norm(p.M))
+    return max(inf_norm(_gather(p.H, cols, cols)),
+               inf_norm(p.A.take(cols, axis=1)), inf_norm(p.M))
 
 
 def _singular_bound(p: QpProblem, cols: np.ndarray) -> float:
@@ -686,8 +701,10 @@ def _freed_component(raw: float, noise: float,
     is the size of a change of the data that makes the counterpart exactly
     singular, and ``bound()`` the singularity bound of the counterpart,
     dim * PIVOT_TOL * max|counterpart| (see the module docstring), taken
-    from the data without assembling the counterpart; both are computed
-    only inside the band.  There, |raw| <= noise, backward() <= bound()
+    without assembling the counterpart: for dz_l from the held
+    factorization of K_B and the border of K_l where that factorization
+    served the solve, else from the data; both are computed only inside
+    the band.  There, |raw| <= noise, backward() <= bound()
     settles the component at zero.  Otherwise (raw < -noise so that its
     sign is in doubt, or the change is larger than roundoff of the
     counterpart) the verdict of ``other()`` settles it: zero where the
@@ -765,10 +782,20 @@ def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
     raw, noise = _base_dz_l(p, l, h_bl, w)
     dzl = raw
     if raw <= noise:
-        order = _with_freed(basic, l)[0]
-        dzl = _freed_component(raw, noise, lambda: factor_kb(p, order),
-                               "dz_l", lambda: abs(raw),
-                               lambda: _singular_bound(p, order))
+        own = basis.held(basic)
+
+        def bound() -> float:
+            if own is None:             # an update served the solve
+                return _singular_bound(p, _with_freed(basic, l)[0])
+            # max|K_l| is the largest of max|K_B|, max|k_l| (rhs is -k_l,
+            # k_l = [h_Bl; a_l]) and |h_ll|: the maximum the data give, so
+            # the same bound.
+            return (nb + 1 + p.m) * PIVOT_TOL * max(
+                own.max_abs, inf_norm(rhs), abs(float(p.H[l, l])))
+
+        dzl = _freed_component(
+            raw, noise, lambda: factor_kb(p, _with_freed(basic, l)[0]),
+            "dz_l", lambda: abs(raw), bound)
     # dz_l = 0: singular bordered matrix.  The direction is its null ray,
     # whose multiplier and dual parts vanish identically; zeroing them
     # discards pure cancellation noise.
@@ -861,6 +888,6 @@ def solve_boundary_point(p: QpProblem, s: Shifts, part: Partition,
     y = -w[nb:]
     z = np.zeros(p.n)
     z[basic] = -s.r[basic]
-    it = Iterate(x, y, z)
+    it = Iterate._own(x, y, z)
     it.z[nonbasic] = recover_z_nonbasic(p, part, it, s)
     return it

@@ -187,11 +187,15 @@ def _symmetrized(s: np.ndarray, name: str) -> np.ndarray:
 
 
 def _floats(v, name: str) -> np.ndarray:
-    """v as a float array; else (non-numeric, ragged) ``ProblemError``."""
+    """v as a float array, not copied where it is one; else (bool, string,
+    bytes, complex or object entries, or ragged input) ``ProblemError``."""
     try:
-        return np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        raise ProblemError(f"{name} is not an array of real numbers") from None
+        a = np.asarray(v)
+        if a.dtype.kind in "fiu":       # float, signed or unsigned int
+            return a.astype(float, copy=False)
+    except (TypeError, ValueError):     # ragged input
+        pass
+    raise ProblemError(f"{name} is not an array of real numbers")
 
 
 def _vector(v, name: str) -> np.ndarray:
@@ -488,8 +492,8 @@ class Partition:
 class Iterate:
     """The point (x, y, z).  Mutable; owned by a single solve.
 
-    Vectors from callers are copied; one that is not a vector (a scalar
-    has length 1) raises ``ProblemError``.
+    Vectors from callers are copied; one that is not a vector of real
+    numbers (a scalar has length 1) raises ``ProblemError``.
     """
 
     x: np.ndarray
@@ -501,10 +505,16 @@ class Iterate:
         self.y = _vector(self.y, "y").copy()
         self.z = _vector(self.z, "z").copy()
 
-    def copy(self) -> "Iterate":
-        out = object.__new__(Iterate)
-        out.x, out.y, out.z = self.x.copy(), self.y.copy(), self.z.copy()
+    @classmethod
+    def _own(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> "Iterate":
+        """The iterate of float vectors that no one else holds, kept
+        without the checks and copies of the constructor."""
+        out = object.__new__(cls)
+        out.x, out.y, out.z = x, y, z
         return out
+
+    def copy(self) -> "Iterate":
+        return Iterate._own(self.x.copy(), self.y.copy(), self.z.copy())
 
 
 @dataclass
@@ -640,17 +650,23 @@ def check_optimality(p: QpProblem, s: Shifts, it: Iterate,
 
     xq = it.x + s.q
     zr = it.z + s.r
-    free, fixed = p.free_mask, p.fixed_mask
-    regular = ~free & ~fixed
-    worst_primal = max(0.0, float((-xq[~free]).max(initial=0.0)))
-    worst_dual = max(0.0, float((-zr[regular]).max(initial=0.0)),
-                     inf_norm(zr[free]))
-    comp = float(np.abs(xq[regular] * zr[regular]).max(initial=0.0))
+    if p.free or p.fixed:
+        free, fixed = p.free_mask, p.fixed_mask
+        regular = ~free & ~fixed
+        below_x = -xq[~free]
+        below_z = np.where(free, np.abs(zr), -zr)[~fixed]
+        products = xq[regular] * zr[regular]
+    else:
+        below_x, below_z, products = -xq, -zr, xq * zr
+    # A NaN entry makes its maximum NaN; "+ 0.0" turns the reduction's
+    # -0.0 (all entries -0.0) into 0.0.
+    worst_primal = float(below_x.max(initial=0.0)) + 0.0
+    worst_dual = float(below_z.max(initial=0.0)) + 0.0
+    comp = float(np.abs(products).max(initial=0.0))
 
     data_scale = p.data_scale()
-    y_norm = inf_norm(it.y)
-    primal_tol, dual_tol = (bound_tol(v, y_norm, eps_fea, eps_opt)
-                            for v in "xz")
+    primal_tol = bound_tol("x", 0.0, eps_fea, eps_opt)
+    dual_tol = bound_tol("z", inf_norm(it.y), eps_fea, eps_opt)
     ok = (stat_res <= eps_fea * data_scale
           and eq_res <= eps_fea * data_scale
           and worst_primal <= primal_tol

@@ -289,10 +289,20 @@ def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
     under ``pinned_only``); the equalities hold and guarded values on live
     minus unguarded lie within it from below; at the start (~live is then
     the idle set) idle guarded values also sit on their bounds and no
-    repaired value on live minus two_sided lies above its bound.  Each
-    test asks that a value lie within its limit, so a NaN fails it."""
+    repaired value on live minus two_sided lies above its bound.  The
+    clauses are tested in that order, the first that fails raises, and a
+    mask over an empty index set is left out.  Each test asks that a
+    value lie within its limit, so a NaN fails it."""
     error = StartConditionError if start else InvariantError
     where = f"{fam.method} {'start' if start else 'invariant'}"
+
+    def test(clause: str, vec: str, shift: str, value: np.ndarray,
+             bad: np.ndarray) -> None:
+        if bad.any():
+            i = int(bad.argmax())
+            raise error(f"{where}: {clause} {vec}[{i}] + {shift}[{i}] = "
+                        f"{value[i]:.3e} violates its bound")
+
     live = getattr(part, f"{fam.live}_mask")
     if not pinned_only:
         stat, eq = residuals(p, it)
@@ -300,25 +310,29 @@ def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
         if not (inf_norm(stat) <= limit and inf_norm(eq) <= limit):
             raise error(f"{where}: the point violates the equality system")
     g = getattr(it, fam.guarded) + getattr(s, fam.guard_shift)
-    tol = bound_tol(fam.guarded, inf_norm(it.y), fea_tol, opt_tol)
-    tests = [] if pinned_only else [("guarded", fam.guarded, fam.guard_shift,
-                                     g, live & ~unguarded & ~(g >= -tol))]
+    # bound_tol reads y for z alone.
+    tol = bound_tol(fam.guarded, inf_norm(it.y) if fam.guarded == "z"
+                    else 0.0, fea_tol, opt_tol)
     if getattr(p, fam.pinned):      # first: "guarded" sees its lower side
-        pinned = live & getattr(p, f"{fam.pinned}_mask") & ~(np.abs(g) <= tol)
-        tests.insert(0, ("pinned", fam.guarded, fam.guard_shift, g, pinned))
+        test("pinned", fam.guarded, fam.guard_shift, g,
+             live & getattr(p, f"{fam.pinned}_mask") & ~(np.abs(g) <= tol))
+    if pinned_only:
+        return
+    some_unguarded = bool(getattr(p, fam.unguarded))
+    below = live & ~(g >= -tol)
+    if some_unguarded:
+        below &= ~unguarded
+    test("guarded", fam.guarded, fam.guard_shift, g, below)
     if start:
-        r = getattr(it, fam.repaired) + getattr(s, fam.repair_shift)
         g_on, r_on = (BOUND_SLACK * np.maximum(1.0, np.abs(getattr(s, v)))
                       for v in (fam.guard_shift, fam.repair_shift))
-        tests += [("idle", fam.guarded, fam.guard_shift, g,
-                   ~live & ~(np.abs(g) <= g_on)),
-                  ("relaxed", fam.repaired, fam.repair_shift, r,
-                   live & ~two_sided & ~(r <= r_on))]
-    for clause, vec, shift, value, bad in tests:
-        if bad.any():
-            i = int(bad.argmax())
-            raise error(f"{where}: {clause} {vec}[{i}] + {shift}[{i}] = "
-                        f"{value[i]:.3e} violates its bound")
+        test("idle", fam.guarded, fam.guard_shift, g,
+             ~live & ~(np.abs(g) <= g_on))
+        r = getattr(it, fam.repaired) + getattr(s, fam.repair_shift)
+        above = live & ~(r <= r_on)
+        if some_unguarded:          # two_sided lies within unguarded
+            above &= ~two_sided
+        test("relaxed", fam.repaired, fam.repair_shift, r, above)
 
 
 def run_active_set(fam: Family, p: QpProblem, s: Shifts,

@@ -45,8 +45,8 @@ MUTANTS = (
      "and comp <= dual_tol * max(1.0, inf_norm(xq)))",
      "and comp <= 1e3 * dual_tol * max(1.0, inf_norm(xq)))"),
     ("guarded-bound-check-x1e3", "src/pdqp/steps.py",
-     "live & ~unguarded & ~(g >= -tol)",
-     "live & ~unguarded & ~(g >= -1e3 * tol)"),
+     "below = live & ~(g >= -tol)",
+     "below = live & ~(g >= -1e3 * tol)"),
     ("dead-row-slack-1e-3", "src/pdqp/driver.py",
      "slack = 1e-9 * (1.0", "slack = 1e-3 * (1.0"),
     ("START_EQ_TOL-x1e4", "src/pdqp/model.py",
@@ -73,7 +73,12 @@ MUTANTS = (
     ("matrix-empty-guard-widened", "src/pdqp/model.py",
      "if not a.size and not rows * cols:", "if not a.size:"),
     ("matrix-conversion-guard-removed", "src/pdqp/model.py",
-     "except (TypeError, ValueError):", "except ():"),
+     'if a.dtype.kind in "fiu":', "if True:"),
+    ("held-bound-border-dropped", "src/pdqp/kkt.py",
+     "own.max_abs, inf_norm(rhs), abs(float(p.H[l, l])))",
+     "own.max_abs, 0.0, 0.0)"),
+    ("final-objective-reused-after-shifted-stage", "src/pdqp/driver.py",
+     "logs[-1].f_primal if shifts is zero", "logs[-1].f_primal if True"),
 )
 
 

@@ -59,10 +59,11 @@ every ``ProblemError`` of ``QpProblem`` and ``GeneralQp``, next to valid
 inputs of the same kinds.
 
 The digest depends on the host (its BLAS and CPU), so compare two trees
-on one host.  Each solve contributes its status, iteration and
-subiteration counts, objective, final iterate and every field of every
-trace record (the direction included), or the type and message of the
-exception it raised.  The instances are:
+on one host.  Each solve contributes its status, objective, strategy,
+each stage's method, status, iteration and subiteration counts, its
+``f_primal``, ``f_dual`` and ``q_dot_r``, the final iterate and every
+field of every trace record (the direction included), or the type and
+message of the exception it raised.  The instances are:
 
 - ``random_instances(20260810, 300)`` (standard form) under the five
   strategies, with ``check_invariants``;
@@ -192,6 +193,8 @@ class Digest:
         self.add(sol.strategy)
         for lg in sol.stage_log:
             self.add((lg.method, lg.status, lg.iterations, lg.subiterations))
+            for value in (lg.f_primal, lg.f_dual, lg.q_dot_r):
+                self.add(value)
         if std is not None:
             for v in (std.iterate.x, std.iterate.y, std.iterate.z):
                 self.add(v)
@@ -311,6 +314,11 @@ def malformed_cases():
         ("qp-H-string", qp(H=[["a", 0.0], [0.0, 1.0]])),
         ("qp-H-ragged", qp(H=[[1.0, 0.0], [1.0]])),
         ("qp-b-string", qp(b=["x"])),
+        ("qp-H-numeric-string", qp(H=[["2", "0"], ["0", "1"]])),
+        ("qp-M-bool", qp(M=[[False]])),
+        ("qp-A-bool", qp(A=[[True, True]])),
+        ("qp-b-numeric-string", qp(b=["1.5"])),
+        ("qp-c-bytes", qp(c=[b"0", b"3"])),
         ("qp-H-asymmetric", qp(H=[[1.0, 0.5], [0.0, 1.0]])),
         ("qp-H-near-symmetric", qp(H=[[1.0, 0.5], [0.5 + 1e-14, 1.0]])),
         ("qp-M-asymmetric", qp(M=[[1.0, 0.5], [0.0, 1.0]], **two)),
@@ -342,6 +350,8 @@ def malformed_cases():
         ("general-Hhat-shape", general(Hhat=np.eye(3))),
         ("general-Ahat-shape", general(Ahat=[[1.0, 1.0, 1.0]])),
         ("general-Ahat-string", general(Ahat=[["q", 1.0]])),
+        ("general-Ahat-bool", general(Ahat=[[True, True]])),
+        ("general-lower-numeric-string", general(lower=["0", "0", "1"])),
         ("general-Ahat-empty", general(Ahat=[], lower=[0.0, 0.0],
                                        upper=[inf, inf])),
         ("general-Hhat-indefinite", general(Hhat=[[1.0, 2.0], [2.0, 1.0]])),

@@ -12,6 +12,8 @@ from pdqp import (GeneralQp, InvariantError, Partition, ProblemError,
                   find_soc_basis, init_shifts, solve_dual, solve_pdqp,
                   solve_primal, solve_standard, standardize)
 from pdqp import driver, kkt, steps
+from pdqp.driver import STRATEGIES
+from pdqp.model import dual_objective, primal_objective
 from pdqp.kkt import KktBasis
 from pdqp.cli import parse_problem
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
@@ -401,6 +403,54 @@ def test_stage_gap_identity(p2):
         assert lg.status == "optimal"
         assert abs(lg.f_primal - lg.f_dual + lg.q_dot_r) \
             <= 1e-9 * (1 + abs(lg.f_primal))
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def test_stage_logs_and_objective_have_the_bits_of_their_functions(
+        monkeypatch):
+    # _stage_log computes f_primal and f_dual with their shared terms once,
+    # and a last stage at zero shifts lends its f_primal to the solution's
+    # objective.  Each value must have the bits of the function it stands
+    # for, under every strategy; where the run stops after a first stage
+    # at nonzero shifts, the objective is not that stage's f_primal.
+    stage_log = driver._stage_log
+    stages = 0
+
+    def checked(p, s, out):
+        nonlocal stages
+        log = stage_log(p, s, out)
+        assert _bits(log.f_primal) == _bits(primal_objective(p, s,
+                                                             out.iterate))
+        assert _bits(log.f_dual) == _bits(dual_objective(p, s, out.iterate))
+        assert _bits(log.q_dot_r) == _bits(s.q @ s.r)
+        stages += 1
+        return log
+
+    monkeypatch.setattr(driver, "_stage_log", checked)
+    cases = [(p, SolveConfig(strategy=strategy))
+             for p in random_instances(20260810, 200)
+             for strategy in STRATEGIES]
+    cases += [(p, SolveConfig(strategy=strategy, initial_basis=basis))
+              for _, p, basis in free_start_cases(7, 20)
+              for strategy in STRATEGIES[:3]]
+    stopped_shifted = 0
+    for p, config in cases:
+        try:
+            sol = solve_standard(p, config)
+        except ProblemError:        # a one-stage strategy off its start
+            continue
+        assert not sol.shifts_initial.q.flags.writeable
+        assert not sol.shifts_initial.r.flags.writeable
+        assert _bits(sol.objective) == _bits(
+            primal_objective(p, Shifts.zero(p.n), sol.iterate))
+        stopped_shifted += (len(sol.stage_log) == 1
+                            and "only" not in sol.strategy
+                            and _bits(sol.objective)
+                            != _bits(sol.stage_log[0].f_primal))
+    assert stages > 1500 and stopped_shifted > 4
 
 
 def test_solve_pdqp_general_roundtrip():

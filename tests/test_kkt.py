@@ -805,6 +805,47 @@ def test_all_data_at_1e12_settles_against_accepted_counterparts(monkeypatch):
     assert accepted
 
 
+def test_in_band_base_bound_from_the_held_factorization_is_the_data_bound(
+        monkeypatch):
+    # In band, a base solve's dz_l takes the singularity bound of K_l from
+    # max|K_B| of the factorization that served the solve and the border
+    # k_l, h_ll.  A maximum is exact, so the bound must have the bits of
+    # the one taken from the data, on every in-band base solve of the
+    # suite draw and of the standardized mixed-bounds problems.  Below
+    # UPDATE_MIN_DIM no update serves a solve, so every one of them takes
+    # the held factorization's path.
+    base, settle = steps.solve_base_primal, kkt._freed_component
+    solving = []
+    held = []
+
+    def recorded_base(p, part, basis, l):
+        solving.append((p, part.basic_mask.nonzero()[0], basis, l))
+        try:
+            return base(p, part, basis, l)
+        finally:
+            solving.pop()
+
+    def checked(raw, noise, other, what, backward, bound):
+        if what == "dz_l":
+            p, basic, basis, l = solving[-1]
+            want = kkt._singular_bound(p, kkt._with_freed(basic, l)[0])
+            assert np.float64(bound()).tobytes() == np.float64(want).tobytes()
+            held.append(basis.held(basic) is not None)
+        return settle(raw, noise, other, what, backward, bound)
+
+    monkeypatch.setattr(steps, "solve_base_primal", recorded_base)
+    monkeypatch.setattr(kkt, "_freed_component", checked)
+    for p in random_instances(20260810, 500):
+        solve_standard(p)
+    suite = len(held)
+    for g in mixed_instances(1, 120):
+        p = standardize(g).problem
+        for strategy in ("auto", "primal-first", "dual-first"):
+            solve_standard(p, SolveConfig(strategy=strategy))
+    assert suite > 400 and len(held) - suite > 400
+    assert all(held)
+
+
 # Schur-complement updates (KktBasis), run at every dim by lowering the
 # threshold.
 

@@ -122,6 +122,40 @@ def test_check_optimality_complementarity_bound(p2, factor, optimal):
     assert rep.optimal == optimal
 
 
+def _p1_with(**sets):
+    return QpProblem(H=np.eye(2), M=np.zeros((1, 1)), A=[[1.0, 1.0]],
+                     b=[1.0], c=np.zeros(2), **sets)
+
+
+NAN = np.nan
+
+
+@pytest.mark.parametrize("sets, point, field", [
+    ({}, ([0.5, NAN], [0.0], [0.0, 0.0]), "worst_primal_violation"),
+    ({}, ([0.5, 0.5], [0.5], [NAN, 0.0]), "worst_dual_violation"),
+    ({"fixed": [1]}, ([NAN, 0.5], [0.5], [0.0, 0.0]),
+     "worst_primal_violation"),
+    ({"free": [1]}, ([0.5, 0.5], [0.5], [0.0, NAN]), "worst_dual_violation"),
+], ids=["x", "z", "x-with-fixed", "free-z"])
+def test_check_optimality_reports_nan_violations(sets, point, field):
+    # A NaN entry of x or z makes its violation NaN, as it makes the
+    # stationarity residual NaN, rather than 0.0.
+    rep = check_optimality(_p1_with(**sets), Shifts.zero(2), it(*point))
+    assert np.isnan(getattr(rep, field))
+    assert np.isnan(rep.stationarity_residual)
+    assert not rep.optimal
+
+
+@pytest.mark.parametrize("sets", [{}, {"free": [1]}], ids=["plain", "free"])
+def test_check_optimality_reports_zero_violations_as_plus_zero(sets):
+    # x + q and z + r vanish exactly, so every entry whose negation is
+    # taken is -0.0; the report still holds 0.0.
+    rep = check_optimality(_p1_with(**sets), Shifts.zero(2),
+                           it([0.0, 0.0], [0.0], [0.0, 0.0]))
+    for value in (rep.worst_primal_violation, rep.worst_dual_violation):
+        assert value == 0.0 and not np.signbit(value)
+
+
 def test_check_optimality_rejects_bad_tolerances(p1):
     with pytest.raises(ValueError):
         check_optimality(p1, Shifts.zero(2), it([0, 0], [0], [0, 0]), -1.0, 1e-6)

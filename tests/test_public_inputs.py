@@ -1,11 +1,14 @@
 """Inputs at the public entry points that the exception contract rejects.
 
 Each case names in its id what happened to it before the vector,
-matrix, index-list and tolerance rules were shared and the engine's entry
-checks failed on NaN: it was accepted, truncated to an integer, crashed
+matrix, index-list and tolerance rules were shared, array input was
+required to hold real numbers, and the engine's entry checks failed on
+NaN: it was accepted, loaded as numbers, truncated to an integer, crashed
 with a plain ``IndexError``, ``TypeError`` or ``ValueError`` inside
 numpy, or solved.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -133,6 +136,31 @@ OPTIMUM = ([0.5, 0.5], [0.5], [0.0, 0.0])
     pytest.param(lambda: Shifts(["a"], [0.0]), ProblemError,
                  NOT_REAL.format("q"),
                  id="shifts-string-raised-numpy-ValueError"),
+    pytest.param(_qp(H=[["2"]]), ProblemError, NOT_REAL.format("H"),
+                 id="qp-numeric-string-H-loaded-as-2"),
+    pytest.param(_qp(M=[[False]]), ProblemError, NOT_REAL.format("M"),
+                 id="qp-bool-M-loaded-as-0"),
+    pytest.param(_qp(A=[[True]]), ProblemError, NOT_REAL.format("A"),
+                 id="qp-bool-A-loaded-as-1"),
+    pytest.param(_qp(b=["1.5"]), ProblemError, NOT_REAL.format("b"),
+                 id="qp-numeric-string-b-loaded-as-1.5"),
+    pytest.param(_qp(c=[b"3"]), ProblemError, NOT_REAL.format("c"),
+                 id="qp-bytes-c-loaded-as-3"),
+    pytest.param(_qp(c=[Fraction(1, 2)]), ProblemError, NOT_REAL.format("c"),
+                 id="qp-object-c-loaded-as-0.5"),
+    pytest.param(_qp(b=None), ProblemError, NOT_REAL.format("b"),
+                 id="qp-none-b-was-called-non-finite"),
+    pytest.param(_general(Ahat=[[True, True]]), ProblemError,
+                 NOT_REAL.format("Ahat"), id="general-bool-Ahat-loaded-as-1"),
+    pytest.param(_general(lower=["0", "0", "1"]), ProblemError,
+                 NOT_REAL.format("lower"),
+                 id="general-numeric-string-lower-loaded-as-numbers"),
+    pytest.param(lambda: Iterate([True, False], [0.0], [0.0, 0.0]),
+                 ProblemError, NOT_REAL.format("x"),
+                 id="iterate-bool-x-loaded-as-numbers"),
+    pytest.param(lambda: Shifts(["0", "0"], [0.0, 0.0]), ProblemError,
+                 NOT_REAL.format("q"),
+                 id="shifts-numeric-string-q-loaded-as-numbers"),
     pytest.param(_solve_p1(opt_tol="1e-6"), ValueError, TOLERANCES,
                  id="config-string-opt-tol-raised-TypeError"),
     pytest.param(_solve_p1(fea_tol=None), ValueError, TOLERANCES,
