@@ -31,9 +31,9 @@ from .kkt import (KktBasis, KktFactorization, KktInternalError,
                   find_soc_basis, solve_boundary_point)
 from .model import (DEFAULT_TOL, InvariantError, Iterate, Partition,
                     ProblemError, QpProblem, Shifts, _indices, _matrix,
-                    _vector, bound_tol, check_max_iterations,
-                    check_optimality, check_tolerances, check_trace,
-                    index_mask, inf_norm, primal_objective)
+                    _vector, bound_tol, check_invariants_flag,
+                    check_max_iterations, check_optimality, check_tolerances,
+                    check_trace, index_mask, inf_norm, primal_objective)
 from .primal import solve_primal
 from .steps import OPTIMAL, PRIMAL_INFEASIBLE, SolveOutcome, TraceSink
 
@@ -255,6 +255,7 @@ class SolveConfig:
         check_tolerances(self.fea_tol, self.opt_tol)
         check_max_iterations(self.max_iterations)
         check_trace(self.trace)
+        check_invariants_flag(self.check_invariants)
 
 
 @dataclass
@@ -320,7 +321,10 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
     under, started from where the previous stage ended.  The run stops
     at the first stage that is not optimal.  One ``KktBasis`` serves
     basis discovery, the start basis's K_B (factored once, for the
-    shifts) and every KKT solve of every stage.
+    shifts) and every KKT solve of every stage.  The stages own their
+    start (``steps.run_active_set``): the settings are judged here once,
+    each start is taken without a copy, and the first stage reuses the
+    residual norms of the initial point's optimality check.
     """
     config = config or SolveConfig()
     config.check()
@@ -376,11 +380,13 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
 
     kw = dict(opt_tol=config.opt_tol, fea_tol=config.fea_tol,
               max_iterations=config.max_iterations, trace=config.trace,
-              check_invariants=config.check_invariants)
+              check_invariants=config.check_invariants, _owned=True)
     logs: list[StageLog] = []
     start = (it, part)
+    norms = (report.stationarity_residual, report.equality_residual)
     for solve, shifts in stages:
-        out = solve(p, shifts, start, basis=basis, **kw)
+        out = solve(p, shifts, start, basis=basis, _start_norms=norms, **kw)
+        norms = None
         logs.append(_stage_log(p, shifts, out))
         if out.status != OPTIMAL:
             break

@@ -334,11 +334,19 @@ class QpProblem:
     def data_scale(self) -> float:
         """1 + max|c| + max|b|, the scale of the residual tolerances,
         computed at the first call and kept."""
-        scale = self.__dict__.get("_data_scale")
-        if scale is None:
-            scale = 1.0 + inf_norm(self.c) + inf_norm(self.b)
-            object.__setattr__(self, "_data_scale", scale)
-        return scale
+        return self._kept("_data_scale", lambda: 1.0 + inf_norm(self.c)
+                          + inf_norm(self.b))
+
+    def _kept(self, key: str, build):
+        """The value kept under ``key``: ``build()`` at the first call.
+        The engine keeps each method's index roles here
+        (``steps.Family.roles``); a kept array is read-only, as the
+        problem's own are."""
+        value = self.__dict__.get(key)
+        if value is None:
+            value = build()
+            object.__setattr__(self, key, value)
+        return value
 
 
 def _shift_vector(v, name: str, shape: tuple | None = None) -> np.ndarray:
@@ -356,8 +364,9 @@ def _shift_vector(v, name: str, shape: tuple | None = None) -> np.ndarray:
 class Shifts:
     """Primal (q) and dual (r) bound shifts, read-only once built.
 
-    Vectors from callers are checked and copied; ``zero``, ``with_q`` and
-    ``with_r`` check only the vector that is new and share the other.
+    Vectors from callers are checked and copied; ``zero`` builds one
+    read-only zero vector and shares it as q and r, and ``_checked`` keeps
+    vectors that its caller has checked already.
     """
 
     q: np.ndarray
@@ -381,12 +390,6 @@ class Shifts:
         z = np.zeros(n)
         z.flags.writeable = False
         return cls._checked(z, z)
-
-    def with_q(self, q) -> "Shifts":
-        return Shifts._checked(_shift_vector(q, "q", self.r.shape), self.r)
-
-    def with_r(self, r) -> "Shifts":
-        return Shifts._checked(self.q, _shift_vector(r, "r", self.q.shape))
 
 
 def _to_basic(into: str) -> bool:
@@ -613,6 +616,14 @@ def check_trace(trace) -> None:
         raise ValueError(f"trace must be callable, got {trace!r}")
 
 
+def check_invariants_flag(check_invariants) -> None:
+    """The one test of the ``check_invariants`` setting: a bool (numpy's
+    included); a string, a number or None fails, however truthy."""
+    if not isinstance(check_invariants, (bool, np.bool_)):
+        raise ValueError(f"check_invariants must be a bool, "
+                         f"got {check_invariants!r}")
+
+
 def bound_tol(vector: str, y_norm: float, fea_tol: float,
               opt_tol: float) -> float:
     """How far below its bound ``vector`` may lie: x + q >= -fea_tol and
@@ -622,7 +633,13 @@ def bound_tol(vector: str, y_norm: float, fea_tol: float,
 
 def check_sizes(p: QpProblem, s: Shifts, it: Iterate | None = None) -> None:
     """Raise ``ProblemError`` unless q (and r, which matches it) and, when
-    ``it`` is given, x and z have length n and y has length m."""
+    ``it`` is given, x and z have length n and y has length m.  One test
+    covers every shape; the vectors one by one only name the first that
+    fails it."""
+    n, m = (p.n,), (p.m,)
+    if s.q.shape == n and (it is None or it.x.shape == it.z.shape == n
+                           and it.y.shape == m):
+        return
     sizes = [("q and r", s.q, p.n)]
     if it is not None:
         sizes += [("x", it.x, p.n), ("y", it.y, p.m), ("z", it.z, p.n)]

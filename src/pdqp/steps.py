@@ -32,7 +32,7 @@ If cycling shows, the documented remedy is EXPAND (Gill, Murray, Saunders
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -42,9 +42,9 @@ from .model import (BOUND_SLACK, DEFAULT_TOL, DRIFT_EQ_TOL, HARRIS_BAND,
                     NOISE_BAND, SELECT_BAND, START_EQ_TOL, TOL_SHARE,
                     Direction, InvariantError, Iterate, Partition, QpProblem,
                     Shifts, StartConditionError, bound_tol,
-                    check_max_iterations, check_sizes, check_tolerances,
-                    check_trace, dual_objective, effective_shifts, inf_norm,
-                    primal_objective, residuals)
+                    check_invariants_flag, check_max_iterations, check_sizes,
+                    check_tolerances, check_trace, dual_objective,
+                    effective_shifts, inf_norm, primal_objective, residuals)
 
 OPTIMAL = "optimal"
 PRIMAL_INFEASIBLE = "primal_infeasible"
@@ -121,7 +121,10 @@ class Family:
     free indices); a ``pinned`` index holds its guarded value at the bound
     from both sides (the dual's free indices: z_j + r_j = 0 is a temporary
     bound of zero width; the primal's fixed ones are never live).  Fixed
-    and pinned indices are never selected.
+    and pinned indices are never selected.  The attribute names that the
+    engine reads on every step (the masks of ``live``, ``unguarded`` and
+    ``pinned``, and the direction's components of the two vectors) are
+    derived once, when the family is built.
     """
 
     method: str               # label of outcomes and trace records
@@ -136,6 +139,35 @@ class Family:
     scale_by: str             # scales the selection threshold; y wherever
                               # the repaired vector's bound_tol reads y
     unbounded: str            # status certified by an infinite base step
+    live_mask: str = field(init=False, repr=False, compare=False)
+    unguarded_mask: str = field(init=False, repr=False, compare=False)
+    pinned_mask: str = field(init=False, repr=False, compare=False)
+    d_repaired: str = field(init=False, repr=False, compare=False)
+    d_guarded: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, value in (("live_mask", f"{self.live}_mask"),
+                            ("unguarded_mask", f"{self.unguarded}_mask"),
+                            ("pinned_mask", f"{self.pinned}_mask"),
+                            ("d_repaired", "d" + self.repaired),
+                            ("d_guarded", "d" + self.guarded)):
+            object.__setattr__(self, name, value)
+
+    def roles(self, p: QpProblem
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(unguarded, two_sided, one_sided) read-only masks of p: the
+        unguarded set, its indices that are neither fixed nor pinned, and
+        every other index that is neither.  Built at the first call for p
+        and kept on it (``QpProblem._kept``)."""
+        def build():
+            unguarded = getattr(p, self.unguarded_mask)
+            excluded = p.fixed_mask | getattr(p, self.pinned_mask)
+            two_sided = unguarded & ~excluded
+            one_sided = ~excluded & ~two_sided
+            two_sided.setflags(write=False)
+            one_sided.setflags(write=False)
+            return unguarded, two_sided, one_sided
+        return p._kept(f"_roles_{self.method}", build)
 
 
 def ratio_test(values: np.ndarray, deltas: np.ndarray,
@@ -179,7 +211,7 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray,
 
 
 def select_index(v: np.ndarray, one_sided: np.ndarray, two_sided: np.ndarray,
-                 first: np.ndarray, threshold: float, bland: bool
+                 first: np.ndarray | None, threshold: float, bland: bool
                  ) -> tuple[int | None, float]:
     """Index to repair next and the sign of the move.
 
@@ -187,19 +219,19 @@ def select_index(v: np.ndarray, one_sided: np.ndarray, two_sided: np.ndarray,
     when |v| > threshold, oriented to shrink |v|.  Eligible two-sided
     indices in ``first`` go before the others.  Picks the largest
     violation, least index on ties, or under ``bland`` the least index.
-    Without a two-sided index, the magnitude is -v and ``first`` has
-    nothing to choose.
+    ``first`` is None where no index is two-sided: the magnitude is then
+    -v and nothing goes first.
     """
-    two = two_sided.any()
+    two = first is not None
     if two:
         magnitude = np.where(two_sided, np.abs(v), -v)
         eligible = (one_sided | two_sided) & (magnitude > threshold)
     else:
         magnitude = -v
         eligible = one_sided & (magnitude > threshold)
-    if not eligible.any():
+    if not np.count_nonzero(eligible):
         return None, 0.0
-    if two and (eligible & first).any():
+    if two and np.count_nonzero(eligible & first):
         eligible &= first
     l = int(eligible.argmax() if bland
             else np.where(eligible, magnitude, -np.inf).argmax())
@@ -248,18 +280,17 @@ def take_step(fam: Family, kind: str, p: QpProblem, s: Shifts,
          else solve_intermediate_primal(p, part, l, basis))
     if orient < 0:
         d = d.negated()
-    rate = float(getattr(d, "d" + fam.repaired)[l])
+    rate = float(getattr(d, fam.d_repaired)[l])
     alpha_star = np.inf if rate == 0.0 else -viol / rate
-    live = getattr(part, f"{fam.live}_mask")
+    live = getattr(part, fam.live_mask)
     if getattr(p, fam.unguarded):
-        live = live & ~getattr(p, f"{fam.unguarded}_mask")
+        live = live & ~getattr(p, fam.unguarded_mask)
     cand = live.nonzero()[0]
     guarded = (getattr(it, fam.guarded)
                + getattr(s, fam.guard_shift)).take(cand)
-    rates = getattr(d, "d" + fam.guarded).take(cand)
-    pinned = getattr(p, f"{fam.pinned}_mask").take(cand)
-    if pinned.any():                # mirror pinned values moving up
-        up = pinned & (rates > 0.0)
+    rates = getattr(d, fam.d_guarded).take(cand)
+    if getattr(p, fam.pinned):      # mirror pinned values moving up
+        up = getattr(p, fam.pinned_mask).take(cand) & (rates > 0.0)
         guarded[up] *= -1.0
         rates[up] *= -1.0
     alpha_max, k = ratio_test(guarded, rates, cand, tol, max(
@@ -282,7 +313,8 @@ def take_step(fam: Family, kind: str, p: QpProblem, s: Shifts,
 def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
                   part: Partition, unguarded: np.ndarray,
                   two_sided: np.ndarray, fea_tol: float, opt_tol: float,
-                  start: bool, pinned_only: bool = False) -> None:
+                  start: bool, pinned_only: bool = False,
+                  norms: tuple[float, float] | None = None) -> None:
     """Entry (``start``) or invariant conditions, from the roles and the
     live set of ``part`` alone: guarded values on live and pinned lie
     within ``bound_tol`` of their bounds from both sides (the one clause
@@ -292,30 +324,40 @@ def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
     repaired value on live minus two_sided lies above its bound.  The
     clauses are tested in that order, the first that fails raises, and a
     mask over an empty index set is left out.  Each test asks that a
-    value lie within its limit, so a NaN fails it."""
-    error = StartConditionError if start else InvariantError
-    where = f"{fam.method} {'start' if start else 'invariant'}"
+    value lie within its limit, so a NaN fails it.
+
+    The equality clause tests the infinity norms of the stationarity and
+    equality residuals (``model.residuals``) at ``it``: ``norms`` where
+    the caller holds them for this very point (``driver.solve_standard``
+    passes its initial ``check_optimality`` report's two norms to stage
+    1), else computed here."""
+    def fail(message: str) -> None:
+        error = StartConditionError if start else InvariantError
+        where = "start" if start else "invariant"
+        raise error(f"{fam.method} {where}: {message}")
 
     def test(clause: str, vec: str, shift: str, value: np.ndarray,
              bad: np.ndarray) -> None:
-        if bad.any():
+        if np.count_nonzero(bad):
             i = int(bad.argmax())
-            raise error(f"{where}: {clause} {vec}[{i}] + {shift}[{i}] = "
-                        f"{value[i]:.3e} violates its bound")
+            fail(f"{clause} {vec}[{i}] + {shift}[{i}] = {value[i]:.3e} "
+                 f"violates its bound")
 
-    live = getattr(part, f"{fam.live}_mask")
+    live = getattr(part, fam.live_mask)
     if not pinned_only:
-        stat, eq = residuals(p, it)
+        if norms is None:
+            stat, eq = residuals(p, it)
+            norms = inf_norm(stat), inf_norm(eq)
         limit = p.data_scale() * (START_EQ_TOL if start else DRIFT_EQ_TOL)
-        if not (inf_norm(stat) <= limit and inf_norm(eq) <= limit):
-            raise error(f"{where}: the point violates the equality system")
+        if not (norms[0] <= limit and norms[1] <= limit):
+            fail("the point violates the equality system")
     g = getattr(it, fam.guarded) + getattr(s, fam.guard_shift)
     # bound_tol reads y for z alone.
     tol = bound_tol(fam.guarded, inf_norm(it.y) if fam.guarded == "z"
                     else 0.0, fea_tol, opt_tol)
     if getattr(p, fam.pinned):      # first: "guarded" sees its lower side
         test("pinned", fam.guarded, fam.guard_shift, g,
-             live & getattr(p, f"{fam.pinned}_mask") & ~(np.abs(g) <= tol))
+             live & getattr(p, fam.pinned_mask) & ~(np.abs(g) <= tol))
     if pinned_only:
         return
     some_unguarded = bool(getattr(p, fam.unguarded))
@@ -324,8 +366,10 @@ def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
         below &= ~unguarded
     test("guarded", fam.guarded, fam.guard_shift, g, below)
     if start:
-        g_on, r_on = (BOUND_SLACK * np.maximum(1.0, np.abs(getattr(s, v)))
-                      for v in (fam.guard_shift, fam.repair_shift))
+        g_on = BOUND_SLACK * np.maximum(
+            1.0, np.abs(getattr(s, fam.guard_shift)))
+        r_on = BOUND_SLACK * np.maximum(
+            1.0, np.abs(getattr(s, fam.repair_shift)))
         test("idle", fam.guarded, fam.guard_shift, g,
              ~live & ~(np.abs(g) <= g_on))
         r = getattr(it, fam.repaired) + getattr(s, fam.repair_shift)
@@ -341,35 +385,54 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
                    fea_tol: float = DEFAULT_TOL, opt_tol: float = DEFAULT_TOL,
                    max_iterations: int = 0, trace: TraceSink | None = None,
                    check_invariants: bool = False,
-                   basis: KktBasis | None = None) -> SolveOutcome:
+                   basis: KktBasis | None = None, _owned: bool = False,
+                   _start_norms: tuple[float, float] | None = None
+                   ) -> SolveOutcome:
     """Run one method to optimality, its ``unbounded`` status, or the
     iteration limit: ``max_iterations``, or 100 + 50(n + m) when it is 0.
-    The start iterate and partition are copied and checked against the
-    problem's sizes (``check_sizes``); ``fea_tol`` and ``opt_tol``
-    set ``bound_tol``, and the guarded vector's (``fea_tol`` for x,
-    ``opt_tol`` for z) is the steps' ``tol``.  ``basis`` serves every KKT
-    solve of the run and keeps its held factorization for the caller's
-    next run (``driver.solve_standard`` passes one per problem, holding
-    K_B of the start basis, to both stages); without one the run makes
-    its own."""
-    check_tolerances(fea_tol, opt_tol)
-    check_max_iterations(max_iterations)
-    check_trace(trace)
-    it = start[0].copy()
-    part = start[1].copy()
-    part.validate(p.n)
-    if part.freed is not None:
-        raise StartConditionError("start partition has a pending freed index")
-    if (p.fixed_mask & part.basic_mask).any():
+    ``fea_tol`` and ``opt_tol`` set ``bound_tol``, and the guarded
+    vector's (``fea_tol`` for x, ``opt_tol`` for z) is the steps' ``tol``.
+    ``basis`` serves every KKT solve of the run and keeps its held
+    factorization for the caller's next run (``driver.solve_standard``
+    passes one per problem, holding K_B of the start basis, to both
+    stages); without one the run makes its own.
+
+    A call judges its settings (``check_tolerances``,
+    ``check_max_iterations``, ``check_trace``, ``check_invariants_flag``),
+    copies the start iterate and partition, and checks them against the
+    problem: the partition covers 0..n-1 with no pending freed index, and
+    the vectors have the problem's sizes (``check_sizes``).  The start is
+    owned (``_owned``, passed by ``driver.solve_standard`` alone) where
+    the caller has judged the same settings (``SolveConfig.check``), built
+    the start from the problem (``init_shifts`` or the previous stage,
+    whose steps keep every length and bind every freed index) and never
+    reads it again: the run then skips those checks and copies and
+    changes the start in place.  For its first stage the driver also
+    passes ``_start_norms``, the residual norms that its initial
+    ``check_optimality`` computed at this very point.  Every run, owned
+    or not, tests that no fixed index is basic and checks the method's
+    entry conditions (``_check_bounds``)."""
+    if _owned:
+        it, part = start
+    else:
+        check_tolerances(fea_tol, opt_tol)
+        check_max_iterations(max_iterations)
+        check_trace(trace)
+        check_invariants_flag(check_invariants)
+        it = start[0].copy()
+        part = start[1].copy()
+        part.validate(p.n)
+        if part.freed is not None:
+            raise StartConditionError(
+                "start partition has a pending freed index")
+    if p.fixed and np.count_nonzero(p.fixed_mask & part.basic_mask):
         raise StartConditionError("a fixed index cannot be basic")
-    check_sizes(p, s, it)
-    pinned = getattr(p, f"{fam.pinned}_mask")
-    excluded = p.fixed_mask | pinned
-    unguarded = getattr(p, f"{fam.unguarded}_mask")
-    two_sided = unguarded & ~excluded
-    one_sided = ~excluded & ~two_sided
+    if not _owned:
+        check_sizes(p, s, it)
+    unguarded, two_sided, one_sided = fam.roles(p)
     _check_bounds(fam, p, s, it, part, unguarded, two_sided, fea_tol,
-                  opt_tol, start=True)
+                  opt_tol, start=True, norms=_start_norms)
+    some_two_sided = bool(np.count_nonzero(two_sided))
     # Steps update the iterate in place, so these stay its vectors.
     repaired = getattr(it, fam.repaired)
     repair_shift = getattr(s, fam.repair_shift)
@@ -398,7 +461,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
                                     kind, l, step, d, viol, p, eff, before, it))
 
     while True:
-        live = getattr(part, f"{fam.live}_mask")
+        live = getattr(part, fam.live_mask)
         # A near-zero threshold, for essentially exact complementarity, and
         # at most TOL_SHARE of bound_tol, so that the final check passes.
         scale = inf_norm(getattr(it, fam.scale_by))
@@ -407,7 +470,8 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         v = repaired + repair_shift
         # Two-sided live indices go first: a base step's ray certifies
         # nothing while their repaired values are off their bound.
-        l, orient = select_index(v, one_sided, two_sided, two_sided & live,
+        l, orient = select_index(v, one_sided, two_sided,
+                                 two_sided & live if some_two_sided else None,
                                  threshold, bland)
         if l is None:
             break

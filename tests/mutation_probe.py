@@ -79,6 +79,11 @@ MUTANTS = (
      "own.max_abs, 0.0, 0.0)"),
     ("final-objective-reused-after-shifted-stage", "src/pdqp/driver.py",
      "logs[-1].f_primal if shifts is zero", "logs[-1].f_primal if True"),
+    ("first-stage-norms-zeroed", "src/pdqp/driver.py",
+     "norms = (report.stationarity_residual, report.equality_residual)",
+     "norms = (0.0, 0.0)"),
+    ("public-start-taken-as-owned", "src/pdqp/steps.py",
+     "_owned: bool = False", "_owned: bool = True"),
 )
 
 

@@ -11,9 +11,10 @@ from pdqp import (GeneralQp, InvariantError, Partition, ProblemError,
                   check_optimality, enumerate_solve, factor_kb,
                   find_soc_basis, init_shifts, solve_dual, solve_pdqp,
                   solve_primal, solve_standard, standardize)
-from pdqp import driver, kkt, steps
+from pdqp import driver, kkt, model, steps
 from pdqp.driver import STRATEGIES
-from pdqp.model import dual_objective, primal_objective
+from pdqp.model import (START_EQ_TOL, dual_objective, primal_objective,
+                        residuals)
 from pdqp.kkt import KktBasis
 from pdqp.cli import parse_problem
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
@@ -187,6 +188,55 @@ def test_initial_point_failing_the_optimality_check_raises(p2, monkeypatch):
     with pytest.raises(InvariantError, match="^initial shifted point failed "
                                              "the optimality check"):
         solve_standard(p2)
+
+
+@pytest.mark.parametrize("strategy", ["primal-first", "dual-first"])
+@pytest.mark.parametrize("factor", [10.0, 0.5])
+def test_first_stage_entry_check_judges_the_initial_residuals(
+        p2, monkeypatch, strategy, factor):
+    # The initial point's y moves by ``factor`` times the entry check's
+    # limit START_EQ_TOL * data_scale: p2's stationarity residual
+    # Hx + c - A'y - z (A = [1 1]) then has that size and its equality
+    # residual (M = 0) stays zero.  Ten times the limit still passes the
+    # initial optimality check, whose limit is eps_fea * data_scale, and
+    # the first stage's entry check, which takes that check's residual
+    # norms, must reject it; half the limit passes both.
+    residual = factor * START_EQ_TOL * p2.data_scale()
+    assert residual < SolveConfig().fea_tol * p2.data_scale()
+
+    def perturbed(*args):
+        shifts, it = init_shifts(*args)
+        it.y += residual
+        return shifts, it
+
+    monkeypatch.setattr(driver, "init_shifts", perturbed)
+    config = SolveConfig(strategy=strategy)
+    if factor > 1.0:
+        method = strategy.split("-")[0]
+        with pytest.raises(StartConditionError, match=f"^{method} start: the "
+                           "point violates the equality system$"):
+            solve_standard(p2, config)
+    else:
+        assert solve_standard(p2, config).status == "optimal"
+
+
+def test_residuals_are_evaluated_once_per_point_check(suite500, monkeypatch):
+    # Each check_optimality call and each stage's entry check but the
+    # first evaluates the residuals once; the first stage's entry check
+    # takes the initial optimality check's norms, at the same point.  Over
+    # suite500 under the defaults that is 711 + 233 evaluations (1444 when
+    # the first stage computed its own).
+    calls = []
+
+    def counted(p, it):
+        calls.append(None)
+        return residuals(p, it)
+
+    for module in (model, steps):
+        monkeypatch.setattr(module, "residuals", counted)
+    for p in suite500:
+        solve_standard(p)
+    assert len(calls) == 944
 
 
 def test_final_point_failing_the_optimality_check_raises(p2, monkeypatch):

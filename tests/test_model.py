@@ -341,21 +341,9 @@ def test_shifts_require_finite_entries():
         Shifts(np.array([np.inf, 0.0]), np.zeros(2))
 
 
-def test_shift_replacement_checks_the_new_vector_only():
-    s = Shifts(np.array([1.0, 0.0]), np.array([0.0, 2.0]))
-    q = np.array([3.0, 4.0])
-    t = s.with_q(q)
-    q[0] = -1.0                      # the caller's vector was copied
-    assert_allclose(t.q, [3.0, 4.0])
-    assert t.r is s.r and not t.q.flags.writeable
-    assert s.with_r([5.0, 6.0]).q is s.q
+def test_zero_shifts_are_read_only_zeros():
     zero = Shifts.zero(3)
     assert not zero.q.flags.writeable and not np.any(zero.r)
-    for bad in ([np.nan, 0.0], [1.0, 2.0, 3.0]):
-        with pytest.raises(ProblemError):
-            s.with_q(bad)
-        with pytest.raises(ProblemError):
-            s.with_r(bad)
 
 
 def test_partition_masks_follow_every_move():

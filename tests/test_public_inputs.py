@@ -16,7 +16,7 @@ import pytest
 from pdqp import (GeneralQp, InvariantError, Iterate, Partition,
                   ProblemError, QpProblem, Shifts, SolveConfig,
                   StartConditionError, check_optimality, enumerate_solve,
-                  solve_dual, solve_primal, solve_standard)
+                  solve_dual, solve_pdqp, solve_primal, solve_standard)
 
 INF = np.inf
 NAN = np.nan
@@ -63,6 +63,21 @@ NAN_STARTS = {"x": ([NAN, 0.5], [0.0], [0.0, 0.0]),
               "y": ([0.5, 0.5], [NAN], [0.0, 0.0]),
               "z": ([0.5, 0.5], [0.0], [NAN, 0.0])}
 OPTIMUM = ([0.5, 0.5], [0.5], [0.0, 0.0])
+
+# The entry points that take check_invariants, by label: each calls one
+# with the given setting, through SolveConfig or as solve_primal's keyword.
+FLAG_ENTRIES = {
+    "config": lambda flag: solve_standard(
+        _p1(), SolveConfig(check_invariants=flag)),
+    "pdqp": lambda flag: solve_pdqp(_general()(),
+                                    SolveConfig(check_invariants=flag)),
+    "primal": lambda flag: _from_basis_01(solve_primal, *OPTIMUM,
+                                          check_invariants=flag)(),
+}
+# Settings of check_invariants that are not a bool, each with the way it
+# ran when it was taken for its truth value.
+FLAGS = {"no": "string-ran-the-checks", 1: "int-ran-the-checks",
+         None: "none-skipped-the-checks", 0.0: "float-skipped-the-checks"}
 
 
 @pytest.mark.parametrize("build,error,message", [
@@ -245,6 +260,11 @@ OPTIMUM = ([0.5, 0.5], [0.5], [0.0, 0.0])
     pytest.param(_from_basis_01(solve_dual, *OPTIMUM, trace=123),
                  ValueError, "trace must be callable, got 123",
                  id="dual-int-trace-was-accepted"),
+    *[pytest.param(lambda entry=entry, flag=flag: FLAG_ENTRIES[entry](flag),
+                   ValueError,
+                   f"check_invariants must be a bool, got {flag!r}",
+                   id=f"{entry}-{FLAGS[flag]}")
+      for entry in FLAG_ENTRIES for flag in FLAGS],
 ])
 def test_public_entry_points_reject_malformed_inputs(build, error, message):
     with pytest.raises(error) as caught:
@@ -257,3 +277,10 @@ def test_public_entry_points_reject_malformed_inputs(build, error, message):
 def test_an_integer_max_iterations_is_accepted(cap):
     assert solve_standard(_p1(), SolveConfig(max_iterations=cap)).status \
         == "optimal"
+
+
+@pytest.mark.parametrize("flag", [False, True, np.bool_(True)],
+                         ids=["false", "true", "numpy-bool"])
+@pytest.mark.parametrize("entry", list(FLAG_ENTRIES))
+def test_a_bool_check_invariants_is_accepted(entry, flag):
+    assert FLAG_ENTRIES[entry](flag).status == "optimal"

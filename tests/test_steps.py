@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pdqp import (InvariantError, Iterate, Partition, QpProblem, Shifts,
-                  StartConditionError, factor_kb, init_shifts, primal_base,
-                  solve_primal)
+                  StartConditionError, factor_kb, find_soc_basis, init_shifts,
+                  primal_base, solve_dual, solve_primal)
 from pdqp.kkt import KktBasis
 from pdqp.primal import PRIMAL
 from pdqp.steps import (StepResult, _check_bounds, ratio_test,
@@ -104,6 +104,32 @@ def test_start_partition_with_a_pending_freed_index_is_rejected(p1):
         solve_primal(p1, Shifts.zero(2), start)
 
 
+def test_a_public_run_leaves_the_callers_start_untouched(suite500):
+    # solve_primal and solve_dual copy their start: the caller's vectors
+    # and partition mask keep their bytes, and the outcome holds its own
+    # objects.  Runs: the first stage of each two-stage strategy from the
+    # discovered basis of the first 20 suite500 problems, on which both
+    # methods take steps.
+    moved = set()
+    for p in suite500[:20]:
+        part = find_soc_basis(p, KktBasis(p))
+        shifts, it = init_shifts(p, part, factor_kb(p, part.basic))
+        zero = np.zeros(p.n)
+        for solve, s in ((solve_primal, Shifts(shifts.q, zero)),
+                         (solve_dual, Shifts(zero, shifts.r))):
+            start = (it.x, it.y, it.z, part.basic_mask)
+            before = [v.tobytes() for v in start]
+            out = solve(p, s, (it, part))
+            assert [v.tobytes() for v in start] == before
+            assert out.iterate is not it and out.partition is not part
+            assert not any(np.shares_memory(a, b) for a, b in zip(
+                (out.iterate.x, out.iterate.y, out.iterate.z,
+                 out.partition.basic_mask), start))
+            if out.iterations:
+                moved.add(out.method)
+    assert moved == {"primal", "dual"}
+
+
 def test_intermediate_loop_that_does_not_move_is_stopped(p2):
     # From p2's shifted start at basis {0}, the primal stage (r = 0)
     # frees l = 1 with z_1 + r_1 = -3; steps that never move it must trip
@@ -119,7 +145,7 @@ def test_intermediate_loop_that_does_not_move_is_stopped(p2):
 
     with pytest.raises(InvariantError, match="^intermediate subiterations "
                                              "did not terminate"):
-        run_active_set(PRIMAL, p2, shifts.with_r(np.zeros(2)), (it, part),
+        run_active_set(PRIMAL, p2, Shifts(shifts.q, np.zeros(2)), (it, part),
                        still, still, fea_tol=TOL, opt_tol=TOL)
 
 
