@@ -173,7 +173,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -214,13 +214,16 @@ class KktFactorization:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the factorization, one refinement step."""
         x = self._once(rhs)
-        x += self._once(rhs - self.matrix @ x)
+        x += self._once(rhs - self.matrix @ x, overwrite=True)
         return x
 
-    def _once(self, r: np.ndarray) -> np.ndarray:
+    def _once(self, r: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """K^-1 r by ``dsytrs``, which may overwrite r under ``overwrite``
+        (a residual that no one else holds)."""
         if not r.size:              # dsytrs rejects the empty system
             return r.copy()
-        return lapack.dsytrs(self.ldu, self.ipiv, r, lower=1)[0]
+        return lapack.dsytrs(self.ldu, self.ipiv, r, lower=1,
+                             overwrite_b=overwrite)[0]
 
 
 def _unpack(f: KktFactorization) -> Callable[[np.ndarray], np.ndarray]:
@@ -280,6 +283,12 @@ def _backward_error(res: np.ndarray, k_norm_bound: float, x: np.ndarray,
     return inf_norm(res) / scale if scale > 0.0 else 0.0
 
 
+@cache
+def _dsytrf_lwork(dim: int) -> int:
+    """``dsytrf``'s workspace size at ``dim``, queried once per dim."""
+    return int(lapack.dsytrf_lwork(dim, lower=1)[0])
+
+
 def _bunch_kaufman(k: np.ndarray) -> KktFactorization | None:
     """LAPACK factorization of an exactly symmetric K, or None unless its
     reciprocal condition estimate exceeds 100 * dim * PIVOT_TOL and every
@@ -290,13 +299,16 @@ def _bunch_kaufman(k: np.ndarray) -> KktFactorization | None:
     if dim == 0:                    # the empty matrix is nonsingular
         return KktFactorization(ldu=k, ipiv=np.empty(0, dtype=np.int32),
                                 matrix=k, inv_norm=0.0)
-    lwork = int(lapack.dsytrf_lwork(dim, lower=1)[0])
+    lwork = _dsytrf_lwork(dim)
     # K.T, a Fortran-order view with K's values, spares f2py a transposing
     # copy.
     ldu, ipiv, info = lapack.dsytrf(k.T, lower=1, lwork=lwork)
     if info != 0:
         return None
-    anorm = float(np.abs(k).sum(axis=0).max())
+    # ||K||_1 by LAPACK, with no temporary: ``dlange`` sums each column of
+    # K.T in order, as numpy sums |K| over axis 0, so, K being symmetric,
+    # the bits are those of np.abs(k).sum(axis=0).max().
+    anorm = float(lapack.dlange("1", k.T))
     rcond, info = lapack.dsycon(ldu, ipiv, anorm, lower=1)
     if info != 0 or not rcond > 100 * dim * PIVOT_TOL:    # NaN rejects too
         return None
@@ -722,45 +734,49 @@ def _freed_component(raw: float, noise: float,
     return raw
 
 
-def _base_dz_l(p: QpProblem, l: int, h_bl: np.ndarray,
+def _base_dz_l(p: QpProblem, l: int, h_bl: np.ndarray, rhs: np.ndarray,
                w: np.ndarray) -> tuple[float, float]:
     """dz_l of a base solve w = [dx_B; -dy] and its noise band, given
-    h_bl = H[B, l]."""
+    h_bl = H[B, l] and rhs = -[h_bl; a_l]."""
     nb = h_bl.size
-    dzl = float(p.H[l, l] + h_bl @ w[:nb] + p.A[:, l] @ w[nb:])
-    noise = NOISE_BAND * float(abs(p.H[l, l])
-                          + np.abs(h_bl) @ np.abs(w[:nb])
-                          + np.abs(p.A[:, l]) @ np.abs(w[nb:]) + 1.0)
+    h_ll = p.H[l, l]
+    dzl = float(h_ll + h_bl @ w[:nb] + p.A[:, l] @ w[nb:])
+    k_abs, w_abs = np.abs(rhs), np.abs(w)
+    noise = NOISE_BAND * float(abs(h_ll) + k_abs[:nb] @ w_abs[:nb]
+                               + k_abs[nb:] @ w_abs[nb:] + 1.0)
     return dzl, noise
 
 
 def _direction(p: QpProblem, part: Partition, basic: np.ndarray, l: int,
-               dx: np.ndarray, dzl: float, dy: np.ndarray) -> Direction:
-    """The direction with primal step dx (zero outside S = B + l, B's
-    indices ascending in ``basic``), freed dual component dz_l and
-    multiplier step dy; dz_B = 0 and dz_N follows from stationarity,
-    dz_N = H_N. dx - A_N' dy.  With dz_l = 0 the direction is a null ray
-    of K_l, whose dual part vanishes identically, and dz_N stays zero.
+               v: np.ndarray, dzl: float) -> Direction:
+    """The direction over the buffer v = [dx; dy; dz] (``Direction``) that
+    holds the primal step dx (zero outside S = B + l, B's indices
+    ascending in ``basic``) and the multiplier step dy, with dz zero: this
+    writes the freed dual component dz_l and dz_N, from stationarity
+    dz_N = H_N. dx - A_N' dy, and leaves dz_B = 0.  With dz_l = 0 the
+    direction is a null ray of K_l, whose dual part vanishes identically,
+    and dz_N stays zero.
 
     Only H_NS dx_S enters, and it is taken from the smaller side of H at
     O(min(|N|, |S|) n): the |N| rows H_N. where |N| <= |B|, otherwise
     the rows of H over the nonzeros of dx, since H is symmetric and
     dx_S' H_S. - dy' A is H dx - A' dy at every index.  The two forms sum
     in different orders, so they agree to roundoff."""
-    dz = np.zeros(p.n)
-    n_nonbasic = np.count_nonzero(part.nonbasic_mask)
-    if n_nonbasic and dzl != 0.0:
-        if n_nonbasic <= basic.size:
-            nonbasic = part.nonbasic_mask.nonzero()[0]
-            dz[nonbasic] = p.H[nonbasic] @ dx - p.A[:, nonbasic].T @ dy
-        else:
+    n, m = p.n, p.m
+    dx, dy, dz = v[:n], v[n:n + m], v[n + m:]
+    if dzl != 0.0:
+        nonbasic_mask = part.nonbasic_mask
+        nonbasic = nonbasic_mask.nonzero()[0]
+        if 0 < nonbasic.size <= basic.size:
+            dz[nonbasic] = (p.H.take(nonbasic, axis=0) @ dx
+                            - p.A[:, nonbasic].T @ dy)
+        elif nonbasic.size:
             support = dx.nonzero()[0]
-            dz = np.where(part.nonbasic_mask,
-                          dx.take(support) @ p.H.take(support, axis=0)
-                          - dy @ p.A, 0.0)
+            np.copyto(dz, dx.take(support) @ p.H.take(support, axis=0)
+                      - dy @ p.A, where=nonbasic_mask)
     dz[l] = dzl
-    return Direction(dx=dx, dy=dy, dz=dz, freed=l, dx_l=float(dx[l]),
-                     dz_l=dzl, basic=tuple(basic.tolist()))
+    return Direction._own(v, n, m, l, float(dx[l]), dzl,
+                          tuple(basic.tolist()))
 
 
 def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
@@ -775,11 +791,10 @@ def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
     basic = part.basic_mask.nonzero()[0]
     nb = basic.size
     h_bl = p.H[l].take(basic)          # H[B, l], as H is symmetric
-    rhs = np.empty(nb + p.m)
-    np.negative(h_bl, out=rhs[:nb])
-    np.negative(p.A[:, l], out=rhs[nb:])
+    rhs = np.concatenate((h_bl, p.A[:, l]))
+    np.negative(rhs, out=rhs)
     w = basis.solve(basic, rhs)
-    raw, noise = _base_dz_l(p, l, h_bl, w)
+    raw, noise = _base_dz_l(p, l, h_bl, rhs, w)
     dzl = raw
     if raw <= noise:
         own = basis.held(basic)
@@ -799,11 +814,13 @@ def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
     # dz_l = 0: singular bordered matrix.  The direction is its null ray,
     # whose multiplier and dual parts vanish identically; zeroing them
     # discards pure cancellation noise.
-    dy = np.zeros(p.m) if dzl == 0.0 else -w[nb:]
-    dx = np.zeros(p.n)
-    dx[basic] = w[:nb]
-    dx[l] = 1.0
-    return _direction(p, part, basic, l, dx, dzl, dy)
+    n = p.n
+    v = np.zeros(2 * n + p.m)
+    v[basic] = w[:nb]
+    v[l] = 1.0
+    if dzl != 0.0:
+        np.negative(w[nb:], out=v[n:n + p.m])
+    return _direction(p, part, basic, l, v, dzl)
 
 
 def _dx_l_noise(w: np.ndarray) -> float:
@@ -844,11 +861,13 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
                                lambda: _singular_bound(p, basic))
     # dx_l = 0: singular K_B.  Every x-component of the direction
     # vanishes and only the multiplier part moves.
-    dx = np.zeros(p.n)
+    n = p.n
+    v = np.zeros(2 * n + p.m)
     if dxl != 0.0:
-        dx[order] = w[:nb + 1]
-        dx[l] = dxl
-    return _direction(p, part, basic, l, dx, 1.0, -w[nb + 1:])
+        v[order] = w[:nb + 1]
+        v[l] = dxl
+    np.negative(w[nb + 1:], out=v[n:n + p.m])
+    return _direction(p, part, basic, l, v, 1.0)
 
 
 def recover_z_nonbasic(p: QpProblem, part: Partition, it: Iterate,
@@ -882,12 +901,11 @@ def solve_boundary_point(p: QpProblem, s: Shifts, part: Partition,
            - p.c[basic] - s.r[basic])
     bottom = p.A[:, nonbasic] @ qn + p.b
     w = f.solve(np.concatenate([top, bottom]))
-    x = np.zeros(p.n)
-    x[basic] = w[:nb]
-    x[nonbasic] = -qn
-    y = -w[nb:]
-    z = np.zeros(p.n)
-    z[basic] = -s.r[basic]
-    it = Iterate._own(x, y, z)
+    n, m = p.n, p.m
+    it = Iterate._own(np.zeros(2 * n + m), n, m)
+    it.x[basic] = w[:nb]
+    it.x[nonbasic] = -qn
+    np.negative(w[nb:], out=it.y)
+    it.z[basic] = -s.r[basic]
     it.z[nonbasic] = recover_z_nonbasic(p, part, it, s)
     return it

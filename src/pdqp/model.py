@@ -249,8 +249,8 @@ def _indices(values, name: str, error=ProblemError, n: int | None = None,
 class QpProblem:
     """Immutable problem data (H, M, A, b, c) plus bound-existence markers.
 
-    b and c (``_vector``) fix m and n, and ``_matrix`` reads H (n x n), M
-    (m x m) and A (m x n).  ``free`` lists variables with no bound at all;
+    b and c (``_vector``) fix m and n, kept as plain attributes ``m`` and
+    ``n``, and ``_matrix`` reads H (n x n), M (m x m) and A (m x n).  ``free`` lists variables with no bound at all;
     ``fixed`` lists variables pinned at their bound with an unrestricted
     dual.  Both are empty for a plain standard-form problem.  Either may
     be given as any iterable of integer indices in 0..n-1 (a repeat
@@ -318,14 +318,8 @@ class QpProblem:
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "fixed", fixed)
         object.__setattr__(self, "h_rank", h_rank)
-
-    @property
-    def n(self) -> int:
-        return self.c.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.b.shape[0]
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
     def kkt_scale(self) -> float:
         """Infinity-norm scale of the full KKT matrix data."""
@@ -469,7 +463,8 @@ class Partition:
         """Remove l from whichever set holds it and mark it freed."""
         if self.freed is not None:
             raise InvariantError("a freed index is already pending")
-        l = _indices([l], "freed", InvariantError)[0]
+        if type(l) is not int:
+            l = _indices([l], "freed", InvariantError)[0]
         if not 0 <= l < self.basic_mask.size:
             raise InvariantError(f"index {l} not in partition")
         self.basic_mask[l] = False
@@ -491,42 +486,80 @@ class Partition:
         self.basic_mask[k] = to_basic
 
 
-@dataclass
+_POINT = ("x", "y", "z")
+_DIRECTION = ("dx", "dy", "dz")
+
+
+def _hold(obj, v: np.ndarray, n: int, m: int, names: tuple[str, ...]
+          ) -> None:
+    """Give ``obj`` the buffer ``v`` and, under ``names``, its three views
+    v[:n], v[n:n+m] and v[n+m:]."""
+    d = obj.__dict__
+    d["v"] = v
+    d[names[0]], d[names[1]], d[names[2]] = v[:n], v[n:n + m], v[n + m:]
+
+
 class Iterate:
     """The point (x, y, z).  Mutable; owned by a single solve.
 
-    Vectors from callers are copied; one that is not a vector of real
-    numbers (a scalar has length 1) raises ``ProblemError``.
+    x, y and z are views of one buffer ``v`` = [x; y; z], so that a step
+    moves the point with one operation (``it.v += alpha * d.v``) and a
+    write through ``it.x``, ``it.y`` or ``it.z`` is a write to ``v``.
+    The constructor copies the caller's vectors into a new buffer; one
+    that is not a vector of real numbers (a scalar has length 1) raises
+    ``ProblemError``.  An assignment to ``x``, ``y``, ``z`` or ``v``
+    (``it.x = w``) writes w's values into the buffer after the same
+    check, and raises ``ProblemError`` where w's length is not the
+    view's: the views never leave the buffer.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        self.x = _vector(self.x, "x").copy()
-        self.y = _vector(self.y, "y").copy()
-        self.z = _vector(self.z, "z").copy()
+    def __init__(self, x, y, z):
+        x, y, z = _vector(x, "x"), _vector(y, "y"), _vector(z, "z")
+        _hold(self, np.concatenate((x, y, z)), x.size, y.size, _POINT)
 
     @classmethod
-    def _own(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> "Iterate":
-        """The iterate of float vectors that no one else holds, kept
-        without the checks and copies of the constructor."""
+    def _own(cls, v: np.ndarray, n: int, m: int) -> "Iterate":
+        """The iterate over the float buffer v = [x; y; z] (x of length n,
+        y of length m) that no one else holds, kept without the checks and
+        the copy of the constructor."""
         out = object.__new__(cls)
-        out.x, out.y, out.z = x, y, z
+        _hold(out, v, n, m, _POINT)
         return out
 
+    def __setattr__(self, name: str, value) -> None:
+        if name not in ("x", "y", "z", "v"):
+            object.__setattr__(self, name, value)
+            return
+        view = self.__dict__[name]
+        if value is view:       # it.x += w hands back the view itself
+            return
+        value = _vector(value, name)
+        if value.shape != view.shape:
+            raise ProblemError(f"{name} must have length {view.size}, "
+                               f"got shape {value.shape}")
+        view[...] = value
+
     def copy(self) -> "Iterate":
-        return Iterate._own(self.x.copy(), self.y.copy(), self.z.copy())
+        return Iterate._own(self.v.copy(), self.x.size, self.y.size)
+
+    def __repr__(self) -> str:
+        return f"Iterate(x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Direction:
     """A search direction (dx, dy, dz) with the freed components singled out.
 
     dx vanishes on the nonbasic set and dz on the basic set; only the
     freed index l carries both a primal and a dual component.  ``basic``
     records the basic set the direction was solved against.
+
+    dx, dy and dz are views of one buffer ``v`` = [dx; dy; dz], laid out
+    as ``Iterate.v``, so a step applies the direction with one operation.
+    Each direction owns its buffer: a trace record keeps the direction
+    (``steps.TraceRecord``), and no later step writes to it.  The
+    constructor copies the caller's vectors into a new buffer.  A
+    direction is frozen, so its fields cannot part from ``v``.
     """
 
     dx: np.ndarray
@@ -537,9 +570,26 @@ class Direction:
     dz_l: float
     basic: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        dx, dy, dz = (np.asarray(a, dtype=float)
+                      for a in (self.dx, self.dy, self.dz))
+        _hold(self, np.concatenate((dx, dy, dz)), dx.size, dy.size,
+              _DIRECTION)
+
+    @classmethod
+    def _own(cls, v: np.ndarray, n: int, m: int, freed: int, dx_l: float,
+             dz_l: float, basic: tuple[int, ...]) -> "Direction":
+        """The direction over the float buffer v = [dx; dy; dz] (dx of
+        length n, dy of length m) that no one else holds, kept without the
+        copy of the constructor."""
+        out = object.__new__(cls)
+        _hold(out, v, n, m, _DIRECTION)
+        out.__dict__.update(freed=freed, dx_l=dx_l, dz_l=dz_l, basic=basic)
+        return out
+
     def negated(self) -> "Direction":
-        return Direction(-self.dx, -self.dy, -self.dz, self.freed,
-                         -self.dx_l, -self.dz_l, self.basic)
+        return Direction._own(-self.v, self.dx.size, self.dy.size,
+                              self.freed, -self.dx_l, -self.dz_l, self.basic)
 
 
 @dataclass(frozen=True)

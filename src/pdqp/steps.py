@@ -14,6 +14,12 @@ in per solve and the KKT solves are called by name from this module, so
 rebinding a module attribute (as the benchmark's tracer does) reaches
 every call.
 
+A subiteration pays for its KKT solve and little else: the direction
+comes in one buffer (``Direction.v``, laid out as ``Iterate.v``), so the
+step moves x, y and z with one operation and measures the direction with
+one norm, and its repaired rate is the direction's freed component
+(``Family.rate``).
+
 The entry and invariant checks (``_check_bounds``) and the stopping rule
 measure closeness to a bound as ``model.check_optimality`` does
 (``model.bound_tol``), so a stage optimum passes the final check.
@@ -123,8 +129,9 @@ class Family:
     bound of zero width; the primal's fixed ones are never live).  Fixed
     and pinned indices are never selected.  The attribute names that the
     engine reads on every step (the masks of ``live``, ``unguarded`` and
-    ``pinned``, and the direction's components of the two vectors) are
-    derived once, when the family is built.
+    ``pinned``, the direction's component of the guarded vector, and
+    ``rate``, its freed component of the repaired one) are derived once,
+    when the family is built.
     """
 
     method: str               # label of outcomes and trace records
@@ -142,15 +149,15 @@ class Family:
     live_mask: str = field(init=False, repr=False, compare=False)
     unguarded_mask: str = field(init=False, repr=False, compare=False)
     pinned_mask: str = field(init=False, repr=False, compare=False)
-    d_repaired: str = field(init=False, repr=False, compare=False)
     d_guarded: str = field(init=False, repr=False, compare=False)
+    rate: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, value in (("live_mask", f"{self.live}_mask"),
                             ("unguarded_mask", f"{self.unguarded}_mask"),
                             ("pinned_mask", f"{self.pinned}_mask"),
-                            ("d_repaired", "d" + self.repaired),
-                            ("d_guarded", "d" + self.guarded)):
+                            ("d_guarded", "d" + self.guarded),
+                            ("rate", f"d{self.repaired}_l")):
             object.__setattr__(self, name, value)
 
     def roles(self, p: QpProblem
@@ -184,7 +191,9 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray,
 
     Pass 1: alpha_H = min max(v_i + delta, 0) / (-d_i) over the
     candidates, with delta = min(HARRIS_BAND * max(1, max|values|),
-    TOL_SHARE * tol).
+    TOL_SHARE * tol), computed as max(min (v_i + delta) / (-d_i), 0):
+    every -d_i > 0, so only the sign of a zero can differ, which no
+    comparison of pass 2 sees.
     Pass 2: among the candidates whose exact ratio max(v_i, 0) / (-d_i)
     is at most alpha_H, the one with the largest -d_i, the first in
     ``indices`` on ties.  Returns its exact ratio and index, or
@@ -204,7 +213,7 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray,
     delta = min(HARRIS_BAND * max(1.0, inf_norm(values)), TOL_SHARE * tol)
     rates = -deltas.take(cand)
     vals = values.take(cand)
-    alpha_h = float((np.maximum(vals + delta, 0.0) / rates).min())
+    alpha_h = max(float(((vals + delta) / rates).min()), 0.0)
     ratios = np.maximum(vals, 0.0) / rates
     pos = int(np.where(ratios <= alpha_h, rates, -np.inf).argmax())
     return float(ratios[pos]), int(indices[int(cand[pos])])
@@ -280,7 +289,7 @@ def take_step(fam: Family, kind: str, p: QpProblem, s: Shifts,
          else solve_intermediate_primal(p, part, l, basis))
     if orient < 0:
         d = d.negated()
-    rate = float(getattr(d, fam.d_repaired)[l])
+    rate = getattr(d, fam.rate)
     alpha_star = np.inf if rate == 0.0 else -viol / rate
     live = getattr(part, fam.live_mask)
     if getattr(p, fam.unguarded):
@@ -293,21 +302,28 @@ def take_step(fam: Family, kind: str, p: QpProblem, s: Shifts,
         up = getattr(p, fam.pinned_mask).take(cand) & (rates > 0.0)
         guarded[up] *= -1.0
         rates[up] *= -1.0
-    alpha_max, k = ratio_test(guarded, rates, cand, tol, max(
-        inf_norm(d.dx), inf_norm(d.dy), inf_norm(d.dz)))
+    alpha_max, k = ratio_test(guarded, rates, cand, tol, inf_norm(d.v))
     alpha = min(alpha_star, alpha_max)
     hit = alpha_star <= alpha_max
     if math.isinf(alpha):
         return StepResult(np.inf, alpha_star, alpha_max, None, False), d
-    it.x += alpha * d.dx
-    it.y += alpha * d.dy
-    it.z += alpha * d.dz
+    point = it.v                    # one update of x, y and z, in place
+    point += alpha * d.v
     if hit:
         getattr(it, fam.repaired)[l] = -getattr(s, fam.repair_shift)[l]
         k = None
     else:
         part.move(k, fam.idle)
     return StepResult(alpha, alpha_star, alpha_max, k, hit), d
+
+
+def _on_bound(shift: np.ndarray) -> np.ndarray | float:
+    """How far a value may lie from its bound and still be held on it:
+    BOUND_SLACK * max(1, |shift|), which is the scalar BOUND_SLACK where
+    every shift is zero (the driver's last stage)."""
+    if not np.count_nonzero(shift):
+        return BOUND_SLACK
+    return BOUND_SLACK * np.maximum(1.0, np.abs(shift))
 
 
 def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
@@ -366,10 +382,8 @@ def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
         below &= ~unguarded
     test("guarded", fam.guarded, fam.guard_shift, g, below)
     if start:
-        g_on = BOUND_SLACK * np.maximum(
-            1.0, np.abs(getattr(s, fam.guard_shift)))
-        r_on = BOUND_SLACK * np.maximum(
-            1.0, np.abs(getattr(s, fam.repair_shift)))
+        g_on = _on_bound(getattr(s, fam.guard_shift))
+        r_on = _on_bound(getattr(s, fam.repair_shift))
         test("idle", fam.guarded, fam.guard_shift, g,
              ~live & ~(np.abs(g) <= g_on))
         r = getattr(it, fam.repaired) + getattr(s, fam.repair_shift)
@@ -433,6 +447,7 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
     _check_bounds(fam, p, s, it, part, unguarded, two_sided, fea_tol,
                   opt_tol, start=True, norms=_start_norms)
     some_two_sided = bool(np.count_nonzero(two_sided))
+    live_is_basic = fam.live == "basic"
     # Steps update the iterate in place, so these stay its vectors.
     repaired = getattr(it, fam.repaired)
     repair_shift = getattr(s, fam.repair_shift)
@@ -461,7 +476,6 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
                                     kind, l, step, d, viol, p, eff, before, it))
 
     while True:
-        live = getattr(part, fam.live_mask)
         # A near-zero threshold, for essentially exact complementarity, and
         # at most TOL_SHARE of bound_tol, so that the final check passes.
         scale = inf_norm(getattr(it, fam.scale_by))
@@ -470,16 +484,19 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         v = repaired + repair_shift
         # Two-sided live indices go first: a base step's ray certifies
         # nothing while their repaired values are off their bound.
-        l, orient = select_index(v, one_sided, two_sided,
-                                 two_sided & live if some_two_sided else None,
-                                 threshold, bland)
+        l, orient = select_index(
+            v, one_sided, two_sided,
+            two_sided & getattr(part, fam.live_mask) if some_two_sided
+            else None, threshold, bland)
         if l is None:
             break
         if iterations >= cap:
             status = ITERATION_LIMIT
             break
         iterations += 1
-        needs_base = not live[l]
+        # No index is freed here: l is live exactly when its basic flag
+        # is the live set's.
+        needs_base = bool(part.basic_mask[l]) != live_is_basic
         part.free_index(l)
         # Only trace records use the boundary-aligned shifts.
         eff = effective_shifts(p, s, part, it) if trace is not None else None

@@ -84,6 +84,14 @@ MUTANTS = (
      "norms = (0.0, 0.0)"),
     ("public-start-taken-as-owned", "src/pdqp/steps.py",
      "_owned: bool = False", "_owned: bool = True"),
+    ("fused-update-skips-y", "src/pdqp/steps.py",
+     "    point += alpha * d.v\n",
+     "    point += alpha * np.concatenate((d.dx, 0.0 * d.dy, d.dz))\n"),
+    ("direction-buffer-reused", "src/pdqp/kkt.py",
+     "    v = np.zeros(2 * n + p.m)\n    v[basic] = w[:nb]\n",
+     "    v = solve_base_primal.__dict__.setdefault(2 * n + p.m,\n"
+     "                                              np.zeros(2 * n + p.m))\n"
+     "    v[...] = 0.0\n    v[basic] = w[:nb]\n"),
 )
 
 

@@ -935,6 +935,20 @@ def test_updated_directions_match_fresh_and_solves_stay_correct(
     assert sum(in_band) > 100, (sum(in_band), len(in_band))
 
 
+def test_dlange_one_norm_has_the_bits_of_numpys_column_sums():
+    # _bunch_kaufman takes ||K||_1 from LAPACK's dlange on K.T, which sums
+    # each column in order as numpy sums |K| over axis 0: on symmetric
+    # matrices of every scale the two give the same bits, so dsycon's
+    # verdicts see the same norm.
+    rng = np.random.default_rng(12)
+    for dim in list(range(1, 40)) + [75, 120, 301]:
+        g = rng.normal(size=(dim, dim)) * np.exp(8 * rng.normal(size=(dim, dim)))
+        k = np.tril(g) + np.tril(g, -1).T
+        want = float(np.abs(k).sum(axis=0).max())
+        got = float(kkt.lapack.dlange("1", k.T))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), dim
+
+
 def test_bunch_kaufman_hands_dsytrf_a_fortran_order_array(monkeypatch):
     # K is exactly symmetric, so K.T carries its values in Fortran order
     # and gives the factorization of the C-order call bit for bit.

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from types import SimpleNamespace
 
@@ -6,10 +7,13 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
-from pdqp import (GeneralQp, Iterate, Partition, ProblemError, QpProblem,
-                  Shifts, check_optimality, dual_objective, enumerate_solve,
-                  primal_objective, residuals, solve_pdqp, standardize)
+from pdqp import (Direction, GeneralQp, Iterate, Partition, ProblemError,
+                  QpProblem, Shifts, SolveConfig, check_optimality,
+                  dual_objective, enumerate_solve, primal_base,
+                  primal_objective, residuals, solve_base_primal, solve_pdqp,
+                  standardize)
 from pdqp import model
+from pdqp.kkt import KktBasis
 from pdqp.model import _check_psd, effective_shifts
 
 from conftest import criterion7_instance, mixed_instances, random_instances
@@ -764,3 +768,105 @@ def test_inf_norm_is_the_largest_magnitude_of_every_entry(v):
     got = model.inf_norm(v)
     assert type(got) is float
     assert got == (float(np.abs(v).max()) if v.size else 0.0)
+
+
+def _views_of(buffer, *views):
+    return all(view.base is buffer for view in views)
+
+
+def test_iterate_copies_the_callers_vectors_into_one_buffer():
+    x, y, z = np.array([1.0, 2.0]), np.array([3.0]), np.array([4.0, 5.0])
+    point = Iterate(x, y, z)
+    x[0] = y[0] = z[0] = -9.0
+    assert point.v.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert _views_of(point.v, point.x, point.y, point.z)
+    assert not any(np.shares_memory(point.v, a) for a in (x, y, z))
+
+
+def test_a_write_through_x_reaches_the_engines_update(p1):
+    # The hand trace of a primal base step (test_primal), once from x as
+    # given and once from x written in place after construction: the step
+    # moves the buffer that the write reached.
+    want = Iterate([0.0, 1.0], [1.0], [-1.0, 0.0])
+    got = Iterate([0.0, 0.0], [1.0], [-1.0, 0.0])
+    got.x[1] = 1.0
+    for point in (want, got):
+        part = Partition(basic=[1], nonbasic=[0])
+        part.free_index(0)
+        primal_base(p1, Shifts.zero(2), part, point, 0, basis=KktBasis(p1))
+    assert got.v.tobytes() == want.v.tobytes()
+    assert_allclose(got.x, [0.5, 0.5])
+    assert_allclose(got.y, [0.5])
+
+
+def test_assigning_a_vector_writes_it_into_the_buffer():
+    # it.x = w copies w into the buffer, checked as the constructor checks
+    # it: the views never leave the buffer, and a refused w writes nothing.
+    point = Iterate([1.0, 2.0], [3.0], [4.0, 5.0])
+    x, buffer = point.x, point.v
+    point.x = [7, 8]
+    assert point.x is x and point.v is buffer
+    assert point.v.tolist() == [7.0, 8.0, 3.0, 4.0, 5.0]
+    point.x += 1.0
+    point.z = np.array([-1.0, -2.0])
+    assert point.v.tolist() == [8.0, 9.0, 3.0, -1.0, -2.0]
+    point.v = np.zeros(5)
+    assert point.x is x and _views_of(buffer, point.x, point.y, point.z)
+    with pytest.raises(ProblemError,
+                       match=r"^y must have length 1, got shape \(2,\)$"):
+        point.y = [1.0, 2.0]
+    with pytest.raises(ProblemError,
+                       match="^z is not an array of real numbers$"):
+        point.z = ["a", "b"]
+    with pytest.raises(ProblemError,
+                       match=r"^v must have length 5, got shape \(4,\)$"):
+        point.v = np.ones(4)
+    assert point.v.tolist() == [0.0] * 5
+
+
+def test_copies_and_negations_share_no_memory(p1):
+    point = Iterate([1.0, 2.0], [3.0], [4.0, 5.0])
+    twin = point.copy()
+    assert not np.shares_memory(twin.v, point.v)
+    assert _views_of(twin.v, twin.x, twin.y, twin.z)
+    assert twin.v.tolist() == point.v.tolist()
+    d = solve_base_primal(p1, Partition(basic=[1], nonbasic=[], freed=0),
+                          KktBasis(p1), 0)
+    minus = d.negated()
+    assert not np.shares_memory(minus.v, d.v)
+    assert _views_of(minus.v, minus.dx, minus.dy, minus.dz)
+    assert_array_equal(minus.v, -d.v)
+    assert (minus.dx_l, minus.dz_l) == (-d.dx_l, -d.dz_l)
+    assert (minus.freed, minus.basic) == (d.freed, d.basic)
+
+
+def test_a_direction_copies_its_vectors_and_is_frozen():
+    dx, dy, dz = np.array([1.0, 0.0]), np.array([2.0]), np.array([0.0, 3.0])
+    d = Direction(dx, dy, dz, freed=0, dx_l=1.0, dz_l=0.0, basic=(1,))
+    dx[0] = -9.0
+    assert d.v.tolist() == [1.0, 0.0, 2.0, 0.0, 3.0]
+    assert _views_of(d.v, d.dx, d.dy, d.dz)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.dx = np.zeros(2)
+
+
+def test_trace_records_keep_the_directions_they_were_given():
+    # Each step's direction owns its buffer: at the end of a traced solve
+    # every record's direction holds what it held when it was emitted.
+    emitted = []
+
+    def record(rec):
+        d = rec.direction
+        emitted.append((rec, d.v.copy(), (d.dx_l, d.dz_l, d.freed)))
+
+    for k in range(3):
+        g = criterion7_instance(60, 6, 6, 4000 + k, 4)[0]
+        for strategy in ("primal-first", "dual-first"):
+            solve_pdqp(g, SolveConfig(strategy=strategy, trace=record))
+    assert len(emitted) > 100
+    assert len({id(rec.direction.v) for rec, _, _ in emitted}) == len(emitted)
+    for rec, v, fields in emitted:
+        d = rec.direction
+        assert d.v.tobytes() == v.tobytes()
+        assert (d.dx_l, d.dz_l, d.freed) == fields
+        assert _views_of(d.v, d.dx, d.dy, d.dz)

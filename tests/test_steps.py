@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from pdqp import (InvariantError, Iterate, Partition, QpProblem, Shifts,
                   StartConditionError, factor_kb, find_soc_basis, init_shifts,
                   primal_base, solve_dual, solve_primal)
 from pdqp.kkt import KktBasis
 from pdqp.primal import PRIMAL
-from pdqp.steps import (StepResult, _check_bounds, ratio_test,
+from pdqp.model import BOUND_SLACK
+from pdqp.steps import (StepResult, _check_bounds, _on_bound, ratio_test,
                         run_active_set, select_index)
 
 TOL = 1e-6
@@ -176,3 +178,24 @@ def test_equality_residual_limit_of_the_entry_and_invariant_checks(
             check()
     else:
         check()
+
+
+@pytest.mark.parametrize("shift", [
+    np.zeros(4), np.array([0.0, -0.0, 0.0, -0.0]), np.zeros(0),
+    np.array([0.0, 3.0, -0.5, -7.0]), np.array([0.0, np.nan, 0.0, 0.0]),
+], ids=["zero", "signed-zeros", "empty", "shifted", "nan"])
+def test_on_bound_limit_is_the_slack_scaled_by_the_shift(shift):
+    # The scalar BOUND_SLACK stands in for the vector only where every
+    # shift is zero, where each entry of the vector is that scalar; a
+    # comparison against either gives the same verdicts.
+    want = BOUND_SLACK * np.maximum(1.0, np.abs(shift))
+    got = _on_bound(shift)
+    if np.count_nonzero(shift):
+        assert_array_equal(got, want)
+    else:
+        assert got == BOUND_SLACK and type(got) is float
+        assert (want == got).all()
+    values = np.linspace(-2e-7, 2e-7, 9)[:, None]
+    assert_array_equal(np.broadcast_to(np.abs(values) <= got,
+                                       (9, shift.size)),
+                       np.abs(values) <= want)
