@@ -15,7 +15,7 @@ from .oracle import OracleBudgetError, OracleSolution, enumerate_solve
 
 # Building blocks of the methods: importable from the package as well as
 # from their modules, but not part of the public API.
-from .model import dual_objective, primal_objective, residuals  # noqa: F401
+from .model import objectives, residuals  # noqa: F401
 from .kkt import (KktBasis, KktFactorization, factor_kb,  # noqa: F401
                   find_soc_basis, recover_z_nonbasic, solve_base_primal,
                   solve_intermediate_primal)

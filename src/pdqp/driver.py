@@ -31,9 +31,8 @@ from .kkt import (KktBasis, KktFactorization, KktInternalError,
                   find_soc_basis, solve_boundary_point)
 from .model import (DEFAULT_TOL, InvariantError, Iterate, Partition,
                     ProblemError, QpProblem, Shifts, _indices, _matrix,
-                    _vector, bound_tol, check_invariants_flag,
-                    check_max_iterations, check_optimality, check_tolerances,
-                    check_trace, index_mask, inf_norm, primal_objective)
+                    _vector, bound_tol, check_optimality, check_settings,
+                    index_mask, inf_norm, objectives)
 from .primal import solve_primal
 from .steps import OPTIMAL, PRIMAL_INFEASIBLE, SolveOutcome, TraceSink
 
@@ -252,10 +251,8 @@ class SolveConfig:
         """Raise ValueError for a setting that no solve accepts."""
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        check_tolerances(self.fea_tol, self.opt_tol)
-        check_max_iterations(self.max_iterations)
-        check_trace(self.trace)
-        check_invariants_flag(self.check_invariants)
+        check_settings(self.fea_tol, self.opt_tol, self.max_iterations,
+                       self.trace, self.check_invariants)
 
 
 @dataclass
@@ -299,17 +296,12 @@ class PdqpSolution:
 
 
 def _stage_log(p: QpProblem, s: Shifts, out: SolveOutcome) -> StageLog:
-    """The stage's outcome with ``primal_objective`` and ``dual_objective``
-    at its end point, which share 0.5 x'Hx and 0.5 y'My: scaling by -0.5
-    in place of 0.5 is exact, so each value has the bits of its function."""
-    x, y, z = out.iterate.x, out.iterate.y, out.iterate.z
-    hx = 0.5 * x @ p.H @ x
-    my = 0.5 * y @ p.M @ y
+    """The stage's outcome with the ``objectives`` at its end point."""
+    f_primal, f_dual = objectives(p, s, out.iterate)
     return StageLog(method=out.method, status=out.status,
                     iterations=out.iterations,
                     subiterations=out.subiterations,
-                    f_primal=float(hx + my + p.c @ x + s.r @ x),
-                    f_dual=float(-hx - my + p.b @ y - s.q @ z),
+                    f_primal=f_primal, f_dual=f_dual,
                     q_dot_r=float(s.q @ s.r))
 
 
@@ -394,7 +386,7 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
 
     # A last stage at zero shifts has logged this very value.
     obj = (logs[-1].f_primal if shifts is zero
-           else primal_objective(p, zero, out.iterate))
+           else objectives(p, zero, out.iterate)[0])
     if out.status == OPTIMAL:
         rep = check_optimality(p, zero, out.iterate,
                                config.fea_tol, config.opt_tol)

@@ -61,7 +61,7 @@ DOMINANCE_MARGIN = 1e-8
 def index_mask(n: int, indices) -> np.ndarray:
     """Boolean mask of length n that is True at ``indices``."""
     mask = np.zeros(n, dtype=bool)
-    mask[list(indices)] = True
+    mask.put(list(indices), True)
     return mask
 
 
@@ -161,12 +161,15 @@ def _check_psd(s: np.ndarray, name: str) -> int:
 
 def _check_row_rank(a: np.ndarray, m: int) -> None:
     """Full-row-rank test via column-pivoted QR (``pivoted_qr``) of the
-    transpose."""
+    transpose, relative to its largest pivot, after each row of a (which
+    it overwrites) is scaled by a power of two to an infinity norm in
+    [0.5, 1): exact, so the verdict does not depend on the rows' scale."""
     if m == 0:
         return
+    exponent = np.frexp(np.abs(a).max(axis=1))[1]
+    np.ldexp(a, -exponent[:, None], out=a)
     diag = np.abs(pivoted_qr(a.T)[0].diagonal())
-    scale = diag[0] if diag.size else 0.0
-    rank = np.count_nonzero(diag > RANK_TOL * max(1.0, scale))
+    rank = np.count_nonzero(diag > RANK_TOL * diag[0])
     if rank < m:
         raise ProblemError(
             f"[A M] is rank deficient: rank {rank} < {m} rows; remove "
@@ -255,7 +258,8 @@ class QpProblem:
     dual.  Both are empty for a plain standard-form problem.  Either may
     be given as any iterable of integer indices in 0..n-1 (a repeat
     collapses) and is stored as a ``frozenset[int]``; ``free_mask`` and
-    ``fixed_mask`` hold them as read-only boolean masks.  ``h_rank`` is
+    ``fixed_mask`` hold them as read-only boolean masks, and
+    ``regular_mask`` the indices in neither.  ``h_rank`` is
     the rank of H that ``_check_psd`` found: the count of H's rows that
     are not identically zero where they pass its diagonal dominance test,
     the count of ``dpstrf`` pivots above its cutoff otherwise.  Basis
@@ -299,15 +303,14 @@ class QpProblem:
         fixed = frozenset(_indices(self.fixed, "fixed", n=n))
         if free & fixed:
             raise ProblemError("an index cannot be both free and fixed")
-        for name, indices in (("free", free), ("fixed", fixed)):
-            mask = np.zeros(n, dtype=bool)
-            if indices:
-                mask[list(indices)] = True
+        free_mask, fixed_mask = index_mask(n, free), index_mask(n, fixed)
+        for name, mask in (("free", free_mask), ("fixed", fixed_mask),
+                           ("regular", ~(free_mask | fixed_mask))):
             mask.setflags(write=False)
             object.__setattr__(self, f"{name}_mask", mask)
         # Full row rank over the non-fixed columns implies it over all.
         _check_row_rank(np.concatenate(
-            (A[:, ~self.fixed_mask] if fixed else A, M), axis=1), m)
+            (A[:, ~fixed_mask] if fixed else A, M), axis=1), m)
         H.setflags(write=False)  # fresh copies from _symmetrized
         M.setflags(write=False)
         object.__setattr__(self, "H", H)
@@ -320,27 +323,16 @@ class QpProblem:
         object.__setattr__(self, "h_rank", h_rank)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_data_scale",
+                           1.0 + inf_norm(c) + inf_norm(b))
 
     def kkt_scale(self) -> float:
         """Infinity-norm scale of the full KKT matrix data."""
         return max(1.0, *(inf_norm(x) for x in (self.H, self.M, self.A)))
 
     def data_scale(self) -> float:
-        """1 + max|c| + max|b|, the scale of the residual tolerances,
-        computed at the first call and kept."""
-        return self._kept("_data_scale", lambda: 1.0 + inf_norm(self.c)
-                          + inf_norm(self.b))
-
-    def _kept(self, key: str, build):
-        """The value kept under ``key``: ``build()`` at the first call.
-        The engine keeps each method's index roles here
-        (``steps.Family.roles``); a kept array is read-only, as the
-        problem's own are."""
-        value = self.__dict__.get(key)
-        if value is None:
-            value = build()
-            object.__setattr__(self, key, value)
-        return value
+        """1 + max|c| + max|b|, the scale of the residual tolerances."""
+        return self._data_scale
 
 
 def _shift_vector(v, name: str, shape: tuple | None = None) -> np.ndarray:
@@ -604,16 +596,16 @@ class OptimalityReport:
     optimal: bool
 
 
-def primal_objective(p: QpProblem, s: Shifts, it: Iterate) -> float:
-    """0.5 x'Hx + 0.5 y'My + c'x + r'x."""
-    x, y = it.x, it.y
-    return float(0.5 * x @ p.H @ x + 0.5 * y @ p.M @ y + p.c @ x + s.r @ x)
-
-
-def dual_objective(p: QpProblem, s: Shifts, it: Iterate) -> float:
-    """-0.5 x'Hx - 0.5 y'My + b'y - q'z."""
+def objectives(p: QpProblem, s: Shifts, it: Iterate) -> tuple[float, float]:
+    """(f_primal, f_dual) = (0.5 x'Hx + 0.5 y'My + c'x + r'x,
+    -0.5 x'Hx - 0.5 y'My + b'y - q'z).  The two share 0.5 x'Hx and
+    0.5 y'My, computed once: scaling by -0.5 in place of 0.5 is exact,
+    so each value has the bits of its formula evaluated alone."""
     x, y, z = it.x, it.y, it.z
-    return float(-0.5 * x @ p.H @ x - 0.5 * y @ p.M @ y + p.b @ y - s.q @ z)
+    hx = 0.5 * x @ p.H @ x
+    my = 0.5 * y @ p.M @ y
+    return (float(hx + my + p.c @ x + s.r @ x),
+            float(-hx - my + p.b @ y - s.q @ z))
 
 
 def residuals(p: QpProblem, it: Iterate) -> tuple[np.ndarray, np.ndarray]:
@@ -650,25 +642,20 @@ def check_tolerances(fea_tol: float, opt_tol: float) -> None:
             raise ValueError("tolerances must be positive and finite")
 
 
-def check_max_iterations(max_iterations) -> None:
-    """The one test of an iteration cap: an integer >= 0 (0 asks for the
-    default cap); a bool, a float or a negative number fails."""
+def check_settings(fea_tol: float, opt_tol: float, max_iterations, trace,
+                   check_invariants) -> None:
+    """The one test of a run's settings, in this order: the tolerances
+    (``check_tolerances``), an integer iteration cap >= 0 (0 asks for the
+    default cap; a bool or a float fails), a trace sink (None or a
+    callable) and a bool ``check_invariants`` (numpy's included)."""
+    check_tolerances(fea_tol, opt_tol)
     if (isinstance(max_iterations, (bool, np.bool_))
             or not hasattr(max_iterations, "__index__")
             or max_iterations < 0):
         raise ValueError(f"max_iterations must be an integer >= 0, "
                          f"got {max_iterations!r}")
-
-
-def check_trace(trace) -> None:
-    """The one test of a trace sink: None or a callable."""
     if trace is not None and not callable(trace):
         raise ValueError(f"trace must be callable, got {trace!r}")
-
-
-def check_invariants_flag(check_invariants) -> None:
-    """The one test of the ``check_invariants`` setting: a bool (numpy's
-    included); a string, a number or None fails, however truthy."""
     if not isinstance(check_invariants, (bool, np.bool_)):
         raise ValueError(f"check_invariants must be a bool, "
                          f"got {check_invariants!r}")
@@ -718,8 +705,7 @@ def check_optimality(p: QpProblem, s: Shifts, it: Iterate,
     xq = it.x + s.q
     zr = it.z + s.r
     if p.free or p.fixed:
-        free, fixed = p.free_mask, p.fixed_mask
-        regular = ~free & ~fixed
+        free, fixed, regular = p.free_mask, p.fixed_mask, p.regular_mask
         below_x = -xq[~free]
         below_z = np.where(free, np.abs(zr), -zr)[~fixed]
         products = xq[regular] * zr[regular]

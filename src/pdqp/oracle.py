@@ -21,7 +21,7 @@ import numpy as np
 
 from .kkt import factor_kb, solve_boundary_point
 from .model import (Partition, QpProblem, Shifts, check_sizes, index_mask,
-                    inf_norm, primal_objective)
+                    inf_norm, objectives)
 from .steps import DUAL_INFEASIBLE, OPTIMAL, PRIMAL_INFEASIBLE
 
 ENUMERATION_LIMIT = 16
@@ -116,7 +116,7 @@ def _in_cone(target: np.ndarray, cone_gens: np.ndarray,
 def primal_set_nonempty(p: QpProblem, s: Shifts) -> bool:
     """Is {(x, y) : Ax + My = b, x >= -q (regular), x free/fixed per kind}
     nonempty?"""
-    regular = ~p.free_mask & ~p.fixed_mask
+    regular = p.regular_mask
     target = p.b + p.A[:, regular] @ s.q[regular] \
         + p.A[:, p.fixed_mask] @ s.q[p.fixed_mask]
     return _in_cone(target, p.A[:, regular],
@@ -127,7 +127,7 @@ def dual_set_nonempty(p: QpProblem, s: Shifts) -> bool:
     """Is {(x, y, z) : -Hx + A'y + z = c, z >= -r (regular), z free for
     fixed variables, z = -r for free variables} nonempty?"""
     eye = np.eye(p.n)
-    return _in_cone(p.c + s.r, eye[:, ~p.free_mask & ~p.fixed_mask],
+    return _in_cone(p.c + s.r, eye[:, p.regular_mask],
                     np.hstack([-p.H, p.A.T, eye[:, p.fixed_mask]]))
 
 
@@ -168,7 +168,7 @@ def enumerate_solve(p: QpProblem, s: Shifts) -> OracleSolution:
             if ((part.basic_mask & ~p.free_mask & (xq < -x_slack))
                     | (part.nonbasic_mask & ~p.fixed_mask & z_bad)).any():
                 continue
-            obj = primal_objective(p, s, it)
+            obj = objectives(p, s, it)[0]
             found.append((basic, obj))
             if best is None:
                 best = OracleSolution(status=OPTIMAL, x=it.x, y=it.y, z=it.z,

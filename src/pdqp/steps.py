@@ -4,6 +4,10 @@ The methods are mirrors.  Each repairs one vector (z + r for the primal,
 x + q for the dual) one index at a time while a ratio test keeps the
 other within its shifted bounds on the set where those are live (B for
 the primal's x, N for the dual's z).  A ``Family`` names these roles.
+Each index's role is the problem's own mask: a regular index is
+selected one-sided, an index whose guarded bound is void (the primal's
+free ones, the dual's fixed ones) two-sided, and a pinned index (the
+primal's fixed ones, the dual's free ones) never.
 
 An outer iteration selects and frees an index l, takes a base
 subiteration when l comes from outside the live set, then intermediate
@@ -47,10 +51,9 @@ from .kkt import KktBasis, solve_base_primal, solve_intermediate_primal
 from .model import (BOUND_SLACK, DEFAULT_TOL, DRIFT_EQ_TOL, HARRIS_BAND,
                     NOISE_BAND, SELECT_BAND, START_EQ_TOL, TOL_SHARE,
                     Direction, InvariantError, Iterate, Partition, QpProblem,
-                    Shifts, StartConditionError, bound_tol,
-                    check_invariants_flag, check_max_iterations, check_sizes,
-                    check_tolerances, check_trace, dual_objective,
-                    effective_shifts, inf_norm, primal_objective, residuals)
+                    Shifts, StartConditionError, bound_tol, check_settings,
+                    check_sizes, effective_shifts, inf_norm, objectives,
+                    residuals)
 
 OPTIMAL = "optimal"
 PRIMAL_INFEASIBLE = "primal_infeasible"
@@ -120,14 +123,20 @@ class SolveOutcome:
 
 @dataclass(frozen=True)
 class Family:
-    """How one method maps onto the shared engine.  The roles alone
-    define the method's entry and invariant checks (``_check_bounds``).
-    Bound kinds: an ``unguarded`` index has no guarded bound, so its
-    repaired value must vanish and it is selected two-sided (the primal's
-    free indices); a ``pinned`` index holds its guarded value at the bound
-    from both sides (the dual's free indices: z_j + r_j = 0 is a temporary
-    bound of zero width; the primal's fixed ones are never live).  Fixed
-    and pinned indices are never selected.  The attribute names that the
+    """How one method maps onto the shared engine.  Its index roles are
+    the problem's own masks, and they alone define the method's entry and
+    invariant checks (``_check_bounds``):
+
+        role        primal   dual     selected
+        one-sided   regular  regular  below its bound  (``regular_mask``)
+        two-sided   free     fixed    off its bound    (``unguarded``)
+        pinned      fixed    free     never            (``pinned``)
+
+    An ``unguarded`` index has no guarded bound, so its repaired value
+    must vanish from either side.  A ``pinned`` index holds its guarded
+    value at the bound from both sides (the dual's free indices:
+    z_j + r_j = 0 is a temporary bound of zero width; the primal's fixed
+    ones are never live).  The attribute names that the
     engine reads on every step (the masks of ``live``, ``unguarded`` and
     ``pinned``, the direction's component of the guarded vector, and
     ``rate``, its freed component of the repaired one) are derived once,
@@ -159,22 +168,6 @@ class Family:
                             ("d_guarded", "d" + self.guarded),
                             ("rate", f"d{self.repaired}_l")):
             object.__setattr__(self, name, value)
-
-    def roles(self, p: QpProblem
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(unguarded, two_sided, one_sided) read-only masks of p: the
-        unguarded set, its indices that are neither fixed nor pinned, and
-        every other index that is neither.  Built at the first call for p
-        and kept on it (``QpProblem._kept``)."""
-        def build():
-            unguarded = getattr(p, self.unguarded_mask)
-            excluded = p.fixed_mask | getattr(p, self.pinned_mask)
-            two_sided = unguarded & ~excluded
-            one_sided = ~excluded & ~two_sided
-            two_sided.setflags(write=False)
-            one_sided.setflags(write=False)
-            return unguarded, two_sided, one_sided
-        return p._kept(f"_roles_{self.method}", build)
 
 
 def ratio_test(values: np.ndarray, deltas: np.ndarray,
@@ -251,15 +244,15 @@ def make_trace_record(method: str, iteration: int, subiteration: int,
                       kind: str, l: int, step: StepResult, d: Direction,
                       violation: float, p: QpProblem, eff: Shifts,
                       it_before: Iterate, it_after: Iterate) -> TraceRecord:
+    f_primal_before, f_dual_before = objectives(p, eff, it_before)
+    f_primal, f_dual = objectives(p, eff, it_after)
     return TraceRecord(
         method=method, iteration=iteration, subiteration=subiteration,
         kind=kind, l=l, k=step.blocking,
         alpha=step.alpha, alpha_star=step.alpha_star, alpha_max=step.alpha_max,
         dx_l=d.dx_l, dz_l=d.dz_l, violation=violation,
-        f_primal_before=primal_objective(p, eff, it_before),
-        f_primal=primal_objective(p, eff, it_after),
-        f_dual_before=dual_objective(p, eff, it_before),
-        f_dual=dual_objective(p, eff, it_after), direction=d,
+        f_primal_before=f_primal_before, f_primal=f_primal,
+        f_dual_before=f_dual_before, f_dual=f_dual, direction=d,
     )
 
 
@@ -327,8 +320,7 @@ def _on_bound(shift: np.ndarray) -> np.ndarray | float:
 
 
 def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
-                  part: Partition, unguarded: np.ndarray,
-                  two_sided: np.ndarray, fea_tol: float, opt_tol: float,
+                  part: Partition, fea_tol: float, opt_tol: float,
                   start: bool, pinned_only: bool = False,
                   norms: tuple[float, float] | None = None) -> None:
     """Entry (``start``) or invariant conditions, from the roles and the
@@ -337,7 +329,7 @@ def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
     under ``pinned_only``); the equalities hold and guarded values on live
     minus unguarded lie within it from below; at the start (~live is then
     the idle set) idle guarded values also sit on their bounds and no
-    repaired value on live minus two_sided lies above its bound.  The
+    repaired value on live minus unguarded lies above its bound.  The
     clauses are tested in that order, the first that fails raises, and a
     mask over an empty index set is left out.  Each test asks that a
     value lie within its limit, so a NaN fails it.
@@ -377,6 +369,7 @@ def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
     if pinned_only:
         return
     some_unguarded = bool(getattr(p, fam.unguarded))
+    unguarded = getattr(p, fam.unguarded_mask)
     below = live & ~(g >= -tol)
     if some_unguarded:
         below &= ~unguarded
@@ -388,8 +381,8 @@ def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
              ~live & ~(np.abs(g) <= g_on))
         r = getattr(it, fam.repaired) + getattr(s, fam.repair_shift)
         above = live & ~(r <= r_on)
-        if some_unguarded:          # two_sided lies within unguarded
-            above &= ~two_sided
+        if some_unguarded:          # selected two-sided
+            above &= ~unguarded
         test("relaxed", fam.repaired, fam.repair_shift, r, above)
 
 
@@ -411,13 +404,12 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
     passes one per problem, holding K_B of the start basis, to both
     stages); without one the run makes its own.
 
-    A call judges its settings (``check_tolerances``,
-    ``check_max_iterations``, ``check_trace``, ``check_invariants_flag``),
-    copies the start iterate and partition, and checks them against the
-    problem: the partition covers 0..n-1 with no pending freed index, and
-    the vectors have the problem's sizes (``check_sizes``).  The start is
-    owned (``_owned``, passed by ``driver.solve_standard`` alone) where
-    the caller has judged the same settings (``SolveConfig.check``), built
+    A call judges its settings (``check_settings``), copies the start
+    iterate and partition, and checks them against the problem: the
+    partition covers 0..n-1 with no pending freed index, and the vectors
+    have the problem's sizes (``check_sizes``).  The start is owned
+    (``_owned``, passed by ``driver.solve_standard`` alone) where the
+    caller has judged the same settings (``SolveConfig.check``), built
     the start from the problem (``init_shifts`` or the previous stage,
     whose steps keep every length and bind every freed index) and never
     reads it again: the run then skips those checks and copies and
@@ -429,10 +421,8 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
     if _owned:
         it, part = start
     else:
-        check_tolerances(fea_tol, opt_tol)
-        check_max_iterations(max_iterations)
-        check_trace(trace)
-        check_invariants_flag(check_invariants)
+        check_settings(fea_tol, opt_tol, max_iterations, trace,
+                       check_invariants)
         it = start[0].copy()
         part = start[1].copy()
         part.validate(p.n)
@@ -443,10 +433,11 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         raise StartConditionError("a fixed index cannot be basic")
     if not _owned:
         check_sizes(p, s, it)
-    unguarded, two_sided, one_sided = fam.roles(p)
-    _check_bounds(fam, p, s, it, part, unguarded, two_sided, fea_tol,
-                  opt_tol, start=True, norms=_start_norms)
-    some_two_sided = bool(np.count_nonzero(two_sided))
+    _check_bounds(fam, p, s, it, part, fea_tol, opt_tol, start=True,
+                  norms=_start_norms)
+    one_sided = p.regular_mask
+    two_sided = getattr(p, fam.unguarded_mask)
+    some_two_sided = bool(getattr(p, fam.unguarded))
     live_is_basic = fam.live == "basic"
     # Steps update the iterate in place, so these stay its vectors.
     repaired = getattr(it, fam.repaired)
@@ -527,12 +518,12 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
             emit("intermediate", l, step, d, viol, eff, before)
         part.bind_freed(fam.live)
         if check_invariants:
-            _check_bounds(fam, p, s, it, part, unguarded, two_sided, fea_tol,
-                          opt_tol, start=False)
+            _check_bounds(fam, p, s, it, part, fea_tol, opt_tol,
+                          start=False)
 
     if status == OPTIMAL and getattr(p, fam.pinned):
-        _check_bounds(fam, p, s, it, part, unguarded, two_sided, fea_tol,
-                      opt_tol, start=False, pinned_only=True)
+        _check_bounds(fam, p, s, it, part, fea_tol, opt_tol, start=False,
+                      pinned_only=True)
     return SolveOutcome(method=fam.method, status=status, iterate=it,
                         partition=part, iterations=iterations,
                         subiterations=subiterations, certificate=certificate)

@@ -92,6 +92,13 @@ MUTANTS = (
      "    v = solve_base_primal.__dict__.setdefault(2 * n + p.m,\n"
      "                                              np.zeros(2 * n + p.m))\n"
      "    v[...] = 0.0\n    v[basic] = w[:nb]\n"),
+    ("one-sided-set-widened-to-non-fixed", "src/pdqp/steps.py",
+     "one_sided = p.regular_mask", "one_sided = ~p.fixed_mask"),
+    ("two-sided-set-without-fixed", "src/pdqp/steps.py",
+     "two_sided = getattr(p, fam.unguarded_mask)",
+     "two_sided = getattr(p, fam.unguarded_mask) & ~p.fixed_mask"),
+    ("row-rank-scaling-dropped", "src/pdqp/model.py",
+     "np.ldexp(a, -exponent[:, None], out=a)", "pass"),
 )
 
 

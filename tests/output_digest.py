@@ -51,6 +51,13 @@ that the construction raised.  Each set ends with a
 
     PYTHONPATH=src python tests/output_digest.py --problems > a.txt
 
+``--hashes`` runs the four modes (the digests, ``--outcomes``,
+``--oracle`` and ``--problems``) in one process and prints only their
+17 per-set hash lines, in that order, so that two trees compare with one
+``diff``:
+
+    PYTHONPATH=src python tests/output_digest.py --hashes > a.txt
+
 Its five sets are ``suite500``, every construction that
 ``random_instances(20260810, 500)`` makes (those that raise included);
 ``mixed-bounds``, ``ladder`` and ``lowrank``, the workloads' general-format
@@ -94,7 +101,9 @@ Not collected by pytest (the file name has no ``test_`` prefix).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import re
 import sys
 from dataclasses import fields
@@ -121,6 +130,9 @@ SCALED = (("hc1e12", 1e12, 1.0), ("hc1e-12", 1e-12, 1.0),
 # exponent, not inside a name or a dotted word ("p1.qpt").
 FLOAT = re.compile(r"(?<![\w.])[-+]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))"
                    r"(?:[eE][-+]?\d+)?(?![\w.])")
+# A per-set hash line of any mode; its next-to-last word names the mode.
+HASH_LINE = re.compile(r"^(?:\S+ )?(?:digest|outcomes|oracle|problems) "
+                       r"[0-9a-f]{64}$", re.MULTILINE)
 
 
 class Digest:
@@ -391,25 +403,24 @@ def problem_digests() -> None:
     print(f"pdqp from {Path(pdqp.__file__).parent}")
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--per-solve", action="store_true",
-                    help="also print one hash per solve")
-    ap.add_argument("--outcomes", action="store_true",
-                    help="also print one outcome line per solve")
-    ap.add_argument("--oracle", action="store_true",
-                    help="print the oracle's answers instead")
-    ap.add_argument("--problems", action="store_true",
-                    help="print what each problem construction stored "
-                         "instead")
-    args = ap.parse_args()
-    if args.oracle:
+def hash_lines() -> None:
+    """Print the ``--hashes`` lines: the per-set hash lines of the four
+    modes, run in this process with their other lines held back."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        solve_digests(per_solve=False, outcomes=True)
         oracle_digests()
-        return
-    if args.problems:
         problem_digests()
-        return
-    d = Digest("main", per_solve=args.per_solve, outcomes=args.outcomes)
+    lines = HASH_LINE.findall(out.getvalue())
+    for kind in ("digest", "outcomes", "oracle", "problems"):
+        for line in lines:
+            if line.split()[-2] == kind:
+                print(line)
+
+
+def solve_digests(per_solve: bool, outcomes: bool) -> None:
+    """Run the five sets of solves and print their digests, with the
+    per-solve and outcome lines that the flags ask for."""
+    d = Digest("main", per_solve=per_solve, outcomes=outcomes)
     for i, p in enumerate(random_instances(20260810, 300)):
         for s in STRATEGIES:
             d.solve(f"random{i}/{s}", lambda c: pdqp.solve_standard(p, c),
@@ -484,6 +495,31 @@ def main() -> None:
     print(f"scaled solves {sc.solves}, "
           f"raised {dict(sorted(sc.errors.items()))}")
     print(f"scaled digest {sc.h.hexdigest()}")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--per-solve", action="store_true",
+                    help="also print one hash per solve")
+    ap.add_argument("--outcomes", action="store_true",
+                    help="also print one outcome line per solve")
+    ap.add_argument("--oracle", action="store_true",
+                    help="print the oracle's answers instead")
+    ap.add_argument("--problems", action="store_true",
+                    help="print what each problem construction stored "
+                         "instead")
+    ap.add_argument("--hashes", action="store_true",
+                    help="print only the per-set hash lines of all four "
+                         "modes instead")
+    args = ap.parse_args()
+    if args.hashes:
+        hash_lines()
+    elif args.oracle:
+        oracle_digests()
+    elif args.problems:
+        problem_digests()
+    else:
+        solve_digests(args.per_solve, args.outcomes)
 
 
 if __name__ == "__main__":

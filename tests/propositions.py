@@ -17,7 +17,7 @@ import numpy as np
 
 from pdqp.kkt import build_kb
 from pdqp.model import (Direction, Iterate, Partition, QpProblem, Shifts,
-                        dual_objective, primal_objective)
+                        objectives)
 
 
 def partition_for_direction(p: QpProblem, d: Direction) -> Partition:
@@ -149,10 +149,8 @@ def check_objective_identity(p: QpProblem, s: Shifts, it: Iterate,
     l = d.freed
     moved = Iterate(it.x + alpha * d.dx, it.y + alpha * d.dy,
                     it.z + alpha * d.dz)
-    fp0 = primal_objective(p, s, it)
-    fp1 = primal_objective(p, s, moved)
-    fd0 = dual_objective(p, s, it)
-    fd1 = dual_objective(p, s, moved)
+    fp0, fd0 = objectives(p, s, it)
+    fp1, fd1 = objectives(p, s, moved)
     pred_p, tol_p = objective_change(True, d.dx_l, d.dz_l, it.z[l] + s.r[l],
                                      alpha, fp0, rel_tol)
     pred_d, tol_d = objective_change(False, d.dx_l, d.dz_l, it.x[l] + s.q[l],

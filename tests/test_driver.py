@@ -13,8 +13,7 @@ from pdqp import (GeneralQp, InvariantError, Partition, ProblemError,
                   solve_primal, solve_standard, standardize)
 from pdqp import driver, kkt, model, steps
 from pdqp.driver import STRATEGIES
-from pdqp.model import (START_EQ_TOL, dual_objective, primal_objective,
-                        residuals)
+from pdqp.model import START_EQ_TOL, objectives, residuals
 from pdqp.kkt import KktBasis
 from pdqp.cli import parse_problem
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
@@ -461,10 +460,10 @@ def _bits(value) -> bytes:
 
 def test_stage_logs_and_objective_have_the_bits_of_their_functions(
         monkeypatch):
-    # _stage_log computes f_primal and f_dual with their shared terms once,
-    # and a last stage at zero shifts lends its f_primal to the solution's
-    # objective.  Each value must have the bits of the function it stands
-    # for, under every strategy; where the run stops after a first stage
+    # _stage_log logs ``objectives`` at each stage's end point, and a last
+    # stage at zero shifts lends its f_primal to the solution's objective.
+    # Each value must have the bits of the formula it stands for, under
+    # every strategy; where the run stops after a first stage
     # at nonzero shifts, the objective is not that stage's f_primal.
     stage_log = driver._stage_log
     stages = 0
@@ -472,9 +471,9 @@ def test_stage_logs_and_objective_have_the_bits_of_their_functions(
     def checked(p, s, out):
         nonlocal stages
         log = stage_log(p, s, out)
-        assert _bits(log.f_primal) == _bits(primal_objective(p, s,
-                                                             out.iterate))
-        assert _bits(log.f_dual) == _bits(dual_objective(p, s, out.iterate))
+        f_primal, f_dual = objectives(p, s, out.iterate)
+        assert _bits(log.f_primal) == _bits(f_primal)
+        assert _bits(log.f_dual) == _bits(f_dual)
         assert _bits(log.q_dot_r) == _bits(s.q @ s.r)
         stages += 1
         return log
@@ -495,7 +494,7 @@ def test_stage_logs_and_objective_have_the_bits_of_their_functions(
         assert not sol.shifts_initial.q.flags.writeable
         assert not sol.shifts_initial.r.flags.writeable
         assert _bits(sol.objective) == _bits(
-            primal_objective(p, Shifts.zero(p.n), sol.iterate))
+            objectives(p, Shifts.zero(p.n), sol.iterate)[0])
         stopped_shifted += (len(sol.stage_log) == 1
                             and "only" not in sol.strategy
                             and _bits(sol.objective)

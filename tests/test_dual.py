@@ -265,3 +265,25 @@ def test_direct_solve_dual_keeps_free_nonbasic_dual():
     assert out.iterate.z[0] == it.z[0]
     assert 0 in out.partition.basic
     assert check_optimality(p, s, out.iterate).optimal
+
+
+@pytest.mark.parametrize("x2", [-1.0, 1.0], ids=["below", "above"])
+def test_direct_solve_dual_repairs_a_fixed_nonbasic_primal(x2):
+    # A fixed variable's dual is unrestricted, so the dual method has no
+    # guarded bound there and must drive x_j + q_j to zero from either
+    # side, as the primal method does for a free z_j + r_j.  Index 2 is
+    # fixed and nonbasic at x_2 = -1 (below its bound) or +1 (above it).
+    p = QpProblem(H=np.diag([1.0, 1.0, 0.0]), M=np.zeros((1, 1)),
+                  A=np.ones((1, 3)), b=np.array([x2 + 1.0]), c=np.zeros(3),
+                  fixed=frozenset({2}))
+    x, y = np.array([1.0, 0.0, x2]), np.array([0.5])
+    z = p.H @ x + p.c - p.A.T @ y
+    s = Shifts(np.zeros(3), np.array([-z[0], max(-z[1], 0.0), 0.0]))
+    part = Partition.from_basic(3, [0])
+    records = []
+    out = solve_dual(p, s, (Iterate(x, y, z), part), trace=records.append,
+                     check_invariants=True)
+    assert 2 in [rec.l for rec in records]
+    assert out.status == "optimal"
+    assert out.iterate.x[2] == 0.0
+    assert check_optimality(p, s, out.iterate).optimal

@@ -805,6 +805,22 @@ def test_all_data_at_1e12_settles_against_accepted_counterparts(monkeypatch):
     assert accepted
 
 
+def test_all_data_at_2e_10_matches_the_unit_scale_oracle():
+    # The scale probe with all data at 2e-10: the load-time rank test is
+    # relative to the rows' own scale, so every seed's rows load (seed
+    # 11's pivots lie below 1e-10 in absolute terms), and every solve
+    # matches the oracle on the unit-scale problem.
+    for seed in range(30):
+        ref = enumerate_solve(scale_probe(seed), Shifts.zero(5))
+        p = scale_probe(seed, 2e-10, 2e-10)
+        for strategy in ("auto", "primal-first", "dual-first"):
+            sol = solve_standard(p, SolveConfig(strategy=strategy))
+            assert sol.status == ref.status
+            if ref.status == "optimal":
+                assert sol.objective / 2e-10 == pytest.approx(ref.objective,
+                                                              rel=1e-6)
+
+
 def test_in_band_base_bound_from_the_held_factorization_is_the_data_bound(
         monkeypatch):
     # In band, a base solve's dz_l takes the singularity bound of K_l from

@@ -9,12 +9,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from pdqp import (Direction, GeneralQp, Iterate, Partition, ProblemError,
                   QpProblem, Shifts, SolveConfig, check_optimality,
-                  dual_objective, enumerate_solve, primal_base,
-                  primal_objective, residuals, solve_base_primal, solve_pdqp,
+                  enumerate_solve, objectives, primal_base, residuals,
+                  solve_base_primal, solve_pdqp, solve_standard,
                   standardize)
-from pdqp import model
+from pdqp import driver, model
+from pdqp.driver import STRATEGIES
 from pdqp.kkt import KktBasis
 from pdqp.model import _check_psd, effective_shifts
+from pdqp.steps import StepResult, make_trace_record
 
 from conftest import criterion7_instance, mixed_instances, random_instances
 
@@ -26,27 +28,27 @@ def it(x, y, z):
 
 def test_primal_objective_symmetric_point(p1):
     s = Shifts.zero(2)
-    assert primal_objective(p1, s, it([0.5, 0.5], [0.5], [0, 0])) == 0.25
+    assert objectives(p1, s, it([0.5, 0.5], [0.5], [0, 0]))[0] == 0.25
 
 
 def test_primal_objective_zero_point(p2):
     s = Shifts.zero(2)
-    assert primal_objective(p2, s, it([0, 0], [0], [0, 0])) == 0.0
+    assert objectives(p2, s, it([0, 0], [0], [0, 0]))[0] == 0.0
 
 
 def test_primal_objective_with_dual_shift(p2):
     s = Shifts(np.zeros(2), np.array([0.0, 3.0]))
-    assert primal_objective(p2, s, it([1, 0], [3], [0, -3])) == 2.5
+    assert objectives(p2, s, it([1, 0], [3], [0, -3]))[0] == 2.5
 
 
 def test_dual_objective_at_p1_optimum(p1):
     s = Shifts.zero(2)
-    assert dual_objective(p1, s, it([0.5, 0.5], [0.5], [0, 0])) == 0.25
+    assert objectives(p1, s, it([0.5, 0.5], [0.5], [0, 0]))[1] == 0.25
 
 
 def test_dual_objective_zero_point(p1):
     s = Shifts.zero(2)
-    assert dual_objective(p1, s, it([0, 0], [0], [7.0, -3.0])) == 0.0
+    assert objectives(p1, s, it([0, 0], [0], [7.0, -3.0]))[1] == 0.0
 
 
 def test_gap_identity_on_shifted_pair(p1):
@@ -54,8 +56,66 @@ def test_gap_identity_on_shifted_pair(p1):
     sol = enumerate_solve(p1, s)
     assert sol.status == "optimal"
     point = it(sol.x, sol.y, sol.z)
-    gap = primal_objective(p1, s, point) - dual_objective(p1, s, point)
+    fp, fd = objectives(p1, s, point)
+    gap = fp - fd
     assert abs(gap + s.q @ s.r) <= 1e-9 * (1 + abs(gap))
+
+
+def _formulas(p, s, point):
+    """f_primal and f_dual, each written out and evaluated alone."""
+    x, y, z = point.x, point.y, point.z
+    return (float(0.5 * x @ p.H @ x + 0.5 * y @ p.M @ y + p.c @ x + s.r @ x),
+            float(-0.5 * x @ p.H @ x - 0.5 * y @ p.M @ y + p.b @ y - s.q @ z))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def test_trace_record_objectives_have_the_bits_of_their_formulas():
+    # Nonzero x, y, z, q, r and M, so that every term of both formulas
+    # counts; make_trace_record evaluates each quadratic form once per
+    # point and must still give each field the bits of its formula.
+    p = QpProblem(H=[[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
+                  M=[[0.7]], A=[[1.0, 2.0, 3.0]], b=[1.5],
+                  c=[0.3, -1.2, 0.7])
+    s = Shifts([0.1, -0.2, 0.3], [0.25, 0.1, -0.5])
+    before = it([0.7, -1.1, 2.3], [0.9], [0.4, -0.6, 1.3])
+    after = it([0.3, 1.7, -0.9], [-1.3], [1.1, 0.2, -2.9])
+    d = Direction(dx=[-0.4, 0.0, 0.0], dy=[0.2], dz=[0.0, 0.8, 0.0],
+                  freed=0, dx_l=-0.4, dz_l=0.3)
+    step = StepResult(alpha=1.0, alpha_star=2.0, alpha_max=1.0, blocking=1,
+                      hit_target=False)
+    rec = make_trace_record("primal", 1, 1, "base", 0, step, d, -0.5, p, s,
+                            before, after)
+    fields = (rec.f_primal_before, rec.f_dual_before, rec.f_primal,
+              rec.f_dual)
+    assert _bits(fields) == _bits(_formulas(p, s, before)
+                                  + _formulas(p, s, after))
+    assert len(set(fields)) == 4
+
+
+def test_objectives_have_the_bits_of_their_formulas_at_stage_ends(
+        monkeypatch):
+    # Every stage end point of the first 50 suite problems under every
+    # strategy, at the stage's own shifts.
+    stage_log = driver._stage_log
+    ends = []
+
+    def recorded(p, s, out):
+        ends.append((p, s, out.iterate))
+        return stage_log(p, s, out)
+
+    monkeypatch.setattr(driver, "_stage_log", recorded)
+    for p in random_instances(20260810, 50):
+        for strategy in STRATEGIES:
+            try:
+                solve_standard(p, SolveConfig(strategy=strategy))
+            except ProblemError:    # a one-stage strategy off its start
+                pass
+    assert len(ends) > 250
+    for p, s, point in ends:
+        assert _bits(objectives(p, s, point)) == _bits(_formulas(p, s, point))
 
 
 def test_residuals_at_optimum(p1):
@@ -171,8 +231,7 @@ def test_gap_identity_random_oracle_solutions():
         if sol.status != "optimal":
             continue
         point = it(sol.x, sol.y, sol.z)
-        fp = primal_objective(p, Shifts.zero(p.n), point)
-        fd = dual_objective(p, Shifts.zero(p.n), point)
+        fp, fd = objectives(p, Shifts.zero(p.n), point)
         assert abs(fp - fd) <= 1e-9 * (1 + abs(fp))
 
 
@@ -305,9 +364,19 @@ def test_negative_zeros_of_symmetric_h_and_m_become_zeros():
     assert not np.any(np.signbit(q.H[q.H == 0.0]))
 
 
+def _full_row_rank(a: np.ndarray) -> bool:
+    """_check_row_rank's verdict on a, as a bool."""
+    try:
+        model._check_row_rank(a.copy(), a.shape[0])
+    except ProblemError:
+        return False
+    return True
+
+
 def test_row_rank_verdict_matches_pivoted_qr():
     # _check_row_rank calls dgeqp3 directly; its rank verdict is that of
-    # scipy.linalg.qr with pivoting on the transpose.
+    # scipy.linalg.qr with pivoting on the transpose of the rows scaled
+    # to infinity norm in [0.5, 1), relative to the largest pivot.
     rng = np.random.default_rng(23)
     for _ in range(200):
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 9))
@@ -315,16 +384,26 @@ def test_row_rank_verdict_matches_pivoted_qr():
         a = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
         if rng.random() < 0.3:
             a = np.round(a)
-        r = scipy.linalg.qr(a.T, mode="r", pivoting=True)[0]
+        top = np.abs(a).max(axis=1, keepdims=True)
+        unit = a / np.where(top > 0.0, 2.0 ** np.frexp(top)[1], 1.0)
+        r = scipy.linalg.qr(unit.T, mode="r", pivoting=True)[0]
         diag = np.abs(np.diag(r))
-        scale = diag[0] if diag.size else 0.0
-        full = int(np.sum(diag > model.RANK_TOL * max(1.0, scale))) == m
-        try:
-            model._check_row_rank(a, m)
-            ok = True
-        except ProblemError:
-            ok = False
-        assert ok == full
+        full = int(np.sum(diag > model.RANK_TOL * diag[0])) == m
+        assert _full_row_rank(a) == full
+
+
+def test_row_rank_verdict_does_not_depend_on_the_rows_scales():
+    # Rows scaled by 1e-12 to 1e12, one factor each, get the verdict of
+    # the same rows at unit scale: full row rank exactly when the rows
+    # are independent.
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+        rank = int(rng.integers(1, m + 1))
+        a = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+        scaled = a * 10.0 ** rng.integers(-12, 13, size=(m, 1))
+        assert _full_row_rank(scaled) == _full_row_rank(a) \
+            == (min(rank, n) == m)
 
 
 def test_accepts_semidefinite_with_regularizer():

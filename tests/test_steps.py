@@ -165,12 +165,11 @@ def test_equality_residual_limit_of_the_entry_and_invariant_checks(
     assert p2.data_scale() == 4.0
     residual = factor * limit * 4.0
     it = Iterate([0.0, 1.0], [1.0], [1.0 + residual, 0.0])
-    none = np.zeros(2, dtype=bool)
 
     def check():
         _check_bounds(PRIMAL, p2, Shifts.zero(2), it,
-                      Partition(basic=[1], nonbasic=[0]), none, none, TOL,
-                      TOL, start=start)
+                      Partition(basic=[1], nonbasic=[0]), TOL, TOL,
+                      start=start)
 
     if factor > 1.0:
         with pytest.raises(error, match="the point violates the equality "
