@@ -9,6 +9,8 @@ is converted to standard form by introducing slacks (Ahat x - s = 0) and
 anchoring every bounded component at one of its bounds.  Components with
 two finite bounds get an extra balance row and slack; components with no
 bounds become free variables, and equal bounds mark fixed variables.
+A presolve drops each row outside those that ``QpProblem``'s rank rule
+keeps over the non-fixed columns, or finds one that proves infeasibility.
 
 The pipeline then finds a second-order consistent basis, builds minimal
 shifts making that basis optimal for the shifted pair, and removes the
@@ -32,7 +34,7 @@ from .kkt import (KktBasis, KktFactorization, KktInternalError,
 from .model import (DEFAULT_TOL, InvariantError, Iterate, Partition,
                     ProblemError, QpProblem, Shifts, _indices, _matrix,
                     _vector, bound_tol, check_optimality, check_settings,
-                    index_mask, inf_norm, objectives)
+                    index_mask, inf_norm, objectives, row_basis)
 from .primal import solve_primal
 from .steps import OPTIMAL, PRIMAL_INFEASIBLE, SolveOutcome, TraceSink
 
@@ -102,19 +104,18 @@ class GeneralQp:
 class Standardized:
     """Standard-form problem plus the data needed to map results back.
 
-    ``problem`` is None when a row supported only by fixed components is
-    inconsistent with their values, in which case ``inconsistent_row``
-    names the offending original row and the problem is primal
-    infeasible outright.  Rows that are consistent but carried by fixed
-    components alone are redundant and dropped (``dead_rows``).
+    ``dead_rows`` are the rows that the presolve drops, each a combination
+    of the ``kept_rows`` over the live columns.  Where the right-hand sides
+    miss that combination, ``inconsistent_row`` names the first such row,
+    ``problem`` is None and the problem is primal infeasible outright.
     """
 
     problem: QpProblem | None
     anchor: np.ndarray        # v0: bound each original component is anchored at
     sign: np.ndarray          # +1, or -1 for components anchored at an upper bound
     objective_offset: float
-    kept_rows: list[int]      # standardized row ids surviving the dead-row drop
-    dead_rows: list[int]
+    kept_rows: list[int]      # standardized row ids that the presolve keeps
+    dead_rows: list[int]      # and those it drops
     inconsistent_row: int | None = None
 
     def recover(self, it: Iterate, g: GeneralQp
@@ -175,35 +176,26 @@ def standardize(g: GeneralQp) -> Standardized:
     a_std[m + balance, nm + balance] = 1.0
     b_std[m:] = up[boxed] - lo[boxed]
 
-    # A row whose every live (non-fixed) coefficient vanishes pins nothing:
-    # it is redundant when the fixed values satisfy it and a proof of
-    # primal infeasibility otherwise.
-    rows = np.abs(a_std[:m])
-    row_live = rows[:, ~index_mask(n_std, fixed)].max(axis=1, initial=0.0)
-    scale = np.maximum(rows.max(axis=1, initial=0.0), 1.0)
-    kept_rows = list(range(m_std))
-    dead_rows: list[int] = []
-    inconsistent = None
-    for i in (~(row_live > 1e-12 * scale)).nonzero()[0].tolist():
-        slack = 1e-9 * (1.0 + float(rows[i, :nm] @ np.abs(anchor))
-                        + abs(b_std[i]))
-        if abs(b_std[i]) > slack:
-            inconsistent = i
-            break
-        dead_rows.append(i)
-
+    # Presolve: a row that the rank rule drops over the live columns is a
+    # combination coef of the kept ones there (0 for a row with no live
+    # entry): redundant where b agrees, a proof of infeasibility elsewhere.
+    live = ~index_mask(n_std, fixed)
+    keep = index_mask(m_std, row_basis(a_std[:, live]))
     base = Standardized(problem=None, anchor=anchor, sign=sign,
-                        objective_offset=offset, kept_rows=kept_rows,
-                        dead_rows=dead_rows, inconsistent_row=inconsistent)
-    if inconsistent is not None:
-        return base
-    if dead_rows:
-        dead = set(dead_rows)
-        kept_rows = [i for i in range(m_std) if i not in dead]
-        a_std = a_std[kept_rows]
-        b_std = b_std[kept_rows]
-        m_std = len(kept_rows)
-        base.kept_rows = kept_rows
+                        objective_offset=offset,
+                        kept_rows=keep.nonzero()[0].tolist(),
+                        dead_rows=(~keep).nonzero()[0].tolist())
+    if base.dead_rows:
+        a_live = a_std[:, live]
+        coef = np.linalg.lstsq(a_live[keep].T, a_live[~keep].T, rcond=None)[0]
+        b_kept, b_dead = b_std[keep], b_std[~keep]
+        slack = 1e-9 * (1.0 + np.abs(a_std[~keep, :nm]) @ np.abs(anchor)
+                        + np.abs(coef).T @ np.abs(b_kept) + np.abs(b_dead))
+        miss = (np.abs(b_dead - coef.T @ b_kept) > slack).nonzero()[0]
+        if miss.size:
+            base.inconsistent_row = base.dead_rows[miss[0]]
+            return base
+        a_std, b_std, m_std = a_std[keep], b_kept, len(base.kept_rows)
     base.problem = QpProblem(H=h_std, M=np.zeros((m_std, m_std)), A=a_std,
                              b=b_std, c=c_std,
                              free=frozenset(free), fixed=frozenset(fixed))

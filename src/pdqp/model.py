@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -104,12 +105,17 @@ def pivoted_cholesky(h: np.ndarray, tol: float
     return factor, piv - 1, rank
 
 
+@cache
+def _dgeqp3_lwork(rows: int, cols: int) -> int:
+    """The workspace size that ``scipy.linalg.qr(..., pivoting=True)``
+    queries from ``dgeqp3``, queried once per shape (it reads no entry)."""
+    return int(lapack.dgeqp3(np.zeros((rows, cols)), lwork=-1)[3][0])
+
+
 def pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LAPACK's column-pivoted QR (``dgeqp3``) of a nonempty a, after the
-    workspace query that ``scipy.linalg.qr(..., pivoting=True)`` makes:
-    (packed factor, 0-based pivots, reflector scales tau)."""
-    lwork = int(lapack.dgeqp3(a, lwork=-1)[3][0])
-    qr, piv, tau, _, _ = lapack.dgeqp3(a, lwork=lwork)
+    """LAPACK's column-pivoted QR (``dgeqp3``) of a nonempty a: (packed
+    factor, 0-based pivots, reflector scales tau)."""
+    qr, piv, tau, _, _ = lapack.dgeqp3(a, lwork=_dgeqp3_lwork(*a.shape))
     return qr, piv - 1, tau
 
 
@@ -159,21 +165,19 @@ def _check_psd(s: np.ndarray, name: str) -> int:
     return rank
 
 
-def _check_row_rank(a: np.ndarray, m: int) -> None:
-    """Full-row-rank test via column-pivoted QR (``pivoted_qr``) of the
-    transpose, relative to its largest pivot, after each row of a (which
-    it overwrites) is scaled by a power of two to an infinity norm in
-    [0.5, 1): exact, so the verdict does not depend on the rows' scale."""
-    if m == 0:
-        return
+def row_basis(a: np.ndarray) -> np.ndarray:
+    """The rows of a (which it overwrites) that the row-rank rule keeps, in
+    pivot order: a column-pivoted QR (``pivoted_qr``) of the transpose keeps
+    the rows whose pivots exceed RANK_TOL times the largest, after each row
+    is scaled by a power of two to an infinity norm in [0.5, 1): exact, so
+    the verdict does not depend on the rows' scale.  No zero row is kept."""
+    if not a.size:
+        return np.zeros(0, dtype=np.intp)
     exponent = np.frexp(np.abs(a).max(axis=1))[1]
     np.ldexp(a, -exponent[:, None], out=a)
-    diag = np.abs(pivoted_qr(a.T)[0].diagonal())
-    rank = np.count_nonzero(diag > RANK_TOL * diag[0])
-    if rank < m:
-        raise ProblemError(
-            f"[A M] is rank deficient: rank {rank} < {m} rows; remove "
-            f"dependent equality rows before constructing the problem")
+    qr, piv, _ = pivoted_qr(a.T)
+    diag = np.abs(qr.diagonal())
+    return piv[:np.count_nonzero(diag > RANK_TOL * diag[0])]
 
 
 def _symmetrized(s: np.ndarray, name: str) -> np.ndarray:
@@ -309,8 +313,12 @@ class QpProblem:
             mask.setflags(write=False)
             object.__setattr__(self, f"{name}_mask", mask)
         # Full row rank over the non-fixed columns implies it over all.
-        _check_row_rank(np.concatenate(
-            (A[:, ~fixed_mask] if fixed else A, M), axis=1), m)
+        rank = row_basis(np.concatenate(
+            (A[:, ~fixed_mask] if fixed else A, M), axis=1)).size
+        if rank < m:
+            raise ProblemError(
+                f"[A M] is rank deficient: rank {rank} < {m} rows; remove "
+                f"dependent equality rows before constructing the problem")
         H.setflags(write=False)  # fresh copies from _symmetrized
         M.setflags(write=False)
         object.__setattr__(self, "H", H)

@@ -47,8 +47,14 @@ MUTANTS = (
     ("guarded-bound-check-x1e3", "src/pdqp/steps.py",
      "below = live & ~(g >= -tol)",
      "below = live & ~(g >= -1e3 * tol)"),
-    ("dead-row-slack-1e-3", "src/pdqp/driver.py",
+    ("presolve-slack-x1e6", "src/pdqp/driver.py",
      "slack = 1e-9 * (1.0", "slack = 1e-3 * (1.0"),
+    ("presolve-keeps-every-row", "src/pdqp/driver.py",
+     "keep = index_mask(m_std, row_basis(a_std[:, live]))",
+     "keep = index_mask(m_std, range(m_std))"),
+    ("presolve-slack-without-coef-term", "src/pdqp/driver.py",
+     "+ np.abs(coef).T @ np.abs(b_kept) + np.abs(b_dead))",
+     "+ np.abs(b_dead))"),
     ("START_EQ_TOL-x1e4", "src/pdqp/model.py",
      "START_EQ_TOL = 1e-8 ", "START_EQ_TOL = 1e-4 "),
     ("DRIFT_EQ_TOL-x1e4", "src/pdqp/model.py",

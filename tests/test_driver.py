@@ -991,33 +991,51 @@ def test_presolved_problem_still_checks_its_config(bad, message):
     assert str(caught.value) == message
 
 
-def test_pinned_rank_deficiency_rejected():
-    # Two equality rows sharing a single live column leave an implied
-    # equation among the non-fixed variables; rejected with a diagnostic.
-    g = GeneralQp(Hhat=np.eye(2),
-                  Ahat=np.array([[1.0, 1.0], [1.0, 2.0]]),
-                  c=np.zeros(2),
-                  lower=np.array([0.0, 1.0, 3.0, 4.0]),
-                  upper=np.array([np.inf, 1.0, 3.0, 4.0]))
-    with pytest.raises(ProblemError, match="^\\[A M\\] is rank deficient: "
-                                           "rank 1 < 2 rows; remove"):
-        standardize(g)
+def _pinned_rank_deficiency(second_bound: float) -> GeneralQp:
+    # Two equality rows sharing a single live column, x0, once x1 = 1 is
+    # fixed: x0 + 1 = 3 and x0 + 2 = second_bound.
+    return GeneralQp(Hhat=np.eye(2),
+                     Ahat=np.array([[1.0, 1.0], [1.0, 2.0]]),
+                     c=np.zeros(2),
+                     lower=np.array([0.0, 1.0, 3.0, second_bound]),
+                     upper=np.array([np.inf, 1.0, 3.0, second_bound]))
 
 
-def test_consistent_dependent_rows_over_live_columns_are_rejected():
+def test_pinned_rank_deficiency_is_presolved():
+    # The second row repeats the first over the live column: dropped when
+    # its bound agrees (x = (2, 1)), a proof of infeasibility when it is
+    # off by 1.
+    g = _pinned_rank_deficiency(4.0)
+    std = standardize(g)
+    assert std.dead_rows == [1] and std.inconsistent_row is None
+    sol = solve_pdqp(g, SolveConfig(check_invariants=True))
+    assert sol.status == "optimal"
+    assert np.allclose(sol.x, [2.0, 1.0], rtol=0.0, atol=1e-12)
+    assert sol.y[1] == 0.0
+    twin = _pinned_rank_deficiency(5.0)
+    assert standardize(twin).inconsistent_row == 1
+    sol = solve_pdqp(twin)
+    assert sol.status == "primal_infeasible"
+    assert sol.strategy == "presolve"
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_consistent_dependent_rows_over_live_columns_are_presolved(strategy):
     # mixed098 of the mixed-bounds draw at seed 7 fixes variables 1, 3 and
     # 4, and its four equality rows then span only the three live columns
-    # 0, 2 and 5.  The rows are consistent (least-squares residual 4e-15),
-    # so the problem is well posed, but standardize drops only rows with
-    # no live coefficient and the load-time rank test rejects the rest: a
-    # known limitation kept on record here.
+    # 0, 2 and 5.  The rows are consistent, so the presolve drops the one
+    # that the rank rule leaves out and the problem solves, to the value
+    # that the oracle finds on the standardized problem.
     g = mixed_instances(7, 99)[98]
     assert g.name == "mixed098"
-    with pytest.raises(ProblemError) as caught:
-        solve_pdqp(g)
-    assert str(caught.value) == (
-        "[A M] is rank deficient: rank 7 < 8 rows; remove dependent "
-        "equality rows before constructing the problem")
+    std = standardize(g)
+    o = enumerate_solve(std.problem, Shifts.zero(std.problem.n))
+    sol = solve_pdqp(g, SolveConfig(strategy=strategy,
+                                    check_invariants=True))
+    assert sol.status == o.status == "optimal"
+    assert sol.objective == pytest.approx(-11.0, rel=1e-12)
+    assert abs(sol.standardized.objective - o.objective) \
+        <= 1e-9 * (1 + abs(o.objective))
 
 
 def test_initial_basis_rejects_fixed_variables():

@@ -365,18 +365,14 @@ def test_negative_zeros_of_symmetric_h_and_m_become_zeros():
 
 
 def _full_row_rank(a: np.ndarray) -> bool:
-    """_check_row_rank's verdict on a, as a bool."""
-    try:
-        model._check_row_rank(a.copy(), a.shape[0])
-    except ProblemError:
-        return False
-    return True
+    """The row-rank rule's verdict on a (``row_basis`` keeps every row)."""
+    return model.row_basis(a.copy()).size == a.shape[0]
 
 
 def test_row_rank_verdict_matches_pivoted_qr():
-    # _check_row_rank calls dgeqp3 directly; its rank verdict is that of
-    # scipy.linalg.qr with pivoting on the transpose of the rows scaled
-    # to infinity norm in [0.5, 1), relative to the largest pivot.
+    # row_basis calls dgeqp3 directly; its rank verdict and its rows are
+    # those of scipy.linalg.qr with pivoting on the transpose of the rows
+    # scaled to infinity norm in [0.5, 1), relative to the largest pivot.
     rng = np.random.default_rng(23)
     for _ in range(200):
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 9))
@@ -386,10 +382,11 @@ def test_row_rank_verdict_matches_pivoted_qr():
             a = np.round(a)
         top = np.abs(a).max(axis=1, keepdims=True)
         unit = a / np.where(top > 0.0, 2.0 ** np.frexp(top)[1], 1.0)
-        r = scipy.linalg.qr(unit.T, mode="r", pivoting=True)[0]
+        r, piv = scipy.linalg.qr(unit.T, mode="r", pivoting=True)
         diag = np.abs(np.diag(r))
-        full = int(np.sum(diag > model.RANK_TOL * diag[0])) == m
-        assert _full_row_rank(a) == full
+        rank = int(np.sum(diag > model.RANK_TOL * diag[0]))
+        assert _full_row_rank(a) == (rank == m)
+        assert_array_equal(model.row_basis(a.copy()), piv[:rank])
 
 
 def test_row_rank_verdict_does_not_depend_on_the_rows_scales():
