@@ -139,11 +139,13 @@ A freed component is settled alike after a fresh, reused or updated
 solve: ``_freed_component`` reads only the computed value, its band, w,
 the data and its own counterpart factorization, and an update has the
 acceptance margin and a backward error checked against d u (refined once
-above it).  The counterpart bounds rest on maxima, exact however they
+above it).  Every form of the singularity bound, in the pivot test, the
+update's certificate and the two counterparts, is ``_singular_bound(dim,
+k_max)``, and the counterpart bounds rest on maxima, exact however they
 are gathered: dz_l's takes max|K_l| from max|K_B| of the factorization
 that served the solve (``KktBasis.held``, ``KktFactorization.max_abs``)
 and the border k_l, h_ll, as after every solve below UPDATE_MIN_DIM;
-after an updated solve, and for dx_l, from the data (``_singular_bound``).
+after an updated solve, and for dx_l, from the data (``_kkt_max``).
 
 A K_B0 of dim below UPDATE_MIN_DIM is not updated: a solve of another
 matrix refactors.  On criterion-7 K_B matrices with one BLAS thread, an
@@ -289,11 +291,17 @@ def _dsytrf_lwork(dim: int) -> int:
     return int(lapack.dsytrf_lwork(dim, lower=1)[0])
 
 
+def _singular_bound(dim: int, k_max: float) -> float:
+    """dim * PIVOT_TOL * k_max, the singularity bound of a K of dim
+    ``dim`` with max|K| <= k_max (module docstring)."""
+    return dim * PIVOT_TOL * k_max
+
+
 def _bunch_kaufman(k: np.ndarray) -> KktFactorization | None:
     """LAPACK factorization of an exactly symmetric K, or None unless its
     reciprocal condition estimate exceeds 100 * dim * PIVOT_TOL and every
-    1x1 pivot of D exceeds dim * PIVOT_TOL * ||K||_1 (see the module
-    docstring)."""
+    1x1 pivot of D exceeds the singularity bound at ||K||_1 >= max|K|
+    (see the module docstring)."""
     k = np.asarray(k, dtype=float)
     dim = k.shape[0]
     if dim == 0:                    # the empty matrix is nonsingular
@@ -313,7 +321,7 @@ def _bunch_kaufman(k: np.ndarray) -> KktFactorization | None:
     if info != 0 or not rcond > 100 * dim * PIVOT_TOL:    # NaN rejects too
         return None
     single = np.abs(ldu.diagonal()[ipiv > 0])      # the 1x1 pivots of D
-    if not single.min(initial=np.inf) > dim * PIVOT_TOL * anorm:
+    if not single.min(initial=np.inf) > _singular_bound(dim, anorm):
         return None
     return KktFactorization(ldu=ldu, ipiv=ipiv, matrix=k,
                             inv_norm=1.0 / (rcond * anorm))
@@ -532,7 +540,7 @@ class KktBasis:
                 return None
             s_inv = 1.0 / (rcond * s_norm)
         inv_bound = k0.inv_norm + (1.0 + vnorm) ** 2 * s_inv
-        if not inv_bound * 100 * (nb + m) * PIVOT_TOL * max_kb < 1.0:
+        if not inv_bound * 100 * _singular_bound(nb + m, max_kb) < 1.0:
             return None
         d0 = k0.matrix.shape[0]
         at = pos[kept_at]
@@ -593,10 +601,6 @@ def _qr_pivots(r: np.ndarray, tol: float, span: bool = False
     return piv[:rank], q[:, :rank]
 
 
-def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    return a.take(rows, axis=0).take(cols, axis=1)
-
-
 def _revealed_basis(p: QpProblem, cand: np.ndarray, first: np.ndarray,
                     tol: float) -> np.ndarray:
     """B = P + C of ``find_soc_basis`` over the columns ``cand``, those
@@ -606,13 +610,14 @@ def _revealed_basis(p: QpProblem, cand: np.ndarray, first: np.ndarray,
     h, m = p.H, p.m
     one, two = cand[first[cand]], cand[~first[cand]]
     p1, l1, w = one, np.zeros((0, 0)), np.zeros((0, two.size))
-    schur = _gather(h, two, two)
+    schur = principal_block(h, two)
     if one.size:
-        f1, k1, r1 = pivoted_cholesky(_gather(h, one, one), tol)
+        f1, k1, r1 = pivoted_cholesky(principal_block(h, one), tol)
         p1 = one[k1[:r1]]
         l1 = np.tril(f1[:r1, :r1])
         # W = L1^-1 H_P1,two
-        w = blas.dtrsm(1.0, l1, _gather(h, p1, two), lower=1)
+        w = blas.dtrsm(1.0, l1, h.take(p1, axis=0).take(two, axis=1),
+                       lower=1)
         schur -= w.T @ w
     f2, k2, r2 = pivoted_cholesky(schur, tol)
     k2 = k2[:r2]
@@ -625,8 +630,10 @@ def _revealed_basis(p: QpProblem, cand: np.ndarray, first: np.ndarray,
     # R = A_N - A_P H_PP^-1 H_PN over the columns N that are not pivots.
     rest = ~index_mask(p.n, piv)
     nonpiv = cand[rest[cand]]
-    x = blas.dtrsm(1.0, lower, np.hstack([p.A.take(piv, axis=1).T,
-                                          _gather(h, piv, nonpiv)]), lower=1)
+    x = blas.dtrsm(1.0, lower,
+                   np.hstack([p.A.take(piv, axis=1).T,
+                              h.take(piv, axis=0).take(nonpiv, axis=1)]),
+                   lower=1)
     r = p.A.take(nonpiv, axis=1) - x[:, :m].T @ x[:, m:]
     lead = first[nonpiv]
     c1, other = np.zeros(0, dtype=np.intp), r
@@ -641,14 +648,8 @@ def _revealed_basis(p: QpProblem, cand: np.ndarray, first: np.ndarray,
 
 def _kkt_max(p: QpProblem, cols: np.ndarray) -> float:
     """max|K_B| over the columns ``cols``, taken from the data."""
-    return max(inf_norm(_gather(p.H, cols, cols)),
+    return max(inf_norm(principal_block(p.H, cols)),
                inf_norm(p.A.take(cols, axis=1)), inf_norm(p.M))
-
-
-def _singular_bound(p: QpProblem, cols: np.ndarray) -> float:
-    """dim * PIVOT_TOL * max|K| of the basis matrix over ``cols``, the
-    singularity bound (module docstring), taken from the data."""
-    return (cols.size + p.m) * PIVOT_TOL * _kkt_max(p, cols)
 
 
 def find_soc_basis(p: QpProblem, basis: KktBasis) -> Partition:
@@ -701,31 +702,27 @@ def find_soc_basis(p: QpProblem, basis: KktBasis) -> Partition:
     return Partition._from_mask(index_mask(p.n, basic))
 
 
-def _freed_component(raw: float, noise: float,
-                     other: Callable[[], KktFactorization | None], what: str,
-                     backward: Callable[[], float],
-                     bound: Callable[[], float]) -> float:
+def _freed_component(raw: float, noise: float, change: float, bound: float,
+                     counterpart: Callable[[], KktFactorization | None],
+                     what: str) -> float:
     """Resolve the freed component of a direction at or below its
     cancellation noise band, raw <= noise.
 
     The dichotomy is exact: the component is det(counterpart) / det(own),
-    so it vanishes iff the counterpart matrix is singular.  ``backward()``
-    is the size of a change of the data that makes the counterpart exactly
-    singular, and ``bound()`` the singularity bound of the counterpart,
-    dim * PIVOT_TOL * max|counterpart| (see the module docstring), taken
-    without assembling the counterpart: for dz_l from the held
-    factorization of K_B and the border of K_l where that factorization
-    served the solve, else from the data; both are computed only inside
-    the band.  There, |raw| <= noise, backward() <= bound()
+    so it vanishes iff the counterpart matrix is singular.  ``change`` is
+    the size of a change of the data that makes the counterpart exactly
+    singular, and ``bound`` the counterpart's singularity bound
+    (``_singular_bound``, module docstring), both taken without assembling
+    the counterpart.  Inside the band, |raw| <= noise, change <= bound
     settles the component at zero.  Otherwise (raw < -noise so that its
     sign is in doubt, or the change is larger than roundoff of the
-    counterpart) the verdict of ``other()`` settles it: zero where the
-    acceptance rule rejects the counterpart (None), else raw, which must
-    then be positive (KktInternalError).
+    counterpart) the verdict of ``counterpart()`` settles it: zero where
+    the acceptance rule rejects the counterpart (None), else raw, which
+    must then be positive (KktInternalError).
     """
-    if raw >= -noise and backward() <= bound():
+    if raw >= -noise and change <= bound:
         return 0.0
-    if other() is None:
+    if counterpart() is None:
         return 0.0
     if raw <= 0.0:
         raise KktInternalError(
@@ -798,19 +795,14 @@ def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
     dzl = raw
     if raw <= noise:
         own = basis.held(basic)
-
-        def bound() -> float:
-            if own is None:             # an update served the solve
-                return _singular_bound(p, _with_freed(basic, l)[0])
-            # max|K_l| is the largest of max|K_B|, max|k_l| (rhs is -k_l,
-            # k_l = [h_Bl; a_l]) and |h_ll|: the maximum the data give, so
-            # the same bound.
-            return (nb + 1 + p.m) * PIVOT_TOL * max(
-                own.max_abs, inf_norm(rhs), abs(float(p.H[l, l])))
-
+        # max|K_l| from the data where an update served the solve, else
+        # the largest of max|K_B|, max|k_l| (rhs is -k_l, k_l =
+        # [h_Bl; a_l]) and |h_ll|: the same maximum.
+        k_max = (_kkt_max(p, _with_freed(basic, l)[0]) if own is None
+                 else max(own.max_abs, inf_norm(rhs), abs(float(p.H[l, l]))))
         dzl = _freed_component(
-            raw, noise, lambda: factor_kb(p, _with_freed(basic, l)[0]),
-            "dz_l", lambda: abs(raw), bound)
+            raw, noise, abs(raw), _singular_bound(nb + 1 + p.m, k_max),
+            lambda: factor_kb(p, _with_freed(basic, l)[0]), "dz_l")
     # dz_l = 0: singular bordered matrix.  The direction is its null ray,
     # whose multiplier and dual parts vanish identically; zeroing them
     # discards pure cancellation noise.
@@ -850,15 +842,13 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
     if raw <= noise:
         # k_l = [h_Bl; a_l] is column at of K_l without entry at, and
         # v = [dx_B; -dy] is w without entry at (module docstring).
-        def backward() -> float:
-            vnorm = float(np.linalg.norm(np.delete(w, at)))
-            k_l = np.concatenate((p.H[l].take(basic), p.A[:, l]))
-            return (abs(raw) * float(np.linalg.norm(k_l)) / vnorm
-                    if vnorm > 0.0 else np.inf)
-
-        dxl = _freed_component(raw, noise, lambda: factor_kb(p, basic),
-                               "dx_l", backward,
-                               lambda: _singular_bound(p, basic))
+        vnorm = float(np.linalg.norm(np.delete(w, at)))
+        k_l = np.concatenate((p.H[l].take(basic), p.A[:, l]))
+        change = (abs(raw) * float(np.linalg.norm(k_l)) / vnorm
+                  if vnorm > 0.0 else np.inf)
+        dxl = _freed_component(
+            raw, noise, change, _singular_bound(nb + p.m, _kkt_max(p, basic)),
+            lambda: factor_kb(p, basic), "dx_l")
     # dx_l = 0: singular K_B.  Every x-component of the direction
     # vanishes and only the multiplier part moves.
     n = p.n

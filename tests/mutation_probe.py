@@ -105,6 +105,12 @@ MUTANTS = (
      "two_sided = getattr(p, fam.unguarded_mask) & ~p.fixed_mask"),
     ("row-rank-scaling-dropped", "src/pdqp/model.py",
      "np.ldexp(a, -exponent[:, None], out=a)", "pass"),
+    ("NOISE_BAND-zero", "src/pdqp/model.py",
+     "NOISE_BAND = 1e-12 ", "NOISE_BAND = 0.0 "),
+    ("PIVOT_TOL-x100", "src/pdqp/kkt.py",
+     "PIVOT_TOL = 1e-11\n", "PIVOT_TOL = 1e-9\n"),
+    ("singular-bound-x1e3", "src/pdqp/kkt.py",
+     "return dim * PIVOT_TOL * k_max", "return 1e3 * dim * PIVOT_TOL * k_max"),
 )
 
 

@@ -177,6 +177,16 @@ def test_init_shifts_zero_when_already_optimal(p1):
     assert_allclose(it.x, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("b", [-1e300, 1e300])
+def test_init_shifts_rejects_a_boundary_point_that_overflows(b):
+    # x = b / 1e-300 overflows to inf, so the start shifts are not finite.
+    p = QpProblem(H=[[0.0]], M=[[0.0]], A=[[1e-300]], b=[b], c=[0.0])
+    with pytest.raises(ProblemError,
+                       match="^shift entries must be finite$") as raised:
+        solve_standard(p)
+    assert raised.traceback[-1].name == "init_shifts"
+
+
 def test_initial_point_failing_the_optimality_check_raises(p2, monkeypatch):
     def perturbed(*args):
         shifts, it = init_shifts(*args)

@@ -707,15 +707,15 @@ def test_in_band_rule_agrees_with_greedy_counterpart(what, scale):
                         continue
                     built = []
                     value = kkt._freed_component(
-                        raw, noise,
+                        raw, noise, backward, bound,
                         lambda: built.append(1) or _bunch_kaufman(counterpart),
-                        what, lambda: backward, lambda: bound)
+                        what)
                     # A bound below every backward error forces the
                     # counterpart path: factor the counterpart, pin the
                     # component at zero on a rejection.
                     reference = kkt._freed_component(
-                        raw, noise, lambda: _bunch_kaufman(counterpart),
-                        what, lambda: backward, lambda: -1.0)
+                        raw, noise, backward, -1.0,
+                        lambda: _bunch_kaufman(counterpart), what)
                     if built:
                         assert value == reference >= 0.0
                         if reference > 0.0:
@@ -752,14 +752,14 @@ def test_in_band_rule_agrees_with_greedy_counterpart(what, scale):
 def test_counterpart_verdict_settles_a_component_outside_the_rule(
         raw, accepted, want):
     # A change within the singularity bound does not make the counterpart
-    # singular (backward() > bound()), so its factorization verdict
+    # singular (change > bound), so its factorization verdict
     # settles the component: zero on a rejection, else the computed value,
     # which must be positive.
     counterpart = _bunch_kaufman(np.eye(2)) if accepted else None
 
     def settle():
-        return kkt._freed_component(raw, 1e-12, lambda: counterpart, "dz_l",
-                                    lambda: 1.0, lambda: 1e-20)
+        return kkt._freed_component(raw, 1e-12, 1.0, 1e-20,
+                                    lambda: counterpart, "dz_l")
 
     if want is KktInternalError:
         with pytest.raises(KktInternalError, match=r"dz_l computed "
@@ -778,13 +778,13 @@ def test_all_data_at_1e12_settles_against_accepted_counterparts(monkeypatch):
     accepted = []
     settle = kkt._freed_component
 
-    def counting(raw, noise, other, what, backward, bound):
+    def counting(raw, noise, change, bound, counterpart, what):
         def counted():
-            data = other()
+            data = counterpart()
             if data is not None:
                 accepted.append(what)
             return data
-        return settle(raw, noise, counted, what, backward, bound)
+        return settle(raw, noise, change, bound, counted, what)
 
     monkeypatch.setattr(kkt, "_freed_component", counting)
     failed = {}
@@ -841,13 +841,15 @@ def test_in_band_base_bound_from_the_held_factorization_is_the_data_bound(
         finally:
             solving.pop()
 
-    def checked(raw, noise, other, what, backward, bound):
+    def checked(raw, noise, change, bound, counterpart, what):
         if what == "dz_l":
             p, basic, basis, l = solving[-1]
-            want = kkt._singular_bound(p, kkt._with_freed(basic, l)[0])
-            assert np.float64(bound()).tobytes() == np.float64(want).tobytes()
+            order = kkt._with_freed(basic, l)[0]
+            want = kkt._singular_bound(order.size + p.m,
+                                       kkt._kkt_max(p, order))
+            assert np.float64(bound).tobytes() == np.float64(want).tobytes()
             held.append(basis.held(basic) is not None)
-        return settle(raw, noise, other, what, backward, bound)
+        return settle(raw, noise, change, bound, counterpart, what)
 
     monkeypatch.setattr(steps, "solve_base_primal", recorded_base)
     monkeypatch.setattr(kkt, "_freed_component", checked)

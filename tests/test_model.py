@@ -421,6 +421,12 @@ def test_shifts_require_finite_entries():
         Shifts(np.array([np.inf, 0.0]), np.zeros(2))
 
 
+def test_shifts_require_equal_lengths():
+    with pytest.raises(ProblemError, match="^q and r must have the same "
+                       "length$"):
+        Shifts([0.0, 0.0], [0.0])
+
+
 def test_zero_shifts_are_read_only_zeros():
     zero = Shifts.zero(3)
     assert not zero.q.flags.writeable and not np.any(zero.r)
