@@ -98,15 +98,15 @@ the unit vector e_r of an index r that the solve which freed r had as
 its K_B0 right-hand side (the dual base solve K_l w = e_at with l in
 B0): that solve's K_B0^-1 e_r is held and becomes r's column of V.  And
 ||K_B^-1|| <= ||M^-1|| <= ||K_B0^-1|| + (1 + ||V||)^2 ||S^-1||.
-S is factored by Bunch-Kaufman (``dsytrf``) and solved with ``dsytrs``.
-K_B0 is solved through its factor unpacked once, when it is taken, by
-``dsyconv`` into a unit lower L, the D blocks and a row permutation:
-each apply permutes, sweeps L and then L' with ``dtrsv`` around the
-block-diagonal solve, and permutes back (LAPACK's ``dsytrs2`` scheme).
-``dsytrs`` makes one BLAS-2 call per column instead; on criterion-7 K_B
-matrices with one BLAS thread it takes 18, 56 and 180 us at dim 270, 520
-and 1020 against 12, 33 and 100 us unpacked, and unpacking costs 48, 145
-and 480 us, about three applies.  Fresh solves therefore keep ``dsytrs``.
+S is factored by Bunch-Kaufman (``dsytrf``), and ``dsytrs`` applies S,
+K_B0 and every other factorization alike (``KktFactorization._once``).
+On the K_B0 of a ``ladder`` pass, with one BLAS thread on an Intel Xeon
+core, an apply takes 59, 146, 175 and 640 us at dim 270, 469, 520 and
+1020.  A factor unpacked once by ``dsyconv`` and applied by two ``dtrsv``
+sweeps (LAPACK's ``dsytrs2`` scheme) took 31, 70, 75 and 400 us, but
+the unpacking took 160, 545, 670 and 2280 us per K_B0, and a whole pass
+ran in 204 ms against 210 ms with ``dsytrs``: too little for a second
+LDL' solve kernel.
 An updated solve never changes a verdict either: it is used only when
 K_B0 passed the acceptance rule and this bound keeps sigma_min(K_B) above
 100 * dim * PIVOT_TOL * max|K_B|, the margin acceptance demands.  The
@@ -150,10 +150,11 @@ after an updated solve, and for dx_l, from the data (``_kkt_max``).
 A K_B0 of dim below UPDATE_MIN_DIM is not updated: a solve of another
 matrix refactors.  On criterion-7 K_B matrices with one BLAS thread, an
 update that adds one column to a border of 1 to 20 columns costs a
-median 58, 64, 72, 87 and 106 us at dim 30, 70, 110, 165 and 220,
-against 28, 61, 107, 208 and 373 us for a fresh Bunch-Kaufman
-factorization and solve, so the crossover lies just above dim 70.
-With the gate at 0, ten alternating in-process pairs of benchmark passes
+median 81, 91, 95, 140 and 144 us at dim 30, 70, 110, 165 and 220,
+against 37, 93, 158, 384 and 593 us for a fresh Bunch-Kaufman
+factorization and refined solve, so the crossover lies near dim 70.
+With the gate at 0 (measured with K_B0 applied through an unpacked
+factor), ten alternating in-process pairs of benchmark passes
 took 30% longer on ``suite500`` (bases of dim <= 20), 69% on ``lowrank``
 (dim 20-100) and 36% on ``mixed-bounds`` under auto (dim <= 50), slower
 in 10 of 10 pairs each, for 581, 12 and 128 factorizations instead of
@@ -226,52 +227,6 @@ class KktFactorization:
             return r.copy()
         return lapack.dsytrs(self.ldu, self.ipiv, r, lower=1,
                              overwrite_b=overwrite)[0]
-
-
-def _unpack(f: KktFactorization) -> Callable[[np.ndarray], np.ndarray]:
-    """``f._once`` as LAPACK's ``dsytrs2`` applies it: ``dsyconv``
-    unpacks the factor once into a unit lower L (Fortran order), the D
-    blocks and a row permutation, and every apply is then
-    K^-1 r = P L'^-1 D^-1 L^-1 P' r with two BLAS-2 triangular sweeps.
-    ``dsytrs`` makes one BLAS-2 call per column instead."""
-    lower, sub, _ = lapack.dsyconv(f.ldu, f.ipiv, lower=1)
-    dim = f.ipiv.size
-    piv = f.ipiv.tolist()
-    perm = list(range(dim))
-    two = []                    # first row of each 2x2 block of D
-    k = 0
-    while k < dim:
-        if piv[k] < 0:          # rows k, k+1 pivot together; k+1 swaps
-            two.append(k)
-            k += 1
-        j = abs(piv[k]) - 1
-        perm[k], perm[j] = perm[j], perm[k]
-        k += 1
-    perm = np.array(perm)
-    two = np.array(two, dtype=np.intp)
-    diag = lower.diagonal().copy()
-    single = np.ones(dim, dtype=bool)
-    single[two] = single[two + 1] = False
-    rdiag = np.zeros(dim)
-    rdiag[single] = 1.0 / diag[single]
-    # 2x2 blocks [[a, e], [e, b]] solved in dsytrs's scaling by e.
-    e = sub[two]
-    a, b = diag[two] / e, diag[two + 1] / e
-    denom = a * b - 1.0
-
-    def once(r: np.ndarray) -> np.ndarray:
-        t = blas.dtrsv(lower, r[perm], lower=1, diag=1, overwrite_x=1)
-        x = t * rdiag
-        if two.size:
-            t0, t1 = t[two] / e, t[two + 1] / e
-            x[two] = (b * t0 - t1) / denom
-            x[two + 1] = (a * t1 - t0) / denom
-        t = blas.dtrsv(lower, x, lower=1, trans=1, diag=1, overwrite_x=1)
-        out = np.empty(dim)
-        out[perm] = t
-        return out
-
-    return once
 
 
 def _backward_error(res: np.ndarray, k_norm_bound: float, x: np.ndarray,
@@ -412,7 +367,7 @@ class KktBasis:
         k0 = data.matrix
         dim = k0.shape[0]
         self._k0 = data
-        self._solve0 = _unpack(data)                 # applies K_B0^-1
+        self._solve0 = data._once                    # applies K_B0^-1
         self._basis0 = order
         self._pos0 = np.full(self.p.n, -1)
         self._pos0[self._basis0] = np.arange(self._basis0.size)

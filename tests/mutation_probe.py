@@ -111,6 +111,12 @@ MUTANTS = (
      "PIVOT_TOL = 1e-11\n", "PIVOT_TOL = 1e-9\n"),
     ("singular-bound-x1e3", "src/pdqp/kkt.py",
      "return dim * PIVOT_TOL * k_max", "return 1e3 * dim * PIVOT_TOL * k_max"),
+    ("update-refinement-never", "src/pdqp/kkt.py",
+     "if eta > d * np.finfo(float).eps / 2:", "if False:"),
+    ("border-unit-column-not-reused", "src/pdqp/kkt.py",
+     "if unit is not None and unit[0] == j:", "if False:"),
+    ("update-certificate-margin-x1e-2", "src/pdqp/kkt.py",
+     "inv_bound * 100 * _singular_bound(", "inv_bound * 1 * _singular_bound("),
 )
 
 

@@ -1000,13 +1000,15 @@ def _counting_applies(monkeypatch):
     """The dim of every K_B0 apply, in order, of each K_B0 taken after
     the call."""
     applies = []
-    unpack = kkt._unpack
+    rebase = kkt.KktBasis._rebase
 
-    def counted_unpack(f):
-        once = unpack(f)
-        return lambda r: applies.append(r.size) or once(r)
+    def counted_rebase(self, *args):
+        rebase(self, *args)
+        once = self._solve0
+        if once is not None:
+            self._solve0 = lambda r: applies.append(r.size) or once(r)
 
-    monkeypatch.setattr(kkt, "_unpack", counted_unpack)
+    monkeypatch.setattr(kkt.KktBasis, "_rebase", counted_rebase)
     return applies
 
 
@@ -1015,14 +1017,13 @@ def test_freeing_solve_supplies_the_next_border_column(monkeypatch):
     # step after the first is an update.  Its solve K_l w = e_at applies
     # K_B0^-1 to e_l, which is l's border column once the step drops l.
     g, xstar, fstar = criterion7_instance(250, 20, 10, 500)
-    unpack = kkt._unpack
     applies = _counting_applies(monkeypatch)
     slots = kkt.KktBasis._slots
     checked = set()
 
     def checked_slots(self, keys):
         out = slots(self, keys)
-        direct = unpack(self._k0)       # uncounted
+        direct = self._k0._once         # uncounted
         for j, at in self._slot.items():
             if self._pos0[j] >= 0 and j not in checked:
                 e = np.zeros(self._k0.matrix.shape[0])
@@ -1125,27 +1126,6 @@ def test_lowrank_with_updates_everywhere_factors_once_per_instance(
                 for spec in workload.specs(None)]
     assert statuses == ["optimal"] * 12
     assert len(factored) == 12
-
-
-@pytest.mark.parametrize("dim", [200, 401, 600])
-@pytest.mark.parametrize("two_by_two", [False, True], ids=["1x1", "2x2"])
-def test_unpacked_solve_matches_dsytrs(dim, two_by_two):
-    # Symmetric indefinite matrices: a dominant diagonal of either sign
-    # gives 1x1 pivots only; a random symmetric matrix gives 2x2 blocks.
-    rng = np.random.default_rng(dim)
-    g = rng.normal(size=(dim, dim))
-    k = g + g.T
-    if not two_by_two:
-        k += np.diag(rng.choice([-1.0, 1.0], dim) * 4.0 * np.sqrt(dim))
-    f = _bunch_kaufman(k)
-    assert f is not None
-    assert bool(np.any(f.ipiv < 0)) is two_by_two
-    once = kkt._unpack(f)
-    rhs = rng.normal(size=(dim, 3))
-    for r in (rhs[:, 0], rhs[:, 1] * 1e8, k @ rhs[:, 2]):
-        want = f._once(r)
-        assert np.max(np.abs(once(r) - want)) <= 1e-12 * np.max(np.abs(want))
-    assert_allclose(once(k @ rhs[:, 2]), rhs[:, 2], rtol=0, atol=1e-10)
 
 
 def test_update_refuses_a_singular_border(p_lp, updates_everywhere,

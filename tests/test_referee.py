@@ -1,0 +1,103 @@
+"""HiGHS as the referee of general-format LPs past the oracle's reach.
+
+``scipy.optimize.linprog(method="highs")`` judges the status and the
+objective of each LP that ``referee_lp`` draws, and pdqp must agree
+under auto, primal-first and dual-first: the same status, and, where
+both are optimal, objectives within 1e-6 relative.  Only this file
+imports ``scipy.optimize``; importing ``pdqp`` must not
+(``test_oracle.py::test_import_leaves_scipy_optimize_unloaded``).
+"""
+
+from functools import cache
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+
+from pdqp import GeneralQp, SolveConfig, solve_pdqp
+
+SEED, COUNT = 5, 100
+BOX = 0.5                       # share of variables given a box
+# linprog's status codes for the statuses pdqp can return.
+HIGHS_STATUS = {0: "optimal", 2: "primal_infeasible", 3: "dual_infeasible"}
+
+
+def referee_lp(rng):
+    """One general-format LP, H = 0, with every bound kind.
+
+    n is 10 or 30 and m = n // 2; A and c are normal draws rounded to
+    two decimals.  Each component j (variables, then rows) draws a kind
+    around v, x0_j or (A x0)_j for a normal x0: 0 a lower bound
+    v - |N| [U < 1/2], 1 an upper bound v + |N| [U < 1/2], 2 the box
+    [v - U, v + U], 3 a free variable or an equality row, 4 a lower bound
+    v - U, with N and U fresh normal and uniform draws.  A share BOX of
+    the variables is boxed.  So x0 is feasible, unless, with probability
+    0.15, one row is fixed at (A x0)_j + 50 and the variable bounds are
+    clipped into [-1, 1]: mostly infeasible."""
+    n = int(rng.choice([10, 30]))
+    m = n // 2
+    a = rng.normal(size=(m, n)).round(2)
+    x0 = rng.normal(size=n)
+    kind = rng.integers(0, 5, n + m)
+    kind[:n][rng.random(n) < BOX] = 2
+    v = np.concatenate([x0, a @ x0])
+    size, near = np.abs(rng.normal(size=n + m)), rng.random(n + m)
+    step = size * (rng.random(n + m) < 0.5)
+    lower = np.full(n + m, -np.inf)
+    upper = np.full(n + m, np.inf)
+    lower[kind == 0] = (v - step)[kind == 0]
+    upper[kind == 1] = (v + step)[kind == 1]
+    box = kind == 2
+    lower[box], upper[box] = (v - near)[box], (v + near)[box]
+    rows = np.arange(n + m) >= n
+    equal = (kind == 3) & rows
+    lower[equal] = upper[equal] = v[equal]
+    lower[kind == 4] = (v - near)[kind == 4]
+    if rng.random() < 0.15:
+        j = n + int(rng.integers(m))
+        lower[j] = upper[j] = v[j] + 50.0
+        np.clip(lower[:n], -1.0, 1.0, out=lower[:n])
+        np.clip(upper[:n], -1.0, 1.0, out=upper[:n])
+    c = rng.normal(size=n).round(2)
+    return GeneralQp(Hhat=np.zeros((n, n)), Ahat=a, c=c, lower=lower,
+                     upper=upper)
+
+
+def highs(g):
+    """linprog's (status, objective) of a general-format LP."""
+    n = g.n
+    a, lo, up = g.Ahat, g.lower[n:], g.upper[n:]
+    eq = lo == up
+    le = ~eq & (up < np.inf)
+    ge = ~eq & (lo > -np.inf)
+    res = linprog(g.c, A_ub=np.vstack([a[le], -a[ge]]),
+                  b_ub=np.concatenate([up[le], -lo[ge]]),
+                  A_eq=a[eq], b_eq=lo[eq],
+                  bounds=np.column_stack([g.lower[:n], g.upper[:n]]),
+                  method="highs")
+    return HIGHS_STATUS[res.status], res.fun
+
+
+@cache
+def refereed():
+    """The drawn LPs, each with HiGHS's verdict."""
+    rng = np.random.default_rng(SEED)
+    problems = [referee_lp(rng) for _ in range(COUNT)]
+    return [(g, highs(g)) for g in problems]
+
+
+def test_the_draw_reaches_every_status():
+    # 74 optimal, 16 infeasible and 10 unbounded LPs, 55 at n = 10 and
+    # 45 at n = 30: each verdict is refereed at both sizes.
+    seen = {(want, g.n) for g, (want, _) in refereed()}
+    assert seen == {(s, n) for s in HIGHS_STATUS.values() for n in (10, 30)}
+
+
+@pytest.mark.parametrize("strategy", ["auto", "primal-first", "dual-first"])
+def test_highs_agrees_with_every_lp_solve(strategy):
+    config = SolveConfig(strategy=strategy)
+    for i, (g, (want, fun)) in enumerate(refereed()):
+        sol = solve_pdqp(g, config)
+        assert sol.status == want, i
+        if want == "optimal":
+            assert abs(sol.objective - fun) <= 1e-6 * (1.0 + abs(fun)), i
