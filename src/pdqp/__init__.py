@@ -13,16 +13,6 @@ from .driver import (GeneralQp, PdqpSolution, SolveConfig, StandardSolution,
                      solve_pdqp, solve_standard, standardize)
 from .oracle import OracleBudgetError, OracleSolution, enumerate_solve
 
-# Building blocks of the methods: importable from the package as well as
-# from their modules, but not part of the public API.
-from .model import objectives, residuals  # noqa: F401
-from .kkt import (KktBasis, KktFactorization, factor_kb,  # noqa: F401
-                  find_soc_basis, recover_z_nonbasic, solve_base_primal,
-                  solve_intermediate_primal)
-from .primal import primal_base, primal_intermediate  # noqa: F401
-from .dual import dual_base, dual_intermediate  # noqa: F401
-from .driver import init_shifts  # noqa: F401
-
 __all__ = [
     "Direction", "GeneralQp", "InvariantError", "Iterate",
     "KktInternalError", "OptimalityReport", "OracleBudgetError",

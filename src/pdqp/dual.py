@@ -26,14 +26,11 @@ from __future__ import annotations
 
 from .model import (DEFAULT_TOL, Direction, Iterate, Partition, QpProblem,
                     Shifts)
-from .steps import (PRIMAL_INFEASIBLE, Family, SolveOutcome, StepResult,
-                    run_active_set, take_step)
+from .steps import (Family, SolveOutcome, StepResult, run_active_set,
+                    take_step)
 
 
-DUAL = Family(method="dual", repaired="x", repair_shift="q",
-              guarded="z", guard_shift="r", live="nonbasic", idle="basic",
-              unguarded="fixed", pinned="free", scale_by="x",
-              unbounded=PRIMAL_INFEASIBLE)
+DUAL = Family("dual")
 
 
 def dual_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,

@@ -102,11 +102,7 @@ S is factored by Bunch-Kaufman (``dsytrf``), and ``dsytrs`` applies S,
 K_B0 and every other factorization alike (``KktFactorization._once``).
 On the K_B0 of a ``ladder`` pass, with one BLAS thread on an Intel Xeon
 core, an apply takes 59, 146, 175 and 640 us at dim 270, 469, 520 and
-1020.  A factor unpacked once by ``dsyconv`` and applied by two ``dtrsv``
-sweeps (LAPACK's ``dsytrs2`` scheme) took 31, 70, 75 and 400 us, but
-the unpacking took 160, 545, 670 and 2280 us per K_B0, and a whole pass
-ran in 204 ms against 210 ms with ``dsytrs``: too little for a second
-LDL' solve kernel.
+1020.
 An updated solve never changes a verdict either: it is used only when
 K_B0 passed the acceptance rule and this bound keeps sigma_min(K_B) above
 100 * dim * PIVOT_TOL * max|K_B|, the margin acceptance demands.  The
@@ -153,8 +149,7 @@ update that adds one column to a border of 1 to 20 columns costs a
 median 81, 91, 95, 140 and 144 us at dim 30, 70, 110, 165 and 220,
 against 37, 93, 158, 384 and 593 us for a fresh Bunch-Kaufman
 factorization and refined solve, so the crossover lies near dim 70.
-With the gate at 0 (measured with K_B0 applied through an unpacked
-factor), ten alternating in-process pairs of benchmark passes
+With the gate at 0, ten alternating in-process pairs of benchmark passes
 took 30% longer on ``suite500`` (bases of dim <= 20), 69% on ``lowrank``
 (dim 20-100) and 36% on ``mixed-bounds`` under auto (dim <= 50), slower
 in 10 of 10 pairs each, for 581, 12 and 128 factorizations instead of
@@ -211,8 +206,7 @@ class KktFactorization:
     @cached_property
     def max_abs(self) -> float:
         """max|K|, computed at the first use and kept."""
-        k = self.matrix
-        return max(float(k.max(initial=0.0)), -float(k.min(initial=0.0)))
+        return inf_norm(self.matrix)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the factorization, one refinement step."""
@@ -483,9 +477,10 @@ class KktBasis:
         vnorm = float(np.sqrt(self._vnorm2[cached].sum()))
         s_inv = 0.0                     # estimates ||S^-1||_1
         if k:
-            s_norm = float(np.abs(schur).sum(axis=0).max())
             # S is exactly symmetric, so its transpose is a Fortran-order
-            # copy of it for LAPACK to overwrite.
+            # copy of it for LAPACK to read (||S||_1, as _bunch_kaufman
+            # takes ||K||_1) and then overwrite.
+            s_norm = float(lapack.dlange("1", schur.T))
             s_ldu, s_ipiv, info = lapack.dsytrf(schur.T, lower=1,
                                                 overwrite_a=1)
             if info != 0:
@@ -556,13 +551,12 @@ def _qr_pivots(r: np.ndarray, tol: float, span: bool = False
     return piv[:rank], q[:, :rank]
 
 
-def _revealed_basis(p: QpProblem, cand: np.ndarray, first: np.ndarray,
-                    tol: float) -> np.ndarray:
-    """B = P + C of ``find_soc_basis`` over the columns ``cand``, those
-    that the mask ``first`` marks taken first in each pass.  A first pass
-    without a column is skipped: it would find nothing and project out
-    nothing."""
-    h, m = p.H, p.m
+def _revealed_basis(p: QpProblem, cand: np.ndarray, tol: float
+                    ) -> np.ndarray:
+    """B = P + C of ``find_soc_basis`` over the columns ``cand``, the free
+    ones taken first in each pass.  A first pass without a column is
+    skipped: it would find nothing and project out nothing."""
+    h, m, first = p.H, p.m, p.free_mask
     one, two = cand[first[cand]], cand[~first[cand]]
     p1, l1, w = one, np.zeros((0, 0)), np.zeros((0, two.size))
     schur = principal_block(h, two)
@@ -652,8 +646,7 @@ def find_soc_basis(p: QpProblem, basis: KktBasis) -> Partition:
     if cand.size - p.h_rank <= p.m and basis.factor(cand) is not None:
         basic = cand
     else:
-        basic = _revealed_basis(p, cand, p.free_mask,
-                                PIVOT_TOL * _kkt_max(p, cand))
+        basic = _revealed_basis(p, cand, PIVOT_TOL * _kkt_max(p, cand))
     return Partition._from_mask(index_mask(p.n, basic))
 
 

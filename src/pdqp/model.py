@@ -507,10 +507,10 @@ class Iterate:
     write through ``it.x``, ``it.y`` or ``it.z`` is a write to ``v``.
     The constructor copies the caller's vectors into a new buffer; one
     that is not a vector of real numbers (a scalar has length 1) raises
-    ``ProblemError``.  An assignment to ``x``, ``y``, ``z`` or ``v``
-    (``it.x = w``) writes w's values into the buffer after the same
-    check, and raises ``ProblemError`` where w's length is not the
-    view's: the views never leave the buffer.
+    ``ProblemError``.  The point changes only through its views
+    (``it.x[...] = w``, ``it.x += w``): rebinding an attribute
+    (``it.x = w``) raises ``AttributeError``, so the views never leave
+    the buffer.
     """
 
     def __init__(self, x, y, z):
@@ -527,17 +527,10 @@ class Iterate:
         return out
 
     def __setattr__(self, name: str, value) -> None:
-        if name not in ("x", "y", "z", "v"):
-            object.__setattr__(self, name, value)
-            return
-        view = self.__dict__[name]
-        if value is view:       # it.x += w hands back the view itself
-            return
-        value = _vector(value, name)
-        if value.shape != view.shape:
-            raise ProblemError(f"{name} must have length {view.size}, "
-                               f"got shape {value.shape}")
-        view[...] = value
+        # it.x += w hands back the view itself, which stays bound.
+        if name not in self.__dict__ or value is not self.__dict__[name]:
+            raise AttributeError(f"cannot set Iterate.{name}: an Iterate "
+                                 f"changes only through its views")
 
     def copy(self) -> "Iterate":
         return Iterate._own(self.v.copy(), self.x.size, self.y.size)
@@ -634,7 +627,6 @@ TOL_SHARE = 0.1         # share of a tolerance a tie band or a stop may use
 NOISE_BAND = 1e-12      # cancellation residue of a computed rate or component
 SELECT_BAND = 1e-11     # selection threshold, over max(1, max|scale_by|)
 HARRIS_BAND = 1e-9      # Harris tie band, over max(1, max|guarded|)
-ALIGN_BAND = 1e-9       # relaxed entry off its bound by more: aligned shift
 BOUND_SLACK = 1e-7      # a value held on its bound, over max(1, its scale)
 START_EQ_TOL = 1e-8     # equality residuals of a start point, over data_scale
 DRIFT_EQ_TOL = 1e-7     # equality residuals of later iterates, likewise
@@ -739,13 +731,13 @@ def check_optimality(p: QpProblem, s: Shifts, it: Iterate,
 
 def effective_shifts(p: QpProblem, s: Shifts, part: Partition,
                      it: Iterate) -> Shifts:
-    """Shifts aligned with the current point on relaxed entries.
+    """Shifts aligned with the current point: r_i = -z_i on the basic set
+    and q_j = -x_j on the nonbasic set.
 
     A relaxed start can leave basic duals with z_i + r_i < 0 or nonbasic
-    primals with x_j + q_j < 0.  Replacing those shift entries with -z_i
-    (resp. -x_j) restores the boundary equalities, which is the shift
-    vector under which the per-step objective identities hold.
+    primals with x_j + q_j < 0, and roundoff leaves others a few bits off.
+    The aligned shifts restore the boundary equalities exactly, which is
+    the shift vector under which the per-step objective identities hold.
     """
-    off_r = part.basic_mask & (np.abs(it.z + s.r) > ALIGN_BAND)
-    off_q = part.nonbasic_mask & (np.abs(it.x + s.q) > ALIGN_BAND)
-    return Shifts(np.where(off_q, -it.x, s.q), np.where(off_r, -it.z, s.r))
+    return Shifts(np.where(part.nonbasic_mask, -it.x, s.q),
+                  np.where(part.basic_mask, -it.z, s.r))

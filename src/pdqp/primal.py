@@ -15,14 +15,11 @@ from __future__ import annotations
 
 from .model import (DEFAULT_TOL, Direction, Iterate, Partition, QpProblem,
                     Shifts)
-from .steps import (DUAL_INFEASIBLE, Family, SolveOutcome, StepResult,
-                    run_active_set, take_step)
+from .steps import (Family, SolveOutcome, StepResult, run_active_set,
+                    take_step)
 
 
-PRIMAL = Family(method="primal", repaired="z", repair_shift="r",
-                guarded="x", guard_shift="q", live="basic", idle="nonbasic",
-                unguarded="free", pinned="fixed", scale_by="y",
-                unbounded=DUAL_INFEASIBLE)
+PRIMAL = Family("primal")
 
 
 def primal_base(p: QpProblem, s: Shifts, part: Partition, it: Iterate, l: int,

@@ -42,7 +42,7 @@ If cycling shows, the documented remedy is EXPAND (Gill, Murray, Saunders
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -121,11 +121,23 @@ class SolveOutcome:
     certificate: Direction | None = None
 
 
+# The duality table: for each vector, its shift, the partition set where
+# its bounds are live while a method guards it, and the problem's index
+# set where that bound is void.
+_MIRROR = {"x": ("q", "basic", "free"), "z": ("r", "nonbasic", "fixed")}
+
+
 @dataclass(frozen=True)
 class Family:
-    """How one method maps onto the shared engine.  Its index roles are
-    the problem's own masks, and they alone define the method's entry and
-    invariant checks (``_check_bounds``):
+    """How one method maps onto the shared engine, every role derived
+    from its name (``method``, the label of outcomes and trace records)
+    and ``_MIRROR``.  The primal guards x (kept within its shifted bounds
+    on ``live``) and repairs z (driven onto its bound), the dual the
+    reverse; an infinite base step certifies the other problem infeasible
+    (``unbounded``), and ``scale_by`` scales the selection threshold: y
+    wherever the repaired vector's ``bound_tol`` reads y.  The index roles
+    are the problem's own masks, and they alone define the method's entry
+    and invariant checks (``_check_bounds``):
 
         role        primal   dual     selected
         one-sided   regular  regular  below its bound  (``regular_mask``)
@@ -136,38 +148,29 @@ class Family:
     must vanish from either side.  A ``pinned`` index holds its guarded
     value at the bound from both sides (the dual's free indices:
     z_j + r_j = 0 is a temporary bound of zero width; the primal's fixed
-    ones are never live).  The attribute names that the
-    engine reads on every step (the masks of ``live``, ``unguarded`` and
-    ``pinned``, the direction's component of the guarded vector, and
-    ``rate``, its freed component of the repaired one) are derived once,
-    when the family is built.
+    ones are never live).  The engine reads each role by its attribute
+    name, the masks of ``live``, ``unguarded`` and ``pinned``, the
+    direction's guarded component (``d_guarded``) and its freed component
+    of the repaired vector (``rate``) included.
     """
 
-    method: str               # label of outcomes and trace records
-    repaired: str             # iterate vector driven onto its bound: "z" / "x"
-    repair_shift: str         # its shift: "r" / "q"
-    guarded: str              # iterate vector kept feasible: "x" / "z"
-    guard_shift: str          # its shift: "q" / "r"
-    live: str                 # partition set where guarded bounds are live
-    idle: str                 # the other partition set
-    unguarded: str            # QpProblem index set whose guarded bound is void
-    pinned: str               # QpProblem index set held at its guarded bound
-    scale_by: str             # scales the selection threshold; y wherever
-                              # the repaired vector's bound_tol reads y
-    unbounded: str            # status certified by an infinite base step
-    live_mask: str = field(init=False, repr=False, compare=False)
-    unguarded_mask: str = field(init=False, repr=False, compare=False)
-    pinned_mask: str = field(init=False, repr=False, compare=False)
-    d_guarded: str = field(init=False, repr=False, compare=False)
-    rate: str = field(init=False, repr=False, compare=False)
+    method: str
 
     def __post_init__(self):
-        for name, value in (("live_mask", f"{self.live}_mask"),
-                            ("unguarded_mask", f"{self.unguarded}_mask"),
-                            ("pinned_mask", f"{self.pinned}_mask"),
-                            ("d_guarded", "d" + self.guarded),
-                            ("rate", f"d{self.repaired}_l")):
-            object.__setattr__(self, name, value)
+        guarded, repaired = {"primal": ("x", "z"), "dual": ("z", "x")}[
+            self.method]
+        primal = guarded == "x"
+        guard_shift, live, unguarded = _MIRROR[guarded]
+        repair_shift, idle, pinned = _MIRROR[repaired]
+        self.__dict__.update(
+            repaired=repaired, repair_shift=repair_shift, guarded=guarded,
+            guard_shift=guard_shift, live=live, idle=idle,
+            unguarded=unguarded, pinned=pinned,
+            scale_by="y" if primal else "x",
+            unbounded=DUAL_INFEASIBLE if primal else PRIMAL_INFEASIBLE,
+            live_mask=f"{live}_mask", unguarded_mask=f"{unguarded}_mask",
+            pinned_mask=f"{pinned}_mask", d_guarded="d" + guarded,
+            rate=f"d{repaired}_l")
 
 
 def ratio_test(values: np.ndarray, deltas: np.ndarray,

@@ -4,10 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdqp import (GeneralQp, ProblemError, QpProblem, Shifts,
-                  enumerate_solve, factor_kb, standardize)
+from pdqp import (GeneralQp, ProblemError, QpProblem, Shifts, enumerate_solve,
+                  standardize)
 from pdqp import oracle
-from pdqp.kkt import KktBasis
+from pdqp.kkt import KktBasis, factor_kb
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
 
 sys.path.insert(1, str(Path(__file__).resolve().parent.parent / "bench"))

@@ -65,8 +65,6 @@ MUTANTS = (
      "return NOISE_BAND * max(1.0, ", "return NOISE_BAND * max(1e3, "),
     ("BOUND_SLACK-x1e3", "src/pdqp/model.py",
      "BOUND_SLACK = 1e-7 ", "BOUND_SLACK = 1e-4 "),
-    ("ALIGN_BAND-x1e3", "src/pdqp/model.py",
-     "ALIGN_BAND = 1e-9 ", "ALIGN_BAND = 1e-6 "),
     ("psd-off-diagonal-dropped", "src/pdqp/model.py",
      "worst = min(least, -inf_norm(trail))", "worst = least"),
     ("psd-off-diagonal-x1e3", "src/pdqp/model.py",
@@ -117,6 +115,9 @@ MUTANTS = (
      "if unit is not None and unit[0] == j:", "if False:"),
     ("update-certificate-margin-x1e-2", "src/pdqp/kkt.py",
      "inv_bound * 100 * _singular_bound(", "inv_bound * 1 * _singular_bound("),
+    ("mirror-free-fixed-swapped", "src/pdqp/steps.py",
+     '_MIRROR = {"x": ("q", "basic", "free"), "z": ("r", "nonbasic", "fixed")}',
+     '_MIRROR = {"x": ("q", "basic", "fixed"), "z": ("r", "nonbasic", "free")}'),
 )
 
 

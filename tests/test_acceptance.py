@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 
 from pdqp import (GeneralQp, Partition, QpProblem, Shifts, SolveConfig,
-                  check_optimality, enumerate_solve, factor_kb,
-                  find_soc_basis, solve_base_primal,
-                  solve_intermediate_primal, solve_pdqp, solve_standard,
-                  standardize)
-from pdqp.kkt import KktBasis, KktFactorization
+                  check_optimality, enumerate_solve, solve_pdqp,
+                  solve_standard, standardize)
+from pdqp.kkt import (KktBasis, KktFactorization, factor_kb, find_soc_basis,
+                      solve_base_primal, solve_intermediate_primal)
 from pdqp.cli import parse_problem, profile, run
 
 from conftest import held_basis

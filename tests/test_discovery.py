@@ -26,7 +26,8 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from pdqp import KktBasis, find_soc_basis, standardize
+from pdqp import standardize
+from pdqp.kkt import KktBasis, find_soc_basis
 
 from conftest import mixed_instances, random_instances
 from workloads import LowRank, constructed_qp

@@ -8,13 +8,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from pdqp import (GeneralQp, InvariantError, Partition, ProblemError,
                   QpProblem, Shifts, SolveConfig, StartConditionError,
-                  check_optimality, enumerate_solve, factor_kb,
-                  find_soc_basis, init_shifts, solve_dual, solve_pdqp,
+                  check_optimality, enumerate_solve, solve_dual, solve_pdqp,
                   solve_primal, solve_standard, standardize)
 from pdqp import driver, kkt, model, steps
-from pdqp.driver import STRATEGIES
+from pdqp.driver import STRATEGIES, init_shifts
 from pdqp.model import START_EQ_TOL, objectives, residuals
-from pdqp.kkt import KktBasis
+from pdqp.kkt import KktBasis, factor_kb, find_soc_basis
 from pdqp.cli import parse_problem
 from pdqp.oracle import dual_set_nonempty, primal_set_nonempty
 

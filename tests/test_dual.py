@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pdqp import (InvariantError, Iterate, Partition, QpProblem, Shifts,
-                  StartConditionError, check_optimality, dual_base,
-                  dual_intermediate, solve_dual)
+                  StartConditionError, check_optimality, solve_dual)
 from pdqp import steps
+from pdqp.dual import dual_base, dual_intermediate
 from pdqp.kkt import KktBasis
 
 from conftest import random_instances
@@ -200,7 +200,8 @@ def test_primal_dual_symmetry_on_self_dual_family():
     # H = I, M = 0: the primal run from a primal-feasible point and the
     # dual run from the matching dual-feasible point both walk chains of
     # factorable bases.
-    from pdqp import factor_kb, solve_primal
+    from pdqp import solve_primal
+    from pdqp.kkt import factor_kb
     from pdqp.kkt import KktFactorization
     rng = np.random.default_rng(61)
     for _ in range(10):
@@ -209,7 +210,8 @@ def test_primal_dual_symmetry_on_self_dual_family():
         x0 = np.abs(rng.normal(size=n))
         p = QpProblem(H=np.eye(n), M=np.zeros((m, m)), A=a, b=a @ x0,
                       c=rng.normal(size=n))
-        from pdqp import find_soc_basis, init_shifts
+        from pdqp.driver import init_shifts
+        from pdqp.kkt import find_soc_basis
         part = find_soc_basis(p, KktBasis(p))
         shifts, it = init_shifts(p, part, factor_kb(p, part.basic))
         outs = [
@@ -225,7 +227,8 @@ def test_primal_dual_symmetry_on_self_dual_family():
 
 
 def test_dual_monotone_objective_random():
-    from pdqp import factor_kb, find_soc_basis, init_shifts
+    from pdqp.driver import init_shifts
+    from pdqp.kkt import factor_kb, find_soc_basis
     for p in random_instances(41, 20, kinds=("feasible",)):
         part = find_soc_basis(p, KktBasis(p))
         shifts, it = init_shifts(p, part, factor_kb(p, part.basic))
@@ -246,7 +249,8 @@ def test_direct_solve_dual_keeps_free_nonbasic_dual():
     # driver: a direction that would move its dual blocks with a zero step
     # and makes it basic.  On this instance the first base direction has
     # dz_0 != 0.
-    from pdqp import factor_kb, init_shifts
+    from pdqp.driver import init_shifts
+    from pdqp.kkt import factor_kb
     rng = np.random.default_rng(1)
     n, m = 5, 2
     g = rng.normal(size=(n, n))

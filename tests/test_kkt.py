@@ -6,14 +6,14 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.linalg import blas
 
-from pdqp import (GeneralQp, Iterate, KktFactorization, KktInternalError,
-                  Partition, QpProblem, Shifts, SolveConfig,
-                  enumerate_solve, factor_kb, find_soc_basis,
-                  recover_z_nonbasic, solve_base_primal,
-                  solve_intermediate_primal, solve_pdqp, solve_standard,
-                  standardize)
+from pdqp import (GeneralQp, Iterate, KktInternalError, Partition, QpProblem,
+                  Shifts, SolveConfig, enumerate_solve, solve_pdqp,
+                  solve_standard, standardize)
 from pdqp import kkt, model, steps
-from pdqp.kkt import KktBasis, _bunch_kaufman, build_kb, solve_boundary_point
+from pdqp.kkt import (KktBasis, KktFactorization, _bunch_kaufman, build_kb,
+                      factor_kb, find_soc_basis, recover_z_nonbasic,
+                      solve_base_primal, solve_boundary_point,
+                      solve_intermediate_primal)
 from pdqp.model import index_mask, pivoted_cholesky
 
 from conftest import (criterion7_instance, free_start_cases, held_basis,
@@ -474,13 +474,11 @@ def test_discovery_gives_the_partition_of_the_full_matrix_first_rule(
                        .values()))
     tried = 0
     for p in problems:
-        prefer = sorted(p.free)
         cand = np.flatnonzero(~p.fixed_mask)
         k_full = build_kb(p, cand)
         accepted = _bunch_kaufman(k_full) is not None
         want = cand if accepted else kkt._revealed_basis(
-            p, cand, index_mask(p.n, prefer),
-            kkt.PIVOT_TOL * float(np.abs(k_full).max()))
+            p, cand, kkt.PIVOT_TOL * float(np.abs(k_full).max()))
         basis = KktBasis(p)
         part = find_soc_basis(p, basis)
         assert part.basic == want.tolist()
@@ -568,7 +566,7 @@ def test_revealed_basis_matches_two_pass_formula(suite500):
         cand = np.flatnonzero(~p.fixed_mask)
         first = index_mask(p.n, sorted(p.free))
         tol = kkt.PIVOT_TOL * kkt._kkt_max(p, cand)
-        assert np.array_equal(kkt._revealed_basis(p, cand, first, tol),
+        assert np.array_equal(kkt._revealed_basis(p, cand, tol),
                               _two_pass_basis(p, cand, first, tol))
         preferring += bool(first[cand].any())
     assert 50 < preferring < len(problems) - 400
@@ -954,10 +952,10 @@ def test_updated_directions_match_fresh_and_solves_stay_correct(
 
 
 def test_dlange_one_norm_has_the_bits_of_numpys_column_sums():
-    # _bunch_kaufman takes ||K||_1 from LAPACK's dlange on K.T, which sums
-    # each column in order as numpy sums |K| over axis 0: on symmetric
-    # matrices of every scale the two give the same bits, so dsycon's
-    # verdicts see the same norm.
+    # _bunch_kaufman takes ||K||_1, and KktBasis._update ||S||_1, from
+    # LAPACK's dlange on the transpose, which sums each column in order as
+    # numpy sums |K| over axis 0: on symmetric matrices of every scale the
+    # two give the same bits, so dsycon's verdicts see the same norm.
     rng = np.random.default_rng(12)
     for dim in list(range(1, 40)) + [75, 120, 301]:
         g = rng.normal(size=(dim, dim)) * np.exp(8 * rng.normal(size=(dim, dim)))

@@ -9,13 +9,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from pdqp import (Direction, GeneralQp, Iterate, Partition, ProblemError,
                   QpProblem, Shifts, SolveConfig, check_optimality,
-                  enumerate_solve, objectives, primal_base, residuals,
-                  solve_base_primal, solve_pdqp, solve_standard,
-                  standardize)
+                  enumerate_solve, solve_pdqp, solve_standard, standardize)
 from pdqp import driver, model
 from pdqp.driver import STRATEGIES
-from pdqp.kkt import KktBasis
-from pdqp.model import _check_psd, effective_shifts
+from pdqp.kkt import KktBasis, solve_base_primal
+from pdqp.model import _check_psd, effective_shifts, objectives, residuals
+from pdqp.primal import primal_base
 from pdqp.steps import StepResult, make_trace_record
 
 from conftest import criterion7_instance, mixed_instances, random_instances
@@ -565,6 +564,19 @@ def test_effective_shifts_align_relaxed_entries(p1):
     assert eff.q[1] == 0.25
 
 
+def test_effective_shifts_align_every_boundary_entry(p1):
+    # Basic r_i becomes -z_i and nonbasic q_j becomes -x_j however small
+    # the gap, so the boundary equalities hold exactly; q_B and r_N keep
+    # the given shifts.
+    part = Partition(basic=[0], nonbasic=[1])
+    point = it([1.0, -0.25], [1.0], [-0.5, 0.5])
+    s = Shifts(np.array([0.75, 0.25 + 2.0 ** -40]),
+               np.array([0.5 - 2.0 ** -40, -2.0]))
+    eff = effective_shifts(p1, s, part, point)
+    assert eff.q.tolist() == [0.75, 0.25]
+    assert eff.r.tolist() == [0.5, -2.0]
+
+
 def _dominated_by(factor, off):
     """off, symmetric with a zero diagonal, with each diagonal entry
     ``factor`` times the magnitude sum of the rest of its row."""
@@ -882,28 +894,29 @@ def test_a_write_through_x_reaches_the_engines_update(p1):
 
 
 def test_assigning_a_vector_writes_it_into_the_buffer():
-    # it.x = w copies w into the buffer, checked as the constructor checks
-    # it: the views never leave the buffer, and a refused w writes nothing.
+    # The point changes only through its views: rebinding x, y, z or v
+    # (or binding a new attribute) raises and writes nothing, writes
+    # through the views (it.x[...] = w, it.x += w) land in the buffer, and
+    # the views stay the buffer's.
     point = Iterate([1.0, 2.0], [3.0], [4.0, 5.0])
     x, buffer = point.x, point.v
-    point.x = [7, 8]
-    assert point.x is x and point.v is buffer
-    assert point.v.tolist() == [7.0, 8.0, 3.0, 4.0, 5.0]
+    for name, value in (("x", [7.0, 8.0]), ("y", np.ones(1)),
+                        ("z", point.z.copy()), ("v", np.zeros(5)),
+                        ("w", None)):
+        with pytest.raises(AttributeError,
+                           match=f"^cannot set Iterate.{name}: an Iterate "
+                                 f"changes only through its views$"):
+            setattr(point, name, value)
+    assert point.v.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    point.x[...] = [7, 8]
     point.x += 1.0
-    point.z = np.array([-1.0, -2.0])
-    assert point.v.tolist() == [8.0, 9.0, 3.0, -1.0, -2.0]
-    point.v = np.zeros(5)
-    assert point.x is x and _views_of(buffer, point.x, point.y, point.z)
-    with pytest.raises(ProblemError,
-                       match=r"^y must have length 1, got shape \(2,\)$"):
-        point.y = [1.0, 2.0]
-    with pytest.raises(ProblemError,
-                       match="^z is not an array of real numbers$"):
-        point.z = ["a", "b"]
-    with pytest.raises(ProblemError,
-                       match=r"^v must have length 5, got shape \(4,\)$"):
-        point.v = np.ones(4)
-    assert point.v.tolist() == [0.0] * 5
+    point.z[:] = np.array([-1.0, -2.0])
+    point.y -= 3.0
+    assert point.v.tolist() == [8.0, 9.0, 0.0, -1.0, -2.0]
+    point.v *= 2.0
+    assert point.z.tolist() == [-2.0, -4.0]
+    assert point.x is x and point.v is buffer
+    assert _views_of(buffer, point.x, point.y, point.z)
 
 
 def test_copies_and_negations_share_no_memory(p1):

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdqp import (Iterate, Partition, QpProblem, Shifts,
-                  enumerate_solve, factor_kb, solve_base_primal,
-                  solve_intermediate_primal)
+from pdqp import Iterate, Partition, QpProblem, Shifts, enumerate_solve
 from pdqp import oracle
-from pdqp.kkt import KktBasis
+from pdqp.kkt import (KktBasis, factor_kb, solve_base_primal,
+                      solve_intermediate_primal)
 from pdqp.oracle import (OracleBudgetError, _in_cone, dual_set_nonempty,
                          primal_set_nonempty)
 
@@ -244,7 +243,7 @@ def test_direction_propositions_singular_kb(p1):
 
 
 def test_direction_propositions_random():
-    from pdqp import find_soc_basis
+    from pdqp.kkt import find_soc_basis
     rng = np.random.default_rng(4)
     for p in random_instances(19, 25):
         part = find_soc_basis(p, KktBasis(p))
@@ -288,7 +287,8 @@ def test_objective_identity_zero_step(p1):
 
 
 def test_objective_identity_random_steps():
-    from pdqp import find_soc_basis, init_shifts
+    from pdqp.driver import init_shifts
+    from pdqp.kkt import find_soc_basis
     rng = np.random.default_rng(14)
     for p in random_instances(29, 15, kinds=("feasible",)):
         part = find_soc_basis(p, KktBasis(p))

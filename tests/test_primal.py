@@ -3,10 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pdqp import (InvariantError, Iterate, Partition, QpProblem, Shifts,
-                  StartConditionError, check_optimality, primal_base,
-                  primal_intermediate, solve_primal)
+                  StartConditionError, check_optimality, solve_primal)
 from pdqp import steps
 from pdqp.kkt import KktBasis
+from pdqp.primal import primal_base, primal_intermediate
 
 from conftest import random_instances
 
@@ -196,7 +196,8 @@ def test_solve_primal_relaxed_basic_selection(p2):
 
 
 def test_primal_feasibility_and_monotonicity_random():
-    from pdqp import factor_kb, find_soc_basis, init_shifts
+    from pdqp.driver import init_shifts
+    from pdqp.kkt import factor_kb, find_soc_basis
     for p in random_instances(23, 20, kinds=("feasible",)):
         part = find_soc_basis(p, KktBasis(p))
         shifts, it = init_shifts(p, part, factor_kb(p, part.basic))

@@ -22,24 +22,24 @@ BOX = 0.5                       # share of variables given a box
 HIGHS_STATUS = {0: "optimal", 2: "primal_infeasible", 3: "dual_infeasible"}
 
 
-def referee_lp(rng):
+def referee_lp(rng, sizes=(10, 30), box=BOX):
     """One general-format LP, H = 0, with every bound kind.
 
-    n is 10 or 30 and m = n // 2; A and c are normal draws rounded to
+    n is drawn from ``sizes`` and m = n // 2; A and c are normal draws rounded to
     two decimals.  Each component j (variables, then rows) draws a kind
     around v, x0_j or (A x0)_j for a normal x0: 0 a lower bound
     v - |N| [U < 1/2], 1 an upper bound v + |N| [U < 1/2], 2 the box
     [v - U, v + U], 3 a free variable or an equality row, 4 a lower bound
-    v - U, with N and U fresh normal and uniform draws.  A share BOX of
-    the variables is boxed.  So x0 is feasible, unless, with probability
+    v - U, with N and U fresh normal and uniform draws.  A share ``box``
+    of the variables is boxed.  So x0 is feasible, unless, with probability
     0.15, one row is fixed at (A x0)_j + 50 and the variable bounds are
     clipped into [-1, 1]: mostly infeasible."""
-    n = int(rng.choice([10, 30]))
+    n = int(rng.choice(sizes))
     m = n // 2
     a = rng.normal(size=(m, n)).round(2)
     x0 = rng.normal(size=n)
     kind = rng.integers(0, 5, n + m)
-    kind[:n][rng.random(n) < BOX] = 2
+    kind[:n][rng.random(n) < box] = 2
     v = np.concatenate([x0, a @ x0])
     size, near = np.abs(rng.normal(size=n + m)), rng.random(n + m)
     step = size * (rng.random(n + m) < 0.5)

@@ -2,6 +2,7 @@
 top-level function and class of ``src/pdqp`` must be referenced."""
 
 import ast
+import types
 from pathlib import Path
 
 import pdqp
@@ -57,3 +58,13 @@ def test_every_top_level_name_is_referenced():
                 read |= _reads(node)
                 grew = True
     assert not dead, sorted(f"{m}.{name}" for m, name in dead)
+
+
+def test_the_package_binds_only_its_public_api():
+    # Building blocks are imported from their modules (pdqp.kkt, ...): the
+    # package binds __all__ and __version__ next to its submodules.
+    bound = {name for name, value in vars(pdqp).items()
+             if not name.startswith("__")
+             and not isinstance(value, types.ModuleType)}
+    assert bound == set(pdqp.__all__)
+    assert pdqp.__version__ == "0.1.0"

@@ -1,15 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from pdqp import (InvariantError, Iterate, Partition, QpProblem, Shifts,
-                  StartConditionError, factor_kb, find_soc_basis, init_shifts,
-                  primal_base, solve_dual, solve_primal)
-from pdqp.kkt import KktBasis
-from pdqp.primal import PRIMAL
+                  StartConditionError, solve_dual, solve_primal)
+from pdqp.driver import init_shifts
+from pdqp.dual import DUAL
+from pdqp.kkt import (KktBasis, factor_kb, find_soc_basis,
+                      solve_boundary_point)
+from pdqp.primal import PRIMAL, primal_base
 from pdqp.model import BOUND_SLACK
-from pdqp.steps import (StepResult, _check_bounds, _on_bound, ratio_test,
-                        run_active_set, select_index)
+from pdqp.steps import (Family, StepResult, _check_bounds, _on_bound,
+                        ratio_test, run_active_set, select_index)
 
 TOL = 1e-6
 
@@ -198,3 +202,53 @@ def test_on_bound_limit_is_the_slack_scaled_by_the_shift(shift):
     assert_array_equal(np.broadcast_to(np.abs(values) <= got,
                                        (9, shift.size)),
                        np.abs(values) <= want)
+
+
+ROLES = ("repaired", "repair_shift", "guarded", "guard_shift", "live", "idle",
+         "unguarded", "pinned", "scale_by", "unbounded", "live_mask",
+         "unguarded_mask", "pinned_mask", "d_guarded", "rate")
+
+
+def test_each_family_derives_its_roles_from_its_name():
+    # The 16 attributes the engine reads; the dual mirrors each primal one.
+    assert [PRIMAL.method] + [getattr(PRIMAL, a) for a in ROLES] == [
+        "primal", "z", "r", "x", "q", "basic", "nonbasic", "free", "fixed",
+        "y", "dual_infeasible", "basic_mask", "free_mask", "fixed_mask",
+        "dx", "dz_l"]
+    assert [DUAL.method] + [getattr(DUAL, a) for a in ROLES] == [
+        "dual", "x", "q", "z", "r", "nonbasic", "basic", "fixed", "free",
+        "x", "primal_infeasible", "nonbasic_mask", "fixed_mask", "free_mask",
+        "dz", "dx_l"]
+    assert Family("primal") == PRIMAL and Family("dual") == DUAL
+    with pytest.raises(KeyError):
+        Family("x")
+
+
+@pytest.mark.parametrize("off,error", [
+    (1e-6, "primal start: idle x[0] + q[0] = 1.000e-06 violates its bound"),
+    (1e-8, None),
+], ids=["beyond", "within"])
+def test_an_idle_value_is_held_on_its_bound_within_the_slack(
+        suite500, off, error):
+    # The first suite500 problem whose discovered basis leaves an index j
+    # nonbasic with x_B >= 0 at the boundary point of q_j = -off: a public
+    # primal run from that point at zero shifts meets x_j + q_j = off.
+    # BOUND_SLACK (1e-7 at a zero shift) holds 1e-8 on the bound and not
+    # 1e-6.
+    for p in suite500:
+        part = find_soc_basis(p, KktBasis(p))
+        if not part.nonbasic:
+            continue
+        q = np.zeros(p.n)
+        q[part.nonbasic[0]] = -off
+        it = solve_boundary_point(p, Shifts(q, np.zeros(p.n)), part,
+                                  factor_kb(p, part.basic))
+        if (it.x[part.basic_mask] >= 0.0).all():
+            break
+    assert (p.n, part.nonbasic[0]) == (5, 0)
+    if error is None:
+        assert solve_primal(p, Shifts.zero(p.n),
+                            (it, part)).status == "dual_infeasible"
+    else:
+        with pytest.raises(StartConditionError, match=f"^{re.escape(error)}$"):
+            solve_primal(p, Shifts.zero(p.n), (it, part))
