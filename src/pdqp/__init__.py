@@ -12,6 +12,7 @@ from .dual import solve_dual
 from .driver import (GeneralQp, PdqpSolution, SolveConfig, StandardSolution,
                      solve_pdqp, solve_standard, standardize)
 from .oracle import OracleBudgetError, OracleSolution, enumerate_solve
+from ._blas import one_blas_thread
 
 __all__ = [
     "Direction", "GeneralQp", "InvariantError", "Iterate",
@@ -19,8 +20,8 @@ __all__ = [
     "OracleSolution", "Partition", "PdqpSolution", "ProblemError",
     "QpProblem", "Shifts", "SolveConfig", "SolveOutcome",
     "StandardSolution", "StartConditionError", "TraceRecord",
-    "check_optimality", "enumerate_solve", "solve_dual", "solve_pdqp",
-    "solve_primal", "solve_standard", "standardize",
+    "check_optimality", "enumerate_solve", "one_blas_thread", "solve_dual",
+    "solve_pdqp", "solve_primal", "solve_standard", "standardize",
 ]
 
 __version__ = "0.1.0"

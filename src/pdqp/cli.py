@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .driver import (STRATEGIES, GeneralQp, PdqpSolution, SolveConfig,
                      solve_pdqp)
 from .model import DEFAULT_TOL, inf_norm
@@ -545,14 +546,17 @@ def main(argv=None) -> int:
         if args.max_iter < 0:
             parser.exit(2, f"{parser.prog}: error: --max-iter must be "
                            f"0 or more, got {args.max_iter}\n")
+    # The CLI owns its process: one BLAS thread makes its outputs the same
+    # whatever OPENBLAS_NUM_THREADS says, and its small solves faster.
     try:
-        if args.command == "profile":
-            profile(args.log_a, args.log_b, args.out)
-            return 0
-        rows, code = run(args.paths, args.out, strategy=args.strategy,
-                         opt_tol=args.opt_tol, fea_tol=args.fea_tol,
-                         max_iter=args.max_iter, trace=args.trace,
-                         expect=args.expect)
+        with one_blas_thread():
+            if args.command == "profile":
+                profile(args.log_a, args.log_b, args.out)
+                return 0
+            rows, code = run(args.paths, args.out, strategy=args.strategy,
+                             opt_tol=args.opt_tol, fea_tol=args.fea_tol,
+                             max_iter=args.max_iter, trace=args.trace,
+                             expect=args.expect)
     except InputError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     for row in rows:

@@ -205,8 +205,12 @@ class KktFactorization:
 
     @cached_property
     def max_abs(self) -> float:
-        """max|K|, computed at the first use and kept."""
-        return inf_norm(self.matrix)
+        """max|K|, computed at the first use and kept: ``inf_norm`` of K
+        without its |K| copy (``+ 0.0`` turns -0.0 into 0.0)."""
+        k = self.matrix
+        if not k.size:
+            return 0.0
+        return max(float(k.max()), -float(k.min())) + 0.0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the factorization, one refinement step."""

@@ -69,6 +69,13 @@ def random_instance(rng, kinds=("feasible", "primal_inf", "unbounded")):
     are certified by the primal feasibility cone; unbounded ones carry a
     nonnegative null ray of H and A with negative cost, certified by the
     dual feasibility cone.  Returns None when sampling fails.
+
+    Some shapes never load: with M = 0, rank [A M] = rank A, which is at
+    most n, and at most n - 1 for an unbounded draw, whose rows are
+    projected orthogonal to its ray.  Such a draw still makes all of its
+    60 tries' random draws, so the stream stays in place, but it shapes
+    and builds no ``QpProblem``, which would raise "[A M] is rank
+    deficient" every time.
     """
     n = int(rng.integers(2, 9))
     m = int(rng.integers(1, 4))
@@ -76,6 +83,8 @@ def random_instance(rng, kinds=("feasible", "primal_inf", "unbounded")):
     mkind = rng.choice(["zero", "mu"])
     M = np.zeros((m, m)) if mkind == "zero" else 1e-2 * np.eye(m)
     kind = rng.choice(list(kinds))
+    # Only an M = 0 draw can be doomed, and its kind never changes.
+    doomed = mkind == "zero" and m > n - (kind == "unbounded")
     for _ in range(60):
         H = random_psd(rng, n, hkind)
         A = rng.normal(size=(m, n))
@@ -83,28 +92,34 @@ def random_instance(rng, kinds=("feasible", "primal_inf", "unbounded")):
             if kind == "feasible":
                 x0 = np.abs(rng.normal(size=n))
                 y0 = rng.normal(size=m)
-                return QpProblem(H=H, M=M, A=A, b=A @ x0 + M @ y0,
-                                 c=rng.normal(size=n))
+                c = rng.normal(size=n)
+                if doomed:
+                    continue
+                return QpProblem(H=H, M=M, A=A, b=A @ x0 + M @ y0, c=c)
             if kind == "primal_inf":
                 if mkind != "zero":
                     kind = "feasible"
                     continue
-                p = QpProblem(H=H, M=M, A=A, b=rng.normal(size=m),
-                              c=rng.normal(size=n))
+                b, c = rng.normal(size=m), rng.normal(size=n)
+                if doomed:
+                    continue
+                p = QpProblem(H=H, M=M, A=A, b=b, c=c)
                 if not primal_set_nonempty(p, Shifts.zero(n)):
                     return p
                 continue
             ray = np.abs(rng.normal(size=n)) + 0.1
-            A = A - np.outer(A @ ray, ray) / (ray @ ray)
             if hkind == "pd":
                 hkind = "psd"
             H = random_psd(rng, n, hkind)
-            H = H - np.outer(H @ ray, ray) / (ray @ ray)
-            H = H - np.outer(ray, ray @ H) / (ray @ ray)
-            H = 0.5 * (H + H.T)
             x0 = np.abs(rng.normal(size=n))
             y0 = rng.normal(size=m)
             c = rng.normal(size=n)
+            if doomed:
+                continue
+            A = A - np.outer(A @ ray, ray) / (ray @ ray)
+            H = H - np.outer(H @ ray, ray) / (ray @ ray)
+            H = H - np.outer(ray, ray @ H) / (ray @ ray)
+            H = 0.5 * (H + H.T)
             if c @ ray >= -0.1:
                 c = c - ((c @ ray) + 1.0) * ray / (ray @ ray)
             p = QpProblem(H=H, M=M, A=A, b=A @ x0 + M @ y0, c=c)
@@ -130,18 +145,26 @@ def suite500_draw():
     """``random_instances(20260810, 500)``, the ``suite500`` benchmark
     workload's instances, drawn once per test session: (the problems as a
     tuple, the (arguments, answer) of every ``oracle._in_cone`` call the
-    draw made to certify its infeasible instances)."""
+    draw made to certify its infeasible instances, the number of
+    ``QpProblem`` constructions it made, those that raised included)."""
     calls = []
     in_cone = oracle._in_cone
+    built = [0]
+    post_init = QpProblem.__post_init__
 
     def record(*args):
         calls.append((args, in_cone(*args)))
         return calls[-1][1]
 
+    def count(p):
+        built[0] += 1
+        post_init(p)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_in_cone", record)
+        mp.setattr(QpProblem, "__post_init__", count)
         problems = tuple(random_instances(20260810, 500))
-    return problems, calls
+    return problems, calls, built[0]
 
 
 @pytest.fixture(scope="session")
@@ -299,3 +322,30 @@ def free_start_cases(seed, count, per_problem=6):
         out += [(f"freestart{kept - 1:03d}b{i}", p, b)
                 for i, b in enumerate(bases)]
     return out
+
+
+def cvxqp(n, variant):
+    """The CVXQP``variant`` QP of CUTEst at size n, rebuilt from the
+    formulas of its SIF files (Maros and Meszaros, "A repository of convex
+    quadratic programming problems", 1999), with 1-based indices:
+    minimize sum_{i=1..n} (i/2) (x_i + x_{(2i-1) mod n + 1}
+    + x_{(3i-1) mod n + 1})^2 subject to x_i + 2 x_{(4i-1) mod n + 1}
+    + 3 x_{(5i-1) mod n + 1} = 6 for i = 1..m and 0.1 <= x <= 10, where
+    m = n/2, n/4 or 3n/4 for variants 1, 2 and 3; repeated indices add.
+    The test needs the shape (degenerate, sparse cyclic couplings), not
+    CUTEst's exact data, since HiGHS referees what is drawn here."""
+    m = {1: n // 2, 2: n // 4, 3: 3 * n // 4}[variant]
+    i = np.arange(1, n + 1)
+    terms = np.zeros((n, n))
+    for col in (i - 1, (2 * i - 1) % n, (3 * i - 1) % n):
+        np.add.at(terms, (i - 1, col), 1.0)
+    rows = np.zeros((m, n))
+    k = i[:m]
+    for coef, col in ((1.0, k - 1), (2.0, (4 * k - 1) % n),
+                      (3.0, (5 * k - 1) % n)):
+        np.add.at(rows, (k - 1, col), coef)
+    return GeneralQp(Hhat=terms.T @ (i[:, None] * terms), Ahat=rows,
+                     c=np.zeros(n),
+                     lower=np.concatenate([np.full(n, 0.1), np.full(m, 6.0)]),
+                     upper=np.concatenate([np.full(n, 10.0), np.full(m, 6.0)]),
+                     name=f"cvxqp{variant}_n{n}")

@@ -59,11 +59,12 @@ that the construction raised.  Each set ends with a
     PYTHONPATH=src python tests/output_digest.py --hashes > a.txt
 
 Its five sets are ``suite500``, every construction that
-``random_instances(20260810, 500)`` makes (those that raise included);
+``random_instances(20260810, 500)`` makes (1455, all of which load: the
+draw builds none of the shapes that the rank rule rejects);
 ``mixed-bounds``, ``ladder`` and ``lowrank``, the workloads' general-format
 problems standardized; and ``malformed``, hand-made inputs that reach
-every ``ProblemError`` of ``QpProblem`` and ``GeneralQp``, next to valid
-inputs of the same kinds.
+every ``ProblemError`` of ``QpProblem`` and ``GeneralQp`` (the rank
+rule's by ``qp-rank-deficient``), next to valid inputs of the same kinds.
 
 The digest depends on the host (its BLAS and CPU), so compare two trees
 on one host.  Each solve contributes its status, objective, strategy,

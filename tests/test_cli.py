@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdqp import KktInternalError, Shifts, driver, enumerate_solve, standardize
+from pdqp import (KktInternalError, Shifts, cli, driver, enumerate_solve,
+                  one_blas_thread, standardize)
 from pdqp.cli import (InputError, QptParseError, emit_problem, main,
                       parse_problem, profile, read_runlog, run)
 
@@ -576,6 +577,25 @@ def test_main_run_and_profile(tmp_path, capsys):
                  str(out_b / "runlog.csv"),
                  "--out", str(tmp_path / "prof.txt")]) == 0
     assert (tmp_path / "prof.txt").exists()
+
+
+def test_main_runs_its_command_on_one_blas_thread(monkeypatch):
+    # The CLI owns its process: its command runs on one thread of every
+    # loaded OpenBLAS, and each thread count is restored after it.
+    inside = []
+
+    def fake_run(*args, **kwargs):
+        with one_blas_thread() as pinned:
+            inside.extend(threads for _, threads in pinned)
+        return [], 0
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    with one_blas_thread() as before:
+        pass
+    assert main(["run", "p.qpt"]) == 0
+    with one_blas_thread() as after:
+        pass
+    assert before and inside == [1] * len(before) and after == before
 
 
 def test_solutions_match_oracle_on_corpus(tmp_path):

@@ -37,6 +37,15 @@ def test_factor_kb_two_by_two(p1):
     assert_allclose(f.solve(np.array([1.0, 1.0])), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("k", [np.array([[1.0, -3.0], [-3.0, 2.0]]),
+                               np.array([[-0.0, 0.0], [0.0, -0.0]]),
+                               np.array([[-0.0]]), np.zeros((0, 0))])
+def test_max_abs_is_inf_norm_bit_for_bit(k):
+    # A negative extreme entry, entries that are all +-0.0, and an empty K.
+    got = KktFactorization(ldu=k, ipiv=None, matrix=k, inv_norm=0.0).max_abs
+    assert np.float64(got).tobytes() == np.float64(model.inf_norm(k)).tobytes()
+
+
 def test_factor_kb_singular_empty_basis(p_lp):
     assert factor_kb(p_lp, []) is None
 

@@ -172,7 +172,7 @@ def test_in_cone_matches_subset_enumeration_on_generator_calls(
         suite500_draw):
     # Every cone test that random_instances makes to certify its
     # infeasible draws, the suite500 workload's instance set.
-    _, calls = suite500_draw
+    _, calls, _ = suite500_draw
     assert len(calls) > 1000
     for args, got in calls:
         assert got == _in_cone_by_subsets(*args)

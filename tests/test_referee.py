@@ -1,4 +1,5 @@
-"""HiGHS as the referee of general-format LPs past the oracle's reach.
+"""HiGHS as the referee of general-format LPs past the oracle's reach,
+and the QP referee (``highs_qp``) that ``test_cvxqp.py`` calls.
 
 ``scipy.optimize.linprog(method="highs")`` judges the status and the
 objective of each LP that ``referee_lp`` draws, and pdqp must agree
@@ -13,6 +14,8 @@ from functools import cache
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+from scipy.sparse import csc_matrix
 
 from pdqp import GeneralQp, SolveConfig, solve_pdqp
 
@@ -76,6 +79,39 @@ def highs(g):
                   bounds=np.column_stack([g.lower[:n], g.upper[:n]]),
                   method="highs")
     return HIGHS_STATUS[res.status], res.fun
+
+
+def highs_qp(g):
+    """HiGHS's QP solver on a general-format QP, through scipy's private
+    bindings: (optimal or not, objective).  Its status does not judge
+    unboundedness (it reports optimal on some ``mixed-bounds`` problems
+    that pdqp and the oracle call dual infeasible), so only the objective
+    of an optimal answer can referee pdqp."""
+    n = g.n
+    lp = _core.HighsLp()
+    lp.num_col_, lp.num_row_ = n, g.m
+    lp.col_cost_ = g.c
+    lp.col_lower_, lp.col_upper_ = g.lower[:n], g.upper[:n]
+    lp.row_lower_, lp.row_upper_ = g.lower[n:], g.upper[n:]
+    a = csc_matrix(g.Ahat)
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n, g.m
+    lp.a_matrix_.start_, lp.a_matrix_.index_ = a.indptr, a.indices
+    lp.a_matrix_.value_ = a.data
+    h = csc_matrix(np.tril(g.Hhat))        # the lower triangle, by column
+    hessian = _core.HighsHessian()
+    hessian.dim_ = n
+    hessian.format_ = _core.HessianFormat.kTriangular
+    hessian.start_, hessian.index_ = h.indptr, h.indices
+    hessian.value_ = h.data
+    model = _core.HighsModel()
+    model.lp_, model.hessian_ = lp, hessian
+    solver = _core._Highs()
+    solver.setOptionValue("output_flag", False)
+    solver.passModel(model)
+    solver.run()
+    return (solver.getModelStatus() == _core.HighsModelStatus.kOptimal,
+            solver.getInfo().objective_function_value)
 
 
 @cache

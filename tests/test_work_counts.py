@@ -22,11 +22,11 @@ The counts come from ``monkeypatch`` wrappers: ``factor_kb`` in ``kkt``,
 iterations and subiterations) and ``take_step`` as the step functions
 call it (its steps, and those of length zero).
 
-The sets are built and solved on one thread of every loaded OpenBLAS,
-as the benchmark runs them.  A threaded BLAS sums in another order, so
-the low-rank H of ``lowrank`` differs in its last bits, and the last bit
-decides whether a step is exactly zero: with two threads ``lowrank``
-has one zero-length step fewer.
+The sets are built and solved on one thread of every loaded OpenBLAS
+(``pdqp.one_blas_thread``), as the benchmark runs them.  A threaded BLAS
+sums in another order, so the low-rank H of ``lowrank`` differs in its
+last bits, and the last bit decides whether a step is exactly zero: with
+two threads ``lowrank`` has one zero-length step fewer.
 
 Regenerate the file only for a change that is meant to alter the work
 done, and say so; the command prints every row it changes:
@@ -35,9 +35,7 @@ done, and say so; the command prints every row it changes:
 """
 
 import csv
-import ctypes
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -45,7 +43,8 @@ if __name__ == "__main__":
 
 import pytest
 
-from pdqp import SolveConfig, dual, kkt, primal, solve_pdqp, solve_standard
+from pdqp import (SolveConfig, dual, kkt, one_blas_thread, primal, solve_pdqp,
+                  solve_standard)
 
 from conftest import mixed_instances, random_instances
 from workloads import STRATEGIES, Ladder, LowRank, constructed_qp
@@ -53,34 +52,6 @@ from workloads import STRATEGIES, Ladder, LowRank, constructed_qp
 PIN = Path(__file__).resolve().parent / "data" / "work_counts.csv"
 FIELDS = ("set", "factorizations", "iterations", "subiterations",
           "zero_steps")
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block on one thread of every OpenBLAS in the process and
-    restore each one's thread count after it."""
-    with open("/proc/self/maps") as fh:
-        paths = sorted({line.split()[-1] for line in fh
-                        if "openblas" in line.rsplit("/", 1)[-1].lower()})
-    libs = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for prefix in ("scipy_", ""):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}",
-                              None)
-                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}",
-                               None)
-                if get is not None and set_ is not None:
-                    libs.append((set_, get()))
-    assert libs, "no OpenBLAS found in the process"
-    for set_, _ in libs:
-        set_(1)
-    try:
-        yield
-    finally:
-        for set_, threads in libs:
-            set_(threads)
 
 
 def _sets(suite):
@@ -130,7 +101,8 @@ def _rows(suite, setattr):
         setattr(module, "run_active_set", stage(module.run_active_set))
         setattr(module, "take_step", step(module.take_step))
     rows = []
-    with _one_blas_thread():
+    with one_blas_thread() as pinned:
+        assert pinned, "no OpenBLAS found in the process"
         for name, solves in _sets(suite):
             count.update(dict.fromkeys(count, 0), steps=0)
             for solve in solves:
