@@ -38,6 +38,7 @@ import itertools
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,7 +58,8 @@ RUN_STATUSES = TERMINAL_STATUSES | {ITERATION_LIMIT, "error"}
 
 
 class InputError(ValueError):
-    """A malformed or unreadable input file: ``path[:line]: message``."""
+    """A malformed or unreadable input file, or (``OutputError``) an
+    output path that cannot be written: ``path[:line]: message``."""
 
     def __init__(self, path, line_no, message):
         where = path if line_no is None else f"{path}:{line_no}"
@@ -68,6 +70,21 @@ class InputError(ValueError):
 
 class QptParseError(InputError):
     """A malformed problem file."""
+
+
+class OutputError(InputError):
+    """An output file or directory that cannot be written."""
+
+
+@contextmanager
+def _writing(path):
+    """Turn an OSError raised while writing ``path`` into an
+    ``OutputError``, which ``main`` reports as a one-line error."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(path, None,
+                          f"cannot write: {exc.strerror or exc}") from None
 
 
 def _read_text(path) -> str:
@@ -265,8 +282,9 @@ def _write_new(path, text: str) -> None:
     makes a rerun write new files instead of truncating and rewriting the
     old ones in place."""
     path = Path(path)
-    path.unlink(missing_ok=True)
-    path.write_text(text)
+    with _writing(path):
+        path.unlink(missing_ok=True)
+        path.write_text(text)
 
 
 def emit_problem(g: GeneralQp, path) -> None:
@@ -333,11 +351,12 @@ def _solve_one(g: GeneralQp, config: SolveConfig, trace_to=None
     if trace_to is not None:
         header = ("method,iteration,subiteration,kind,l,k,alpha,alpha_star,"
                   "alpha_max,dx_l,dz_l,violation,f_primal,f_dual")
-        body = [f"{r.method},{r.iteration},{r.subiteration},{r.kind},{r.l},"
-                f"{'' if r.k is None else r.k},{r.alpha:.9g},{r.alpha_star:.9g},"
-                f"{r.alpha_max:.9g},{r.dx_l:.9g},{r.dz_l:.9g},"
-                f"{r.violation:.9g},{r.f_primal:.12g},{r.f_dual:.12g}"
-                for r in records]
+        body = [f"{r.method},{r.iteration},{r.subiteration},{r.kind},"
+                f"{d.freed},{'' if st.blocking is None else st.blocking},"
+                f"{st.alpha:.9g},{st.alpha_star:.9g},{st.alpha_max:.9g},"
+                f"{d.dx_l:.9g},{d.dz_l:.9g},{r.violation:.9g},"
+                f"{r.f_primal:.12g},{r.f_dual:.12g}"
+                for r in records for st, d in [(r.step, r.direction)]]
         _write_new(trace_to, "\n".join([header] + body) + "\n")
     return row, sol
 
@@ -387,13 +406,16 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=DEFAULT_TOL,
     leaves in place.  An error row whose name an earlier row holds is
     named ``<name>~k``, with k the smallest integer from 2 up that no
     earlier row holds, so no two rows share a name.  A bad setting
-    raises ValueError (``SolveConfig.check``) before any file is touched."""
+    raises ValueError (``SolveConfig.check``) before any file is touched.
+    An output path that cannot be written raises ``OutputError`` and ends
+    the batch."""
     config = SolveConfig(opt_tol=opt_tol, fea_tol=fea_tol,
                          max_iterations=max_iter, strategy=strategy)
     config.check()
     expected = read_expectations(expect) if expect else None
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     rows = []
     taken = set()
     for path in paths:
@@ -406,6 +428,8 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=DEFAULT_TOL,
                                  f"file of this batch")
             row, sol = _solve_one(
                 g, config, out / f"{g.name}.trace.csv" if trace else None)
+        except OutputError:
+            raise
         except Exception as exc:     # one bad problem must not end the batch
             name, n, m = (path.stem, 0, 0) if g is None else (g.name, g.n, g.m)
             if name in taken:
@@ -421,8 +445,10 @@ def run(paths, out_dir, *, strategy="auto", opt_tol=DEFAULT_TOL,
             _write_solution(sol, out / f"{row.name}.sol")
         else:
             # An earlier run's files would contradict the error row.
-            (out / f"{row.name}.sol").unlink(missing_ok=True)
-            (out / f"{row.name}.trace.csv").unlink(missing_ok=True)
+            for stale in (out / f"{row.name}.sol",
+                          out / f"{row.name}.trace.csv"):
+                with _writing(stale):
+                    stale.unlink(missing_ok=True)
         rows.append(row)
     _write_new(out / "runlog.csv",
                _csv_text([RUNLOG_COLUMNS] + [r.fields() for r in rows]))

@@ -724,8 +724,7 @@ def _direction(p: QpProblem, part: Partition, basic: np.ndarray, l: int,
             np.copyto(dz, dx.take(support) @ p.H.take(support, axis=0)
                       - dy @ p.A, where=nonbasic_mask)
     dz[l] = dzl
-    return Direction._own(v, n, m, l, float(dx[l]), dzl,
-                          tuple(basic.tolist()))
+    return Direction._own(v, n, m, l, tuple(basic.tolist()))
 
 
 def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,

@@ -544,8 +544,8 @@ class Direction:
     """A search direction (dx, dy, dz) with the freed components singled out.
 
     dx vanishes on the nonbasic set and dz on the basic set; only the
-    freed index l carries both a primal and a dual component.  ``basic``
-    records the basic set the direction was solved against.
+    freed index l carries both, ``dx_l`` = dx[l] and ``dz_l`` = dz[l].
+    ``basic`` records the basic set the direction was solved against.
 
     dx, dy and dz are views of one buffer ``v`` = [dx; dy; dz], laid out
     as ``Iterate.v``, so a step applies the direction with one operation.
@@ -559,8 +559,6 @@ class Direction:
     dy: np.ndarray
     dz: np.ndarray
     freed: int
-    dx_l: float
-    dz_l: float
     basic: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -569,20 +567,28 @@ class Direction:
         _hold(self, np.concatenate((dx, dy, dz)), dx.size, dy.size,
               _DIRECTION)
 
+    @property
+    def dx_l(self) -> float:
+        return float(self.dx[self.freed])
+
+    @property
+    def dz_l(self) -> float:
+        return float(self.dz[self.freed])
+
     @classmethod
-    def _own(cls, v: np.ndarray, n: int, m: int, freed: int, dx_l: float,
-             dz_l: float, basic: tuple[int, ...]) -> "Direction":
+    def _own(cls, v: np.ndarray, n: int, m: int, freed: int,
+             basic: tuple[int, ...]) -> "Direction":
         """The direction over the float buffer v = [dx; dy; dz] (dx of
         length n, dy of length m) that no one else holds, kept without the
         copy of the constructor."""
         out = object.__new__(cls)
         _hold(out, v, n, m, _DIRECTION)
-        out.__dict__.update(freed=freed, dx_l=dx_l, dz_l=dz_l, basic=basic)
+        out.__dict__.update(freed=freed, basic=basic)
         return out
 
     def negated(self) -> "Direction":
         return Direction._own(-self.v, self.dx.size, self.dy.size,
-                              self.freed, -self.dx_l, -self.dz_l, self.basic)
+                              self.freed, self.basic)
 
 
 @dataclass(frozen=True)

@@ -81,25 +81,20 @@ class StepResult:
 
 @dataclass
 class TraceRecord:
-    """One row per subiteration, enough to replay the objective identities."""
+    """One row per subiteration, enough to replay the objective identities:
+    its step and direction, and the objectives before and after the step."""
 
     method: str
     iteration: int
     subiteration: int
     kind: str
-    l: int
-    k: int | None
-    alpha: float
-    alpha_star: float
-    alpha_max: float
-    dx_l: float
-    dz_l: float
     violation: float
     f_primal_before: float
     f_primal: float
     f_dual_before: float
     f_dual: float
-    direction: Direction | None = None
+    step: StepResult
+    direction: Direction
 
 
 TraceSink = Callable[[TraceRecord], None]
@@ -244,19 +239,14 @@ def select_index(v: np.ndarray, one_sided: np.ndarray, two_sided: np.ndarray,
 
 
 def make_trace_record(method: str, iteration: int, subiteration: int,
-                      kind: str, l: int, step: StepResult, d: Direction,
-                      violation: float, p: QpProblem, eff: Shifts,
-                      it_before: Iterate, it_after: Iterate) -> TraceRecord:
-    f_primal_before, f_dual_before = objectives(p, eff, it_before)
-    f_primal, f_dual = objectives(p, eff, it_after)
+                      kind: str, step: StepResult, d: Direction,
+                      violation: float, before: tuple[float, float],
+                      after: tuple[float, float]) -> TraceRecord:
     return TraceRecord(
         method=method, iteration=iteration, subiteration=subiteration,
-        kind=kind, l=l, k=step.blocking,
-        alpha=step.alpha, alpha_star=step.alpha_star, alpha_max=step.alpha_max,
-        dx_l=d.dx_l, dz_l=d.dz_l, violation=violation,
-        f_primal_before=f_primal_before, f_primal=f_primal,
-        f_dual_before=f_dual_before, f_dual=f_dual, direction=d,
-    )
+        kind=kind, violation=violation,
+        f_primal_before=before[0], f_primal=after[0],
+        f_dual_before=before[1], f_dual=after[1], step=step, direction=d)
 
 
 def take_step(fam: Family, kind: str, p: QpProblem, s: Shifts,
@@ -456,8 +446,8 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
     certificate = None
     status = OPTIMAL
 
-    def emit(kind, l, step, d, viol, eff, before):
-        nonlocal subiterations, zero_streak, bland
+    def emit(kind, step, d, viol):
+        nonlocal subiterations, zero_streak, bland, f
         subiterations += 1
         if step.alpha == 0.0:
             zero_streak += 1
@@ -466,8 +456,10 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         elif math.isfinite(step.alpha):
             zero_streak = 0
         if trace is not None:
+            # Only a step moves the point: this pair is the next "before".
+            before, f = f, objectives(p, eff, it)
             trace(make_trace_record(fam.method, iterations, subiterations,
-                                    kind, l, step, d, viol, p, eff, before, it))
+                                    kind, step, d, viol, before, f))
 
     while True:
         # A near-zero threshold, for essentially exact complementarity, and
@@ -493,15 +485,16 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
         needs_base = bool(part.basic_mask[l]) != live_is_basic
         part.free_index(l)
         # Only trace records use the boundary-aligned shifts.
-        eff = effective_shifts(p, s, part, it) if trace is not None else None
+        if trace is not None:
+            eff = effective_shifts(p, s, part, it)
+            f = objectives(p, eff, it)
         viol = float(repaired[l] + repair_shift[l])
         inner_tol = NOISE_BAND * max(1.0, abs(viol))
 
         if needs_base:
-            before = it.copy() if trace is not None else None
             step, d = base(p, s, part, it, l, basis=basis, orient=orient,
                            tol=step_tol)
-            emit("base", l, step, d, viol, eff, before)
+            emit("base", step, d, viol)
             if math.isinf(step.alpha):
                 status = fam.unbounded
                 certificate = d
@@ -515,10 +508,9 @@ def run_active_set(fam: Family, p: QpProblem, s: Shifts,
             if guard > p.n + 2:
                 raise InvariantError("intermediate subiterations did not "
                                      "terminate; basis exchange is stuck")
-            before = it.copy() if trace is not None else None
             step, d = intermediate(p, s, part, it, l, basis=basis,
                                    orient=orient, tol=step_tol)
-            emit("intermediate", l, step, d, viol, eff, before)
+            emit("intermediate", step, d, viol)
         part.bind_freed(fam.live)
         if check_invariants:
             _check_bounds(fam, p, s, it, part, fea_tol, opt_tol,

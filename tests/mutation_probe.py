@@ -118,6 +118,11 @@ MUTANTS = (
     ("mirror-free-fixed-swapped", "src/pdqp/steps.py",
      '_MIRROR = {"x": ("q", "basic", "free"), "z": ("r", "nonbasic", "fixed")}',
      '_MIRROR = {"x": ("q", "basic", "fixed"), "z": ("r", "nonbasic", "free")}'),
+    ("trace-before-pair-is-after-pair", "src/pdqp/steps.py",
+     "kind, step, d, viol, before, f))", "kind, step, d, viol, f, f))"),
+    ("trace-iteration-start-pair-kept", "src/pdqp/steps.py",
+     "            f = objectives(p, eff, it)\n",
+     "            f = objectives(p, eff, it) if iterations == 1 else f\n"),
 )
 
 

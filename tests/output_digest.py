@@ -69,9 +69,17 @@ rule's by ``qp-rank-deficient``), next to valid inputs of the same kinds.
 The digest depends on the host (its BLAS and CPU), so compare two trees
 on one host.  Each solve contributes its status, objective, strategy,
 each stage's method, status, iteration and subiteration counts, its
-``f_primal``, ``f_dual`` and ``q_dot_r``, the final iterate and every
-field of every trace record (the direction included), or the type and
-message of the exception it raised.  The instances are:
+``f_primal``, ``f_dual`` and ``q_dot_r``, the final iterate and 23
+values of every trace record, or the type and message of the exception
+it raised.  A record's values are, in order: ``method``,
+``iteration``, ``subiteration``, ``kind``, the freed index ``l``, the
+blocking index ``k``, ``alpha``, ``alpha_star``, ``alpha_max``,
+``dx_l``, ``dz_l``, ``violation``, ``f_primal_before``, ``f_primal``,
+``f_dual_before`` and ``f_dual``, then the direction's ``dx``, ``dy``,
+``dz``, ``freed``, ``dx_l``, ``dz_l`` and ``basic``.  That is the
+order of the fields of a record that copied seven values of its step
+and direction, so the digests also compare a tree whose records did.
+The instances are:
 
 - ``random_instances(20260810, 300)`` (standard form) under the five
   strategies, with ``check_invariants``;
@@ -107,7 +115,6 @@ import hashlib
 import io
 import re
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -162,14 +169,15 @@ class Digest:
                 h.update(data + b"|")
 
     def record(self, rec) -> None:
-        self.path.append((rec.kind[0], rec.l, rec.k))
-        for f in fields(rec):
-            value = getattr(rec, f.name)
-            if f.name == "direction" and value is not None:
-                for g in fields(value):
-                    self.add(getattr(value, g.name))
-            else:
-                self.add(value)
+        step, d = rec.step, rec.direction
+        self.path.append((rec.kind[0], d.freed, step.blocking))
+        for value in (rec.method, rec.iteration, rec.subiteration, rec.kind,
+                      d.freed, step.blocking, step.alpha, step.alpha_star,
+                      step.alpha_max, d.dx_l, d.dz_l, rec.violation,
+                      rec.f_primal_before, rec.f_primal, rec.f_dual_before,
+                      rec.f_dual, d.dx, d.dy, d.dz, d.freed, d.dx_l, d.dz_l,
+                      d.basic):
+            self.add(value)
 
     def solve(self, label: str, solve, config: pdqp.SolveConfig) -> None:
         self.one = hashlib.sha256() if self.per_solve else None

@@ -8,7 +8,8 @@ under auto, primal-first and dual-first.  Prints one line per
 (seed, problem, strategy) that raises or disagrees with
 ``linprog(method="highs")`` (its status, or, where both are optimal, its
 objective to 1e-6 relative), then the counts per n.  Tier-1
-(``test_referee.py``) covers n = 10 and 30 at seed 5.
+(``test_referee.py``) covers n = 10 and 30 at seed 5, and a fixed sample
+of this draw past n = 30 (``PROBE_SAMPLE``) with its known raises.
 
 Not collected by pytest (the file name has no ``test_`` prefix).
 """
@@ -20,11 +21,10 @@ from collections import Counter
 import numpy as np
 
 from pdqp import SolveConfig, solve_pdqp
-from test_referee import highs, referee_lp
+from test_referee import (PROBE_BOX, PROBE_SIZES, STRATEGIES, highs,
+                          referee_lp)
 
 SEEDS, COUNT = (1, 2, 3), 60
-SIZES, BOX = (10, 30, 80, 150), 0.8
-STRATEGIES = ("auto", "primal-first", "dual-first")
 
 
 def main() -> None:
@@ -32,7 +32,7 @@ def main() -> None:
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
         for i in range(COUNT):
-            g = referee_lp(rng, SIZES, BOX)
+            g = referee_lp(rng, PROBE_SIZES, PROBE_BOX)
             want, fun = highs(g)
             for strategy in STRATEGIES:
                 solves[g.n] += 1
@@ -50,7 +50,7 @@ def main() -> None:
                     print(f"seed {seed} problem {i} n={g.n} {strategy}: "
                           f"{sol.status} {sol.objective!r}, HiGHS {want} "
                           f"{fun!r}")
-    for n in SIZES:
+    for n in PROBE_SIZES:
         print(f"n={n}: {solves[n]} solves, {raised[n]} raised, "
               f"{disagreed[n]} disagreed")
 

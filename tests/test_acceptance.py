@@ -99,14 +99,15 @@ def test_criterion_3_monotone_objective_identity(suite):
     checked = 0
     for r in suite.runs:
         for rec in r.records:
-            if not np.isfinite(rec.alpha):
+            if not np.isfinite(rec.step.alpha):
                 continue
             checked += 1
             primal = rec.method == "primal"
             f0, f1 = ((rec.f_primal_before, rec.f_primal) if primal
                       else (rec.f_dual_before, rec.f_dual))
-            pred, tol = objective_change(primal, rec.dx_l, rec.dz_l,
-                                         rec.violation, rec.alpha, f0)
+            pred, tol = objective_change(primal, rec.direction.dx_l,
+                                         rec.direction.dz_l, rec.violation,
+                                         rec.step.alpha, f0)
             actual = f1 - f0
             assert abs(actual - pred) <= tol, (rec, pred, actual)
             if primal:

@@ -687,6 +687,42 @@ def test_profile_rejects_a_problem_named_twice(tmp_path, capsys):
     assert not (tmp_path / "prof.txt").exists()
 
 
+def test_run_into_an_existing_file_is_a_one_line_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    code, err = _main_error(["run", PROBLEMS / "p1.qpt", "--out", out],
+                            capsys)
+    assert code == 2
+    assert err == f"pdqp: error: {out}: cannot write: File exists"
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("taken, flags", [("p1.sol", []),
+                                          ("p1.trace.csv", ["--trace"])],
+                         ids=["solution", "trace"])
+def test_an_output_file_that_is_a_directory_ends_the_batch(tmp_path, capsys,
+                                                           taken, flags):
+    # A problem that cannot be solved gets an error row, but an output
+    # that cannot be written ends the batch before its run log.
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    code, err = _main_error(["run", PROBLEMS / "p1.qpt", PROBLEMS / "p2.qpt",
+                             "--out", out] + flags, capsys)
+    assert code == 2
+    assert err == f"pdqp: error: {out / taken}: cannot write: Is a directory"
+    assert sorted(p.name for p in out.iterdir()) == [taken]
+
+
+def test_profile_into_a_file_below_a_file_is_a_one_line_error(tmp_path,
+                                                               capsys):
+    log = tmp_path / "runlog.csv"
+    log.write_text(HEADER + "\np1,2,1,optimal,1,auto,2,0,2,1\n")
+    code, err = _main_error(["profile", log, log, "--out", log / "x"],
+                            capsys)
+    assert code == 2
+    assert err == f"pdqp: error: {log / 'x'}: cannot write: Not a directory"
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--opt-tol", "-1", "--opt-tol must be finite and positive, got -1.0"),
     ("--opt-tol", "0", "--opt-tol must be finite and positive, got 0.0"),

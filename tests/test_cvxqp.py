@@ -16,9 +16,8 @@ import pytest
 from pdqp import KktInternalError, SolveConfig, solve_pdqp
 
 from conftest import cvxqp
-from test_referee import highs_qp
+from test_referee import STRATEGIES, highs_qp
 
-STRATEGIES = ("auto", "primal-first", "dual-first")
 # (n, variant) whose solves raise under every strategy.
 KNOWN_RAISES = {(50, 3)}
 

@@ -785,7 +785,8 @@ def test_bland_mode_still_converges(monkeypatch, suite500):
         records = []
         default[i] = solve_standard(suite500[i],
                                     SolveConfig(trace=records.append))
-        default_paths[i] = [(r.kind, r.l, r.k) for r in records]
+        default_paths[i] = [(r.kind, r.direction.freed, r.step.blocking)
+                            for r in records]
     monkeypatch.setattr(steps, "BLAND_AFTER", 1)
     p = QpProblem(H=np.eye(3), M=np.zeros((1, 1)),
                   A=np.array([[1.0, 1.0, 1.0]]), b=np.array([0.0]),
@@ -799,12 +800,13 @@ def test_bland_mode_still_converges(monkeypatch, suite500):
         sol = solve_standard(suite500[i], SolveConfig(trace=records.append,
                                                       check_invariants=True))
         # A zero-length step puts the solve in Bland mode.
-        assert any(r.alpha == 0.0 for r in records), i
+        assert any(r.step.alpha == 0.0 for r in records), i
         assert sol.status == default[i].status, i
         if sol.status == "optimal":
             assert sol.objective == pytest.approx(default[i].objective,
                                                   rel=1e-9), i
-        moved += [(r.kind, r.l, r.k) for r in records] != default_paths[i]
+        moved += [(r.kind, r.direction.freed, r.step.blocking)
+                  for r in records] != default_paths[i]
     assert moved > 0                  # the least-index rule chose otherwise
 
 
@@ -861,7 +863,7 @@ def test_doubly_infeasible_problem_gets_either_certificate():
                                             check_invariants=True))
         assert sol.status == want, strategy
         last = records[-1]
-        assert last.kind == "base" and np.isinf(last.alpha), strategy
+        assert last.kind == "base" and np.isinf(last.step.alpha), strategy
         d = last.direction
         if want == "dual_infeasible":
             # A primal ray: x + t dx stays feasible and f falls without end.

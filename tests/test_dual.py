@@ -190,8 +190,8 @@ def test_dual_degenerate_zero_step_swaps_and_continues():
                      check_invariants=True)
     assert out.status == "optimal"
     assert records[0].kind == "base"
-    assert records[0].alpha == 0.0
-    assert records[0].k == 1
+    assert records[0].step.alpha == 0.0
+    assert records[0].step.blocking == 1
     assert any(r.kind == "intermediate" for r in records)
     assert np.all(out.iterate.x >= -1e-9)
 
@@ -237,7 +237,7 @@ def test_dual_monotone_objective_random():
         out = solve_dual(p, s1, (it, part), trace=records.append,
                          check_invariants=True)
         for r in records:
-            if not np.isfinite(r.alpha):
+            if not np.isfinite(r.step.alpha):
                 continue
             assert r.f_dual >= r.f_dual_before - 1e-9 * (1 + abs(r.f_dual_before))
         if out.status == "optimal":
@@ -263,8 +263,8 @@ def test_direct_solve_dual_keeps_free_nonbasic_dual():
     records = []
     out = solve_dual(p, s, (it, part), trace=records.append,
                      check_invariants=True)
-    assert (records[0].kind, records[0].k) == ("base", 0)
-    assert records[0].alpha == 0.0
+    assert (records[0].kind, records[0].step.blocking) == ("base", 0)
+    assert records[0].step.alpha == 0.0
     assert out.status == "optimal"
     assert out.iterate.z[0] == it.z[0]
     assert 0 in out.partition.basic
@@ -287,7 +287,7 @@ def test_direct_solve_dual_repairs_a_fixed_nonbasic_primal(x2):
     records = []
     out = solve_dual(p, s, (Iterate(x, y, z), part), trace=records.append,
                      check_invariants=True)
-    assert 2 in [rec.l for rec in records]
+    assert 2 in [rec.direction.freed for rec in records]
     assert out.status == "optimal"
     assert out.iterate.x[2] == 0.0
     assert check_optimality(p, s, out.iterate).optimal

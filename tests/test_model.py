@@ -10,12 +10,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from pdqp import (Direction, GeneralQp, Iterate, Partition, ProblemError,
                   QpProblem, Shifts, SolveConfig, check_optimality,
                   enumerate_solve, solve_pdqp, solve_standard, standardize)
-from pdqp import driver, model
+from pdqp import driver, dual, model, primal, steps
 from pdqp.driver import STRATEGIES
-from pdqp.kkt import KktBasis, solve_base_primal
+from pdqp.kkt import KktBasis, factor_kb, solve_base_primal
 from pdqp.model import _check_psd, effective_shifts, objectives, residuals
 from pdqp.primal import primal_base
-from pdqp.steps import StepResult, make_trace_record
 
 from conftest import criterion7_instance, mixed_instances, random_instances
 
@@ -71,27 +70,63 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
-def test_trace_record_objectives_have_the_bits_of_their_formulas():
+def test_trace_record_objectives_have_the_bits_of_their_formulas(
+        monkeypatch):
     # Nonzero x, y, z, q, r and M, so that every term of both formulas
-    # counts; make_trace_record evaluates each quadratic form once per
-    # point and must still give each field the bits of its formula.
+    # counts.  The engine evaluates each quadratic form once per point and
+    # hands a record's "after" pair to the next record as its "before"
+    # pair; each of the four fields must still have the bits of its
+    # formula at the point before or after its step, under the shifts the
+    # engine evaluated it with.
     p = QpProblem(H=[[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
                   M=[[0.7]], A=[[1.0, 2.0, 3.0]], b=[1.5],
                   c=[0.3, -1.2, 0.7])
-    s = Shifts([0.1, -0.2, 0.3], [0.25, 0.1, -0.5])
-    before = it([0.7, -1.1, 2.3], [0.9], [0.4, -0.6, 1.3])
-    after = it([0.3, 1.7, -0.9], [-1.3], [1.1, 0.2, -2.9])
-    d = Direction(dx=[-0.4, 0.0, 0.0], dy=[0.2], dz=[0.0, 0.8, 0.0],
-                  freed=0, dx_l=-0.4, dz_l=0.3)
-    step = StepResult(alpha=1.0, alpha_star=2.0, alpha_max=1.0, blocking=1,
-                      hit_target=False)
-    rec = make_trace_record("primal", 1, 1, "base", 0, step, d, -0.5, p, s,
-                            before, after)
-    fields = (rec.f_primal_before, rec.f_dual_before, rec.f_primal,
-              rec.f_dual)
-    assert _bits(fields) == _bits(_formulas(p, s, before)
-                                  + _formulas(p, s, after))
-    assert len(set(fields)) == 4
+    shifts, points, seen = [], [], []
+
+    def objectives_at(p, s, point):
+        shifts.append(s)
+        return objectives(p, s, point)
+
+    def stepping(fn):
+        def step(p, s, part, point, l, **kw):
+            before = point.copy()
+            out = fn(p, s, part, point, l, **kw)
+            points.append((before, point.copy()))
+            return out
+        return step
+
+    monkeypatch.setattr(steps, "objectives", objectives_at)
+    for module, name in ((primal, "primal_base"),
+                         (primal, "primal_intermediate"),
+                         (dual, "dual_base"), (dual, "dual_intermediate")):
+        monkeypatch.setattr(module, name, stepping(getattr(module, name)))
+
+    def record(rec):
+        seen.append((rec, shifts[-1], points[-1]))
+
+    # The driver's solve ends at zero shifts; a primal solve from the
+    # all-basic start under nonzero q and r keeps both shifts live.
+    solve_standard(p, SolveConfig(trace=record))
+    part = Partition.from_basic(3, [0, 1, 2])
+    s, start = driver.init_shifts(p, part, factor_kb(p, [0, 1, 2]))
+    primal.solve_primal(p, Shifts(s.q, -np.ones(3)), (start, part),
+                        trace=record)
+    # Records of both methods, over several iterations and several
+    # subiterations of one.
+    assert [(rec.method, rec.kind, rec.iteration) for rec, _, _ in seen] \
+        == [("dual", "base", 1), ("dual", "base", 2),
+            ("primal", "intermediate", 1), ("primal", "intermediate", 2),
+            ("primal", "intermediate", 2)]
+    assert any(all(np.count_nonzero(v) for v in (eff.q, eff.r, after.y,
+                                                 after.z))
+               for _, eff, (_, after) in seen)
+    for rec, eff, (before, after) in seen:
+        fields = (rec.f_primal_before, rec.f_dual_before, rec.f_primal,
+                  rec.f_dual)
+        assert _bits(fields) == _bits(_formulas(p, eff, before)
+                                      + _formulas(p, eff, after))
+        # A zero step leaves the point, and so both objectives, alone.
+        assert len(set(fields)) == (4 if rec.step.alpha else 2)
 
 
 def test_objectives_have_the_bits_of_their_formulas_at_stage_ends(
@@ -936,13 +971,21 @@ def test_copies_and_negations_share_no_memory(p1):
 
 
 def test_a_direction_copies_its_vectors_and_is_frozen():
-    dx, dy, dz = np.array([1.0, 0.0]), np.array([2.0]), np.array([0.0, 3.0])
-    d = Direction(dx, dy, dz, freed=0, dx_l=1.0, dz_l=0.0, basic=(1,))
+    dx, dy, dz = np.array([1.0, 0.0]), np.array([2.0]), np.array([0.5, 3.0])
+    d = Direction(dx, dy, dz, freed=0, basic=(1,))
     dx[0] = -9.0
-    assert d.v.tolist() == [1.0, 0.0, 2.0, 0.0, 3.0]
+    assert d.v.tolist() == [1.0, 0.0, 2.0, 0.5, 3.0]
     assert _views_of(d.v, d.dx, d.dy, d.dz)
     with pytest.raises(dataclasses.FrozenInstanceError):
         d.dx = np.zeros(2)
+    # The freed components are entries of the buffer, not copies of them.
+    assert (d.dx_l, d.dz_l) == (1.0, 0.5)
+    assert type(d.dx_l) is float and type(d.dz_l) is float
+    d.v[[0, 3]] = (-4.0, 7.0)
+    assert (d.dx_l, d.dz_l) == (-4.0, 7.0)
+    for name in ("dx_l", "dz_l"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, 0.0)
 
 
 def test_trace_records_keep_the_directions_they_were_given():

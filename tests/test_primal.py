@@ -87,8 +87,8 @@ def test_degenerate_zero_step_swaps_and_continues():
                        check_invariants=True)
     assert out.status == "optimal"
     assert records[0].kind == "base"
-    assert records[0].alpha == 0.0
-    assert records[0].k == 2
+    assert records[0].step.alpha == 0.0
+    assert records[0].step.blocking == 2
     assert any(r.kind == "intermediate" for r in records)
     assert_allclose(out.iterate.x, [0.0, 0.0, 0.0])
     assert np.all(out.iterate.z >= -1e-12)
@@ -206,7 +206,7 @@ def test_primal_feasibility_and_monotonicity_random():
         out = solve_primal(p, s1, (it, part), trace=records.append,
                            check_invariants=True)
         for r in records:
-            if not np.isfinite(r.alpha):
+            if not np.isfinite(r.step.alpha):
                 continue
             assert r.f_primal <= r.f_primal_before + 1e-9 * (1 + abs(r.f_primal_before))
         if out.status == "optimal":
@@ -217,9 +217,9 @@ def test_primal_strict_decrease_on_nondegenerate_steps(p2):
     it, part = start_p2(p2)
     records = []
     solve_primal(p2, Shifts.zero(2), (it, part), trace=records.append)
-    moved = [r for r in records if r.alpha > 0 and abs(r.dx_l) > 0
-             and np.isfinite(r.alpha)]
+    moved = [r for r in records if r.step.alpha > 0
+             and abs(r.direction.dx_l) > 0 and np.isfinite(r.step.alpha)]
     assert moved
     for r in moved:
-        if abs(r.dx_l * r.alpha) > 1e-12:
+        if abs(r.direction.dx_l * r.step.alpha) > 1e-12:
             assert r.f_primal < r.f_primal_before

@@ -17,10 +17,22 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
 from scipy.sparse import csc_matrix
 
-from pdqp import GeneralQp, SolveConfig, solve_pdqp
+from pdqp import GeneralQp, KktInternalError, SolveConfig, solve_pdqp
 
 SEED, COUNT = 5, 100
 BOX = 0.5                       # share of variables given a box
+# ``referee_probe.py``'s draws: n up to 150, most variables boxed.
+PROBE_SIZES, PROBE_BOX = (10, 30, 80, 150), 0.8
+STRATEGIES = ("auto", "primal-first", "dual-first")
+# A fixed sample of the probe's draws past n = 30, as (seed, problem):
+# the strategies solved, and the known failures among them (ROADMAP
+# item 1: exactly nonsingular matrices judged singular), as
+# (seed, problem, strategy).  (1, 24) under dual-first agrees with HiGHS
+# but takes about 3 s, so it is left to the probe.
+PROBE_SAMPLE = {(2, 54): STRATEGIES, (3, 55): STRATEGIES,
+                (1, 24): ("auto", "primal-first")}
+PROBE_RAISES = {(2, 54, "dual-first"), (3, 55, "dual-first"),
+                (1, 24, "auto"), (1, 24, "primal-first")}
 # linprog's status codes for the statuses pdqp can return.
 HIGHS_STATUS = {0: "optimal", 2: "primal_infeasible", 3: "dual_infeasible"}
 
@@ -64,6 +76,14 @@ def referee_lp(rng, sizes=(10, 30), box=BOX):
     c = rng.normal(size=n).round(2)
     return GeneralQp(Hhat=np.zeros((n, n)), Ahat=a, c=c, lower=lower,
                      upper=upper)
+
+
+def probe_lp(seed, index):
+    """Problem ``index`` of ``referee_probe.py``'s draw at ``seed``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        g = referee_lp(rng, PROBE_SIZES, PROBE_BOX)
+    return g
 
 
 def highs(g):
@@ -129,7 +149,7 @@ def test_the_draw_reaches_every_status():
     assert seen == {(s, n) for s in HIGHS_STATUS.values() for n in (10, 30)}
 
 
-@pytest.mark.parametrize("strategy", ["auto", "primal-first", "dual-first"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_highs_agrees_with_every_lp_solve(strategy):
     config = SolveConfig(strategy=strategy)
     for i, (g, (want, fun)) in enumerate(refereed()):
@@ -137,3 +157,25 @@ def test_highs_agrees_with_every_lp_solve(strategy):
         assert sol.status == want, i
         if want == "optimal":
             assert abs(sol.objective - fun) <= 1e-6 * (1.0 + abs(fun)), i
+
+
+def test_a_sample_past_n_30_raises_exactly_its_known_failures():
+    # Two draws at n = 80 and one at n = 150.  A solve that returns agrees
+    # with HiGHS; the set that raises is the recorded one, so that a fix
+    # of the known failures shows here as a diff.
+    raised = set()
+    for (seed, index), strategies in PROBE_SAMPLE.items():
+        g = probe_lp(seed, index)
+        assert g.n == (150 if seed == 1 else 80)
+        want, fun = highs(g)
+        for strategy in strategies:
+            try:
+                sol = solve_pdqp(g, SolveConfig(strategy=strategy))
+            except KktInternalError:
+                raised.add((seed, index, strategy))
+                continue
+            assert sol.status == want, (seed, index, strategy)
+            if want == "optimal":
+                assert abs(sol.objective - fun) <= 1e-6 * (1.0 + abs(fun)), \
+                    (seed, index, strategy)
+    assert raised == PROBE_RAISES
