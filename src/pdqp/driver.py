@@ -33,8 +33,9 @@ from .kkt import (KktBasis, KktFactorization, KktInternalError,
                   find_soc_basis, solve_boundary_point)
 from .model import (DEFAULT_TOL, InvariantError, Iterate, Partition,
                     ProblemError, QpProblem, Shifts, _indices, _matrix,
-                    _vector, bound_tol, check_optimality, check_settings,
-                    index_mask, inf_norm, objectives, row_basis)
+                    _vector, all_finite, bound_tol, check_optimality,
+                    check_settings, index_mask, inf_norm, objectives,
+                    row_basis)
 from .primal import solve_primal
 from .steps import OPTIMAL, PRIMAL_INFEASIBLE, SolveOutcome, TraceSink
 
@@ -67,7 +68,7 @@ class GeneralQp:
         H = _matrix(self.Hhat, "Hhat", n, n)
         A = _matrix(self.Ahat, "Ahat", None, n)
         for name, data in (("Hhat", H), ("Ahat", A), ("c", c)):
-            if not np.isfinite(data).all():
+            if not all_finite(data):
                 raise ProblemError(f"{name} has non-finite entries")
         m = A.shape[0]
         lo = _vector(self.lower, "lower")
@@ -217,12 +218,13 @@ def init_shifts(p: QpProblem, part: Partition, factor: KktFactorization
     """
     it = solve_boundary_point(p, Shifts.zero(p.n), part, factor)
     x, z = it.x, it.z
+    # x_N = -q_N and z_B = -r_B are -0.0, so -x is 0.0 on N and -z on B.
     q0, r0 = -x, -z
-    q0[part.nonbasic_mask | p.free_mask | (x > 0.0)] = 0.0
-    r0[part.basic_mask | p.fixed_mask | (~p.free_mask & (z > 0.0))] = 0.0
+    q0[p.free_mask | (x > 0.0)] = 0.0
+    r0[p.fixed_mask | (~p.free_mask & (z > 0.0))] = 0.0
     # q0 and r0 are fresh vectors of the right length: Shifts' own checks
     # reduce to finiteness, and they are kept without a copy.
-    if not (np.isfinite(q0).all() and np.isfinite(r0).all()):
+    if not (all_finite(q0) and all_finite(r0)):
         raise ProblemError("shift entries must be finite")
     q0.setflags(write=False)
     r0.setflags(write=False)
@@ -321,7 +323,7 @@ def solve_standard(p: QpProblem, config: SolveConfig | None = None
         part = Partition._from_mask(index_mask(p.n, chosen))
     else:
         part = find_soc_basis(p, basis)
-    factor = basis.factor(part.basic)
+    factor = basis.factor(part.basic_mask.nonzero()[0])
     if factor is None:
         if config.initial_basis is not None:
             raise ProblemError(f"initial basis {part.basic}: K_B is singular")

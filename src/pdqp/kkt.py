@@ -274,7 +274,8 @@ def _bunch_kaufman(k: np.ndarray) -> KktFactorization | None:
     if info != 0 or not rcond > 100 * dim * PIVOT_TOL:    # NaN rejects too
         return None
     single = np.abs(ldu.diagonal()[ipiv > 0])      # the 1x1 pivots of D
-    if not single.min(initial=np.inf) > _singular_bound(dim, anorm):
+    least = single[single.argmin()] if single.size else np.inf
+    if not least > _singular_bound(dim, anorm):
         return None
     return KktFactorization(ldu=ldu, ipiv=ipiv, matrix=k,
                             inv_norm=1.0 / (rcond * anorm))
@@ -546,7 +547,7 @@ def _qr_pivots(r: np.ndarray, tol: float, span: bool = False
         return np.zeros(0, dtype=np.intp), np.zeros((r.shape[0], 0))
     qr, piv, tau = pivoted_qr(r)
     big = np.abs(qr.diagonal()) > tol
-    rank = big.size if big.all() else int(np.argmin(big))
+    rank = int(big.argmin()) if np.count_nonzero(big) < big.size else big.size
     if not span:
         return piv[:rank], None
     reflectors = qr[:, :tau.size]
@@ -560,49 +561,57 @@ def _revealed_basis(p: QpProblem, cand: np.ndarray, tol: float
     """B = P + C of ``find_soc_basis`` over the columns ``cand``, the free
     ones taken first in each pass.  A first pass without a column is
     skipped: it would find nothing and project out nothing."""
-    h, m, first = p.H, p.m, p.free_mask
-    one, two = cand[first[cand]], cand[~first[cand]]
-    p1, l1, w = one, np.zeros((0, 0)), np.zeros((0, two.size))
+    h, m, free = p.H, p.m, p.free_mask
+    two = cand[~free.take(cand)] if p.free else cand
     schur = principal_block(h, two)
-    if one.size:
+    if two.size < cand.size:
+        one = cand[free.take(cand)]
         f1, k1, r1 = pivoted_cholesky(principal_block(h, one), tol)
         p1 = one[k1[:r1]]
-        l1 = np.tril(f1[:r1, :r1])
+        l1 = f1[:r1, :r1]
         # W = L1^-1 H_P1,two
         w = blas.dtrsm(1.0, l1, h.take(p1, axis=0).take(two, axis=1),
                        lower=1)
         schur -= w.T @ w
     f2, k2, r2 = pivoted_cholesky(schur, tol)
     k2 = k2[:r2]
-    piv = np.concatenate([p1, two[k2]])
-    # H_PP = L L' with L = [[L1, 0], [W', L2]].
-    lower = np.zeros((piv.size, piv.size))
-    lower[:p1.size, :p1.size] = l1
-    lower[p1.size:, :p1.size] = w.take(k2, axis=1).T
-    lower[p1.size:, p1.size:] = np.tril(f2[:r2, :r2])
+    piv = two[k2]
+    # H_PP = L L' with L = [[L1, 0], [W', L2]], or L2 alone.  ``dtrsm``
+    # reads the lower triangle alone, so the upper ones that ``dpstrf``
+    # leaves in L1 and L2 need no zeroing.
+    lower = f2[:r2, :r2]
+    if two.size < cand.size:
+        piv = np.concatenate([p1, piv])
+        lower = np.block([[l1, np.zeros((p1.size, r2))],
+                          [w.take(k2, axis=1).T, lower]])
     # R = A_N - A_P H_PP^-1 H_PN over the columns N that are not pivots.
     rest = ~index_mask(p.n, piv)
-    nonpiv = cand[rest[cand]]
+    nonpiv = cand[rest.take(cand)]
     x = blas.dtrsm(1.0, lower,
-                   np.hstack([p.A.take(piv, axis=1).T,
-                              h.take(piv, axis=0).take(nonpiv, axis=1)]),
+                   np.concatenate([p.A.take(piv, axis=1).T,
+                                   h.take(piv, axis=0).take(nonpiv, axis=1)],
+                                  axis=1),
                    lower=1)
     r = p.A.take(nonpiv, axis=1) - x[:, :m].T @ x[:, m:]
-    lead = first[nonpiv]
-    c1, other = np.zeros(0, dtype=np.intp), r
-    if lead.any():
-        c1, q1 = _qr_pivots(r[:, lead], tol, span=True)
-        other = r[:, ~lead]
-        other -= q1 @ (q1.T @ other)
+    lead = free.take(nonpiv)
+    if not np.count_nonzero(lead):
+        return np.sort(np.concatenate([piv, nonpiv[_qr_pivots(r, tol)[0]]]))
+    c1, q1 = _qr_pivots(r[:, lead], tol, span=True)
+    other = r[:, ~lead]
+    other -= q1 @ (q1.T @ other)
     c2, _ = _qr_pivots(other, tol)
     return np.sort(np.concatenate([piv, nonpiv[lead][c1],
                                    nonpiv[~lead][c2]]))
 
 
 def _kkt_max(p: QpProblem, cols: np.ndarray) -> float:
-    """max|K_B| over the columns ``cols``, taken from the data."""
-    return max(inf_norm(principal_block(p.H, cols)),
-               inf_norm(p.A.take(cols, axis=1)), inf_norm(p.M))
+    """max|K_B| over the distinct columns ``cols``, taken from the data:
+    from H and A themselves where ``cols`` holds every column."""
+    if cols.size == p.n:
+        h, a = p.H, p.A
+    else:
+        h, a = principal_block(p.H, cols), p.A.take(cols, axis=1)
+    return max(inf_norm(h), inf_norm(a), inf_norm(p.M))
 
 
 def find_soc_basis(p: QpProblem, basis: KktBasis) -> Partition:
@@ -767,7 +776,7 @@ def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
 
 
 def _dx_l_noise(w: np.ndarray) -> float:
-    return NOISE_BAND * max(1.0, float(np.abs(w).max()) if w.size else 0.0)
+    return NOISE_BAND * max(1.0, inf_norm(w))
 
 
 def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
@@ -811,42 +820,48 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
     return _direction(p, part, basic, l, v, 1.0)
 
 
-def recover_z_nonbasic(p: QpProblem, part: Partition, it: Iterate,
-                       s: Shifts) -> np.ndarray:
+def recover_z_nonbasic(p: QpProblem, basic: np.ndarray, nonbasic: np.ndarray,
+                       it: Iterate, qn: np.ndarray) -> np.ndarray:
     """z_N = H_BN' x_B - H_NN q_N + c_N - A_N' y, the values making the
-    stationarity equation hold exactly at the current (x_B, y)."""
-    nonbasic = part.nonbasic_mask.nonzero()[0]
-    if not nonbasic.size:
-        return np.zeros(0)
-    basic = part.basic_mask.nonzero()[0]
-    qn = s.q[nonbasic]
+    stationarity equation hold exactly at the current (x_B, y), for B and
+    N given as index arrays and q_N as a vector.  Where q_N is zero
+    (``init_shifts`` solves at zero shifts), H_NN q_N is +0.0 in every
+    entry, and subtracting +0.0 changes no bit, so the product is not
+    formed."""
     h_n = p.H.take(nonbasic, axis=0)
-    zn = (h_n.take(basic, axis=1) @ it.x[basic]
-          - h_n.take(nonbasic, axis=1) @ qn
-          + p.c[nonbasic] - p.A[:, nonbasic].T @ it.y)
-    return zn
+    zn = h_n.take(basic, axis=1) @ it.x[basic]
+    if np.count_nonzero(qn):
+        zn -= h_n.take(nonbasic, axis=1) @ qn
+    return zn + p.c[nonbasic] - p.A[:, nonbasic].T @ it.y
 
 
 def solve_boundary_point(p: QpProblem, s: Shifts, part: Partition,
                          f: KktFactorization) -> Iterate:
     """Solve the boundary equations for a basis: x_N = -q_N, z_B = -r_B,
     K_B [x_B; -y] = [H_BN q_N - c_B - r_B; A_N q_N + b], then recover z_N,
-    with ``f`` the factorization of K_B."""
+    with ``f`` the factorization of K_B.  Where q_N is zero, H_BN q_N and
+    A_N q_N are +0.0 in every entry and are not formed: the right-hand
+    side is then [0.0 - c_B - r_B; b + 0.0], with the same bits."""
     basic = part.basic_mask.nonzero()[0]
     nonbasic = part.nonbasic_mask.nonzero()[0]
     nb = basic.size
-    qn = s.q[nonbasic]
-    # H_BN from the |N| columns of H: far less than its |B| rows where
-    # |N| << |B|, and the same C-order bytes.
-    top = (p.H.take(nonbasic, axis=1).take(basic, axis=0) @ qn
-           - p.c[basic] - s.r[basic])
-    bottom = p.A[:, nonbasic] @ qn + p.b
+    qn, rb = s.q[nonbasic], s.r[basic]
+    if np.count_nonzero(qn):
+        # H_BN from the |N| columns of H: far less than its |B| rows where
+        # |N| << |B|, and the same C-order bytes.
+        top = (p.H.take(nonbasic, axis=1).take(basic, axis=0) @ qn
+               - p.c[basic] - rb)
+        bottom = p.A[:, nonbasic] @ qn + p.b
+    else:
+        top = 0.0 - p.c[basic] - rb
+        bottom = p.b + 0.0
     w = f.solve(np.concatenate([top, bottom]))
     n, m = p.n, p.m
     it = Iterate._own(np.zeros(2 * n + m), n, m)
     it.x[basic] = w[:nb]
     it.x[nonbasic] = -qn
     np.negative(w[nb:], out=it.y)
-    it.z[basic] = -s.r[basic]
-    it.z[nonbasic] = recover_z_nonbasic(p, part, it, s)
+    it.z[basic] = -rb
+    if nonbasic.size:
+        it.z[nonbasic] = recover_z_nonbasic(p, basic, nonbasic, it, qn)
     return it

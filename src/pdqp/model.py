@@ -62,13 +62,29 @@ DOMINANCE_MARGIN = 1e-8
 def index_mask(n: int, indices) -> np.ndarray:
     """Boolean mask of length n that is True at ``indices``."""
     mask = np.zeros(n, dtype=bool)
-    mask.put(list(indices), True)
+    mask.put(indices if isinstance(indices, np.ndarray) else list(indices),
+             True)
     return mask
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite (no NaN or infinity)."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def inf_norm(v: np.ndarray) -> float:
-    """max|v| over every entry of a vector or matrix, 0 for an empty v."""
-    return float(np.maximum.reduce(np.abs(v), axis=None, initial=0.0))
+    """max|v| over every entry of a vector or matrix, 0 for an empty v; NaN
+    where v holds one.  The entry is found by ``argmax``, which takes a
+    NaN for the maximum, since on small arrays it costs a fraction of a
+    ``maximum`` reduction."""
+    a = np.abs(v)
+    return float(a.flat[a.argmax()]) if a.size else 0.0
+
+
+def _worst(v: np.ndarray) -> float:
+    """max(0, max v), 0.0 for an empty v and NaN where v holds one, found
+    as ``inf_norm`` finds its entry; "+ 0.0" turns -0.0 into 0.0."""
+    return max(float(v[v.argmax()]), 0.0) + 0.0 if v.size else 0.0
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -140,15 +156,16 @@ def _check_psd(s: np.ndarray, name: str) -> int:
        s.  The diagonal of S is at most cutoff, and a semidefinite S
        has |S_ij| <= sqrt(S_ii S_jj), so neither fires on one.
     """
-    rows = np.abs(s).sum(axis=1)
+    rows = np.add.reduce(np.abs(s), axis=1)
     live = rows.nonzero()[0]
     if not live.size:               # empty or zero
         return 0
+    diagonal = s.diagonal()
     # Zero rows and rows with a nonpositive diagonal never pass.
-    if np.count_nonzero(2.0 * s.diagonal()
+    if np.count_nonzero(2.0 * diagonal
                         > (1.0 + DOMINANCE_MARGIN) * rows) == live.size:
         return live.size
-    cutoff = PSD_PIVOT_TOL * max(1.0, float(s.diagonal().max()))
+    cutoff = PSD_PIVOT_TOL * max(1.0, float(diagonal[diagonal.argmax()]))
     # The transpose of a C-order gather is the Fortran-order copy that
     # LAPACK overwrites; it has the same values since s is symmetric.
     factor, piv, rank = pivoted_cholesky(principal_block(s, live).T, cutoff)
@@ -185,7 +202,7 @@ def _symmetrized(s: np.ndarray, name: str) -> np.ndarray:
     that s is symmetric to 1e-12 relative.  Like the triangle sum, the
     copy of an exactly symmetric s turns -0.0 entries into 0.0.  The
     entries of s must be finite."""
-    if (s == s.T).all():           # empty s included
+    if not np.count_nonzero(s != s.T):     # empty s included
         return s + 0.0
     scale = max(1.0, float(np.abs(s).max()))
     if float(np.abs(s - s.T).max()) > 1e-12 * scale:
@@ -207,8 +224,10 @@ def _floats(v, name: str) -> np.ndarray:
 
 def _vector(v, name: str) -> np.ndarray:
     """v as a float vector (a scalar has length 1); else ``ProblemError``."""
-    v = np.atleast_1d(_floats(v, name))
-    if v.ndim != 1:
+    v = _floats(v, name)
+    if v.ndim == 0:
+        v = v.reshape(1)
+    elif v.ndim != 1:
         raise ProblemError(f"{name} must be a vector, got shape {v.shape}")
     return v
 
@@ -217,7 +236,9 @@ def _matrix(v, name: str, rows: int | None, cols: int) -> np.ndarray:
     """v as a float rows x cols matrix (``rows`` None: its own count); else
     ``ProblemError``.  A scalar is 1x1, a vector one row, and input with
     no entries the empty matrix, so it passes only for an empty shape."""
-    a = np.atleast_2d(_floats(v, name))
+    a = _floats(v, name)
+    if a.ndim < 2:
+        a = np.atleast_2d(a)
     if rows is None:
         rows = a.shape[0] if a.size else 0
     if not a.size and not rows * cols:
@@ -285,19 +306,20 @@ class QpProblem:
         H = _matrix(self.H, "H", n, n)
         M = _matrix(self.M, "M", m, m)
         A = _matrix(self.A, "A", m, n)
-        if not np.isfinite(H).all():
+        if not all_finite(H):
             raise ProblemError("H has non-finite entries")
         # One test over the smaller arrays' entries (no copy of H); the
-        # arrays one by one only to name the first that fails it.
+        # arrays one by one only to name the first that fails it.  Its
+        # copy, made read-only, holds the problem's own b and c.
         rest = (("M", M), ("A", A), ("b", b), ("c", c))
-        if not np.isfinite(np.concatenate([a for _, a in rest],
-                                          axis=None)).all():
+        data = np.concatenate([a for _, a in rest], axis=None)
+        if not all_finite(data):
             for name, a in rest:
-                if not np.isfinite(a).all():
+                if not all_finite(a):
                     raise ProblemError(f"{name} has non-finite entries")
         # The lower triangle is authoritative.  A zero M is symmetric and
         # semidefinite.
-        m_live = M.any()
+        m_live = np.count_nonzero(M) > 0
         H = _symmetrized(H, "H")
         M = _symmetrized(M, "M") if m_live else M + 0.0
         h_rank = _check_psd(H, "H")
@@ -307,32 +329,30 @@ class QpProblem:
         fixed = frozenset(_indices(self.fixed, "fixed", n=n))
         if free & fixed:
             raise ProblemError("an index cannot be both free and fixed")
-        free_mask, fixed_mask = index_mask(n, free), index_mask(n, fixed)
-        for name, mask in (("free", free_mask), ("fixed", fixed_mask),
-                           ("regular", ~(free_mask | fixed_mask))):
-            mask.setflags(write=False)
-            object.__setattr__(self, f"{name}_mask", mask)
+        masks = np.zeros((3, n), dtype=bool)    # free, fixed, regular
+        masks[0].put(list(free), True)
+        masks[1].put(list(fixed), True)
+        np.logical_not(masks[0] | masks[1], out=masks[2])
         # Full row rank over the non-fixed columns implies it over all.
         rank = row_basis(np.concatenate(
-            (A[:, ~fixed_mask] if fixed else A, M), axis=1)).size
+            (A[:, ~masks[1]] if fixed else A, M), axis=1)).size
         if rank < m:
             raise ProblemError(
                 f"[A M] is rank deficient: rank {rank} < {m} rows; remove "
                 f"dependent equality rows before constructing the problem")
-        H.setflags(write=False)  # fresh copies from _symmetrized
-        M.setflags(write=False)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "A", _readonly(A))
-        object.__setattr__(self, "b", _readonly(b))
-        object.__setattr__(self, "c", _readonly(c))
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "fixed", fixed)
-        object.__setattr__(self, "h_rank", h_rank)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_data_scale",
-                           1.0 + inf_norm(c) + inf_norm(b))
+        # H and M are fresh copies from _symmetrized; views of a read-only
+        # array are read-only.
+        for a in (H, M, data, masks):
+            a.setflags(write=False)
+        # A keeps its own layout (``_readonly``), on which the bits of its
+        # products depend.
+        tail = data[data.size - m - n:]
+        b, c = tail[:m], tail[m:]
+        self.__dict__.update(
+            H=H, M=M, A=_readonly(A), b=b, c=c,
+            free=free, fixed=fixed, free_mask=masks[0], fixed_mask=masks[1],
+            regular_mask=masks[2], h_rank=h_rank, n=n, m=m,
+            _data_scale=1.0 + inf_norm(c) + inf_norm(b))
 
     def kkt_scale(self) -> float:
         """Infinity-norm scale of the full KKT matrix data."""
@@ -349,7 +369,7 @@ def _shift_vector(v, name: str, shape: tuple | None = None) -> np.ndarray:
     v = _vector(v, name)
     if shape is not None and v.shape != shape:
         raise ProblemError("q and r must have the same length")
-    if not np.isfinite(v).all():
+    if not all_finite(v):
         raise ProblemError("shift entries must be finite")
     return _readonly(v)
 
@@ -717,11 +737,10 @@ def check_optimality(p: QpProblem, s: Shifts, it: Iterate,
         products = xq[regular] * zr[regular]
     else:
         below_x, below_z, products = -xq, -zr, xq * zr
-    # A NaN entry makes its maximum NaN; "+ 0.0" turns the reduction's
-    # -0.0 (all entries -0.0) into 0.0.
-    worst_primal = float(below_x.max(initial=0.0)) + 0.0
-    worst_dual = float(below_z.max(initial=0.0)) + 0.0
-    comp = float(np.abs(products).max(initial=0.0))
+    # A NaN entry makes its maximum NaN.
+    worst_primal = _worst(below_x)
+    worst_dual = _worst(below_z)
+    comp = inf_norm(products)
 
     data_scale = p.data_scale()
     primal_tol = bound_tol("x", 0.0, eps_fea, eps_opt)

@@ -204,7 +204,8 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray,
     delta = min(HARRIS_BAND * max(1.0, inf_norm(values)), TOL_SHARE * tol)
     rates = -deltas.take(cand)
     vals = values.take(cand)
-    alpha_h = max(float(((vals + delta) / rates).min()), 0.0)
+    harris = (vals + delta) / rates
+    alpha_h = max(float(harris[harris.argmin()]), 0.0)
     ratios = np.maximum(vals, 0.0) / rates
     pos = int(np.where(ratios <= alpha_h, rates, -np.inf).argmax())
     return float(ratios[pos]), int(indices[int(cand[pos])])
@@ -325,7 +326,10 @@ def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
     repaired value on live minus unguarded lies above its bound.  The
     clauses are tested in that order, the first that fails raises, and a
     mask over an empty index set is left out.  Each test asks that a
-    value lie within its limit, so a NaN fails it.
+    value lie within its limit, so a NaN fails it.  The clauses after the
+    pinned one are first tested together, as one mask of the values that
+    lie within their limits; only where some value does not are they
+    tested one by one, which finds the first clause that fails.
 
     The equality clause tests the infinity norms of the stationarity and
     equality residuals (``model.residuals``) at ``it``: ``norms`` where
@@ -363,16 +367,29 @@ def _check_bounds(fam: Family, p: QpProblem, s: Shifts, it: Iterate,
         return
     some_unguarded = bool(getattr(p, fam.unguarded))
     unguarded = getattr(p, fam.unguarded_mask)
+    # The guarded clause and, at the start, the relaxed and idle ones, as
+    # one mask that is True where a value keeps its clause's limit.
+    within = g >= -tol
+    if start:
+        g_on = _on_bound(getattr(s, fam.guard_shift))
+        r_on = _on_bound(getattr(s, fam.repair_shift))
+        r = getattr(it, fam.repaired) + getattr(s, fam.repair_shift)
+        within &= r <= r_on
+    if some_unguarded:
+        within |= unguarded
+    if start:
+        within = np.where(live, within, np.abs(g) <= g_on)
+    else:
+        within |= ~live
+    if np.count_nonzero(within) == within.size:
+        return
     below = live & ~(g >= -tol)
     if some_unguarded:
         below &= ~unguarded
     test("guarded", fam.guarded, fam.guard_shift, g, below)
     if start:
-        g_on = _on_bound(getattr(s, fam.guard_shift))
-        r_on = _on_bound(getattr(s, fam.repair_shift))
         test("idle", fam.guarded, fam.guard_shift, g,
              ~live & ~(np.abs(g) <= g_on))
-        r = getattr(it, fam.repaired) + getattr(s, fam.repair_shift)
         above = live & ~(r <= r_on)
         if some_unguarded:          # selected two-sided
             above &= ~unguarded

@@ -47,6 +47,13 @@ MUTANTS = (
     ("guarded-bound-check-x1e3", "src/pdqp/steps.py",
      "below = live & ~(g >= -tol)",
      "below = live & ~(g >= -1e3 * tol)"),
+    ("combined-guarded-clause-x1e3", "src/pdqp/steps.py",
+     "within = g >= -tol", "within = g >= -1e3 * tol"),
+    ("combined-idle-clause-x1e3", "src/pdqp/steps.py",
+     "within = np.where(live, within, np.abs(g) <= g_on)",
+     "within = np.where(live, within, np.abs(g) <= 1e3 * g_on)"),
+    ("combined-relaxed-clause-x1e3", "src/pdqp/steps.py",
+     "within &= r <= r_on", "within &= r <= 1e3 * r_on"),
     ("presolve-slack-x1e6", "src/pdqp/driver.py",
      "slack = 1e-9 * (1.0", "slack = 1e-3 * (1.0"),
     ("presolve-keeps-every-row", "src/pdqp/driver.py",

@@ -10,6 +10,9 @@ under auto, primal-first and dual-first.  Prints one line per
 objective to 1e-6 relative), then the counts per n.  Tier-1
 (``test_referee.py``) covers n = 10 and 30 at seed 5, and a fixed sample
 of this draw past n = 30 (``PROBE_SAMPLE``) with its known raises.
+Last, it solves the ``ladder`` rung at n = 1000, which tier-1 leaves out
+(HiGHS's QP solver takes about 2.4 s on it), and prints its objective
+next to HiGHS's (``highs_qp``) and the constructed f*.
 
 Not collected by pytest (the file name has no ``test_`` prefix).
 """
@@ -20,9 +23,10 @@ from collections import Counter
 
 import numpy as np
 
+from conftest import criterion7_instance
 from pdqp import SolveConfig, solve_pdqp
 from test_referee import (PROBE_BOX, PROBE_SIZES, STRATEGIES, highs,
-                          referee_lp)
+                          highs_qp, referee_lp)
 
 SEEDS, COUNT = (1, 2, 3), 60
 
@@ -53,6 +57,13 @@ def main() -> None:
     for n in PROBE_SIZES:
         print(f"n={n}: {solves[n]} solves, {raised[n]} raised, "
               f"{disagreed[n]} disagreed")
+    g, _, fstar = criterion7_instance(1000, 20, 10, 500)
+    optimal, fun = highs_qp(g)
+    sol = solve_pdqp(g)
+    print(f"ladder n=1000: {sol.status} {sol.objective!r}, HiGHS "
+          f"{'optimal' if optimal else 'not optimal'} {fun!r}, f* {fstar!r}; "
+          f"relative {abs(sol.objective - fun) / abs(fun):.1e} and "
+          f"{abs(sol.objective - fstar) / abs(fstar):.1e}")
 
 
 if __name__ == "__main__":

@@ -294,17 +294,17 @@ def test_weakly_active_instances_solve(case, strategy):
 
 
 def test_recover_z_nonbasic_cases(p1, p2):
-    s = Shifts.zero(2)
-    part = Partition(basic=[0], nonbasic=[1])
+    qn = Shifts.zero(2).q[:1]
+    basic, nonbasic = np.array([0]), np.array([1])
     it = Iterate(np.array([1.0, 0.0]), np.array([3.0]), np.zeros(2))
-    assert_allclose(recover_z_nonbasic(p2, part, it, s), [-3.0])
-    part = Partition(basic=[1], nonbasic=[0])
+    assert_allclose(recover_z_nonbasic(p2, basic, nonbasic, it, qn), [-3.0])
+    basic, nonbasic = nonbasic, basic
     it = Iterate(np.array([0.0, 1.0]), np.array([1.0]), np.zeros(2))
-    assert_allclose(recover_z_nonbasic(p1, part, it, s), [-1.0])
+    assert_allclose(recover_z_nonbasic(p1, basic, nonbasic, it, qn), [-1.0])
     zero = QpProblem(H=np.zeros((2, 2)), M=np.zeros((1, 1)),
                      A=np.array([[1.0, 1.0]]), b=np.zeros(1), c=np.zeros(2))
     it = Iterate(np.zeros(2), np.zeros(1), np.zeros(2))
-    assert_allclose(recover_z_nonbasic(zero, part, it, s), [0.0])
+    assert_allclose(recover_z_nonbasic(zero, basic, nonbasic, it, qn), [0.0])
 
 
 def test_factor_solve_matches_gauss_on_random():

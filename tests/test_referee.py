@@ -1,5 +1,6 @@
 """HiGHS as the referee of general-format LPs past the oracle's reach,
-and the QP referee (``highs_qp``) that ``test_cvxqp.py`` calls.
+and the QP referee (``highs_qp``) that ``test_cvxqp.py`` calls and that
+judges the benchmark's constructed QPs here.
 
 ``scipy.optimize.linprog(method="highs")`` judges the status and the
 objective of each LP that ``referee_lp`` draws, and pdqp must agree
@@ -17,6 +18,7 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
 from scipy.sparse import csc_matrix
 
+from conftest import criterion7_instance
 from pdqp import GeneralQp, KktInternalError, SolveConfig, solve_pdqp
 
 SEED, COUNT = 5, 100
@@ -33,6 +35,15 @@ PROBE_SAMPLE = {(2, 54): STRATEGIES, (3, 55): STRATEGIES,
                 (1, 24): ("auto", "primal-first")}
 PROBE_RAISES = {(2, 54, "dual-first"), (3, 55, "dual-first"),
                 (1, 24, "auto"), (1, 24, "primal-first")}
+# The benchmark's constructed QPs as ``criterion7_instance`` arguments:
+# the 12 ``lowrank`` shapes and the ``ladder`` rungs up to n = 500.
+# HiGHS takes about 2.4 s on the n = 1000 rung, which ``referee_probe.py``
+# solves.
+CONSTRUCTED = ([(150, 15, 15, 1000 * r + k, r) for r in (0, 4, 8, 12, 16, 20)
+                for k in (0, 1)]
+               + [(n, m, active, 500) for n, m, active in
+                  ((100, 10, 10), (250, 20, 10), (500, 20, 10),
+                   (500, 20, 100))])
 # linprog's status codes for the statuses pdqp can return.
 HIGHS_STATUS = {0: "optimal", 2: "primal_infeasible", 3: "dual_infeasible"}
 
@@ -179,3 +190,17 @@ def test_a_sample_past_n_30_raises_exactly_its_known_failures():
                 assert abs(sol.objective - fun) <= 1e-6 * (1.0 + abs(fun)), \
                     (seed, index, strategy)
     assert raised == PROBE_RAISES
+
+
+@pytest.mark.parametrize("spec", CONSTRUCTED, ids=str)
+def test_highs_referees_the_constructed_qp_optima(spec):
+    # Under auto, pdqp's optimum equals HiGHS's QP objective and the
+    # constructed f* to 1e-9 relative (observed: at most 1.1e-13 and
+    # 2.2e-15).
+    g, _, fstar = criterion7_instance(*spec)
+    optimal, fun = highs_qp(g)
+    assert optimal
+    sol = solve_pdqp(g)
+    assert sol.status == "optimal"
+    assert abs(sol.objective - fun) <= 1e-9 * abs(fun)
+    assert abs(sol.objective - fstar) <= 1e-9 * abs(fstar)

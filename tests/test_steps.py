@@ -225,6 +225,35 @@ def test_each_family_derives_its_roles_from_its_name():
 
 
 @pytest.mark.parametrize("off,error", [
+    (1e-6, "primal start: relaxed z[2] + r[2] = 1.000e-06 violates its "
+           "bound"),
+    (1e-8, None),
+], ids=["beyond", "within"])
+def test_a_relaxed_value_is_held_on_its_bound_within_the_slack(
+        suite500, off, error):
+    # The first suite500 problem whose discovered basis holds x_B >= 0 at
+    # the boundary point of zero shifts, where z_B = -0.0: a public primal
+    # run from that point with r_j = off on its first basic index j meets
+    # z_j + r_j = off.  BOUND_SLACK (1e-7 at a shift of at most 1) holds
+    # 1e-8 on the bound and not 1e-6.
+    for p in suite500:
+        part = find_soc_basis(p, KktBasis(p))
+        it = solve_boundary_point(p, Shifts.zero(p.n), part,
+                                  factor_kb(p, part.basic))
+        if part.basic and (it.x[part.basic_mask] >= 0.0).all():
+            break
+    assert (p.n, part.basic[0]) == (5, 2)
+    r = np.zeros(p.n)
+    r[part.basic[0]] = off
+    if error is None:
+        out = solve_primal(p, Shifts(np.zeros(p.n), r), (it, part))
+        assert out.status in ("optimal", "dual_infeasible")
+    else:
+        with pytest.raises(StartConditionError, match=f"^{re.escape(error)}$"):
+            solve_primal(p, Shifts(np.zeros(p.n), r), (it, part))
+
+
+@pytest.mark.parametrize("off,error", [
     (1e-6, "primal start: idle x[0] + q[0] = 1.000e-06 violates its bound"),
     (1e-8, None),
 ], ids=["beyond", "within"])
