@@ -297,10 +297,13 @@ def emit_problem(g: GeneralQp, path) -> None:
     out = ["QPT 1", f"name {g.name}", f"dims {g.n} {g.m}"]
     for label, mat, symmetric in (("H", g.Hhat, True), ("A", g.Ahat, False)):
         nz = np.nonzero(mat)
-        if symmetric:
+        # Parsing mirrors H triplets: they carry only a symmetric H.
+        coord = mat.shape[0] > 20 and (not symmetric
+                                       or np.array_equal(mat, mat.T))
+        if symmetric and coord:
             keep = nz[0] <= nz[1]
             nz = (nz[0][keep], nz[1][keep])
-        if mat.size and len(nz[0]) and mat.shape[0] <= 20:
+        if len(nz[0]) and not coord:
             out.append(f"{label} dense")
             out.extend(" ".join(map(repr, row)) for row in mat.tolist())
         elif len(nz[0]):

@@ -169,6 +169,7 @@ candidate column is free.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -213,9 +214,14 @@ class KktFactorization:
         return max(float(k.max()), -float(k.min())) + 0.0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve with the factorization, one refinement step."""
-        x = self._once(rhs)
-        x += self._once(rhs - self.matrix @ x, overwrite=True)
+        """Solve with the factorization, one refinement step: two
+        ``_once`` applies, the second overwriting its residual."""
+        if not rhs.size:
+            return rhs.copy()
+        ldu, ipiv = self.ldu, self.ipiv
+        x = lapack.dsytrs(ldu, ipiv, rhs, lower=1)[0]
+        x += lapack.dsytrs(ldu, ipiv, rhs - self.matrix @ x, lower=1,
+                           overwrite_b=True)[0]
         return x
 
     def _once(self, r: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -286,19 +292,21 @@ def build_kb(p: QpProblem, basic: Sequence[int] | np.ndarray) -> np.ndarray:
     basic = np.asarray(basic, dtype=np.intp)
     nb = basic.size
     k = np.empty((nb + p.m, nb + p.m))
-    principal_block(p.H, basic, out=k[:nb, :nb])
+    k[:nb, :nb] = principal_block(p.H, basic)
     ab = p.A.take(basic, axis=1)
     k[nb:, :nb] = ab
     k[:nb, nb:] = ab.T
-    np.negative(p.M, out=k[nb:, nb:])
+    k[nb:, nb:] = -p.M
     return k
 
 
-def _with_freed(basic: np.ndarray, l: int) -> tuple[np.ndarray, int]:
-    """The variables of K_l, the basis matrix of B and l, in their
-    canonical ascending order, and the position of l among them."""
-    at = int(np.searchsorted(basic, l))
-    return np.concatenate((basic[:at], (l,), basic[at:])), at
+def _with_freed(basic_mask: np.ndarray, l: int) -> tuple[np.ndarray, int]:
+    """The variables of K_l, the basis matrix of B (``basic_mask``, which
+    leaves out the freed l) and l, in their canonical ascending order, and
+    the position of l among them."""
+    mask = basic_mask.copy()
+    mask[l] = True
+    return (order := mask.nonzero()[0]), int(order.searchsorted(l))
 
 
 def factor_kb(p: QpProblem, order: Sequence[int] | np.ndarray
@@ -326,6 +334,10 @@ class KktBasis:
     dual base solve K_l w = e_at with l in B0), leaves K_B0^-1 e_r held,
     and it becomes r's border column once a later basis drops r.
     """
+
+    # K_B0, its apply, the border caches and the held K_B0^-1 e_r (r, the
+    # vector): None while no K_B0 is held.
+    _k0 = _solve0 = _w = _v = _unit = None
 
     def __init__(self, p: QpProblem):
         self.p = p
@@ -359,8 +371,8 @@ class KktBasis:
         it is of dim >= UPDATE_MIN_DIM."""
         self._last = data
         self._key = key
-        self._k0 = self._solve0 = self._w = self._v = None
-        self._unit: tuple[int, np.ndarray] | None = None  # r, K_B0^-1 e_r
+        if self._k0 is not None:
+            self._k0 = self._solve0 = self._w = self._v = self._unit = None
         if data is None or data.matrix.shape[0] < UPDATE_MIN_DIM:
             return
         k0 = data.matrix
@@ -700,8 +712,8 @@ def _base_dz_l(p: QpProblem, l: int, h_bl: np.ndarray, rhs: np.ndarray,
     h_ll = p.H[l, l]
     dzl = float(h_ll + h_bl @ w[:nb] + p.A[:, l] @ w[nb:])
     k_abs, w_abs = np.abs(rhs), np.abs(w)
-    noise = NOISE_BAND * float(abs(h_ll) + k_abs[:nb] @ w_abs[:nb]
-                               + k_abs[nb:] @ w_abs[nb:] + 1.0)
+    noise = NOISE_BAND * float(abs(h_ll) + k_abs[:nb].dot(w_abs[:nb])
+                               + k_abs[nb:].dot(w_abs[nb:]) + 1.0)
     return dzl, noise
 
 
@@ -719,21 +731,22 @@ def _direction(p: QpProblem, part: Partition, basic: np.ndarray, l: int,
     O(min(|N|, |S|) n): the |N| rows H_N. where |N| <= |B|, otherwise
     the rows of H over the nonzeros of dx, since H is symmetric and
     dx_S' H_S. - dy' A is H dx - A' dy at every index.  The two forms sum
-    in different orders, so they agree to roundoff."""
-    n, m = p.n, p.m
-    dx, dy, dz = v[:n], v[n:n + m], v[n + m:]
+    in different orders, so they agree to roundoff.  ``A.T.take(N)`` has
+    the values and the layout of ``A[:, N].T``, so its product sums alike."""
+    d = Direction._own(v, p.n, p.m, l, tuple(basic.tolist()))
+    dx, dy, dz = d.dx, d.dy, d.dz
     if dzl != 0.0:
         nonbasic_mask = part.nonbasic_mask
         nonbasic = nonbasic_mask.nonzero()[0]
         if 0 < nonbasic.size <= basic.size:
             dz[nonbasic] = (p.H.take(nonbasic, axis=0) @ dx
-                            - p.A[:, nonbasic].T @ dy)
+                            - p.A.T.take(nonbasic, axis=0) @ dy)
         elif nonbasic.size:
             support = dx.nonzero()[0]
             np.copyto(dz, dx.take(support) @ p.H.take(support, axis=0)
                       - dy @ p.A, where=nonbasic_mask)
     dz[l] = dzl
-    return Direction._own(v, n, m, l, tuple(basic.tolist()))
+    return d
 
 
 def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
@@ -758,11 +771,12 @@ def solve_base_primal(p: QpProblem, part: Partition, basis: KktBasis,
         # max|K_l| from the data where an update served the solve, else
         # the largest of max|K_B|, max|k_l| (rhs is -k_l, k_l =
         # [h_Bl; a_l]) and |h_ll|: the same maximum.
-        k_max = (_kkt_max(p, _with_freed(basic, l)[0]) if own is None
-                 else max(own.max_abs, inf_norm(rhs), abs(float(p.H[l, l]))))
+        k_max = (_kkt_max(p, _with_freed(part.basic_mask, l)[0])
+                 if own is None else
+                 max(own.max_abs, inf_norm(rhs), abs(float(p.H[l, l]))))
         dzl = _freed_component(
             raw, noise, abs(raw), _singular_bound(nb + 1 + p.m, k_max),
-            lambda: factor_kb(p, _with_freed(basic, l)[0]), "dz_l")
+            lambda: factor_kb(p, _with_freed(part.basic_mask, l)[0]), "dz_l")
     # dz_l = 0: singular bordered matrix.  The direction is its null ray,
     # whose multiplier and dual parts vanish identically; zeroing them
     # discards pure cancellation noise.
@@ -793,7 +807,7 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
     """
     basic = part.basic_mask.nonzero()[0]
     nb = basic.size
-    order, at = _with_freed(basic, l)
+    order, at = _with_freed(part.basic_mask, l)
     rhs = np.zeros(1 + nb + p.m)
     rhs[at] = 1.0
     w = basis.solve(order, rhs)
@@ -802,9 +816,10 @@ def solve_intermediate_primal(p: QpProblem, part: Partition, l: int,
     if raw <= noise:
         # k_l = [h_Bl; a_l] is column at of K_l without entry at, and
         # v = [dx_B; -dy] is w without entry at (module docstring).
-        vnorm = float(np.linalg.norm(np.delete(w, at)))
+        rest = np.concatenate((w[:at], w[at + 1:]))
+        vnorm = math.sqrt(rest.dot(rest))
         k_l = np.concatenate((p.H[l].take(basic), p.A[:, l]))
-        change = (abs(raw) * float(np.linalg.norm(k_l)) / vnorm
+        change = (abs(raw) * math.sqrt(k_l.dot(k_l)) / vnorm
                   if vnorm > 0.0 else np.inf)
         dxl = _freed_component(
             raw, noise, change, _singular_bound(nb + p.m, _kkt_max(p, basic)),

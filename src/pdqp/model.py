@@ -76,9 +76,9 @@ def inf_norm(v: np.ndarray) -> float:
     """max|v| over every entry of a vector or matrix, 0 for an empty v; NaN
     where v holds one.  The entry is found by ``argmax``, which takes a
     NaN for the maximum, since on small arrays it costs a fraction of a
-    ``maximum`` reduction."""
+    ``maximum`` reduction, and read by ``item`` at its flat index."""
     a = np.abs(v)
-    return float(a.flat[a.argmax()]) if a.size else 0.0
+    return a.item(a.argmax()) if a.size else 0.0
 
 
 def _worst(v: np.ndarray) -> float:
@@ -93,21 +93,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def principal_block(s: np.ndarray, idx: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """s[idx][:, idx] for an integer array ``idx``, written into ``out``
-    when one is given: one slice copy where ``idx`` is an ascending run
-    of consecutive indices, two ``take`` gathers otherwise."""
+def principal_block(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """s[idx][:, idx] for an integer array ``idx``: one slice copy where
+    ``idx`` is an ascending run of consecutive indices, two ``take``
+    gathers otherwise."""
     at = idx.tolist()
     lo = at[0] if at else 0
     hi = lo + len(at)
     # The last index rules out most other sets before the exact test.
     if at and at[-1] == hi - 1 and at == list(range(lo, hi)):
-        if out is None:
-            return s[lo:hi, lo:hi].copy()
-        out[...] = s[lo:hi, lo:hi]
-        return out
-    return s.take(idx, axis=0).take(idx, axis=1, out=out)
+        return s[lo:hi, lo:hi].copy()
+    return s.take(idx, axis=0).take(idx, axis=1)
 
 
 def pivoted_cholesky(h: np.ndarray, tol: float
@@ -602,8 +598,8 @@ class Direction:
         length n, dy of length m) that no one else holds, kept without the
         copy of the constructor."""
         out = object.__new__(cls)
-        _hold(out, v, n, m, _DIRECTION)
-        out.__dict__.update(freed=freed, basic=basic)
+        out.__dict__.update(v=v, dx=v[:n], dy=v[n:n + m], dz=v[n + m:],
+                            freed=freed, basic=basic)
         return out
 
     def negated(self) -> "Direction":

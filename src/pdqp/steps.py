@@ -207,7 +207,8 @@ def ratio_test(values: np.ndarray, deltas: np.ndarray,
     harris = (vals + delta) / rates
     alpha_h = max(float(harris[harris.argmin()]), 0.0)
     ratios = np.maximum(vals, 0.0) / rates
-    pos = int(np.where(ratios <= alpha_h, rates, -np.inf).argmax())
+    ok = (ratios <= alpha_h).nonzero()[0]       # empty only under a NaN
+    pos = int(ok[rates.take(ok).argmax()]) if ok.size else 0
     return float(ratios[pos]), int(indices[int(cand[pos])])
 
 
@@ -230,12 +231,12 @@ def select_index(v: np.ndarray, one_sided: np.ndarray, two_sided: np.ndarray,
     else:
         magnitude = -v
         eligible = one_sided & (magnitude > threshold)
-    if not np.count_nonzero(eligible):
+    cand = eligible.nonzero()[0]
+    if not cand.size:
         return None, 0.0
-    if two and np.count_nonzero(eligible & first):
-        eligible &= first
-    l = int(eligible.argmax() if bland
-            else np.where(eligible, magnitude, -np.inf).argmax())
+    if two and (lead := cand[first.take(cand)]).size:
+        cand = lead
+    l = int(cand[0] if bland else cand[magnitude.take(cand).argmax()])
     return l, (-1.0 if two_sided[l] and v[l] > 0 else 1.0)
 
 
@@ -274,8 +275,8 @@ def take_step(fam: Family, kind: str, p: QpProblem, s: Shifts,
     fixed = fam.guarded if kind == "base" else fam.repaired
     d = (solve_base_primal(p, part, basis, l) if fixed == "x"
          else solve_intermediate_primal(p, part, l, basis))
-    if orient < 0:
-        d = d.negated()
+    if orient < 0:          # before any record holds d, whose buffer is new
+        np.negative(d.v, out=d.v)
     rate = getattr(d, fam.rate)
     alpha_star = np.inf if rate == 0.0 else -viol / rate
     live = getattr(part, fam.live_mask)

@@ -98,6 +98,10 @@ MUTANTS = (
     ("fused-update-skips-y", "src/pdqp/steps.py",
      "    point += alpha * d.v\n",
      "    point += alpha * np.concatenate((d.dx, 0.0 * d.dy, d.dz))\n"),
+    ("negated-direction-buffer-shared", "src/pdqp/steps.py",
+     "        np.negative(d.v, out=d.v)\n",
+     "        d = Direction._own(np.negative(d.v, out=take_step.__dict__"
+     ".setdefault(d.v.size, d.v)), p.n, p.m, l, d.basic)\n"),
     ("direction-buffer-reused", "src/pdqp/kkt.py",
      "    v = np.zeros(2 * n + p.m)\n    v[basic] = w[:nb]\n",
      "    v = solve_base_primal.__dict__.setdefault(2 * n + p.m,\n"
@@ -125,6 +129,19 @@ MUTANTS = (
     ("mirror-free-fixed-swapped", "src/pdqp/steps.py",
      '_MIRROR = {"x": ("q", "basic", "free"), "z": ("r", "nonbasic", "fixed")}',
      '_MIRROR = {"x": ("q", "basic", "fixed"), "z": ("r", "nonbasic", "free")}'),
+    ("ratio-test-tie-break-dropped", "src/pdqp/steps.py",
+     "pos = int(ok[rates.take(ok).argmax()]) if ok.size else 0",
+     "pos = int(ok[0]) if ok.size else 0"),
+    ("selection-largest-violation-dropped", "src/pdqp/steps.py",
+     "l = int(cand[0] if bland else cand[magnitude.take(cand).argmax()])",
+     "l = int(cand[0])"),
+    ("rebase-keeps-stale-k0", "src/pdqp/kkt.py",
+     "            self._k0 = self._solve0 = self._w = self._v = self._unit = None\n",
+     "            pass\n"),
+    ("freed-order-writes-partition-mask", "src/pdqp/kkt.py",
+     "    mask = basic_mask.copy()\n", "    mask = basic_mask\n"),
+    ("coord-h-without-symmetry-test", "src/pdqp/cli.py",
+     "or np.array_equal(mat, mat.T))", "or True)"),
     ("trace-before-pair-is-after-pair", "src/pdqp/steps.py",
      "kind, step, d, viol, before, f))", "kind, step, d, viol, f, f))"),
     ("trace-iteration-start-pair-kept", "src/pdqp/steps.py",

@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tests/phase_probe.py --workload suite500
     PYTHONPATH=src python tests/phase_probe.py --workload mixed-bounds -k 7
+    PYTHONPATH=src python tests/phase_probe.py --workload lowrank --steps
 
 Builds the workload's instances with ``bench/workloads.py`` and times its
 solve calls as the benchmark makes them, with ``perf_counter`` wrappers
@@ -17,6 +18,11 @@ the phases`` what no wrapper covers.  The passes run on one BLAS thread
 A function is wrapped in every ``pdqp`` module that binds it, so a call
 through an imported name is seen too, and every name is put back when
 the probe ends.  The wrappers cost about a microsecond per call.
+``--steps`` adds the rows of the active-set loop (``STEP_PHASES``): the
+ratio test, the direction and freed-component helpers, and the KKT call
+path from ``KktBasis.solve`` down to ``_bunch_kaufman`` and
+``KktFactorization.solve``; without it the table has the rows of
+``PHASES`` alone.
 
 Not collected by pytest (the file name has no ``test_`` prefix).
 """
@@ -38,8 +44,8 @@ import pdqp  # noqa: E402
 import workloads  # noqa: E402
 
 MODULES = ("model", "kkt", "steps", "primal", "dual", "driver", "cli")
-# (row label, module that defines it, attribute); "QpProblem.__post_init__"
-# is a method, the rest are module-level functions.
+# (row label, module that defines it, attribute); an attribute with a dot
+# is a method of the class it names, the rest are module-level functions.
 PHASES = (
     ("take_step", "steps", "take_step"),
     ("QpProblem.__post_init__", "model", "QpProblem.__post_init__"),
@@ -56,14 +62,31 @@ PHASES = (
     ("parse_problem", "cli", "parse_problem"),
     ("rest of cli.run", "cli", "run"),
 )
+STEP_PHASES = (
+    ("ratio_test", "steps", "ratio_test"),
+    ("solve_base_primal (own)", "kkt", "solve_base_primal"),
+    ("solve_intermediate_primal (own)", "kkt", "solve_intermediate_primal"),
+    ("_direction", "kkt", "_direction"),
+    ("_base_dz_l", "kkt", "_base_dz_l"),
+    ("_with_freed", "kkt", "_with_freed"),
+    ("_kkt_max", "kkt", "_kkt_max"),
+    ("_freed_component", "kkt", "_freed_component"),
+    ("KktBasis.solve (own)", "kkt", "KktBasis.solve"),
+    ("KktBasis._factor (own)", "kkt", "KktBasis._factor"),
+    ("factor_kb (own)", "kkt", "factor_kb"),
+    ("build_kb", "kkt", "build_kb"),
+    ("_bunch_kaufman", "kkt", "_bunch_kaufman"),
+    ("KktFactorization.solve", "kkt", "KktFactorization.solve"),
+)
 
 
 class Phases:
     """Self time and calls per phase, over the solves since ``reset``."""
 
-    def __init__(self):
-        self.calls = {label: 0 for label, _, _ in PHASES}
-        self.own = {label: 0.0 for label, _, _ in PHASES}
+    def __init__(self, phases=PHASES):
+        self.phases = phases
+        self.calls = {label: 0 for label, _, _ in phases}
+        self.own = {label: 0.0 for label, _, _ in phases}
         self._inner = [0.0]         # wrapped time inside each open call
 
     def reset(self):
@@ -92,14 +115,16 @@ class Phases:
         mods = [pdqp] + [importlib.import_module(f"pdqp.{m}")
                          for m in MODULES]
         patched = []
-        for label, module, attr in PHASES:
-            if attr == "QpProblem.__post_init__":
-                original = pdqp.QpProblem.__dict__["__post_init__"]
-                pdqp.QpProblem.__post_init__ = self.wrap(label, original)
-                patched.append((pdqp.QpProblem, "__post_init__", original))
+        for label, module, attr in self.phases:
+            owner = importlib.import_module(f"pdqp.{module}")
+            if "." in attr:             # a method, wrapped on its class
+                cls, attr = attr.split(".")
+                owner = getattr(owner, cls)
+                original = owner.__dict__[attr]
+                setattr(owner, attr, self.wrap(label, original))
+                patched.append((owner, attr, original))
                 continue
-            original = getattr(importlib.import_module(f"pdqp.{module}"),
-                               attr)
+            original = getattr(owner, attr)
             wrapper = self.wrap(label, original)
             for mod in mods:
                 if mod.__dict__.get(attr) is original:
@@ -108,13 +133,14 @@ class Phases:
         return patched
 
 
-def run(name: str, k: int) -> list[tuple[str, float, float]]:
+def run(name: str, k: int, phases=PHASES
+        ) -> list[tuple[str, float, float]]:
     """The table of workload ``name``: (label, us per solve, calls per
-    solve) rows, medians of k passes."""
+    solve) rows over ``phases``, medians of k passes."""
     with tempfile.TemporaryDirectory(prefix="pdqp-phases-") as tmp:
         workload = workloads.WORKLOADS[name](Path(tmp))
         cases, _ = workload.build()
-        phases = Phases()
+        phases = Phases(phases)
         patched = phases.install()
         per_pass = []
         try:
@@ -133,7 +159,7 @@ def run(name: str, k: int) -> list[tuple[str, float, float]]:
                 setattr(owner, attr, original)
     count = len(cases)
     rows = []
-    for label, _, _ in PHASES:
+    for label, _, _ in phases.phases:
         calls = statistics.median(c[label] for _, _, c in per_pass) / count
         if calls:
             rows.append((label, statistics.median(
@@ -152,11 +178,14 @@ def main(argv: list[str] | None = None) -> int:
                     choices=sorted(workloads.WORKLOADS))
     ap.add_argument("-k", type=int, default=7,
                     help="timed passes after the warm-up (default 7)")
+    ap.add_argument("--steps", action="store_true",
+                    help="add the rows of the active-set loop")
     args = ap.parse_args(argv)
     print(f"{args.workload}: median of {args.k} passes, one BLAS thread")
     print("| phase | us per solve | calls per solve |")
     print("|---|---|---|")
-    for label, us, calls in run(args.workload, args.k):
+    phases = PHASES + STEP_PHASES if args.steps else PHASES
+    for label, us, calls in run(args.workload, args.k, phases):
         shown = "" if calls != calls else f"{calls:.2f}"
         print(f"| {label} | {us:.1f} | {shown} |")
     return 0

@@ -60,6 +60,39 @@ def test_name_that_cannot_round_trip_is_not_written(tmp_path, name):
     assert not out.exists()
 
 
+def test_nearly_symmetric_dense_h_past_the_coord_size_round_trips(tmp_path):
+    # A dense H within the parser's symmetry tolerance but not exactly
+    # symmetric, at n > 20 where an exactly symmetric H is written in
+    # coord form: the file must carry both triangles.
+    n = 25
+    rng = np.random.default_rng(7)
+    root = rng.standard_normal((n, n))
+    h = root @ root.T
+    h[3, 1] += 1e-13 * np.abs(h).max()
+    assert not np.array_equal(h, h.T)
+    g = driver.GeneralQp(Hhat=h, Ahat=np.ones((1, n)),
+                         c=rng.standard_normal(n), lower=np.zeros(n + 1),
+                         upper=np.concatenate([np.full(n, np.inf), [1.0]]),
+                         name="near")
+    out = tmp_path / "near.qpt"
+    emit_problem(g, out)
+    back = parse_problem(out)
+    assert back.Hhat.tobytes() == h.tobytes()
+    emit_problem(back, tmp_path / "again.qpt")
+    assert (tmp_path / "again.qpt").read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("token,value", [("+1.5e-3", 1.5e-3), ("-0.0", -0.0),
+                                         ("1_000", 1000.0)])
+def test_a_value_is_any_finite_float_token(tmp_path, token, value):
+    path = tmp_path / "tok.qpt"
+    path.write_text(f"QPT 1\ndims 1 0\nH dense\n{token}\nc {token}\n"
+                    f"lower {token}\nupper inf\nend\n")
+    g = parse_problem(path)
+    for got in (g.Hhat[0, 0], g.c[0], g.lower[0]):
+        assert np.float64(got).tobytes() == np.float64(value).tobytes()
+
+
 def test_coord_format_roundtrip(tmp_path):
     path = tmp_path / "coord.qpt"
     path.write_text("QPT 1\ndims 3 1\nH coord 2\n1 1 2.5\n1 3 -1.0\n"

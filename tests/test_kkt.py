@@ -851,7 +851,7 @@ def test_in_band_base_bound_from_the_held_factorization_is_the_data_bound(
     def checked(raw, noise, change, bound, counterpart, what):
         if what == "dz_l":
             p, basic, basis, l = solving[-1]
-            order = kkt._with_freed(basic, l)[0]
+            order = kkt._with_freed(kkt.index_mask(p.n, basic), l)[0]
             want = kkt._singular_bound(order.size + p.m,
                                        kkt._kkt_max(p, order))
             assert np.float64(bound).tobytes() == np.float64(want).tobytes()
@@ -1133,6 +1133,87 @@ def test_lowrank_with_updates_everywhere_factors_once_per_instance(
                 for spec in workload.specs(None)]
     assert statuses == ["optimal"] * 12
     assert len(factored) == 12
+
+
+def _recorded_dsytrf(monkeypatch):
+    """(dim, info) of every ``dsytrf`` call ``kkt`` makes after the call."""
+    infos = []
+    dsytrf = kkt.lapack.dsytrf
+
+    def recorded(a, **kw):
+        out = dsytrf(a, **kw)
+        infos.append((a.shape[0], out[2]))
+        return out
+
+    monkeypatch.setattr(kkt.lapack, "dsytrf", recorded)
+    return infos
+
+
+def test_a_solve_whose_schur_block_is_singular_refactors_and_raises(
+        updates_everywhere, monkeypatch):
+    # n = 1, m = 1, H = 0, M = 0: K_B0 over B0 = {0} is [[0, 3], [3, 0]].
+    # The order [] drops 0, so the border is e_0 and S = -e_0' K_B0^-1 e_0
+    # = 0 exactly: dsytrf reports S singular and the update declines.
+    # The fresh path then factors K_B = [0], which the acceptance rule
+    # rejects, and the solve raises.
+    p = QpProblem(H=np.zeros((1, 1)), M=np.zeros((1, 1)), A=np.array([[3.0]]),
+                  b=np.zeros(1), c=np.zeros(1))
+    basis = held_basis(p, [0])
+    assert basis._k0 is not None
+    infos = _recorded_dsytrf(monkeypatch)
+    updates = _counting(monkeypatch, kkt.KktBasis, "_update")
+    factored = _counting(monkeypatch, kkt, "factor_kb")
+    with pytest.raises(KktInternalError, match=r"basis matrix unexpectedly "
+                       r"singular over variables \[\]$"):
+        basis.solve(np.zeros(0, dtype=np.intp), np.array([1.0]))
+    assert len(updates) == 1 and infos == [(1, 1), (1, 1)]
+    assert [a[1].tolist() for a in factored] == [[]]
+    assert basis._k0 is None and basis._last is None
+
+
+def test_a_full_border_cache_refactors(p1, updates_everywhere, monkeypatch):
+    # With one border column allowed, B = {0, 1} from B0 = {0} is served
+    # by an update (the column of 1), and B = {1} then needs a second
+    # column (e_0): the solve refactors, and its factorization is the new
+    # K_B0, whose solve has the bits of a fresh one.
+    monkeypatch.setattr(kkt, "BORDER_CAP", 1)
+    basis = held_basis(p1, [0])
+    factored = _counting(monkeypatch, kkt, "factor_kb")
+    basis.solve(np.array([0, 1]), np.array([1.0, 2.0, 3.0]))
+    assert factored == [] and _holds(basis, [0])
+    rhs = np.array([1.0, 2.0])
+    got = basis.solve(np.array([1]), rhs)
+    assert [a[1].tolist() for a in factored] == [[1]]
+    assert _holds(basis, [1]) and basis._k0 is basis._last
+    assert got.tobytes() == factor_kb(p1, [1]).solve(rhs).tobytes()
+
+
+def test_an_accepted_update_agrees_with_the_fresh_solve(updates_everywhere,
+                                                        monkeypatch):
+    # Bases one to three index changes away from B0 of a positive definite
+    # H: the update serves each solve (no factor_kb call), and its solution
+    # lies within the forward error that a backward error of d unit
+    # roundoffs allows, d the dim of K_B, from the fresh solve's.
+    rng = np.random.default_rng(3)
+    n, m = 12, 3
+    root = rng.standard_normal((n, n))
+    p = QpProblem(H=root @ root.T / n + np.eye(n), M=np.zeros((m, m)),
+                  A=rng.standard_normal((m, n)), b=np.zeros(m), c=np.zeros(n))
+    b0 = np.arange(0, n, 2)
+    for order in (np.arange(0, 10, 2), np.array([0, 2, 3, 4, 6, 8, 10]),
+                  np.array([1, 2, 4, 6, 8, 10])):
+        basis = held_basis(p, b0)
+        factored = _counting(monkeypatch, kkt, "factor_kb")
+        rhs = rng.standard_normal(order.size + m)
+        got = basis.solve(order, rhs)
+        assert factored == [] and _holds(basis, b0)
+        k = build_kb(p, order)
+        want = factor_kb(p, order).solve(rhs)
+        d = k.shape[0]
+        cond = np.linalg.norm(k, np.inf) * np.linalg.norm(np.linalg.inv(k),
+                                                          np.inf)
+        bound = 2 * d * np.finfo(float).eps / 2 * cond * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound
 
 
 def test_update_refuses_a_singular_border(p_lp, updates_everywhere,

@@ -16,7 +16,8 @@ from pdqp.kkt import KktBasis, factor_kb, solve_base_primal
 from pdqp.model import _check_psd, effective_shifts, objectives, residuals
 from pdqp.primal import primal_base
 
-from conftest import criterion7_instance, mixed_instances, random_instances
+from conftest import (criterion7_instance, free_start_cases,
+                      mixed_instances, random_instances)
 
 
 def it(x, y, z):
@@ -991,6 +992,9 @@ def test_a_direction_copies_its_vectors_and_is_frozen():
 def test_trace_records_keep_the_directions_they_were_given():
     # Each step's direction owns its buffer: at the end of a traced solve
     # every record's direction holds what it held when it was emitted.
+    # From a start that leaves a free index nonbasic, many steps run
+    # against their solved direction, negated in place (a fixed component
+    # of -1).
     emitted = []
 
     def record(rec):
@@ -1001,7 +1005,15 @@ def test_trace_records_keep_the_directions_they_were_given():
         g = criterion7_instance(60, 6, 6, 4000 + k, 4)[0]
         for strategy in ("primal-first", "dual-first"):
             solve_pdqp(g, SolveConfig(strategy=strategy, trace=record))
+    for _, p, basis in free_start_cases(7, 10):
+        for strategy in STRATEGIES[:3]:
+            try:
+                solve_standard(p, SolveConfig(strategy=strategy, trace=record,
+                                              initial_basis=basis))
+            except ProblemError:    # a one-stage strategy off its start
+                pass
     assert len(emitted) > 100
+    assert sum(-1.0 in fields[:2] for _, _, fields in emitted) > 10
     assert len({id(rec.direction.v) for rec, _, _ in emitted}) == len(emitted)
     for rec, v, fields in emitted:
         d = rec.direction
