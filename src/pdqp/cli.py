@@ -296,10 +296,12 @@ def emit_problem(g: GeneralQp, path) -> None:
                          f"QPT file")
     out = ["QPT 1", f"name {g.name}", f"dims {g.n} {g.m}"]
     for label, mat, symmetric in (("H", g.Hhat, True), ("A", g.Ahat, False)):
-        nz = np.nonzero(mat)
-        # Parsing mirrors H triplets: they carry only a symmetric H.
+        # Every entry whose bits are not +0.0's, -0.0 included.
+        nz = np.nonzero((mat != 0.0) | np.signbit(mat))
+        # Parsing mirrors H triplets: they carry only an H that equals its
+        # transpose bit for bit.
         coord = mat.shape[0] > 20 and (not symmetric
-                                       or np.array_equal(mat, mat.T))
+                                       or mat.tobytes() == mat.T.tobytes())
         if symmetric and coord:
             keep = nz[0] <= nz[1]
             nz = (nz[0][keep], nz[1][keep])

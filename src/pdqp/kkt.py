@@ -98,8 +98,9 @@ the unit vector e_r of an index r that the solve which freed r had as
 its K_B0 right-hand side (the dual base solve K_l w = e_at with l in
 B0): that solve's K_B0^-1 e_r is held and becomes r's column of V.  And
 ||K_B^-1|| <= ||M^-1|| <= ||K_B0^-1|| + (1 + ||V||)^2 ||S^-1||.
-S is factored by Bunch-Kaufman (``dsytrf``), and ``dsytrs`` applies S,
-K_B0 and every other factorization alike (``KktFactorization._once``).
+S is factored and judged by ``_bunch_kaufman`` under the one
+singularity verdict, and ``KktFactorization._once`` applies S, K_B0 and
+every other factorization alike.
 On the K_B0 of a ``ladder`` pass, with one BLAS thread on an Intel Xeon
 core, an apply takes 59, 146, 175 and 640 us at dim 270, 469, 520 and
 1020.
@@ -109,11 +110,11 @@ K_B0 passed the acceptance rule and this bound keeps sigma_min(K_B) above
 bound takes ||K_B0^-1|| and ||S^-1|| from the ``dsycon`` estimates of
 their factorizations (the 1-norm bounds the 2-norm of a symmetric
 matrix, and the factor-100 margin covers the estimator's slack for both,
-as for acceptance), and ||V|| by its Frobenius norm; an S that ``dsytrf`` reports singular, or
-whose estimate is not positive, declines the update.  max|K_B| is
-bounded by max|K_B0|, the border columns and H_QQ.  The residual
-against the product with K_B, formed from the problem data, gives the
-normwise backward error eta = ||r|| / (||K_B|| ||x|| + ||rhs||) in the
+as for acceptance), and ||V|| by its Frobenius norm; an S that the
+acceptance rule rejects declines the update.  max|K_B| is bounded by
+max|K_B0|, the border columns and H_QQ.  The residual against the
+product with K_B, formed from the problem data, gives the normwise
+backward error eta = ||r|| / (||K_B|| ||x|| + ||rhs||) in the
 inf-norm, with ||K_B|| <= d max|K_B| at d = nb + m.  One refinement step
 follows only where eta > d u, u the unit roundoff: a solve already that
 close to backward stable gains nothing from a step of fixed-precision
@@ -126,7 +127,8 @@ the held factorization is of the same matrix, it factors the matrix
 afresh with ``KktBasis.factor`` (raising KktInternalError on a singular
 matrix) and holds that factorization (as the new K_B0), when
 
-* the bound fails (or there is no accepted K_B0);
+* the acceptance rule rejects S, or the bound fails (or there is no
+  accepted K_B0);
 * K_B0^-1 times BORDER_CAP border columns is cached already, which bounds
   the cost of forming S and makes at most one refactorization per
   BORDER_CAP basis changes.
@@ -149,14 +151,13 @@ update that adds one column to a border of 1 to 20 columns costs a
 median 81, 91, 95, 140 and 144 us at dim 30, 70, 110, 165 and 220,
 against 37, 93, 158, 384 and 593 us for a fresh Bunch-Kaufman
 factorization and refined solve, so the crossover lies near dim 70.
-With the gate at 0, ten alternating in-process pairs of benchmark passes
-took 30% longer on ``suite500`` (bases of dim <= 20), 69% on ``lowrank``
-(dim 20-100) and 36% on ``mixed-bounds`` under auto (dim <= 50), slower
-in 10 of 10 pairs each, for 581, 12 and 128 factorizations instead of
-1008, 304 and 607; ``ladder`` (dim >= 100, mostly >= 400) was
-unchanged.  No workload has bases between
-dim 100 and 200, so the measurements place the crossover but do not pin
-the gate's value within that range.
+With the gate at 0, single benchmark runs per tree read 25% fewer
+solves per second on ``suite500`` (bases of dim <= 20), with 579
+factorizations per pass instead of 1007, and 43% fewer on ``lowrank``
+(dim 20-100), with one factorization per solve instead of 25.33;
+``ladder`` (dim >= 100, mostly >= 400) was not re-measured.  No
+workload has bases between dim 100 and 200, so the measurements place
+the crossover but do not pin the gate's value within that range.
 
 Basis discovery (``find_soc_basis``) factors the full KKT matrix first
 only where a rank count leaves it a chance: the non-fixed columns exceed
@@ -215,7 +216,7 @@ class KktFactorization:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve with the factorization, one refinement step: two
-        ``_once`` applies, the second overwriting its residual."""
+        ``dsytrs`` applies, the second overwriting its residual."""
         if not rhs.size:
             return rhs.copy()
         ldu, ipiv = self.ldu, self.ipiv
@@ -224,13 +225,9 @@ class KktFactorization:
                            overwrite_b=True)[0]
         return x
 
-    def _once(self, r: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """K^-1 r by ``dsytrs``, which may overwrite r under ``overwrite``
-        (a residual that no one else holds)."""
-        if not r.size:              # dsytrs rejects the empty system
-            return r.copy()
-        return lapack.dsytrs(self.ldu, self.ipiv, r, lower=1,
-                             overwrite_b=overwrite)[0]
+    def _once(self, r: np.ndarray) -> np.ndarray:
+        """K^-1 r by ``dsytrs``, for a nonempty r."""
+        return lapack.dsytrs(self.ldu, self.ipiv, r, lower=1)[0]
 
 
 def _backward_error(res: np.ndarray, k_norm_bound: float, x: np.ndarray,
@@ -335,9 +332,9 @@ class KktBasis:
     and it becomes r's border column once a later basis drops r.
     """
 
-    # K_B0, its apply, the border caches and the held K_B0^-1 e_r (r, the
-    # vector): None while no K_B0 is held.
-    _k0 = _solve0 = _w = _v = _unit = None
+    # The border caches and the held K_B0^-1 e_r (r, the vector): None
+    # while no K_B0 is held.  K_B0 is the held factorization, ``_last``.
+    _w = _v = _unit = None
 
     def __init__(self, p: QpProblem):
         self.p = p
@@ -357,7 +354,7 @@ class KktBasis:
         """``factor(order)`` with ``key = order.tobytes()`` already taken."""
         if self._last is not None and key == self._key:
             return self._last
-        if self._k0 is not None:    # two K_B0 factorizations are never held
+        if self._w is not None:     # two K_B0 factorizations are never held
             self._rebase()
         f = factor_kb(self.p, order)
         self._rebase(order, f, key)
@@ -371,14 +368,11 @@ class KktBasis:
         it is of dim >= UPDATE_MIN_DIM."""
         self._last = data
         self._key = key
-        if self._k0 is not None:
-            self._k0 = self._solve0 = self._w = self._v = self._unit = None
+        if self._w is not None:
+            self._w = self._v = self._unit = None
         if data is None or data.matrix.shape[0] < UPDATE_MIN_DIM:
             return
-        k0 = data.matrix
-        dim = k0.shape[0]
-        self._k0 = data
-        self._solve0 = data._once                    # applies K_B0^-1
+        dim = data.matrix.shape[0]
         self._basis0 = order
         self._pos0 = np.full(self.p.n, -1)
         self._pos0[self._basis0] = np.arange(self._basis0.size)
@@ -398,7 +392,7 @@ class KktBasis:
         """
         order = np.asarray(order, dtype=np.intp)
         key = order.tobytes()
-        if self._k0 is not None and key != self._key:
+        if self._w is not None and key != self._key:
             w = self._update(order, rhs)
             if w is not None:
                 return w
@@ -436,7 +430,7 @@ class KktBasis:
             if unit is not None and unit[0] == j:
                 v = unit[1]     # the same bytes in as the solve that held it
             else:
-                v = self._solve0(w)
+                v = self._last._once(w)
             self._v[:, at] = v
             g = self._w[:, :at + 1].T @ v
             self._gram[at, :at + 1] = g
@@ -460,10 +454,12 @@ class KktBasis:
         """K_B^-1 rhs for the basis matrix with variables in ``order``,
         refined by one step against K_B only where the residual's normwise
         backward error exceeds d unit roundoffs, or None where no update is
-        certified: a full border cache, a Schur block S that ``dsytrf``
-        finds singular, or a bound on ||K_B^-1|| that does not keep K_B
-        clear of the singularity bound.  Called only with a K_B0 held."""
-        p, k0 = self.p, self._k0
+        certified: a full border cache, a Schur block S that the
+        acceptance rule (``_bunch_kaufman``) rejects, or a bound on
+        ||K_B^-1|| that does not keep K_B clear of the singularity bound.
+        Called only with a K_B0 held, for an order other than K_B0's, so
+        that the border has k >= 1 columns."""
+        p, k0 = self.p, self._last
         basic = np.asarray(order, dtype=np.intp)
         nb, m = basic.size, p.m
         pos = self._pos0[basic]
@@ -485,28 +481,17 @@ class KktBasis:
             schur = -self._gram[:k, :k]
         else:
             w_b, v_b = self._w[:, cached], self._v[:, cached]
-            schur = -self._gram[np.ix_(cached, cached)]
+            schur = -principal_block(self._gram, cached)
         max_kb = max(k0.max_abs, float(self._wmax[cached].max(initial=0.0)))
         if na:
-            hqq = p.H[np.ix_(added, added)]
+            hqq = principal_block(p.H, added)
             schur[np.ix_(qa, qa)] += hqq
             max_kb = max(max_kb, float(np.abs(hqq).max()))
         vnorm = float(np.sqrt(self._vnorm2[cached].sum()))
-        s_inv = 0.0                     # estimates ||S^-1||_1
-        if k:
-            # S is exactly symmetric, so its transpose is a Fortran-order
-            # copy of it for LAPACK to read (||S||_1, as _bunch_kaufman
-            # takes ||K||_1) and then overwrite.
-            s_norm = float(lapack.dlange("1", schur.T))
-            s_ldu, s_ipiv, info = lapack.dsytrf(schur.T, lower=1,
-                                                overwrite_a=1)
-            if info != 0:
-                return None
-            rcond, info = lapack.dsycon(s_ldu, s_ipiv, s_norm, lower=1)
-            if info != 0 or not rcond > 0.0:     # NaN declines too
-                return None
-            s_inv = 1.0 / (rcond * s_norm)
-        inv_bound = k0.inv_norm + (1.0 + vnorm) ** 2 * s_inv
+        s = _bunch_kaufman(schur)
+        if s is None:
+            return None
+        inv_bound = k0.inv_norm + (1.0 + vnorm) ** 2 * s.inv_norm
         if not inv_bound * 100 * _singular_bound(nb + m, max_kb) < 1.0:
             return None
         d0 = k0.matrix.shape[0]
@@ -523,8 +508,7 @@ class KktBasis:
             """K_B^-1 r, given t = K_B0^-1 lift(r)."""
             r1 = np.zeros(k)
             r1[qa] = r[added_at]
-            u = (lapack.dsytrs(s_ldu, s_ipiv, r1 - w_b.T @ t, lower=1)[0]
-                 if k else r1)
+            u = s._once(r1 - w_b.T @ t)
             z0 = t - v_b @ u
             out = np.empty(nb + m)
             out[kept_at] = z0[at]
@@ -533,7 +517,7 @@ class KktBasis:
             return out
 
         r0 = lift(rhs)
-        t = self._solve0(r0)
+        t = k0._once(r0)
         one = r0.nonzero()[0]       # r0 = e_r, r in B0: hold K_B0^-1 e_r
         if (one.size == 1 and one[0] < d0 - m and r0[one[0]] == 1.0
                 and not np.signbit(r0).any()):
@@ -544,7 +528,7 @@ class KktBasis:
         d = nb + m
         eta = _backward_error(res, d * max_kb, x, rhs)
         if eta > d * np.finfo(float).eps / 2:
-            x += once(res, self._solve0(lift(res)))
+            x += once(res, k0._once(lift(res)))
         return x
 
 

@@ -313,14 +313,11 @@ class QpProblem:
             for name, a in rest:
                 if not all_finite(a):
                     raise ProblemError(f"{name} has non-finite entries")
-        # The lower triangle is authoritative.  A zero M is symmetric and
-        # semidefinite.
-        m_live = np.count_nonzero(M) > 0
+        # The lower triangle is authoritative.
         H = _symmetrized(H, "H")
-        M = _symmetrized(M, "M") if m_live else M + 0.0
+        M = _symmetrized(M, "M")
         h_rank = _check_psd(H, "H")
-        if m_live:
-            _check_psd(M, "M")
+        _check_psd(M, "M")
         free = frozenset(_indices(self.free, "free", n=n))
         fixed = frozenset(_indices(self.fixed, "fixed", n=n))
         if free & fixed:
@@ -601,10 +598,6 @@ class Direction:
         out.__dict__.update(v=v, dx=v[:n], dy=v[n:n + m], dz=v[n + m:],
                             freed=freed, basic=basic)
         return out
-
-    def negated(self) -> "Direction":
-        return Direction._own(-self.v, self.dx.size, self.dy.size,
-                              self.freed, self.basic)
 
 
 @dataclass(frozen=True)

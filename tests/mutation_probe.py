@@ -136,17 +136,22 @@ MUTANTS = (
      "l = int(cand[0] if bland else cand[magnitude.take(cand).argmax()])",
      "l = int(cand[0])"),
     ("rebase-keeps-stale-k0", "src/pdqp/kkt.py",
-     "            self._k0 = self._solve0 = self._w = self._v = self._unit = None\n",
-     "            pass\n"),
+     "            self._w = self._v = self._unit = None\n", "            pass\n"),
     ("freed-order-writes-partition-mask", "src/pdqp/kkt.py",
      "    mask = basic_mask.copy()\n", "    mask = basic_mask\n"),
     ("coord-h-without-symmetry-test", "src/pdqp/cli.py",
-     "or np.array_equal(mat, mat.T))", "or True)"),
+     "or mat.tobytes() == mat.T.tobytes())", "or True)"),
+    ("coord-drops-signed-zeros", "src/pdqp/cli.py",
+     "nz = np.nonzero((mat != 0.0) | np.signbit(mat))", "nz = np.nonzero(mat)"),
     ("trace-before-pair-is-after-pair", "src/pdqp/steps.py",
      "kind, step, d, viol, before, f))", "kind, step, d, viol, f, f))"),
     ("trace-iteration-start-pair-kept", "src/pdqp/steps.py",
      "            f = objectives(p, eff, it)\n",
      "            f = objectives(p, eff, it) if iterations == 1 else f\n"),
+    ("check-bounds-failure-blames-free", "src/pdqp/steps.py",
+     "        below &= ~unguarded\n", "        pass\n"),
+    ("check-bounds-failure-blames-fixed", "src/pdqp/steps.py",
+     "            above &= ~unguarded\n", "            pass\n"),
 )
 
 

@@ -82,6 +82,35 @@ def test_nearly_symmetric_dense_h_past_the_coord_size_round_trips(tmp_path):
     assert (tmp_path / "again.qpt").read_bytes() == out.read_bytes()
 
 
+@pytest.mark.parametrize("block", ["A", "H mirrored", "H one triangle"])
+def test_signed_zeros_round_trip_bit_for_bit(tmp_path, block):
+    # Past 20 rows a block is written in coord form, which must list a
+    # -0.0 as it lists any other entry.  An H whose -0.0 has a +0.0 for
+    # its mirror is symmetric by value but not bit for bit, so it is
+    # written dense: coord triplets would set both triangles alike.
+    n, m = (3, 22) if block == "A" else (22, 1)
+    h, a = np.eye(n), np.ones((m, n))
+    if block == "A":
+        a[5, 1] = -0.0
+    else:
+        h[5, 1] = -0.0
+        h[1, 5] = -0.0 if block == "H mirrored" else 0.0
+    g = driver.GeneralQp(Hhat=h, Ahat=a, c=np.zeros(n),
+                         lower=np.zeros(n + m),
+                         upper=np.concatenate([np.full(n, np.inf),
+                                               np.zeros(m)]),
+                         name="signed")
+    out = tmp_path / "signed.qpt"
+    emit_problem(g, out)
+    layout = "dense" if block == "H one triangle" else "coord"
+    assert f"\n{block[0]} {layout}" in out.read_text()
+    back = parse_problem(out)
+    assert back.Hhat.tobytes() == h.tobytes()
+    assert back.Ahat.tobytes() == a.tobytes()
+    emit_problem(back, tmp_path / "again.qpt")
+    assert (tmp_path / "again.qpt").read_bytes() == out.read_bytes()
+
+
 @pytest.mark.parametrize("token,value", [("+1.5e-3", 1.5e-3), ("-0.0", -0.0),
                                          ("1_000", 1000.0)])
 def test_a_value_is_any_finite_float_token(tmp_path, token, value):

@@ -961,10 +961,11 @@ def test_updated_directions_match_fresh_and_solves_stay_correct(
 
 
 def test_dlange_one_norm_has_the_bits_of_numpys_column_sums():
-    # _bunch_kaufman takes ||K||_1, and KktBasis._update ||S||_1, from
-    # LAPACK's dlange on the transpose, which sums each column in order as
-    # numpy sums |K| over axis 0: on symmetric matrices of every scale the
-    # two give the same bits, so dsycon's verdicts see the same norm.
+    # _bunch_kaufman takes ||K||_1, of a basis matrix and of an update's
+    # Schur block S alike, from LAPACK's dlange on the transpose, which
+    # sums each column in order as numpy sums |K| over axis 0: on
+    # symmetric matrices of every scale the two give the same bits, so
+    # dsycon's verdicts see the same norm.
     rng = np.random.default_rng(12)
     for dim in list(range(1, 40)) + [75, 120, 301]:
         g = rng.normal(size=(dim, dim)) * np.exp(8 * rng.normal(size=(dim, dim)))
@@ -1005,15 +1006,16 @@ def test_bunch_kaufman_hands_dsytrf_a_fortran_order_array(monkeypatch):
 
 def _counting_applies(monkeypatch):
     """The dim of every K_B0 apply, in order, of each K_B0 taken after
-    the call."""
+    the call: the ``_once`` calls of the held factorization while it is
+    K_B0."""
     applies = []
     rebase = kkt.KktBasis._rebase
 
     def counted_rebase(self, *args):
         rebase(self, *args)
-        once = self._solve0
-        if once is not None:
-            self._solve0 = lambda r: applies.append(r.size) or once(r)
+        if self._w is not None:
+            once = self._last._once
+            self._last._once = lambda r: applies.append(r.size) or once(r)
 
     monkeypatch.setattr(kkt.KktBasis, "_rebase", counted_rebase)
     return applies
@@ -1030,12 +1032,13 @@ def test_freeing_solve_supplies_the_next_border_column(monkeypatch):
 
     def checked_slots(self, keys):
         out = slots(self, keys)
-        direct = self._k0._once         # uncounted
+        k0 = self._last
         for j, at in self._slot.items():
             if self._pos0[j] >= 0 and j not in checked:
-                e = np.zeros(self._k0.matrix.shape[0])
+                e = np.zeros(k0.matrix.shape[0])
                 e[self._pos0[j]] = 1.0
-                assert self._v[:, at].tobytes() == direct(e).tobytes()
+                direct = kkt.KktFactorization._once(k0, e)     # uncounted
+                assert self._v[:, at].tobytes() == direct.tobytes()
                 checked.add(j)
         return out
 
@@ -1072,15 +1075,16 @@ def test_updated_solve_refines_only_past_its_backward_error_bound(
     b0 = xstar.nonzero()[0]
     order = np.sort(np.append(b0, (xstar == 0.0).nonzero()[0][0]))
     basis = held_basis(p, b0)
-    assert basis._k0 is not None
-    solve0, applies = basis._solve0, []
+    assert basis._w is not None
+    k0, applies = basis._last, []
+    solve0 = k0._once
 
     def counted(r):
         applies.append(r.size)
         t = solve0(r)
         return t * (1.0 + 1e-8) if perturbed and len(applies) == 2 else t
 
-    basis._solve0 = counted
+    k0._once = counted
     rhs = np.random.default_rng(4).normal(size=order.size + p.m)
     w = basis._update(order, rhs)
     assert applies == [260] * (3 if perturbed else 2)
@@ -1099,7 +1103,7 @@ def test_a_ladder_pass_makes_130_k_b0_applies_and_15_factorizations(
     rungs = ((100, 10, 10), (250, 20, 10), (500, 20, 10), (1000, 20, 10),
              (500, 20, 100))
     applies = _counting_applies(monkeypatch)
-    fresh = _counting(monkeypatch, kkt, "_bunch_kaufman")
+    fresh = _counting(monkeypatch, kkt, "factor_kb")
     cholesky = _counting(monkeypatch, model.lapack, "dpstrf")
     ratios = []
     backward_error = kkt._backward_error
@@ -1159,7 +1163,7 @@ def test_a_solve_whose_schur_block_is_singular_refactors_and_raises(
     p = QpProblem(H=np.zeros((1, 1)), M=np.zeros((1, 1)), A=np.array([[3.0]]),
                   b=np.zeros(1), c=np.zeros(1))
     basis = held_basis(p, [0])
-    assert basis._k0 is not None
+    assert basis._w is not None
     infos = _recorded_dsytrf(monkeypatch)
     updates = _counting(monkeypatch, kkt.KktBasis, "_update")
     factored = _counting(monkeypatch, kkt, "factor_kb")
@@ -1168,7 +1172,7 @@ def test_a_solve_whose_schur_block_is_singular_refactors_and_raises(
         basis.solve(np.zeros(0, dtype=np.intp), np.array([1.0]))
     assert len(updates) == 1 and infos == [(1, 1), (1, 1)]
     assert [a[1].tolist() for a in factored] == [[]]
-    assert basis._k0 is None and basis._last is None
+    assert basis._w is None and basis._last is None
 
 
 def test_a_full_border_cache_refactors(p1, updates_everywhere, monkeypatch):
@@ -1184,7 +1188,7 @@ def test_a_full_border_cache_refactors(p1, updates_everywhere, monkeypatch):
     rhs = np.array([1.0, 2.0])
     got = basis.solve(np.array([1]), rhs)
     assert [a[1].tolist() for a in factored] == [[1]]
-    assert _holds(basis, [1]) and basis._k0 is basis._last
+    assert _holds(basis, [1]) and basis._w is not None
     assert got.tobytes() == factor_kb(p1, [1]).solve(rhs).tobytes()
 
 
@@ -1230,9 +1234,12 @@ def test_update_refuses_a_singular_border(p_lp, updates_everywhere,
     monkeypatch.setattr(kkt.lapack, "dsytrf", recorded)
 
     # K_B0 over B0 = {1} is [[0, -1], [-1, 0]]; dropping 1 or adding 0
-    # makes K_B singular, and S = 0 exactly.
+    # makes K_B singular, and S = 0 exactly.  K_B0's own order is served
+    # by the held factorization, never by an update of an empty border.
     basis = held_basis(p_lp, [1])
-    assert_allclose(basis._update([1], np.array([1.0, 2.0])), [-2.0, -1.0])
+    updates = _counting(monkeypatch, kkt.KktBasis, "_update")
+    assert_allclose(basis.solve([1], np.array([1.0, 2.0])), [-2.0, -1.0])
+    assert updates == []
     infos.clear()
     assert basis._update([], np.array([1.0])) is None
     assert basis._update([0, 1], np.array([1.0, 0.0, 0.0])) is None
@@ -1271,19 +1278,20 @@ def test_in_band_freed_component_settles_from_the_update(p_lp, p1,
                                                          monkeypatch,
                                                          updates_everywhere):
     factored = _counting(monkeypatch, kkt, "factor_kb")
-    lapack = _counting(monkeypatch, kkt, "_bunch_kaufman")
+    verdicts = _counting(monkeypatch, kkt, "_bunch_kaufman")
     settled = _counting(monkeypatch, kkt, "_freed_component")
     part = Partition(basic=[1], nonbasic=[], freed=0)
 
     # Every K_B0 below has B0 = {0}, so that each solve (over B = {1} or
     # B + l = {0, 1}) is a different matrix, which an update serves; no
-    # solve refactors, so the basis still holds K_B0 afterwards.
+    # solve refactors, so the basis still holds K_B0 afterwards.  Each
+    # acceptance verdict is a factor_kb call or an update's Schur block.
     # dz_l = 2 and dx_l = 0.5 lie above their bands: updates only.
     basis = held_basis(p1, [0])
     assert solve_base_primal(p1, part, basis, 0).dz_l == pytest.approx(2.0)
     assert solve_intermediate_primal(p1, part, 0, basis).dx_l == \
         pytest.approx(0.5)
-    assert (len(factored), len(lapack), len(settled)) == (1, 1, 0)
+    assert (len(factored), len(verdicts), len(settled)) == (1, 3, 0)
     assert _holds(basis, [0])
 
     # dz_l = 0 (K_l singular): the updated solve's dz_l is settled by
@@ -1299,7 +1307,7 @@ def test_in_band_freed_component_settles_from_the_update(p_lp, p1,
     d = solve_intermediate_primal(
         p1, Partition(basic=[], nonbasic=[0], freed=1), 1, basis)
     assert d.dx_l == 0.0
-    assert (len(factored), len(lapack), len(settled)) == (3, 3, 2)
+    assert (len(factored), len(verdicts), len(settled)) == (3, 7, 2)
     assert _holds(basis, [0])
 
 

@@ -12,7 +12,7 @@ from pdqp import (Direction, GeneralQp, Iterate, Partition, ProblemError,
                   enumerate_solve, solve_pdqp, solve_standard, standardize)
 from pdqp import driver, dual, model, primal, steps
 from pdqp.driver import STRATEGIES
-from pdqp.kkt import KktBasis, factor_kb, solve_base_primal
+from pdqp.kkt import KktBasis, factor_kb
 from pdqp.model import _check_psd, effective_shifts, objectives, residuals
 from pdqp.primal import primal_base
 
@@ -955,20 +955,12 @@ def test_assigning_a_vector_writes_it_into_the_buffer():
     assert _views_of(buffer, point.x, point.y, point.z)
 
 
-def test_copies_and_negations_share_no_memory(p1):
+def test_an_iterate_copy_shares_no_memory():
     point = Iterate([1.0, 2.0], [3.0], [4.0, 5.0])
     twin = point.copy()
     assert not np.shares_memory(twin.v, point.v)
     assert _views_of(twin.v, twin.x, twin.y, twin.z)
     assert twin.v.tolist() == point.v.tolist()
-    d = solve_base_primal(p1, Partition(basic=[1], nonbasic=[], freed=0),
-                          KktBasis(p1), 0)
-    minus = d.negated()
-    assert not np.shares_memory(minus.v, d.v)
-    assert _views_of(minus.v, minus.dx, minus.dy, minus.dz)
-    assert_array_equal(minus.v, -d.v)
-    assert (minus.dx_l, minus.dz_l) == (-d.dx_l, -d.dz_l)
-    assert (minus.freed, minus.basic) == (d.freed, d.basic)
 
 
 def test_a_direction_copies_its_vectors_and_is_frozen():

@@ -224,6 +224,33 @@ def test_each_family_derives_its_roles_from_its_name():
         Family("x")
 
 
+@pytest.mark.parametrize("method,clause,role", [
+    ("primal", "guarded", "free"), ("primal", "relaxed", "free"),
+    ("dual", "guarded", "fixed"), ("dual", "relaxed", "fixed")])
+def test_a_failed_start_blames_the_regular_index_not_the_unguarded_one(
+        method, clause, role):
+    # H = I, m = 0, index 0 unguarded (the primal's free, the dual's
+    # fixed) and index 2 regular, both live (basic in the primal,
+    # nonbasic in the dual), with the clause's value -5 and -1 (guarded)
+    # or 5 and 1 (relaxed) and c keeping stationarity exact.  Index 0 has
+    # no bound on that value, so the message must name index 2.
+    sign = -1.0 if clause == "guarded" else 1.0
+    value = np.array([5.0 * sign, 0.0, sign])
+    primal = method == "primal"
+    on_x = primal == (clause == "guarded")      # the clause tests x + q
+    x, z = (value, np.zeros(3)) if on_x else (np.zeros(3), value)
+    p = QpProblem(H=np.eye(3), M=np.zeros((0, 0)), A=np.zeros((0, 3)),
+                  b=np.zeros(0), c=z - x, **{role: [0]})
+    part = (Partition(basic=[0, 1, 2], nonbasic=[]) if primal
+            else Partition(basic=[], nonbasic=[0, 1, 2]))
+    vec, shift = ("x", "q") if on_x else ("z", "r")
+    error = (f"{method} start: {clause} {vec}[2] + {shift}[2] = {sign:.3e} "
+             f"violates its bound")
+    solve = solve_primal if primal else solve_dual
+    with pytest.raises(StartConditionError, match=f"^{re.escape(error)}$"):
+        solve(p, Shifts.zero(3), (Iterate(x, [], z), part))
+
+
 @pytest.mark.parametrize("off,error", [
     (1e-6, "primal start: relaxed z[2] + r[2] = 1.000e-06 violates its "
            "bound"),

@@ -152,14 +152,15 @@ def test_trajectories_do_not_depend_on_refinement(monkeypatch):
 
 
 def test_pd_stages_refactor_once_per_border_cap(monkeypatch):
-    # Fresh factorizations are LAPACK attempts (every factorization tries
-    # one first).  Each subiteration moves at most one blocking index and
-    # each iteration binds one freed index, so iterations + subiterations
-    # bounds a stage's basis changes.
+    # Fresh factorizations are ``factor_kb`` calls, the one function that
+    # builds and factors a basis matrix; each records its dim.  Each
+    # subiteration moves at most one blocking index and each iteration
+    # binds one freed index, so iterations + subiterations bounds a
+    # stage's basis changes.
     tries = []
-    bunch_kaufman = kkt._bunch_kaufman
-    monkeypatch.setattr(kkt, "_bunch_kaufman",
-                        lambda k: tries.append(k.shape[0]) or bunch_kaufman(k))
+    factor_kb = kkt.factor_kb
+    monkeypatch.setattr(kkt, "factor_kb", lambda p, order: tries.append(
+        len(order) + p.m) or factor_kb(p, order))
     stages = []
 
     def counted(solve):
