@@ -1,11 +1,14 @@
 """Two trees in one process: how much slower or faster one tree solves a
-benchmark workload than another, by interleaved pairs of passes.
+benchmark workload than another, by interleaved pairs of passes, and
+where each tree spends its solve, phase by phase.
 
     PYTHONPATH=src python tests/ab_probe.py --base DIR --workload ladder --pairs 16
-    PYTHONPATH=src python tests/ab_probe.py --base DIR --workload suite500 --pairs 10
+    PYTHONPATH=src python tests/ab_probe.py --base DIR --workload suite500 --phases steps
+    PYTHONPATH=src python tests/ab_probe.py --workload suite500 --phases driver
 
-``DIR`` is another checkout, the base; the change is this tree.  Each
-tree's ``src/pdqp`` is loaded under its own package name (``pdqp_base``,
+``DIR`` is another checkout, the base; the change is this tree, and so is
+the base when ``--base`` is not given (an A/A run).  Each tree's
+``src/pdqp`` is loaded under its own package name (``pdqp_base``,
 ``pdqp_change``), so that neither shares a module, or a cache of one,
 with the other.  The workload's instances are built once, by this tree's
 ``bench/workloads.py`` and ``pdqp``, and every solve is the workload's
@@ -28,8 +31,25 @@ the change won, and whether every solve of both trees gave the same
 output as the base's warm-up solve: status, the bits of the objective,
 iteration and subiteration counts, and the bytes of the returned iterate
 (``x``, ``y`` and ``z``), or of the ``.sol`` file on ``mixed-bounds``.
-Run it with ``--base`` a copy of this very tree for the spread of an A/A
-comparison on the same host.
+Run it with a copy of this very tree as the base for the spread of an
+A/A comparison on the same host, and quote one beside every A/B run.
+
+``--phases driver`` wraps the driver- and engine-level functions of
+``PHASES`` in each tree's own package, ``--phases steps`` those and the
+rows of the active-set loop (``STEP_PHASES``: the ratio test, the
+direction and freed-component helpers, and the KKT call path from
+``KktBasis.solve`` down to ``_bunch_kaufman`` and
+``KktFactorization.solve``).  A function is wrapped in every module of
+the package that binds it, so a call through an imported name is seen
+too; a row whose function a tree does not define reads 0 calls there.
+The wrappers are ``bench/tracing.py``'s spans, and a row is a phase's
+self time (its ``perf_counter`` time less that of the wrapped calls
+inside it), so the rows add up to the wrapped solve.  Before the summary
+line a table gives, per row, each tree's median µs per solve over the
+pairs, the median and quartiles of the per-pair ratios, and each tree's
+calls per solve; ``outside the phases`` is what no wrapper covers and
+``solve (wrapped)`` a whole solve.  The wrappers cost about a
+microsecond per call, and the pair lines then time wrapped solves.
 
 Not collected by pytest (the file name has no ``test_`` prefix).
 """
@@ -50,7 +70,45 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 import pdqp  # noqa: E402
+import tracing  # noqa: E402
 import workloads  # noqa: E402
+
+MODULES = ("model", "kkt", "steps", "primal", "dual", "driver", "cli")
+# (row label, module that defines it, attribute); an attribute with a dot
+# is a method of the class it names, the rest are module-level functions.
+PHASES = (
+    ("take_step", "steps", "take_step"),
+    ("QpProblem.__post_init__", "model", "QpProblem.__post_init__"),
+    ("find_soc_basis", "kkt", "find_soc_basis"),
+    ("init_shifts", "driver", "init_shifts"),
+    ("rest of solve_standard", "driver", "solve_standard"),
+    ("check_optimality", "model", "check_optimality"),
+    ("run_active_set (own)", "steps", "run_active_set"),
+    ("_check_bounds", "steps", "_check_bounds"),
+    ("_stage_log", "driver", "_stage_log"),
+    ("select_index", "steps", "select_index"),
+    ("standardize (own)", "driver", "standardize"),
+    ("rest of solve_pdqp", "driver", "solve_pdqp"),
+    ("parse_problem", "cli", "parse_problem"),
+    ("rest of cli.run", "cli", "run"),
+)
+STEP_PHASES = (
+    ("ratio_test", "steps", "ratio_test"),
+    ("solve_base_primal (own)", "kkt", "solve_base_primal"),
+    ("solve_intermediate_primal (own)", "kkt", "solve_intermediate_primal"),
+    ("_direction", "kkt", "_direction"),
+    ("_base_dz_l", "kkt", "_base_dz_l"),
+    ("_with_freed", "kkt", "_with_freed"),
+    ("_kkt_max", "kkt", "_kkt_max"),
+    ("_freed_component", "kkt", "_freed_component"),
+    ("KktBasis.solve (own)", "kkt", "KktBasis.solve"),
+    ("KktBasis._factor (own)", "kkt", "KktBasis._factor"),
+    ("factor_kb (own)", "kkt", "factor_kb"),
+    ("build_kb", "kkt", "build_kb"),
+    ("_bunch_kaufman", "kkt", "_bunch_kaufman"),
+    ("KktFactorization.solve", "kkt", "KktFactorization.solve"),
+)
+ROW_SETS = {"driver": PHASES, "steps": PHASES + STEP_PHASES}
 
 
 def load_tree(src: Path, name: str) -> ModuleType:
@@ -67,7 +125,8 @@ def load_tree(src: Path, name: str) -> ModuleType:
 
 class Tree:
     """One tree as a workload sees it: its package, with the solution of
-    its last ``solve_standard`` or ``solve_pdqp`` call kept."""
+    its last ``solve_standard`` or ``solve_pdqp`` call kept, and the span
+    recorder of its phases (``None`` without ``--phases``)."""
 
     def __init__(self, label: str, package: ModuleType, out_dir: Path):
         self.label = label
@@ -75,6 +134,8 @@ class Tree:
         self.cli = package.cli
         self.out_dir = out_dir
         self.last = None
+        self.recorder = None
+        self.passes = []                # per pair: reduce_spans of a pass
 
     def __getattr__(self, name: str):
         return getattr(self.package, name)
@@ -87,6 +148,34 @@ class Tree:
         self.last = self.package.solve_pdqp(*args, **kwargs)
         return self.last
 
+    def wrap_phases(self, rows) -> None:
+        """Wrap every row's function, in every module of this tree's
+        package that binds it (a method on its class), as a span of its
+        label."""
+        name = self.package.__name__
+        mods = [self.package] + [importlib.import_module(f"{name}.{m}")
+                                 for m in MODULES]
+        self.recorder = rec = tracing.SpanRecorder()
+        for label, module, attr in rows:
+            owner = importlib.import_module(f"{name}.{module}")
+            cls, _, attr = attr.rpartition(".")
+            if cls:
+                owner = getattr(owner, cls, None)
+            original = getattr(owner, "__dict__", {}).get(attr)
+            if original is None:        # not defined in this tree
+                continue
+            wrapper = rec.wrap(label, original)
+            for mod in [owner] if cls else mods:
+                if mod.__dict__.get(attr) is original:
+                    setattr(mod, attr, wrapper)
+
+    def end_pass(self, keep: bool) -> None:
+        """Reduce the spans of the pass just run, kept unless warm-up."""
+        if self.recorder is not None:
+            if keep:
+                self.passes.append(tracing.reduce_spans(self.recorder.spans))
+            self.recorder.spans = []
+
 
 def _iterate_bytes(sol) -> bytes:
     if hasattr(sol, "iterate"):             # a StandardSolution
@@ -94,15 +183,19 @@ def _iterate_bytes(sol) -> bytes:
     return sol.x.tobytes() + sol.y.tobytes() + sol.z.tobytes()
 
 
-def solve(workload, tree: Tree, case) -> tuple[float, tuple]:
+def solve(workload, tree: Tree, case, i: int) -> tuple[float, tuple]:
     """(CPU seconds, output signature) of the workload's solve of
-    ``case`` with ``tree``."""
+    ``case``, the ``i``-th, with ``tree``."""
     workloads.pdqp, workloads.cli = tree, tree.cli
     if hasattr(workload, "out_dir"):
         workload.out_dir = tree.out_dir
     tree.last = None
     start = time.process_time()
-    out = workload.solve(case)
+    if tree.recorder is None:
+        out = workload.solve(case)
+    else:
+        with tree.recorder.solve(i):
+            out = workload.solve(case)
     seconds = time.process_time() - start
     if tree.last is not None:
         produced = _iterate_bytes(tree.last)
@@ -123,9 +216,11 @@ def run_pass(workload, cases, trees, turn: int
     for i, case in enumerate(cases):
         first = (i + turn) % 2
         for side in (first, 1 - first):
-            t, signature = solve(workload, trees[side], case)
+            t, signature = solve(workload, trees[side], case, i)
             seconds[side] += t
             outputs[side].append(signature)
+    for tree in trees:
+        tree.end_pass(keep=turn > 0)
     return seconds, outputs
 
 
@@ -137,14 +232,51 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def phase_table(rows, trees, count: int) -> list[str]:
+    """The markdown rows of the per-phase table over ``trees``' passes:
+    each row of ``rows`` that some tree calls, then ``outside the
+    phases`` and ``solve (wrapped)``."""
+    def per_pass(tree, label):      # [(calls, seconds)] of one row
+        if label == "solve (wrapped)":
+            return [(count, sum(r["root"].values())) for r in tree.passes]
+        return [tuple(r["by_name"].get(label, (0, 0.0)))
+                for r in tree.passes]
+
+    lines = ["| phase | base us | change us | ratio change/base (IQR) "
+             "| base calls | change calls |", "|---|---|---|---|---|---|"]
+    for label in [label for label, _, _ in rows] + [
+            "outside the phases", "solve (wrapped)"]:
+        key = tracing.ROOT if label == "outside the phases" else label
+        sides = [per_pass(tree, key) for tree in trees]
+        calls = [statistics.median(c for c, _ in side) / count
+                 for side in sides]
+        if not any(calls):
+            continue
+        us = [statistics.median(s for _, s in side) / count * 1e6
+              for side in sides]
+        ratio = "-"
+        if all(calls):
+            q1, q2, q3 = _quartiles([c / b for (_, b), (_, c)
+                                     in zip(*sides)])
+            ratio = f"{q2:.3f} ({q1:.3f}-{q3:.3f})"
+        shown = ([""] * 2 if key == tracing.ROOT
+                 else [f"{c:.2f}" for c in calls])
+        lines.append(f"| {label} | {us[0]:.1f} | {us[1]:.1f} | {ratio} | "
+                     f"{shown[0]} | {shown[1]} |")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", type=Path, required=True,
-                    help="the other checkout, whose src/pdqp is the base")
+    ap.add_argument("--base", type=Path, default=ROOT,
+                    help="the other checkout, whose src/pdqp is the base "
+                         "(default: this tree)")
     ap.add_argument("--workload", required=True,
                     choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--pairs", type=int, default=10,
                     help="pairs of passes after the warm-up (default 10)")
+    ap.add_argument("--phases", choices=sorted(ROW_SETS),
+                    help="also time these rows phase by phase")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -158,6 +290,8 @@ def main(argv: list[str] | None = None) -> int:
                                     ("change", ROOT / "src"))]
         for tree in trees:
             tree.out_dir.mkdir()
+            if args.phases:
+                tree.wrap_phases(ROW_SETS[args.phases])
         workload = workloads.WORKLOADS[args.workload](tmp)
         cases, _ = workload.build()
         _, outputs = run_pass(workload, cases, trees, 0)     # warm-up
@@ -178,6 +312,11 @@ def main(argv: list[str] | None = None) -> int:
         q1, q2, q3 = _quartiles(spent)
         print(f"{tree.label}: median pass {q2:.3f} s (quartiles {q1:.3f}-"
               f"{q3:.3f})")
+    if args.phases:
+        print(f"{args.workload}: us per solve, median of {args.pairs} "
+              f"pairs, one BLAS thread")
+        print("\n".join(phase_table(ROW_SETS[args.phases], trees,
+                                    len(cases))))
     q1, q2, q3 = _quartiles(ratios)
     wins = sum(r < 1.0 for r in ratios)
     print(f"{args.workload}: {len(cases)} cases, {args.pairs} pairs, ratio "
